@@ -250,7 +250,6 @@ def cmd_stokes(p: dict) -> ResultTable:
         out = stokes.stokes_transversal(entry.trace_z_plane, man, tcol, t,
                                         singular_points=sing)
         rows.append([t, out["flux"], out["div_mass"]])
-        meta["verdict"] = "CONVERGED"
         return ResultTable(["t", "flux", "div_mass"], rows, meta)
     if route == "mass":
         col = geo.build_tangential_collar(man)

@@ -243,26 +243,6 @@ def integrate_measure(mu: CurlMeasure, testvec, region: SolidRegion,
     return out
 
 
-def measure_total_variation(mu: CurlMeasure, region: SolidRegion) -> float:
-    total = 0.0
-    if mu.lebesgue_density is not None:
-        total += volume_integral(
-            region, lambda x: np.linalg.norm(np.atleast_2d(mu.lebesgue_density(x)), axis=1))
-    for sp in mu.sheet_parts:
-        uv = sp.patch.rule.nodes
-        pts = sp.patch.param(uv)
-        w = sp.patch.rule.weights * sp.patch.metric_jacobian(uv)
-        w = w * region.contains(pts).astype(float)
-        total += float(np.sum(w * np.linalg.norm(np.atleast_2d(sp.density(pts)), axis=1)))
-    for lp in mu.line_parts:
-        lo, hi = lp.clipped(region)
-        if hi > lo:
-            rule = gauss_legendre(48, lo, hi)
-            dens = np.atleast_2d(lp.density(lp.positions(rule.nodes)))
-            total += float(np.sum(rule.weights * np.linalg.norm(dens, axis=1)))
-    return float(total)
-
-
 def numeric_curl(fld: VectorField, x, h: float = 1e-3) -> Array:
     """Central-difference curl at a point; O(h^2) at smooth points."""
     x = np.asarray(x, dtype=float).reshape(3)

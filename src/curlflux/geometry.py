@@ -346,7 +346,7 @@ class TangentialCollar:
     """
 
     layer: Callable[[float], Curve]
-    grad_s: Callable[[np.ndarray, float], np.ndarray]  # points, s -> (n,3)
+    grad_s: Callable[[np.ndarray, np.ndarray], np.ndarray]  # points, per-point s -> (n,3)
     layer_jacobian: Callable[[float], float]
     s_max: float
     bilip: float  # fitted comparability constant, >= 1
@@ -362,7 +362,6 @@ class TangentialCollar:
 
 
 def _fit_bilip(collar: TangentialCollar, n_samples: int = 6) -> float:
-    ss = np.linspace(0.0, 0.45 * collar.s_max / 0.5, n_samples + 1)[: n_samples + 1]
     ss = np.linspace(0.0, min(0.45, collar.s_max * 0.9), n_samples)
     theta = 1.0
     for i in range(len(ss)):
@@ -467,10 +466,12 @@ def build_tangential_collar(manifold: BoundaryManifold,
         def layer(s):
             return circle_curve(center, radius * (1.0 - s), e1, e2, n_angular)
 
+        axis = np.cross(e1, e2)
+
         def grad_s(pts, s):
             pts = np.atleast_2d(pts)
             rel = pts - center
-            rho = _unit(rel - np.outer(rel @ np.cross(e1, e2), np.cross(e1, e2)))
+            rho = _unit(rel - np.outer(rel @ axis, axis))
             return -rho / radius
 
         collar = TangentialCollar(layer, grad_s, lambda s: float(radius), s_max=1.0, bilip=1.0,
@@ -546,11 +547,6 @@ class HeightFunction:
             return np.ones_like(s)
         return np.clip((s - self.t) / self.delta, 0.0, 1.0)
 
-    def gradient_at_layer(self, pts: np.ndarray, s: float) -> np.ndarray:
-        if self.collar.empty or not (self.t < s < self.t + self.delta):
-            return np.zeros_like(np.atleast_2d(pts))
-        return self.collar.grad_s(pts, s) / self.delta
-
     def sup_gradient(self) -> float:
         if self.collar.empty:
             return 0.0
@@ -568,6 +564,37 @@ def height_function(manifold: BoundaryManifold, collar: TangentialCollar,
     return HeightFunction(manifold, collar, t, delta)
 
 
+def _band(collar: TangentialCollar, lo: float, hi: float, s_order: int,
+          breaks: Sequence[float] = (), layer=None):
+    """All nodes of the collar band (lo, hi), with the s-rule split at `breaks`.
+
+    Returns the stacked points (n_s*m, 3), the layer weights w_s * J(s),
+    the line weights (n_s, m) and the collar parameter of each point.
+    `layer` maps s to the curve of that layer (default `collar.layer`);
+    every layer carries the same m nodes.
+    """
+    bp = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
+    s_rule = gauss_legendre_split(s_order, np.asarray(bp))
+    layer = layer or collar.layer
+    pts = line_w = None
+    for k, s in enumerate(s_rule.nodes):
+        curve = layer(s)
+        if pts is None:
+            n_s, m = s_rule.nodes.size, curve.rule.weights.size
+            pts, line_w = np.empty((n_s, m, 3)), np.empty((n_s, m))
+        pts[k] = curve.nodes
+        line_w[k] = curve.rule.weights * curve.speed(curve.rule.nodes)
+    layer_w = s_rule.weights * np.array([float(collar.layer_jacobian(s)) for s in s_rule.nodes])
+    return pts.reshape(-1, 3), layer_w, line_w, np.repeat(s_rule.nodes, m)
+
+
+def _band_integral(layer_w: np.ndarray, line_w: np.ndarray, vals) -> float:
+    """Integral of per-point band values: a sum along each layer, then the
+    layers added one by one in s-rule order (cumsum is sequential)."""
+    lines = np.sum(line_w * np.reshape(vals, line_w.shape), axis=1)
+    return float(np.cumsum(layer_w * lines)[-1])
+
+
 def ramp_integral(manifold: BoundaryManifold, collar: TangentialCollar, t: float, delta: float,
                   covector_field, scalar=None, s_order: int = 8,
                   breaks: Sequence[float] = ()) -> float:
@@ -582,30 +609,20 @@ def ramp_integral(manifold: BoundaryManifold, collar: TangentialCollar, t: float
         return 0.0
     if not (0.0 < delta and t >= 0.0 and t + delta <= collar.s_max):
         raise GeometryError("ramp band outside collar range")
-    bp = sorted({t, t + delta, *(b for b in breaks if t < b < t + delta)})
-    s_rule = gauss_legendre_split(s_order, np.asarray(bp))
-    total = 0.0
-    for s, w in zip(s_rule.nodes, s_rule.weights):
-        curve = collar.layer(s)
-        pts = curve.nodes
-        g = collar.grad_s(pts, s) / delta
-        vals = np.einsum("ij,ij->i", np.asarray(covector_field(pts), dtype=float), g)
-        if scalar is not None:
-            vals = vals * np.asarray(scalar(pts), dtype=float)
-        line = np.sum(curve.rule.weights * curve.speed(curve.rule.nodes) * vals)
-        total += w * float(collar.layer_jacobian(s)) * line
-    return float(total)
+    pts, layer_w, line_w, s = _band(collar, t, t + delta, s_order, breaks)
+    vals = np.einsum("ij,ij->i", np.asarray(covector_field(pts), dtype=float),
+                     collar.grad_s(pts, s) / delta)
+    if scalar is not None:
+        vals = vals * np.asarray(scalar(pts), dtype=float)
+    return _band_integral(layer_w, line_w, vals)
 
 
 def band_area(collar: TangentialCollar, t: float, delta: float, s_order: int = 8) -> float:
     """Surface area of the collar band Psi((t, t+delta) x Gamma)."""
     if collar.empty:
         return 0.0
-    s_rule = gauss_legendre(s_order, t, t + delta)
-    total = 0.0
-    for s, w in zip(s_rule.nodes, s_rule.weights):
-        total += w * float(collar.layer_jacobian(s)) * collar.layer(s).length()
-    return float(total)
+    _, layer_w, line_w, _ = _band(collar, t, t + delta, s_order)
+    return _band_integral(layer_w, line_w, np.ones_like(line_w))
 
 
 def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
@@ -617,15 +634,8 @@ def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
     hi = min(hi, collar.s_max)
     if hi <= lo:
         return 0.0
-    bp = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
-    s_rule = gauss_legendre_split(s_order, np.asarray(bp))
-    total = 0.0
-    for s, w in zip(s_rule.nodes, s_rule.weights):
-        curve = collar.layer(s)
-        vals = np.asarray(density(curve.nodes), dtype=float)
-        line = np.sum(curve.rule.weights * curve.speed(curve.rule.nodes) * vals)
-        total += w * float(collar.layer_jacobian(s)) * line
-    return float(total)
+    pts, layer_w, line_w, _ = _band(collar, lo, hi, s_order, breaks)
+    return _band_integral(layer_w, line_w, np.asarray(density(pts), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +864,6 @@ def star_slide(patch: SurfacePatch, center) -> PatchSlide:
         idx = np.argmin(d, axis=1)
         return patch.normal(uv)[idx]
 
-    avg = None
     return PatchSlide(patch, shift, nrm, outward, lambda t: 1.0, depth_range=np.inf)
 
 

@@ -6,6 +6,7 @@ reference parameter domain.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,9 +24,21 @@ class QuadratureRule:
             raise ValueError("quadrature weights must be positive")
 
 
-def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [a, b]; exact on polynomials of degree 2n-1."""
+@lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference n-point Gauss-Legendre nodes and weights on [-1, 1], built
+    once per n; the cached arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
+    """n-point Gauss-Legendre rule on [a, b]; exact on polynomials of degree 2n-1.
+
+    The returned arrays are fresh, so callers may modify them."""
+    x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return QuadratureRule(mid + half * x, half * w, order=2 * n - 1)
 

@@ -24,8 +24,9 @@ from .geometry import (
     SolidRegion,
     TangentialCollar,
     TransversalCollar,
+    _band,
+    _band_integral,
     arc_curve,
-    band_area,
     circle_curve,
     line_integral,
     ramp_integral,
@@ -34,7 +35,6 @@ from .geometry import (
     surface_integral,
     volume_integral,
 )
-from .quadrature import gauss_legendre, periodic_trapezoid
 from .sequences import SequenceVerdict, judge_sequence, richardson_limit
 from .testfns import ScalarTestFunction, VectorTestField, radial_bump
 
@@ -157,21 +157,17 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
     for r in r_grid:
         bump = radial_bump(x0, r, plateau=0.6)
         half_width = 1.5 * r / (radius * (1.0 - t))
+
+        def window(s):
+            return arc_curve(center, radius * (1.0 - s), e1, e2, a0 - half_width,
+                             a0 + half_width, n_arc)
+
         vals = []
         for d in deltas:
-            s_rule = gauss_legendre(8, t, t + d)
-            total = 0.0
-            for s, w in zip(s_rule.nodes, s_rule.weights):
-                rho = radius * (1.0 - s)
-                arc = arc_curve(center, rho, e1, e2, a0 - half_width, a0 + half_width,
-                                n_arc)
-                pts = arc.nodes
-                g = collar.grad_s(pts, s) / d
-                integrand = (np.einsum("ij,ij->i", np.atleast_2d(trace(pts)), g)
-                             * bump.value(pts))
-                total += w * float(collar.layer_jacobian(s)) * float(
-                    np.sum(arc.rule.weights * arc.speed(arc.rule.nodes) * integrand))
-            vals.append(total)
+            pts, layer_w, line_w, s = _band(collar, t, t + d, 8, layer=window)
+            g = collar.grad_s(pts, s) / d
+            vals.append(_band_integral(layer_w, line_w, np.einsum(
+                "ij,ij->i", np.atleast_2d(trace(pts)), g) * bump.value(pts)))
         verdict = judge_sequence(vals, spread_tol=1e-5, osc_tol=5e-2)
         if not verdict.converged:
             ests.append(np.nan)

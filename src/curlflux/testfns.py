@@ -213,49 +213,6 @@ def bump_vector(center, radius: float, direction) -> VectorTestField:
     return VectorTestField(value, curl, "bump_vector")
 
 
-def cylindrical_bump(axis_point, rho_radius: float, z_half_width: float,
-                     plateau: float = 0.5) -> ScalarTestFunction:
-    """Product bump g(planar radius) h(axial offset) around a point on the z axis.
-
-    Coordinate-aligned kinks (cylinders and planes), so cylinder rules split
-    at the recorded breaks integrate it exactly.
-    """
-    axis_point = np.asarray(axis_point, dtype=float)
-
-    def parts(x):
-        x = np.atleast_2d(x)
-        rel = x - axis_point
-        rho = np.hypot(rel[:, 0], rel[:, 1])
-        return rel, rho
-
-    def value(x):
-        rel, rho = parts(x)
-        return (cutoff_profile(rho / rho_radius, plateau)
-                * cutoff_profile(np.abs(rel[:, 2]) / z_half_width, plateau))
-
-    def gradient(x):
-        rel, rho = parts(x)
-        g = cutoff_profile(rho / rho_radius, plateau)
-        h = cutoff_profile(np.abs(rel[:, 2]) / z_half_width, plateau)
-        gp = cutoff_profile_prime(rho / rho_radius, plateau) / rho_radius
-        hp = (cutoff_profile_prime(np.abs(rel[:, 2]) / z_half_width, plateau)
-              * np.sign(rel[:, 2]) / z_half_width)
-        safe = np.where(rho == 0.0, 1.0, rho)
-        out = np.zeros_like(np.atleast_2d(x))
-        out[:, 0] = gp * h * rel[:, 0] / safe
-        out[:, 1] = gp * h * rel[:, 1] / safe
-        out[:, 2] = g * hp
-        return out
-
-    fn = ScalarTestFunction(value, gradient, f"cyl_bump(r={rho_radius:g})",
-                            support=(tuple(axis_point), rho_radius),
-                            support_breaks=(plateau * rho_radius, rho_radius))
-    object.__setattr__(fn, "z_breaks",
-                       (axis_point[2] - z_half_width, axis_point[2] - plateau * z_half_width,
-                        axis_point[2] + plateau * z_half_width, axis_point[2] + z_half_width))
-    return fn
-
-
 def windowed(field: VectorTestField, window: ScalarTestFunction) -> VectorTestField:
     """Compactly supported version of a vector field: value = w v,
     curl = w curl(v) + grad(w) x v."""
@@ -281,17 +238,4 @@ def scalar_dictionary(center, scale: float, seed: int = 1234) -> list[ScalarTest
             entries.append(radial_bump(center + off, level * scale))
     entries.append(trig_scalar(rng.standard_normal(3) / scale))
     entries.append(trig_scalar(rng.standard_normal(3) / scale, phase=0.7))
-    return entries
-
-
-def vector_dictionary(center, scale: float, seed: int = 99, n: int = 5) -> list[VectorTestField]:
-    rng = np.random.default_rng(seed)
-    entries: list[VectorTestField] = []
-    for i in range(n):
-        if i % 2 == 0:
-            entries.append(random_trig_vector(int(rng.integers(1 << 30)), n_modes=2,
-                                              kmax=1.5 / scale))
-        else:
-            off = np.asarray(center, float) + scale * 0.2 * rng.uniform(-1, 1, size=3)
-            entries.append(bump_vector(off, scale, rng.standard_normal(3)))
     return entries

@@ -201,7 +201,7 @@ def boundary_pairing_layer_route(fld: VectorField, region: SolidRegion,
 
 def tangentiality_defect(fld: VectorField, region: SolidRegion,
                          collar: TransversalCollar, boundary_data,
-                         eps_grid: Sequence[float] = (2.0 ** -k for k in range(3, 9))) -> float:
+                         eps_grid: Sequence[float] = tuple(2.0 ** -k for k in range(3, 9))) -> float:
     """|T(phi) - T(phi_tau)| with phi_tau the pointwise tangential part of the
     boundary data; both pairings via the boundary-layer route."""
     eps_grid = tuple(eps_grid)

@@ -1,0 +1,31 @@
+import io
+from pathlib import Path
+
+import pytest
+
+from curlflux import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _csv(command: str, params: dict) -> tuple[cli.ResultTable, str]:
+    table = cli.run(cli.RunConfig(command, params))
+    buf = io.StringIO()
+    table.emit("csv", buf)
+    return table, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", cli.REPRODUCE_NAMES)
+def test_reproduce_matches_golden_csv(name):
+    # the reproductions are deterministic, so their CSVs are compared byte for byte
+    _, text = _csv("reproduce", {"name": name})
+    assert text == (GOLDEN / f"{name}.csv").read_text()
+
+
+def test_stokes_transversal_reports_no_verdict():
+    # the transversal route evaluates one Gauss-Green functional and judges no sequence
+    table, text = _csv("stokes", {"field": "rigid_rotation", "route": "transversal"})
+    assert "verdict" not in table.metadata
+    assert "verdict" not in text
+    assert table.columns == ["t", "flux", "div_mass"]
+    assert len(table.rows) == 1

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curlflux import geometry as geo
-from curlflux.quadrature import gauss_legendre
+from curlflux.quadrature import gauss_legendre, gauss_legendre_split
 
 
 def test_disk_area_and_moment():
@@ -189,6 +189,28 @@ def test_band_area_comparability(unit_disk_collar):
         for delta in (0.05, 0.1):
             area = geo.band_area(unit_disk_collar, t, delta)
             assert delta / c <= area <= c * delta
+
+
+def test_band_quadrature_matches_layer_loop(annuli):
+    # reference: one layer curve and one integrand call per s node, layers
+    # added in s-rule order; the batched band must give the same floats
+    man = geo.disk_manifold((0.2, -0.1, 0.5), 1.7)
+    collar = geo.build_tangential_collar(man)
+    t, delta, breaks = 0.1, 0.0625, (0.12, 0.14)
+    weight = lambda p: 1.0 + p[:, 0] ** 2
+    bp = np.array(sorted({t, t + delta, *breaks}))
+    s_rule = gauss_legendre_split(8, bp)
+    ramp = mass = 0.0
+    for s, w in zip(s_rule.nodes, s_rule.weights):
+        curve = collar.layer(s)
+        pts, lw = curve.nodes, curve.rule.weights * curve.speed(curve.rule.nodes)
+        g = collar.grad_s(pts, s) / delta
+        vals = np.einsum("ij,ij->i", annuli.trace_z_plane(pts), g) * weight(pts)
+        ramp += w * float(collar.layer_jacobian(s)) * np.sum(lw * vals)
+        mass += w * float(collar.layer_jacobian(s)) * np.sum(lw * weight(pts))
+    assert geo.ramp_integral(man, collar, t, delta, annuli.trace_z_plane, scalar=weight,
+                             breaks=breaks) == ramp
+    assert geo.band_mass(collar, t, t + delta, weight, breaks=breaks) == mass
 
 
 # ---------------------------------------------------------------------------

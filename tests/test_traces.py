@@ -233,6 +233,16 @@ def test_tangentiality_defect_random_fields(rigid_rotation):
         assert defect < 1e-3
 
 
+def test_tangentiality_defect_default_grid_is_reusable(rigid_rotation):
+    # the default eps grid must survive a first call
+    ball = geo.ball_region(order=8, n_angular=16)
+    tcol = geo.build_transversal_collar(ball)
+    tv = random_trig_vector(100, n_modes=2, kmax=1.0)
+    first = trc.tangentiality_defect(rigid_rotation.vector_field, ball, tcol, tv.value)
+    second = trc.tangentiality_defect(rigid_rotation.vector_field, ball, tcol, tv.value)
+    assert np.isfinite(first) and second == first
+
+
 # ---------------------------------------------------------------------------
 # order diagnostic
 # ---------------------------------------------------------------------------
