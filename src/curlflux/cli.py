@@ -201,12 +201,8 @@ def cmd_trace(p: dict) -> ResultTable:
 
 def _manifold_for_patch(patch, region) -> Optional[geo.BoundaryManifold]:
     if patch.name == "disk":
-        uv0 = patch.rule.nodes[:1]
-        n = patch.normal(uv0)[0]
-        # disk patches store the polar origin as their center
-        center = patch.param(np.array([[0.0, 0.0]]))[0]
         radius = region.meta.get("radius", 1.0)
-        return geo.disk_manifold(center, radius, n)
+        return geo.disk_manifold(patch.meta["center"], radius, patch.meta["normal"])
     if patch.name == "sphere":
         return geo.closed_sphere_manifold(region.meta["center"], region.meta["radius"])
     return None

@@ -127,9 +127,7 @@ class SheetPart:
     density: Callable[[Array], Array]
 
     def pair(self, testvec, region: Optional[SolidRegion] = None) -> Array:
-        uv = self.patch.rule.nodes
-        pts = self.patch.param(uv)
-        w = self.patch.rule.weights * self.patch.metric_jacobian(uv)
+        pts, w = self.patch.nodes, self.patch.weights
         if region is not None:
             w = w * region.contains(pts).astype(float)
         vals = np.atleast_2d(self.density(pts)) * np.atleast_2d(testvec(pts))
@@ -477,14 +475,10 @@ def make_vortex_sheet(u_plus: VectorField, u_minus: VectorField,
                       interface: SurfacePatch) -> tuple[PiecewiseField, CurlMeasure]:
     """Glue two one-sided fields; the curl gains a sheet part carrying the
     tangential jump of the traces."""
-    uv0 = interface.rule.nodes[:1]
-    n = interface.normal(uv0)[0]
-    p0 = interface.param(uv0)[0]
-    nrm = interface.normal(interface.rule.nodes)
-    if np.max(np.linalg.norm(nrm - n, axis=1)) > 1e-12:
+    n = interface.normals[0]
+    if np.max(np.linalg.norm(interface.normals - n, axis=1)) > 1e-12:
         raise FieldError("vortex sheet interface must be a flat patch")
-    pw = PiecewiseField(interface, p0 - ((p0 - interface.param(uv0)[0]) @ n) * n, n,
-                        u_plus, u_minus)
+    pw = PiecewiseField(interface, interface.nodes[0], n, u_plus, u_minus)
 
     sheet = SheetPart(interface, pw.jump_density)
     parts_lebesgue = None
@@ -594,9 +588,7 @@ def mollified_measure_density(mu: CurlMeasure, delta: float, order: int = 10):
                 r = np.linalg.norm(xi - pts, axis=1)
                 out[i] += np.tensordot(rule.weights * bump(r), dens, axes=(0, 0))
         for sp in mu.sheet_parts:
-            uv = sp.patch.rule.nodes
-            pts = sp.patch.param(uv)
-            w = sp.patch.rule.weights * sp.patch.metric_jacobian(uv)
+            pts, w = sp.patch.nodes, sp.patch.weights
             dens = np.atleast_2d(sp.density(pts))
             for i, xi in enumerate(x):
                 r = np.linalg.norm(xi - pts, axis=1)

@@ -14,6 +14,7 @@ Conventions fixed once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -74,14 +75,6 @@ class Curve:
     def length(self) -> float:
         return float(np.sum(self.rule.weights * self.speed(self.rule.nodes)))
 
-    def integrate(self, integrand) -> float | np.ndarray:
-        s = self.rule.nodes
-        vals = np.asarray(integrand(self.point(s)))
-        w = self.rule.weights * self.speed(s)
-        if vals.ndim == 1:
-            return float(np.sum(w * vals))
-        return np.tensordot(w, vals, axes=(0, 0))
-
 
 def circle_curve(center, radius: float, e1, e2, n_nodes: int = DEFAULT_ANGULAR) -> Curve:
     center = np.asarray(center, dtype=float)
@@ -122,11 +115,20 @@ def empty_curve() -> Curve:
                  lambda s: np.zeros(np.atleast_1d(s).shape), rule, closed=True)
 
 
+def _node_sum(w: np.ndarray, vals: np.ndarray) -> float | np.ndarray:
+    """sum_i w_i vals_i: a float for scalar values, an array for vector ones."""
+    if vals.ndim == 1:
+        return float(np.sum(w * vals))
+    return np.tensordot(w, vals, axes=(0, 0))
+
+
 def line_integral(curve: Curve, integrand) -> float | np.ndarray:
-    """Arclength integral of a pointwise integrand over a curve."""
-    vals = curve.integrate(integrand)
-    arr = np.atleast_1d(np.asarray(vals, dtype=float))
-    if not np.all(np.isfinite(arr)):
+    """Arclength integral of a pointwise integrand over a curve; raises on a
+    non-finite result."""
+    s = curve.rule.nodes
+    vals = _node_sum(curve.rule.weights * curve.speed(s),
+                     np.asarray(integrand(curve.point(s))))
+    if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
         raise GeometryError("non-finite line integrand")
     return vals
 
@@ -136,12 +138,20 @@ def line_integral(curve: Curve, integrand) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SurfacePatch:
     """Parametrized patch (u, v) -> R^3 with unit normal and area element.
 
-    `metric_jacobian` is |X_u x X_v| in the patch parameters, so a surface
-    integral is sum(w * f(X(u)) * jac(u)) over the rule nodes.
+    The closed-form maps give points anywhere on the patch; constructors and
+    slides use them. Integrals use the node set of `rule`, evaluated once on
+    first use into read-only arrays: `nodes` (points), `normals` (unit) and
+    `weights` (rule weight times `metric_jacobian`, which is |X_u x X_v|), so
+    a surface integral is sum(weights * f(nodes)).
     """
 
     name: str
@@ -152,36 +162,36 @@ class SurfacePatch:
     regularity: str = "C2"
     meta: dict = field(default_factory=dict)
 
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return _read_only(self.param(self.rule.nodes))
+
+    @cached_property
+    def normals(self) -> np.ndarray:
+        return _read_only(self.normal(self.rule.nodes))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _read_only(self.rule.weights * self.metric_jacobian(self.rule.nodes))
+
     def points(self) -> np.ndarray:
-        return self.param(self.rule.nodes)
+        return self.nodes
 
     def area(self) -> float:
-        return float(np.sum(self.rule.weights * self.metric_jacobian(self.rule.nodes)))
+        return float(np.sum(self.weights))
 
     def integrate(self, integrand) -> float | np.ndarray:
-        uv = self.rule.nodes
-        vals = np.asarray(integrand(self.param(uv)))
-        w = self.rule.weights * self.metric_jacobian(uv)
-        if vals.ndim == 1:
-            return float(np.sum(w * vals))
-        return np.tensordot(w, vals, axes=(0, 0))
+        return surface_integral(self, integrand)
 
 
-def surface_integral(patch: SurfacePatch, integrand, rule: Optional[QuadratureRule] = None):
-    """Surface integral over a patch; raises on non-finite integrand values."""
-    if rule is not None:
-        patch = SurfacePatch(patch.name, patch.param, patch.normal,
-                             patch.metric_jacobian, rule, patch.regularity, patch.meta)
-    uv = patch.rule.nodes
-    pts = patch.param(uv)
-    vals = np.asarray(integrand(pts), dtype=float)
+def surface_integral(patch: SurfacePatch, integrand) -> float | np.ndarray:
+    """Surface integral over a patch's node set; raises on non-finite
+    integrand values."""
+    vals = np.asarray(integrand(patch.nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(np.atleast_1d(vals)))[0]
         raise GeometryError(f"non-finite surface integrand at node index {bad}")
-    w = patch.rule.weights * patch.metric_jacobian(uv)
-    if vals.ndim == 1:
-        return float(np.sum(w * vals))
-    return np.tensordot(w, vals, axes=(0, 0))
+    return _node_sum(patch.weights, vals)
 
 
 def disk_patch(center, radius: float, normal=(0.0, 0.0, 1.0),
@@ -393,7 +403,8 @@ def disk_manifold(center, radius: float, normal=(0.0, 0.0, 1.0), order: int = DE
 
     return BoundaryManifold(patch, curve, conormal, kind="disk",
                             meta={"center": center, "radius": float(radius),
-                                  "frame": (e1, e2, n), "normal_on_curve": normal_on_curve})
+                                  "frame": (e1, e2, n), "normal_on_curve": normal_on_curve,
+                                  "order": order, "n_angular": n_angular})
 
 
 def spherical_cap_manifold(center, radius: float, colatitude: float,
@@ -424,7 +435,8 @@ def spherical_cap_manifold(center, radius: float, colatitude: float,
     return BoundaryManifold(patch, curve, conormal, kind="spherical_cap",
                             meta={"center": center, "radius": float(radius),
                                   "colatitude": float(colatitude), "inner_normal": inner_normal,
-                                  "normal_on_curve": normal_on_curve})
+                                  "normal_on_curve": normal_on_curve,
+                                  "order": order, "n_angular": n_angular})
 
 
 def closed_sphere_manifold(center, radius: float, order: int = DEFAULT_ORDER,
@@ -514,15 +526,13 @@ def shrink_tangential(manifold: BoundaryManifold, collar: TangentialCollar,
         raise GeometryError("shrink parameter must satisfy 0 <= t < 1/2")
     if manifold.closed or t == 0.0:
         return manifold
+    m = manifold.meta
     if manifold.kind == "disk":
-        r = manifold.meta["radius"] * (1.0 - t)
-        _, _, n = manifold.meta["frame"]
-        return disk_manifold(manifold.meta["center"], r, n,
-                             order=int(np.sqrt(manifold.patch.rule.nodes.shape[0])) or DEFAULT_ORDER)
+        return disk_manifold(m["center"], m["radius"] * (1.0 - t), m["frame"][2],
+                             order=m["order"], n_angular=m["n_angular"])
     if manifold.kind == "spherical_cap":
-        return spherical_cap_manifold(manifold.meta["center"], manifold.meta["radius"],
-                                      manifold.meta["colatitude"] * (1.0 - t),
-                                      inner_normal=manifold.meta["inner_normal"])
+        return spherical_cap_manifold(m["center"], m["radius"], m["colatitude"] * (1.0 - t),
+                                      m["order"], m["n_angular"], m["inner_normal"])
     raise GeometryError(f"cannot shrink manifold kind {manifold.kind!r}")
 
 
@@ -643,6 +653,17 @@ def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
 # ---------------------------------------------------------------------------
 
 
+def central_gradient(value, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function of points (n,3)."""
+    x = np.atleast_2d(x)
+    out = np.zeros_like(x)
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        out[:, k] = (value(x + e) - value(x - e)) / (2.0 * h)
+    return out
+
+
 @dataclass(frozen=True)
 class BoundaryExtension:
     """Extension of flat-face boundary data into the adjacent volume.
@@ -681,13 +702,7 @@ class BoundaryExtension:
         return out * ramp
 
     def gradient(self, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        x = np.atleast_2d(x)
-        out = np.zeros_like(x)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            out[:, k] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
-        return out
+        return central_gradient(self.value, x, h)
 
     def gradient_bound_report(self, n_samples: int = 12, span: float = 0.5,
                               seed: int = 7) -> dict:
@@ -783,15 +798,13 @@ class PatchSlide:
 
 def planar_slide(patch: SurfacePatch, inward) -> PatchSlide:
     inward = np.asarray(inward, dtype=float)
-    base = patch.param(patch.rule.nodes[:1])[0]
+    base = patch.nodes[0]
 
     def shift(pts, t):
         return np.atleast_2d(pts) + t * inward
 
     def nrm(pts, t):
-        uv0 = patch.rule.nodes[:1]
-        n = patch.normal(uv0)[0]
-        return np.broadcast_to(n, (np.atleast_2d(pts).shape[0], 3)).copy()
+        return np.broadcast_to(patch.normals[0], (np.atleast_2d(pts).shape[0], 3)).copy()
 
     def slab(pts):
         return (np.atleast_2d(pts) - base) @ inward
@@ -856,13 +869,10 @@ def star_slide(patch: SurfacePatch, center) -> PatchSlide:
         return pts - t * outward(pts)
 
     def nrm(pts, t):
-        uv = patch.rule.nodes
         # transported normal approximated by the base patch normal; adequate for
         # small t on the star-shaped fallback
-        ref = patch.points()
-        d = np.linalg.norm(np.atleast_2d(pts)[:, None, :] - ref[None, :, :], axis=2)
-        idx = np.argmin(d, axis=1)
-        return patch.normal(uv)[idx]
+        d = np.linalg.norm(np.atleast_2d(pts)[:, None, :] - patch.nodes[None, :, :], axis=2)
+        return patch.normals[np.argmin(d, axis=1)]
 
     return PatchSlide(patch, shift, nrm, outward, lambda t: 1.0, depth_range=np.inf)
 
@@ -897,23 +907,17 @@ class SolidRegion:
     def volume(self) -> float:
         return float(np.sum(self.volume_weights))
 
-    def integrate(self, integrand) -> float | np.ndarray:
-        vals = np.asarray(integrand(self.volume_nodes))
-        if vals.ndim == 1:
-            return float(np.sum(self.volume_weights * vals))
-        return np.tensordot(self.volume_weights, vals, axes=(0, 0))
-
     def boundary_area(self) -> float:
         return sum(p.area() for p in self.boundary)
 
 
 def volume_integral(region: SolidRegion, integrand) -> float | np.ndarray:
+    """Volume integral over a region's node set; raises on non-finite
+    integrand values."""
     vals = np.asarray(integrand(region.volume_nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise GeometryError("non-finite volume integrand")
-    if vals.ndim == 1:
-        return float(np.sum(region.volume_weights * vals))
-    return np.tensordot(region.volume_weights, vals, axes=(0, 0))
+    return _node_sum(region.volume_weights, vals)
 
 
 def _spherical_volume_nodes(center, radius, order, n_angular, u_range=(-1.0, 1.0),
@@ -1023,25 +1027,13 @@ def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0), order: int =
             faces.append(rectangle_patch(corner, 2 * e1 / (2 * h[(k + 1) % 3]),
                                          2 * e2 / (2 * h[(k + 2) % 3]),
                                          2 * h[(k + 1) % 3], 2 * h[(k + 2) % 3],
-                                         normal_sign=-sgn * (1 if k != 1 else 1), order=order))
-    # fix normals to point inward
-    fixed = []
-    for f in faces:
-        uv0 = f.rule.nodes[:1]
-        n = f.normal(uv0)[0]
-        p = f.param(uv0)[0]
-        if np.dot(n, center - p) < 0:
-            fixed.append(SurfacePatch(f.name, f.param,
-                                      (lambda ff: (lambda uv: -ff.normal(uv)))(f),
-                                      f.metric_jacobian, f.rule, f.regularity))
-        else:
-            fixed.append(f)
+                                         normal_sign=-sgn, order=order))
 
     def contains(x):
         rel = np.abs(np.atleast_2d(x) - center)
         return np.all(rel < h, axis=1)
 
-    return SolidRegion("box", tuple(fixed), pts, rule.weights, contains,
+    return SolidRegion("box", tuple(faces), pts, rule.weights, contains,
                        ambient_radius or 2.0 * float(np.max(h)), center,
                        meta={"center": center, "half_widths": h})
 
@@ -1134,9 +1126,8 @@ def _support_region(region: SolidRegion, center, radius, kinks) -> SolidRegion:
     for patch in region.boundary:
         if patch.name not in ("disk", "rectangle"):
             continue
-        uv0 = patch.rule.nodes[:1]
-        n = patch.normal(uv0)[0]
-        if abs((center - patch.param(uv0)[0]) @ n) > POSITION_TOL \
+        n = patch.normals[0]
+        if abs((center - patch.nodes[0]) @ n) > POSITION_TOL \
                 or not _ball_fits(region, center, radius, n):
             continue
         frame = np.stack(frame_from_normal(n))
@@ -1204,11 +1195,8 @@ def build_transversal_collar(region: SolidRegion) -> TransversalCollar:
 
     kappa = np.inf
     for sl in slides:
-        uv = sl.patch.rule.nodes
-        pts = sl.patch.param(uv)
-        nu = sl.patch.normal(uv)
-        h = sl.outward_field(pts)
-        kappa = min(kappa, float(np.min(-np.einsum("ij,ij->i", nu, h))))
+        h = sl.outward_field(sl.patch.nodes)
+        kappa = min(kappa, float(np.min(-np.einsum("ij,ij->i", sl.patch.normals, h))))
     if not kappa > 0.0:
         raise GeometryError("failed to find a transversal field with kappa > 0")
     return TransversalCollar(tuple(slides), kappa)
@@ -1245,14 +1233,12 @@ def shell_integral(region: SolidRegion, collar: TransversalCollar, eps: float,
     total = None
     for sl in collar.slides:
         s_rule = gauss_legendre(s_order, 0.0, eps)
-        uv = sl.patch.rule.nodes
-        base = sl.patch.param(uv)
-        warea = sl.patch.rule.weights * sl.patch.metric_jacobian(uv)
+        base = sl.patch.nodes
         acc = None
         for s, w in zip(s_rule.nodes, s_rule.weights):
             pts = sl.shift_point(base, s)
             vals = np.asarray(integrand(base, pts, sl, s))
-            contrib = w * sl.area_scale(s) * np.tensordot(warea, vals, axes=(0, 0))
+            contrib = w * sl.area_scale(s) * np.tensordot(sl.patch.weights, vals, axes=(0, 0))
             acc = contrib if acc is None else acc + contrib
         total = acc if total is None else total + acc
     return total

@@ -25,6 +25,18 @@ from .quadrature import gauss_legendre
 
 DEFAULT_EPS_GRID = tuple(2.0 ** (-k) for k in range(2, 13))
 
+# band (lo, hi) about the parameter t at half-width eps, per maximal variant
+_WINDOWS = {"two_sided": lambda t, eps: (t - eps, t + eps),
+            "plus": lambda t, eps: (t, t + eps),
+            "minus": lambda t, eps: (t - eps, t)}
+
+
+def _window(variant: str):
+    if variant not in _WINDOWS:
+        raise ValueError(f"unknown maximal variant {variant!r}; "
+                         f"expected one of {', '.join(_WINDOWS)}")
+    return _WINDOWS[variant]
+
 
 @dataclass(frozen=True)
 class MaximalScan:
@@ -65,30 +77,20 @@ def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: float, hi: float,
     return float(np.sum(rule.weights * np.linalg.norm(dens, axis=1)))
 
 
-def _sheet_slab_mass(sp: SheetPart, slide: PatchSlide, lo: float, hi: float) -> float:
+def _sheet_mass(sp: SheetPart, slide: PatchSlide, inside) -> float:
+    """Mass of a sheet part on the nodes whose slide depth satisfies `inside`."""
     if slide.slab_coordinate is None:
         return 0.0
-    uv = sp.patch.rule.nodes
-    pts = sp.patch.param(uv)
-    depth = slide.slab_coordinate(pts)
-    w = sp.patch.rule.weights * sp.patch.metric_jacobian(uv)
-    mask = (depth > lo) & (depth < hi)
+    pts = sp.patch.nodes
+    mask = inside(slide.slab_coordinate(pts))
     dens = np.linalg.norm(np.atleast_2d(sp.density(pts)), axis=1)
-    return float(np.sum(w * mask * dens))
+    return float(np.sum(sp.patch.weights * mask * dens))
 
 
 def _sheet_layer_mass(sp: SheetPart, slide: PatchSlide, t: float,
                       tol: float = 1e-10) -> float:
     """Mass carried by the single layer at depth t (concentration detector)."""
-    if slide.slab_coordinate is None:
-        return 0.0
-    uv = sp.patch.rule.nodes
-    pts = sp.patch.param(uv)
-    depth = slide.slab_coordinate(pts)
-    w = sp.patch.rule.weights * sp.patch.metric_jacobian(uv)
-    mask = np.abs(depth - t) < tol
-    dens = np.linalg.norm(np.atleast_2d(sp.density(pts)), axis=1)
-    return float(np.sum(w * mask * dens))
+    return _sheet_mass(sp, slide, lambda depth: np.abs(depth - t) < tol)
 
 
 def _lebesgue_slab_mass(density, slide: PatchSlide, lo: float, hi: float,
@@ -98,14 +100,11 @@ def _lebesgue_slab_mass(density, slide: PatchSlide, lo: float, hi: float,
     if hi <= lo:
         return 0.0
     s_rule = gauss_legendre(s_order, lo, hi)
-    uv = slide.patch.rule.nodes
-    base = slide.patch.param(uv)
-    warea = slide.patch.rule.weights * slide.patch.metric_jacobian(uv)
     total = 0.0
     for s, w in zip(s_rule.nodes, s_rule.weights):
-        pts = slide.shift_point(base, s)
+        pts = slide.shift_point(slide.patch.nodes, s)
         mags = np.linalg.norm(np.atleast_2d(density(pts)), axis=1)
-        total += w * slide.area_scale(s) * float(np.sum(warea * mags))
+        total += w * slide.area_scale(s) * float(np.sum(slide.patch.weights * mags))
     return total
 
 
@@ -114,7 +113,7 @@ def measure_slab_mass(mu: CurlMeasure, slide: PatchSlide, lo: float, hi: float) 
     if mu.lebesgue_density is not None:
         total += _lebesgue_slab_mass(mu.lebesgue_density, slide, lo, hi)
     for sp in mu.sheet_parts:
-        total += _sheet_slab_mass(sp, slide, lo, hi)
+        total += _sheet_mass(sp, slide, lambda depth: (depth > lo) & (depth < hi))
     for lp in mu.line_parts:
         total += _line_slab_mass(lp, slide, lo, hi)
     return total
@@ -129,6 +128,7 @@ def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
                         eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
                         variant: str = "two_sided") -> MaximalScan:
     """Layer-mass maximal function along the transversal slides of a manifold."""
+    window = _window(variant)
     slide = collar.slide_for(manifold.patch)
     vals = []
     for t in t_grid:
@@ -137,12 +137,7 @@ def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
             continue
         best = 0.0
         for eps in eps_grid:
-            if variant == "plus":
-                lo, hi = t, t + eps
-            elif variant == "minus":
-                lo, hi = t - eps, t
-            else:
-                lo, hi = t - eps, t + eps
+            lo, hi = window(t, eps)
             best = max(best, measure_slab_mass(mu, slide, lo, hi) / eps)
         vals.append(best)
     collar_mass = measure_slab_mass(mu, slide, -0.75, min(0.75, slide.depth_range))
@@ -150,8 +145,7 @@ def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
         # concentrated layers inside the collar contribute their full mass
         if slide.slab_coordinate is None:
             continue
-        pts = sp.patch.param(sp.patch.rule.nodes)
-        layer_t = float(np.median(slide.slab_coordinate(pts)))
+        layer_t = float(np.median(slide.slab_coordinate(sp.patch.nodes)))
         if -0.75 < layer_t < 0.75:
             collar_mass += _sheet_layer_mass(sp, slide, layer_t)
     return MaximalScan(tuple(t_grid), tuple(vals), f"transversal_{variant}",
@@ -165,6 +159,8 @@ def maximal_tangential(surface_density, manifold: BoundaryManifold,
                        breaks: Sequence[float] = ()) -> MaximalScan:
     """Layer-mass maximal function of an integrable surface density over the
     tangential collar bands of the boundary curve."""
+    window = _window(variant)
+
     def mag(pts):
         return np.linalg.norm(np.atleast_2d(surface_density(pts)), axis=1)
 
@@ -172,12 +168,7 @@ def maximal_tangential(surface_density, manifold: BoundaryManifold,
     for t in t_grid:
         best = 0.0
         for eps in eps_grid:
-            if variant == "plus":
-                lo, hi = t, t + eps
-            elif variant == "minus":
-                lo, hi = t - eps, t
-            else:
-                lo, hi = t - eps, t + eps
+            lo, hi = window(t, eps)
             m = band_mass(collar, lo, hi, mag, breaks=breaks)
             best = max(best, m / eps)
         vals.append(best)

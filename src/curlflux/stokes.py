@@ -27,6 +27,7 @@ from .geometry import (
     _band,
     _band_integral,
     arc_curve,
+    central_gradient,
     circle_curve,
     line_integral,
     ramp_integral,
@@ -372,7 +373,7 @@ def boundary_pairing_mass(G, manifold: BoundaryManifold, collar: TangentialColla
 
 def _tangential_pairing(patch, phi: ScalarTestFunction, values) -> float:
     """Surface integral of grad_tau(phi) . values over a patch."""
-    nu = patch.normal(patch.rule.nodes)
+    nu = patch.normals
 
     def integrand(pts):
         g = np.atleast_2d(phi.gradient(pts))
@@ -487,13 +488,7 @@ class SolidLocalizer:
         return np.clip((s - self.t) / self.delta, 0.0, 1.0)
 
     def gradient(self, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        x = np.atleast_2d(x)
-        out = np.zeros_like(x)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            out[:, k] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
-        return out
+        return central_gradient(self.value, x, h)
 
 
 def _kink_crossings(phi: ScalarTestFunction):
@@ -575,42 +570,27 @@ def smooth_validators(fld: VectorField, region: SolidRegion,
     if fld.analytic_curl is None:
         raise StokesRefusal("smooth validators need the analytic curl")
 
-    def bd_vec(values):
-        total = np.zeros(3)
-        for patch in region.boundary:
-            uv = patch.rule.nodes
-            pts = patch.param(uv)
-            nu = patch.normal(uv)
-            w = patch.rule.weights * patch.metric_jacobian(uv)
-            total = total + np.tensordot(w, values(pts, nu), axes=(0, 0))
-        return total
-
-    def bd_scalar(values):
-        total = 0.0
-        for patch in region.boundary:
-            uv = patch.rule.nodes
-            pts = patch.param(uv)
-            nu = patch.normal(uv)
-            w = patch.rule.weights * patch.metric_jacobian(uv)
-            total += float(np.sum(w * values(pts, nu)))
-        return total
+    def bd(values):
+        # values(points, inner normals) over every boundary patch
+        return sum(surface_integral(patch, lambda pts, patch=patch: values(pts, patch.normals))
+                   for patch in region.boundary)
 
     vol_curl = volume_integral(region, fld.analytic_curl)
-    d1 = np.linalg.norm(vol_curl - bd_vec(lambda p, nu: np.cross(fld.eval(p), nu)))
+    d1 = np.linalg.norm(vol_curl - bd(lambda p, nu: np.cross(fld.eval(p), nu)))
 
     lhs2 = volume_integral(region, lambda x: phi.value(x)[:, None] * fld.analytic_curl(x)
                            - np.cross(fld.eval(x), phi.gradient(x)))
-    rhs2 = bd_vec(lambda p, nu: phi.value(p)[:, None] * np.cross(fld.eval(p), nu))
+    rhs2 = bd(lambda p, nu: phi.value(p)[:, None] * np.cross(fld.eval(p), nu))
     d2 = np.linalg.norm(lhs2 - rhs2)
 
-    lhs3 = bd_scalar(lambda p, nu: np.einsum(
+    lhs3 = bd(lambda p, nu: np.einsum(
         "ij,ij->i", np.cross(fld.eval(p), other.value(p)), nu))
     rhs3 = volume_integral(region, lambda x: np.einsum("ij,ij->i", fld.eval(x), other.curl(x))) \
         - volume_integral(region, lambda x: np.einsum("ij,ij->i", fld.analytic_curl(x),
                                                       other.value(x)))
     d3 = abs(lhs3 - rhs3)
 
-    lhs4 = bd_scalar(lambda p, nu: np.einsum(
+    lhs4 = bd(lambda p, nu: np.einsum(
         "ij,ij->i", np.cross(fld.eval(p), nu), other.value(p)))
     rhs4 = volume_integral(region, lambda x: np.einsum("ij,ij->i", fld.analytic_curl(x),
                                                        other.value(x))) \
@@ -625,15 +605,10 @@ def faraday_face_check(E: VectorField, dH_dt, face: BoundaryManifold) -> float:
     The circulation route is -loop integral of E . tau with tau induced by
     the face orientation; for an exact field pair the two fluxes cancel.
     """
-    s = face.boundary.rule.nodes
-    tau = face.tangent(s)
-    circ = float(np.sum(face.boundary.rule.weights * face.boundary.speed(s)
-                        * np.einsum("ij,ij->i", E.eval(face.boundary.point(s)), tau)))
-    def hdotn(pts):
-        uv = face.patch.rule.nodes
-        nu = face.patch.normal(uv)
-        return np.einsum("ij,ij->i", np.atleast_2d(dH_dt(pts)), nu)
-    flux_h = surface_integral(face.patch, hdotn)
+    tau = face.tangent(face.boundary.rule.nodes)
+    circ = line_integral(face.boundary, lambda pts: np.einsum("ij,ij->i", E.eval(pts), tau))
+    flux_h = surface_integral(face.patch, lambda pts: np.einsum(
+        "ij,ij->i", np.atleast_2d(dH_dt(pts)), face.patch.normals))
     return abs(-circ + flux_h)
 
 

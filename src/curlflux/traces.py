@@ -142,9 +142,7 @@ def estimate_trace_layerwise(fld: VectorField, manifold: BoundaryManifold,
     Non-convergent nodes keep their last value but are flagged.
     """
     slide = collar.slide_for(manifold.patch)
-    uv = manifold.patch.rule.nodes
-    base = manifold.patch.param(uv)
-    nu0 = manifold.patch.normal(uv)
+    base, nu0 = manifold.patch.nodes, manifold.patch.normals
     sign = 1.0 if side == "interior" else -1.0
     seq = []
     for t in t_grid:
@@ -225,14 +223,11 @@ def _normals_at(region: SolidRegion, pts: np.ndarray) -> np.ndarray:
     best = np.full(pts.shape[0], np.inf)
     out = np.zeros_like(pts)
     for patch in region.boundary:
-        uv = patch.rule.nodes
-        ref = patch.param(uv)
-        nrm = patch.normal(uv)
-        d = np.linalg.norm(pts[:, None, :] - ref[None, :, :], axis=2)
+        d = np.linalg.norm(pts[:, None, :] - patch.nodes[None, :, :], axis=2)
         idx = np.argmin(d, axis=1)
         dist = d[np.arange(len(pts)), idx]
         better = dist < best
-        out[better] = nrm[idx[better]]
+        out[better] = patch.normals[idx[better]]
         best = np.minimum(best, dist)
     return out
 

@@ -63,6 +63,44 @@ def test_nonfinite_integrand_rejected():
         geo.surface_integral(disk, lambda p: 1.0 / (p[:, 0] - p[:, 0]))
 
 
+def test_nonfinite_line_and_volume_integrands_rejected(unit_disk_manifold):
+    with pytest.raises(geo.GeometryError):
+        geo.line_integral(unit_disk_manifold.boundary, lambda p: np.full(len(p), np.nan))
+    with pytest.raises(geo.GeometryError):
+        geo.volume_integral(geo.ball_region(order=8, n_angular=16),
+                            lambda p: np.full((len(p), 3), np.inf))
+
+
+PATCHES = {
+    "disk": lambda: geo.disk_patch((0.1, 0.2, 0.3), 1.5, (1.0, 1.0, 0.5), order=6,
+                                   n_angular=12, radial_breaks=(0.5,)),
+    "annulus": lambda: geo.disk_patch((0, 0, 0), 1.0, order=6, n_angular=12, inner_radius=0.3),
+    "polar_support": lambda: geo.support_rule(geo.disk_patch((0, 0, 0), 1.0),
+                                              ((0.1, 0.0, 0.0), 0.3), (0.15,),
+                                              singular_point=(0.0, 0.0, 0.0)),
+    "sphere": lambda: geo.sphere_patch((0, 0, 1), 2.0, order=6, n_angular=12),
+    "cap": lambda: geo.spherical_cap_patch((0, 0, 0), 1.0, 0.7, order=6, n_angular=12,
+                                           inner_normal=False),
+    "cylinder_side": lambda: geo.cylinder_side_patch((0, 0, 0), 0.8, -0.5, 1.0, order=6,
+                                                     n_angular=12),
+    "rectangle": lambda: geo.rectangle_patch((1, 0, 0), (0, 1, 0), (0, 0.6, 0.8), 2.0, 0.5,
+                                             normal_sign=-1.0, order=6),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PATCHES))
+def test_patch_node_set_matches_closed_form_maps(kind):
+    patch = PATCHES[kind]()
+    uv = patch.rule.nodes
+    assert np.array_equal(patch.nodes, patch.param(uv))
+    assert np.array_equal(patch.normals, patch.normal(uv))
+    assert np.array_equal(patch.weights, patch.rule.weights * patch.metric_jacobian(uv))
+    assert patch.nodes is patch.nodes and patch.points() is patch.nodes
+    for arr in (patch.nodes, patch.normals, patch.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # orientation conventions
 # ---------------------------------------------------------------------------
@@ -140,6 +178,16 @@ def test_shrink_cap_area_monotone():
     col = geo.build_tangential_collar(man)
     areas = [geo.shrink_tangential(man, col, t).patch.area() for t in (0.0, 0.1, 0.2)]
     assert areas[0] > areas[1] > areas[2]
+
+
+@pytest.mark.parametrize("man", [
+    geo.disk_manifold((0, 0, 0), 1.0),
+    geo.disk_manifold((0, 0, 0), 1.0, order=12, n_angular=48),
+    geo.spherical_cap_manifold((0, 0, 0), 1.0, 1.0, order=10, n_angular=40),
+], ids=["disk_default", "disk_12x48", "cap_10x40"])
+def test_shrink_tangential_keeps_node_count(man):
+    shrunk = geo.shrink_tangential(man, geo.build_tangential_collar(man), 0.2)
+    assert shrunk.patch.rule.nodes.shape == man.patch.rule.nodes.shape
 
 
 # ---------------------------------------------------------------------------

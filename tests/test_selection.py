@@ -26,6 +26,16 @@ def test_one_sided_below_two_sided(line_vortex, cylinder_collar):
         assert a <= c + 1e-12 and b <= c + 1e-12
 
 
+def test_unknown_maximal_variant_rejected(line_vortex, cylinder_collar, unit_disk_manifold,
+                                          unit_disk_collar):
+    with pytest.raises(ValueError, match="unknown maximal variant"):
+        sel.maximal_transversal(line_vortex.curl, unit_disk_manifold, cylinder_collar,
+                                [0.1], variant="plus_minus")
+    with pytest.raises(ValueError, match="unknown maximal variant"):
+        sel.maximal_tangential(line_vortex.vector_field.eval, unit_disk_manifold,
+                               unit_disk_collar, [0.1], variant="two-sided")
+
+
 def test_concentrated_sheet_flagged(cylinder_collar):
     sheet = flds.SheetPart(
         geo.disk_patch((0, 0, 0.25), 1.0),
