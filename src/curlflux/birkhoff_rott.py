@@ -20,7 +20,12 @@ is reported as a truncation-error estimate in the diagnostics.
 Strength is a material invariant: it is carried with the markers and
 re-projected onto the discrete tangent plane each step. The O(N^2) kernel
 JIT-compiles via numba when available (set CURLFLUX_THREADS to cap its thread
-count); a chunked numpy path is the fallback.
+count). The numpy fallback walks the targets in chunks of a few dozen rows and
+builds only per-coordinate (rows, sources) pair arrays: folded displacements,
+the partner images and their hat weights, and the image-summed kernel moments
+kx, ky and kz = dz sum(k). The strength gamma w then enters once, as three
+mat-vecs for the cross product. Free space is the same loop with one image of
+weight 1.
 """
 
 from __future__ import annotations
@@ -161,47 +166,39 @@ if HAVE_NUMBA:
         return out
 
 
-def _fold_images_numpy(d, lx, ly):
-    """Folded displacements and hat weights: (n, m, 4, 3) positions, (n, m, 4) weights."""
-    d = d.copy()
-    d[..., 0] -= lx * np.floor(d[..., 0] / lx + 0.5)
-    d[..., 1] -= ly * np.floor(d[..., 1] / ly + 0.5)
-    ux = np.abs(d[..., 0]) / lx
-    uy = np.abs(d[..., 1]) / ly
-    dx1 = np.where(d[..., 0] > 0.0, d[..., 0] - lx, d[..., 0] + lx)
-    dy1 = np.where(d[..., 1] > 0.0, d[..., 1] - ly, d[..., 1] + ly)
-    reps = np.empty(d.shape[:-1] + (4, 3))
-    wts = np.empty(d.shape[:-1] + (4,))
-    combos = [(d[..., 0], d[..., 1], (1 - ux) * (1 - uy)),
-              (d[..., 0], dy1, (1 - ux) * uy),
-              (dx1, d[..., 1], ux * (1 - uy)),
-              (dx1, dy1, ux * uy)]
-    for q, (cx, cy, cw) in enumerate(combos):
-        reps[..., q, 0] = cx
-        reps[..., q, 1] = cy
-        reps[..., q, 2] = d[..., 2]
-        wts[..., q] = cw
-    return reps, wts
-
-
-def _velocity_numpy(targets, sources, gamma, w, delta2, periods=None, chunk=512):
-    out = np.zeros((targets.shape[0], 3))
+def _velocity_numpy(targets, sources, gamma, w, delta2, periods=None, chunk=32):
+    gw = gamma * w[:, None]
+    out = np.empty((targets.shape[0], 3))
     for lo in range(0, targets.shape[0], chunk):
         t = targets[lo:lo + chunk]
-        d = t[:, None, :] - sources[None, :, :]
+        dx0, dy0, dz = (t[:, k, None] - sources[None, :, k] for k in range(3))
         if periods is None:
-            s = np.einsum("ijk,ijk->ij", d, d) + delta2
-            k = w[None, :] / (s * np.sqrt(s))
-            cross = np.cross(np.broadcast_to(gamma[None, :, :], d.shape), d)
-            out[lo:lo + chunk] = -np.einsum("ij,ijk->ik", k, cross) / (4.0 * np.pi)
+            xs, ys = ((dx0, 1.0),), ((dy0, 1.0),)
         else:
-            reps, wts = _fold_images_numpy(d, periods[0], periods[1])
-            s = np.einsum("ijqk,ijqk->ijq", reps, reps) + delta2
-            k = wts * w[None, :, None] / (s * np.sqrt(s))
-            moment = np.einsum("ijq,ijqk->ijk", k, reps)
-            cross = np.cross(np.broadcast_to(gamma[None, :, :], moment.shape), moment)
-            out[lo:lo + chunk] = -np.sum(cross, axis=1) / (4.0 * np.pi)
-    return out
+            # folded displacement and hat-weighted partner image per coordinate
+            lx, ly = periods
+            dx0 -= lx * np.floor(dx0 / lx + 0.5)
+            dy0 -= ly * np.floor(dy0 / ly + 0.5)
+            ux, uy = np.abs(dx0) / lx, np.abs(dy0) / ly
+            xs = ((dx0, 1.0 - ux), (np.where(dx0 > 0.0, dx0 - lx, dx0 + lx), ux))
+            ys = ((dy0, 1.0 - uy), (np.where(dy0 > 0.0, dy0 - ly, dy0 + ly), uy))
+        dz2 = dz * dz + delta2
+        kx = ky = kk = 0.0
+        for cx, hx in xs:
+            sx = cx * cx + dz2
+            for cy, hy in ys:
+                s = sx + cy * cy
+                k = hx * hy / (s * np.sqrt(s))
+                kx = kx + k * cx
+                ky = ky + k * cy
+                kk = kk + k
+        kz = dz * kk
+        # (gamma w) x (kx, ky, kz), summed over sources as three mat-vecs
+        o = out[lo:lo + chunk]
+        o[:, 0] = kz @ gw[:, 1] - ky @ gw[:, 2]
+        o[:, 1] = kx @ gw[:, 2] - kz @ gw[:, 0]
+        o[:, 2] = ky @ gw[:, 0] - kx @ gw[:, 1]
+    return out * (-1.0 / (4.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +344,12 @@ def step(sheet: SheetState, dt: float, background=None,
 
 
 def _flag_collisions(sheet: SheetState, factor: float):
-    n1 = sheet.markers.shape[0]
     # nearest grid neighbors only; full pairwise checks are the caller's business
-    d1 = np.linalg.norm(np.roll(sheet.markers, -1, axis=0) - sheet.markers, axis=-1)
-    d2 = np.linalg.norm(np.roll(sheet.markers, -1, axis=1) - sheet.markers, axis=-1)
-    dmin = min(d1[:-1].min() if n1 > 1 else np.inf, d2[:, :-1].min())
+    dmin = np.inf
+    for axis in (0, 1):
+        if sheet.markers.shape[axis] > 1:
+            d = np.linalg.norm(np.diff(sheet.markers, axis=axis), axis=-1)
+            dmin = min(dmin, d.min())
     if dmin < factor * sheet.desing:
         raise SheetError(f"marker collision: spacing {dmin:.3e} below "
                          f"{factor:g} x desingularization length")

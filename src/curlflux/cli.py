@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -21,7 +20,7 @@ from . import __version__
 from . import fields as flds
 from . import geometry as geo
 from . import selection, stokes, traces
-from .testfns import ScalarTestFunction, radial_bump, scalar_dictionary, smooth_bump
+from .testfns import smooth_bump
 
 FLOAT_FMT = "%.12g"
 

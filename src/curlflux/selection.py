@@ -9,7 +9,7 @@ one-sided valid. Concentration on a single layer is flagged as infinite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -36,7 +36,7 @@ from .geometry import (
     surface_integral,
     volume_integral,
 )
-from .sequences import SequenceVerdict, judge_sequence, richardson_limit
+from .sequences import judge_sequence, richardson_limit
 from .testfns import ScalarTestFunction, VectorTestField, radial_bump
 
 DELTA_J_RANGE = range(2, 13)  # default ramp widths 2^-j

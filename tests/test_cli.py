@@ -1,4 +1,5 @@
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,13 @@ def test_stokes_transversal_reports_no_verdict():
     assert "verdict" not in text
     assert table.columns == ["t", "flux", "div_mass"]
     assert len(table.rows) == 1
+
+
+def test_br_dumps_every_step_of_a_short_run():
+    table, text = _csv("br", {"grid": "8x8", "steps": 2})
+    assert table.columns == ["step", "time", "marker", "x", "y", "z"]
+    assert len(table.rows) == 3 * 64
+    assert [r[0] for r in table.rows[::64]] == [0, 1, 2]
+    circulation = [float(c) for c in table.metadata["circulation"].split()]
+    assert len(circulation) == 3 and all(math.isfinite(c) for c in circulation)
+    assert text.splitlines()[-1].startswith("2,")
