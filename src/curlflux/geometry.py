@@ -858,7 +858,8 @@ def cylinder_slide(patch: SurfacePatch, center, radius: float) -> PatchSlide:
 
 
 def star_slide(patch: SurfacePatch, center) -> PatchSlide:
-    """Generic star-shaped slide along the normalized ray field from an interior point."""
+    """Star-shaped slide of a flat patch along the normalized ray field from an
+    interior point."""
     center = np.asarray(center, dtype=float)
 
     def outward(pts):
@@ -869,10 +870,9 @@ def star_slide(patch: SurfacePatch, center) -> PatchSlide:
         return pts - t * outward(pts)
 
     def nrm(pts, t):
-        # transported normal approximated by the base patch normal; adequate for
-        # small t on the star-shaped fallback
-        d = np.linalg.norm(np.atleast_2d(pts)[:, None, :] - patch.nodes[None, :, :], axis=2)
-        return patch.normals[np.argmin(d, axis=1)]
+        # transported normal approximated by the base normal, one constant
+        # vector on a flat patch; adequate for small t
+        return np.broadcast_to(patch.normals[0], (np.atleast_2d(pts).shape[0], 3)).copy()
 
     return PatchSlide(patch, shift, nrm, outward, lambda t: 1.0, depth_range=np.inf)
 

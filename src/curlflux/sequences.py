@@ -26,9 +26,14 @@ def richardson_limit(values, step_ratio: float = 2.0) -> float:
 
 
 def aitken(values) -> np.ndarray:
-    """One Aitken delta-squared pass; entries with vanishing curvature pass through."""
+    """One Aitken delta-squared pass along axis 0; entries with vanishing
+    curvature pass through.
+
+    `values` has shape (m, ...): each trailing index is its own sequence, so
+    one call on an (m, n, 3) stack equals n * 3 calls on its columns.
+    """
     v = np.asarray(values, dtype=float)
-    if v.size < 3:
+    if v.shape[0] < 3:
         return v.copy()
     num = (v[2:] - v[1:-1]) ** 2
     den = v[2:] - 2.0 * v[1:-1] + v[:-2]

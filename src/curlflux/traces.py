@@ -127,19 +127,16 @@ class TangentialTrace:
     tangentiality_residual: np.ndarray  # (n,) |value . nu|
     sup_bound: float
 
-    def max_residual(self) -> float:
-        return float(self.tangentiality_residual[self.converged].max()) \
-            if np.any(self.converged) else float("nan")
-
 
 def estimate_trace_layerwise(fld: VectorField, manifold: BoundaryManifold,
                              collar: TransversalCollar, t_grid: Sequence[float],
                              side: str = "interior", node_tol: float = 1e-6) -> TangentialTrace:
     """Pull back F x nu from transversally shifted copies of the manifold.
 
-    Values at the shift parameters are Aitken-accelerated per node; a node is
-    converged when the last two accelerated values agree to `node_tol`.
-    Non-convergent nodes keep their last value but are flagged.
+    One Aitken pass over the (shifts, nodes, 3) stack accelerates every node
+    and component at once; a node is converged when the last two accelerated
+    values agree to `node_tol`. Non-convergent nodes keep their last value but
+    are flagged.
     """
     slide = collar.slide_for(manifold.patch)
     base, nu0 = manifold.patch.nodes, manifold.patch.normals
@@ -152,9 +149,7 @@ def estimate_trace_layerwise(fld: VectorField, manifold: BoundaryManifold,
     stack = np.stack(seq, axis=0)  # (m, n, 3)
     m = stack.shape[0]
     if m >= 3:
-        acc = np.stack([aitken(stack[:, i, c]) for i in range(stack.shape[1])
-                        for c in range(3)], axis=1)
-        acc = acc.T.reshape(stack.shape[1], 3, -1).transpose(2, 0, 1)
+        acc = aitken(stack)
         values = acc[-1]
         conv = np.linalg.norm(acc[-1] - acc[-2], axis=1) < node_tol if acc.shape[0] >= 2 \
             else np.ones(stack.shape[1], bool)
@@ -183,18 +178,26 @@ def trace_pairing_via_layers(fld: VectorField, region: SolidRegion,
     return float(limit), verdict
 
 
-def boundary_pairing_layer_route(fld: VectorField, region: SolidRegion,
-                                 collar: TransversalCollar, boundary_data,
-                                 eps_grid: Sequence[float]) -> float:
-    """Layer pairing against boundary data extended constantly along the slides."""
+def _layer_route(fld: VectorField, region: SolidRegion, collar: TransversalCollar,
+                 boundary_data, eps_grid: Sequence[float]) -> float:
+    """Layer pairing against `boundary_data(base, nu)`, extended constantly
+    along the slides; `nu` holds the inner normals at the boundary feet."""
     vals = []
     for eps in eps_grid:
         def integrand(base, pts, slide, s):
             h = slide.outward_field(pts)
             fx = np.cross(fld.eval(pts), -h / eps)
-            return np.einsum("ij,ij->i", fx, np.atleast_2d(boundary_data(base)))
+            data = np.atleast_2d(boundary_data(base, slide.patch.normals))
+            return np.einsum("ij,ij->i", fx, data)
         vals.append(float(shell_integral(region, collar, eps, integrand)))
     return richardson_limit(vals)
+
+
+def boundary_pairing_layer_route(fld: VectorField, region: SolidRegion,
+                                 collar: TransversalCollar, boundary_data,
+                                 eps_grid: Sequence[float]) -> float:
+    """Layer pairing against boundary data extended constantly along the slides."""
+    return _layer_route(fld, region, collar, lambda base, nu: boundary_data(base), eps_grid)
 
 
 def tangentiality_defect(fld: VectorField, region: SolidRegion,
@@ -204,32 +207,13 @@ def tangentiality_defect(fld: VectorField, region: SolidRegion,
     boundary data; both pairings via the boundary-layer route."""
     eps_grid = tuple(eps_grid)
 
-    def data_full(base):
-        return np.atleast_2d(boundary_data(base))
-
-    def data_tangential(base):
+    def data_tangential(base, nu):
         vals = np.atleast_2d(boundary_data(base))
-        nu = _normals_at(region, base)
         return vals - np.einsum("ij,ij->i", vals, nu)[:, None] * nu
 
-    t_full = boundary_pairing_layer_route(fld, region, collar, data_full, eps_grid)
-    t_tan = boundary_pairing_layer_route(fld, region, collar, data_tangential, eps_grid)
+    t_full = boundary_pairing_layer_route(fld, region, collar, boundary_data, eps_grid)
+    t_tan = _layer_route(fld, region, collar, data_tangential, eps_grid)
     return abs(t_full - t_tan)
-
-
-def _normals_at(region: SolidRegion, pts: np.ndarray) -> np.ndarray:
-    """Inner normals at boundary points, resolved patch by patch (nearest node)."""
-    pts = np.atleast_2d(pts)
-    best = np.full(pts.shape[0], np.inf)
-    out = np.zeros_like(pts)
-    for patch in region.boundary:
-        d = np.linalg.norm(pts[:, None, :] - patch.nodes[None, :, :], axis=2)
-        idx = np.argmin(d, axis=1)
-        dist = d[np.arange(len(pts)), idx]
-        better = dist < best
-        out[better] = patch.normals[idx[better]]
-        best = np.minimum(best, dist)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from pathlib import Path
@@ -40,3 +41,26 @@ def test_br_dumps_every_step_of_a_short_run():
     circulation = [float(c) for c in table.metadata["circulation"].split()]
     assert len(circulation) == 3 and all(math.isfinite(c) for c in circulation)
     assert text.splitlines()[-1].startswith("2,")
+
+
+def _main_output(argv, tmp_path) -> bytes:
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["trace", "--field", "plane_wave_em", "--region", "ball"],
+     "20bef35b78840a819091a1aa68d8dea3890d141e23875f3267b4d5071eef3999"),
+    (["trace", "--field", "rigid_rotation", "--region", "half_ball", "--side", "exterior"],
+     "a0156fd805a35d9e5ed3942405e3459a7f440a42de6d567bd59b536be0470dc3"),
+])
+def test_trace_csv_matches_golden_digest(argv, sha256, tmp_path):
+    # the layerwise trace CSVs run to 180-250 kB, so their sha256 is the golden record
+    text = _main_output(argv, tmp_path)
+    assert text.count(b"\n") == 6 + 2304
+    assert hashlib.sha256(text).hexdigest() == sha256
+
+
+def test_example_annuli_matches_golden_csv(tmp_path):
+    assert _main_output(["example"], tmp_path) == (GOLDEN / "example_annuli.csv").read_bytes()

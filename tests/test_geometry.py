@@ -296,6 +296,16 @@ def test_box_collar_kappa():
     assert col.kappa >= 0.5
 
 
+def test_box_face_slides_keep_the_face_normal():
+    box = geo.box_region((0.1, -0.2, 0.3), (0.5, 1.0, 1.5), order=6)
+    col = geo.build_transversal_collar(box)
+    assert len(col.slides) == 6
+    for sl in col.slides:
+        for t in (0.0, 0.05, 0.3):
+            pts = sl.shift_point(sl.patch.nodes, t)
+            assert np.array_equal(sl.shifted_normal(pts, t), sl.patch.normals)
+
+
 def test_region_volumes(half_ball, unit_cylinder):
     assert abs(half_ball.volume() - 2 * np.pi / 3) < 1e-10
     assert abs(unit_cylinder.volume() - np.pi) < 1e-10

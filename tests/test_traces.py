@@ -4,6 +4,7 @@ import pytest
 from curlflux import fields as flds
 from curlflux import geometry as geo
 from curlflux import traces as trc
+from curlflux.sequences import aitken
 from curlflux.testfns import (
     ScalarTestFunction,
     VectorTestField,
@@ -169,6 +170,46 @@ def test_layerwise_lipschitz_gradient_two_sided(unit_cylinder, cylinder_collar):
     assert np.abs(inner.values - outer.values).max() < 1e-8
 
 
+def _layerwise_per_node_loop(fld, manifold, collar, t_grid, side, node_tol=1e-6):
+    """Reference: shifted-layer values accelerated by one aitken call per
+    node and component."""
+    slide = collar.slide_for(manifold.patch)
+    base = manifold.patch.nodes
+    sign = 1.0 if side == "interior" else -1.0
+    seq = []
+    for t in t_grid:
+        pts = slide.shift_point(base, sign * t)
+        seq.append(np.cross(fld.eval(pts), slide.shifted_normal(pts, sign * t)))
+    stack = np.stack(seq)
+    n = stack.shape[1]
+    acc = np.empty((stack.shape[0] - 2, n, 3))
+    for i in range(n):
+        for c in range(3):
+            acc[:, i, c] = aitken(stack[:, i, c])
+    return acc[-1], np.linalg.norm(acc[-1] - acc[-2], axis=1) < node_tol
+
+
+@pytest.mark.parametrize("shape", ["ball_sphere", "half_ball_disk", "half_ball_dome"])
+@pytest.mark.parametrize("side", ["interior", "exterior"])
+def test_layerwise_equals_per_node_aitken_loop(shape, side):
+    center, radius = (0.1, -0.2, 0.05), 0.8
+    if shape == "ball_sphere":
+        region = geo.ball_region(center, radius, order=12, n_angular=32)
+        man = geo.closed_sphere_manifold(center, radius, order=12, n_angular=32)
+    else:
+        region = geo.half_ball_region(center, radius, order=12, n_angular=32)
+        man = (geo.disk_manifold(center, radius, order=12) if shape == "half_ball_disk"
+               else geo.spherical_cap_manifold(center, radius, np.pi / 2, order=12,
+                                               n_angular=32))
+    tcol = geo.build_transversal_collar(region)
+    t_grid = [2.0 ** -k for k in range(2, 10)]
+    fld = flds.catalog("plane_wave_em").vector_field
+    tt = trc.estimate_trace_layerwise(fld, man, tcol, t_grid, side)
+    values, converged = _layerwise_per_node_loop(fld, man, tcol, t_grid, side)
+    assert np.array_equal(tt.values, values)
+    assert np.array_equal(tt.converged, converged)
+
+
 # ---------------------------------------------------------------------------
 # layer-route pairing and tangentiality
 # ---------------------------------------------------------------------------
@@ -241,6 +282,44 @@ def test_tangentiality_defect_default_grid_is_reusable(rigid_rotation):
     first = trc.tangentiality_defect(rigid_rotation.vector_field, ball, tcol, tv.value)
     second = trc.tangentiality_defect(rigid_rotation.vector_field, ball, tcol, tv.value)
     assert np.isfinite(first) and second == first
+
+
+def _nearest_node_normals(region, pts):
+    """Inner normal of the boundary node nearest to each point, over all patches."""
+    best = np.full(len(pts), np.inf)
+    out = np.zeros_like(pts)
+    for patch in region.boundary:
+        d = np.linalg.norm(pts[:, None, :] - patch.nodes[None, :, :], axis=2)
+        idx = np.argmin(d, axis=1)
+        dist = d[np.arange(len(pts)), idx]
+        better = dist < best
+        out[better] = patch.normals[idx[better]]
+        best = np.minimum(best, dist)
+    return out
+
+
+@pytest.mark.parametrize("shape", ["ball", "half_ball"])
+def test_tangentiality_defect_equals_nearest_node_reference(rigid_rotation, shape):
+    # the layer route hands each patch its own normals; a nearest-node search
+    # over every patch of the region finds the same vectors
+    center, radius = (0.2, 0.1, -0.1), 0.9
+    make = geo.ball_region if shape == "ball" else geo.half_ball_region
+    region = make(center, radius, order=12, n_angular=24)
+    tcol = geo.build_transversal_collar(region)
+    tv = random_trig_vector(41, n_modes=2, kmax=1.0)
+    eps_grid = [2.0 ** -k for k in range(3, 9)]
+    fld = rigid_rotation.vector_field
+
+    def data_tangential(base):
+        vals = np.atleast_2d(tv.value(base))
+        nu = _nearest_node_normals(region, base)
+        return vals - np.einsum("ij,ij->i", vals, nu)[:, None] * nu
+
+    t_full = trc.boundary_pairing_layer_route(fld, region, tcol, tv.value, eps_grid)
+    t_tan = trc.boundary_pairing_layer_route(fld, region, tcol, data_tangential, eps_grid)
+    got = trc.tangentiality_defect(fld, region, tcol, tv.value, eps_grid)
+    assert got == abs(t_full - t_tan)
+    assert 0.0 < got < 1e-3
 
 
 # ---------------------------------------------------------------------------
