@@ -13,7 +13,7 @@ Conventions fixed once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -61,10 +61,16 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Curve:
-    """Closed (or degenerate) parametrized curve with arclength weights."""
+    """Closed (or degenerate) parametrized curve with arclength weights, or a
+    family of k curves that share one parameter rule.
 
-    point: Callable[[np.ndarray], np.ndarray]  # (n,) params -> (n,3)
-    speed: Callable[[np.ndarray], np.ndarray]  # |gamma'(s)|
+    `point` maps (n,) params to (n, 3) points, or (k, n, 3) for a family, and
+    `speed` to |gamma'(s)| of shape (n,) or (k, n). Collar layers at an array
+    of parameters are families; `length` and `line_integral` take one curve.
+    """
+
+    point: Callable[[np.ndarray], np.ndarray]
+    speed: Callable[[np.ndarray], np.ndarray]
     rule: QuadratureRule
     closed: bool = True
 
@@ -76,36 +82,36 @@ class Curve:
         return float(np.sum(self.rule.weights * self.speed(self.rule.nodes)))
 
 
-def circle_curve(center, radius: float, e1, e2, n_nodes: int = DEFAULT_ANGULAR) -> Curve:
-    center = np.asarray(center, dtype=float)
+def _circle_maps(center, radius, e1, e2):
+    """Point and speed maps of the circle about `center` in the plane (e1, e2);
+    with a (k,) `radius` and a (3,) or (k, 3) `center`, of k circles."""
+    center = np.asarray(center, dtype=float)[..., None, :]
+    radius = np.asarray(radius, dtype=float)
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
 
     def point(s):
         s = np.atleast_1d(s)
-        return center + radius * (np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
+        return center + radius[..., None, None] * (np.cos(s)[:, None] * e1
+                                                   + np.sin(s)[:, None] * e2)
 
     def speed(s):
-        return np.full(np.atleast_1d(s).shape, float(radius))
+        return np.multiply.outer(radius, np.ones(np.atleast_1d(s).shape))
 
-    return Curve(point, speed, periodic_trapezoid(n_nodes), closed=True)
+    return point, speed
 
 
-def arc_curve(center, radius: float, e1, e2, angle_lo: float, angle_hi: float,
+def circle_curve(center, radius, e1, e2, n_nodes: int = DEFAULT_ANGULAR) -> Curve:
+    """Circle (or family of circles, see `_circle_maps`) with a trapezoid rule."""
+    return Curve(*_circle_maps(center, radius, e1, e2), periodic_trapezoid(n_nodes), closed=True)
+
+
+def arc_curve(center, radius, e1, e2, angle_lo: float, angle_hi: float,
               n_nodes: int = 48) -> Curve:
-    """Circular arc with a Gauss-Legendre rule; for window-localized integrands."""
-    center = np.asarray(center, dtype=float)
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-
-    def point(s):
-        s = np.atleast_1d(s)
-        return center + radius * (np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
-
-    def speed(s):
-        return np.full(np.atleast_1d(s).shape, float(radius))
-
-    return Curve(point, speed, gauss_legendre(n_nodes, angle_lo, angle_hi), closed=False)
+    """Circular arc (or family of arcs) with a Gauss-Legendre rule; for
+    window-localized integrands."""
+    return Curve(*_circle_maps(center, radius, e1, e2),
+                 gauss_legendre(n_nodes, angle_lo, angle_hi), closed=False)
 
 
 def empty_curve() -> Curve:
@@ -350,12 +356,13 @@ class TangentialCollar:
     """Bi-Lipschitz sliding of the boundary curve into the surface.
 
     Layer s=0 is the boundary itself; layers foliate a neighborhood inside the
-    patch. `grad_s` is the surface gradient of the collar parameter (its
-    magnitude is the localizer slope per unit delta); `layer_jacobian`
-    converts ds x arclength to surface area.
+    patch. `layer(s)` is one curve, or for an array s the family of those
+    layers on one shared rule. `grad_s` is the surface gradient of the collar
+    parameter (its magnitude is the localizer slope per unit delta);
+    `layer_jacobian` converts ds x arclength to surface area.
     """
 
-    layer: Callable[[float], Curve]
+    layer: Callable[[float | np.ndarray], Curve]
     grad_s: Callable[[np.ndarray, np.ndarray], np.ndarray]  # points, per-point s -> (n,3)
     layer_jacobian: Callable[[float], float]
     s_max: float
@@ -364,26 +371,22 @@ class TangentialCollar:
     empty: bool = False
 
     def layer_distance(self, s0: float, s1: float) -> float:
-        """min distance between two layer curves, sampled at the rule nodes."""
-        a = self.layer(s0).nodes
-        b = self.layer(s1).nodes
-        d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-        return float(d.min())
+        """min distance between two layer curves at equal rule nodes; for the
+        concentric circles of the catalog collars this is the min over all
+        node pairs."""
+        a, b = self.layer(np.array([s0, s1])).nodes
+        return float(np.linalg.norm(a - b, axis=1).min())
 
 
 def _fit_bilip(collar: TangentialCollar, n_samples: int = 6) -> float:
+    """Largest distortion max(d/gap, gap/d) between pairs of sampled layers,
+    with d their `layer_distance`; 1 if no pair is distorted."""
     ss = np.linspace(0.0, min(0.45, collar.s_max * 0.9), n_samples)
-    theta = 1.0
-    for i in range(len(ss)):
-        for j in range(i + 1, len(ss)):
-            gap = abs(ss[j] - ss[i])
-            if gap == 0:
-                continue
-            d = collar.layer_distance(ss[i], ss[j])
-            if d == 0:
-                continue
-            theta = max(theta, d / gap, gap / d)
-    return theta
+    pts = collar.layer(ss).nodes
+    d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1).min(axis=-1)
+    gap = np.abs(ss[:, None] - ss[None, :])
+    pair = np.triu((gap > 0) & (d > 0), 1)
+    return float(np.max([1.0, *(d[pair] / gap[pair]), *(gap[pair] / d[pair])]))
 
 
 def disk_manifold(center, radius: float, normal=(0.0, 0.0, 1.0), order: int = DEFAULT_ORDER,
@@ -488,8 +491,7 @@ def build_tangential_collar(manifold: BoundaryManifold,
 
         collar = TangentialCollar(layer, grad_s, lambda s: float(radius), s_max=1.0, bilip=1.0,
                                   param_of_radius=lambda r: 1.0 - r / radius)
-        return TangentialCollar(collar.layer, collar.grad_s, collar.layer_jacobian,
-                                collar.s_max, _fit_bilip(collar), collar.param_of_radius)
+        return replace(collar, bilip=_fit_bilip(collar))
 
     if manifold.kind == "spherical_cap":
         center = manifold.meta["center"]
@@ -499,8 +501,8 @@ def build_tangential_collar(manifold: BoundaryManifold,
         e2 = np.array([0.0, 1.0, 0.0])
 
         def layer(s):
-            th = th0 * (1.0 - s)
-            c = center + np.array([0.0, 0.0, R * np.cos(th)])
+            th = th0 * (1.0 - np.asarray(s))
+            c = center + np.multiply.outer(R * np.cos(th), [0.0, 0.0, 1.0])
             return circle_curve(c, R * np.sin(th), e1, e2, n_angular)
 
         def grad_s(pts, s):
@@ -513,8 +515,7 @@ def build_tangential_collar(manifold: BoundaryManifold,
             return -e_theta / (R * th0)
 
         collar = TangentialCollar(layer, grad_s, lambda s: float(R * th0), s_max=1.0, bilip=1.0)
-        return TangentialCollar(collar.layer, collar.grad_s, collar.layer_jacobian,
-                                collar.s_max, _fit_bilip(collar))
+        return replace(collar, bilip=_fit_bilip(collar))
 
     raise GeometryError(f"no collar construction for manifold kind {manifold.kind!r}")
 
@@ -580,22 +581,16 @@ def _band(collar: TangentialCollar, lo: float, hi: float, s_order: int,
 
     Returns the stacked points (n_s*m, 3), the layer weights w_s * J(s),
     the line weights (n_s, m) and the collar parameter of each point.
-    `layer` maps s to the curve of that layer (default `collar.layer`);
-    every layer carries the same m nodes.
+    `layer` maps the (n_s,) s-rule nodes to the family of their layer curves
+    on one m-node rule (default `collar.layer`), in a single call.
     """
     bp = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
     s_rule = gauss_legendre_split(s_order, np.asarray(bp))
-    layer = layer or collar.layer
-    pts = line_w = None
-    for k, s in enumerate(s_rule.nodes):
-        curve = layer(s)
-        if pts is None:
-            n_s, m = s_rule.nodes.size, curve.rule.weights.size
-            pts, line_w = np.empty((n_s, m, 3)), np.empty((n_s, m))
-        pts[k] = curve.nodes
-        line_w[k] = curve.rule.weights * curve.speed(curve.rule.nodes)
+    layers = (layer or collar.layer)(s_rule.nodes)
+    line_w = layers.rule.weights * layers.speed(layers.rule.nodes)
     layer_w = s_rule.weights * np.array([float(collar.layer_jacobian(s)) for s in s_rule.nodes])
-    return pts.reshape(-1, 3), layer_w, line_w, np.repeat(s_rule.nodes, m)
+    return (layers.nodes.reshape(-1, 3), layer_w, line_w,
+            np.repeat(s_rule.nodes, line_w.shape[1]))
 
 
 def _band_integral(layer_w: np.ndarray, line_w: np.ndarray, vals) -> float:
@@ -885,10 +880,13 @@ class TransversalCollar:
     kappa: float
 
     def slide_for(self, patch: SurfacePatch) -> PatchSlide:
-        for s in self.slides:
-            if s.patch is patch or s.patch.name == patch.name:
-                return s
-        raise GeometryError(f"no slide registered for patch {patch.name!r}")
+        """The slide of `patch` itself, else of the first patch of its name
+        (manifolds rebuilt on a region's face carry a fresh patch)."""
+        match = ([s for s in self.slides if s.patch is patch]
+                 or [s for s in self.slides if s.patch.name == patch.name])
+        if not match:
+            raise GeometryError(f"no slide registered for patch {patch.name!r}")
+        return match[0]
 
 
 @dataclass(frozen=True)
@@ -1211,10 +1209,10 @@ def shift_transversal(manifold: BoundaryManifold, collar: TransversalCollar,
     if t >= slide.depth_range:
         raise GeometryError("shift leaves the collar neighborhood")
     if manifold.kind == "disk":
-        center = manifold.meta["center"]
-        _, _, n = manifold.meta["frame"]
-        new_center = slide.shift_point(center[None, :], t)[0]
-        return disk_manifold(new_center, manifold.meta["radius"], n)
+        m = manifold.meta
+        new_center = slide.shift_point(m["center"][None, :], t)[0]
+        return disk_manifold(new_center, m["radius"], m["frame"][2],
+                             order=m["order"], n_angular=m["n_angular"])
     if manifold.kind == "closed":
         center = manifold.meta["center"]
         return closed_sphere_manifold(center, manifold.meta["radius"] - t)

@@ -147,6 +147,54 @@ def test_cap_collar_great_circle_oracle():
     assert col.bilip <= 2.0
 
 
+def _collar_cases():
+    for r in (0.1, 0.37, 1.0, 2.9):
+        yield geo.build_tangential_collar(geo.disk_manifold((0.2, -0.1, 0.5), r,
+                                                            normal=(0.3, 0.1, 1.0)))
+    for th in (0.3, 1.0, 2.0):
+        yield geo.build_tangential_collar(geo.spherical_cap_manifold((0.1, 0.2, -0.3), 1.3, th))
+
+
+def _all_pairs_distance(collar, s0, s1):
+    # reference: min over every pair of nodes of two separately built layers
+    a, b = collar.layer(s0).nodes, collar.layer(s1).nodes
+    return float(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2).min())
+
+
+def test_layer_family_equals_stacked_layers():
+    ss = gauss_legendre_split(8, np.array([0.1, 0.13, 0.35])).nodes
+    for col in _collar_cases():
+        family = col.layer(ss)
+        layers = [col.layer(s) for s in ss]
+        assert family.nodes.shape == (ss.size, geo.DEFAULT_ANGULAR, 3)
+        assert np.array_equal(family.nodes, np.stack([c.nodes for c in layers]))
+        assert np.array_equal(family.speed(family.rule.nodes),
+                              np.stack([c.speed(c.rule.nodes) for c in layers]))
+        assert all(np.array_equal(family.rule.weights, c.rule.weights) for c in layers)
+
+
+def test_arc_family_equals_stacked_arcs():
+    center, (e1, e2, _) = np.array([0.2, -0.1, 0.5]), geo.frame_from_normal((0.3, 0.1, 1.0))
+    ss = gauss_legendre_split(8, np.array([0.1, 0.2, 0.3])).nodes
+    family = geo.arc_curve(center, 1.7 * (1.0 - ss), e1, e2, 0.4, 0.9, 48)
+    arcs = [geo.arc_curve(center, 1.7 * (1.0 - s), e1, e2, 0.4, 0.9, 48) for s in ss]
+    assert np.array_equal(family.nodes, np.stack([c.nodes for c in arcs]))
+    assert np.array_equal(family.speed(family.rule.nodes),
+                          np.stack([c.speed(c.rule.nodes) for c in arcs]))
+
+
+def test_layer_distance_and_bilip_equal_all_pairs_minimum():
+    for col in _collar_cases():
+        ss = np.linspace(0.0, 0.45, 6)
+        theta = 1.0
+        for i in range(len(ss)):
+            for j in range(i + 1, len(ss)):
+                d = _all_pairs_distance(col, ss[i], ss[j])
+                assert col.layer_distance(ss[i], ss[j]) == d
+                theta = max(theta, d / (ss[j] - ss[i]), (ss[j] - ss[i]) / d)
+        assert col.bilip == theta
+
+
 def test_closed_sphere_collar_is_empty():
     man = geo.closed_sphere_manifold((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(man)
@@ -304,6 +352,33 @@ def test_box_face_slides_keep_the_face_normal():
         for t in (0.0, 0.05, 0.3):
             pts = sl.shift_point(sl.patch.nodes, t)
             assert np.array_equal(sl.shifted_normal(pts, t), sl.patch.normals)
+
+
+def test_box_faces_get_their_own_slides():
+    # all six faces are named "rectangle"; each must get its own slide
+    box = geo.box_region(order=4)
+    col = geo.build_transversal_collar(box)
+    for face, sl in zip(box.boundary, col.slides):
+        assert col.slide_for(face) is sl
+        assert np.array_equal(col.slide_for(face).patch.normals, face.normals)
+
+
+def test_fresh_patch_falls_back_to_slide_by_name(half_ball):
+    col = geo.build_transversal_collar(half_ball)
+    face = geo.disk_manifold((0, 0, 0), 1.0)
+    assert col.slide_for(face.patch) is col.slides[0]
+    with pytest.raises(geo.GeometryError):
+        col.slide_for(geo.cylinder_side_patch((0, 0, 0), 1.0, 0.0, 1.0))
+
+
+def test_shift_keeps_the_disk_rule(half_ball):
+    col = geo.build_transversal_collar(half_ball)
+    face = geo.disk_manifold((0, 0, 0), 0.8, order=12, n_angular=48)
+    shifted = geo.shift_transversal(face, col, 0.1)
+    assert shifted.patch.nodes.shape == face.patch.nodes.shape == (576, 3)
+    assert (shifted.meta["order"], shifted.meta["n_angular"]) == (12, 48)
+    assert np.array_equal(shifted.patch.weights, face.patch.weights)
+    assert np.abs(shifted.patch.nodes - face.patch.nodes - [0.0, 0.0, 0.1]).max() < 1e-15
 
 
 def test_region_volumes(half_ball, unit_cylinder):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,23 @@ def closed_form_ramp_value(j: int) -> float:
 # ---------------------------------------------------------------------------
 # tangential localizer route
 # ---------------------------------------------------------------------------
+
+
+def test_tangential_route_makes_one_layer_call_per_ramp_width(rigid_rotation,
+                                                               unit_disk_manifold,
+                                                               unit_disk_collar):
+    # each band's layers come from one batched call, not one curve per s node
+    calls = []
+
+    def layer(s):
+        calls.append(np.shape(s))
+        return unit_disk_collar.layer(s)
+
+    collar = dataclasses.replace(unit_disk_collar, layer=layer)
+    res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk_manifold, collar, 0.0)
+    assert res.converged
+    assert len(calls) == len(stk.DELTA_J_RANGE) == 11
+    assert all(shape == (10,) for shape in calls)
 
 
 def test_rigid_rotation_flux(rigid_rotation, unit_disk_manifold, unit_disk_collar):
