@@ -18,34 +18,23 @@ get half weights instead of a discontinuous fold. The neglected lattice tail
 is reported as a truncation-error estimate in the diagnostics.
 
 Strength is a material invariant: it is carried with the markers and
-re-projected onto the discrete tangent plane each step. The O(N^2) kernel
-JIT-compiles via numba when available (set CURLFLUX_THREADS to cap its thread
-count). The numpy fallback walks the targets in chunks of a few dozen rows and
-builds only per-coordinate (rows, sources) pair arrays: folded displacements,
-the partner images and their hat weights, and the image-summed kernel moments
-kx, ky and kz = dz sum(k). The strength gamma w then enters once, as three
+re-projected onto the discrete tangent plane each step. The O(N^2) kernel is
+plain numpy: it walks the targets in chunks of a few dozen rows and builds
+only per-coordinate (rows, sources) pair arrays: folded displacements, the
+partner images and their hat weights, and the image-summed kernel moments kx,
+ky and kz = dz sum(k). The strength gamma w then enters once, as three
 mat-vecs for the cross product. Free space is the same loop with one image of
 weight 1.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-try:  # pragma: no cover - exercised implicitly
-    import numba
-
-    _threads = os.environ.get("CURLFLUX_THREADS")
-    if _threads:
-        numba.set_num_threads(max(1, int(_threads)))
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
+HAVE_NUMBA = False  # read only by perfbench/worker.py for its environment record
 
 
 class SheetError(RuntimeError):
@@ -55,116 +44,6 @@ class SheetError(RuntimeError):
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _velocity_kernel(tx, ty, tz, sx, sy, sz, gx, gy, gz, w, delta2):
-        n = tx.shape[0]
-        m = sx.shape[0]
-        out = np.empty((n, 3))
-        c = -1.0 / (4.0 * np.pi)
-        for i in numba.prange(n):
-            xi, yi, zi = tx[i], ty[i], tz[i]
-            ax = ay = az = 0.0
-            for j in range(m):
-                dx = xi - sx[j]
-                dy = yi - sy[j]
-                dz = zi - sz[j]
-                s = dx * dx + dy * dy + dz * dz + delta2
-                k = w[j] / (s * np.sqrt(s))
-                ax += (gy[j] * dz - gz[j] * dy) * k
-                ay += (gz[j] * dx - gx[j] * dz) * k
-                az += (gx[j] * dy - gy[j] * dx) * k
-            out[i, 0] = c * ax
-            out[i, 1] = c * ay
-            out[i, 2] = c * az
-        return out
-
-    @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _velocity_kernel_periodic(tx, ty, tz, sx, sy, sz, gx, gy, gz, w,
-                                  lx, ly, delta2):
-        # folded displacement plus hat-weighted partner image per coordinate:
-        # an even partition of unity, so the image window is negation-symmetric
-        n = tx.shape[0]
-        m = sx.shape[0]
-        out = np.empty((n, 3))
-        c = -1.0 / (4.0 * np.pi)
-        for i in numba.prange(n):
-            xi, yi, zi = tx[i], ty[i], tz[i]
-            ax = ay = az = 0.0
-            for j in range(m):
-                dx0 = xi - sx[j]
-                dy0 = yi - sy[j]
-                dz = zi - sz[j]
-                dx0 -= lx * np.floor(dx0 / lx + 0.5)
-                dy0 -= ly * np.floor(dy0 / ly + 0.5)
-                ux = abs(dx0) / lx
-                uy = abs(dy0) / ly
-                dx1 = dx0 - lx if dx0 > 0.0 else dx0 + lx
-                dy1 = dy0 - ly if dy0 > 0.0 else dy0 + ly
-                dz2 = dz * dz + delta2
-                gxj, gyj, gzj = gx[j], gy[j], gz[j]
-                wj = w[j]
-                kx = ky = kk = 0.0
-                # 2x2 weighted image block
-                s00 = dx0 * dx0 + dy0 * dy0 + dz2
-                k00 = (1.0 - ux) * (1.0 - uy) / (s00 * np.sqrt(s00))
-                s01 = dx0 * dx0 + dy1 * dy1 + dz2
-                k01 = (1.0 - ux) * uy / (s01 * np.sqrt(s01))
-                s10 = dx1 * dx1 + dy0 * dy0 + dz2
-                k10 = ux * (1.0 - uy) / (s10 * np.sqrt(s10))
-                s11 = dx1 * dx1 + dy1 * dy1 + dz2
-                k11 = ux * uy / (s11 * np.sqrt(s11))
-                kx = (k00 + k01) * dx0 + (k10 + k11) * dx1
-                ky = (k00 + k10) * dy0 + (k01 + k11) * dy1
-                kk = k00 + k01 + k10 + k11
-                dzk = dz * kk
-                ax += (gyj * dzk - gzj * ky) * wj
-                ay += (gzj * kx - gxj * dzk) * wj
-                az += (gxj * ky - gyj * kx) * wj
-            out[i, 0] = c * ax
-            out[i, 1] = c * ay
-            out[i, 2] = c * az
-        return out
-
-    @numba.njit(parallel=True, fastmath=True, cache=True)
-    def _moment_kernel_periodic(tx, ty, tz, sx, sy, sz, lx, ly, delta2):
-        # sum_j w-folded (x - X_j) k(|.|); the cross product with a marker-
-        # uniform strength factors out of the sum
-        n = tx.shape[0]
-        m = sx.shape[0]
-        out = np.empty((n, 3))
-        for i in numba.prange(n):
-            xi, yi, zi = tx[i], ty[i], tz[i]
-            ax = ay = az = 0.0
-            for j in range(m):
-                dx0 = xi - sx[j]
-                dy0 = yi - sy[j]
-                dz = zi - sz[j]
-                dx0 -= lx * np.floor(dx0 / lx + 0.5)
-                dy0 -= ly * np.floor(dy0 / ly + 0.5)
-                ux = abs(dx0) / lx
-                uy = abs(dy0) / ly
-                dx1 = dx0 - lx if dx0 > 0.0 else dx0 + lx
-                dy1 = dy0 - ly if dy0 > 0.0 else dy0 + ly
-                dz2 = dz * dz + delta2
-                s00 = dx0 * dx0 + dy0 * dy0 + dz2
-                k00 = (1.0 - ux) * (1.0 - uy) / (s00 * np.sqrt(s00))
-                s01 = dx0 * dx0 + dy1 * dy1 + dz2
-                k01 = (1.0 - ux) * uy / (s01 * np.sqrt(s01))
-                s10 = dx1 * dx1 + dy0 * dy0 + dz2
-                k10 = ux * (1.0 - uy) / (s10 * np.sqrt(s10))
-                s11 = dx1 * dx1 + dy1 * dy1 + dz2
-                k11 = ux * uy / (s11 * np.sqrt(s11))
-                ax += (k00 + k01) * dx0 + (k10 + k11) * dx1
-                ay += (k00 + k10) * dy0 + (k01 + k11) * dy1
-                az += dz * (k00 + k01 + k10 + k11)
-            out[i, 0] = ax
-            out[i, 1] = ay
-            out[i, 2] = az
-        return out
-
 
 def _velocity_numpy(targets, sources, gamma, w, delta2, periods=None, chunk=32):
     gw = gamma * w[:, None]
@@ -286,25 +165,7 @@ def br_velocity(sheet: SheetState, points: np.ndarray) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     src, g, w = sheet.flat()
-    delta2 = sheet.desing ** 2
-    uniform = (np.ptp(g, axis=0).max() == 0.0) and (np.ptp(w) == 0.0)
-    if HAVE_NUMBA:
-        a = [np.ascontiguousarray(pts[:, k]) for k in range(3)]
-        b = [np.ascontiguousarray(src[:, k]) for k in range(3)]
-        if sheet.periods is not None:
-            lx, ly = sheet.periods
-            if uniform:
-                mom = _moment_kernel_periodic(a[0], a[1], a[2], b[0], b[1], b[2],
-                                              lx, ly, delta2)
-                return -np.cross(g[0], mom) * (w[0] / (4.0 * np.pi))
-            c = [np.ascontiguousarray(g[:, k]) for k in range(3)]
-            return _velocity_kernel_periodic(a[0], a[1], a[2], b[0], b[1], b[2],
-                                             c[0], c[1], c[2],
-                                             np.ascontiguousarray(w), lx, ly, delta2)
-        c = [np.ascontiguousarray(g[:, k]) for k in range(3)]
-        return _velocity_kernel(a[0], a[1], a[2], b[0], b[1], b[2],
-                                c[0], c[1], c[2], np.ascontiguousarray(w), delta2)
-    return _velocity_numpy(pts, src, g, w, delta2, periods=sheet.periods)
+    return _velocity_numpy(pts, src, g, w, sheet.desing ** 2, periods=sheet.periods)
 
 
 def _marker_velocities(sheet: SheetState, markers: np.ndarray) -> np.ndarray:

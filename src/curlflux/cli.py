@@ -314,7 +314,7 @@ def cmd_br(p: dict) -> ResultTable:
 def cmd_validate(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
     region = parse_region(p.get("region") or "half_ball")
-    phi = smooth_bump(np.asarray(region.ambient_center) + np.array([0.1, 0.0, 0.2]), 2.0)
+    phi = smooth_bump(np.asarray(region.ambient_center) + np.array([0.1, 0.0, 0.2]), 2.5)
     from .testfns import random_trig_vector
     other = random_trig_vector(11, n_modes=2, kmax=1.0)
     res = stokes.smooth_validators(entry.vector_field, region, phi, other)

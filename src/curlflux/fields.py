@@ -142,11 +142,6 @@ class CurlMeasure:
     sheet_parts: tuple[SheetPart, ...] = ()
     line_parts: tuple[LinePart, ...] = ()
 
-    @property
-    def is_zero(self) -> bool:
-        return (self.lebesgue_density is None and not self.sheet_parts
-                and not self.line_parts)
-
 
 ZERO_MEASURE = CurlMeasure()
 

@@ -456,7 +456,9 @@ def closed_sphere_manifold(center, radius: float, order: int = DEFAULT_ORDER,
     return BoundaryManifold(patch, curve, conormal, kind="closed",
                             meta={"center": np.asarray(center, dtype=float),
                                   "radius": float(radius),
-                                  "normal_on_curve": normal_on_curve})
+                                  "normal_on_curve": normal_on_curve,
+                                  "order": order, "n_angular": n_angular,
+                                  "inner_normal": inner_normal})
 
 
 def build_tangential_collar(manifold: BoundaryManifold,
@@ -905,9 +907,6 @@ class SolidRegion:
     def volume(self) -> float:
         return float(np.sum(self.volume_weights))
 
-    def boundary_area(self) -> float:
-        return sum(p.area() for p in self.boundary)
-
 
 def volume_integral(region: SolidRegion, integrand) -> float | np.ndarray:
     """Volume integral over a region's node set; raises on non-finite
@@ -1214,8 +1213,10 @@ def shift_transversal(manifold: BoundaryManifold, collar: TransversalCollar,
         return disk_manifold(new_center, m["radius"], m["frame"][2],
                              order=m["order"], n_angular=m["n_angular"])
     if manifold.kind == "closed":
-        center = manifold.meta["center"]
-        return closed_sphere_manifold(center, manifold.meta["radius"] - t)
+        m = manifold.meta
+        return closed_sphere_manifold(m["center"], m["radius"] - t, order=m["order"],
+                                      n_angular=m["n_angular"],
+                                      inner_normal=m["inner_normal"])
     raise GeometryError(f"cannot shift manifold kind {manifold.kind!r}")
 
 

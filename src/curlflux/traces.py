@@ -22,6 +22,7 @@ from .geometry import (
     ball_region,
     disk_patch,
     shell_integral,
+    support_rule,
     surface_integral,
     volume_integral,
 )
@@ -41,50 +42,30 @@ def _ambient_for(region: SolidRegion) -> SolidRegion:
                        order=24, n_angular=64)
 
 
-def _support_ball_inside(testfn: ScalarTestFunction, region: SolidRegion):
-    """Support ball of the test function when it lies inside the region."""
-    if testfn.support is None:
-        return None
-    center, radius = np.asarray(testfn.support[0], float), float(testfn.support[1])
-    probe = center + 1.001 * radius * np.concatenate(
-        [np.eye(3), -np.eye(3),
-         np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)])
-    if not np.all(region.contains(probe)):
-        return None
-    # splitting at the profile kinks keeps piecewise-polynomial bumps exact
-    breaks = tuple(getattr(testfn, "support_breaks", ())) + (radius,)
-    return ball_region(center, 1.001 * radius, order=16, n_angular=32,
-                       radial_breaks=breaks)
-
-
 def trace_pairing(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
                   testfn: ScalarTestFunction, side: str = "interior") -> np.ndarray:
     """Vector-valued pairing of the tangential trace with a scalar test function.
 
     Interior: integral of testfn against the curl measure minus the volume
     integral of F x grad(testfn); exterior uses the complement with flipped
-    signs. The exterior route integrates over the ambient ball minus the
-    region, so the integrand must be integrable on the region as well. When
-    the test function carries a support ball contained in the region, the
-    volume term integrates over that ball instead.
+    signs. The interior route integrates the whole measure and the volume
+    term on `support_rule(region, testfn.support, testfn.support_breaks)`:
+    the support ball split at the profile kinks when it lies in the region,
+    the half ball on a flat face the support is centred on, or else the
+    region itself. The exterior route integrates over the ambient ball minus
+    the region, so the integrand must be integrable on the region as well.
     """
     def fxg(x):
         return np.cross(fld.eval(x), testfn.gradient(x))
 
-    support = _support_ball_inside(testfn, region) if side == "interior" else None
-    if support is not None and mu.lebesgue_density is not None:
-        from .fields import CurlMeasure
-        leb = CurlMeasure(lebesgue_density=mu.lebesgue_density)
-        rest = CurlMeasure(sheet_parts=mu.sheet_parts, line_parts=mu.line_parts)
-        m_in = (integrate_measure(leb, _scalar_as_vec(testfn.value), support)
-                + integrate_measure(rest, _scalar_as_vec(testfn.value), region))
-    else:
-        m_in = integrate_measure(mu, _scalar_as_vec(testfn.value), region)
-    v_in = volume_integral(support or region, fxg)
+    phi = _scalar_as_vec(testfn.value)
     if side == "interior":
-        return m_in - v_in
+        support = support_rule(region, testfn.support, testfn.support_breaks)
+        return integrate_measure(mu, phi, support) - volume_integral(support, fxg)
+    m_in = integrate_measure(mu, phi, region)
+    v_in = volume_integral(region, fxg)
     amb = _ambient_for(region)
-    m_out = integrate_measure(mu, _scalar_as_vec(testfn.value), amb) - m_in
+    m_out = integrate_measure(mu, phi, amb) - m_in
     v_out = volume_integral(amb, fxg) - v_in
     return -m_out + v_out
 

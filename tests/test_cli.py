@@ -64,3 +64,14 @@ def test_trace_csv_matches_golden_digest(argv, sha256, tmp_path):
 
 def test_example_annuli_matches_golden_csv(tmp_path):
     assert _main_output(["example"], tmp_path) == (GOLDEN / "example_annuli.csv").read_bytes()
+
+
+def test_validate_rigid_rotation_passes_on_its_defaults(tmp_path):
+    # the default bump's plateau covers the half ball, so the Gauss rule
+    # never meets its transition shell
+    table, _ = _csv("validate", {"field": "rigid_rotation"})
+    assert table.passed
+    assert [r[0] for r in table.rows] == ["D1", "D2", "D3", "D4"]
+    assert all(r[1] <= table.metadata["tolerance"] and r[2] == "pass" for r in table.rows)
+    assert cli.main(["validate", "--field", "rigid_rotation", "--out",
+                     str(tmp_path / "out.csv")]) == 0

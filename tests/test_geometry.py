@@ -381,6 +381,21 @@ def test_shift_keeps_the_disk_rule(half_ball):
     assert np.abs(shifted.patch.nodes - face.patch.nodes - [0.0, 0.0, 0.1]).max() < 1e-15
 
 
+@pytest.mark.parametrize("inner_normal", [True, False])
+def test_shift_keeps_the_sphere_rule(inner_normal):
+    col = geo.build_transversal_collar(geo.ball_region(order=12, n_angular=32))
+    man = geo.closed_sphere_manifold((0, 0, 0), 1.0, order=12, n_angular=32,
+                                     inner_normal=inner_normal)
+    shifted = geo.shift_transversal(man, col, 0.1)
+    assert shifted.patch.nodes.shape == man.patch.nodes.shape == (384, 3)
+    assert (shifted.meta["order"], shifted.meta["n_angular"]) == (12, 32)
+    assert shifted.meta["inner_normal"] is inner_normal
+    slide = col.slide_for(man.patch)
+    assert np.abs(shifted.patch.nodes - slide.shift_point(man.patch.nodes, 0.1)).max() < 1e-15
+    assert np.abs(shifted.patch.normals - man.patch.normals).max() < 1e-15
+    assert np.abs(shifted.patch.weights - 0.81 * man.patch.weights).max() < 1e-15
+
+
 def test_region_volumes(half_ball, unit_cylinder):
     assert abs(half_ball.volume() - 2 * np.pi / 3) < 1e-10
     assert abs(unit_cylinder.volume() - np.pi) < 1e-10

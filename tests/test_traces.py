@@ -50,6 +50,26 @@ def test_pairing_locality(rigid_rotation, half_ball):
     assert np.abs(got).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["cylinder", "half_ball"])
+def test_face_centred_pairing_matches_face_integral(rigid_rotation, kind):
+    # a bump centred on a flat face pairs to the face integral of
+    # phi (F x nu), nu = e3 the face's inner normal
+    from curlflux.testfns import radial_bump
+    center = np.array([0.1, -0.2, 0.05])
+    if kind == "cylinder":
+        region = geo.cylinder_region(center=center, radius=0.9, z0=0.0, z1=0.9)
+    else:
+        region = geo.half_ball_region(center=center, radius=0.9)
+    bump = radial_bump(center + [0.25, 0.1, 0.0], 0.22)
+    got = trc.trace_pairing(rigid_rotation.curl, rigid_rotation.vector_field, region, bump)
+    e3 = np.array([0.0, 0.0, 1.0])
+    disk = geo.disk_patch(bump.support[0], bump.support[1], e3,
+                          radial_breaks=bump.support_breaks)
+    want = geo.surface_integral(disk, lambda x: bump.value(x)[:, None] * np.cross(
+        rigid_rotation.vector_field.eval(x), e3))
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
 def test_pairing_newtonian_pv(newtonian, half_ball):
     # volume route against the symmetric-exclusion face quadrature
     hb = geo.half_ball_region(order=32, n_angular=96)
