@@ -45,11 +45,11 @@ class SheetError(RuntimeError):
 # kernels
 # ---------------------------------------------------------------------------
 
-def _velocity_numpy(targets, sources, gamma, w, delta2, periods=None, chunk=32):
+def _velocity_numpy(targets, sources, gamma, w, delta2, periods=None):
     gw = gamma * w[:, None]
     out = np.empty((targets.shape[0], 3))
-    for lo in range(0, targets.shape[0], chunk):
-        t = targets[lo:lo + chunk]
+    for lo in range(0, targets.shape[0], 32):
+        t = targets[lo:lo + 32]
         dx0, dy0, dz = (t[:, k, None] - sources[None, :, k] for k in range(3))
         if periods is None:
             xs, ys = ((dx0, 1.0),), ((dy0, 1.0),)
@@ -73,7 +73,7 @@ def _velocity_numpy(targets, sources, gamma, w, delta2, periods=None, chunk=32):
                 kk = kk + k
         kz = dz * kk
         # (gamma w) x (kx, ky, kz), summed over sources as three mat-vecs
-        o = out[lo:lo + chunk]
+        o = out[lo:lo + 32]
         o[:, 0] = kz @ gw[:, 1] - ky @ gw[:, 2]
         o[:, 1] = kx @ gw[:, 2] - kz @ gw[:, 0]
         o[:, 2] = ky @ gw[:, 0] - kx @ gw[:, 1]
@@ -140,21 +140,24 @@ class SheetState:
         return n / np.where(mag == 0.0, 1.0, mag)
 
 
-def flat_periodic_sheet(n1: int, n2: int, lx: float = 1.0, ly: float = 1.0,
-                        gamma=(1.0, 0.0, 0.0), desing: Optional[float] = None,
-                        bump_amplitude: float = 0.0, z0: float = 0.0) -> SheetState:
-    """Uniform doubly periodic flat sheet, optionally perturbed by a smooth bump."""
-    u = (np.arange(n1) + 0.5) * (lx / n1)
-    v = (np.arange(n2) + 0.5) * (ly / n2)
+def flat_periodic_sheet(n1: int, n2: int, gamma=(1.0, 0.0, 0.0),
+                        desing: Optional[float] = None,
+                        bump_amplitude: float = 0.0) -> SheetState:
+    """Uniform flat sheet z = 0 on the unit periodic cell, optionally perturbed
+    by a smooth bump; the smoothing length defaults to twice the coarser
+    marker spacing."""
+    u = (np.arange(n1) + 0.5) * (1.0 / n1)
+    v = (np.arange(n2) + 0.5) * (1.0 / n2)
     U, V = np.meshgrid(u, v, indexing="ij")
-    Z = np.full_like(U, z0)
+    Z = np.zeros_like(U)
     if bump_amplitude:
-        Z = Z + bump_amplitude * np.sin(2 * np.pi * U / lx) * np.sin(2 * np.pi * V / ly)
+        Z = Z + bump_amplitude * np.sin(2 * np.pi * U) * np.sin(2 * np.pi * V)
     markers = np.stack([U, V, Z], axis=-1)
     g = np.broadcast_to(np.asarray(gamma, dtype=float), markers.shape).copy()
-    w = np.full((n1, n2), (lx / n1) * (ly / n2))
-    h = max(lx / n1, ly / n2)
-    return SheetState(markers, g, w, desing or 2.0 * h, periods=(lx, ly))
+    w = np.full((n1, n2), (1.0 / n1) * (1.0 / n2))
+    if desing is None:
+        desing = 2.0 * max(1.0 / n1, 1.0 / n2)
+    return SheetState(markers, g, w, desing, periods=(1.0, 1.0))
 
 
 def br_velocity(sheet: SheetState, points: np.ndarray) -> np.ndarray:
@@ -178,29 +181,22 @@ def retangentialize(strength: np.ndarray, normals: np.ndarray) -> np.ndarray:
     return strength - np.sum(strength * normals, axis=-1, keepdims=True) * normals
 
 
-def step(sheet: SheetState, dt: float, background=None,
-         collision_factor: float = 0.1) -> SheetState:
+def step(sheet: SheetState, dt: float) -> SheetState:
     """One RK4 advection step; strengths ride with the markers and are
     re-projected onto the discrete tangent plane afterwards."""
     if dt <= 0.0:
         raise SheetError("time step must be positive")
 
-    def vel(markers):
-        v = _marker_velocities(sheet, markers)
-        if background is not None:
-            v = v + np.atleast_2d(background(markers.reshape(-1, 3))).reshape(markers.shape)
-        return v
-
     X = sheet.markers
-    k1 = vel(X)
-    k2 = vel(X + 0.5 * dt * k1)
-    k3 = vel(X + 0.5 * dt * k2)
-    k4 = vel(X + dt * k3)
+    k1 = _marker_velocities(sheet, X)
+    k2 = _marker_velocities(sheet, X + 0.5 * dt * k1)
+    k3 = _marker_velocities(sheet, X + 0.5 * dt * k2)
+    k4 = _marker_velocities(sheet, X + dt * k3)
     new_markers = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     moved = replace(sheet, markers=new_markers, time=sheet.time + dt)
     new_strength = retangentialize(sheet.strength, moved.normals())
     out = replace(moved, strength=new_strength)
-    _flag_collisions(out, collision_factor)
+    _flag_collisions(out, 0.1)
     return out
 
 
@@ -240,31 +236,29 @@ def two_body_velocity(gamma_j, x_j, w_j, x, delta: float) -> np.ndarray:
     return -np.cross(np.asarray(gamma_j, float), d) * (w_j / (4.0 * np.pi * s ** 1.5))
 
 
-def refinement_slope(sheet: SheetState, deltas, standoff: float = 0.3,
-                     n_probes: int = 8, seed: int = 3) -> float:
-    """Convergence order of the smoothing length, measured off the sheet.
+def refinement_slope(sheet: SheetState, deltas) -> float:
+    """Convergence order of the smoothing length, measured at 8 random probes
+    a standoff of 0.3 off the sheet.
 
     At a standoff from the sheet the velocity field is smooth and the
     smoothed kernel converges at second order; on the sheet itself the
     principal-value limit is attained at first order only.
     """
-    from dataclasses import replace as _replace
-
     from .sequences import fit_decay_slope
 
     deltas = sorted(deltas, reverse=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
+    n = 8
     if sheet.periods is not None:
         lx, ly = sheet.periods
-        probes = np.stack([rng.uniform(0, lx, n_probes), rng.uniform(0, ly, n_probes),
-                           sheet.markers[..., 2].mean() + np.full(n_probes, standoff)], axis=1)
+        probes = np.stack([rng.uniform(0, lx, n), rng.uniform(0, ly, n),
+                           sheet.markers[..., 2].mean() + np.full(n, 0.3)], axis=1)
     else:
         lo = sheet.markers.reshape(-1, 3).min(axis=0)
         hi = sheet.markers.reshape(-1, 3).max(axis=0)
-        probes = np.stack([rng.uniform(lo[0], hi[0], n_probes),
-                           rng.uniform(lo[1], hi[1], n_probes),
-                           np.full(n_probes, hi[2] + standoff)], axis=1)
-    ref = br_velocity(_replace(sheet, desing=0.25 * deltas[-1]), probes)
-    errs = [np.linalg.norm(br_velocity(_replace(sheet, desing=d), probes) - ref,
+        probes = np.stack([rng.uniform(lo[0], hi[0], n), rng.uniform(lo[1], hi[1], n),
+                           np.full(n, hi[2] + 0.3)], axis=1)
+    ref = br_velocity(replace(sheet, desing=0.25 * deltas[-1]), probes)
+    errs = [np.linalg.norm(br_velocity(replace(sheet, desing=d), probes) - ref,
                            axis=1).max() for d in deltas]
     return fit_decay_slope(deltas, errs)

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
+from . import birkhoff_rott as br
 from . import fields as flds
 from . import geometry as geo
 from . import selection, stokes, traces
@@ -179,10 +180,10 @@ def run(config: RunConfig) -> ResultTable:
 
 def cmd_trace(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
-    region = parse_region(p.get("region") or "cylinder")
+    region = parse_region(p.get("region", "cylinder"))
     tcol = geo.build_transversal_collar(region)
-    t_grid = _parse_grid(p.get("t_grid") or "2^-2..2^-9")
-    side = p.get("side") or "interior"
+    t_grid = _parse_grid(p.get("t_grid", "2^-2..2^-9"))
+    side = p.get("side", "interior")
     rows = []
     for patch in region.boundary:
         man = _manifold_for_patch(patch, region)
@@ -218,12 +219,19 @@ def _parse_grid(spec) -> tuple:
     return tuple(float(v) for v in spec.split(","))
 
 
+def _j_range(p: dict, start: int, default_max: int) -> range:
+    """Ramp exponents start ... delta_max_j; an empty range has no verdict."""
+    jmax = int(p.get("delta_max_j", default_max))
+    if jmax < start:
+        raise ConfigError(f"delta_max_j must be at least {start}, not {jmax}")
+    return range(start, jmax + 1)
+
+
 def cmd_stokes(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
-    man = parse_surface(p.get("surface") or "disk:r=1")
-    route = p.get("route") or "tangential"
-    t = float(p.get("t") or 0.0)
-    jmax = int(p.get("delta_max_j") or 12)
+    man = parse_surface(p.get("surface", "disk:r=1"))
+    route = p.get("route", "tangential")
+    t = float(p.get("t", 0.0))
     if entry.trace_z_plane is None:
         raise ConfigError(f"catalog field {p['field']!r} carries no face trace")
     rows = []
@@ -231,7 +239,7 @@ def cmd_stokes(p: dict) -> ResultTable:
     if route == "tangential":
         col = geo.build_tangential_collar(man)
         res = stokes.stokes_tangential(entry.trace_z_plane, man, col, t,
-                                       j_range=range(2, jmax + 1),
+                                       j_range=_j_range(p, 2, 12),
                                        breaks_radii=entry.trace_breaks_radii)
         for d, v in zip(res.deltas, res.delta_values):
             rows.append([d, v])
@@ -239,7 +247,7 @@ def cmd_stokes(p: dict) -> ResultTable:
                      "flux": FLOAT_FMT % res.extrapolated if res.converged else "n/a"})
         return ResultTable(["delta", "ramp_integral"], rows, meta)
     if route == "transversal":
-        region = parse_region(p.get("region") or "cylinder")
+        region = parse_region(p.get("region", "cylinder"))
         tcol = geo.build_transversal_collar(region)
         sing = [(0.0, 0.0, t)] if p["field"] == "line_vortex" else []
         out = stokes.stokes_transversal(entry.trace_z_plane, man, tcol, t,
@@ -258,12 +266,13 @@ def cmd_stokes(p: dict) -> ResultTable:
 
 def cmd_maximal(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
-    region = parse_region(p.get("region") or "cylinder")
-    man = parse_surface(p.get("surface") or "disk:r=1")
+    region = parse_region(p.get("region", "cylinder"))
+    man = parse_surface(p.get("surface", "disk:r=1"))
     tcol = geo.build_transversal_collar(region)
-    t_grid = _parse_grid(p.get("t_grid") or
-                         ",".join(str(v) for v in np.linspace(0.05, 0.45, 9)))
-    lam = float(p.get("lam") or 2.0 ** 2)
+    t_grid = _parse_grid(p.get("t_grid", tuple(np.linspace(0.05, 0.45, 9))))
+    lam = float(p.get("lam", 4.0))
+    if not lam > 0.0:
+        raise ConfigError(f"lam must be positive, not {lam:g}")
     if entry.curl is None:
         raise ConfigError("field carries no curl measure")
     scan = selection.maximal_transversal(entry.curl, man, tcol, t_grid)
@@ -277,19 +286,27 @@ def cmd_maximal(p: dict) -> ResultTable:
 
 
 def cmd_br(p: dict) -> ResultTable:
-    from . import birkhoff_rott as br
-    grid = p.get("grid") or "16x16"
-    n1, n2 = (int(v) for v in str(grid).lower().split("x"))
-    gamma = p.get("gamma") or "1,0,0"
+    grid = p.get("grid", "16x16")
+    try:
+        n1, n2 = (int(v) for v in str(grid).lower().split("x"))
+    except ValueError:
+        raise ConfigError(f"grid must read N1xN2, not {grid!r}") from None
+    if min(n1, n2) < 1:
+        raise ConfigError(f"grid {grid!r} has no markers")
+    gamma = p.get("gamma", "1,0,0")
     if isinstance(gamma, str):
         gamma = tuple(float(v) for v in gamma.split(","))
-    dt = float(p.get("dt") or 0.01)
-    steps = int(p.get("steps") or 10)
-    dump_every = int(p.get("dump_every") or max(1, steps // 4))
+    dt = float(p.get("dt", 0.01))
+    steps = int(p.get("steps", 10))
+    dump_every = int(p.get("dump_every", max(1, steps // 4)))
+    if steps < 0:
+        raise ConfigError(f"steps must be non-negative, not {steps}")
+    if dump_every < 1:
+        raise ConfigError(f"dump_every must be at least 1, not {dump_every}")
     desing = p.get("delta_br")
-    amp = float(p.get("amplitude") or 0.0)
+    amp = float(p.get("amplitude", 0.0))
     sheet = br.flat_periodic_sheet(n1, n2, gamma=gamma,
-                                   desing=float(desing) if desing else None,
+                                   desing=None if desing is None else float(desing),
                                    bump_amplitude=amp)
     rows = []
     def dump(step_idx, s):
@@ -313,12 +330,12 @@ def cmd_br(p: dict) -> ResultTable:
 
 def cmd_validate(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
-    region = parse_region(p.get("region") or "half_ball")
+    region = parse_region(p.get("region", "half_ball"))
     phi = smooth_bump(np.asarray(region.ambient_center) + np.array([0.1, 0.0, 0.2]), 2.5)
     from .testfns import random_trig_vector
     other = random_trig_vector(11, n_modes=2, kmax=1.0)
     res = stokes.smooth_validators(entry.vector_field, region, phi, other)
-    tol = float(p.get("tol") or 1e-8)
+    tol = float(p.get("tol", 1e-8))
     rows = [[k, v, "pass" if v <= tol else "FAIL"] for k, v in sorted(res.items())]
     ok = all(v <= tol for v in res.values())
     return ResultTable(["identity", "residual", "status"], rows,
@@ -326,16 +343,15 @@ def cmd_validate(p: dict) -> ResultTable:
 
 
 def cmd_example(p: dict) -> ResultTable:
-    name = p.get("name") or "annuli"
+    name = p.get("name", "annuli")
     if name != "annuli":
         raise ConfigError("example currently ships the dyadic-annuli trace only")
     entry = get_catalog("annuli")
-    t = float(p.get("t") or 0.0)
+    t = float(p.get("t", 0.0))
     man = geo.disk_manifold((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(man)
-    jmax = int(p.get("delta_max_j") or 10)
     res = stokes.stokes_tangential(entry.trace_z_plane, man, col, t,
-                                   j_range=range(1, jmax + 1),
+                                   j_range=_j_range(p, 1, 10),
                                    breaks_radii=entry.trace_breaks_radii)
     rows = []
     for j, (d, v) in enumerate(zip(res.deltas, res.delta_values), start=1):
@@ -504,61 +520,56 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"curlflux {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, summary):
+        # flags left out stay out of the namespace: each cmd_* holds the defaults
+        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON config file overriding flags")
-        sp.add_argument("--emit", choices=("csv", "json"), default="csv")
+        sp.add_argument("--emit", choices=("csv", "json"))
         sp.add_argument("--out", help="output path (default stdout)")
+        return sp
 
-    sp = sub.add_parser("trace", help="layerwise boundary trace samples")
+    sp = command("trace", "layerwise boundary trace samples")
     sp.add_argument("--field", required=True)
-    sp.add_argument("--region", default="cylinder")
-    sp.add_argument("--side", choices=("interior", "exterior"), default="interior")
-    sp.add_argument("--t-grid", dest="t_grid", default="2^-2..2^-9")
-    common(sp)
+    sp.add_argument("--region")
+    sp.add_argument("--side", choices=("interior", "exterior"))
+    sp.add_argument("--t-grid", dest="t_grid")
 
-    sp = sub.add_parser("stokes", help="Stokes functional routes")
+    sp = command("stokes", "Stokes functional routes")
     sp.add_argument("--field", required=True)
-    sp.add_argument("--surface", default="disk:r=1")
-    sp.add_argument("--region", default="cylinder")
-    sp.add_argument("--route", choices=("tangential", "transversal", "mass"),
-                    default="tangential")
-    sp.add_argument("--t", type=float, default=0.0)
-    sp.add_argument("--delta-max-j", dest="delta_max_j", type=int, default=12)
-    common(sp)
+    sp.add_argument("--surface")
+    sp.add_argument("--region")
+    sp.add_argument("--route", choices=("tangential", "transversal", "mass"))
+    sp.add_argument("--t", type=float)
+    sp.add_argument("--delta-max-j", dest="delta_max_j", type=int)
 
-    sp = sub.add_parser("maximal", help="maximal-function scan")
+    sp = command("maximal", "maximal-function scan")
     sp.add_argument("--field", required=True)
-    sp.add_argument("--region", default="cylinder")
-    sp.add_argument("--surface", default="disk:r=1")
-    sp.add_argument("--t-grid", dest="t_grid", default=None)
-    sp.add_argument("--lam", type=float, default=4.0)
-    common(sp)
+    sp.add_argument("--region")
+    sp.add_argument("--surface")
+    sp.add_argument("--t-grid", dest="t_grid")
+    sp.add_argument("--lam", type=float)
 
-    sp = sub.add_parser("br", help="vortex-sheet evolution")
-    sp.add_argument("--grid", default="16x16")
-    sp.add_argument("--gamma", default="1,0,0")
-    sp.add_argument("--delta-br", dest="delta_br", default=None)
-    sp.add_argument("--dt", type=float, default=0.01)
-    sp.add_argument("--steps", type=int, default=10)
-    sp.add_argument("--dump-every", dest="dump_every", type=int, default=5)
-    sp.add_argument("--amplitude", type=float, default=0.0)
-    common(sp)
+    sp = command("br", "vortex-sheet evolution")
+    sp.add_argument("--grid")
+    sp.add_argument("--gamma")
+    sp.add_argument("--delta-br", dest="delta_br")
+    sp.add_argument("--dt", type=float)
+    sp.add_argument("--steps", type=int)
+    sp.add_argument("--dump-every", dest="dump_every", type=int)
+    sp.add_argument("--amplitude", type=float)
 
-    sp = sub.add_parser("validate", help="smooth-field integral identities")
+    sp = command("validate", "smooth-field integral identities")
     sp.add_argument("--field", required=True)
-    sp.add_argument("--region", default="half_ball")
-    sp.add_argument("--tol", type=float, default=1e-8)
-    common(sp)
+    sp.add_argument("--region")
+    sp.add_argument("--tol", type=float)
 
-    sp = sub.add_parser("example", help="catalog example tables")
-    sp.add_argument("--name", default="annuli")
-    sp.add_argument("--t", type=float, default=0.0)
-    sp.add_argument("--delta-max-j", dest="delta_max_j", type=int, default=10)
-    common(sp)
+    sp = command("example", "catalog example tables")
+    sp.add_argument("--name")
+    sp.add_argument("--t", type=float)
+    sp.add_argument("--delta-max-j", dest="delta_max_j", type=int)
 
-    sp = sub.add_parser("reproduce", help="closed-form value reproductions")
+    sp = command("reproduce", "closed-form value reproductions")
     sp.add_argument("name", choices=REPRODUCE_NAMES)
-    common(sp)
     return ap
 
 
@@ -567,13 +578,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = RunConfig.from_args(args)
     try:
         table = run(config)
-    except (ConfigError, flds.FieldError) as exc:
+    except (ConfigError, flds.FieldError, geo.GeometryError, br.SheetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except stokes.StokesRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    fmt = config.params.get("emit") or "csv"
+    fmt = config.params.get("emit", "csv")
     out_path = config.params.get("out")
     if out_path:
         with open(out_path, "w") as fh:

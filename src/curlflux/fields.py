@@ -38,9 +38,9 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class SingularSet:
-    """Declared singular locus for quadrature exclusion: point, line, or sheet."""
+    """Declared singular locus for quadrature exclusion: a point or a line."""
 
-    kind: str  # "point" | "line" | "sheet"
+    kind: str  # "point" | "line"
     point: Array = field(default_factory=lambda: np.zeros(3))
     direction: Array = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
@@ -52,8 +52,6 @@ class SingularSet:
         if self.kind == "line":
             along = rel @ self.direction
             return np.linalg.norm(rel - np.outer(along, self.direction), axis=1)
-        if self.kind == "sheet":
-            return np.abs(rel @ self.direction)
         raise FieldError(f"unknown singular set kind {self.kind!r}")
 
 
@@ -69,9 +67,6 @@ class VectorField:
     integrability: str = "inf"  # exponent tag
     singular_set: Optional[SingularSet] = None
     label: str = ""
-
-    def __call__(self, x: Array) -> Array:
-        return self.eval(np.atleast_2d(x))
 
 
 @dataclass(frozen=True)
@@ -101,18 +96,18 @@ class LinePart:
                 out += [-b - np.sqrt(disc), -b + np.sqrt(disc)]
         return tuple(out)
 
-    def pair(self, testvec, lo: float, hi: float, order: int = 8,
-             panels: int = 24, breaks: Sequence[float] = ()) -> Array:
-        # composite rule: kinks of piecewise-polynomial test profiles cost only
-        # O(panel_width^3) instead of polluting a single global rule; kinks
-        # passed as `breaks` become panel edges and cost nothing
+    def pair(self, testvec, lo: float, hi: float, breaks: Sequence[float] = ()) -> Array:
+        # composite 8-point rule on 24 panels: kinks of piecewise-polynomial
+        # test profiles cost only O(panel_width^3) instead of polluting a
+        # single global rule; kinks passed as `breaks` become panel edges and
+        # cost nothing
         if hi <= lo:
             return np.zeros(3)
-        edges = np.linspace(lo, hi, panels + 1)
+        edges = np.linspace(lo, hi, 25)
         inner = [b for b in breaks if lo < b < hi]
         if inner:
             edges = np.union1d(edges, inner)
-        rule = gauss_legendre_split(order, edges)
+        rule = gauss_legendre_split(8, edges)
         pts = self.positions(rule.nodes)
         dens = np.atleast_2d(self.density(pts))
         vals = np.atleast_2d(testvec(pts))
@@ -281,11 +276,12 @@ def alternation_profile(rho: Array) -> Array:
     return out
 
 
-def alternation_radii(levels: int = 40) -> tuple[float, ...]:
-    return tuple(1.0 - 2.0 ** (-k) for k in range(1, levels + 1))
+def alternation_radii() -> tuple[float, ...]:
+    """The first 40 interface radii of `alternation_profile`."""
+    return tuple(1.0 - 2.0 ** (-k) for k in range(1, 41))
 
 
-def catalog(name: str, profile: Optional[Callable] = None) -> CatalogEntry:
+def catalog(name: str) -> CatalogEntry:
     """Closed-form fields with exact curl measures and z-plane traces."""
     if name == "newtonian":
         def ev(x):
@@ -393,20 +389,17 @@ def catalog(name: str, profile: Optional[Callable] = None) -> CatalogEntry:
                             extras={"div_variation": "unbounded"})
 
     if name == "plane_wave_em":
-        f = profile or np.sin
-        df = (lambda u: np.cos(u)) if profile is None else extras_derivative(profile)
-
         def ev(x):
             x = np.atleast_2d(x)
-            return np.stack([np.zeros(len(x)), f(x[:, 0]), np.zeros(len(x))], axis=1)
+            return np.stack([np.zeros(len(x)), np.sin(x[:, 0]), np.zeros(len(x))], axis=1)
 
         def crl(x):
             x = np.atleast_2d(x)
-            return np.stack([np.zeros(len(x)), np.zeros(len(x)), df(x[:, 0])], axis=1)
+            return np.stack([np.zeros(len(x)), np.zeros(len(x)), np.cos(x[:, 0])], axis=1)
 
         def h_field(x):
             x = np.atleast_2d(x)
-            return np.stack([np.zeros(len(x)), np.zeros(len(x)), f(x[:, 0])], axis=1)
+            return np.stack([np.zeros(len(x)), np.zeros(len(x)), np.sin(x[:, 0])], axis=1)
 
         def dhdt(x):
             return -crl(x)
@@ -416,12 +409,6 @@ def catalog(name: str, profile: Optional[Callable] = None) -> CatalogEntry:
                             extras={"magnetic_field": h_field, "dH_dt": dhdt})
 
     raise FieldError(f"unknown catalog field {name!r}; choose one of {CATALOG_NAMES}")
-
-
-def extras_derivative(profile):
-    def d(u, h=1e-6):
-        return (profile(u + h) - profile(u - h)) / (2.0 * h)
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +503,15 @@ def gluing_total_variation(pw: PiecewiseField, region: SolidRegion) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _poly_bump_weights(delta: float, order: int = 10, n_angular: int = 16):
+def _poly_bump_weights(delta: float):
     """Nodes/weights of the radially symmetric polynomial bump c (1-|y/d|^2)^4
-    on the ball of radius delta, normalized to unit mass by the same rule."""
+    on the ball of radius delta, normalized to unit mass by the same rule
+    (10-point Gauss-Legendre in radius and polar cosine, 16-point trapezoid in
+    azimuth)."""
     from .quadrature import periodic_trapezoid, tensor_product_3d
-    rr = gauss_legendre(order, 0.0, delta)
-    ru = gauss_legendre(order, -1.0, 1.0)
-    rp = periodic_trapezoid(n_angular)
+    rr = gauss_legendre(10, 0.0, delta)
+    ru = gauss_legendre(10, -1.0, 1.0)
+    rp = periodic_trapezoid(16)
     rule = tensor_product_3d(rr, ru, rp)
     r, u, phi = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
@@ -531,14 +520,14 @@ def _poly_bump_weights(delta: float, order: int = 10, n_angular: int = 16):
     return pts, w / np.sum(w)
 
 
-def mollify(fld: VectorField, delta: float, order: int = 10) -> VectorField:
+def mollify(fld: VectorField, delta: float) -> VectorField:
     """Convolution with a radially symmetric polynomial bump at scale delta.
 
     Evaluation is by quadrature per point; exact for fields polynomial in x.
     """
     if delta <= 0:
         raise FieldError("mollification scale must be positive")
-    offs, w = _poly_bump_weights(delta, order)
+    offs, w = _poly_bump_weights(delta)
 
     def ev(x):
         x = np.atleast_2d(x)
@@ -551,9 +540,8 @@ def mollify(fld: VectorField, delta: float, order: int = 10) -> VectorField:
                        singular_set=None, label=f"mollified({fld.label},{delta:g})")
 
 
-def mollified_measure_density(mu: CurlMeasure, delta: float, order: int = 10):
+def mollified_measure_density(mu: CurlMeasure, delta: float):
     """Lebesgue density of the mollified curl measure (bump convolved with mu)."""
-    from .quadrature import periodic_trapezoid
 
     def norm_const(d):
         rr = gauss_legendre(32, 0.0, d)
@@ -589,7 +577,7 @@ def mollified_measure_density(mu: CurlMeasure, delta: float, order: int = 10):
                 r = np.linalg.norm(xi - pts, axis=1)
                 out[i] += np.tensordot(w * bump(r), dens, axes=(0, 0))
         if mu.lebesgue_density is not None:
-            offs, w = _poly_bump_weights(delta, order)
+            offs, w = _poly_bump_weights(delta)
             for i, xi in enumerate(x):
                 out[i] += np.tensordot(w, np.atleast_2d(mu.lebesgue_density(xi - offs)),
                                        axes=(0, 0))
@@ -598,9 +586,9 @@ def mollified_measure_density(mu: CurlMeasure, delta: float, order: int = 10):
     return density
 
 
-def unit_disk_interface(order: int = 24, n_angular: int = 96) -> SurfacePatch:
+def unit_disk_interface() -> SurfacePatch:
     """Unit disk in the z=0 plane oriented by +e3 (plus side above)."""
-    return disk_patch((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0), order, n_angular)
+    return disk_patch((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0))
 
 
 def constant_field(vec) -> VectorField:

@@ -34,8 +34,8 @@ DEFAULT_ORDER = 24
 DEFAULT_ANGULAR = 96
 
 
-def _unit(v, axis=-1):
-    n = np.linalg.norm(v, axis=axis, keepdims=True)
+def _unit(v):
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
     return v / np.where(n == 0.0, 1.0, n)
 
 
@@ -378,10 +378,10 @@ class TangentialCollar:
         return float(np.linalg.norm(a - b, axis=1).min())
 
 
-def _fit_bilip(collar: TangentialCollar, n_samples: int = 6) -> float:
-    """Largest distortion max(d/gap, gap/d) between pairs of sampled layers,
-    with d their `layer_distance`; 1 if no pair is distorted."""
-    ss = np.linspace(0.0, min(0.45, collar.s_max * 0.9), n_samples)
+def _fit_bilip(collar: TangentialCollar) -> float:
+    """Largest distortion max(d/gap, gap/d) between pairs of six sampled
+    layers, with d their `layer_distance`; 1 if no pair is distorted."""
+    ss = np.linspace(0.0, min(0.45, collar.s_max * 0.9), 6)
     pts = collar.layer(ss).nodes
     d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1).min(axis=-1)
     gap = np.abs(ss[:, None] - ss[None, :])
@@ -390,11 +390,11 @@ def _fit_bilip(collar: TangentialCollar, n_samples: int = 6) -> float:
 
 
 def disk_manifold(center, radius: float, normal=(0.0, 0.0, 1.0), order: int = DEFAULT_ORDER,
-                  n_angular: int = DEFAULT_ANGULAR, radial_breaks: Sequence[float] = ()) -> BoundaryManifold:
+                  n_angular: int = DEFAULT_ANGULAR) -> BoundaryManifold:
     """Flat disk whose boundary circle slides radially toward the center."""
     center = np.asarray(center, dtype=float)
     e1, e2, n = frame_from_normal(normal)
-    patch = disk_patch(center, radius, normal, order, n_angular, radial_breaks)
+    patch = disk_patch(center, radius, normal, order, n_angular)
     curve = circle_curve(center, radius, e1, e2, n_angular)
 
     def conormal(s):
@@ -461,9 +461,9 @@ def closed_sphere_manifold(center, radius: float, order: int = DEFAULT_ORDER,
                                   "inner_normal": inner_normal})
 
 
-def build_tangential_collar(manifold: BoundaryManifold,
-                            n_angular: int = DEFAULT_ANGULAR) -> TangentialCollar:
-    """Closed-form collar for the canonical catalog shapes.
+def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
+    """Closed-form collar for the canonical catalog shapes; its layers are
+    circles on the default angular rule.
 
     For a closed surface (empty boundary) the collar is empty and the
     localizer degenerates to the constant 1.
@@ -481,7 +481,7 @@ def build_tangential_collar(manifold: BoundaryManifold,
         e1, e2, _ = manifold.meta["frame"]
 
         def layer(s):
-            return circle_curve(center, radius * (1.0 - s), e1, e2, n_angular)
+            return circle_curve(center, radius * (1.0 - s), e1, e2)
 
         axis = np.cross(e1, e2)
 
@@ -505,7 +505,7 @@ def build_tangential_collar(manifold: BoundaryManifold,
         def layer(s):
             th = th0 * (1.0 - np.asarray(s))
             c = center + np.multiply.outer(R * np.cos(th), [0.0, 0.0, 1.0])
-            return circle_curve(c, R * np.sin(th), e1, e2, n_angular)
+            return circle_curve(c, R * np.sin(th), e1, e2)
 
         def grad_s(pts, s):
             pts = np.atleast_2d(pts)
@@ -624,16 +624,16 @@ def ramp_integral(manifold: BoundaryManifold, collar: TangentialCollar, t: float
     return _band_integral(layer_w, line_w, vals)
 
 
-def band_area(collar: TangentialCollar, t: float, delta: float, s_order: int = 8) -> float:
+def band_area(collar: TangentialCollar, t: float, delta: float) -> float:
     """Surface area of the collar band Psi((t, t+delta) x Gamma)."""
     if collar.empty:
         return 0.0
-    _, layer_w, line_w, _ = _band(collar, t, t + delta, s_order)
+    _, layer_w, line_w, _ = _band(collar, t, t + delta, 8)
     return _band_integral(layer_w, line_w, np.ones_like(line_w))
 
 
 def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
-              s_order: int = 8, breaks: Sequence[float] = ()) -> float:
+              breaks: Sequence[float] = ()) -> float:
     """Integral of a scalar surface density over the collar band (lo, hi)."""
     if collar.empty or hi <= lo:
         return 0.0
@@ -641,7 +641,7 @@ def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
     hi = min(hi, collar.s_max)
     if hi <= lo:
         return 0.0
-    pts, layer_w, line_w, _ = _band(collar, lo, hi, s_order, breaks)
+    pts, layer_w, line_w, _ = _band(collar, lo, hi, 8, breaks)
     return _band_integral(layer_w, line_w, np.asarray(density(pts), dtype=float))
 
 
@@ -650,8 +650,10 @@ def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
 # ---------------------------------------------------------------------------
 
 
-def central_gradient(value, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function of points (n,3)."""
+def central_gradient(value, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function of points (n,3), at
+    step 1e-6."""
+    h = 1e-6
     x = np.atleast_2d(x)
     out = np.zeros_like(x)
     for k in range(3):
@@ -698,15 +700,15 @@ class BoundaryExtension:
         ramp = np.where(depth < 0.0, 0.0, ramp)
         return out * ramp
 
-    def gradient(self, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        return central_gradient(self.value, x, h)
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return central_gradient(self.value, x)
 
-    def gradient_bound_report(self, n_samples: int = 12, span: float = 0.5,
-                              seed: int = 7) -> dict:
-        """Measured sup |grad| against the structural bound shape."""
-        rng = np.random.default_rng(seed)
-        uv = span * rng.uniform(-1.0, 1.0, size=(n_samples, 2))
-        depths = rng.uniform(1e-4, self.delta, size=n_samples)
+    def gradient_bound_report(self) -> dict:
+        """Measured sup |grad| at 12 random points within 0.5 of the origin
+        in the face plane, against the structural bound shape."""
+        rng = np.random.default_rng(7)
+        uv = 0.5 * rng.uniform(-1.0, 1.0, size=(12, 2))
+        depths = rng.uniform(1e-4, self.delta, size=12)
         pts = (self.origin + np.outer(uv[:, 0], self.e1) + np.outer(uv[:, 1], self.e2)
                + np.outer(depths, self.inward))
         grads = np.linalg.norm(self.gradient(pts), axis=1)
@@ -724,14 +726,14 @@ class BoundaryExtension:
                 "fitted_constant": float(grads.max() / denom) if denom > 0 else 0.0}
 
 
-def extend_boundary_function(face: BoundaryManifold, data, delta: float,
-                             mollifier_order: int = 8,
-                             sample_spacing: Optional[float] = None) -> BoundaryExtension:
+def extend_boundary_function(face: BoundaryManifold, data, delta: float) -> BoundaryExtension:
     """Extend scalar data on a flat face into the volume on its inward side.
 
     `data` maps face points (n,3) -> (n,); alternatively pass a (points,
-    values) tuple of samples, in which case the mollification stencil must be
-    finer than the sample spacing or the construction is rejected.
+    values) tuple of samples, which are read by nearest-sample lookup. The
+    sample spacing is the largest nearest-neighbour distance among them; a
+    spacing above delta/2 is too coarse for the mollification stencil and
+    the construction is rejected.
     """
     if not 0.0 < delta < 1.0:
         raise GeometryError("extension depth must lie in (0, 1)")
@@ -743,11 +745,9 @@ def extend_boundary_function(face: BoundaryManifold, data, delta: float,
         pts_s, vals_s = data
         pts_s = np.atleast_2d(np.asarray(pts_s, dtype=float))
         vals_s = np.asarray(vals_s, dtype=float)
-        spacing = sample_spacing
-        if spacing is None:
-            d = np.linalg.norm(pts_s[:, None, :] - pts_s[None, :, :], axis=2)
-            np.fill_diagonal(d, np.inf)
-            spacing = float(d.min(axis=1).max())
+        d = np.linalg.norm(pts_s[:, None, :] - pts_s[None, :, :], axis=2)
+        np.fill_diagonal(d, np.inf)
+        spacing = float(d.min(axis=1).max())
         # the mollifier averages over a disk of radius = depth; depths below the
         # sample spacing cannot be resolved by nearest-sample lookup
         if spacing > 0.5 * delta:
@@ -764,8 +764,8 @@ def extend_boundary_function(face: BoundaryManifold, data, delta: float,
         data_fn = data
 
     # radially symmetric polynomial bump on the unit disk, quadrature-normalized
-    rr = gauss_legendre(mollifier_order, 0.0, 1.0)
-    aa = periodic_trapezoid(4 * mollifier_order)
+    rr = gauss_legendre(8, 0.0, 1.0)
+    aa = periodic_trapezoid(32)
     r, a = np.meshgrid(rr.nodes, aa.nodes, indexing="ij")
     w = np.outer(rr.weights, aa.weights) * r * (1.0 - r ** 2) ** 4
     stencil = np.stack([(r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()], axis=1)
@@ -882,13 +882,17 @@ class TransversalCollar:
     kappa: float
 
     def slide_for(self, patch: SurfacePatch) -> PatchSlide:
-        """The slide of `patch` itself, else of the first patch of its name
-        (manifolds rebuilt on a region's face carry a fresh patch)."""
-        match = ([s for s in self.slides if s.patch is patch]
-                 or [s for s in self.slides if s.patch.name == patch.name])
-        if not match:
-            raise GeometryError(f"no slide registered for patch {patch.name!r}")
-        return match[0]
+        """The slide of `patch` itself, else the first slide whose depth
+        vanishes on every node of `patch`: manifolds rebuilt on a region's
+        face carry a fresh patch, and faces share their names."""
+        for s in self.slides:
+            if s.patch is patch:
+                return s
+        for s in self.slides:
+            if (s.slab_coordinate is not None
+                    and np.all(np.abs(s.slab_coordinate(patch.nodes)) <= POSITION_TOL)):
+                return s
+        raise GeometryError(f"no slide registered for patch {patch.name!r}")
 
 
 @dataclass(frozen=True)
@@ -937,8 +941,7 @@ def _spherical_volume_nodes(center, radius, order, n_angular, u_range=(-1.0, 1.0
 
 
 def ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = DEFAULT_ORDER,
-                n_angular: int = DEFAULT_ANGULAR, ambient_radius: Optional[float] = None,
-                radial_breaks=()) -> SolidRegion:
+                n_angular: int = DEFAULT_ANGULAR, radial_breaks=()) -> SolidRegion:
     center = np.asarray(center, dtype=float)
     pts, w = _spherical_volume_nodes(center, radius, order, n_angular, radial_breaks=radial_breaks)
     sphere = sphere_patch(center, radius, order, n_angular, inner_normal=True)
@@ -946,14 +949,12 @@ def ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = DEFAUL
     def contains(x):
         return np.linalg.norm(np.atleast_2d(x) - center, axis=1) < radius
 
-    return SolidRegion("ball", (sphere,), pts, w, contains,
-                       ambient_radius or 2.0 * radius, center,
+    return SolidRegion("ball", (sphere,), pts, w, contains, 2.0 * radius, center,
                        meta={"center": center, "radius": float(radius)})
 
 
 def half_ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = DEFAULT_ORDER,
-                     n_angular: int = DEFAULT_ANGULAR,
-                     ambient_radius: Optional[float] = None) -> SolidRegion:
+                     n_angular: int = DEFAULT_ANGULAR) -> SolidRegion:
     """Upper half ball {x3 > c3}; flat face oriented by the inner normal +e3."""
     center = np.asarray(center, dtype=float)
     pts, w = _spherical_volume_nodes(center, radius, order, n_angular, u_range=(0.0, 1.0))
@@ -964,26 +965,17 @@ def half_ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = D
         rel = np.atleast_2d(x) - center
         return (np.linalg.norm(rel, axis=1) < radius) & (rel[:, 2] > 0.0)
 
-    return SolidRegion("half_ball", (face, dome), pts, w, contains,
-                       ambient_radius or 2.0 * radius, center,
+    return SolidRegion("half_ball", (face, dome), pts, w, contains, 2.0 * radius, center,
                        meta={"center": center, "radius": float(radius),
                              "normal": np.array([0.0, 0.0, 1.0])})
 
 
 def cylinder_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, z0: float = 0.0, z1: float = 1.0,
-                    order: int = DEFAULT_ORDER, n_angular: int = DEFAULT_ANGULAR,
-                    ambient_radius: Optional[float] = None,
-                    radial_breaks=(), z_breaks=()) -> SolidRegion:
-    """Cylinder {rho < radius, z0 < z < z1} relative to `center` in the xy plane.
-
-    Break lists split the radial and axial rules so coordinate-aligned
-    piecewise-polynomial integrands are integrated exactly.
-    """
+                    order: int = DEFAULT_ORDER, n_angular: int = DEFAULT_ANGULAR) -> SolidRegion:
+    """Cylinder {rho < radius, z0 < z < z1} relative to `center` in the xy plane."""
     center = np.asarray(center, dtype=float)
-    bp_r = sorted({0.0, float(radius), *(float(b) for b in radial_breaks if 0.0 < b < radius)})
-    bp_z = sorted({float(z0), float(z1), *(float(b) for b in z_breaks if z0 < b < z1)})
-    rr = gauss_legendre_split(order, np.asarray(bp_r))
-    rz = gauss_legendre_split(order, np.asarray(bp_z))
+    rr = gauss_legendre(order, 0.0, radius)
+    rz = gauss_legendre(order, z0, z1)
     rp = periodic_trapezoid(n_angular)
     rule = tensor_product_3d(rr, rp, rz)
     rho, phi, z = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
@@ -999,14 +991,14 @@ def cylinder_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, z0: float = 0.0
         rel = np.atleast_2d(x) - center
         return (np.hypot(rel[:, 0], rel[:, 1]) < radius) & (rel[:, 2] > z0) & (rel[:, 2] < z1)
 
-    amb = ambient_radius or 2.0 * max(radius, abs(z0), abs(z1))
+    amb = 2.0 * max(radius, abs(z0), abs(z1))
     return SolidRegion("cylinder", (bottom, top, side), pts, w, contains, amb, center,
                        meta={"center": center, "radius": float(radius),
                              "z0": float(z0), "z1": float(z1)})
 
 
-def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0), order: int = 16,
-               ambient_radius: Optional[float] = None) -> SolidRegion:
+def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0),
+               order: int = 16) -> SolidRegion:
     center = np.asarray(center, dtype=float)
     h = np.asarray(half_widths, dtype=float)
     rx = gauss_legendre(order, -h[0], h[0])
@@ -1031,7 +1023,7 @@ def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0), order: int =
         return np.all(rel < h, axis=1)
 
     return SolidRegion("box", tuple(faces), pts, rule.weights, contains,
-                       ambient_radius or 2.0 * float(np.max(h)), center,
+                       2.0 * float(np.max(h)), center,
                        meta={"center": center, "half_widths": h})
 
 
@@ -1220,8 +1212,7 @@ def shift_transversal(manifold: BoundaryManifold, collar: TransversalCollar,
     raise GeometryError(f"cannot shift manifold kind {manifold.kind!r}")
 
 
-def shell_integral(region: SolidRegion, collar: TransversalCollar, eps: float,
-                   integrand, s_order: int = 8) -> float | np.ndarray:
+def shell_integral(collar: TransversalCollar, eps: float, integrand) -> float | np.ndarray:
     """Volume integral over the inward shell of depth eps, via per-patch slides.
 
     `integrand(base_pts, shifted_pts, slide, s)` returns per-node values at the
@@ -1231,7 +1222,7 @@ def shell_integral(region: SolidRegion, collar: TransversalCollar, eps: float,
     """
     total = None
     for sl in collar.slides:
-        s_rule = gauss_legendre(s_order, 0.0, eps)
+        s_rule = gauss_legendre(8, 0.0, eps)
         base = sl.patch.nodes
         acc = None
         for s, w in zip(s_rule.nodes, s_rule.weights):

@@ -43,11 +43,10 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(mid + half * x, half * w, order=2 * n - 1)
 
 
-def periodic_trapezoid(n: int, period: float = 2.0 * np.pi) -> QuadratureRule:
-    """Equispaced rule on [0, period); spectrally accurate for periodic integrands."""
-    s = np.arange(n) * (period / n)
-    w = np.full(n, period / n)
-    return QuadratureRule(s, w, order=n - 1)
+def periodic_trapezoid(n: int) -> QuadratureRule:
+    """Equispaced rule on [0, 2 pi); spectrally accurate for periodic integrands."""
+    h = 2.0 * np.pi / n
+    return QuadratureRule(np.arange(n) * h, np.full(n, h), order=n - 1)
 
 
 def tensor_product(rule_u: QuadratureRule, rule_v: QuadratureRule) -> QuadratureRule:

@@ -15,7 +15,9 @@ import numpy as np
 
 from .fields import CurlMeasure, LinePart, SheetPart
 from .geometry import (
+    POSITION_TOL,
     BoundaryManifold,
+    GeometryError,
     PatchSlide,
     TangentialCollar,
     TransversalCollar,
@@ -50,17 +52,23 @@ class MaximalScan:
         return np.isfinite(np.asarray(self.values))
 
 
-def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: float, hi: float,
-                    order: int = 64) -> float:
+def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: float, hi: float) -> float:
     """Mass of a straight line measure inside the slab lo < depth < hi.
 
-    Planar slides give an affine depth along the segment, solved exactly;
-    other slides fall back to masked quadrature.
+    The depth must be affine along the segment, as it is for planar slides;
+    the slab is then solved for exactly. A depth whose value at the segment's
+    midpoint is not the mean of its end values is refused.
     """
     if slide.slab_coordinate is None:
         return 0.0
-    a = slide.slab_coordinate(lp.positions(np.array([lp.lo])))[0]
-    b = slide.slab_coordinate(lp.positions(np.array([lp.hi])))[0]
+
+    def depth(s):
+        return slide.slab_coordinate(lp.positions(np.array([s])))[0]
+
+    a, b = depth(lp.lo), depth(lp.hi)
+    if abs(depth(0.5 * (lp.lo + lp.hi)) - 0.5 * (a + b)) > POSITION_TOL:
+        raise GeometryError("line-part slab mass needs a depth affine along the "
+                            "segment; this slide is curved")
     dens_mag = np.linalg.norm(np.atleast_2d(lp.density(lp.positions(np.array([0.0]))))[0])
     if abs(b - a) < 1e-14:
         # segment parallel to the layers: zero unless it sits inside the slab,
@@ -72,7 +80,7 @@ def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: float, hi: float,
     s0, s1 = max(s0, lp.lo), min(s1, lp.hi)
     if s1 <= s0:
         return 0.0
-    rule = gauss_legendre(order, s0, s1)
+    rule = gauss_legendre(64, s0, s1)
     dens = np.atleast_2d(lp.density(lp.positions(rule.nodes)))
     return float(np.sum(rule.weights * np.linalg.norm(dens, axis=1)))
 
@@ -87,19 +95,17 @@ def _sheet_mass(sp: SheetPart, slide: PatchSlide, inside) -> float:
     return float(np.sum(sp.patch.weights * mask * dens))
 
 
-def _sheet_layer_mass(sp: SheetPart, slide: PatchSlide, t: float,
-                      tol: float = 1e-10) -> float:
+def _sheet_layer_mass(sp: SheetPart, slide: PatchSlide, t: float) -> float:
     """Mass carried by the single layer at depth t (concentration detector)."""
-    return _sheet_mass(sp, slide, lambda depth: np.abs(depth - t) < tol)
+    return _sheet_mass(sp, slide, lambda depth: np.abs(depth - t) < 1e-10)
 
 
-def _lebesgue_slab_mass(density, slide: PatchSlide, lo: float, hi: float,
-                        s_order: int = 8) -> float:
+def _lebesgue_slab_mass(density, slide: PatchSlide, lo: float, hi: float) -> float:
     lo = max(lo, 0.0)
     hi = min(hi, slide.depth_range)
     if hi <= lo:
         return 0.0
-    s_rule = gauss_legendre(s_order, lo, hi)
+    s_rule = gauss_legendre(8, lo, hi)
     total = 0.0
     for s, w in zip(s_rule.nodes, s_rule.weights):
         pts = slide.shift_point(slide.patch.nodes, s)
@@ -125,7 +131,6 @@ def single_layer_mass(mu: CurlMeasure, slide: PatchSlide, t: float) -> float:
 
 def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
                         collar: TransversalCollar, t_grid: Sequence[float],
-                        eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
                         variant: str = "two_sided") -> MaximalScan:
     """Layer-mass maximal function along the transversal slides of a manifold."""
     window = _window(variant)
@@ -136,7 +141,7 @@ def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
             vals.append(np.inf)
             continue
         best = 0.0
-        for eps in eps_grid:
+        for eps in DEFAULT_EPS_GRID:
             lo, hi = window(t, eps)
             best = max(best, measure_slab_mass(mu, slide, lo, hi) / eps)
         vals.append(best)
@@ -149,12 +154,11 @@ def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
         if -0.75 < layer_t < 0.75:
             collar_mass += _sheet_layer_mass(sp, slide, layer_t)
     return MaximalScan(tuple(t_grid), tuple(vals), f"transversal_{variant}",
-                       tuple(eps_grid), collar_mass)
+                       DEFAULT_EPS_GRID, collar_mass)
 
 
 def maximal_tangential(surface_density, manifold: BoundaryManifold,
                        collar: TangentialCollar, t_grid: Sequence[float],
-                       eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
                        variant: str = "two_sided",
                        breaks: Sequence[float] = ()) -> MaximalScan:
     """Layer-mass maximal function of an integrable surface density over the
@@ -167,14 +171,14 @@ def maximal_tangential(surface_density, manifold: BoundaryManifold,
     vals = []
     for t in t_grid:
         best = 0.0
-        for eps in eps_grid:
+        for eps in DEFAULT_EPS_GRID:
             lo, hi = window(t, eps)
             m = band_mass(collar, lo, hi, mag, breaks=breaks)
             best = max(best, m / eps)
         vals.append(best)
     collar_mass = band_mass(collar, 0.0, min(0.75, collar.s_max), mag, breaks=breaks)
     return MaximalScan(tuple(t_grid), tuple(vals), f"tangential_{variant}",
-                       tuple(eps_grid), collar_mass)
+                       DEFAULT_EPS_GRID, collar_mass)
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def richardson_limit(values, step_ratio: float = 2.0) -> float:
+def richardson_limit(values) -> float:
     """Richardson triangle for samples at geometrically decreasing steps.
 
-    `values[k]` corresponds to step h/ratio^k, finest last.
+    `values[k]` corresponds to step h/2^k, finest last.
     """
     level = [float(v) for v in values]
     m = 1
     while len(level) > 1:
-        mult = step_ratio ** m
+        mult = 2.0 ** m
         level = [(mult * level[i + 1] - level[i]) / (mult - 1.0) for i in range(len(level) - 1)]
         m += 1
     return level[0]
@@ -51,24 +51,23 @@ class SequenceVerdict:
     accelerated_spread: float
 
 
-def judge_sequence(values, spread_tol: float = 1e-5, osc_tol: float = 5e-2,
-                   tail: int = 6, step_ratio: float = 2.0) -> SequenceVerdict:
-    """Convergence verdict for a geometric-parameter sequence.
+def judge_sequence(values, spread_tol: float = 1e-5, osc_tol: float = 5e-2) -> SequenceVerdict:
+    """Convergence verdict for a sequence at parameters 2^-j.
 
     Converged requires the Aitken-accelerated tail to settle below
-    `spread_tol` and the raw tail oscillation (sup - inf) to stay below
-    `osc_tol`. The reported limit is the Richardson value, which is only
-    meaningful when the verdict is positive.
+    `spread_tol` and the oscillation (sup - inf) of the last six raw values
+    to stay below `osc_tol`. The reported limit is the Richardson value,
+    which is only meaningful when the verdict is positive.
     """
     v = np.asarray(values, dtype=float)
-    tail_vals = v[-min(tail, v.size):]
+    tail_vals = v[-min(6, v.size):]
     t_osc = float(tail_vals.max() - tail_vals.min())
     acc = aitken(v)
     if acc.size >= 3:
         acc = aitken(acc)
     spread = float(np.max(np.abs(np.diff(acc[-3:])))) if acc.size >= 2 else np.inf
     converged = bool(spread < spread_tol and t_osc < osc_tol)
-    limit = richardson_limit(v, step_ratio) if converged else None
+    limit = richardson_limit(v) if converged else None
     return SequenceVerdict(converged, limit, t_osc, spread)
 
 

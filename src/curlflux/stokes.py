@@ -90,15 +90,14 @@ def _breaks_in_s(collar: TangentialCollar, radii: Sequence[float]) -> tuple[floa
 def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialCollar,
                       t: float, testfn: Optional[ScalarTestFunction] = None,
                       j_range: Sequence[int] = DELTA_J_RANGE,
-                      breaks_radii: Sequence[float] = (), s_order: int = 10,
-                      spread_tol: float = 1e-5, osc_tol: float = 5e-2) -> StokesResult:
+                      breaks_radii: Sequence[float] = ()) -> StokesResult:
     """Ramp-localizer integrals at widths 2^-j with convergence verdict.
 
     `trace` maps boundary points to the interior tangential trace vectors.
     The stored delta values are the raw ramp integrals; the flux functional
-    is minus their limit and is only reported when the sequence converges
-    (Aitken-accelerated spread under `spread_tol` and raw tail oscillation
-    under `osc_tol`).
+    is minus their limit and is only reported when `judge_sequence` finds
+    the sequence converged at its default tolerances (Aitken-accelerated
+    spread under 1e-5 and raw tail oscillation under 5e-2).
     """
     scalar = testfn.value if testfn is not None else None
     deltas = tuple(2.0 ** (-j) for j in j_range)
@@ -108,8 +107,8 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
         if t + d > collar.s_max:
             raise GeometryError("ramp exceeds collar range")
         vals.append(ramp_integral(manifold, collar, t, d, trace, scalar=scalar,
-                                  s_order=s_order, breaks=breaks))
-    verdict = judge_sequence(vals, spread_tol=spread_tol, osc_tol=osc_tol)
+                                  s_order=10, breaks=breaks))
+    verdict = judge_sequence(vals)
     flux = -verdict.limit if verdict.converged else None
     return StokesResult("tangential_localizer", t, deltas, tuple(vals),
                         verdict.tail_oscillation, verdict.converged, flux,
@@ -117,33 +116,31 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
 
 
 def vorticity_flux(trace, manifold: BoundaryManifold, collar: TangentialCollar,
-                   t: float, breaks_radii: Sequence[float] = (),
-                   cutoff_tol: float = 1e-8, **kw) -> float:
+                   t: float, breaks_radii: Sequence[float] = ()) -> float:
     """Flux through the shrunk manifold: the mass of the localizer-limit
-    measure, checked for independence of the cutoff choice."""
+    measure, checked for independence of the cutoff choice to 1e-8."""
     res1 = stokes_tangential(trace, manifold, collar, t, testfn=None,
-                             breaks_radii=breaks_radii, **kw)
+                             breaks_radii=breaks_radii)
     if not res1.converged:
         raise StokesRefusal("localizer limit did not converge; no flux reported")
     center = manifold.meta.get("center", np.zeros(3))
     big = radial_bump(center, 64.0 * (1.0 + np.linalg.norm(center)), plateau=0.9)
     res2 = stokes_tangential(trace, manifold, collar, t, testfn=big,
-                             breaks_radii=breaks_radii, **kw)
-    if res2.converged and abs(res2.extrapolated - res1.extrapolated) > cutoff_tol:
+                             breaks_radii=breaks_radii)
+    if res2.converged and abs(res2.extrapolated - res1.extrapolated) > 1e-8:
         raise StokesRefusal("flux depends on the cutoff beyond tolerance")
     return float(res1.extrapolated)
 
 
 def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
-                   t: float, x0, r_grid: Sequence[float],
-                   j_range: Sequence[int] = range(5, 14),
-                   breaks_radii: Sequence[float] = (), n_arc: int = 48) -> StokesDensity:
+                   t: float, x0, r_grid: Sequence[float]) -> StokesDensity:
     """Boundary-measure density at a point of the shrunk manifold's boundary.
 
-    Each radius pairs the localizer limit against a bump and normalizes by the
-    curve mass of the same bump; the r-limit reproduces -(trace . tangent) at
-    continuity points. Quadrature is windowed to the bump's angular support,
-    so radii far below the global angular resolution remain well resolved.
+    Each radius pairs the localizer limit over ramp widths 2^-5 ... 2^-13
+    against a bump and normalizes by the curve mass of the same bump; the
+    r-limit reproduces -(trace . tangent) at continuity points. Quadrature is
+    windowed to the bump's angular support on 48-node arcs, so radii far
+    below the global angular resolution remain well resolved.
     """
     if manifold.kind != "disk":
         raise GeometryError("density estimation implemented for disk manifolds")
@@ -153,7 +150,7 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
     e1, e2, n = manifold.meta["frame"]
     rel = x0 - center
     a0 = float(np.arctan2(rel @ e2, rel @ e1))
-    deltas = [2.0 ** (-j) for j in j_range]
+    deltas = [2.0 ** (-j) for j in range(5, 14)]
     ests = []
     for r in r_grid:
         bump = radial_bump(x0, r, plateau=0.6)
@@ -161,7 +158,7 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
 
         def window(s):
             return arc_curve(center, radius * (1.0 - s), e1, e2, a0 - half_width,
-                             a0 + half_width, n_arc)
+                             a0 + half_width)
 
         vals = []
         for d in deltas:
@@ -169,12 +166,12 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
             g = collar.grad_s(pts, s) / d
             vals.append(_band_integral(layer_w, line_w, np.einsum(
                 "ij,ij->i", np.atleast_2d(trace(pts)), g) * bump.value(pts)))
-        verdict = judge_sequence(vals, spread_tol=1e-5, osc_tol=5e-2)
+        verdict = judge_sequence(vals)
         if not verdict.converged:
             ests.append(np.nan)
             continue
         rho_t = radius * (1.0 - t)
-        arc_t = arc_curve(center, rho_t, e1, e2, a0 - half_width, a0 + half_width, n_arc)
+        arc_t = arc_curve(center, rho_t, e1, e2, a0 - half_width, a0 + half_width)
         curve_mass = line_integral(arc_t, bump.value)
         ests.append(-verdict.limit / curve_mass if curve_mass > 0 else np.nan)
     arr = [e for e in ests if np.isfinite(e)]
@@ -230,19 +227,13 @@ class ManifoldDivMeasure:
         total = surface_integral(patch, dens)
         return float(total + sum(abs(s) for _, s in self.atoms))
 
-    def dual_mass_estimate(self, dictionary: Sequence[ScalarTestFunction],
-                           breaks_radii: Sequence[float] = ()) -> float:
+    def dual_mass_estimate(self, dictionary: Sequence[ScalarTestFunction]) -> float:
         """Lower bound of the divergence mass from the defining dual formula:
         sup over unit test functions of the pairing with the field's surface
         gradient. Independent of the pointwise/atom decomposition, so it also
         sees line-concentrated divergence."""
-        from .geometry import disk_patch
-        e1, e2, n = _flat_frame(self.manifold)
+        _, _, n = _flat_frame(self.manifold)
         patch = self.manifold.patch
-        if breaks_radii:
-            patch = disk_patch(self.manifold.meta["center"],
-                               self.manifold.meta["radius"], n,
-                               order=12, n_angular=96, radial_breaks=breaks_radii)
         best = 0.0
         for phi in dictionary:
             def integrand(pts, phi=phi):
@@ -261,21 +252,22 @@ def _flat_frame(manifold: BoundaryManifold):
 
 
 def manifold_div_measure(values, manifold: BoundaryManifold,
-                         singular_points: Sequence = (), exclusion: float = 2e-3,
-                         fd_step: float = 1e-5, tangential_tol: float = 1e-8,
-                         atom_radii: Sequence[float] = (0.05, 0.025, 0.0125)) -> ManifoldDivMeasure:
+                         singular_points: Sequence = ()) -> ManifoldDivMeasure:
     """Build the divergence measure of a tangential field on a flat disk.
 
-    Rejects non-tangential data; atom strengths at declared singular points
-    come from outward circulation flux through small circles, extrapolated
-    over the given radii.
+    Rejects data whose normal component exceeds 1e-8; the pointwise
+    divergence is a central difference at step 1e-5, excluded on disks of
+    radius 2e-3 around the declared singular points. Atom strengths there
+    come from outward circulation flux through circles of radii 0.05, 0.025
+    and 0.0125, Richardson-extrapolated.
     """
     e1, e2, n = _flat_frame(manifold)
     pts = manifold.patch.points()
     vals = np.atleast_2d(values(pts))
     resid = float(np.max(np.abs(vals @ n)))
-    if resid > tangential_tol:
+    if resid > 1e-8:
         raise StokesRefusal(f"surface field is not tangential (residual {resid:.2e})")
+    fd_step = 1e-5
 
     def pw_div(p):
         p = np.atleast_2d(p)
@@ -289,14 +281,13 @@ def manifold_div_measure(values, manifold: BoundaryManifold,
     for sp in singular_points:
         sp = np.asarray(sp, dtype=float)
         fluxes = []
-        for r in atom_radii:
+        for r in (0.05, 0.025, 0.0125):
             circ = circle_curve(sp, r, e1, e2, n_nodes=128)
             outward = lambda q: (np.atleast_2d(q) - sp) / r
             fluxes.append(line_integral(
                 circ, lambda q: np.einsum("ij,ij->i", np.atleast_2d(values(q)), outward(q))))
-        atoms.append((sp, float(richardson_limit(fluxes)) if len(fluxes) > 1 else fluxes[0]))
-    return ManifoldDivMeasure(manifold, values, pw_div, tuple(atoms),
-                              exclusion, resid)
+        atoms.append((sp, float(richardson_limit(fluxes))))
+    return ManifoldDivMeasure(manifold, values, pw_div, tuple(atoms), 2e-3, resid)
 
 
 def gauss_green_manifold(dm: ManifoldDivMeasure, testfn: ScalarTestFunction) -> float:
@@ -313,7 +304,6 @@ def gauss_green_manifold(dm: ManifoldDivMeasure, testfn: ScalarTestFunction) -> 
 
 def stokes_transversal(trace_on_shifted, manifold: BoundaryManifold,
                        collar: TransversalCollar, t: float,
-                       testfn: Optional[ScalarTestFunction] = None,
                        maximal_value: Optional[float] = None,
                        singular_points: Sequence = ()) -> dict:
     """Flux through the transversally shifted manifold via the Gauss-Green
@@ -327,17 +317,7 @@ def stokes_transversal(trace_on_shifted, manifold: BoundaryManifold,
     shifted = shift_transversal(manifold, collar, t)
     dm = manifold_div_measure(trace_on_shifted, shifted,
                               singular_points=singular_points)
-    if testfn is None:
-        flux = dm.action(lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
-    else:
-        _, _, n = _flat_frame(shifted)
-
-        def grad_term(pts):
-            g = np.atleast_2d(testfn.gradient(pts))
-            gt = g - np.outer(g @ n, n)
-            return np.einsum("ij,ij->i", gt, np.atleast_2d(dm.values(pts)))
-
-        flux = surface_integral(shifted.patch, grad_term) + dm.action(testfn.value)
+    flux = dm.action(lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
     return {"flux": float(flux), "div_mass": dm.total_mass(),
             "manifold": shifted, "div_measure": dm}
 
@@ -349,14 +329,13 @@ def stokes_transversal(trace_on_shifted, manifold: BoundaryManifold,
 
 def boundary_pairing_mass(G, manifold: BoundaryManifold, collar: TangentialCollar,
                           t: float, testfn: Optional[ScalarTestFunction] = None,
-                          j_range: Sequence[int] = DELTA_J_RANGE,
                           breaks_radii: Sequence[float] = ()) -> tuple[float, float, StokesResult]:
     """Boundary pairing <<G . nu, psi>> by ramp limits, and the induced mass.
 
     Returns (pairing, mass, diagnostics); mass = -<<G . nu, 1>>.
     """
     res_one = stokes_tangential(G, manifold, collar, t, testfn=None,
-                                j_range=j_range, breaks_radii=breaks_radii)
+                                breaks_radii=breaks_radii)
     if not res_one.converged:
         raise StokesRefusal("boundary pairing did not converge at this parameter")
     mass = float(res_one.extrapolated)  # already -(limit)
@@ -364,7 +343,7 @@ def boundary_pairing_mass(G, manifold: BoundaryManifold, collar: TangentialColla
         pairing = -mass
     else:
         res = stokes_tangential(G, manifold, collar, t, testfn=testfn,
-                                j_range=j_range, breaks_radii=breaks_radii)
+                                breaks_radii=breaks_radii)
         if not res.converged:
             raise StokesRefusal("boundary pairing did not converge for this test function")
         pairing = -float(res.extrapolated)
@@ -406,17 +385,16 @@ def divergence_free_residual(G1, G2, manifold: BoundaryManifold,
 
 def mass_representative_independence(G1, G2, manifold: BoundaryManifold,
                                      collar: TangentialCollar, t: float,
-                                     dictionary: Sequence[ScalarTestFunction],
-                                     precondition_tol: float = 1e-5,
-                                     breaks_radii: Sequence[float] = ()) -> float:
+                                     dictionary: Sequence[ScalarTestFunction]) -> float:
     """|mass(G1) - mass(G2)| for representatives differing by a divergence-free
-    field; the precondition is verified against the dictionary first."""
+    field; the precondition (residual at most 1e-5) is verified against the
+    dictionary first."""
     resid = divergence_free_residual(G1, G2, manifold, dictionary)
-    if resid > precondition_tol:
+    if resid > 1e-5:
         raise StokesRefusal(
             f"representatives do not differ by a divergence-free field (residual {resid:.2e})")
-    _, m1, _ = boundary_pairing_mass(G1, manifold, collar, t, breaks_radii=breaks_radii)
-    _, m2, _ = boundary_pairing_mass(G2, manifold, collar, t, breaks_radii=breaks_radii)
+    _, m1, _ = boundary_pairing_mass(G1, manifold, collar, t)
+    _, m2, _ = boundary_pairing_mass(G2, manifold, collar, t)
     return abs(m1 - m2)
 
 
@@ -487,8 +465,8 @@ class SolidLocalizer:
         s = 1.0 - rho / radius
         return np.clip((s - self.t) / self.delta, 0.0, 1.0)
 
-    def gradient(self, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        return central_gradient(self.value, x, h)
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return central_gradient(self.value, x)
 
 
 def _kink_crossings(phi: ScalarTestFunction):
@@ -503,16 +481,14 @@ def _kink_crossings(phi: ScalarTestFunction):
 def vorticity_flux_cm1(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
                        manifold: BoundaryManifold, collar: TangentialCollar,
                        t: float, G_pieces: Sequence[tuple],
-                       dictionary: Sequence[ScalarTestFunction],
-                       validate_tol: float = 1e-4,
-                       breaks_radii: Sequence[float] = ()) -> dict:
+                       dictionary: Sequence[ScalarTestFunction]) -> dict:
     """Vorticity flux by the integrable-representative mass route.
 
     `G_pieces` lists (patch, values) pairs representing G on the boundary
     patches where the test dictionary is supported. The representative is
     validated by matching divergence pairings of the distributional trace on
-    the dictionary; the flux is cross-checked against the localizer extension
-    of the normal trace.
+    the dictionary to 1e-4; the flux is cross-checked against the localizer
+    extension of the normal trace.
 
     Each pairing is integrated with `support_rule` on the entry's support.
     The surface side uses the polar sub-disk split at the kink radii, or,
@@ -535,13 +511,12 @@ def vorticity_flux_cm1(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
             mu, phi.gradient, support_rule(region, phi.support, phi.support_breaks),
             line_breaks=_kink_crossings(phi))))
         worst = max(worst, abs(lhs - rhs))
-    if worst > validate_tol:
+    if worst > 1e-4:
         raise StokesRefusal(
             f"representative fails the divergence pairing validation ({worst:.2e})")
 
     face_values = next((v for p, v in G_pieces if p is manifold.patch), G_pieces[0][1])
-    _, mass, diag = boundary_pairing_mass(face_values, manifold, collar, t,
-                                          breaks_radii=breaks_radii)
+    _, mass, diag = boundary_pairing_mass(face_values, manifold, collar, t)
 
     tcollar = None
     crosscheck = None

@@ -107,25 +107,23 @@ class VectorTestField:
     label: str = ""
 
 
-def constant_one(radius: float = np.inf, center=(0.0, 0.0, 0.0)) -> ScalarTestFunction:
-    """Cutoff that equals 1 on the ball of half the radius (or globally)."""
-    center = np.asarray(center, dtype=float)
-
+def constant_one(radius: float = np.inf) -> ScalarTestFunction:
+    """Cutoff that equals 1 on the origin-centred ball of half the radius (or
+    globally)."""
     if np.isinf(radius):
         return ScalarTestFunction(lambda x: np.ones(np.atleast_2d(x).shape[0]),
                                   lambda x: np.zeros_like(np.atleast_2d(x)), "one")
 
     def value(x):
-        r = np.linalg.norm(np.atleast_2d(x) - center, axis=1)
+        r = np.linalg.norm(np.atleast_2d(x), axis=1)
         return cutoff_profile(r / radius)
 
     def gradient(x):
         x = np.atleast_2d(x)
-        rel = x - center
-        r = np.linalg.norm(rel, axis=1)
+        r = np.linalg.norm(x, axis=1)
         mag = cutoff_profile_prime(r / radius) / radius
         safe = np.where(r == 0.0, 1.0, r)
-        return mag[:, None] * rel / safe[:, None]
+        return mag[:, None] * x / safe[:, None]
 
     return ScalarTestFunction(value, gradient, "cutoff_one")
 
@@ -151,14 +149,14 @@ def radial_bump(center, radius: float, plateau: float = 0.5) -> ScalarTestFuncti
                               support_breaks=(plateau * radius,))
 
 
-def trig_scalar(k, phase: float = 0.0, amplitude: float = 1.0) -> ScalarTestFunction:
+def trig_scalar(k, phase: float = 0.0) -> ScalarTestFunction:
     k = np.asarray(k, dtype=float)
 
     def value(x):
-        return amplitude * np.sin(np.atleast_2d(x) @ k + phase)
+        return np.sin(np.atleast_2d(x) @ k + phase)
 
     def gradient(x):
-        c = amplitude * np.cos(np.atleast_2d(x) @ k + phase)
+        c = np.cos(np.atleast_2d(x) @ k + phase)
         return c[:, None] * k
 
     return ScalarTestFunction(value, gradient, "trig")
@@ -227,10 +225,10 @@ def windowed(field: VectorTestField, window: ScalarTestFunction) -> VectorTestFi
     return VectorTestField(value, curl, f"windowed({field.label})")
 
 
-def scalar_dictionary(center, scale: float, seed: int = 1234) -> list[ScalarTestFunction]:
+def scalar_dictionary(center, scale: float) -> list[ScalarTestFunction]:
     """Bumps at three scales around offset centers plus two trig entries."""
     center = np.asarray(center, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     entries: list[ScalarTestFunction] = []
     for level in (1.0, 0.5, 0.25):
         for _ in range(2):

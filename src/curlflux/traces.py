@@ -43,31 +43,23 @@ def _ambient_for(region: SolidRegion) -> SolidRegion:
 
 
 def trace_pairing(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
-                  testfn: ScalarTestFunction, side: str = "interior") -> np.ndarray:
-    """Vector-valued pairing of the tangential trace with a scalar test function.
+                  testfn: ScalarTestFunction) -> np.ndarray:
+    """Vector-valued pairing of the interior tangential trace with a scalar
+    test function.
 
-    Interior: integral of testfn against the curl measure minus the volume
-    integral of F x grad(testfn); exterior uses the complement with flipped
-    signs. The interior route integrates the whole measure and the volume
-    term on `support_rule(region, testfn.support, testfn.support_breaks)`:
-    the support ball split at the profile kinks when it lies in the region,
-    the half ball on a flat face the support is centred on, or else the
-    region itself. The exterior route integrates over the ambient ball minus
-    the region, so the integrand must be integrable on the region as well.
+    The integral of testfn against the curl measure minus the volume
+    integral of F x grad(testfn), both on
+    `support_rule(region, testfn.support, testfn.support_breaks)`: the
+    support ball split at the profile kinks when it lies in the region, the
+    half ball on a flat face the support is centred on, or else the region
+    itself.
     """
     def fxg(x):
         return np.cross(fld.eval(x), testfn.gradient(x))
 
-    phi = _scalar_as_vec(testfn.value)
-    if side == "interior":
-        support = support_rule(region, testfn.support, testfn.support_breaks)
-        return integrate_measure(mu, phi, support) - volume_integral(support, fxg)
-    m_in = integrate_measure(mu, phi, region)
-    v_in = volume_integral(region, fxg)
-    amb = _ambient_for(region)
-    m_out = integrate_measure(mu, phi, amb) - m_in
-    v_out = volume_integral(amb, fxg) - v_in
-    return -m_out + v_out
+    support = support_rule(region, testfn.support, testfn.support_breaks)
+    return (integrate_measure(mu, _scalar_as_vec(testfn.value), support)
+            - volume_integral(support, fxg))
 
 
 def trace_pairing_vector(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
@@ -111,13 +103,13 @@ class TangentialTrace:
 
 def estimate_trace_layerwise(fld: VectorField, manifold: BoundaryManifold,
                              collar: TransversalCollar, t_grid: Sequence[float],
-                             side: str = "interior", node_tol: float = 1e-6) -> TangentialTrace:
+                             side: str = "interior") -> TangentialTrace:
     """Pull back F x nu from transversally shifted copies of the manifold.
 
     One Aitken pass over the (shifts, nodes, 3) stack accelerates every node
     and component at once; a node is converged when the last two accelerated
-    values agree to `node_tol`. Non-convergent nodes keep their last value but
-    are flagged.
+    values agree to 1e-6 (absolute). Non-convergent nodes keep their last
+    value but are flagged.
     """
     slide = collar.slide_for(manifold.patch)
     base, nu0 = manifold.patch.nodes, manifold.patch.normals
@@ -132,7 +124,7 @@ def estimate_trace_layerwise(fld: VectorField, manifold: BoundaryManifold,
     if m >= 3:
         acc = aitken(stack)
         values = acc[-1]
-        conv = np.linalg.norm(acc[-1] - acc[-2], axis=1) < node_tol if acc.shape[0] >= 2 \
+        conv = np.linalg.norm(acc[-1] - acc[-2], axis=1) < 1e-6 if acc.shape[0] >= 2 \
             else np.ones(stack.shape[1], bool)
     else:
         values = stack[-1]
@@ -153,7 +145,7 @@ def trace_pairing_via_layers(fld: VectorField, region: SolidRegion,
             h = slide.outward_field(pts)
             fx = np.cross(fld.eval(pts), -h / eps)
             return np.einsum("ij,ij->i", fx, np.atleast_2d(testvec_value(pts)))
-        vals.append(float(shell_integral(region, collar, eps, integrand)))
+        vals.append(float(shell_integral(collar, eps, integrand)))
     verdict = judge_sequence(vals, spread_tol=1e-4, osc_tol=1.0)
     limit = richardson_limit(vals) if verdict.converged else vals[-1]
     return float(limit), verdict
@@ -170,7 +162,7 @@ def _layer_route(fld: VectorField, region: SolidRegion, collar: TransversalColla
             fx = np.cross(fld.eval(pts), -h / eps)
             data = np.atleast_2d(boundary_data(base, slide.patch.normals))
             return np.einsum("ij,ij->i", fx, data)
-        vals.append(float(shell_integral(region, collar, eps, integrand)))
+        vals.append(float(shell_integral(collar, eps, integrand)))
     return richardson_limit(vals)
 
 
@@ -222,14 +214,14 @@ def _geometric_breaks(eps: float, radius: float) -> tuple[float, ...]:
 
 
 def trace_order_diagnostic(trace_values, center, radius: float,
-                           eps_grid: Sequence[float],
-                           normal=(0.0, 0.0, 1.0)) -> TraceDiagnostic:
+                           eps_grid: Sequence[float]) -> TraceDiagnostic:
     """Total variation of a face trace outside shrinking disks around the
-    declared singular point; unbounded logarithmic growth flags order one."""
+    declared singular point, on the z-plane face; unbounded logarithmic
+    growth flags order one."""
     eps_grid = tuple(sorted(eps_grid, reverse=True))
     tvs = []
     for eps in eps_grid:
-        annulus = disk_patch(center, radius, normal, order=16, n_angular=64,
+        annulus = disk_patch(center, radius, order=16, n_angular=64,
                              inner_radius=eps,
                              radial_breaks=_geometric_breaks(eps, radius))
         tvs.append(surface_integral(
@@ -246,12 +238,11 @@ def trace_order_diagnostic(trace_values, center, radius: float,
 
 
 def pv_face_pairing(kernel, center, radius: float, testfn: ScalarTestFunction,
-                    eps: float, normal=(0.0, 0.0, 1.0), order: int = 16,
-                    n_angular: int = 96) -> np.ndarray:
+                    eps: float) -> np.ndarray:
     """Symmetric-exclusion quadrature of a principal-value face kernel:
-    integral over the annulus eps < |x - center| < radius, with dyadic radial
-    splits so the near-singular decades are resolved."""
-    annulus = disk_patch(center, radius, normal, order=order, n_angular=n_angular,
+    integral over the z-plane annulus eps < |x - center| < radius, with
+    dyadic radial splits so the near-singular decades are resolved."""
+    annulus = disk_patch(center, radius, order=16, n_angular=96,
                          inner_radius=eps,
                          radial_breaks=_geometric_breaks(eps, radius))
     vals = surface_integral(

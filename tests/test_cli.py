@@ -3,6 +3,7 @@ import io
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curlflux import cli
@@ -75,3 +76,57 @@ def test_validate_rigid_rotation_passes_on_its_defaults(tmp_path):
     assert all(r[1] <= table.metadata["tolerance"] and r[2] == "pass" for r in table.rows)
     assert cli.main(["validate", "--field", "rigid_rotation", "--out",
                      str(tmp_path / "out.csv")]) == 0
+
+
+def test_trace_pairs_each_cylinder_face_with_its_own_slide():
+    # the default region is the cylinder, whose two flat faces share a name;
+    # every face row of rigid rotation must read F x nu with the inner normal
+    table = cli.run(cli.RunConfig("trace", {"field": "rigid_rotation"}))
+    rows = np.array([r[1:7] for r in table.rows if r[0] == "disk"], dtype=float)
+    x, trace = rows[:, :3], rows[:, 3:]
+    nu = np.where(x[:, 2:] > 0.5, -1.0, 1.0) * np.array([0.0, 0.0, 1.0])
+    field = np.stack([-x[:, 1], x[:, 0], np.zeros(len(x))], axis=1)
+    assert np.any(nu[:, 2] < 0.0)
+    np.testing.assert_allclose(trace, np.cross(field, nu), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["trace", "--field", "rigid_rotation", "--region", "half_ball:order=8"],
+     {"field": "rigid_rotation", "region": "half_ball:order=8"}),
+    (["stokes", "--field", "rigid_rotation"], {"field": "rigid_rotation"}),
+    (["maximal", "--field", "line_vortex"], {"field": "line_vortex"}),
+    (["br", "--grid", "8x8", "--steps", "8"], {"grid": "8x8", "steps": 8}),
+    (["validate", "--field", "rigid_rotation"], {"field": "rigid_rotation"}),
+    (["example", "--delta-max-j", "4"], {"delta_max_j": 4}),
+    (["reproduce", "gluing"], {"name": "gluing"}),
+])
+def test_main_and_run_fill_in_the_same_defaults(argv, params, tmp_path):
+    assert _main_output(argv, tmp_path).decode() == _csv(argv[0], params)[1]
+
+
+def test_br_with_zero_steps_dumps_the_initial_sheet(tmp_path):
+    text = _main_output(["br", "--grid", "8x8", "--steps", "0"], tmp_path).decode()
+    rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+    assert len(rows) == 64 and all(r.startswith("0,") for r in rows)
+
+
+def test_validate_honours_a_zero_tolerance(tmp_path):
+    out = tmp_path / "out.csv"
+    argv = ["validate", "--field", "rigid_rotation", "--tol", "0", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "# tolerance: 0.0\n" in out.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximal", "--field", "line_vortex", "--lam", "0"],
+    ["maximal", "--field", "line_vortex", "--region", "ball", "--surface", "sphere"],
+    ["br", "--grid", "4x4", "--dump-every", "0"],
+    ["br", "--grid", "4x4", "--steps", "1", "--dt", "0"],
+    ["br", "--grid", "4x4", "--steps", "1", "--dt", "-1"],
+    ["stokes", "--field", "rigid_rotation", "--route", "transversal", "--t", "0.6"],
+    ["stokes", "--field", "rigid_rotation", "--delta-max-j", "1"],
+])
+def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
+    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -371,6 +371,16 @@ def test_fresh_patch_falls_back_to_slide_by_name(half_ball):
         col.slide_for(geo.cylinder_side_patch((0, 0, 0), 1.0, 0.0, 1.0))
 
 
+def test_fresh_face_patch_gets_the_slide_it_lies_on(unit_cylinder, cylinder_collar):
+    # both flat faces of a cylinder are named "disk"; a disk rebuilt on the
+    # top face must get the top face's slide, and a disk on no face none
+    for face, slide in zip(unit_cylinder.boundary[:2], cylinder_collar.slides[:2]):
+        man = geo.disk_manifold(face.meta["center"], 1.0, face.meta["normal"])
+        assert cylinder_collar.slide_for(man.patch) is slide
+    with pytest.raises(geo.GeometryError):
+        cylinder_collar.slide_for(geo.disk_patch((0, 0, 0.5), 1.0))
+
+
 def test_shift_keeps_the_disk_rule(half_ball):
     col = geo.build_transversal_collar(half_ball)
     face = geo.disk_manifold((0, 0, 0), 0.8, order=12, n_angular=48)

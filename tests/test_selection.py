@@ -36,6 +36,16 @@ def test_unknown_maximal_variant_rejected(line_vortex, cylinder_collar, unit_dis
                                unit_disk_collar, [0.1], variant="two-sided")
 
 
+def test_line_slab_mass_refused_on_a_curved_slide(line_vortex):
+    # along the axis the depth below a sphere is not affine, so the exact
+    # slab solve does not apply: midpoint depth 1 against the end mean -7
+    ball = geo.ball_region(order=8, n_angular=16)
+    col = geo.build_transversal_collar(ball)
+    sphere = geo.closed_sphere_manifold((0, 0, 0), 1.0)
+    with pytest.raises(geo.GeometryError, match="affine"):
+        sel.maximal_transversal(line_vortex.curl, sphere, col, [0.1])
+
+
 def test_concentrated_sheet_flagged(cylinder_collar):
     sheet = flds.SheetPart(
         geo.disk_patch((0, 0, 0.25), 1.0),
