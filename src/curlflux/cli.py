@@ -89,19 +89,32 @@ def _jsonify(v):
 # ---------------------------------------------------------------------------
 
 
+def _number(text, name: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be a number, not {text!r}") from None
+
+
+def _parse_spec(spec) -> tuple[str, dict]:
+    """(shape, parameters) of 'shape:key=number,...' or of a JSON-style dict
+    with a 'shape' key."""
+    if not isinstance(spec, str):
+        d = dict(spec)
+        return d.pop("shape"), d
+    shape, _, rest = spec.partition(":")
+    kv = {}
+    for item in filter(None, rest.split(",")):
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ConfigError(f"{spec!r}: {item!r} must read key=value")
+        kv[key] = _number(value, f"{spec!r}: {key}")
+    return shape, kv
+
+
 def parse_surface(spec) -> geo.BoundaryManifold:
     """Surface spec: 'disk:r=0.5,z=0.5' or a JSON-style dict."""
-    if isinstance(spec, str):
-        if ":" in spec:
-            shape, rest = spec.split(":", 1)
-            kv = dict(item.split("=") for item in rest.split(",") if item)
-        else:
-            shape, kv = spec, {}
-        kv = {k: float(v) for k, v in kv.items()}
-    else:
-        d = dict(spec)
-        shape = d.pop("shape")
-        kv = d
+    shape, kv = _parse_spec(spec)
     if shape == "disk":
         r = float(kv.get("r", kv.get("radius", 1.0)))
         center = kv.get("center", (kv.get("x", 0.0), kv.get("y", 0.0), kv.get("z", 0.0)))
@@ -120,17 +133,7 @@ def parse_surface(spec) -> geo.BoundaryManifold:
 
 def parse_region(spec) -> geo.SolidRegion:
     """Region spec: 'cylinder:r=1,z0=0,z1=1' or a JSON-style dict."""
-    if isinstance(spec, str):
-        if ":" in spec:
-            shape, rest = spec.split(":", 1)
-            kv = dict(item.split("=") for item in rest.split(",") if item)
-            kv = {k: float(v) for k, v in kv.items()}
-        else:
-            shape, kv = spec, {}
-    else:
-        d = dict(spec)
-        shape = d.pop("shape")
-        kv = d
+    shape, kv = _parse_spec(spec)
     order = int(kv.get("order", 20))
     if shape == "ball":
         return geo.ball_region(kv.get("center", (0, 0, 0)), float(kv.get("radius", 1.0)),
@@ -209,14 +212,18 @@ def _manifold_for_patch(patch, region) -> Optional[geo.BoundaryManifold]:
 
 
 def _parse_grid(spec) -> tuple:
-    if isinstance(spec, (list, tuple)):
-        return tuple(float(v) for v in spec)
-    spec = str(spec)
-    if ".." in spec and spec.startswith("2^-"):
-        lo, hi = spec.replace("2^-", "").split("..")
-        hi = hi.replace("2^-", "")
-        return tuple(2.0 ** (-k) for k in range(int(lo), int(hi) + 1))
-    return tuple(float(v) for v in spec.split(","))
+    try:
+        if isinstance(spec, (list, tuple)):
+            return tuple(float(v) for v in spec)
+        spec = str(spec)
+        if ".." in spec and spec.startswith("2^-"):
+            lo, hi = spec.replace("2^-", "").split("..")
+            hi = hi.replace("2^-", "")
+            return tuple(2.0 ** (-k) for k in range(int(lo), int(hi) + 1))
+        return tuple(float(v) for v in spec.split(","))
+    except ValueError:
+        raise ConfigError(f"t_grid must read 2^-a..2^-b or a list of numbers, "
+                          f"not {spec!r}") from None
 
 
 def _j_range(p: dict, start: int, default_max: int) -> range:
@@ -295,7 +302,7 @@ def cmd_br(p: dict) -> ResultTable:
         raise ConfigError(f"grid {grid!r} has no markers")
     gamma = p.get("gamma", "1,0,0")
     if isinstance(gamma, str):
-        gamma = tuple(float(v) for v in gamma.split(","))
+        gamma = tuple(_number(v, "gamma") for v in gamma.split(","))
     dt = float(p.get("dt", 0.01))
     steps = int(p.get("steps", 10))
     dump_every = int(p.get("dump_every", max(1, steps // 4)))
@@ -306,7 +313,7 @@ def cmd_br(p: dict) -> ResultTable:
     desing = p.get("delta_br")
     amp = float(p.get("amplitude", 0.0))
     sheet = br.flat_periodic_sheet(n1, n2, gamma=gamma,
-                                   desing=None if desing is None else float(desing),
+                                   desing=None if desing is None else _number(desing, "delta_br"),
                                    bump_amplitude=amp)
     rows = []
     def dump(step_idx, s):
@@ -466,14 +473,17 @@ def _repro_gluing() -> ResultTable:
 def _repro_density() -> ResultTable:
     entry = get_catalog("rigid_rotation")
     center = np.array([0.3, 0.2, 0.7])
-    man = geo.disk_manifold(center, 1.0, n_angular=512)
+    radius = 1.0
+    man = geo.disk_manifold(center, radius, n_angular=512)
+    e1, e2, n = man.meta["frame"]
     col = geo.build_tangential_collar(man)
     r_grid = [2.0 ** (-k) for k in range(3, 9)]
     rows, ok = [], True
     angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False) + 0.1
     for i, a in enumerate(angles):
-        x0 = man.boundary.point(np.array([a]))[0]
-        tau = man.tangent(np.array([a]))[0]
+        ring = np.cos(a) * e1 + np.sin(a) * e2
+        x0 = center + radius * ring
+        tau = np.cross(n, -ring)
         expected = -float(entry.vector_field.eval(x0[None, :])[0] @ tau)
         dens = stokes.stokes_density(entry.trace_z_plane, man, col, 0.0, x0, r_grid)
         err = abs(dens.limit - expected)

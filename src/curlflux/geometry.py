@@ -1,9 +1,11 @@
-"""Parametrized surface patches, boundary curves, collar maps, localizer ramps,
-solid regions with volume rules, and the boundary-to-volume extension operator.
+"""Surface patches, boundary curves, collar maps, localizer ramps, solid
+regions with volume rules, and the boundary-to-volume extension operator.
 
-All shapes are closed-form parametrizations (no meshes); collar maps for the
-canonical catalog (disk, spherical cap, sphere, cylinder side, planar faces)
-are exact, which keeps the localizer-limit computations free of mesh noise.
+Every curve, patch and boundary manifold is held as its quadrature node set:
+the points, normals and weights of a closed-form parametrization (no meshes),
+evaluated once when the shape is built. Collar maps for the canonical catalog
+(disk, spherical cap, sphere, cylinder side, planar faces) are exact, which
+keeps the localizer-limit computations free of mesh noise.
 Conventions fixed once and used everywhere:
 
 * regions carry the *inner* unit normal on their boundary;
@@ -14,7 +16,6 @@ Conventions fixed once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,6 @@ from .quadrature import (
     gauss_legendre,
     gauss_legendre_split,
     periodic_trapezoid,
-    tensor_product,
     tensor_product_3d,
 )
 
@@ -61,64 +61,48 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Curve:
-    """Closed (or degenerate) parametrized curve with arclength weights, or a
-    family of k curves that share one parameter rule.
+    """Curve (closed, an arc, or degenerate) as its node set, or a family of
+    k curves on one shared parameter rule.
 
-    `point` maps (n,) params to (n, 3) points, or (k, n, 3) for a family, and
-    `speed` to |gamma'(s)| of shape (n,) or (k, n). Collar layers at an array
-    of parameters are families; `length` and `line_integral` take one curve.
+    `nodes` holds the points, (m, 3) or (k, m, 3) for a family, and `weights`
+    the arclength weights (rule weight times |gamma'|), (m,) or (k, m).
+    Collar layers at an array of parameters are families; `length` and
+    `line_integral` take one curve.
     """
 
-    point: Callable[[np.ndarray], np.ndarray]
-    speed: Callable[[np.ndarray], np.ndarray]
-    rule: QuadratureRule
-    closed: bool = True
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.point(self.rule.nodes)
+    nodes: np.ndarray
+    weights: np.ndarray
 
     def length(self) -> float:
-        return float(np.sum(self.rule.weights * self.speed(self.rule.nodes)))
+        return float(np.sum(self.weights))
 
 
-def _circle_maps(center, radius, e1, e2):
-    """Point and speed maps of the circle about `center` in the plane (e1, e2);
-    with a (k,) `radius` and a (3,) or (k, 3) `center`, of k circles."""
+def _arc(center, radius, e1, e2, rule: QuadratureRule) -> Curve:
+    """The circle about `center` in the plane (e1, e2) at the angles of
+    `rule`; with a (k,) `radius` and a (3,) or (k, 3) `center`, k circles."""
     center = np.asarray(center, dtype=float)[..., None, :]
     radius = np.asarray(radius, dtype=float)
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-
-    def point(s):
-        s = np.atleast_1d(s)
-        return center + radius[..., None, None] * (np.cos(s)[:, None] * e1
-                                                   + np.sin(s)[:, None] * e2)
-
-    def speed(s):
-        return np.multiply.outer(radius, np.ones(np.atleast_1d(s).shape))
-
-    return point, speed
+    s = rule.nodes
+    ring = (np.cos(s)[:, None] * np.asarray(e1, dtype=float)
+            + np.sin(s)[:, None] * np.asarray(e2, dtype=float))
+    return Curve(center + radius[..., None, None] * ring, rule.weights * radius[..., None])
 
 
 def circle_curve(center, radius, e1, e2, n_nodes: int = DEFAULT_ANGULAR) -> Curve:
-    """Circle (or family of circles, see `_circle_maps`) with a trapezoid rule."""
-    return Curve(*_circle_maps(center, radius, e1, e2), periodic_trapezoid(n_nodes), closed=True)
+    """Circle (or family of circles, see `_arc`) with a trapezoid rule."""
+    return _arc(center, radius, e1, e2, periodic_trapezoid(n_nodes))
 
 
 def arc_curve(center, radius, e1, e2, angle_lo: float, angle_hi: float,
               n_nodes: int = 48) -> Curve:
     """Circular arc (or family of arcs) with a Gauss-Legendre rule; for
     window-localized integrands."""
-    return Curve(*_circle_maps(center, radius, e1, e2),
-                 gauss_legendre(n_nodes, angle_lo, angle_hi), closed=False)
+    return _arc(center, radius, e1, e2, gauss_legendre(n_nodes, angle_lo, angle_hi))
 
 
 def empty_curve() -> Curve:
     """Zero-length placeholder for boundaryless (closed) surfaces."""
-    rule = QuadratureRule(np.array([0.0]), np.array([1.0]), order=0)
-    return Curve(lambda s: np.zeros((np.atleast_1d(s).size, 3)),
-                 lambda s: np.zeros(np.atleast_1d(s).shape), rule, closed=True)
+    return Curve(np.zeros((1, 3)), np.zeros(1))
 
 
 def _node_sum(w: np.ndarray, vals: np.ndarray) -> float | np.ndarray:
@@ -131,9 +115,7 @@ def _node_sum(w: np.ndarray, vals: np.ndarray) -> float | np.ndarray:
 def line_integral(curve: Curve, integrand) -> float | np.ndarray:
     """Arclength integral of a pointwise integrand over a curve; raises on a
     non-finite result."""
-    s = curve.rule.nodes
-    vals = _node_sum(curve.rule.weights * curve.speed(s),
-                     np.asarray(integrand(curve.point(s))))
+    vals = _node_sum(curve.weights, np.asarray(integrand(curve.nodes)))
     if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
         raise GeometryError("non-finite line integrand")
     return vals
@@ -144,50 +126,29 @@ def line_integral(curve: Curve, integrand) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class SurfacePatch:
-    """Parametrized patch (u, v) -> R^3 with unit normal and area element.
+    """Patch of a parametrized surface (u, v) -> R^3 as its node set.
 
-    The closed-form maps give points anywhere on the patch; constructors and
-    slides use them. Integrals use the node set of `rule`, evaluated once on
-    first use into read-only arrays: `nodes` (points), `normals` (unit) and
-    `weights` (rule weight times `metric_jacobian`, which is |X_u x X_v|), so
-    a surface integral is sum(weights * f(nodes)).
+    Constructors evaluate the map once, on the product of two 1-D rules (u
+    slowest) or on the rays of `support_rule`'s singular polar rule, into
+    read-only arrays: `nodes` (points), `normals` (unit) and `weights` (rule
+    weight times the area element |X_u x X_v|), so a surface integral is
+    sum(weights * f(nodes)).
     """
 
     name: str
-    param: Callable[[np.ndarray], np.ndarray]  # (n,2) -> (n,3)
-    normal: Callable[[np.ndarray], np.ndarray]  # (n,2) -> (n,3), unit
-    metric_jacobian: Callable[[np.ndarray], np.ndarray]  # (n,2) -> (n,)
-    rule: QuadratureRule
-    regularity: str = "C2"
+    nodes: np.ndarray  # (n, 3)
+    normals: np.ndarray  # (n, 3), unit
+    weights: np.ndarray  # (n,)
     meta: dict = field(default_factory=dict)
 
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        return _read_only(self.param(self.rule.nodes))
-
-    @cached_property
-    def normals(self) -> np.ndarray:
-        return _read_only(self.normal(self.rule.nodes))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return _read_only(self.rule.weights * self.metric_jacobian(self.rule.nodes))
-
-    def points(self) -> np.ndarray:
-        return self.nodes
+    def __post_init__(self):
+        for a in (self.nodes, self.normals, self.weights):
+            a.flags.writeable = False
 
     def area(self) -> float:
         return float(np.sum(self.weights))
-
-    def integrate(self, integrand) -> float | np.ndarray:
-        return surface_integral(self, integrand)
 
 
 def surface_integral(patch: SurfacePatch, integrand) -> float | np.ndarray:
@@ -211,29 +172,21 @@ def disk_patch(center, radius: float, normal=(0.0, 0.0, 1.0),
     bp = sorted({float(inner_radius), float(radius), *(float(b) for b in radial_breaks
                                                        if inner_radius < b < radius)})
     r_rule = gauss_legendre_split(order, np.asarray(bp))
-    rule = tensor_product(r_rule, periodic_trapezoid(n_angular))
-    return _polar_patch(center, normal, rule, radius, inner_radius)
+    a_rule = periodic_trapezoid(n_angular)
+    return _polar_patch(center, normal, r_rule.nodes[:, None], a_rule.nodes,
+                        np.outer(r_rule.weights, a_rule.weights), radius, inner_radius)
 
 
-def _polar_patch(center, normal, rule: QuadratureRule, radius: float,
-                 inner_radius: float = 0.0) -> SurfacePatch:
-    """Flat patch in polar parameters (rho, phi) about `center`; `rule` may
-    be any node set inside the annulus inner_radius <= rho <= radius."""
+def _polar_patch(center, normal, rho, phi, w, radius: float,
+                 inner_radius: float) -> SurfacePatch:
+    """Flat patch in polar coordinates (rho, phi) about `center`, from node
+    coordinates and plain rule weights `w` of broadcasting shapes; the nodes
+    may be any set inside the annulus inner_radius <= rho <= radius."""
     center = np.asarray(center, dtype=float)
     e1, e2, n = frame_from_normal(normal)
-
-    def param(uv):
-        uv = np.atleast_2d(uv)
-        rho, phi = uv[:, 0], uv[:, 1]
-        return center + rho[:, None] * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
-
-    def nrm(uv):
-        return np.broadcast_to(n, (np.atleast_2d(uv).shape[0], 3)).copy()
-
-    def jac(uv):
-        return np.atleast_2d(uv)[:, 0]
-
-    return SurfacePatch("disk", param, nrm, jac, rule,
+    ring = np.cos(phi)[..., None] * e1 + np.sin(phi)[..., None] * e2
+    nodes = (center + rho[..., None] * ring).reshape(-1, 3)
+    return SurfacePatch("disk", nodes, np.tile(n, (len(nodes), 1)), (w * rho).ravel(),
                         meta={"center": center, "normal": n, "radius": float(radius),
                               "inner_radius": float(inner_radius)})
 
@@ -248,24 +201,15 @@ def sphere_patch(center, radius: float, order: int = DEFAULT_ORDER,
     """
     center = np.asarray(center, dtype=float)
     sign = -1.0 if inner_normal else 1.0
-    rule = tensor_product(gauss_legendre(order, u_range[0], u_range[1]),
-                          periodic_trapezoid(n_angular))
-
-    def param(uv):
-        uv = np.atleast_2d(uv)
-        u, phi = uv[:, 0], uv[:, 1]
-        st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-        return center + radius * np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1)
-
-    def nrm(uv):
-        pts = param(uv)
-        return sign * _unit(pts - center)
-
-    def jac(uv):
-        return np.full(np.atleast_2d(uv).shape[0], radius * radius)
-
+    u_rule = gauss_legendre(order, u_range[0], u_range[1])
+    a_rule = periodic_trapezoid(n_angular)
+    u, phi = u_rule.nodes[:, None], a_rule.nodes
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    local = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), u), axis=-1)
+    nodes = (center + radius * local).reshape(-1, 3)
+    weights = np.outer(u_rule.weights, a_rule.weights).ravel() * (radius * radius)
     name = "sphere" if u_range == (-1.0, 1.0) else "spherical_cap"
-    return SurfacePatch(name, param, nrm, jac, rule)
+    return SurfacePatch(name, nodes, sign * _unit(nodes - center), weights)
 
 
 def spherical_cap_patch(center, radius: float, colatitude: float,
@@ -281,23 +225,14 @@ def cylinder_side_patch(center, radius: float, z0: float, z1: float,
                         inner_normal: bool = True) -> SurfacePatch:
     center = np.asarray(center, dtype=float)
     sign = -1.0 if inner_normal else 1.0
-    rule = tensor_product(gauss_legendre(order, z0, z1), periodic_trapezoid(n_angular))
-
-    def param(uv):
-        uv = np.atleast_2d(uv)
-        z, phi = uv[:, 0], uv[:, 1]
-        return center + np.stack([radius * np.cos(phi), radius * np.sin(phi), z], axis=1)
-
-    def nrm(uv):
-        uv = np.atleast_2d(uv)
-        phi = uv[:, 1]
-        out = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
-        return sign * out
-
-    def jac(uv):
-        return np.full(np.atleast_2d(uv).shape[0], float(radius))
-
-    return SurfacePatch("cylinder_side", param, nrm, jac, rule)
+    z_rule = gauss_legendre(order, z0, z1)
+    a_rule = periodic_trapezoid(n_angular)
+    z, phi = z_rule.nodes[:, None], a_rule.nodes
+    local = np.stack(np.broadcast_arrays(radius * np.cos(phi), radius * np.sin(phi), z), axis=-1)
+    normals = sign * np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
+    weights = np.outer(z_rule.weights, a_rule.weights).ravel() * float(radius)
+    return SurfacePatch("cylinder_side", (center + local).reshape(-1, 3),
+                        np.tile(normals, (z.size, 1)), weights)
 
 
 def rectangle_patch(corner, e1, e2, extent1: float, extent2: float, normal_sign: float = 1.0,
@@ -307,20 +242,13 @@ def rectangle_patch(corner, e1, e2, extent1: float, extent2: float, normal_sign:
     e2 = np.asarray(e2, dtype=float)
     n = normal_sign * np.cross(e1, e2)
     n /= np.linalg.norm(n)
-    rule = tensor_product(gauss_legendre(order, 0.0, extent1), gauss_legendre(order, 0.0, extent2))
-
-    def param(uv):
-        uv = np.atleast_2d(uv)
-        return corner + uv[:, 0:1] * e1 + uv[:, 1:2] * e2
-
-    def nrm(uv):
-        return np.broadcast_to(n, (np.atleast_2d(uv).shape[0], 3)).copy()
-
-    def jac(uv):
-        cr = np.linalg.norm(np.cross(e1, e2))
-        return np.full(np.atleast_2d(uv).shape[0], cr)
-
-    return SurfacePatch("rectangle", param, nrm, jac, rule)
+    u_rule = gauss_legendre(order, 0.0, extent1)
+    v_rule = gauss_legendre(order, 0.0, extent2)
+    nodes = (corner + u_rule.nodes[:, None, None] * e1
+             + v_rule.nodes[None, :, None] * e2).reshape(-1, 3)
+    weights = (np.outer(u_rule.weights, v_rule.weights).ravel()
+               * np.linalg.norm(np.cross(e1, e2)))
+    return SurfacePatch("rectangle", nodes, np.tile(n, (len(nodes), 1)), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +258,16 @@ def rectangle_patch(corner, e1, e2, extent1: float, extent2: float, normal_sign:
 
 @dataclass(frozen=True)
 class BoundaryManifold:
-    """Oriented patch with boundary curve, inward conormal and induced tangent."""
+    """Oriented patch with its boundary curve and, at the boundary nodes, the
+    unit conormal (pointing into the patch) and the induced tangent
+    tau = nu_sigma x nu_gamma."""
 
     patch: SurfacePatch
     boundary: Curve
-    conormal: Callable[[np.ndarray], np.ndarray]  # curve params -> unit, points into the patch
-    kind: str = "generic"
-    meta: dict = field(default_factory=dict)
-
-    def boundary_normal(self, s) -> np.ndarray:
-        """Surface normal evaluated along the boundary curve."""
-        return self.meta["normal_on_curve"](np.atleast_1d(s))
-
-    def tangent(self, s) -> np.ndarray:
-        """tau = nu_sigma x nu_gamma along the boundary."""
-        return np.cross(self.boundary_normal(s), self.conormal(np.atleast_1d(s)))
+    conormals: np.ndarray  # (m, 3)
+    tangents: np.ndarray  # (m, 3)
+    kind: str
+    meta: dict
 
     @property
     def closed(self) -> bool:
@@ -359,12 +282,13 @@ class TangentialCollar:
     patch. `layer(s)` is one curve, or for an array s the family of those
     layers on one shared rule. `grad_s` is the surface gradient of the collar
     parameter (its magnitude is the localizer slope per unit delta);
-    `layer_jacobian` converts ds x arclength to surface area.
+    `layer_jacobian` is the constant factor that converts ds x arclength to
+    surface area.
     """
 
     layer: Callable[[float | np.ndarray], Curve]
     grad_s: Callable[[np.ndarray, np.ndarray], np.ndarray]  # points, per-point s -> (n,3)
-    layer_jacobian: Callable[[float], float]
+    layer_jacobian: float
     s_max: float
     bilip: float  # fitted comparability constant, >= 1
     param_of_radius: Optional[Callable[[float], float]] = None  # shape-specific break mapping
@@ -395,19 +319,13 @@ def disk_manifold(center, radius: float, normal=(0.0, 0.0, 1.0), order: int = DE
     center = np.asarray(center, dtype=float)
     e1, e2, n = frame_from_normal(normal)
     patch = disk_patch(center, radius, normal, order, n_angular)
-    curve = circle_curve(center, radius, e1, e2, n_angular)
-
-    def conormal(s):
-        s = np.atleast_1d(s)
-        return -(np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
-
-    def normal_on_curve(s):
-        return np.broadcast_to(n, (np.atleast_1d(s).size, 3)).copy()
-
-    return BoundaryManifold(patch, curve, conormal, kind="disk",
+    rule = periodic_trapezoid(n_angular)
+    s = rule.nodes
+    conormals = -(np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
+    return BoundaryManifold(patch, _arc(center, radius, e1, e2, rule), conormals,
+                            np.cross(n, conormals), kind="disk",
                             meta={"center": center, "radius": float(radius),
-                                  "frame": (e1, e2, n), "normal_on_curve": normal_on_curve,
-                                  "order": order, "n_angular": n_angular})
+                                  "frame": (e1, e2, n), "order": order, "n_angular": n_angular})
 
 
 def spherical_cap_manifold(center, radius: float, colatitude: float,
@@ -418,45 +336,27 @@ def spherical_cap_manifold(center, radius: float, colatitude: float,
     patch = spherical_cap_patch(center, radius, colatitude, order, n_angular, inner_normal)
     rim_r = radius * np.sin(colatitude)
     rim_c = center + np.array([0.0, 0.0, radius * np.cos(colatitude)])
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    curve = circle_curve(rim_c, rim_r, e1, e2, n_angular)
+    rule = periodic_trapezoid(n_angular)
+    curve = _arc(rim_c, rim_r, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), rule)
     sign = -1.0 if inner_normal else 1.0
-
-    def normal_on_curve(s):
-        s = np.atleast_1d(s)
-        pts = curve.point(s)
-        return sign * _unit(pts - center)
-
-    def conormal(s):
-        # unit tangent to the sphere pointing toward the pole (decreasing colatitude)
-        s = np.atleast_1d(s)
-        ct, st = np.cos(colatitude), np.sin(colatitude)
-        e_theta = np.stack([ct * np.cos(s), ct * np.sin(s), -st * np.ones_like(s)], axis=1)
-        return -e_theta
-
-    return BoundaryManifold(patch, curve, conormal, kind="spherical_cap",
+    # unit tangent to the sphere pointing toward the pole (decreasing colatitude)
+    s = rule.nodes
+    ct, st = np.cos(colatitude), np.sin(colatitude)
+    conormals = -np.stack([ct * np.cos(s), ct * np.sin(s), -st * np.ones_like(s)], axis=1)
+    tangents = np.cross(sign * _unit(curve.nodes - center), conormals)
+    return BoundaryManifold(patch, curve, conormals, tangents, kind="spherical_cap",
                             meta={"center": center, "radius": float(radius),
                                   "colatitude": float(colatitude), "inner_normal": inner_normal,
-                                  "normal_on_curve": normal_on_curve,
                                   "order": order, "n_angular": n_angular})
 
 
 def closed_sphere_manifold(center, radius: float, order: int = DEFAULT_ORDER,
                            n_angular: int = DEFAULT_ANGULAR, inner_normal: bool = True) -> BoundaryManifold:
     patch = sphere_patch(center, radius, order, n_angular, inner_normal)
-    curve = empty_curve()
-
-    def conormal(s):
-        return np.zeros((np.atleast_1d(s).size, 3))
-
-    def normal_on_curve(s):
-        return np.zeros((np.atleast_1d(s).size, 3))
-
-    return BoundaryManifold(patch, curve, conormal, kind="closed",
+    return BoundaryManifold(patch, empty_curve(), np.zeros((1, 3)), np.zeros((1, 3)),
+                            kind="closed",
                             meta={"center": np.asarray(center, dtype=float),
                                   "radius": float(radius),
-                                  "normal_on_curve": normal_on_curve,
                                   "order": order, "n_angular": n_angular,
                                   "inner_normal": inner_normal})
 
@@ -471,7 +371,7 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
     if manifold.closed:
         return TangentialCollar(lambda s: empty_curve(),
                                 lambda pts, s: np.zeros_like(np.atleast_2d(pts)),
-                                lambda s: 0.0, s_max=1.0, bilip=1.0, empty=True)
+                                0.0, s_max=1.0, bilip=1.0, empty=True)
     if manifold.boundary.length() <= 0.0:
         raise GeometryError("degenerate boundary curve")
 
@@ -491,7 +391,7 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
             rho = _unit(rel - np.outer(rel @ axis, axis))
             return -rho / radius
 
-        collar = TangentialCollar(layer, grad_s, lambda s: float(radius), s_max=1.0, bilip=1.0,
+        collar = TangentialCollar(layer, grad_s, float(radius), s_max=1.0, bilip=1.0,
                                   param_of_radius=lambda r: 1.0 - r / radius)
         return replace(collar, bilip=_fit_bilip(collar))
 
@@ -516,7 +416,7 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
                                 -np.sin(th)], axis=1)
             return -e_theta / (R * th0)
 
-        collar = TangentialCollar(layer, grad_s, lambda s: float(R * th0), s_max=1.0, bilip=1.0)
+        collar = TangentialCollar(layer, grad_s, float(R * th0), s_max=1.0, bilip=1.0)
         return replace(collar, bilip=_fit_bilip(collar))
 
     raise GeometryError(f"no collar construction for manifold kind {manifold.kind!r}")
@@ -581,18 +481,17 @@ def _band(collar: TangentialCollar, lo: float, hi: float, s_order: int,
           breaks: Sequence[float] = (), layer=None):
     """All nodes of the collar band (lo, hi), with the s-rule split at `breaks`.
 
-    Returns the stacked points (n_s*m, 3), the layer weights w_s * J(s),
-    the line weights (n_s, m) and the collar parameter of each point.
+    Returns the stacked points (n_s*m, 3), the layer weights w_s * J (J the
+    collar's constant `layer_jacobian`), the line weights (n_s, m) and the
+    collar parameter of each point.
     `layer` maps the (n_s,) s-rule nodes to the family of their layer curves
     on one m-node rule (default `collar.layer`), in a single call.
     """
     bp = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
     s_rule = gauss_legendre_split(s_order, np.asarray(bp))
     layers = (layer or collar.layer)(s_rule.nodes)
-    line_w = layers.rule.weights * layers.speed(layers.rule.nodes)
-    layer_w = s_rule.weights * np.array([float(collar.layer_jacobian(s)) for s in s_rule.nodes])
-    return (layers.nodes.reshape(-1, 3), layer_w, line_w,
-            np.repeat(s_rule.nodes, line_w.shape[1]))
+    return (layers.nodes.reshape(-1, 3), s_rule.weights * collar.layer_jacobian,
+            layers.weights, np.repeat(s_rule.nodes, layers.weights.shape[1]))
 
 
 def _band_integral(layer_w: np.ndarray, line_w: np.ndarray, vals) -> float:
@@ -1089,7 +988,7 @@ def _support_disk(patch: SurfacePatch, center, radius, kinks, singular_point):
     e1, e2, _ = frame_from_normal(n)
     order, angles = 16, periodic_trapezoid(96)
     d = foot - sing
-    nodes, weights = [], []
+    rho, phis, weights = [], [], []
     for phi, w_phi in zip(angles.nodes, angles.weights):
         # the ray sing + rho u meets the circle |x - foot| = b where
         # rho^2 - 2 rho (d . u) + |d|^2 - b^2 = 0; sing lies inside the support
@@ -1101,17 +1000,24 @@ def _support_disk(patch: SurfacePatch, center, radius, kinks, singular_point):
                 cuts += [du - np.sqrt(disc), du + np.sqrt(disc)]
         hi = cuts[-1]  # far crossing of the support circle
         rho_rule = gauss_legendre_split(order, np.unique(np.clip(cuts, 0.0, hi)))
-        nodes.append(np.stack([rho_rule.nodes, np.full(rho_rule.nodes.size, phi)], axis=1))
+        rho.append(rho_rule.nodes)
+        phis.append(np.full(rho_rule.nodes.size, phi))
         weights.append(rho_rule.weights * w_phi)
-    rule = QuadratureRule(np.concatenate(nodes), np.concatenate(weights), order=2 * order - 1)
-    return _polar_patch(sing, n, rule, float(np.max(rule.nodes[:, 0])))
+    rho = np.concatenate(rho)
+    return _polar_patch(sing, n, rho, np.concatenate(phis), np.concatenate(weights),
+                        float(np.max(rho)), 0.0)
 
 
 def _support_region(region: SolidRegion, center, radius, kinks) -> SolidRegion:
+    # a quadrature-only ball or half ball: pairings need its nodes, not its boundary
     order, n_angular = 16, 32
+    meta = {"center": center, "radius": radius}
     if _ball_fits(region, center, radius):
-        return ball_region(center, radius, order=order, n_angular=n_angular,
-                           radial_breaks=kinks)
+        pts, w = _spherical_volume_nodes(center, radius, order, n_angular,
+                                         radial_breaks=kinks)
+        return SolidRegion("ball", (), pts, w,
+                           lambda x: np.linalg.norm(np.atleast_2d(x) - center, axis=1) < radius,
+                           2.0 * radius, center, meta=meta)
     for patch in region.boundary:
         if patch.name not in ("disk", "rectangle"):
             continue
@@ -1127,9 +1033,8 @@ def _support_region(region: SolidRegion, center, radius, kinks) -> SolidRegion:
             rel = np.atleast_2d(x) - center
             return (np.linalg.norm(rel, axis=1) < radius) & (rel @ n > 0.0)
 
-        # a quadrature-only region: pairings need its nodes, not its boundary
         return SolidRegion("half_ball", (), pts, w, contains, 2.0 * radius, center,
-                           meta={"center": center, "radius": radius, "normal": n})
+                           meta={**meta, "normal": n})
     return region
 
 

@@ -49,13 +49,6 @@ def periodic_trapezoid(n: int) -> QuadratureRule:
     return QuadratureRule(np.arange(n) * h, np.full(n, h), order=n - 1)
 
 
-def tensor_product(rule_u: QuadratureRule, rule_v: QuadratureRule) -> QuadratureRule:
-    u, v = np.meshgrid(rule_u.nodes, rule_v.nodes, indexing="ij")
-    wu, wv = np.meshgrid(rule_u.weights, rule_v.weights, indexing="ij")
-    nodes = np.stack([u.ravel(), v.ravel()], axis=1)
-    return QuadratureRule(nodes, (wu * wv).ravel(), order=min(rule_u.order, rule_v.order))
-
-
 def tensor_product_3d(ru: QuadratureRule, rv: QuadratureRule, rw: QuadratureRule) -> QuadratureRule:
     u, v, w = np.meshgrid(ru.nodes, rv.nodes, rw.nodes, indexing="ij")
     a, b, c = np.meshgrid(ru.weights, rv.weights, rw.weights, indexing="ij")

@@ -202,29 +202,25 @@ class ManifoldDivMeasure:
     exclusion: float
     tangentiality: float
 
+    def _excluded_div(self, pts) -> np.ndarray:
+        """Pointwise divergence, zero inside the exclusion disks of the atoms."""
+        out = np.asarray(self.pointwise_div(pts), dtype=float)
+        for p, _ in self.atoms:
+            out = out * (np.linalg.norm(np.atleast_2d(pts) - p, axis=1)
+                         > self.exclusion).astype(float)
+        return out
+
     def action(self, phi_value: Callable[[np.ndarray], np.ndarray]) -> float:
         """<div_tau v, phi> including atoms."""
-        patch = self.manifold.patch
-        def dens(pts):
-            out = np.asarray(self.pointwise_div(pts), dtype=float)
-            for p, _ in self.atoms:
-                out = out * (np.linalg.norm(np.atleast_2d(pts) - p, axis=1)
-                             > self.exclusion).astype(float)
-            return out * np.asarray(phi_value(pts), dtype=float)
-        total = surface_integral(patch, dens)
+        total = surface_integral(self.manifold.patch, lambda pts: self._excluded_div(pts)
+                                 * np.asarray(phi_value(pts), dtype=float))
         for p, strength in self.atoms:
             total += strength * float(np.asarray(phi_value(p[None, :]))[0])
         return float(total)
 
     def total_mass(self) -> float:
-        patch = self.manifold.patch
-        def dens(pts):
-            out = np.abs(np.asarray(self.pointwise_div(pts), dtype=float))
-            for p, _ in self.atoms:
-                out = out * (np.linalg.norm(np.atleast_2d(pts) - p, axis=1)
-                             > self.exclusion).astype(float)
-            return out
-        total = surface_integral(patch, dens)
+        total = surface_integral(self.manifold.patch,
+                                 lambda pts: np.abs(self._excluded_div(pts)))
         return float(total + sum(abs(s) for _, s in self.atoms))
 
     def dual_mass_estimate(self, dictionary: Sequence[ScalarTestFunction]) -> float:
@@ -262,7 +258,7 @@ def manifold_div_measure(values, manifold: BoundaryManifold,
     and 0.0125, Richardson-extrapolated.
     """
     e1, e2, n = _flat_frame(manifold)
-    pts = manifold.patch.points()
+    pts = manifold.patch.nodes
     vals = np.atleast_2d(values(pts))
     resid = float(np.max(np.abs(vals @ n)))
     if resid > 1e-8:
@@ -580,8 +576,8 @@ def faraday_face_check(E: VectorField, dH_dt, face: BoundaryManifold) -> float:
     The circulation route is -loop integral of E . tau with tau induced by
     the face orientation; for an exact field pair the two fluxes cancel.
     """
-    tau = face.tangent(face.boundary.rule.nodes)
-    circ = line_integral(face.boundary, lambda pts: np.einsum("ij,ij->i", E.eval(pts), tau))
+    circ = line_integral(face.boundary,
+                         lambda pts: np.einsum("ij,ij->i", E.eval(pts), face.tangents))
     flux_h = surface_integral(face.patch, lambda pts: np.einsum(
         "ij,ij->i", np.atleast_2d(dH_dt(pts)), face.patch.normals))
     return abs(-circ + flux_h)
@@ -593,7 +589,7 @@ def rankine_hugoniot_check(pw: PiecewiseField, sheet_density=None) -> tuple[floa
     The tangential jump is measured as (u+ - u-) x nu with nu pointing away
     from the plus side, matching the sheet part of the distributional curl.
     """
-    pts = pw.interface.points()
+    pts = pw.interface.nodes
     tp, tm = pw.one_sided_traces(pts)
     res_n = float(np.max(np.abs((tp - tm) @ pw.plane_normal)))
     omega = (sheet_density or pw.jump_density)(pts)

@@ -125,6 +125,13 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["br", "--grid", "4x4", "--steps", "1", "--dt", "-1"],
     ["stokes", "--field", "rigid_rotation", "--route", "transversal", "--t", "0.6"],
     ["stokes", "--field", "rigid_rotation", "--delta-max-j", "1"],
+    # malformed numbers in specs and lists
+    ["br", "--gamma", "x"],
+    ["maximal", "--field", "line_vortex", "--t-grid", "abc"],
+    ["stokes", "--field", "rigid_rotation", "--surface", "disk:r=x"],
+    ["stokes", "--field", "rigid_rotation", "--surface", "disk:r"],
+    ["trace", "--field", "rigid_rotation", "--region", "ball:order=x"],
+    ["br", "--grid", "4x4", "--steps", "1", "--delta-br", "x"],
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2

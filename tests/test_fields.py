@@ -133,7 +133,7 @@ def test_sheet_density_constant_jump():
     interface = flds.unit_disk_interface()
     pw, mu = flds.make_vortex_sheet(flds.constant_field((1, 0, 0)),
                                     flds.constant_field((0, 0, 0)), interface)
-    pts = interface.points()
+    pts = interface.nodes
     dens = mu.sheet_parts[0].density(pts)
     assert np.abs(dens - np.array([0.0, 1.0, 0.0])).max() < 1e-12
 
@@ -142,7 +142,7 @@ def test_sheet_density_no_jump():
     interface = flds.unit_disk_interface()
     pw, mu = flds.make_vortex_sheet(flds.constant_field((0.3, -0.2, 0.1)),
                                     flds.constant_field((0.3, -0.2, 0.1)), interface)
-    dens = mu.sheet_parts[0].density(interface.points())
+    dens = mu.sheet_parts[0].density(interface.nodes)
     assert np.abs(dens).max() < 1e-12
 
 
@@ -150,7 +150,7 @@ def test_sheet_density_opposed_jump():
     interface = flds.unit_disk_interface()
     pw, mu = flds.make_vortex_sheet(flds.constant_field((0, 1, 0)),
                                     flds.constant_field((0, -1, 0)), interface)
-    dens = mu.sheet_parts[0].density(interface.points())
+    dens = mu.sheet_parts[0].density(interface.nodes)
     assert np.abs(dens - np.array([-2.0, 0.0, 0.0])).max() < 1e-12
 
 

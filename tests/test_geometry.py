@@ -1,15 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curlflux import geometry as geo
-from curlflux.quadrature import gauss_legendre, gauss_legendre_split
+from curlflux.quadrature import gauss_legendre, gauss_legendre_split, periodic_trapezoid
 
 
 def test_disk_area_and_moment():
     disk = geo.disk_patch((0, 0, 0), 1.0)
     assert abs(disk.area() - np.pi) < 1e-10
-    assert abs(disk.integrate(lambda p: p[:, 0] ** 2) - np.pi / 4) < 1e-12
+    assert abs(geo.surface_integral(disk, lambda p: p[:, 0] ** 2) - np.pi / 4) < 1e-12
 
 
 def test_sphere_area_order16():
@@ -34,7 +36,7 @@ def test_degenerate_curve_integral():
 def test_disk_polynomial_exactness(i, j):
     # polar GL x trapezoid integrates x^i y^j exactly on the unit disk
     disk = geo.disk_patch((0, 0, 0), 1.0, order=12, n_angular=32)
-    val = disk.integrate(lambda p: p[:, 0] ** i * p[:, 1] ** j)
+    val = geo.surface_integral(disk, lambda p: p[:, 0] ** i * p[:, 1] ** j)
     if i % 2 == 1 or j % 2 == 1:
         exact = 0.0
     else:
@@ -46,12 +48,12 @@ def test_disk_polynomial_exactness(i, j):
 
 def test_surface_rule_convergence_order():
     # non-polynomial smooth integrand: error collapses fast with order
-    exact_ref = geo.disk_patch((0, 0, 0), 1.0, order=64).integrate(
-        lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1]))
+    exact_ref = geo.surface_integral(geo.disk_patch((0, 0, 0), 1.0, order=64),
+                                     lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1]))
     errs = []
     for order in (4, 8, 16):
-        val = geo.disk_patch((0, 0, 0), 1.0, order=order).integrate(
-            lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1]))
+        val = geo.surface_integral(geo.disk_patch((0, 0, 0), 1.0, order=order),
+                                   lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1]))
         errs.append(abs(val - exact_ref))
     assert errs[1] < errs[0] / 10
     assert errs[2] < errs[1] / 10 or errs[2] < 1e-14
@@ -88,17 +90,83 @@ PATCHES = {
 }
 
 
+def _product(rule_u, rule_v):
+    # node coordinates and weights of a product rule, u slowest
+    u, v = np.meshgrid(rule_u.nodes, rule_v.nodes, indexing="ij")
+    return u.ravel(), v.ravel(), np.outer(rule_u.weights, rule_v.weights).ravel()
+
+
+def _closed_form(kind):
+    # (nodes, normals, weights) of a PATCHES entry from its parametrization
+    angles = periodic_trapezoid(12)
+    if kind in ("disk", "annulus"):
+        c, normal, bp = (((0.1, 0.2, 0.3), (1.0, 1.0, 0.5), [0.0, 0.5, 1.5]) if kind == "disk"
+                         else ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), [0.3, 1.0]))
+        e1, e2, n = geo.frame_from_normal(normal)
+        rho, phi, w = _product(gauss_legendre_split(6, np.array(bp)), angles)
+        ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
+        return np.add(c, rho[:, None] * ring), np.tile(n, (rho.size, 1)), w * rho
+    if kind in ("sphere", "cap"):
+        # the sphere has inner normals, the cap (colatitude 0.7) outer ones
+        c, R, u_lo, sign = (((0.0, 0.0, 1.0), 2.0, -1.0, -1.0) if kind == "sphere"
+                            else ((0.0, 0.0, 0.0), 1.0, np.cos(0.7), 1.0))
+        u, phi, w = _product(gauss_legendre(6, u_lo, 1.0), angles)
+        st = np.sqrt(1.0 - u * u)
+        radial = np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1)
+        return np.add(c, R * radial), sign * radial, R * R * w
+    if kind == "cylinder_side":
+        z, phi, w = _product(gauss_legendre(6, -0.5, 1.0), angles)
+        radial = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
+        return 0.8 * radial + np.outer(z, [0.0, 0.0, 1.0]), -radial, 0.8 * w
+    # rectangle: |e1 x e2| = 0.8 and the normal is -(e1 x e2) / 0.8
+    u, v, w = _product(gauss_legendre(6, 0.0, 2.0), gauss_legendre(6, 0.0, 0.5))
+    pts = np.array([1.0, 0.0, 0.0]) + np.outer(u, [0.0, 1.0, 0.0]) + np.outer(v, [0.0, 0.6, 0.8])
+    return pts, np.tile([-1.0, 0.0, 0.0], (u.size, 1)), 0.8 * w
+
+
 @pytest.mark.parametrize("kind", sorted(PATCHES))
 def test_patch_node_set_matches_closed_form_maps(kind):
     patch = PATCHES[kind]()
-    uv = patch.rule.nodes
-    assert np.array_equal(patch.nodes, patch.param(uv))
-    assert np.array_equal(patch.normals, patch.normal(uv))
-    assert np.array_equal(patch.weights, patch.rule.weights * patch.metric_jacobian(uv))
-    assert patch.nodes is patch.nodes and patch.points() is patch.nodes
+    if kind == "polar_support":
+        # rays from the singular point (the origin) across the support disk
+        # about (0.1, 0, 0) of radius 0.3: exact area and first moment
+        x = patch.nodes
+        assert np.all(x[:, 2] == 0.0) and np.all(patch.normals == [0.0, 0.0, 1.0])
+        assert np.linalg.norm(x - [0.1, 0.0, 0.0], axis=1).max() <= 0.3 + 1e-12
+        assert abs(patch.area() - 0.09 * np.pi) < 1e-13
+        assert abs(patch.weights @ x[:, 0] - 0.009 * np.pi) < 1e-13
+    else:
+        nodes, normals, weights = _closed_form(kind)
+        np.testing.assert_allclose(patch.nodes, nodes, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(patch.normals, normals, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(patch.weights, weights, rtol=1e-14, atol=0.0)
     for arr in (patch.nodes, patch.normals, patch.weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _callable_members(shape, path):
+    # paths of the fields and meta values that hold callables, nested
+    # curves and patches included
+    found = [f"{path}.meta[{k!r}]" for k, v in getattr(shape, "meta", {}).items() if callable(v)]
+    for f in dataclasses.fields(shape):
+        value = getattr(shape, f.name)
+        if callable(value):
+            found.append(f"{path}.{f.name}")
+        elif isinstance(value, (geo.Curve, geo.SurfacePatch)):
+            found += _callable_members(value, f"{path}.{f.name}")
+    return found
+
+
+def test_shapes_hold_arrays_not_callables():
+    collar = geo.build_tangential_collar(geo.disk_manifold((0, 0, 0), 1.0))
+    shapes = {**{kind: make() for kind, make in PATCHES.items()},
+              "disk_manifold": geo.disk_manifold((0.1, 0.2, 0.3), 1.5, (1.0, 1.0, 0.5)),
+              "cap_manifold": geo.spherical_cap_manifold((0, 0, 0), 1.0, 0.7),
+              "closed_manifold": geo.closed_sphere_manifold((0, 0, 0), 1.0),
+              "layer_family": collar.layer(np.array([0.1, 0.2, 0.3])),
+              "empty_curve": geo.empty_curve()}
+    assert not [p for kind, shape in shapes.items() for p in _callable_members(shape, kind)]
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +175,28 @@ def test_patch_node_set_matches_closed_form_maps(kind):
 
 
 def test_tangent_convention(unit_disk_manifold):
-    s = np.array([0.0, np.pi / 3, 1.7])
-    nu = unit_disk_manifold.boundary_normal(s)
-    con = unit_disk_manifold.conormal(s)
-    tau = unit_disk_manifold.tangent(s)
-    assert np.abs(np.einsum("ij,ij->i", nu, con)).max() < 1e-12
+    nu = unit_disk_manifold.patch.normals[0]
+    con = unit_disk_manifold.conormals
+    tau = unit_disk_manifold.tangents
+    assert np.abs(con @ nu).max() < 1e-12
     assert np.abs(tau - np.cross(nu, con)).max() < 1e-10
     assert np.abs(np.linalg.norm(tau, axis=1) - 1).max() < 1e-10
     # conormal points into the disk
-    pts = unit_disk_manifold.boundary.point(s)
+    pts = unit_disk_manifold.boundary.nodes
     assert np.all(np.linalg.norm(pts + 0.1 * con, axis=1) < 1.0)
+
+
+def test_cap_tangent_convention():
+    c, R = np.array([0.1, 0.2, -0.3]), 1.3
+    man = geo.spherical_cap_manifold(c, R, 1.0, inner_normal=True)
+    pts, con, tau = man.boundary.nodes, man.conormals, man.tangents
+    nu = -(pts - c) / R
+    assert np.abs(np.linalg.norm(pts - c, axis=1) - R).max() < 1e-12
+    assert np.abs(np.einsum("ij,ij->i", nu, con)).max() < 1e-12
+    assert np.abs(np.linalg.norm(con, axis=1) - 1).max() < 1e-12
+    assert np.abs(tau - np.cross(nu, con)).max() < 1e-12
+    # the conormal points up the meridian, toward the pole
+    assert np.all(con[:, 2] > 0.0)
 
 
 def test_curve_on_patch(unit_disk_manifold):
@@ -168,9 +248,7 @@ def test_layer_family_equals_stacked_layers():
         layers = [col.layer(s) for s in ss]
         assert family.nodes.shape == (ss.size, geo.DEFAULT_ANGULAR, 3)
         assert np.array_equal(family.nodes, np.stack([c.nodes for c in layers]))
-        assert np.array_equal(family.speed(family.rule.nodes),
-                              np.stack([c.speed(c.rule.nodes) for c in layers]))
-        assert all(np.array_equal(family.rule.weights, c.rule.weights) for c in layers)
+        assert np.array_equal(family.weights, np.stack([c.weights for c in layers]))
 
 
 def test_arc_family_equals_stacked_arcs():
@@ -179,8 +257,7 @@ def test_arc_family_equals_stacked_arcs():
     family = geo.arc_curve(center, 1.7 * (1.0 - ss), e1, e2, 0.4, 0.9, 48)
     arcs = [geo.arc_curve(center, 1.7 * (1.0 - s), e1, e2, 0.4, 0.9, 48) for s in ss]
     assert np.array_equal(family.nodes, np.stack([c.nodes for c in arcs]))
-    assert np.array_equal(family.speed(family.rule.nodes),
-                          np.stack([c.speed(c.rule.nodes) for c in arcs]))
+    assert np.array_equal(family.weights, np.stack([c.weights for c in arcs]))
 
 
 def test_layer_distance_and_bilip_equal_all_pairs_minimum():
@@ -206,8 +283,8 @@ def test_closed_sphere_collar_is_empty():
 
 def test_degenerate_boundary_rejected():
     man = geo.disk_manifold((0, 0, 0), 1.0)
-    shrunk = geo.BoundaryManifold(man.patch, geo.empty_curve(), man.conormal,
-                                  kind="disk", meta=man.meta)
+    shrunk = geo.BoundaryManifold(man.patch, geo.empty_curve(), np.zeros((1, 3)),
+                                  np.zeros((1, 3)), kind="disk", meta=man.meta)
     with pytest.raises(geo.GeometryError):
         geo.build_tangential_collar(shrunk)
 
@@ -235,7 +312,7 @@ def test_shrink_cap_area_monotone():
 ], ids=["disk_default", "disk_12x48", "cap_10x40"])
 def test_shrink_tangential_keeps_node_count(man):
     shrunk = geo.shrink_tangential(man, geo.build_tangential_collar(man), 0.2)
-    assert shrunk.patch.rule.nodes.shape == man.patch.rule.nodes.shape
+    assert shrunk.patch.nodes.shape == man.patch.nodes.shape
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +376,11 @@ def test_band_quadrature_matches_layer_loop(annuli):
     ramp = mass = 0.0
     for s, w in zip(s_rule.nodes, s_rule.weights):
         curve = collar.layer(s)
-        pts, lw = curve.nodes, curve.rule.weights * curve.speed(curve.rule.nodes)
+        pts, lw = curve.nodes, curve.weights
         g = collar.grad_s(pts, s) / delta
         vals = np.einsum("ij,ij->i", annuli.trace_z_plane(pts), g) * weight(pts)
-        ramp += w * float(collar.layer_jacobian(s)) * np.sum(lw * vals)
-        mass += w * float(collar.layer_jacobian(s)) * np.sum(lw * weight(pts))
+        ramp += w * collar.layer_jacobian * np.sum(lw * vals)
+        mass += w * collar.layer_jacobian * np.sum(lw * weight(pts))
     assert geo.ramp_integral(man, collar, t, delta, annuli.trace_z_plane, scalar=weight,
                              breaks=breaks) == ramp
     assert geo.band_mass(collar, t, t + delta, weight, breaks=breaks) == mass
@@ -327,13 +404,13 @@ def test_half_ball_face_slide(half_ball):
     col = geo.build_transversal_collar(half_ball)
     face = geo.disk_manifold((0, 0, 0), 1.0)
     shifted = geo.shift_transversal(face, col, 0.1)
-    assert np.abs(shifted.patch.points()[:, 2] - 0.1).max() < 1e-12
+    assert np.abs(shifted.patch.nodes[:, 2] - 0.1).max() < 1e-12
 
 
 def test_shift_identity_and_range(unit_cylinder, cylinder_collar):
     man = geo.disk_manifold((0, 0, 0), 1.0)
     same = geo.shift_transversal(man, cylinder_collar, 0.0)
-    assert np.abs(same.patch.points() - man.patch.points()).max() < 1e-12
+    assert np.abs(same.patch.nodes - man.patch.nodes).max() < 1e-12
     with pytest.raises(geo.GeometryError):
         geo.shift_transversal(man, cylinder_collar, 0.6)
 
@@ -422,10 +499,7 @@ def test_region_boundary_tiles(half_ball):
     vol = 3.0 * half_ball.volume()
     bd = 0.0
     for patch in half_ball.boundary:
-        uv = patch.rule.nodes
-        pts = patch.param(uv)
-        nu = patch.normal(uv)
-        w = patch.rule.weights * patch.metric_jacobian(uv)
+        pts, nu, w = patch.nodes, patch.normals, patch.weights
         bd += float(np.sum(w * np.einsum("ij,ij->i", f(pts), nu)))
     assert abs(vol + bd) < 1e-10
 

@@ -49,14 +49,11 @@ def test_rigid_rotation_flux(rigid_rotation, unit_disk_manifold, unit_disk_colla
     assert res.converged
     assert abs(res.extrapolated - 2.0 * np.pi) < 1e-10
     # classical circulation identity under the fixed orientation
-    s = unit_disk_manifold.boundary.rule.nodes
-    tau = unit_disk_manifold.tangent(s)
+    boundary = unit_disk_manifold.boundary
     circ = float(np.sum(
-        unit_disk_manifold.boundary.rule.weights
-        * unit_disk_manifold.boundary.speed(s)
-        * np.einsum("ij,ij->i",
-                    rigid_rotation.vector_field.eval(unit_disk_manifold.boundary.point(s)),
-                    tau)))
+        boundary.weights
+        * np.einsum("ij,ij->i", rigid_rotation.vector_field.eval(boundary.nodes),
+                    unit_disk_manifold.tangents)))
     assert abs(res.extrapolated + circ) < 1e-10
 
 
@@ -152,9 +149,9 @@ def test_density_rigid_rotation_centered(rigid_rotation, unit_disk_manifold,
 
 
 def test_density_constant_field_cases(unit_disk_manifold, unit_disk_collar):
-    angle = np.array([np.pi / 2])
-    x0 = unit_disk_manifold.boundary.point(angle)[0]
-    tau = unit_disk_manifold.tangent(angle)[0]
+    # node 24 of the 96-node boundary rule sits at angle pi / 2
+    x0 = unit_disk_manifold.boundary.nodes[24]
+    tau = unit_disk_manifold.tangents[24]
     r_grid = [2.0 ** -k for k in range(3, 8)]
     # constant field parallel to the tangent: density = -|F|
     cst = flds.constant_field(tau)
@@ -262,11 +259,9 @@ def test_gauss_green_manifold_smooth(unit_disk_manifold):
     one = ScalarTestFunction(lambda p: np.ones(np.atleast_2d(p).shape[0]),
                              lambda p: np.zeros_like(np.atleast_2d(p)), "one")
     gg = stk.gauss_green_manifold(dm, one)
-    s = unit_disk_manifold.boundary.rule.nodes
-    pts = unit_disk_manifold.boundary.point(s)
-    con = unit_disk_manifold.conormal(s)
-    oracle = -float(np.sum(unit_disk_manifold.boundary.rule.weights
-                           * unit_disk_manifold.boundary.speed(s)
+    pts = unit_disk_manifold.boundary.nodes
+    con = unit_disk_manifold.conormals
+    oracle = -float(np.sum(unit_disk_manifold.boundary.weights
                            * np.einsum("ij,ij->i", v(pts), con)))
     # boundary functional = -<div v, 1> = -(-loop v . conormal)
     assert abs(gg - (-oracle)) < 1e-5
@@ -357,10 +352,9 @@ def test_boundary_pairing_smooth_matches_line_quadrature(unit_disk_manifold,
     pairing, mass, _ = stk.boundary_pairing_mass(G, unit_disk_manifold,
                                                  unit_disk_collar, t, testfn=phi)
     layer = unit_disk_collar.layer(t)
-    s = layer.rule.nodes
-    pts = layer.point(s)
+    pts = layer.nodes
     con = -pts / np.linalg.norm(pts, axis=1, keepdims=True)  # inward conormal
-    oracle = float(np.sum(layer.rule.weights * layer.speed(s)
+    oracle = float(np.sum(layer.weights
                           * phi.value(pts)
                           * np.einsum("ij,ij->i", G(pts), con)))
     assert abs(pairing - oracle) < 1e-4

@@ -18,10 +18,7 @@ from curlflux.testfns import (
 def _boundary_cross_oracle(region, fld):
     out = np.zeros(3)
     for patch in region.boundary:
-        uv = patch.rule.nodes
-        pts = patch.param(uv)
-        nu = patch.normal(uv)
-        w = patch.rule.weights * patch.metric_jacobian(uv)
+        pts, nu, w = patch.nodes, patch.normals, patch.weights
         out = out + np.tensordot(w, np.cross(fld.eval(pts), nu), axes=(0, 0))
     return out
 
@@ -121,10 +118,7 @@ def test_vector_pairing_smooth_identity(rigid_rotation, half_ball):
                                    half_ball, tv)
     oracle = 0.0
     for patch in half_ball.boundary:
-        uv = patch.rule.nodes
-        pts = patch.param(uv)
-        nu = patch.normal(uv)
-        w = patch.rule.weights * patch.metric_jacobian(uv)
+        pts, nu, w = patch.nodes, patch.normals, patch.weights
         vals = np.einsum("ij,ij->i",
                          np.cross(rigid_rotation.vector_field.eval(pts), nu),
                          tv.value(pts))
