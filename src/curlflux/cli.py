@@ -21,6 +21,7 @@ from . import birkhoff_rott as br
 from . import fields as flds
 from . import geometry as geo
 from . import selection, stokes, traces
+from .sequences import GAP_TOL
 from .testfns import smooth_bump
 
 FLOAT_FMT = "%.12g"
@@ -96,59 +97,67 @@ def _number(text, name: str) -> float:
         raise ConfigError(f"{name} must be a number, not {text!r}") from None
 
 
-def _parse_spec(spec) -> tuple[str, dict]:
+def _parse_spec(spec, keys: dict) -> tuple[str, dict]:
     """(shape, parameters) of 'shape:key=number,...' or of a JSON-style dict
-    with a 'shape' key."""
+    with a 'shape' key; `keys` maps each shape to the keys it reads, and any
+    other shape or key is refused."""
     if not isinstance(spec, str):
-        d = dict(spec)
-        return d.pop("shape"), d
-    shape, _, rest = spec.partition(":")
-    kv = {}
-    for item in filter(None, rest.split(",")):
-        key, eq, value = item.partition("=")
-        if not eq:
-            raise ConfigError(f"{spec!r}: {item!r} must read key=value")
-        kv[key] = _number(value, f"{spec!r}: {key}")
+        shape, kv = spec.get("shape"), {k: v for k, v in spec.items() if k != "shape"}
+    else:
+        shape, _, rest = spec.partition(":")
+        kv = {}
+        for item in filter(None, rest.split(",")):
+            key, eq, value = item.partition("=")
+            if not eq:
+                raise ConfigError(f"{spec!r}: {item!r} must read key=value")
+            kv[key] = _number(value, f"{spec!r}: {key}")
+    if shape not in keys:
+        raise ConfigError(f"unknown shape {shape!r}; choose one of {', '.join(keys)}")
+    unknown = sorted(set(kv) - set(keys[shape]))
+    if unknown:
+        raise ConfigError(f"{shape} reads only {', '.join(keys[shape])}, "
+                          f"not {', '.join(unknown)}")
     return shape, kv
+
+
+SURFACE_KEYS = {"disk": ("r", "center", "x", "y", "z", "normal", "order"),
+                **dict.fromkeys(("cap", "spherical_cap"), ("r", "center", "colatitude")),
+                "sphere": ("r", "center")}
+REGION_KEYS = {**dict.fromkeys(("ball", "half_ball", "half-ball"), ("r", "center", "order")),
+               "cylinder": ("r", "center", "z0", "z1", "order"),
+               "box": ("center", "half_widths", "order")}
 
 
 def parse_surface(spec) -> geo.BoundaryManifold:
     """Surface spec: 'disk:r=0.5,z=0.5' or a JSON-style dict."""
-    shape, kv = _parse_spec(spec)
+    shape, kv = _parse_spec(spec, SURFACE_KEYS)
+    r = float(kv.get("r", 1.0))
     if shape == "disk":
-        r = float(kv.get("r", kv.get("radius", 1.0)))
         center = kv.get("center", (kv.get("x", 0.0), kv.get("y", 0.0), kv.get("z", 0.0)))
         normal = kv.get("normal", (0.0, 0.0, 1.0))
         order = int(kv.get("order", geo.DEFAULT_ORDER))
         return geo.disk_manifold(center, r, normal, order=order)
-    if shape in ("cap", "spherical_cap"):
-        return geo.spherical_cap_manifold(kv.get("center", (0, 0, 0)),
-                                          float(kv.get("radius", 1.0)),
-                                          float(kv.get("colatitude", np.pi / 2)))
     if shape == "sphere":
-        return geo.closed_sphere_manifold(kv.get("center", (0, 0, 0)),
-                                          float(kv.get("radius", 1.0)))
-    raise ConfigError(f"unknown surface shape {shape!r}")
+        return geo.closed_sphere_manifold(kv.get("center", (0, 0, 0)), r)
+    return geo.spherical_cap_manifold(kv.get("center", (0, 0, 0)), r,
+                                      float(kv.get("colatitude", np.pi / 2)))
 
 
 def parse_region(spec) -> geo.SolidRegion:
     """Region spec: 'cylinder:r=1,z0=0,z1=1' or a JSON-style dict."""
-    shape, kv = _parse_spec(spec)
+    shape, kv = _parse_spec(spec, REGION_KEYS)
     order = int(kv.get("order", 20))
+    center = kv.get("center", (0, 0, 0))
+    r = float(kv.get("r", 1.0))
     if shape == "ball":
-        return geo.ball_region(kv.get("center", (0, 0, 0)), float(kv.get("radius", 1.0)),
-                               order=order)
+        return geo.ball_region(center, r, order=order)
     if shape in ("half_ball", "half-ball"):
-        return geo.half_ball_region(kv.get("center", (0, 0, 0)),
-                                    float(kv.get("radius", 1.0)), order=order)
+        return geo.half_ball_region(center, r, order=order)
     if shape == "cylinder":
-        return geo.cylinder_region(kv.get("center", (0, 0, 0)), float(kv.get("r", 1.0)),
-                                   float(kv.get("z0", 0.0)), float(kv.get("z1", 1.0)),
-                                   order=order)
-    if shape == "box":
-        return geo.box_region(kv.get("center", (0, 0, 0)),
-                              kv.get("half_widths", (1.0, 1.0, 1.0)), order=min(order, 16))
-    raise ConfigError(f"unknown region shape {shape!r}")
+        return geo.cylinder_region(center, r, float(kv.get("z0", 0.0)),
+                                   float(kv.get("z1", 1.0)), order=order)
+    return geo.box_region(center, kv.get("half_widths", (1.0, 1.0, 1.0)),
+                          order=min(order, 16))
 
 
 def get_catalog(name: str) -> flds.CatalogEntry:
@@ -241,34 +250,34 @@ def cmd_stokes(p: dict) -> ResultTable:
     t = float(p.get("t", 0.0))
     if entry.trace_z_plane is None:
         raise ConfigError(f"catalog field {p['field']!r} carries no face trace")
-    rows = []
     meta = {"field": p["field"], "route": route, "t": t}
-    if route == "tangential":
-        col = geo.build_tangential_collar(man)
-        res = stokes.stokes_tangential(entry.trace_z_plane, man, col, t,
-                                       j_range=_j_range(p, 2, 12),
-                                       breaks_radii=entry.trace_breaks_radii)
-        for d, v in zip(res.deltas, res.delta_values):
-            rows.append([d, v])
-        meta.update({"t_osc": FLOAT_FMT % res.t_osc, "verdict": res.verdict,
-                     "flux": FLOAT_FMT % res.extrapolated if res.converged else "n/a"})
-        return ResultTable(["delta", "ramp_integral"], rows, meta)
     if route == "transversal":
         region = parse_region(p.get("region", "cylinder"))
         tcol = geo.build_transversal_collar(region)
         sing = [(0.0, 0.0, t)] if p["field"] == "line_vortex" else []
         out = stokes.stokes_transversal(entry.trace_z_plane, man, tcol, t,
                                         singular_points=sing)
-        rows.append([t, out["flux"], out["div_mass"]])
-        return ResultTable(["t", "flux", "div_mass"], rows, meta)
-    if route == "mass":
-        col = geo.build_tangential_collar(man)
-        pairing, mass, diag = stokes.boundary_pairing_mass(
+        return ResultTable(["t", "flux", "div_mass"], [[t, out["flux"], out["div_mass"]]], meta)
+    if route not in ("tangential", "mass"):
+        raise ConfigError(f"unknown stokes route {route!r}")
+    col = geo.build_tangential_collar(man)
+    if route == "tangential":
+        res = stokes.stokes_tangential(entry.trace_z_plane, man, col, t,
+                                       j_range=_j_range(p, 2, 12),
+                                       breaks_radii=entry.trace_breaks_radii)
+        columns, rows = ["delta", "ramp_integral"], [[d, v] for d, v in
+                                                     zip(res.deltas, res.delta_values)]
+        meta.update(t_osc=FLOAT_FMT % res.t_osc,
+                    flux=FLOAT_FMT % res.extrapolated if res.converged else "n/a")
+    else:
+        pairing, mass, res = stokes.boundary_pairing_mass(
             entry.trace_z_plane, man, col, t, breaks_radii=entry.trace_breaks_radii)
-        rows.append([t, mass, pairing, diag.t_osc])
-        meta["verdict"] = diag.verdict
-        return ResultTable(["t", "flux_mass", "pairing", "t_osc"], rows, meta)
-    raise ConfigError(f"unknown stokes route {route!r}")
+        columns, rows = ["t", "flux_mass", "pairing", "t_osc"], [[t, mass, pairing, res.t_osc]]
+    # the verdict's evidence: the Richardson gap and the tolerance GAP_TOL * scale
+    scale = res.meta["scale"]
+    meta.update(gap=FLOAT_FMT % res.meta["gap"], scale=FLOAT_FMT % scale,
+                tolerance=FLOAT_FMT % (GAP_TOL * scale), verdict=res.verdict)
+    return ResultTable(columns, rows, meta)
 
 
 def cmd_maximal(p: dict) -> ResultTable:

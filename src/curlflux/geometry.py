@@ -502,25 +502,31 @@ def _band_integral(layer_w: np.ndarray, line_w: np.ndarray, vals) -> float:
 
 
 def ramp_integral(manifold: BoundaryManifold, collar: TangentialCollar, t: float, delta: float,
-                  covector_field, scalar=None, s_order: int = 8,
-                  breaks: Sequence[float] = ()) -> float:
-    """Integral of scalar * (field . grad ramp) over the collar band (t, t+delta).
+                  covector_field, scalar, s_order: int = 8, breaks: Sequence[float] = (),
+                  layer=None) -> tuple[float, float]:
+    """Integral of scalar * (field . grad ramp) over the collar band (t, t+delta),
+    and of |scalar| |field| |grad ramp|, the scale its limit is judged against.
 
     `covector_field` maps points (n,3) to vectors (n,3); `scalar` maps points
-    to (n,). Discontinuity parameters of the integrand may be passed in
-    `breaks` (collar parameter values); the band quadrature splits there.
-    The band is parametrized as (s, curve), with dH^2 = layer_jacobian ds dH^1.
+    to (n,), or is None for 1. Discontinuity parameters of the integrand may
+    be passed in `breaks` (collar parameter values); the band quadrature
+    splits there. `layer` restricts the band to a window of each layer (see
+    `_band`). The band is parametrized as (s, curve), with
+    dH^2 = layer_jacobian ds dH^1, so |grad s| = 1 / layer_jacobian (coarea).
     """
     if collar.empty:
-        return 0.0
+        return 0.0, 0.0
     if not (0.0 < delta and t >= 0.0 and t + delta <= collar.s_max):
         raise GeometryError("ramp band outside collar range")
-    pts, layer_w, line_w, s = _band(collar, t, t + delta, s_order, breaks)
-    vals = np.einsum("ij,ij->i", np.asarray(covector_field(pts), dtype=float),
-                     collar.grad_s(pts, s) / delta)
+    pts, layer_w, line_w, s = _band(collar, t, t + delta, s_order, breaks, layer)
+    f = np.asarray(covector_field(pts), dtype=float)
+    vals = np.einsum("ij,ij->i", f, collar.grad_s(pts, s) / delta)
+    mags = np.sqrt(np.einsum("ij,ij->i", f, f))
     if scalar is not None:
-        vals = vals * np.asarray(scalar(pts), dtype=float)
-    return _band_integral(layer_w, line_w, vals)
+        phi = np.asarray(scalar(pts), dtype=float)
+        vals, mags = vals * phi, mags * np.abs(phi)
+    return (_band_integral(layer_w, line_w, vals),
+            _band_integral(layer_w, line_w, mags) / (collar.layer_jacobian * delta))
 
 
 def band_area(collar: TangentialCollar, t: float, delta: float) -> float:

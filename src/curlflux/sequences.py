@@ -1,74 +1,59 @@
 """Limit extraction from geometric parameter sequences.
 
-Localizer and layer limits are sampled at parameters 2^-j; smooth cases carry
-polynomial error expansions in the parameter, so a Richardson triangle with
-ratio 2 collapses them. Aitken acceleration provides the rate-agnostic
-convergence diagnostic that decides whether a limit is reported at all.
+Localizer and layer limits are sampled at parameters 2^-j, finest last; smooth
+cases carry polynomial error expansions in the parameter, so a Richardson
+triangle with ratio 2 collapses them. One rule decides whether a limit is
+reported at all: the order-3 Richardson values of the last four samples and
+of the four before them must agree to GAP_TOL times a scale. The scale comes
+from the route's integrand (the integral of its absolute value, or the sup of
+the sampled field), never from the values, so a verdict does not depend on
+the units of the field and a limit of zero is judged like any other.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+GAP_TOL = 1e-6
 
-def richardson_limit(values) -> float:
-    """Richardson triangle for samples at geometrically decreasing steps.
 
-    `values[k]` corresponds to step h/2^k, finest last.
-    """
-    level = [float(v) for v in values]
+def richardson_limit(values):
+    """Richardson triangle along axis 0 of an (m, ...) array of samples at
+    steps h/2^k, finest last; each trailing index is its own sequence."""
+    level = np.asarray(values, dtype=float)
     m = 1
-    while len(level) > 1:
+    while level.shape[0] > 1:
         mult = 2.0 ** m
-        level = [(mult * level[i + 1] - level[i]) / (mult - 1.0) for i in range(len(level) - 1)]
+        level = (mult * level[1:] - level[:-1]) / (mult - 1.0)
         m += 1
     return level[0]
 
 
-def aitken(values) -> np.ndarray:
-    """One Aitken delta-squared pass along axis 0; entries with vanishing
-    curvature pass through.
-
-    `values` has shape (m, ...): each trailing index is its own sequence, so
-    one call on an (m, n, 3) stack equals n * 3 calls on its columns.
-    """
+def richardson_gap(values):
+    """Order-3 Richardson value of the last four samples minus that of the
+    four before them, along axis 0; infinite with fewer than five samples."""
     v = np.asarray(values, dtype=float)
-    if v.shape[0] < 3:
-        return v.copy()
-    num = (v[2:] - v[1:-1]) ** 2
-    den = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    out = v[2:].copy()
-    ok = np.abs(den) > 1e-300
-    out[ok] = v[2:][ok] - num[ok] / den[ok]
-    return out
+    if v.shape[0] < 5:
+        return np.full(v.shape[1:], np.inf)[()]
+    return richardson_limit(v[-4:]) - richardson_limit(v[-5:-1])
 
 
 @dataclass(frozen=True)
 class SequenceVerdict:
     converged: bool
-    limit: float | None
-    tail_oscillation: float
-    accelerated_spread: float
+    limit: float  # Richardson value of the whole sequence
+    tail_oscillation: float  # sup - inf of the last six values
+    gap: float
+    scale: float
 
 
-def judge_sequence(values, spread_tol: float = 1e-5, osc_tol: float = 5e-2) -> SequenceVerdict:
-    """Convergence verdict for a sequence at parameters 2^-j.
-
-    Converged requires the Aitken-accelerated tail to settle below
-    `spread_tol` and the oscillation (sup - inf) of the last six raw values
-    to stay below `osc_tol`. The reported limit is the Richardson value,
-    which is only meaningful when the verdict is positive.
-    """
+def judge_sequence(values, scale: float) -> SequenceVerdict:
+    """Convergence verdict for a sequence at parameters 2^-j: converged when
+    |richardson_gap| <= GAP_TOL * scale."""
     v = np.asarray(values, dtype=float)
-    tail_vals = v[-min(6, v.size):]
-    t_osc = float(tail_vals.max() - tail_vals.min())
-    acc = aitken(v)
-    if acc.size >= 3:
-        acc = aitken(acc)
-    spread = float(np.max(np.abs(np.diff(acc[-3:])))) if acc.size >= 2 else np.inf
-    converged = bool(spread < spread_tol and t_osc < osc_tol)
-    limit = richardson_limit(v) if converged else None
-    return SequenceVerdict(converged, limit, t_osc, spread)
+    gap = float(richardson_gap(v))
+    return SequenceVerdict(bool(abs(gap) <= GAP_TOL * scale), float(richardson_limit(v)),
+                           float(np.ptp(v[-6:])), gap, float(scale))
 
 
 def fit_decay_slope(params, errors) -> float:

@@ -24,8 +24,6 @@ from .geometry import (
     SolidRegion,
     TangentialCollar,
     TransversalCollar,
-    _band,
-    _band_integral,
     arc_curve,
     central_gradient,
     circle_curve,
@@ -36,7 +34,7 @@ from .geometry import (
     surface_integral,
     volume_integral,
 )
-from .sequences import judge_sequence, richardson_limit
+from .sequences import GAP_TOL, judge_sequence, richardson_limit
 from .testfns import ScalarTestFunction, VectorTestField, radial_bump
 
 DELTA_J_RANGE = range(2, 13)  # default ramp widths 2^-j
@@ -95,39 +93,39 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
 
     `trace` maps boundary points to the interior tangential trace vectors.
     The stored delta values are the raw ramp integrals; the flux functional
-    is minus their limit and is only reported when `judge_sequence` finds
-    the sequence converged at its default tolerances (Aitken-accelerated
-    spread under 1e-5 and raw tail oscillation under 5e-2).
+    is minus their Richardson limit. It is only reported when
+    `judge_sequence` finds the sequence converged against the largest, over
+    the widths, band integral of |trace| |grad ramp| |testfn|; `meta` holds
+    that scale and the Richardson gap.
     """
     scalar = testfn.value if testfn is not None else None
     deltas = tuple(2.0 ** (-j) for j in j_range)
     breaks = _breaks_in_s(collar, breaks_radii)
-    vals = []
-    for d in deltas:
-        if t + d > collar.s_max:
-            raise GeometryError("ramp exceeds collar range")
-        vals.append(ramp_integral(manifold, collar, t, d, trace, scalar=scalar,
-                                  s_order=10, breaks=breaks))
-    verdict = judge_sequence(vals)
+    if t + max(deltas) > collar.s_max:
+        raise GeometryError("ramp exceeds collar range")
+    vals, mags = zip(*(ramp_integral(manifold, collar, t, d, trace, scalar, s_order=10,
+                                     breaks=breaks) for d in deltas))
+    verdict = judge_sequence(vals, max(mags))
     flux = -verdict.limit if verdict.converged else None
-    return StokesResult("tangential_localizer", t, deltas, tuple(vals),
+    return StokesResult("tangential_localizer", t, deltas, vals,
                         verdict.tail_oscillation, verdict.converged, flux,
-                        meta={"accelerated_spread": verdict.accelerated_spread})
+                        meta={"gap": verdict.gap, "scale": verdict.scale})
 
 
 def vorticity_flux(trace, manifold: BoundaryManifold, collar: TangentialCollar,
                    t: float, breaks_radii: Sequence[float] = ()) -> float:
     """Flux through the shrunk manifold: the mass of the localizer-limit
-    measure, checked for independence of the cutoff choice to 1e-8."""
-    res1 = stokes_tangential(trace, manifold, collar, t, testfn=None,
-                             breaks_radii=breaks_radii)
+    measure, checked for independence of the cutoff choice to GAP_TOL times
+    the route's scale."""
+    res1 = stokes_tangential(trace, manifold, collar, t, breaks_radii=breaks_radii)
     if not res1.converged:
         raise StokesRefusal("localizer limit did not converge; no flux reported")
     center = manifold.meta.get("center", np.zeros(3))
     big = radial_bump(center, 64.0 * (1.0 + np.linalg.norm(center)), plateau=0.9)
     res2 = stokes_tangential(trace, manifold, collar, t, testfn=big,
                              breaks_radii=breaks_radii)
-    if res2.converged and abs(res2.extrapolated - res1.extrapolated) > 1e-8:
+    if res2.converged and (abs(res2.extrapolated - res1.extrapolated)
+                           > GAP_TOL * res1.meta["scale"]):
         raise StokesRefusal("flux depends on the cutoff beyond tolerance")
     return float(res1.extrapolated)
 
@@ -137,7 +135,8 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
     """Boundary-measure density at a point of the shrunk manifold's boundary.
 
     Each radius pairs the localizer limit over ramp widths 2^-5 ... 2^-13
-    against a bump and normalizes by the curve mass of the same bump; the
+    against a bump and normalizes by the curve mass of the same bump; a
+    radius whose ramp sequence fails `judge_sequence` gives no estimate. The
     r-limit reproduces -(trace . tangent) at continuity points. Quadrature is
     windowed to the bump's angular support on 48-node arcs, so radii far
     below the global angular resolution remain well resolved.
@@ -160,20 +159,12 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
             return arc_curve(center, radius * (1.0 - s), e1, e2, a0 - half_width,
                              a0 + half_width)
 
-        vals = []
-        for d in deltas:
-            pts, layer_w, line_w, s = _band(collar, t, t + d, 8, layer=window)
-            g = collar.grad_s(pts, s) / d
-            vals.append(_band_integral(layer_w, line_w, np.einsum(
-                "ij,ij->i", np.atleast_2d(trace(pts)), g) * bump.value(pts)))
-        verdict = judge_sequence(vals)
-        if not verdict.converged:
-            ests.append(np.nan)
-            continue
-        rho_t = radius * (1.0 - t)
-        arc_t = arc_curve(center, rho_t, e1, e2, a0 - half_width, a0 + half_width)
-        curve_mass = line_integral(arc_t, bump.value)
-        ests.append(-verdict.limit / curve_mass if curve_mass > 0 else np.nan)
+        vals, mags = zip(*(ramp_integral(manifold, collar, t, d, trace, bump.value,
+                                         layer=window) for d in deltas))
+        verdict = judge_sequence(vals, max(mags))
+        curve_mass = line_integral(window(t), bump.value)
+        ests.append(-verdict.limit / curve_mass if verdict.converged and curve_mass > 0
+                    else np.nan)
     arr = [e for e in ests if np.isfinite(e)]
     # estimates converge slowly in the window radius; report the finest scale
     limit = float(arr[-1]) if arr else None

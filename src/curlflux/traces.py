@@ -26,7 +26,15 @@ from .geometry import (
     surface_integral,
     volume_integral,
 )
-from .sequences import SequenceVerdict, aitken, fit_decay_slope, judge_sequence, richardson_limit
+from .sequences import (
+    GAP_TOL,
+    SequenceVerdict,
+    fit_decay_slope,
+    judge_sequence,
+    richardson_gap,
+    richardson_limit,
+)
+from .stokes import StokesRefusal
 from .testfns import ScalarTestFunction, VectorTestField
 
 
@@ -106,10 +114,11 @@ def estimate_trace_layerwise(fld: VectorField, manifold: BoundaryManifold,
                              side: str = "interior") -> TangentialTrace:
     """Pull back F x nu from transversally shifted copies of the manifold.
 
-    One Aitken pass over the (shifts, nodes, 3) stack accelerates every node
-    and component at once; a node is converged when the last two accelerated
-    values agree to 1e-6 (absolute). Non-convergent nodes keep their last
-    value but are flagged.
+    `t_grid` lists the shifts 2^-j, finest last. Each node's value is the
+    Richardson limit of its column of the (shifts, nodes, 3) stack. A node
+    is converged when the norm of its Richardson gap is at most GAP_TOL
+    times sup |F x nu| over the stack, so fewer than five shifts flag every
+    node. Non-convergent nodes keep their value but are flagged.
     """
     slide = collar.slide_for(manifold.patch)
     base, nu0 = manifold.patch.nodes, manifold.patch.normals
@@ -120,72 +129,72 @@ def estimate_trace_layerwise(fld: VectorField, manifold: BoundaryManifold,
         nu_t = slide.shifted_normal(pts, sign * t)
         seq.append(np.cross(fld.eval(pts), nu_t))
     stack = np.stack(seq, axis=0)  # (m, n, 3)
-    m = stack.shape[0]
-    if m >= 3:
-        acc = aitken(stack)
-        values = acc[-1]
-        conv = np.linalg.norm(acc[-1] - acc[-2], axis=1) < 1e-6 if acc.shape[0] >= 2 \
-            else np.ones(stack.shape[1], bool)
-    else:
-        values = stack[-1]
-        conv = np.ones(stack.shape[1], bool)
+    values = richardson_limit(stack)
+    scale = np.sqrt(np.einsum("mij,mij->mi", stack, stack).max())
+    conv = np.linalg.norm(richardson_gap(stack), axis=1) <= GAP_TOL * scale
     resid = np.abs(np.einsum("ij,ij->i", values, nu0))
     return TangentialTrace(base, values, side, conv, resid,
                            float(np.linalg.norm(values, axis=1).max()))
 
 
+def _layer_pairing(fld: VectorField, collar: TransversalCollar, data,
+                   eps_grid: Sequence[float]) -> SequenceVerdict:
+    """Solid ramp route: the gradient of the inward ramp of depth eps is
+    -h/eps along each slide, so the pairing at eps is the shell integral of
+    (F x -h/eps) . data. `data(base, pts, nu)` gives the paired vectors at
+    the slid points of the boundary feet `base` with inner normals `nu`. The
+    verdict's scale is the largest shell integral of |F x h/eps| |data|."""
+    sums = []
+    for eps in eps_grid:
+        def integrand(base, pts, slide, s):
+            fx = np.cross(fld.eval(pts), -slide.outward_field(pts) / eps)
+            d = np.atleast_2d(data(base, pts, slide.patch.normals))
+            return np.stack([np.einsum("ij,ij->i", fx, d), np.sqrt(
+                np.einsum("ij,ij->i", fx, fx) * np.einsum("ij,ij->i", d, d))], axis=1)
+        sums.append(shell_integral(collar, eps, integrand))
+    vals, mags = np.transpose(sums)
+    return judge_sequence(vals, mags.max())
+
+
 def trace_pairing_via_layers(fld: VectorField, region: SolidRegion,
                              collar: TransversalCollar, testvec_value,
                              eps_grid: Sequence[float]) -> tuple[float, SequenceVerdict]:
-    """Pairing via the solid ramp route: the gradient of the inward ramp of
-    depth eps is -h/eps along each slide; the limit over eps is extrapolated."""
-    vals = []
-    for eps in eps_grid:
-        def integrand(base, pts, slide, s):
-            h = slide.outward_field(pts)
-            fx = np.cross(fld.eval(pts), -h / eps)
-            return np.einsum("ij,ij->i", fx, np.atleast_2d(testvec_value(pts)))
-        vals.append(float(shell_integral(collar, eps, integrand)))
-    verdict = judge_sequence(vals, spread_tol=1e-4, osc_tol=1.0)
-    limit = richardson_limit(vals) if verdict.converged else vals[-1]
-    return float(limit), verdict
+    """Pairing with a vector test field by the solid ramp route: the
+    Richardson limit over eps and its verdict."""
+    verdict = _layer_pairing(fld, collar, lambda base, pts, nu: testvec_value(pts), eps_grid)
+    return verdict.limit, verdict
 
 
-def _layer_route(fld: VectorField, region: SolidRegion, collar: TransversalCollar,
-                 boundary_data, eps_grid: Sequence[float]) -> float:
-    """Layer pairing against `boundary_data(base, nu)`, extended constantly
-    along the slides; `nu` holds the inner normals at the boundary feet."""
-    vals = []
-    for eps in eps_grid:
-        def integrand(base, pts, slide, s):
-            h = slide.outward_field(pts)
-            fx = np.cross(fld.eval(pts), -h / eps)
-            data = np.atleast_2d(boundary_data(base, slide.patch.normals))
-            return np.einsum("ij,ij->i", fx, data)
-        vals.append(float(shell_integral(collar, eps, integrand)))
-    return richardson_limit(vals)
+def _backed(verdict: SequenceVerdict) -> float:
+    if not verdict.converged:
+        raise StokesRefusal(f"layer pairing did not converge (gap {verdict.gap:.3g}, "
+                            f"scale {verdict.scale:.3g})")
+    return verdict.limit
 
 
 def boundary_pairing_layer_route(fld: VectorField, region: SolidRegion,
                                  collar: TransversalCollar, boundary_data,
                                  eps_grid: Sequence[float]) -> float:
-    """Layer pairing against boundary data extended constantly along the slides."""
-    return _layer_route(fld, region, collar, lambda base, nu: boundary_data(base), eps_grid)
+    """Layer pairing against boundary data extended constantly along the
+    slides; refuses when its limit is not backed."""
+    return _backed(_layer_pairing(fld, collar, lambda base, pts, nu: boundary_data(base),
+                                  eps_grid))
 
 
 def tangentiality_defect(fld: VectorField, region: SolidRegion,
                          collar: TransversalCollar, boundary_data,
                          eps_grid: Sequence[float] = tuple(2.0 ** -k for k in range(3, 9))) -> float:
     """|T(phi) - T(phi_tau)| with phi_tau the pointwise tangential part of the
-    boundary data; both pairings via the boundary-layer route."""
+    boundary data; both pairings via the boundary-layer route, and refused
+    when either limit is not backed."""
     eps_grid = tuple(eps_grid)
 
-    def data_tangential(base, nu):
+    def data_tangential(base, pts, nu):
         vals = np.atleast_2d(boundary_data(base))
         return vals - np.einsum("ij,ij->i", vals, nu)[:, None] * nu
 
     t_full = boundary_pairing_layer_route(fld, region, collar, boundary_data, eps_grid)
-    t_tan = _layer_route(fld, region, collar, data_tangential, eps_grid)
+    t_tan = _backed(_layer_pairing(fld, collar, data_tangential, eps_grid))
     return abs(t_full - t_tan)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from curlflux import cli
+from curlflux.sequences import GAP_TOL
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,6 +45,38 @@ def test_br_dumps_every_step_of_a_short_run():
     assert text.splitlines()[-1].startswith("2,")
 
 
+@pytest.mark.parametrize("route", ["tangential", "mass"])
+def test_stokes_reports_the_gap_its_scale_and_tolerance(route):
+    table, _ = _csv("stokes", {"field": "rigid_rotation", "route": route})
+    meta = table.metadata
+    assert meta["verdict"] == "CONVERGED"
+    gap, scale, tol = (float(meta[k]) for k in ("gap", "scale", "tolerance"))
+    assert abs(gap) <= tol == pytest.approx(GAP_TOL * scale, rel=1e-11)
+    assert scale == pytest.approx(2.0 * np.pi, rel=1e-3)
+
+
+@pytest.mark.parametrize("jmax, verdict", [(5, "NON-CONVERGENT"), (6, "CONVERGED")])
+def test_stokes_needs_five_ramp_widths_for_a_verdict(jmax, verdict):
+    # widths 2^-2 ... 2^-jmax: the Richardson gap needs five of them
+    table, _ = _csv("stokes", {"field": "rigid_rotation", "delta_max_j": jmax})
+    assert table.metadata["verdict"] == verdict
+    assert table.metadata["flux"] == ("n/a" if jmax == 5 else "6.28318530718")
+
+
+@pytest.mark.parametrize("spec", ["disk:r=0.5", {"shape": "disk", "r": 0.5},
+                                  "cap:r=0.5", {"shape": "spherical_cap", "r": 0.5},
+                                  "sphere:r=0.5"])
+def test_r_is_the_surface_radius_key(spec):
+    assert cli.parse_surface(spec).meta["radius"] == 0.5
+
+
+@pytest.mark.parametrize("spec", ["ball:r=0.5", "half_ball:r=0.5", {"shape": "ball", "r": 0.5},
+                                  "cylinder:r=0.5"])
+def test_r_is_the_region_radius_key(spec):
+    region = cli.parse_region(spec)
+    assert region.meta["radius"] == 0.5
+
+
 def _main_output(argv, tmp_path) -> bytes:
     out = tmp_path / "out.csv"
     assert cli.main([*argv, "--out", str(out)]) == 0
@@ -52,9 +85,9 @@ def _main_output(argv, tmp_path) -> bytes:
 
 @pytest.mark.parametrize("argv, sha256", [
     (["trace", "--field", "plane_wave_em", "--region", "ball"],
-     "20bef35b78840a819091a1aa68d8dea3890d141e23875f3267b4d5071eef3999"),
+     "379bf9ca9fd21d201b0e2fe01614f1dcd1ebd37d0383097dcbb444348e0c7db8"),
     (["trace", "--field", "rigid_rotation", "--region", "half_ball", "--side", "exterior"],
-     "a0156fd805a35d9e5ed3942405e3459a7f440a42de6d567bd59b536be0470dc3"),
+     "c54e2632b9c9467a83f4c2c1da14df3bb024d6f8578e7113905aa514981f3753"),
 ])
 def test_trace_csv_matches_golden_digest(argv, sha256, tmp_path):
     # the layerwise trace CSVs run to 180-250 kB, so their sha256 is the golden record
@@ -132,8 +165,21 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["stokes", "--field", "rigid_rotation", "--surface", "disk:r"],
     ["trace", "--field", "rigid_rotation", "--region", "ball:order=x"],
     ["br", "--grid", "4x4", "--steps", "1", "--delta-br", "x"],
+    # keys the shape does not read, and shapes that do not exist
+    ["stokes", "--field", "rigid_rotation", "--surface", "disk:rr=0.5"],
+    ["stokes", "--field", "rigid_rotation", "--surface", "cap:radius=0.5"],
+    ["stokes", "--field", "rigid_rotation", "--surface", "torus:r=1"],
+    ["trace", "--field", "rigid_rotation", "--region", "ball:radius=0.5"],
+    ["trace", "--field", "rigid_rotation", "--region", "box:r=0.5"],
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", [{"shape": "disk", "rr": 0.5}, {"shape": "cap", "radius": 0.5},
+                                    {"r": 0.5}])
+def test_dict_specs_refuse_unread_keys(params):
+    with pytest.raises(cli.ConfigError):
+        cli.parse_surface(params)

@@ -373,16 +373,23 @@ def test_band_quadrature_matches_layer_loop(annuli):
     weight = lambda p: 1.0 + p[:, 0] ** 2
     bp = np.array(sorted({t, t + delta, *breaks}))
     s_rule = gauss_legendre_split(8, bp)
-    ramp = mass = 0.0
+    ramp = magnitude = mass = 0.0
     for s, w in zip(s_rule.nodes, s_rule.weights):
         curve = collar.layer(s)
         pts, lw = curve.nodes, curve.weights
         g = collar.grad_s(pts, s) / delta
-        vals = np.einsum("ij,ij->i", annuli.trace_z_plane(pts), g) * weight(pts)
+        f = annuli.trace_z_plane(pts)
+        vals = np.einsum("ij,ij->i", f, g) * weight(pts)
+        mags = np.linalg.norm(f, axis=1) * np.linalg.norm(g, axis=1) * np.abs(weight(pts))
         ramp += w * collar.layer_jacobian * np.sum(lw * vals)
+        magnitude += w * collar.layer_jacobian * np.sum(lw * mags)
         mass += w * collar.layer_jacobian * np.sum(lw * weight(pts))
-    assert geo.ramp_integral(man, collar, t, delta, annuli.trace_z_plane, scalar=weight,
-                             breaks=breaks) == ramp
+    got, got_magnitude = geo.ramp_integral(man, collar, t, delta, annuli.trace_z_plane,
+                                           scalar=weight, breaks=breaks)
+    assert got == ramp
+    # the magnitude takes its norms in another order, so it agrees to roundoff
+    assert got_magnitude == pytest.approx(magnitude, rel=1e-13)
+    assert got_magnitude >= abs(got)
     assert geo.band_mass(collar, t, t + delta, weight, breaks=breaks) == mass
 
 

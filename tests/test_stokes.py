@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curlflux import fields as flds
 from curlflux import geometry as geo
@@ -131,6 +132,76 @@ def test_newtonian_zero_flux_away_from_singularity(newtonian):
     col = geo.build_tangential_collar(man)
     res = stk.stokes_tangential(newtonian.trace_z_plane, man, col, 0.0)
     assert res.converged and abs(res.extrapolated) < 1e-10
+
+
+def _unit_case(name):
+    """(trace, breaks_radii, t) of a unit-disk flux case."""
+    rr, lv, an = (flds.catalog(n) for n in ("rigid_rotation", "line_vortex", "annuli"))
+    if name == "rigid_rotation":
+        return rr.trace_z_plane, (), 0.1
+    if name == "zero_flux":
+        # rigid rotation minus 2 pi 0.81 line vortices: no flux through radius 0.9
+        w = 2.0 * np.pi * 0.81
+        return lambda x: rr.trace_z_plane(x) - w * lv.trace_z_plane(x), (), 0.1
+    return an.trace_z_plane, an.trace_breaks_radii, float(name.split("@")[1])
+
+
+UNIT_CASES = ("rigid_rotation", "annuli@0.3", "annuli@0", "zero_flux")
+
+
+@pytest.fixture(scope="module")
+def unit_references(unit_disk_manifold, unit_disk_collar):
+    out = {}
+    for name in UNIT_CASES:
+        trace, breaks, t = _unit_case(name)
+        out[name] = stk.stokes_tangential(trace, unit_disk_manifold, unit_disk_collar, t,
+                                          breaks_radii=breaks)
+    return out
+
+
+def test_unit_references_read_the_closed_forms(unit_references):
+    refs = unit_references
+    assert refs["rigid_rotation"].converged
+    assert abs(refs["rigid_rotation"].extrapolated - 2.0 * np.pi * 0.81) < 1e-10
+    assert refs["annuli@0.3"].converged
+    assert abs(refs["annuli@0.3"].extrapolated + 2.0 * np.pi * 0.7) < 1e-8
+    assert not refs["annuli@0"].converged
+    assert refs["zero_flux"].converged and abs(refs["zero_flux"].extrapolated) < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(UNIT_CASES), st.integers(-9, 9))
+def test_verdict_and_flux_do_not_depend_on_units(unit_references, unit_disk_manifold,
+                                                 unit_disk_collar, name, k):
+    # the judge's scale is an integral of |trace| on the ramp bands, so it
+    # scales with the field; the verdict must not see the factor 10^k
+    trace, breaks, t = _unit_case(name)
+    ref = unit_references[name]
+    res = stk.stokes_tangential(lambda x: 10.0 ** k * trace(x), unit_disk_manifold,
+                                unit_disk_collar, t, breaks_radii=breaks)
+    assert res.converged == ref.converged
+    assert abs(res.meta["gap"]) / res.meta["scale"] == pytest.approx(
+        abs(ref.meta["gap"]) / ref.meta["scale"], rel=1e-3, abs=1e-13)
+    if ref.converged:
+        assert abs(res.extrapolated / 10.0 ** k - ref.extrapolated) <= 1e-12 * ref.meta["scale"]
+        pairing, mass, _ = stk.boundary_pairing_mass(
+            lambda x: 10.0 ** k * trace(x), unit_disk_manifold, unit_disk_collar, t,
+            breaks_radii=breaks)
+        assert mass == res.extrapolated and pairing == -mass
+    else:
+        assert res.extrapolated is None
+        with pytest.raises(stk.StokesRefusal):
+            stk.boundary_pairing_mass(lambda x: 10.0 ** k * trace(x), unit_disk_manifold,
+                                      unit_disk_collar, t, breaks_radii=breaks)
+
+
+def test_vorticity_flux_is_reported_in_any_units(rigid_rotation, unit_disk_manifold,
+                                                unit_disk_collar):
+    # at 10^9 the Richardson gap and the roundoff of the cutoff check are far
+    # above any absolute tolerance, but not above GAP_TOL times the scale
+    flux = stk.vorticity_flux(lambda x: 1e9 * rigid_rotation.trace_z_plane(x),
+                              unit_disk_manifold, unit_disk_collar, 0.0)
+    assert abs(flux / 1e9 - 2.0 * np.pi) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 from curlflux import fields as flds
 from curlflux import geometry as geo
 from curlflux import traces as trc
-from curlflux.sequences import aitken
+from curlflux.sequences import GAP_TOL, richardson_gap, richardson_limit
+from curlflux.stokes import StokesRefusal
 from curlflux.testfns import (
     ScalarTestFunction,
     VectorTestField,
@@ -184,9 +185,9 @@ def test_layerwise_lipschitz_gradient_two_sided(unit_cylinder, cylinder_collar):
     assert np.abs(inner.values - outer.values).max() < 1e-8
 
 
-def _layerwise_per_node_loop(fld, manifold, collar, t_grid, side, node_tol=1e-6):
-    """Reference: shifted-layer values accelerated by one aitken call per
-    node and component."""
+def _layerwise_per_node_loop(fld, manifold, collar, t_grid, side):
+    """Reference: shifted-layer values extrapolated by one Richardson call
+    per node and component, judged per node against sup |F x nu|."""
     slide = collar.slide_for(manifold.patch)
     base = manifold.patch.nodes
     sign = 1.0 if side == "interior" else -1.0
@@ -196,11 +197,15 @@ def _layerwise_per_node_loop(fld, manifold, collar, t_grid, side, node_tol=1e-6)
         seq.append(np.cross(fld.eval(pts), slide.shifted_normal(pts, sign * t)))
     stack = np.stack(seq)
     n = stack.shape[1]
-    acc = np.empty((stack.shape[0] - 2, n, 3))
+    scale = max(np.linalg.norm(layer, axis=1).max() for layer in stack)
+    values, converged = np.empty((n, 3)), np.empty(n, bool)
     for i in range(n):
+        gap = np.empty(3)
         for c in range(3):
-            acc[:, i, c] = aitken(stack[:, i, c])
-    return acc[-1], np.linalg.norm(acc[-1] - acc[-2], axis=1) < node_tol
+            values[i, c] = richardson_limit(stack[:, i, c])
+            gap[c] = richardson_gap(stack[:, i, c])
+        converged[i] = np.linalg.norm(gap) <= GAP_TOL * scale
+    return values, converged
 
 
 @pytest.mark.parametrize("shape", ["ball_sphere", "half_ball_disk", "half_ball_dome"])
@@ -222,6 +227,20 @@ def test_layerwise_equals_per_node_aitken_loop(shape, side):
     values, converged = _layerwise_per_node_loop(fld, man, tcol, t_grid, side)
     assert np.array_equal(tt.values, values)
     assert np.array_equal(tt.converged, converged)
+
+
+@pytest.mark.parametrize("n_layers", [2, 4])
+def test_layerwise_with_fewer_than_five_layers_flags_every_node(n_layers, unit_cylinder,
+                                                                cylinder_collar):
+    # the Richardson gap needs five shifts; with fewer no node is backed
+    man = geo.disk_manifold((0, 0, 0), 1.0)
+    fld = flds.catalog("rigid_rotation").vector_field
+    tt = trc.estimate_trace_layerwise(fld, man, cylinder_collar,
+                                      [2.0 ** -k for k in range(2, 2 + n_layers)], "interior")
+    assert not tt.converged.any()
+    full = trc.estimate_trace_layerwise(fld, man, cylinder_collar,
+                                        [2.0 ** -k for k in range(2, 7)], "interior")
+    assert full.converged.all()
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +315,16 @@ def test_tangentiality_defect_default_grid_is_reusable(rigid_rotation):
     first = trc.tangentiality_defect(rigid_rotation.vector_field, ball, tcol, tv.value)
     second = trc.tangentiality_defect(rigid_rotation.vector_field, ball, tcol, tv.value)
     assert np.isfinite(first) and second == first
+
+
+def test_tangentiality_defect_refuses_an_unbacked_pairing(rigid_rotation):
+    # four depths give no Richardson gap, so neither pairing has a verdict
+    ball = geo.ball_region(order=8, n_angular=16)
+    tcol = geo.build_transversal_collar(ball)
+    tv = random_trig_vector(100, n_modes=2, kmax=1.0)
+    with pytest.raises(StokesRefusal):
+        trc.tangentiality_defect(rigid_rotation.vector_field, ball, tcol, tv.value,
+                                 [2.0 ** -k for k in range(3, 7)])
 
 
 def _nearest_node_normals(region, pts):
