@@ -234,31 +234,3 @@ def two_body_velocity(gamma_j, x_j, w_j, x, delta: float) -> np.ndarray:
     d = np.asarray(x, float) - np.asarray(x_j, float)
     s = float(d @ d) + delta * delta
     return -np.cross(np.asarray(gamma_j, float), d) * (w_j / (4.0 * np.pi * s ** 1.5))
-
-
-def refinement_slope(sheet: SheetState, deltas) -> float:
-    """Convergence order of the smoothing length, measured at 8 random probes
-    a standoff of 0.3 off the sheet.
-
-    At a standoff from the sheet the velocity field is smooth and the
-    smoothed kernel converges at second order; on the sheet itself the
-    principal-value limit is attained at first order only.
-    """
-    from .sequences import fit_decay_slope
-
-    deltas = sorted(deltas, reverse=True)
-    rng = np.random.default_rng(3)
-    n = 8
-    if sheet.periods is not None:
-        lx, ly = sheet.periods
-        probes = np.stack([rng.uniform(0, lx, n), rng.uniform(0, ly, n),
-                           sheet.markers[..., 2].mean() + np.full(n, 0.3)], axis=1)
-    else:
-        lo = sheet.markers.reshape(-1, 3).min(axis=0)
-        hi = sheet.markers.reshape(-1, 3).max(axis=0)
-        probes = np.stack([rng.uniform(lo[0], hi[0], n), rng.uniform(lo[1], hi[1], n),
-                           np.full(n, hi[2] + 0.3)], axis=1)
-    ref = br_velocity(replace(sheet, desing=0.25 * deltas[-1]), probes)
-    errs = [np.linalg.norm(br_velocity(replace(sheet, desing=d), probes) - ref,
-                           axis=1).max() for d in deltas]
-    return fit_decay_slope(deltas, errs)

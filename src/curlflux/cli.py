@@ -146,7 +146,7 @@ def parse_surface(spec) -> geo.BoundaryManifold:
 def parse_region(spec) -> geo.SolidRegion:
     """Region spec: 'cylinder:r=1,z0=0,z1=1' or a JSON-style dict."""
     shape, kv = _parse_spec(spec, REGION_KEYS)
-    order = int(kv.get("order", 20))
+    order = int(kv.get("order", geo.DEFAULT_ORDER))
     center = kv.get("center", (0, 0, 0))
     r = float(kv.get("r", 1.0))
     if shape == "ball":
@@ -198,10 +198,10 @@ def cmd_trace(p: dict) -> ResultTable:
     side = p.get("side", "interior")
     rows = []
     for patch in region.boundary:
-        man = _manifold_for_patch(patch, region)
-        if man is None:
+        # flat faces and closed spheres, each sampled on the region's own rule
+        if patch.name not in ("disk", "sphere"):
             continue
-        tt = traces.estimate_trace_layerwise(entry.vector_field, man, tcol, t_grid, side)
+        tt = traces.estimate_trace_layerwise(entry.vector_field, patch, tcol, t_grid, side)
         for x, v, c, r in zip(tt.points, tt.values, tt.converged,
                               tt.tangentiality_residual):
             rows.append([patch.name, x[0], x[1], x[2], v[0], v[1], v[2], bool(c), r])
@@ -209,15 +209,6 @@ def cmd_trace(p: dict) -> ResultTable:
         ["patch", "x", "y", "z", "trace_x", "trace_y", "trace_z", "converged", "residual"],
         rows, metadata={"field": p["field"], "side": side,
                         "t_grid": ",".join(FLOAT_FMT % t for t in t_grid)})
-
-
-def _manifold_for_patch(patch, region) -> Optional[geo.BoundaryManifold]:
-    if patch.name == "disk":
-        radius = region.meta.get("radius", 1.0)
-        return geo.disk_manifold(patch.meta["center"], radius, patch.meta["normal"])
-    if patch.name == "sphere":
-        return geo.closed_sphere_manifold(region.meta["center"], region.meta["radius"])
-    return None
 
 
 def _parse_grid(spec) -> tuple:
@@ -247,6 +238,12 @@ def cmd_stokes(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
     man = parse_surface(p.get("surface", "disk:r=1"))
     route = p.get("route", "tangential")
+    if route not in ("tangential", "mass", "transversal"):
+        raise ConfigError(f"unknown stokes route {route!r}")
+    if route != "tangential" and "delta_max_j" in p:
+        raise ConfigError(f"delta_max_j applies to the tangential route only, not {route}")
+    if route != "transversal" and "region" in p:
+        raise ConfigError(f"region applies to the transversal route only, not {route}")
     t = float(p.get("t", 0.0))
     if entry.trace_z_plane is None:
         raise ConfigError(f"catalog field {p['field']!r} carries no face trace")
@@ -258,8 +255,6 @@ def cmd_stokes(p: dict) -> ResultTable:
         out = stokes.stokes_transversal(entry.trace_z_plane, man, tcol, t,
                                         singular_points=sing)
         return ResultTable(["t", "flux", "div_mass"], [[t, out["flux"], out["div_mass"]]], meta)
-    if route not in ("tangential", "mass"):
-        raise ConfigError(f"unknown stokes route {route!r}")
     col = geo.build_tangential_collar(man)
     if route == "tangential":
         res = stokes.stokes_tangential(entry.trace_z_plane, man, col, t,

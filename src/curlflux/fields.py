@@ -22,7 +22,7 @@ from .geometry import (
     surface_integral,
     volume_integral,
 )
-from .quadrature import gauss_legendre, gauss_legendre_split
+from .quadrature import gauss_legendre_split
 
 Array = np.ndarray
 
@@ -496,94 +496,6 @@ def gluing_total_variation(pw: PiecewiseField, region: SolidRegion) -> float:
     total += surface_integral(pw.interface,
                               lambda pts: np.linalg.norm(pw.jump_density(pts), axis=1))
     return float(total)
-
-
-# ---------------------------------------------------------------------------
-# mollification
-# ---------------------------------------------------------------------------
-
-
-def _poly_bump_weights(delta: float):
-    """Nodes/weights of the radially symmetric polynomial bump c (1-|y/d|^2)^4
-    on the ball of radius delta, normalized to unit mass by the same rule
-    (10-point Gauss-Legendre in radius and polar cosine, 16-point trapezoid in
-    azimuth)."""
-    from .quadrature import periodic_trapezoid, tensor_product_3d
-    rr = gauss_legendre(10, 0.0, delta)
-    ru = gauss_legendre(10, -1.0, 1.0)
-    rp = periodic_trapezoid(16)
-    rule = tensor_product_3d(rr, ru, rp)
-    r, u, phi = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
-    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    pts = np.stack([r * st * np.cos(phi), r * st * np.sin(phi), r * u], axis=1)
-    w = rule.weights * r * r * (1.0 - (r / delta) ** 2) ** 4
-    return pts, w / np.sum(w)
-
-
-def mollify(fld: VectorField, delta: float) -> VectorField:
-    """Convolution with a radially symmetric polynomial bump at scale delta.
-
-    Evaluation is by quadrature per point; exact for fields polynomial in x.
-    """
-    if delta <= 0:
-        raise FieldError("mollification scale must be positive")
-    offs, w = _poly_bump_weights(delta)
-
-    def ev(x):
-        x = np.atleast_2d(x)
-        out = np.empty_like(x)
-        for i, xi in enumerate(x):
-            out[i] = np.tensordot(w, fld.eval(xi - offs), axes=(0, 0))
-        return out
-
-    return VectorField(ev, analytic_curl=None, integrability=fld.integrability,
-                       singular_set=None, label=f"mollified({fld.label},{delta:g})")
-
-
-def mollified_measure_density(mu: CurlMeasure, delta: float):
-    """Lebesgue density of the mollified curl measure (bump convolved with mu)."""
-
-    def norm_const(d):
-        rr = gauss_legendre(32, 0.0, d)
-        mass = np.sum(rr.weights * rr.nodes ** 2 * (1.0 - (rr.nodes / d) ** 2) ** 4) * 4.0 * np.pi
-        return 1.0 / mass
-
-    c = norm_const(delta)
-
-    def bump(r):
-        v = np.clip(1.0 - (r / delta) ** 2, 0.0, None)
-        return c * v ** 4
-
-    def density(x):
-        x = np.atleast_2d(x)
-        out = np.zeros_like(x)
-        for lp in mu.line_parts:
-            for i, xi in enumerate(x):
-                # the bump only sees the segment within delta of the target
-                s_mid = (xi - lp.point) @ lp.direction
-                lo = max(lp.lo, s_mid - delta)
-                hi = min(lp.hi, s_mid + delta)
-                if hi <= lo:
-                    continue
-                rule = gauss_legendre(24, lo, hi)
-                pts = lp.positions(rule.nodes)
-                dens = np.atleast_2d(lp.density(pts))
-                r = np.linalg.norm(xi - pts, axis=1)
-                out[i] += np.tensordot(rule.weights * bump(r), dens, axes=(0, 0))
-        for sp in mu.sheet_parts:
-            pts, w = sp.patch.nodes, sp.patch.weights
-            dens = np.atleast_2d(sp.density(pts))
-            for i, xi in enumerate(x):
-                r = np.linalg.norm(xi - pts, axis=1)
-                out[i] += np.tensordot(w * bump(r), dens, axes=(0, 0))
-        if mu.lebesgue_density is not None:
-            offs, w = _poly_bump_weights(delta)
-            for i, xi in enumerate(x):
-                out[i] += np.tensordot(w, np.atleast_2d(mu.lebesgue_density(xi - offs)),
-                                       axes=(0, 0))
-        return out
-
-    return density
 
 
 def unit_disk_interface() -> SurfacePatch:

@@ -1,5 +1,5 @@
-"""Surface patches, boundary curves, collar maps, localizer ramps, solid
-regions with volume rules, and the boundary-to-volume extension operator.
+"""Surface patches, boundary curves, collar maps, localizer ramps, and solid
+regions with volume rules.
 
 Every curve, patch and boundary manifold is held as its quadrature node set:
 the points, normals and weights of a closed-form parametrization (no meshes),
@@ -440,41 +440,8 @@ def shrink_tangential(manifold: BoundaryManifold, collar: TangentialCollar,
 
 
 # ---------------------------------------------------------------------------
-# localizer ramps (interior height functions)
+# localizer ramps (collar band integrals)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HeightFunction:
-    """Lipschitz ramp localizer: 0 outside the shrunk patch, 1 past depth t+delta,
-    linear in the collar parameter on the ramp band."""
-
-    manifold: BoundaryManifold
-    collar: TangentialCollar
-    t: float
-    delta: float
-
-    def value_at_parameter(self, s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if self.collar.empty:
-            return np.ones_like(s)
-        return np.clip((s - self.t) / self.delta, 0.0, 1.0)
-
-    def sup_gradient(self) -> float:
-        if self.collar.empty:
-            return 0.0
-        s_mid = self.t + 0.5 * self.delta
-        pts = self.collar.layer(s_mid).nodes
-        return float(np.linalg.norm(self.collar.grad_s(pts, s_mid), axis=1).max() / self.delta)
-
-
-def height_function(manifold: BoundaryManifold, collar: TangentialCollar,
-                    t: float, delta: float) -> HeightFunction:
-    if not 0.0 <= t < 0.5:
-        raise GeometryError("height function requires 0 <= t < 1/2")
-    if not 0.0 < delta < 0.25:
-        raise GeometryError("height function requires 0 < delta < 1/4")
-    return HeightFunction(manifold, collar, t, delta)
 
 
 def _band(collar: TangentialCollar, lo: float, hi: float, s_order: int,
@@ -551,7 +518,7 @@ def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
 
 
 # ---------------------------------------------------------------------------
-# boundary-to-volume extension operator
+# finite-difference gradients
 # ---------------------------------------------------------------------------
 
 
@@ -566,118 +533,6 @@ def central_gradient(value, x: np.ndarray) -> np.ndarray:
         e[k] = h
         out[:, k] = (value(x + e) - value(x - e)) / (2.0 * h)
     return out
-
-
-@dataclass(frozen=True)
-class BoundaryExtension:
-    """Extension of flat-face boundary data into the adjacent volume.
-
-    value(x) = cutoff(depth/delta) * (data mollified in-plane at scale depth);
-    agrees with the data on the face, vanishes at depth > delta, and carries
-    a reported gradient bound of the form c (|grad_tau f| + |f|/delta).
-    """
-
-    origin: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    inward: np.ndarray
-    data: Callable[[np.ndarray], np.ndarray]
-    delta: float
-    stencil: np.ndarray  # (m, 2) in-plane mollifier offsets at unit scale
-    stencil_weights: np.ndarray
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        from .testfns import cutoff_profile
-        x = np.atleast_2d(x)
-        rel = x - self.origin
-        depth = rel @ self.inward
-        foot = x - np.outer(depth, self.inward)
-        out = np.empty(x.shape[0])
-        for i in range(x.shape[0]):
-            d = max(depth[i], 0.0)
-            if d == 0.0:
-                out[i] = float(np.asarray(self.data(foot[i][None, :]))[0])
-                continue
-            pts = (foot[i] + d * (np.outer(self.stencil[:, 0], self.e1)
-                                  + np.outer(self.stencil[:, 1], self.e2)))
-            out[i] = float(self.stencil_weights @ np.asarray(self.data(pts)))
-        ramp = cutoff_profile(np.clip(depth, 0.0, None) / self.delta)
-        ramp = np.where(depth < 0.0, 0.0, ramp)
-        return out * ramp
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return central_gradient(self.value, x)
-
-    def gradient_bound_report(self) -> dict:
-        """Measured sup |grad| at 12 random points within 0.5 of the origin
-        in the face plane, against the structural bound shape."""
-        rng = np.random.default_rng(7)
-        uv = 0.5 * rng.uniform(-1.0, 1.0, size=(12, 2))
-        depths = rng.uniform(1e-4, self.delta, size=12)
-        pts = (self.origin + np.outer(uv[:, 0], self.e1) + np.outer(uv[:, 1], self.e2)
-               + np.outer(depths, self.inward))
-        grads = np.linalg.norm(self.gradient(pts), axis=1)
-        face = self.origin + np.outer(uv[:, 0], self.e1) + np.outer(uv[:, 1], self.e2)
-        f_vals = np.abs(np.asarray(self.data(face)))
-        h = 1e-5
-        gt = []
-        for d in (self.e1, self.e2):
-            gt.append((np.asarray(self.data(face + h * d))
-                       - np.asarray(self.data(face - h * d))) / (2.0 * h))
-        grad_tau = np.hypot(*gt)
-        denom = grad_tau.max() + f_vals.max() / self.delta
-        return {"sup_gradient": float(grads.max()),
-                "structural_bound_scale": float(denom),
-                "fitted_constant": float(grads.max() / denom) if denom > 0 else 0.0}
-
-
-def extend_boundary_function(face: BoundaryManifold, data, delta: float) -> BoundaryExtension:
-    """Extend scalar data on a flat face into the volume on its inward side.
-
-    `data` maps face points (n,3) -> (n,); alternatively pass a (points,
-    values) tuple of samples, which are read by nearest-sample lookup. The
-    sample spacing is the largest nearest-neighbour distance among them; a
-    spacing above delta/2 is too coarse for the mollification stencil and
-    the construction is rejected.
-    """
-    if not 0.0 < delta < 1.0:
-        raise GeometryError("extension depth must lie in (0, 1)")
-    if face.kind != "disk":
-        raise GeometryError("extension operator implemented for flat faces")
-    e1, e2, n = face.meta["frame"]
-    origin = face.meta["center"]
-    if isinstance(data, tuple):
-        pts_s, vals_s = data
-        pts_s = np.atleast_2d(np.asarray(pts_s, dtype=float))
-        vals_s = np.asarray(vals_s, dtype=float)
-        d = np.linalg.norm(pts_s[:, None, :] - pts_s[None, :, :], axis=2)
-        np.fill_diagonal(d, np.inf)
-        spacing = float(d.min(axis=1).max())
-        # the mollifier averages over a disk of radius = depth; depths below the
-        # sample spacing cannot be resolved by nearest-sample lookup
-        if spacing > 0.5 * delta:
-            raise GeometryError(
-                f"boundary sampling (spacing {spacing:.3g}) too coarse for the "
-                f"mollification stencil at depth {delta:.3g}")
-
-        def data_fn(q):
-            q = np.atleast_2d(q)
-            idx = np.argmin(np.linalg.norm(q[:, None, :] - pts_s[None, :, :], axis=2),
-                            axis=1)
-            return vals_s[idx]
-    else:
-        data_fn = data
-
-    # radially symmetric polynomial bump on the unit disk, quadrature-normalized
-    rr = gauss_legendre(8, 0.0, 1.0)
-    aa = periodic_trapezoid(32)
-    r, a = np.meshgrid(rr.nodes, aa.nodes, indexing="ij")
-    w = np.outer(rr.weights, aa.weights) * r * (1.0 - r ** 2) ** 4
-    stencil = np.stack([(r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()], axis=1)
-    weights = w.ravel()
-    weights = weights / weights.sum()
-    return BoundaryExtension(origin, e1, e2, n, data_fn, float(delta),
-                             stencil, weights)
 
 
 # ---------------------------------------------------------------------------

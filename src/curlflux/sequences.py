@@ -54,12 +54,3 @@ def judge_sequence(values, scale: float) -> SequenceVerdict:
     gap = float(richardson_gap(v))
     return SequenceVerdict(bool(abs(gap) <= GAP_TOL * scale), float(richardson_limit(v)),
                            float(np.ptp(v[-6:])), gap, float(scale))
-
-
-def fit_decay_slope(params, errors) -> float:
-    """Least-squares slope of log(error) against log(parameter)."""
-    p = np.log(np.asarray(params, dtype=float))
-    e = np.log(np.maximum(np.asarray(errors, dtype=float), 1e-300))
-    A = np.stack([p, np.ones_like(p)], axis=1)
-    slope, _ = np.linalg.lstsq(A, e, rcond=None)[0]
-    return float(slope)

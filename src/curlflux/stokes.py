@@ -219,16 +219,8 @@ class ManifoldDivMeasure:
         sup over unit test functions of the pairing with the field's surface
         gradient. Independent of the pointwise/atom decomposition, so it also
         sees line-concentrated divergence."""
-        _, _, n = _flat_frame(self.manifold)
-        patch = self.manifold.patch
-        best = 0.0
-        for phi in dictionary:
-            def integrand(pts, phi=phi):
-                g = np.atleast_2d(phi.gradient(pts))
-                gt = g - np.outer(g @ n, n)
-                return np.einsum("ij,ij->i", gt, np.atleast_2d(self.values(pts)))
-            best = max(best, abs(surface_integral(patch, integrand)))
-        return best
+        return max((abs(_tangential_pairing(self.manifold.patch, phi, self.values))
+                    for phi in dictionary), default=0.0)
 
 
 def _flat_frame(manifold: BoundaryManifold):
@@ -279,14 +271,7 @@ def manifold_div_measure(values, manifold: BoundaryManifold,
 
 def gauss_green_manifold(dm: ManifoldDivMeasure, testfn: ScalarTestFunction) -> float:
     """Boundary functional -<div v, phi> - int grad_tau(phi) . v."""
-    _, _, n = _flat_frame(dm.manifold)
-
-    def gt_dot_v(pts):
-        g = np.atleast_2d(testfn.gradient(pts))
-        gt = g - np.outer(g @ n, n)
-        return np.einsum("ij,ij->i", gt, np.atleast_2d(dm.values(pts)))
-
-    return -dm.action(testfn.value) - surface_integral(dm.manifold.patch, gt_dot_v)
+    return -dm.action(testfn.value) - _tangential_pairing(dm.manifold.patch, testfn, dm.values)
 
 
 def stokes_transversal(trace_on_shifted, manifold: BoundaryManifold,

@@ -1,9 +1,9 @@
 """Smooth test functions and vector fields with analytic derivatives.
 
 Dual bounds, tangentiality checks, and divergence dictionaries all pair
-against these. The dictionary mixes radial quintic bumps at three scales with
-low-order trigonometric fields; every entry carries closed-form gradient and
-curl so the pairings never fall back to finite differences.
+against these: radial bumps and low-order trigonometric fields, each with a
+closed-form gradient and curl so the pairings never fall back to finite
+differences.
 """
 
 from __future__ import annotations
@@ -107,27 +107,6 @@ class VectorTestField:
     label: str = ""
 
 
-def constant_one(radius: float = np.inf) -> ScalarTestFunction:
-    """Cutoff that equals 1 on the origin-centred ball of half the radius (or
-    globally)."""
-    if np.isinf(radius):
-        return ScalarTestFunction(lambda x: np.ones(np.atleast_2d(x).shape[0]),
-                                  lambda x: np.zeros_like(np.atleast_2d(x)), "one")
-
-    def value(x):
-        r = np.linalg.norm(np.atleast_2d(x), axis=1)
-        return cutoff_profile(r / radius)
-
-    def gradient(x):
-        x = np.atleast_2d(x)
-        r = np.linalg.norm(x, axis=1)
-        mag = cutoff_profile_prime(r / radius) / radius
-        safe = np.where(r == 0.0, 1.0, r)
-        return mag[:, None] * x / safe[:, None]
-
-    return ScalarTestFunction(value, gradient, "cutoff_one")
-
-
 def radial_bump(center, radius: float, plateau: float = 0.5) -> ScalarTestFunction:
     """Bump equal to 1 on |x-c| <= plateau*radius, 0 outside radius."""
     center = np.asarray(center, dtype=float)
@@ -223,17 +202,3 @@ def windowed(field: VectorTestField, window: ScalarTestFunction) -> VectorTestFi
                 + np.cross(window.gradient(x), field.value(x)))
 
     return VectorTestField(value, curl, f"windowed({field.label})")
-
-
-def scalar_dictionary(center, scale: float) -> list[ScalarTestFunction]:
-    """Bumps at three scales around offset centers plus two trig entries."""
-    center = np.asarray(center, dtype=float)
-    rng = np.random.default_rng(1234)
-    entries: list[ScalarTestFunction] = []
-    for level in (1.0, 0.5, 0.25):
-        for _ in range(2):
-            off = scale * 0.3 * rng.uniform(-1.0, 1.0, size=3)
-            entries.append(radial_bump(center + off, level * scale))
-    entries.append(trig_scalar(rng.standard_normal(3) / scale))
-    entries.append(trig_scalar(rng.standard_normal(3) / scale, phase=0.7))
-    return entries

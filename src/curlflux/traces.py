@@ -18,6 +18,7 @@ from .fields import CurlMeasure, VectorField, integrate_measure
 from .geometry import (
     BoundaryManifold,
     SolidRegion,
+    SurfacePatch,
     TransversalCollar,
     ball_region,
     disk_patch,
@@ -29,7 +30,6 @@ from .geometry import (
 from .sequences import (
     GAP_TOL,
     SequenceVerdict,
-    fit_decay_slope,
     judge_sequence,
     richardson_gap,
     richardson_limit,
@@ -109,10 +109,11 @@ class TangentialTrace:
     sup_bound: float
 
 
-def estimate_trace_layerwise(fld: VectorField, manifold: BoundaryManifold,
+def estimate_trace_layerwise(fld: VectorField, surface: BoundaryManifold | SurfacePatch,
                              collar: TransversalCollar, t_grid: Sequence[float],
                              side: str = "interior") -> TangentialTrace:
-    """Pull back F x nu from transversally shifted copies of the manifold.
+    """Pull back F x nu from transversally shifted copies of a boundary patch
+    (or of a manifold's patch), sampled at its own nodes.
 
     `t_grid` lists the shifts 2^-j, finest last. Each node's value is the
     Richardson limit of its column of the (shifts, nodes, 3) stack. A node
@@ -120,8 +121,9 @@ def estimate_trace_layerwise(fld: VectorField, manifold: BoundaryManifold,
     times sup |F x nu| over the stack, so fewer than five shifts flag every
     node. Non-convergent nodes keep their value but are flagged.
     """
-    slide = collar.slide_for(manifold.patch)
-    base, nu0 = manifold.patch.nodes, manifold.patch.normals
+    patch = surface.patch if isinstance(surface, BoundaryManifold) else surface
+    slide = collar.slide_for(patch)
+    base, nu0 = patch.nodes, patch.normals
     sign = 1.0 if side == "interior" else -1.0
     seq = []
     for t in t_grid:
@@ -156,15 +158,6 @@ def _layer_pairing(fld: VectorField, collar: TransversalCollar, data,
     return judge_sequence(vals, mags.max())
 
 
-def trace_pairing_via_layers(fld: VectorField, region: SolidRegion,
-                             collar: TransversalCollar, testvec_value,
-                             eps_grid: Sequence[float]) -> tuple[float, SequenceVerdict]:
-    """Pairing with a vector test field by the solid ramp route: the
-    Richardson limit over eps and its verdict."""
-    verdict = _layer_pairing(fld, collar, lambda base, pts, nu: testvec_value(pts), eps_grid)
-    return verdict.limit, verdict
-
-
 def _backed(verdict: SequenceVerdict) -> float:
     if not verdict.converged:
         raise StokesRefusal(f"layer pairing did not converge (gap {verdict.gap:.3g}, "
@@ -172,9 +165,8 @@ def _backed(verdict: SequenceVerdict) -> float:
     return verdict.limit
 
 
-def boundary_pairing_layer_route(fld: VectorField, region: SolidRegion,
-                                 collar: TransversalCollar, boundary_data,
-                                 eps_grid: Sequence[float]) -> float:
+def boundary_pairing_layer_route(fld: VectorField, collar: TransversalCollar,
+                                 boundary_data, eps_grid: Sequence[float]) -> float:
     """Layer pairing against boundary data extended constantly along the
     slides; refuses when its limit is not backed."""
     return _backed(_layer_pairing(fld, collar, lambda base, pts, nu: boundary_data(base),
@@ -187,29 +179,22 @@ def tangentiality_defect(fld: VectorField, region: SolidRegion,
     """|T(phi) - T(phi_tau)| with phi_tau the pointwise tangential part of the
     boundary data; both pairings via the boundary-layer route, and refused
     when either limit is not backed."""
+    # `region` is unread (the layer loop needs only the collar); it stays
+    # because perfbench/workloads.py passes it positionally
     eps_grid = tuple(eps_grid)
 
     def data_tangential(base, pts, nu):
         vals = np.atleast_2d(boundary_data(base))
         return vals - np.einsum("ij,ij->i", vals, nu)[:, None] * nu
 
-    t_full = boundary_pairing_layer_route(fld, region, collar, boundary_data, eps_grid)
+    t_full = boundary_pairing_layer_route(fld, collar, boundary_data, eps_grid)
     t_tan = _backed(_layer_pairing(fld, collar, data_tangential, eps_grid))
     return abs(t_full - t_tan)
 
 
 # ---------------------------------------------------------------------------
-# order diagnostic
+# principal-value face pairings
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceDiagnostic:
-    epsilon_grid: tuple[float, ...]
-    total_variation: tuple[float, ...]
-    order_flag: str  # "order_zero" | "order_one_only"
-    log_fit_slope: float
-    power_fit_exponent: float
 
 
 def _geometric_breaks(eps: float, radius: float) -> tuple[float, ...]:
@@ -220,30 +205,6 @@ def _geometric_breaks(eps: float, radius: float) -> tuple[float, ...]:
         breaks.append(r)
         r *= 2.0
     return tuple(breaks)
-
-
-def trace_order_diagnostic(trace_values, center, radius: float,
-                           eps_grid: Sequence[float]) -> TraceDiagnostic:
-    """Total variation of a face trace outside shrinking disks around the
-    declared singular point, on the z-plane face; unbounded logarithmic
-    growth flags order one."""
-    eps_grid = tuple(sorted(eps_grid, reverse=True))
-    tvs = []
-    for eps in eps_grid:
-        annulus = disk_patch(center, radius, order=16, n_angular=64,
-                             inner_radius=eps,
-                             radial_breaks=_geometric_breaks(eps, radius))
-        tvs.append(surface_integral(
-            annulus, lambda pts: np.linalg.norm(np.atleast_2d(trace_values(pts)), axis=1)))
-    logs = np.log(1.0 / np.asarray(eps_grid))
-    A = np.stack([logs, np.ones_like(logs)], axis=1)
-    slope, _ = np.linalg.lstsq(A, np.asarray(tvs), rcond=None)[0]
-    power = fit_decay_slope(eps_grid, np.maximum(tvs, 1e-300))
-    tv_span = max(tvs) - min(tvs)
-    unbounded = slope > 0.05 * max(abs(max(tvs)), 1.0) and tv_span > 0.1 * abs(max(tvs))
-    return TraceDiagnostic(eps_grid, tuple(float(t) for t in tvs),
-                           "order_one_only" if unbounded else "order_zero",
-                           float(slope), float(power))
 
 
 def pv_face_pairing(kernel, center, radius: float, testfn: ScalarTestFunction,

@@ -3,6 +3,13 @@ import pytest
 
 from curlflux import fields as flds
 from curlflux import geometry as geo
+from curlflux.testfns import (
+    ScalarTestFunction,
+    cutoff_profile,
+    cutoff_profile_prime,
+    radial_bump,
+    trig_scalar,
+)
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +55,39 @@ def newtonian():
 @pytest.fixture(scope="session")
 def annuli():
     return flds.catalog("annuli")
+
+
+@pytest.fixture(scope="session")
+def cutoff_one():
+    """Cutoff equal to 1 on the origin-centred ball of radius 1.5, zero past
+    radius 3; it declares no support ball, so pairings use the whole region."""
+    radius = 3.0
+
+    def value(x):
+        r = np.linalg.norm(np.atleast_2d(x), axis=1)
+        return cutoff_profile(r / radius)
+
+    def gradient(x):
+        x = np.atleast_2d(x)
+        r = np.linalg.norm(x, axis=1)
+        mag = cutoff_profile_prime(r / radius) / radius
+        safe = np.where(r == 0.0, 1.0, r)
+        return mag[:, None] * x / safe[:, None]
+
+    return ScalarTestFunction(value, gradient, "cutoff_one")
+
+
+@pytest.fixture(scope="session")
+def scalar_dictionary():
+    """Bumps at three scales around offset centers near the origin plus two
+    trig entries, at scale 1/2."""
+    scale = 0.5
+    rng = np.random.default_rng(1234)
+    entries = []
+    for level in (1.0, 0.5, 0.25):
+        for _ in range(2):
+            off = scale * 0.3 * rng.uniform(-1.0, 1.0, size=3)
+            entries.append(radial_bump(off, level * scale))
+    entries.append(trig_scalar(rng.standard_normal(3) / scale))
+    entries.append(trig_scalar(rng.standard_normal(3) / scale, phase=0.7))
+    return entries

@@ -59,11 +59,6 @@ def test_flat_uniform_periodic_sheet_cancels():
     assert np.max(np.abs(u)) <= 1e-14
 
 
-def test_refinement_slope_is_second_order_off_the_sheet():
-    sheet = br.flat_periodic_sheet(16, 16, bump_amplitude=0.05)
-    assert br.refinement_slope(sheet, (0.2, 0.1, 0.05)) > 1.5
-
-
 @pytest.mark.parametrize("shape", [(4, 1), (1, 4)])
 def test_one_row_sheets_step(shape):
     out = br.step(br.flat_periodic_sheet(*shape), 0.01)

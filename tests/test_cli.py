@@ -123,6 +123,14 @@ def test_trace_pairs_each_cylinder_face_with_its_own_slide():
     np.testing.assert_allclose(trace, np.cross(field, nu), rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("spec, face", [("half_ball:order=8", "disk"), ("ball:order=8", "sphere")])
+def test_trace_samples_each_face_on_the_region_rule(spec, face):
+    # an order-8 region has 8 x 96 nodes on its face, not the default 24 x 96
+    table = cli.run(cli.RunConfig("trace", {"field": "rigid_rotation", "region": spec}))
+    assert len(table.rows) == 8 * 96
+    assert {r[0] for r in table.rows} == {face}
+
+
 @pytest.mark.parametrize("argv, params", [
     (["trace", "--field", "rigid_rotation", "--region", "half_ball:order=8"],
      {"field": "rigid_rotation", "region": "half_ball:order=8"}),
@@ -158,6 +166,10 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["br", "--grid", "4x4", "--steps", "1", "--dt", "-1"],
     ["stokes", "--field", "rigid_rotation", "--route", "transversal", "--t", "0.6"],
     ["stokes", "--field", "rigid_rotation", "--delta-max-j", "1"],
+    # options the chosen route does not read
+    ["stokes", "--field", "rigid_rotation", "--route", "mass", "--delta-max-j", "3"],
+    ["stokes", "--field", "rigid_rotation", "--route", "transversal", "--delta-max-j", "3"],
+    ["stokes", "--field", "rigid_rotation", "--region", "ball"],
     # malformed numbers in specs and lists
     ["br", "--gamma", "x"],
     ["maximal", "--field", "line_vortex", "--t-grid", "abc"],

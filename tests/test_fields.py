@@ -179,35 +179,3 @@ def test_piecewise_eval_dispatch():
     above = pw.eval(np.array([[0.1, 0.0, 0.5]]))[0]
     below = pw.eval(np.array([[0.1, 0.0, -0.5]]))[0]
     assert np.array_equal(above, [1, 0, 0]) and np.array_equal(below, [0, 1, 0])
-
-
-# ---------------------------------------------------------------------------
-# mollification
-# ---------------------------------------------------------------------------
-
-
-def test_mollify_constant():
-    fld = flds.constant_field((0.2, -1.0, 0.4))
-    m = flds.mollify(fld, 0.1)
-    x = np.array([[0.3, 0.1, -0.2]])
-    assert np.abs(m.eval(x) - fld.eval(x)).max() < 1e-13
-
-
-def test_mollify_polynomial_curl(rigid_rotation):
-    m = flds.mollify(rigid_rotation.vector_field, 0.15)
-    c = flds.numeric_curl(m, [0.2, -0.1, 0.3], h=1e-3)
-    assert np.abs(c - np.array([0, 0, 2.0])).max() < 1e-6
-
-
-def test_mollified_line_measure_pairing(line_vortex):
-    # pairing the mollified curl density with e3 over the cylinder approaches 1;
-    # the volume rule must resolve the mollifier width
-    e3 = np.array([0.0, 0.0, 1.0])
-    errs = []
-    for delta, order in ((0.25, 24), (0.125, 48)):
-        cyl = geo.cylinder_region(order=order, n_angular=24)
-        dens = flds.mollified_measure_density(line_vortex.curl, delta)
-        val = geo.volume_integral(cyl, lambda x: np.atleast_2d(dens(x)) @ e3)
-        errs.append(abs(float(val) - 1.0))
-    assert errs[0] < 5e-2
-    assert errs[1] < errs[0]

@@ -276,9 +276,6 @@ def test_closed_sphere_collar_is_empty():
     man = geo.closed_sphere_manifold((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(man)
     assert col.empty
-    hf = geo.height_function(man, col, 0.1, 0.05)
-    assert np.all(hf.value_at_parameter([0.0, 0.3]) == 1.0)
-    assert hf.sup_gradient() == 0.0
 
 
 def test_degenerate_boundary_rejected():
@@ -316,43 +313,8 @@ def test_shrink_tangential_keeps_node_count(man):
 
 
 # ---------------------------------------------------------------------------
-# height functions and collar bands
+# collar bands
 # ---------------------------------------------------------------------------
-
-
-def test_height_function_flat_gradient(unit_disk_manifold, unit_disk_collar):
-    hf = geo.height_function(unit_disk_manifold, unit_disk_collar, 0.0, 0.1)
-    assert abs(hf.sup_gradient() - 10.0) < 1e-10
-
-
-def test_height_function_range_checks(unit_disk_manifold, unit_disk_collar):
-    with pytest.raises(geo.GeometryError):
-        geo.height_function(unit_disk_manifold, unit_disk_collar, 0.6, 0.1)
-    with pytest.raises(geo.GeometryError):
-        geo.height_function(unit_disk_manifold, unit_disk_collar, 0.1, 0.3)
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.floats(0.0, 0.45), st.floats(0.01, 0.24))
-def test_height_function_invariants(t, delta):
-    man = geo.disk_manifold((0, 0, 0), 1.0)
-    col = geo.build_tangential_collar(man)
-    hf = geo.height_function(man, col, t, delta)
-    s = np.linspace(0, 0.9, 40)
-    vals = hf.value_at_parameter(s)
-    assert np.all((0.0 <= vals) & (vals <= 1.0))
-    ramp = (vals > 0) & (vals < 1)
-    assert np.all((s[ramp] > t) & (s[ramp] < t + delta))
-    # scaled gradient bound is uniform in (t, delta) for the radial collar
-    assert hf.sup_gradient() * delta <= 1.0 + 1e-9
-
-
-def test_cap_height_gradient_bound():
-    man = geo.spherical_cap_manifold((0, 0, 0), 1.0, np.pi / 2)
-    col = geo.build_tangential_collar(man)
-    hf = geo.height_function(man, col, 0.0, 0.05)
-    c = 1.0 / (np.pi / 2)  # meridian collar on the unit sphere
-    assert hf.sup_gradient() <= (c / 0.05) * (1 + 1e-9)
 
 
 def test_band_area_comparability(unit_disk_collar):
@@ -509,56 +471,3 @@ def test_region_boundary_tiles(half_ball):
         pts, nu, w = patch.nodes, patch.normals, patch.weights
         bd += float(np.sum(w * np.einsum("ij,ij->i", f(pts), nu)))
     assert abs(vol + bd) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# extension operator
-# ---------------------------------------------------------------------------
-
-
-def test_extension_constant_data(unit_disk_manifold):
-    ext = geo.extend_boundary_function(unit_disk_manifold,
-                                       lambda p: np.ones(len(np.atleast_2d(p))), 0.2)
-    from curlflux.testfns import cutoff_profile
-    zs = np.array([0.0, 0.05, 0.1, 0.15, 0.25])
-    pts = np.stack([np.full_like(zs, 0.1), np.zeros_like(zs), zs], axis=1)
-    vals = ext.value(pts)
-    assert np.abs(vals - cutoff_profile(zs / 0.2)).max() < 1e-12
-    assert vals[-1] == 0.0  # vanishes past the extension depth
-
-
-def test_extension_linear_data(unit_disk_manifold):
-    # in-plane mollification of affine data reproduces it exactly
-    ext = geo.extend_boundary_function(unit_disk_manifold, lambda p: np.atleast_2d(p)[:, 0],
-                                       0.3)
-    pts = np.array([[0.2, 0.1, 0.05], [0.4, -0.3, 0.1]])
-    from curlflux.testfns import cutoff_profile
-    expected = pts[:, 0] * cutoff_profile(pts[:, 2] / 0.3)
-    assert np.abs(ext.value(pts) - expected).max() < 1e-12
-
-
-def test_extension_boundary_agreement(unit_disk_manifold):
-    def hat(p):
-        p = np.atleast_2d(p)
-        return np.clip(1.0 - np.hypot(p[:, 0], p[:, 1]) / 0.5, 0.0, None)
-
-    ext = geo.extend_boundary_function(unit_disk_manifold, hat, 0.2)
-    pts = np.array([[0.1, 0.2, 0.0], [0.3, 0.0, 0.0]])
-    assert np.abs(ext.value(pts) - hat(pts)).max() < 1e-12
-
-
-def test_extension_gradient_bound(unit_disk_manifold):
-    def hat(p):
-        p = np.atleast_2d(p)
-        return np.clip(1.0 - np.hypot(p[:, 0], p[:, 1]) / 0.5, 0.0, None)
-
-    ext = geo.extend_boundary_function(unit_disk_manifold, hat, 0.2)
-    report = ext.gradient_bound_report()
-    assert report["fitted_constant"] <= 8.0
-
-
-def test_extension_rejects_coarse_samples(unit_disk_manifold):
-    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
-    vals = np.array([1.0, 0.5, 0.2])
-    with pytest.raises(geo.GeometryError):
-        geo.extend_boundary_function(unit_disk_manifold, (pts, vals), delta=0.05)

@@ -12,7 +12,6 @@ from curlflux.testfns import (
     ScalarTestFunction,
     radial_bump,
     random_trig_vector,
-    scalar_dictionary,
     smooth_bump,
     trig_scalar,
 )
@@ -468,8 +467,8 @@ def test_mass_representative_independence(line_vortex, unit_disk_manifold,
             assert diff < 1e-6
 
 
-def test_mass_independence_precondition(unit_disk_manifold, unit_disk_collar):
-    dictionary = scalar_dictionary((0.0, 0.0, 0.0), 0.5)
+def test_mass_independence_precondition(unit_disk_manifold, unit_disk_collar,
+                                        scalar_dictionary):
     G1 = lambda pts: np.zeros_like(np.atleast_2d(pts))
 
     def radial_nondivfree(pts):
@@ -479,7 +478,7 @@ def test_mass_independence_precondition(unit_disk_manifold, unit_disk_collar):
     with pytest.raises(stk.StokesRefusal):
         stk.mass_representative_independence(G1, radial_nondivfree,
                                              unit_disk_manifold, unit_disk_collar,
-                                             0.2, dictionary)
+                                             0.2, scalar_dictionary)
 
 
 # ---------------------------------------------------------------------------

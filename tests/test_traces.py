@@ -29,12 +29,10 @@ def _boundary_cross_oracle(region, fld):
 # ---------------------------------------------------------------------------
 
 
-def test_pairing_matches_boundary_integral(rigid_rotation, half_ball):
+def test_pairing_matches_boundary_integral(rigid_rotation, half_ball, cutoff_one):
     # testfn == 1 near the region: the pairing is the boundary cross integral
-    from curlflux.testfns import constant_one
-    one = constant_one(radius=3.0)
     got = trc.trace_pairing(rigid_rotation.curl, rigid_rotation.vector_field,
-                            half_ball, one)
+                            half_ball, cutoff_one)
     oracle = _boundary_cross_oracle(half_ball, rigid_rotation.vector_field)
     assert np.abs(got - oracle).max() < 1e-8
 
@@ -253,26 +251,26 @@ def test_cross_route_equality(rigid_rotation, half_ball):
     tv = random_trig_vector(7, n_modes=2, kmax=1.0)
     a = trc.trace_pairing_vector(rigid_rotation.curl, rigid_rotation.vector_field,
                                  half_ball, tv)
-    b, verdict = trc.trace_pairing_via_layers(rigid_rotation.vector_field, half_ball,
-                                              tcol, tv.value,
-                                              [2.0 ** -k for k in range(3, 9)])
+    b = trc._layer_pairing(rigid_rotation.vector_field, tcol,
+                           lambda base, pts, nu: tv.value(pts),
+                           [2.0 ** -k for k in range(3, 9)]).limit
     assert abs(a - b) < 1e-4
 
 
 def test_layer_route_zero_testvec(rigid_rotation, half_ball):
     tcol = geo.build_transversal_collar(half_ball)
-    val, _ = trc.trace_pairing_via_layers(
-        rigid_rotation.vector_field, half_ball, tcol,
-        lambda pts: np.zeros_like(np.atleast_2d(pts)), [0.1, 0.05, 0.025])
+    val = trc._layer_pairing(
+        rigid_rotation.vector_field, tcol,
+        lambda base, pts, nu: np.zeros_like(np.atleast_2d(pts)), [0.1, 0.05, 0.025]).limit
     assert val == 0.0
 
 
-def test_layer_route_line_vortex_face(line_vortex, unit_cylinder, cylinder_collar):
+def test_layer_route_line_vortex_face(line_vortex, cylinder_collar):
     from curlflux.testfns import bump_vector
     tv = bump_vector((0.35, 0.0, 0.0), 0.45, (0.1, -0.2, 0.25))
-    got, verdict = trc.trace_pairing_via_layers(
-        line_vortex.vector_field, unit_cylinder, cylinder_collar, tv.value,
-        [2.0 ** -k for k in range(4, 10)])
+    got = trc._layer_pairing(
+        line_vortex.vector_field, cylinder_collar, lambda base, pts, nu: tv.value(pts),
+        [2.0 ** -k for k in range(4, 10)]).limit
     face = geo.disk_patch((0, 0, 0), 1.0, order=24, n_angular=96,
                           radial_breaks=(0.05, 0.1, 0.2, 0.4))
     oracle = geo.surface_integral(
@@ -289,7 +287,7 @@ def test_tangentiality_defect_normal_data(rigid_rotation):
     def nu_data(base):
         return -base / np.linalg.norm(np.atleast_2d(base), axis=1, keepdims=True)
 
-    t_nu = trc.boundary_pairing_layer_route(rigid_rotation.vector_field, ball, tcol,
+    t_nu = trc.boundary_pairing_layer_route(rigid_rotation.vector_field, tcol,
                                             nu_data, [2.0 ** -k for k in range(3, 9)])
     defect = trc.tangentiality_defect(rigid_rotation.vector_field, ball, tcol,
                                       nu_data, [2.0 ** -k for k in range(3, 9)])
@@ -358,39 +356,8 @@ def test_tangentiality_defect_equals_nearest_node_reference(rigid_rotation, shap
         nu = _nearest_node_normals(region, base)
         return vals - np.einsum("ij,ij->i", vals, nu)[:, None] * nu
 
-    t_full = trc.boundary_pairing_layer_route(fld, region, tcol, tv.value, eps_grid)
-    t_tan = trc.boundary_pairing_layer_route(fld, region, tcol, data_tangential, eps_grid)
+    t_full = trc.boundary_pairing_layer_route(fld, tcol, tv.value, eps_grid)
+    t_tan = trc.boundary_pairing_layer_route(fld, tcol, data_tangential, eps_grid)
     got = trc.tangentiality_defect(fld, region, tcol, tv.value, eps_grid)
     assert got == abs(t_full - t_tan)
     assert 0.0 < got < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# order diagnostic
-# ---------------------------------------------------------------------------
-
-
-def test_order_diagnostic_newtonian(newtonian):
-    eps_grid = (1e-1, 1e-2, 1e-3)
-    diag = trc.trace_order_diagnostic(newtonian.trace_z_plane, (0, 0, 0), 1.0,
-                                      eps_grid)
-    for eps, tv in zip(diag.epsilon_grid, diag.total_variation):
-        exact = 0.5 * np.log(1.0 / eps)
-        assert abs(tv - exact) / exact < 0.01
-    assert diag.order_flag == "order_one_only"
-
-
-def test_order_diagnostic_bounded(rigid_rotation):
-    diag = trc.trace_order_diagnostic(rigid_rotation.trace_z_plane, (0, 0, 0), 1.0,
-                                      (1e-1, 1e-2, 1e-3))
-    assert diag.order_flag == "order_zero"
-    assert max(diag.total_variation) - min(diag.total_variation) < 0.05
-
-
-def test_order_diagnostic_line_vortex_face(line_vortex):
-    # |trace| ~ 1/(2 pi rho): integrable in 2D, TV(eps) = 1 - eps stays bounded
-    diag = trc.trace_order_diagnostic(line_vortex.trace_z_plane, (0, 0, 0), 1.0,
-                                      (1e-1, 1e-2, 1e-3))
-    assert diag.order_flag == "order_zero"
-    for eps, tv in zip(diag.epsilon_grid, diag.total_variation):
-        assert abs(tv - (1.0 - eps)) < 1e-6
