@@ -18,13 +18,23 @@ get half weights instead of a discontinuous fold. The neglected lattice tail
 is reported as a truncation-error estimate in the diagnostics.
 
 Strength is a material invariant: it is carried with the markers and
-re-projected onto the discrete tangent plane each step. The O(N^2) kernel is
-plain numpy: it walks the targets in chunks of a few dozen rows and builds
-only per-coordinate (rows, sources) pair arrays: folded displacements, the
-partner images and their hat weights, and the image-summed kernel moments kx,
-ky and kz = dz sum(k). The strength gamma w then enters once, as three
-mat-vecs for the cross product. Free space is the same loop with one image of
-weight 1.
+re-projected onto the discrete tangent plane each step.
+
+The O(N^2) kernel is plain numpy. It walks the targets in strips of 32 rows.
+One helper, `_moments`, writes a strip's (rows, sources) pair arrays into
+twelve preallocated rows with ufunc `out=`: the folded displacements, the
+partner images and their hat weights, and the image-summed kernel moments
+kx, ky and kz = dz sum(k). The strength gamma w then enters once, as six
+mat-vecs for the cross product. Free space is the same helper with one
+image of weight 1.
+
+On the sheet's own markers the moments are odd in (i, j): the displacement
+is odd, and the fold and the hat weights are even. Strip [lo, hi) then
+computes only the columns [lo, N). It adds them to its own rows, and
+subtracts the transposed off-diagonal block from rows [hi, N). That halves
+the pair work; the result differs from the full sum only in rounding order.
+Any other point set takes the full sum, in the same floating-point order as
+the plain expressions.
 """
 
 from __future__ import annotations
@@ -45,38 +55,101 @@ class SheetError(RuntimeError):
 # kernels
 # ---------------------------------------------------------------------------
 
-def _velocity_numpy(targets, sources, gamma, w, delta2, periods=None):
-    gw = gamma * w[:, None]
-    out = np.empty((targets.shape[0], 3))
-    for lo in range(0, targets.shape[0], 32):
-        t = targets[lo:lo + 32]
-        dx0, dy0, dz = (t[:, k, None] - sources[None, :, k] for k in range(3))
+def _moments(buf, targets, sources, delta2, periods):
+    """Image-summed kernel moments kx, ky and kz = dz sum(k) of every
+    (target, source) pair, as (targets, sources) views into the twelve rows
+    of buf; each row needs len(targets) * len(sources) entries. Every
+    intermediate is written with a ufunc `out=`, in the same floating-point
+    order as the plain expression would take."""
+    shape = (len(targets), len(sources))
+    dx, dy, dz, ux, uy, py, sx, p, q, kx, ky, kk = (row[:shape[0] * shape[1]].reshape(shape)
+                                                    for row in buf)
+    for c, d in enumerate((dx, dy, dz)):
+        np.subtract(targets[:, c, None], sources[None, :, c], out=d)
+    if periods is None:
+        images = ((False, False),)
+    else:
+        lx, ly = periods
+        for d, u, period in ((dx, ux, lx), (dy, uy, ly)):
+            # fold into the target-centered cell; u = |d| / L is the hat
+            # weight of the partner image d - L sign(d), 1 - u that of d
+            np.divide(d, period, out=p)
+            p += 0.5
+            np.floor(p, out=p)
+            p *= period
+            d -= p
+            np.abs(d, out=u)
+            u /= period
+        # at d = 0 the partner sits at -L instead of +L, with hat weight 0
+        np.copysign(ly, dy, out=py)
+        np.subtract(dy, py, out=py)
+        images = ((False, False), (False, True), (True, False), (True, True))
+    for n, (x_partner, y_partner) in enumerate(images):
+        cy = py if y_partner else dy
+        if not y_partner:
+            if x_partner:
+                # the cell image's terms are summed: dx becomes its partner
+                np.copysign(lx, dx, out=p)
+                dx -= p
+            # sx = dx^2 + dz^2 + delta^2, rebuilt per x image to spare a row for dz^2
+            np.multiply(dz, dz, out=sx)
+            sx += delta2
+            np.multiply(dx, dx, out=p)
+            sx += p
+        np.multiply(cy, cy, out=p)
+        p += sx
+        np.sqrt(p, out=q)
+        p *= q
+        # k = hx hy / s^(3/2), the first image's straight into the sum kk
+        k = kk if n == 0 else q
         if periods is None:
-            xs, ys = ((dx0, 1.0),), ((dy0, 1.0),)
+            np.divide(1.0, p, out=k)
         else:
-            # folded displacement and hat-weighted partner image per coordinate
-            lx, ly = periods
-            dx0 -= lx * np.floor(dx0 / lx + 0.5)
-            dy0 -= ly * np.floor(dy0 / ly + 0.5)
-            ux, uy = np.abs(dx0) / lx, np.abs(dy0) / ly
-            xs = ((dx0, 1.0 - ux), (np.where(dx0 > 0.0, dx0 - lx, dx0 + lx), ux))
-            ys = ((dy0, 1.0 - uy), (np.where(dy0 > 0.0, dy0 - ly, dy0 + ly), uy))
-        dz2 = dz * dz + delta2
-        kx = ky = kk = 0.0
-        for cx, hx in xs:
-            sx = cx * cx + dz2
-            for cy, hy in ys:
-                s = sx + cy * cy
-                k = hx * hy / (s * np.sqrt(s))
-                kx = kx + k * cx
-                ky = ky + k * cy
-                kk = kk + k
-        kz = dz * kk
-        # (gamma w) x (kx, ky, kz), summed over sources as three mat-vecs
-        o = out[lo:lo + 32]
-        o[:, 0] = kz @ gw[:, 1] - ky @ gw[:, 2]
-        o[:, 1] = kx @ gw[:, 2] - kz @ gw[:, 0]
-        o[:, 2] = ky @ gw[:, 0] - kx @ gw[:, 1]
+            # the first image needs both complements: 1 - ux in kk, 1 - uy in q
+            hx = ux if x_partner else np.subtract(1.0, ux, out=k)
+            hy = uy if y_partner else np.subtract(1.0, uy, out=q if n == 0 else k)
+            np.multiply(hx, hy, out=k)
+            k /= p
+        if n == 0:
+            np.multiply(k, dx, out=kx)
+            np.multiply(k, cy, out=ky)
+        else:
+            np.multiply(k, dx, out=p)
+            kx += p
+            np.multiply(k, cy, out=p)
+            ky += p
+            kk += k
+    kk *= dz
+    return kx, ky, kk
+
+
+def _cross_sum(kx, ky, kz, gw):
+    # (gamma w) x (kx, ky, kz), summed over sources as six mat-vecs
+    return np.column_stack((kz @ gw[:, 1] - ky @ gw[:, 2], kx @ gw[:, 2] - kz @ gw[:, 0],
+                            ky @ gw[:, 0] - kx @ gw[:, 1]))
+
+
+def _probe_velocity(targets, sources, gw, delta2, periods):
+    buf = np.empty((12, 32 * len(sources)))
+    out = np.empty((len(targets), 3))
+    for lo in range(0, len(targets), 32):
+        out[lo:lo + 32] = _cross_sum(*_moments(buf, targets[lo:lo + 32], sources, delta2,
+                                               periods), gw)
+    return out * (-1.0 / (4.0 * np.pi))
+
+
+def _self_velocity(markers, gw, delta2, periods):
+    # the moments are odd in (i, j): strip [lo, hi) sums columns [lo, n)
+    # into its own rows and hands the transposed part, negated, to rows [hi, n)
+    n = len(markers)
+    buf = np.empty((12, 32 * n))
+    out = np.zeros((n, 3))
+    for lo in range(0, n, 32):
+        hi = min(lo + 32, n)
+        kx, ky, kz = _moments(buf, markers[lo:hi], markers[lo:], delta2, periods)
+        out[lo:hi] += _cross_sum(kx, ky, kz, gw[lo:])
+        m = hi - lo
+        out[hi:] -= _cross_sum(kx[:, m:].T, ky[:, m:].T, kz[:, m:].T, gw[lo:hi])
     return out * (-1.0 / (4.0 * np.pi))
 
 
@@ -97,8 +170,9 @@ class SheetState:
     time: float = 0.0
 
     def __post_init__(self):
-        if self.desing <= 0.0:
-            raise SheetError("desingularization length must be positive")
+        if not 0.0 < self.desing < np.inf:
+            raise SheetError(f"desingularization length must be positive and finite, "
+                             f"not {self.desing:g}")
 
     @property
     def n_markers(self) -> int:
@@ -146,6 +220,11 @@ def flat_periodic_sheet(n1: int, n2: int, gamma=(1.0, 0.0, 0.0),
     """Uniform flat sheet z = 0 on the unit periodic cell, optionally perturbed
     by a smooth bump; the smoothing length defaults to twice the coarser
     marker spacing."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (3,) or not np.all(np.isfinite(gamma)):
+        raise SheetError(f"strength gamma must be three finite numbers, not {gamma.tolist()}")
+    if not np.isfinite(bump_amplitude):
+        raise SheetError(f"bump amplitude must be finite, not {bump_amplitude:g}")
     u = (np.arange(n1) + 0.5) * (1.0 / n1)
     v = (np.arange(n2) + 0.5) * (1.0 / n2)
     U, V = np.meshgrid(u, v, indexing="ij")
@@ -153,7 +232,7 @@ def flat_periodic_sheet(n1: int, n2: int, gamma=(1.0, 0.0, 0.0),
     if bump_amplitude:
         Z = Z + bump_amplitude * np.sin(2 * np.pi * U) * np.sin(2 * np.pi * V)
     markers = np.stack([U, V, Z], axis=-1)
-    g = np.broadcast_to(np.asarray(gamma, dtype=float), markers.shape).copy()
+    g = np.broadcast_to(gamma, markers.shape).copy()
     w = np.full((n1, n2), (1.0 / n1) * (1.0 / n2))
     if desing is None:
         desing = 2.0 * max(1.0 / n1, 1.0 / n2)
@@ -164,11 +243,15 @@ def br_velocity(sheet: SheetState, points: np.ndarray) -> np.ndarray:
     """Desingularized self-induced velocity at arbitrary points.
 
     Marker self-terms vanish identically (zero displacement in the cross
-    product); no exclusion branch is needed.
+    product); no exclusion branch is needed. When the points are the sheet's
+    own flattened markers, the kernel sums each unordered pair once.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     src, g, w = sheet.flat()
-    return _velocity_numpy(pts, src, g, w, sheet.desing ** 2, periods=sheet.periods)
+    gw = g * w[:, None]
+    if pts.shape == src.shape and np.array_equal(pts, src):
+        return _self_velocity(src, gw, sheet.desing ** 2, sheet.periods)
+    return _probe_velocity(pts, src, gw, sheet.desing ** 2, sheet.periods)
 
 
 def _marker_velocities(sheet: SheetState, markers: np.ndarray) -> np.ndarray:
@@ -184,8 +267,8 @@ def retangentialize(strength: np.ndarray, normals: np.ndarray) -> np.ndarray:
 def step(sheet: SheetState, dt: float) -> SheetState:
     """One RK4 advection step; strengths ride with the markers and are
     re-projected onto the discrete tangent plane afterwards."""
-    if dt <= 0.0:
-        raise SheetError("time step must be positive")
+    if not 0.0 < dt < np.inf:
+        raise SheetError(f"time step must be positive and finite, not {dt:g}")
 
     X = sheet.markers
     k1 = _marker_velocities(sheet, X)

@@ -53,6 +53,27 @@ def test_free_space_kernel_matches_two_body_sum():
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("shape", [(7, 6), (5, 13)])
+def test_periodic_self_interaction_matches_image_loop(shape):
+    # the sheet's own markers take the pairwise path: 42 markers are a full
+    # strip of 32 rows and a partial one, 65 leave the last strip one row
+    sheet = _bumped_sheet(*shape)
+    markers = sheet.flat()[0]
+    got = br.br_velocity(sheet, markers)
+    ref = _image_loop(sheet, markers)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_free_space_self_interaction_matches_two_body_sum():
+    base = _bumped_sheet(5, 13)
+    sheet = br.SheetState(base.markers, base.strength, base.weights, 0.1)
+    src, g, w = sheet.flat()
+    got = br.br_velocity(sheet, src)
+    ref = np.array([sum(br.two_body_velocity(g[j], src[j], w[j], x, sheet.desing)
+                        for j in range(len(src))) for x in src])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_flat_uniform_periodic_sheet_cancels():
     sheet = br.flat_periodic_sheet(12, 10, gamma=(1.0, 0.3, 0.0))
     u = br.br_velocity(sheet, sheet.flat()[0])

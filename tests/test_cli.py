@@ -183,6 +183,13 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["stokes", "--field", "rigid_rotation", "--surface", "torus:r=1"],
     ["trace", "--field", "rigid_rotation", "--region", "ball:radius=0.5"],
     ["trace", "--field", "rigid_rotation", "--region", "box:r=0.5"],
+    # sheet values that would end in a traceback or in non-finite markers
+    ["br", "--grid", "4x4", "--steps", "1", "--gamma", "1,0"],
+    ["br", "--grid", "4x4", "--steps", "1", "--dt", "nan"],
+    ["br", "--grid", "4x4", "--steps", "1", "--dt", "inf"],
+    ["br", "--grid", "4x4", "--steps", "1", "--delta-br", "nan"],
+    ["br", "--grid", "4x4", "--steps", "1", "--amplitude", "nan"],
+    ["br", "--grid", "4x4", "--steps", "1", "--gamma", "nan,0,0"],
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2

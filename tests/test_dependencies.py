@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "curlflux"
+TESTS = Path(__file__).resolve().parent
 ALLOWED = {"numpy", "curlflux", "__future__"}
 
 
@@ -41,6 +42,7 @@ def _unused_imports(path):
     return bound - read
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_every_imported_name_is_used(path):
     assert not _unused_imports(path)

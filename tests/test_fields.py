@@ -3,7 +3,7 @@ import pytest
 
 from curlflux import fields as flds
 from curlflux import geometry as geo
-from curlflux.testfns import radial_bump, smooth_bump
+from curlflux.testfns import smooth_bump
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,9 @@ from curlflux import traces as trc
 from curlflux.sequences import GAP_TOL, richardson_gap, richardson_limit
 from curlflux.stokes import StokesRefusal
 from curlflux.testfns import (
-    ScalarTestFunction,
-    VectorTestField,
     gradient_field,
     random_trig_vector,
     smooth_bump,
-    trig_scalar,
 )
 
 
