@@ -16,6 +16,7 @@ Conventions fixed once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -657,16 +658,51 @@ class TransversalCollar:
 
 @dataclass(frozen=True)
 class SolidRegion:
-    """Bounded region with patch boundary, a volume rule, and an ambient ball."""
+    """Bounded region with patch boundary, a volume rule, and an ambient ball.
+
+    The volume rule is the product of the three 1-D `volume_rules` (slowest
+    first) mapped about `ambient_center` by `coordinates`: "spherical"
+    (r, u = cos colatitude measured along the third row of `frame`, default
+    e3, phi), "cylindrical" (rho, phi, z) or "cartesian" offsets. It is built
+    on first read of `volume_nodes` or `volume_weights`, into read-only
+    arrays; collars and support rules never read it.
+    """
 
     name: str
     boundary: tuple[SurfacePatch, ...]
-    volume_nodes: np.ndarray  # (n, 3) physical points
-    volume_weights: np.ndarray  # plain weights including metric factor
+    volume_rules: tuple[QuadratureRule, QuadratureRule, QuadratureRule]
+    coordinates: str
     contains: Callable[[np.ndarray], np.ndarray]
     ambient_radius: float
     ambient_center: np.ndarray
     meta: dict = field(default_factory=dict)
+    frame: Optional[np.ndarray] = None
+
+    @cached_property
+    def _volume(self) -> tuple[np.ndarray, np.ndarray]:
+        rule = tensor_product_3d(*self.volume_rules)
+        a, b, c = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
+        if self.coordinates == "spherical":
+            st = np.sqrt(np.clip(1.0 - b * b, 0.0, None))
+            local = np.stack([a * st * np.cos(c), a * st * np.sin(c), a * b], axis=1)
+            pts = self.ambient_center + (local if self.frame is None else local @ self.frame)
+            w = rule.weights * a * a
+        elif self.coordinates == "cylindrical":
+            pts = self.ambient_center + np.stack([a * np.cos(b), a * np.sin(b), c], axis=1)
+            w = rule.weights * a
+        else:
+            pts, w = self.ambient_center + rule.nodes, rule.weights
+        pts.flags.writeable = False
+        w.flags.writeable = False
+        return pts, w
+
+    @cached_property
+    def volume_nodes(self) -> np.ndarray:  # (n, 3) physical points
+        return self._volume[0]
+
+    @cached_property
+    def volume_weights(self) -> np.ndarray:  # plain weights including metric factor
+        return self._volume[1]
 
     def volume(self) -> float:
         return float(np.sum(self.volume_weights))
@@ -681,35 +717,24 @@ def volume_integral(region: SolidRegion, integrand) -> float | np.ndarray:
     return _node_sum(region.volume_weights, vals)
 
 
-def _spherical_volume_nodes(center, radius, order, n_angular, u_range=(-1.0, 1.0),
-                            radial_breaks=(), frame=None):
-    """Spherical-coordinate nodes with u = cos(colatitude) measured from the
-    third row of `frame` (default e3); u_range (0, 1) gives the half ball on
-    that side."""
-    center = np.asarray(center, dtype=float)
+def _spherical_rules(radius, order, n_angular, u_range=(-1.0, 1.0), radial_breaks=()):
+    """The (r, u, phi) rules of a ball, r split at `radial_breaks`; u_range
+    (0, 1) gives the half ball on the side of the frame's third row."""
     bp = sorted({0.0, float(radius), *(float(b) for b in radial_breaks if 0.0 < b < radius)})
-    rr = gauss_legendre_split(order, np.asarray(bp))
-    ru = gauss_legendre(order, u_range[0], u_range[1])
-    rp = periodic_trapezoid(n_angular)
-    rule = tensor_product_3d(rr, ru, rp)
-    r, u, phi = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
-    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    local = np.stack([r * st * np.cos(phi), r * st * np.sin(phi), r * u], axis=1)
-    pts = center + (local if frame is None else local @ np.asarray(frame, dtype=float))
-    w = rule.weights * r * r
-    return pts, w
+    return (gauss_legendre_split(order, np.asarray(bp)),
+            gauss_legendre(order, u_range[0], u_range[1]), periodic_trapezoid(n_angular))
 
 
 def ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = DEFAULT_ORDER,
                 n_angular: int = DEFAULT_ANGULAR, radial_breaks=()) -> SolidRegion:
     center = np.asarray(center, dtype=float)
-    pts, w = _spherical_volume_nodes(center, radius, order, n_angular, radial_breaks=radial_breaks)
+    rules = _spherical_rules(radius, order, n_angular, radial_breaks=radial_breaks)
     sphere = sphere_patch(center, radius, order, n_angular, inner_normal=True)
 
     def contains(x):
         return np.linalg.norm(np.atleast_2d(x) - center, axis=1) < radius
 
-    return SolidRegion("ball", (sphere,), pts, w, contains, 2.0 * radius, center,
+    return SolidRegion("ball", (sphere,), rules, "spherical", contains, 2.0 * radius, center,
                        meta={"center": center, "radius": float(radius)})
 
 
@@ -717,7 +742,7 @@ def half_ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = D
                      n_angular: int = DEFAULT_ANGULAR) -> SolidRegion:
     """Upper half ball {x3 > c3}; flat face oriented by the inner normal +e3."""
     center = np.asarray(center, dtype=float)
-    pts, w = _spherical_volume_nodes(center, radius, order, n_angular, u_range=(0.0, 1.0))
+    rules = _spherical_rules(radius, order, n_angular, u_range=(0.0, 1.0))
     dome = sphere_patch(center, radius, order, n_angular, inner_normal=True, u_range=(0.0, 1.0))
     face = disk_patch(center, radius, normal=(0.0, 0.0, 1.0), order=order, n_angular=n_angular)
 
@@ -725,7 +750,8 @@ def half_ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = D
         rel = np.atleast_2d(x) - center
         return (np.linalg.norm(rel, axis=1) < radius) & (rel[:, 2] > 0.0)
 
-    return SolidRegion("half_ball", (face, dome), pts, w, contains, 2.0 * radius, center,
+    return SolidRegion("half_ball", (face, dome), rules, "spherical", contains,
+                       2.0 * radius, center,
                        meta={"center": center, "radius": float(radius),
                              "normal": np.array([0.0, 0.0, 1.0])})
 
@@ -734,13 +760,8 @@ def cylinder_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, z0: float = 0.0
                     order: int = DEFAULT_ORDER, n_angular: int = DEFAULT_ANGULAR) -> SolidRegion:
     """Cylinder {rho < radius, z0 < z < z1} relative to `center` in the xy plane."""
     center = np.asarray(center, dtype=float)
-    rr = gauss_legendre(order, 0.0, radius)
-    rz = gauss_legendre(order, z0, z1)
-    rp = periodic_trapezoid(n_angular)
-    rule = tensor_product_3d(rr, rp, rz)
-    rho, phi, z = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
-    pts = center + np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    w = rule.weights * rho
+    rules = (gauss_legendre(order, 0.0, radius), periodic_trapezoid(n_angular),
+             gauss_legendre(order, z0, z1))
     bottom = disk_patch(center + np.array([0, 0, z0]), radius, normal=(0, 0, 1.0),
                         order=order, n_angular=n_angular)
     top = disk_patch(center + np.array([0, 0, z1]), radius, normal=(0, 0, -1.0),
@@ -752,7 +773,8 @@ def cylinder_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, z0: float = 0.0
         return (np.hypot(rel[:, 0], rel[:, 1]) < radius) & (rel[:, 2] > z0) & (rel[:, 2] < z1)
 
     amb = 2.0 * max(radius, abs(z0), abs(z1))
-    return SolidRegion("cylinder", (bottom, top, side), pts, w, contains, amb, center,
+    return SolidRegion("cylinder", (bottom, top, side), rules, "cylindrical", contains,
+                       amb, center,
                        meta={"center": center, "radius": float(radius),
                              "z0": float(z0), "z1": float(z1)})
 
@@ -761,11 +783,7 @@ def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0),
                order: int = 16) -> SolidRegion:
     center = np.asarray(center, dtype=float)
     h = np.asarray(half_widths, dtype=float)
-    rx = gauss_legendre(order, -h[0], h[0])
-    ry = gauss_legendre(order, -h[1], h[1])
-    rz = gauss_legendre(order, -h[2], h[2])
-    rule = tensor_product_3d(rx, ry, rz)
-    pts = center + rule.nodes
+    rules = tuple(gauss_legendre(order, -h[k], h[k]) for k in range(3))
     faces = []
     axes = np.eye(3)
     for k in range(3):
@@ -782,7 +800,7 @@ def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0),
         rel = np.abs(np.atleast_2d(x) - center)
         return np.all(rel < h, axis=1)
 
-    return SolidRegion("box", tuple(faces), pts, rule.weights, contains,
+    return SolidRegion("box", tuple(faces), rules, "cartesian", contains,
                        2.0 * float(np.max(h)), center,
                        meta={"center": center, "half_widths": h})
 
@@ -874,9 +892,8 @@ def _support_region(region: SolidRegion, center, radius, kinks) -> SolidRegion:
     order, n_angular = 16, 32
     meta = {"center": center, "radius": radius}
     if _ball_fits(region, center, radius):
-        pts, w = _spherical_volume_nodes(center, radius, order, n_angular,
-                                         radial_breaks=kinks)
-        return SolidRegion("ball", (), pts, w,
+        return SolidRegion("ball", (), _spherical_rules(radius, order, n_angular,
+                                                        radial_breaks=kinks), "spherical",
                            lambda x: np.linalg.norm(np.atleast_2d(x) - center, axis=1) < radius,
                            2.0 * radius, center, meta=meta)
     for patch in region.boundary:
@@ -886,16 +903,15 @@ def _support_region(region: SolidRegion, center, radius, kinks) -> SolidRegion:
         if abs((center - patch.nodes[0]) @ n) > POSITION_TOL \
                 or not _ball_fits(region, center, radius, n):
             continue
-        frame = np.stack(frame_from_normal(n))
-        pts, w = _spherical_volume_nodes(center, radius, order, n_angular, u_range=(0.0, 1.0),
-                                         radial_breaks=kinks, frame=frame)
+        rules = _spherical_rules(radius, order, n_angular, u_range=(0.0, 1.0),
+                                 radial_breaks=kinks)
 
         def contains(x, n=n):
             rel = np.atleast_2d(x) - center
             return (np.linalg.norm(rel, axis=1) < radius) & (rel @ n > 0.0)
 
-        return SolidRegion("half_ball", (), pts, w, contains, 2.0 * radius, center,
-                           meta={**meta, "normal": n})
+        return SolidRegion("half_ball", (), rules, "spherical", contains, 2.0 * radius, center,
+                           meta={**meta, "normal": n}, frame=np.stack(frame_from_normal(n)))
     return region
 
 

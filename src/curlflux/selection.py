@@ -4,16 +4,23 @@ The maximal value at a collar parameter is the supremum over a geometric
 half-width grid of layer mass divided by half-width; the grid supremum is a
 lower bound of the true maximal function, which keeps the weak-(1,1) check
 one-sided valid. Concentration on a single layer is flagged as infinite.
+
+A transversal scan reads its measure through one slide (`SlideMeasure`).
+Each sheet part's slide depths and |density| at its nodes are computed once
+per scan; each window then only masks and sums them. A Lebesgue density is
+evaluated on a window's eight Gauss layers in one call. Line parts are
+solved per window on their own rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .fields import CurlMeasure, LinePart, SheetPart
+from .fields import CurlMeasure, LinePart
 from .geometry import (
     POSITION_TOL,
     BoundaryManifold,
@@ -48,19 +55,39 @@ class MaximalScan:
     epsilon_grid: tuple[float, ...]
     collar_mass: float  # |mu| of the full collar image, for the weak-(1,1) bound
 
-    def finite(self) -> np.ndarray:
-        return np.isfinite(np.asarray(self.values))
+
+@dataclass(frozen=True)
+class SlideMeasure:
+    """A curl measure seen through one slide, as a scan reads it.
+
+    `sheets` holds, per sheet part, its node weights, the slide depth of its
+    nodes and |density| there: none depends on the window, so they are
+    computed once, on first read. A slide that cannot place points in depth
+    refuses a measure with sheet parts.
+    """
+
+    mu: CurlMeasure
+    slide: PatchSlide
+
+    @cached_property
+    def sheets(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        if self.mu.sheet_parts and self.slide.slab_coordinate is None:
+            raise GeometryError("sheet-part slab mass needs the slide's depth coordinate")
+        return tuple((sp.patch.weights, self.slide.slab_coordinate(sp.patch.nodes),
+                      np.linalg.norm(np.atleast_2d(sp.density(sp.patch.nodes)), axis=1))
+                     for sp in self.mu.sheet_parts)
 
 
 def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: float, hi: float) -> float:
     """Mass of a straight line measure inside the slab lo < depth < hi.
 
     The depth must be affine along the segment, as it is for planar slides;
-    the slab is then solved for exactly. A depth whose value at the segment's
-    midpoint is not the mean of its end values is refused.
+    the slab is then solved for exactly. A slide without a depth coordinate,
+    or a depth whose value at the segment's midpoint is not the mean of its
+    end values, is refused.
     """
     if slide.slab_coordinate is None:
-        return 0.0
+        raise GeometryError("line-part slab mass needs the slide's depth coordinate")
 
     def depth(s):
         return slide.slab_coordinate(lp.positions(np.array([s])))[0]
@@ -85,19 +112,16 @@ def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: float, hi: float) -> fl
     return float(np.sum(rule.weights * np.linalg.norm(dens, axis=1)))
 
 
-def _sheet_mass(sp: SheetPart, slide: PatchSlide, inside) -> float:
-    """Mass of a sheet part on the nodes whose slide depth satisfies `inside`."""
-    if slide.slab_coordinate is None:
-        return 0.0
-    pts = sp.patch.nodes
-    mask = inside(slide.slab_coordinate(pts))
-    dens = np.linalg.norm(np.atleast_2d(sp.density(pts)), axis=1)
-    return float(np.sum(sp.patch.weights * mask * dens))
+def _sheet_mass(sheet, inside) -> float:
+    """Mass of a sheet part (an entry of `SlideMeasure.sheets`) on the nodes
+    whose slide depth satisfies `inside`."""
+    weights, depth, dens = sheet
+    return float(np.sum(weights * inside(depth) * dens))
 
 
-def _sheet_layer_mass(sp: SheetPart, slide: PatchSlide, t: float) -> float:
+def _sheet_layer_mass(sheet, t: float) -> float:
     """Mass carried by the single layer at depth t (concentration detector)."""
-    return _sheet_mass(sp, slide, lambda depth: np.abs(depth - t) < 1e-10)
+    return _sheet_mass(sheet, lambda depth: np.abs(depth - t) < 1e-10)
 
 
 def _lebesgue_slab_mass(density, slide: PatchSlide, lo: float, hi: float) -> float:
@@ -106,27 +130,31 @@ def _lebesgue_slab_mass(density, slide: PatchSlide, lo: float, hi: float) -> flo
     if hi <= lo:
         return 0.0
     s_rule = gauss_legendre(8, lo, hi)
+    # the window's eight layers in one shift and one density call
+    pts = slide.shift_point(slide.patch.nodes, s_rule.nodes[:, None, None])
+    sq = np.atleast_2d(density(pts.reshape(-1, 3))) ** 2
+    # |d| summed in np.linalg.norm's order; einsum's differs in the last bit
+    mags = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2]).reshape(len(s_rule.nodes), -1)
+    layers = np.sum(slide.patch.weights * mags, axis=1)
     total = 0.0
-    for s, w in zip(s_rule.nodes, s_rule.weights):
-        pts = slide.shift_point(slide.patch.nodes, s)
-        mags = np.linalg.norm(np.atleast_2d(density(pts)), axis=1)
-        total += w * slide.area_scale(s) * float(np.sum(slide.patch.weights * mags))
+    for s, w, layer in zip(s_rule.nodes, s_rule.weights, layers):
+        total += w * slide.area_scale(s) * float(layer)
     return total
 
 
-def measure_slab_mass(mu: CurlMeasure, slide: PatchSlide, lo: float, hi: float) -> float:
+def measure_slab_mass(m: SlideMeasure, lo: float, hi: float) -> float:
     total = 0.0
-    if mu.lebesgue_density is not None:
-        total += _lebesgue_slab_mass(mu.lebesgue_density, slide, lo, hi)
-    for sp in mu.sheet_parts:
-        total += _sheet_mass(sp, slide, lambda depth: (depth > lo) & (depth < hi))
-    for lp in mu.line_parts:
-        total += _line_slab_mass(lp, slide, lo, hi)
+    if m.mu.lebesgue_density is not None:
+        total += _lebesgue_slab_mass(m.mu.lebesgue_density, m.slide, lo, hi)
+    for sheet in m.sheets:
+        total += _sheet_mass(sheet, lambda depth: (depth > lo) & (depth < hi))
+    for lp in m.mu.line_parts:
+        total += _line_slab_mass(lp, m.slide, lo, hi)
     return total
 
 
-def single_layer_mass(mu: CurlMeasure, slide: PatchSlide, t: float) -> float:
-    return sum(_sheet_layer_mass(sp, slide, t) for sp in mu.sheet_parts)
+def single_layer_mass(m: SlideMeasure, t: float) -> float:
+    return sum(_sheet_layer_mass(sheet, t) for sheet in m.sheets)
 
 
 def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
@@ -135,24 +163,23 @@ def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
     """Layer-mass maximal function along the transversal slides of a manifold."""
     window = _window(variant)
     slide = collar.slide_for(manifold.patch)
+    m = SlideMeasure(mu, slide)
     vals = []
     for t in t_grid:
-        if single_layer_mass(mu, slide, t) > 0.0:
+        if single_layer_mass(m, t) > 0.0:
             vals.append(np.inf)
             continue
         best = 0.0
         for eps in DEFAULT_EPS_GRID:
             lo, hi = window(t, eps)
-            best = max(best, measure_slab_mass(mu, slide, lo, hi) / eps)
+            best = max(best, measure_slab_mass(m, lo, hi) / eps)
         vals.append(best)
-    collar_mass = measure_slab_mass(mu, slide, -0.75, min(0.75, slide.depth_range))
-    for sp in mu.sheet_parts:
+    collar_mass = measure_slab_mass(m, -0.75, min(0.75, slide.depth_range))
+    for sheet in m.sheets:
         # concentrated layers inside the collar contribute their full mass
-        if slide.slab_coordinate is None:
-            continue
-        layer_t = float(np.median(slide.slab_coordinate(sp.patch.nodes)))
+        layer_t = float(np.median(sheet[1]))  # the sheet's median depth
         if -0.75 < layer_t < 0.75:
-            collar_mass += _sheet_layer_mass(sp, slide, layer_t)
+            collar_mass += _sheet_layer_mass(sheet, layer_t)
     return MaximalScan(tuple(t_grid), tuple(vals), f"transversal_{variant}",
                        DEFAULT_EPS_GRID, collar_mass)
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curlflux import geometry as geo
-from curlflux.quadrature import gauss_legendre, gauss_legendre_split, periodic_trapezoid
+from curlflux.quadrature import (
+    gauss_legendre,
+    gauss_legendre_split,
+    periodic_trapezoid,
+    tensor_product_3d,
+)
 
 
 def test_disk_area_and_moment():
@@ -61,7 +66,7 @@ def test_surface_rule_convergence_order():
 
 def test_nonfinite_integrand_rejected():
     disk = geo.disk_patch((0, 0, 0), 1.0)
-    with pytest.raises(geo.GeometryError):
+    with pytest.raises(geo.GeometryError), np.errstate(divide="ignore"):
         geo.surface_integral(disk, lambda p: 1.0 / (p[:, 0] - p[:, 0]))
 
 
@@ -471,3 +476,85 @@ def test_region_boundary_tiles(half_ball):
         pts, nu, w = patch.nodes, patch.normals, patch.weights
         bd += float(np.sum(w * np.einsum("ij,ij->i", f(pts), nu)))
     assert abs(vol + bd) < 1e-10
+
+
+def _eager_spherical(center, radius, order, n_angular, u_range=(-1.0, 1.0),
+                     radial_breaks=(), frame=None):
+    # the volume rule as regions built it before it became lazy
+    center = np.asarray(center, dtype=float)
+    bp = sorted({0.0, float(radius), *(float(b) for b in radial_breaks if 0.0 < b < radius)})
+    rule = tensor_product_3d(gauss_legendre_split(order, np.asarray(bp)),
+                             gauss_legendre(order, u_range[0], u_range[1]),
+                             periodic_trapezoid(n_angular))
+    r, u, phi = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    local = np.stack([r * st * np.cos(phi), r * st * np.sin(phi), r * u], axis=1)
+    pts = center + (local if frame is None else local @ np.asarray(frame, dtype=float))
+    return pts, rule.weights * r * r
+
+
+def _eager_cylinder(center, radius, z0, z1, order, n_angular):
+    rule = tensor_product_3d(gauss_legendre(order, 0.0, radius), periodic_trapezoid(n_angular),
+                             gauss_legendre(order, z0, z1))
+    rho, phi, z = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
+    pts = np.asarray(center, dtype=float) + np.stack([rho * np.cos(phi), rho * np.sin(phi), z],
+                                                     axis=1)
+    return pts, rule.weights * rho
+
+
+def _eager_box(center, h, order):
+    rule = tensor_product_3d(*(gauss_legendre(order, -h[k], h[k]) for k in range(3)))
+    return np.asarray(center, dtype=float) + rule.nodes, rule.weights
+
+
+CENTER = (0.1, -0.2, 0.3)
+_HALF = geo.half_ball_region(CENTER, 0.9, order=10, n_angular=12)
+LAZY_VOLUMES = {
+    "ball": (lambda: geo.ball_region(CENTER, 0.9, order=10, n_angular=12,
+                                     radial_breaks=(0.3, 0.5)),
+             lambda: _eager_spherical(CENTER, 0.9, 10, 12, radial_breaks=(0.3, 0.5))),
+    "half_ball": (lambda: geo.half_ball_region(CENTER, 0.9, order=10, n_angular=12),
+                  lambda: _eager_spherical(CENTER, 0.9, 10, 12, u_range=(0.0, 1.0))),
+    "cylinder": (lambda: geo.cylinder_region(CENTER, 0.9, -0.2, 0.7, order=10, n_angular=12),
+                 lambda: _eager_cylinder(CENTER, 0.9, -0.2, 0.7, 10, 12)),
+    "box": (lambda: geo.box_region(CENTER, (0.5, 0.7, 0.9), order=6),
+            lambda: _eager_box(CENTER, (0.5, 0.7, 0.9), 6)),
+    # support rules: the support ball inside the region, and the half ball on
+    # the flat face the support is centred on, oriented by its inner normal
+    "support_ball": (lambda: geo.support_rule(_HALF, ((0.1, -0.1, 0.7), 0.3), (0.1, 0.2)),
+                     lambda: _eager_spherical((0.1, -0.1, 0.7), 0.3, 16, 32,
+                                              radial_breaks=(0.1, 0.2))),
+    "support_half_ball": (lambda: geo.support_rule(_HALF, ((0.2, -0.1, 0.3), 0.3), (0.1,)),
+                          lambda: _eager_spherical((0.2, -0.1, 0.3), 0.3, 16, 32,
+                                                   u_range=(0.0, 1.0), radial_breaks=(0.1,),
+                                                   frame=np.stack(geo.frame_from_normal(
+                                                       [0.0, 0.0, 1.0])))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAZY_VOLUMES))
+def test_lazy_volume_rule_equals_the_eager_one(kind):
+    build, eager = LAZY_VOLUMES[kind]
+    region = build()
+    assert region.name == kind.removeprefix("support_")
+    pts, w = eager()
+    assert np.array_equal(region.volume_nodes, pts)
+    assert np.array_equal(region.volume_weights, w)
+    # read-only, and built once
+    for a in (region.volume_nodes, region.volume_weights):
+        assert not a.flags.writeable
+    assert region.volume_nodes is region.volume_nodes
+    assert region.volume_weights is region.volume_weights
+
+
+def test_a_region_read_for_its_collar_builds_no_volume_rule():
+    region = geo.cylinder_region(order=8, n_angular=16)
+    col = geo.build_transversal_collar(region)
+    man = geo.disk_manifold((0, 0, 0), 1.0, order=8, n_angular=16)
+    geo.shift_transversal(man, col, 0.1)
+    geo.shell_integral(col, 0.1, lambda base, pts, sl, s: np.ones(len(pts)))
+    geo.support_rule(region, ((0.0, 0.0, 0.5), 0.2))
+    assert not {"_volume", "volume_nodes", "volume_weights"} & set(vars(region))
+    assert region.volume_weights.size == 8 * 8 * 16
+    assert {"_volume", "volume_weights"} <= set(vars(region))
+

@@ -4,6 +4,7 @@ import pytest
 from curlflux import fields as flds
 from curlflux import geometry as geo
 from curlflux import selection as sel
+from curlflux.quadrature import gauss_legendre
 
 
 def test_line_vortex_transversal_maximal(line_vortex, unit_cylinder, cylinder_collar):
@@ -58,8 +59,8 @@ def test_concentrated_sheet_flagged(cylinder_collar):
     assert np.isfinite(scan.values[0]) and np.isfinite(scan.values[2])
     # layer vanishing: finite maximal value means zero single-layer mass
     slide = cylinder_collar.slide_for(man.patch)
-    assert sel.single_layer_mass(mu, slide, 0.1) == 0.0
-    assert sel.single_layer_mass(mu, slide, 0.25) > 3.0
+    assert sel.single_layer_mass(sel.SlideMeasure(mu, slide), 0.1) == 0.0
+    assert sel.single_layer_mass(sel.SlideMeasure(mu, slide), 0.25) > 3.0
 
 
 def test_zero_measure_scan(cylinder_collar):
@@ -106,3 +107,66 @@ def test_weak11_all_catalog(line_vortex, rigid_rotation, newtonian, cylinder_col
         scan = sel.maximal_transversal(entry.curl, man, cylinder_collar, t_grid)
         for lam in [2.0 ** k for k in range(-4, 5)]:
             assert sel.good_set_scan(scan, lam).holds
+
+
+def test_slab_masses_refused_on_a_slide_without_depth(line_vortex):
+    # a box face slides along rays from the centre: no depth coordinate, so a
+    # sheet or line part's slab mass cannot be placed and is refused, not 0
+    box = geo.box_region(order=6)
+    col = geo.build_transversal_collar(box)
+    face = box.boundary[0]
+    man = geo.BoundaryManifold(face, geo.empty_curve(), np.zeros((1, 3)), np.zeros((1, 3)),
+                               kind="rectangle", meta={})
+    assert col.slide_for(face).slab_coordinate is None
+    sheet = flds.SheetPart(geo.rectangle_patch((0.5, -0.5, -0.5), (0, 1, 0), (0, 0, 1), 1.0, 1.0),
+                           lambda pts: np.tile([0.0, 1.0, 0.0], (len(np.atleast_2d(pts)), 1)))
+    for mu in (flds.CurlMeasure(sheet_parts=(sheet,)), line_vortex.curl):
+        with pytest.raises(geo.GeometryError, match="depth coordinate"):
+            sel.maximal_transversal(mu, man, col, [0.1])
+    # a Lebesgue density needs only the slide's shift
+    scan = sel.maximal_transversal(flds.CurlMeasure(lebesgue_density=lambda x: np.ones_like(x)),
+                                   man, col, [0.1])
+    assert np.isfinite(scan.values[0])
+
+
+def _per_layer_slab_mass(density, slide, lo, hi):
+    # the Lebesgue slab mass one Gauss layer at a time
+    lo, hi = max(lo, 0.0), min(hi, slide.depth_range)
+    if hi <= lo:
+        return 0.0
+    s_rule = gauss_legendre(8, lo, hi)
+    total = 0.0
+    for s, w in zip(s_rule.nodes, s_rule.weights):
+        pts = slide.shift_point(slide.patch.nodes, s)
+        mags = np.linalg.norm(np.atleast_2d(density(pts)), axis=1)
+        total += w * slide.area_scale(s) * float(np.sum(slide.patch.weights * mags))
+    return total
+
+
+@pytest.mark.parametrize("region", ["cylinder", "ball"])
+def test_batched_layers_equal_the_per_layer_loop(region):
+    if region == "ball":
+        reg = geo.ball_region((0.1, 0.0, -0.2), 0.8, order=8, n_angular=16)
+    else:
+        # the default rule: 2304 nodes per face, as the scans of the CLI use
+        reg = geo.cylinder_region((0.1, 0.0, -0.2), 0.8, -0.2, 0.6)
+    col = geo.build_transversal_collar(reg)
+    # planar faces, the cylinder side and the sphere; windows inside, clipped
+    # at depth 0 and clipped at the slide's depth range (the radius 0.8)
+    windows = [(0.1, 0.3), (-0.05, 0.05), (0.0, 0.2), (0.7, 0.9), (0.79, 1.5), (-0.1, 0.0)]
+    for slide in col.slides:
+        for density in (flds.catalog("plane_wave_em").curl.lebesgue_density,
+                        lambda x: np.stack([np.sin(3.0 * x[:, 0]), x[:, 1] * x[:, 2],
+                                            np.exp(x[:, 2])], axis=1)):
+            for lo, hi in windows:
+                assert (sel._lebesgue_slab_mass(density, slide, lo, hi)
+                        == _per_layer_slab_mass(density, slide, lo, hi))
+    assert "_volume" not in vars(reg)
+
+
+def test_a_scan_builds_no_volume_rule(line_vortex):
+    region = geo.cylinder_region(order=8, n_angular=16)
+    col = geo.build_transversal_collar(region)
+    sel.maximal_transversal(line_vortex.curl, geo.disk_manifold((0, 0, 0), 1.0), col, [0.1])
+    assert "_volume" not in vars(region)
+
