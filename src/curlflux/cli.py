@@ -212,18 +212,24 @@ def cmd_trace(p: dict) -> ResultTable:
 
 
 def _parse_grid(spec) -> tuple:
+    """A grid of finite numbers: 2^-a..2^-b with a <= b, or a list."""
+    text = str(spec)
     try:
         if isinstance(spec, (list, tuple)):
-            return tuple(float(v) for v in spec)
-        spec = str(spec)
-        if ".." in spec and spec.startswith("2^-"):
-            lo, hi = spec.replace("2^-", "").split("..")
-            hi = hi.replace("2^-", "")
-            return tuple(2.0 ** (-k) for k in range(int(lo), int(hi) + 1))
-        return tuple(float(v) for v in spec.split(","))
+            grid = tuple(float(v) for v in spec)
+        elif ".." in text and text.startswith("2^-"):
+            lo, hi = text.replace("2^-", "").split("..")
+            grid = tuple(2.0 ** (-k) for k in range(int(lo), int(hi) + 1))
+        else:
+            grid = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"t_grid must read 2^-a..2^-b or a list of numbers, "
                           f"not {spec!r}") from None
+    if not grid:
+        raise ConfigError(f"t_grid {spec!r} is empty; 2^-a..2^-b needs a <= b")
+    if not all(np.isfinite(grid)):
+        raise ConfigError(f"t_grid must hold finite numbers, not {spec!r}")
+    return grid
 
 
 def _j_range(p: dict, start: int, default_max: int) -> range:

@@ -445,77 +445,121 @@ def shrink_tangential(manifold: BoundaryManifold, collar: TangentialCollar,
 # ---------------------------------------------------------------------------
 
 
-def _band(collar: TangentialCollar, lo: float, hi: float, s_order: int,
-          breaks: Sequence[float] = (), layer=None):
-    """All nodes of the collar band (lo, hi), with the s-rule split at `breaks`.
-
-    Returns the stacked points (n_s*m, 3), the layer weights w_s * J (J the
-    collar's constant `layer_jacobian`), the line weights (n_s, m) and the
-    collar parameter of each point.
-    `layer` maps the (n_s,) s-rule nodes to the family of their layer curves
-    on one m-node rule (default `collar.layer`), in a single call.
-    """
+def _segments(lo: float, hi: float, breaks: Sequence[float]) -> list[tuple[float, float]]:
+    """The pieces (lo, b1), (b1, b2), ..., (bk, hi) of the band (lo, hi) split
+    at the breaks inside it, in s order."""
     bp = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
-    s_rule = gauss_legendre_split(s_order, np.asarray(bp))
-    layers = (layer or collar.layer)(s_rule.nodes)
-    return (layers.nodes.reshape(-1, 3), s_rule.weights * collar.layer_jacobian,
-            layers.weights, np.repeat(s_rule.nodes, layers.weights.shape[1]))
+    return list(zip(bp[:-1], bp[1:]))
 
 
-def _band_integral(layer_w: np.ndarray, line_w: np.ndarray, vals) -> float:
-    """Integral of per-point band values: a sum along each layer, then the
-    layers added one by one in s-rule order (cumsum is sequential)."""
-    lines = np.sum(line_w * np.reshape(vals, line_w.shape), axis=1)
+def _band_lines(collar: TangentialCollar, layer, s_order: int,
+                segments: Sequence[tuple[float, float]], integrand):
+    """Per-layer line sums of a band integrand on Gauss-Legendre segments.
+
+    Each segment (lo, hi) carries the rule `gauss_legendre(s_order, lo, hi)`;
+    `layer` maps all their s nodes to one family of layer curves on an m-node
+    rule in a single call. `integrand(pts, s)` maps the stacked points
+    (n_s*m, 3) and the collar parameter of each to k rows of values
+    (k, n_s*m). Returns the layer weights w_s * J (J the collar's constant
+    `layer_jacobian`), (n_s,), and the line sums of each row, (k, n_s).
+    """
+    rules = [gauss_legendre(s_order, lo, hi) for lo, hi in segments]
+    s = np.concatenate([r.nodes for r in rules])
+    layers = layer(s)
+    line_w = layers.weights
+    vals = integrand(layers.nodes.reshape(-1, 3), np.repeat(s, line_w.shape[1]))
+    lines = np.sum(line_w * np.reshape(vals, (-1, *line_w.shape)), axis=-1)
+    return np.concatenate([r.weights for r in rules]) * collar.layer_jacobian, lines
+
+
+def _layer_sum(layer_w: np.ndarray, lines: np.ndarray) -> float:
+    """The layers' line sums added one by one in s order (cumsum is sequential)."""
     return float(np.cumsum(layer_w * lines)[-1])
 
 
-def ramp_integral(manifold: BoundaryManifold, collar: TangentialCollar, t: float, delta: float,
-                  covector_field, scalar, s_order: int = 8, breaks: Sequence[float] = (),
-                  layer=None) -> tuple[float, float]:
+@dataclass(frozen=True)
+class RampSegments:
+    """A ramp integrand, scalar * (field . grad s) with magnitude
+    |scalar| |field| (`scalar` None for 1), and the table of its evaluated
+    band segments that the ramp widths of one route call share.
+
+    A segment is one Gauss-Legendre piece (lo, hi) of a band split at
+    `breaks`; `lines` maps it to its layer weights and the line sums of both
+    rows. `layer` gives the curves at an array of s: the collar's own layers
+    or a window of each.
+    """
+
+    collar: TangentialCollar
+    covector_field: Callable[[np.ndarray], np.ndarray]
+    scalar: Optional[Callable[[np.ndarray], np.ndarray]]
+    layer: Callable[[np.ndarray], Curve]
+    s_order: int
+    breaks: tuple[float, ...]
+    lines: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _integrand(self, pts: np.ndarray, s: np.ndarray) -> np.ndarray:
+        f = np.asarray(self.covector_field(pts), dtype=float)
+        vals = np.einsum("ij,ij->i", f, self.collar.grad_s(pts, s))
+        mags = np.sqrt(np.einsum("ij,ij->i", f, f))
+        if self.scalar is not None:
+            phi = np.asarray(self.scalar(pts), dtype=float)
+            vals, mags = vals * phi, mags * np.abs(phi)
+        return np.stack([vals, mags])
+
+
+def ramp_integral(segments: RampSegments, t: float, delta: float) -> tuple[float, float]:
     """Integral of scalar * (field . grad ramp) over the collar band (t, t+delta),
     and of |scalar| |field| |grad ramp|, the scale its limit is judged against.
 
-    `covector_field` maps points (n,3) to vectors (n,3); `scalar` maps points
-    to (n,), or is None for 1. Discontinuity parameters of the integrand may
-    be passed in `breaks` (collar parameter values); the band quadrature
-    splits there. `layer` restricts the band to a window of each layer (see
-    `_band`). The band is parametrized as (s, curve), with
-    dH^2 = layer_jacobian ds dH^1, so |grad s| = 1 / layer_jacobian (coarea).
+    The band is parametrized as (s, curve), with dH^2 = layer_jacobian ds dH^1,
+    so |grad s| = 1 / layer_jacobian (coarea); grad ramp = grad s / delta.
+    Its segments, split at the breaks of `segments`, come from that table;
+    the ones it lacks are evaluated first, in one batch. The band joins their
+    layer weights and line sums in s order, divides the sums by delta and
+    adds the layers one by one. A segment has the nodes a split rule over
+    this band alone would give it, and its line sums are row reductions, so
+    the result equals evaluating the band on its own whenever dividing by
+    delta is exact: for the routes' widths 2^-j it is, since scaling by a
+    power of two commutes with rounding. At t = 0, with a break at every
+    width, each band is a prefix of the widest and adds no evaluation.
     """
+    collar = segments.collar
     if collar.empty:
         return 0.0, 0.0
     if not (0.0 < delta and t >= 0.0 and t + delta <= collar.s_max):
         raise GeometryError("ramp band outside collar range")
-    pts, layer_w, line_w, s = _band(collar, t, t + delta, s_order, breaks, layer)
-    f = np.asarray(covector_field(pts), dtype=float)
-    vals = np.einsum("ij,ij->i", f, collar.grad_s(pts, s) / delta)
-    mags = np.sqrt(np.einsum("ij,ij->i", f, f))
-    if scalar is not None:
-        phi = np.asarray(scalar(pts), dtype=float)
-        vals, mags = vals * phi, mags * np.abs(phi)
-    return (_band_integral(layer_w, line_w, vals),
-            _band_integral(layer_w, line_w, mags) / (collar.layer_jacobian * delta))
+    pieces = _segments(t, t + delta, segments.breaks)
+    missing = [p for p in pieces if p not in segments.lines]
+    if missing:
+        layer_w, lines = _band_lines(collar, segments.layer, segments.s_order, missing,
+                                     segments._integrand)
+        n = segments.s_order
+        for i, p in enumerate(missing):
+            segments.lines[p] = (layer_w[i * n:(i + 1) * n], lines[:, i * n:(i + 1) * n])
+    layer_w = np.concatenate([segments.lines[p][0] for p in pieces])
+    vals, mags = np.concatenate([segments.lines[p][1] for p in pieces], axis=1)
+    return (_layer_sum(layer_w, vals / delta),
+            _layer_sum(layer_w, mags) / (collar.layer_jacobian * delta))
 
 
 def band_area(collar: TangentialCollar, t: float, delta: float) -> float:
     """Surface area of the collar band Psi((t, t+delta) x Gamma)."""
-    if collar.empty:
-        return 0.0
-    _, layer_w, line_w, _ = _band(collar, t, t + delta, 8)
-    return _band_integral(layer_w, line_w, np.ones_like(line_w))
+    return band_mass(collar, t, t + delta, lambda pts: np.ones(len(pts)))
 
 
 def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
               breaks: Sequence[float] = ()) -> float:
-    """Integral of a scalar surface density over the collar band (lo, hi)."""
+    """Integral of a scalar surface density over the collar band (lo, hi),
+    clipped to the collar's range and split at `breaks`."""
     if collar.empty or hi <= lo:
         return 0.0
     lo = max(lo, 0.0)
     hi = min(hi, collar.s_max)
     if hi <= lo:
         return 0.0
-    pts, layer_w, line_w, _ = _band(collar, lo, hi, 8, breaks)
-    return _band_integral(layer_w, line_w, np.asarray(density(pts), dtype=float))
+    layer_w, lines = _band_lines(collar, collar.layer, 8, _segments(lo, hi, breaks),
+                                 lambda pts, s: np.asarray(density(pts), dtype=float))
+    return _layer_sum(layer_w, lines[0])
 
 
 # ---------------------------------------------------------------------------

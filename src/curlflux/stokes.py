@@ -21,6 +21,7 @@ from .fields import CurlMeasure, LinePart, PiecewiseField, VectorField, integrat
 from .geometry import (
     BoundaryManifold,
     GeometryError,
+    RampSegments,
     SolidRegion,
     TangentialCollar,
     TransversalCollar,
@@ -97,14 +98,20 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
     `judge_sequence` finds the sequence converged against the largest, over
     the widths, band integral of |trace| |grad ramp| |testfn|; `meta` holds
     that scale and the Richardson gap.
+
+    The widths share one `RampSegments` table, so each band segment (split at
+    the trace's break radii) is evaluated once per call; on the dyadic annuli
+    at t = 0 the 11 default widths evaluate the 39 segments of the widest band
+    instead of 374. The widths are powers of two, so the values equal those of
+    separately evaluated bands (see `ramp_integral`).
     """
     scalar = testfn.value if testfn is not None else None
     deltas = tuple(2.0 ** (-j) for j in j_range)
     breaks = _breaks_in_s(collar, breaks_radii)
     if t + max(deltas) > collar.s_max:
         raise GeometryError("ramp exceeds collar range")
-    vals, mags = zip(*(ramp_integral(manifold, collar, t, d, trace, scalar, s_order=10,
-                                     breaks=breaks) for d in deltas))
+    segments = RampSegments(collar, trace, scalar, collar.layer, s_order=10, breaks=breaks)
+    vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
     verdict = judge_sequence(vals, max(mags))
     flux = -verdict.limit if verdict.converged else None
     return StokesResult("tangential_localizer", t, deltas, vals,
@@ -159,8 +166,8 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
             return arc_curve(center, radius * (1.0 - s), e1, e2, a0 - half_width,
                              a0 + half_width)
 
-        vals, mags = zip(*(ramp_integral(manifold, collar, t, d, trace, bump.value,
-                                         layer=window) for d in deltas))
+        segments = RampSegments(collar, trace, bump.value, window, s_order=8, breaks=())
+        vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
         verdict = judge_sequence(vals, max(mags))
         curve_mass = line_integral(window(t), bump.value)
         ests.append(-verdict.limit / curve_mass if verdict.converged and curve_mass > 0

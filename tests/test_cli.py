@@ -190,6 +190,10 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["br", "--grid", "4x4", "--steps", "1", "--delta-br", "nan"],
     ["br", "--grid", "4x4", "--steps", "1", "--amplitude", "nan"],
     ["br", "--grid", "4x4", "--steps", "1", "--gamma", "nan,0,0"],
+    # grids with non-finite values or no values at all
+    ["maximal", "--field", "rigid_rotation", "--t-grid", "nan"],
+    ["trace", "--field", "rigid_rotation", "--t-grid", "inf"],
+    ["trace", "--field", "rigid_rotation", "--t-grid", "2^-5..2^-2"],
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2

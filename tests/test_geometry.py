@@ -11,6 +11,7 @@ from curlflux.quadrature import (
     periodic_trapezoid,
     tensor_product_3d,
 )
+from curlflux.testfns import radial_bump
 
 
 def test_disk_area_and_moment():
@@ -351,13 +352,76 @@ def test_band_quadrature_matches_layer_loop(annuli):
         ramp += w * collar.layer_jacobian * np.sum(lw * vals)
         magnitude += w * collar.layer_jacobian * np.sum(lw * mags)
         mass += w * collar.layer_jacobian * np.sum(lw * weight(pts))
-    got, got_magnitude = geo.ramp_integral(man, collar, t, delta, annuli.trace_z_plane,
-                                           scalar=weight, breaks=breaks)
+    segments = geo.RampSegments(collar, annuli.trace_z_plane, weight, collar.layer, 8, breaks)
+    got, got_magnitude = geo.ramp_integral(segments, t, delta)
     assert got == ramp
     # the magnitude takes its norms in another order, so it agrees to roundoff
     assert got_magnitude == pytest.approx(magnitude, rel=1e-13)
     assert got_magnitude >= abs(got)
     assert geo.band_mass(collar, t, t + delta, weight, breaks=breaks) == mass
+
+
+def _separate_band(collar, layer, s_order, breaks, trace, scalar, t, delta):
+    # reference: the band (t, t+delta) on a split rule of its own, evaluated
+    # in one batch with the gradient scaled by 1/delta before the line sums
+    bp = np.array(sorted({t, t + delta, *(b for b in breaks if t < b < t + delta)}))
+    s_rule = gauss_legendre_split(s_order, bp)
+    layers = layer(s_rule.nodes)
+    pts = layers.nodes.reshape(-1, 3)
+    s = np.repeat(s_rule.nodes, layers.weights.shape[1])
+    f = trace(pts)
+    vals = np.einsum("ij,ij->i", f, collar.grad_s(pts, s) / delta)
+    mags = np.sqrt(np.einsum("ij,ij->i", f, f))
+    if scalar is not None:
+        vals, mags = vals * scalar(pts), mags * np.abs(scalar(pts))
+    layer_w = s_rule.weights * collar.layer_jacobian
+
+    def band(v):
+        lines = np.sum(layers.weights * v.reshape(layers.weights.shape), axis=1)
+        return float(np.cumsum(layer_w * lines)[-1])
+
+    return band(vals), band(mags) / (collar.layer_jacobian * delta)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("with_scalar", [False, True], ids=["one", "scalar"])
+@pytest.mark.parametrize("radius", [1.0, 1.7])
+def test_shared_segments_equal_separate_bands(annuli, t, with_scalar, radius):
+    # the widths of one route read one segment table; every width's (value,
+    # scale) must be the floats of its own band evaluated from scratch
+    center = np.array([0.2, -0.1, 0.5]) if radius != 1.0 else np.zeros(3)
+    man = geo.disk_manifold(center, radius)
+    collar = geo.build_tangential_collar(man)
+    trace = lambda p: annuli.trace_z_plane((p - center) / radius)  # noqa: E731
+    scalar = (lambda p: 1.0 + p[:, 0] ** 2) if with_scalar else None
+    breaks = tuple(collar.param_of_radius(radius * r) for r in annuli.trace_breaks_radii)
+    segments = geo.RampSegments(collar, trace, scalar, collar.layer, 10, breaks)
+    for j in range(2, 13):
+        delta = 2.0 ** -j
+        assert geo.ramp_integral(segments, t, delta) == _separate_band(
+            collar, collar.layer, 10, breaks, trace, scalar, t, delta)
+
+
+def test_shared_segments_equal_separate_bands_on_a_window(rigid_rotation):
+    # the windowed bands of one stokes_density radius
+    center, radius = np.array([0.3, 0.2, 0.7]), 1.0
+    man = geo.disk_manifold(center, radius, n_angular=512)
+    collar = geo.build_tangential_collar(man)
+    e1, e2, _ = man.meta["frame"]
+    a0, half_width = 0.1, 1.5 * 2.0 ** -5 / radius
+    bump = radial_bump(center + radius * (np.cos(a0) * e1 + np.sin(a0) * e2), 2.0 ** -5,
+                       plateau=0.6)
+
+    def window(s):
+        return geo.arc_curve(center, radius * (1.0 - s), e1, e2, a0 - half_width,
+                             a0 + half_width)
+
+    segments = geo.RampSegments(collar, rigid_rotation.trace_z_plane, bump.value, window,
+                                8, ())
+    for j in range(5, 14):
+        delta = 2.0 ** -j
+        assert geo.ramp_integral(segments, 0.0, delta) == _separate_band(
+            collar, window, 8, (), rigid_rotation.trace_z_plane, bump.value, 0.0, delta)
 
 
 # ---------------------------------------------------------------------------

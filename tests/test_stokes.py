@@ -43,6 +43,21 @@ def test_tangential_route_makes_one_layer_call_per_ramp_width(rigid_rotation,
     assert all(shape == (10,) for shape in calls)
 
 
+def test_tangential_route_evaluates_each_band_segment_once(annuli, unit_disk_manifold,
+                                                          unit_disk_collar):
+    # at t = 0 every width 2^-j is an alternation break, so each band is a
+    # prefix of the widest one: 39 segments of 10 layers of 96 nodes
+    points = []
+
+    def trace(p):
+        points.append(len(p))
+        return annuli.trace_z_plane(p)
+
+    stk.stokes_tangential(trace, unit_disk_manifold, unit_disk_collar, 0.0,
+                          breaks_radii=annuli.trace_breaks_radii)
+    assert sum(points) <= 40_000  # 39 * 10 * 96 = 37 440; 359 040 with a table per width
+
+
 def test_rigid_rotation_flux(rigid_rotation, unit_disk_manifold, unit_disk_collar):
     res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk_manifold,
                                 unit_disk_collar, 0.0)
