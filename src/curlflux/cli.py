@@ -196,6 +196,8 @@ def cmd_trace(p: dict) -> ResultTable:
     tcol = geo.build_transversal_collar(region)
     t_grid = _parse_grid(p.get("t_grid", "2^-2..2^-9"))
     side = p.get("side", "interior")
+    if side not in ("interior", "exterior"):
+        raise ConfigError(f"side must be interior or exterior, not {side!r}")
     rows = []
     for patch in region.boundary:
         # flat faces and closed spheres, each sampled on the region's own rule
@@ -348,15 +350,23 @@ def cmd_br(p: dict) -> ResultTable:
 def cmd_validate(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
     region = parse_region(p.get("region", "half_ball"))
+    tol = float(p.get("tol", 1e-8))
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tol must be a finite non-negative number, not {tol:g}")
     phi = smooth_bump(np.asarray(region.ambient_center) + np.array([0.1, 0.0, 0.2]), 2.5)
     from .testfns import random_trig_vector
     other = random_trig_vector(11, n_modes=2, kmax=1.0)
     res = stokes.smooth_validators(entry.vector_field, region, phi, other)
-    tol = float(p.get("tol", 1e-8))
     rows = [[k, v, "pass" if v <= tol else "FAIL"] for k, v in sorted(res.items())]
     ok = all(v <= tol for v in res.values())
     return ResultTable(["identity", "residual", "status"], rows,
                        metadata={"field": p["field"], "tolerance": tol}, passed=ok)
+
+
+def _annuli_ramp_closed_form(j: int) -> float:
+    """The annuli's ramp integral at width 2^-j and t = 0:
+    pi (-1)^(j+1) (2/3 - 0.6 2^-j)."""
+    return np.pi * (-1.0) ** (j + 1) * (2.0 / 3.0 - 0.6 * 2.0 ** (-j))
 
 
 def cmd_example(p: dict) -> ResultTable:
@@ -372,7 +382,7 @@ def cmd_example(p: dict) -> ResultTable:
                                    breaks_radii=entry.trace_breaks_radii)
     rows = []
     for j, (d, v) in enumerate(zip(res.deltas, res.delta_values), start=1):
-        closed = np.pi * (-1.0) ** (j + 1) * (2.0 / 3.0 - 0.6 * 2.0 ** (-j)) if t == 0 else ""
+        closed = _annuli_ramp_closed_form(j) if t == 0 else ""
         rows.append([j, d, v, closed])
     return ResultTable(["j", "delta", "ramp_integral", "closed_form_t0"], rows,
                        metadata={"t": t, "t_osc": FLOAT_FMT % res.t_osc,
@@ -411,7 +421,7 @@ def _repro_explicitcompute() -> ResultTable:
                                    breaks_radii=entry.trace_breaks_radii)
     rows, ok = [], True
     for j, v in enumerate(res.delta_values, start=1):
-        closed = np.pi * (-1.0) ** (j + 1) * (2.0 / 3.0 - 0.6 * 2.0 ** (-j))
+        closed = _annuli_ramp_closed_form(j)
         err = abs(v - closed)
         ok &= err <= 1e-6
         rows.append([f"I({j})", v, closed, err, "pass" if err <= 1e-6 else "FAIL"])
@@ -596,7 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     config = RunConfig.from_args(args)
+    fmt = config.params.get("emit", "csv")
     try:
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"emit must be csv or json, not {fmt!r}")
         table = run(config)
     except (ConfigError, flds.FieldError, geo.GeometryError, br.SheetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -604,7 +617,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except stokes.StokesRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    fmt = config.params.get("emit", "csv")
     out_path = config.params.get("out")
     if out_path:
         with open(out_path, "w") as fh:

@@ -1,10 +1,11 @@
 """Vector fields with measure-valued curl: the closed-form catalog, piecewise
 glued fields, curl-measure decomposition, and measure integration.
 
-Every catalog entry carries its exact curl decomposition (Lebesgue density,
-sheet parts on flat patches, line parts on straight segments) plus, where the
-trace on the canonical z-plane faces has a closed form, that trace as well.
-Singular sets are declared, never detected.
+Catalog entries carry their exact curl decomposition (Lebesgue density, sheet
+parts on flat patches, line parts on straight segments), except the annuli,
+whose entry has `curl=None`. Where the trace on the canonical z-plane faces has
+a closed form, the entry carries that trace as well. Singular sets are
+declared, never detected.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class SingularSet:
 class VectorField:
     eval: Callable[[Array], Array]  # (n,3) -> (n,3)
     analytic_curl: Optional[Callable[[Array], Array]] = None
-    integrability: str = "inf"  # exponent tag
     singular_set: Optional[SingularSet] = None
     label: str = ""
 
@@ -257,11 +257,9 @@ class CatalogEntry:
     curl: Optional[CurlMeasure]
     trace_z_plane: Optional[Callable[[Array], Array]] = None  # interior trace on z-plane faces, nu=+e3
     trace_breaks_radii: tuple[float, ...] = ()
-    extras: dict = field(default_factory=dict)
 
 
-CATALOG_NAMES = ("newtonian", "line_vortex", "annuli", "rigid_rotation",
-                 "oscillating_gradient", "plane_wave_em")
+CATALOG_NAMES = ("newtonian", "line_vortex", "annuli", "rigid_rotation", "plane_wave_em")
 
 LINE_EXTENT = 8.0  # declared extent of the axis filament carrying the line measure
 
@@ -297,8 +295,7 @@ def catalog(name: str) -> CatalogEntry:
             return -out / (4.0 * np.pi * r3[:, None])
 
         vf = VectorField(ev, analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)),
-                         integrability="p<3/2", singular_set=SingularSet("point"),
-                         label="newtonian")
+                         singular_set=SingularSet("point"), label="newtonian")
         return CatalogEntry(name, vf, ZERO_MEASURE, trace_z_plane=trace)
 
     if name == "line_vortex":
@@ -318,8 +315,7 @@ def catalog(name: str) -> CatalogEntry:
                         lambda pts: np.broadcast_to(np.array([0.0, 0.0, 1.0]),
                                                     (np.atleast_2d(pts).shape[0], 3)).copy())
         vf = VectorField(ev, analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)),
-                         integrability="p<2", singular_set=SingularSet("line"),
-                         label="line_vortex")
+                         singular_set=SingularSet("line"), label="line_vortex")
         return CatalogEntry(name, vf, CurlMeasure(line_parts=(line,)), trace_z_plane=trace)
 
     if name == "annuli":
@@ -343,7 +339,7 @@ def catalog(name: str) -> CatalogEntry:
         # a bounded extension of the boundary data, constant across the face plane;
         # its one-sided limits on z = 0 reproduce the declared data
         vf = VectorField(lambda x: surface_data(x), analytic_curl=None,
-                         integrability="inf", singular_set=None, label="annuli")
+                         singular_set=None, label="annuli")
         return CatalogEntry(name, vf, None, trace_z_plane=trace,
                             trace_breaks_radii=alternation_radii())
 
@@ -359,34 +355,10 @@ def catalog(name: str) -> CatalogEntry:
 
         const = np.array([0.0, 0.0, 2.0])
         vf = VectorField(ev, analytic_curl=lambda x: np.broadcast_to(
-            const, (np.atleast_2d(x).shape[0], 3)).copy(), integrability="inf",
-            label="rigid_rotation")
+            const, (np.atleast_2d(x).shape[0], 3)).copy(), label="rigid_rotation")
         mu = CurlMeasure(lebesgue_density=lambda x: np.broadcast_to(
             const, (np.atleast_2d(x).shape[0], 3)).copy())
         return CatalogEntry(name, vf, mu, trace_z_plane=trace)
-
-    if name == "oscillating_gradient":
-        def stripe_sign(z):
-            z = np.asarray(z, dtype=float)
-            out = np.zeros_like(z)
-            inside = (z > 0.0) & (z < 0.5)
-            k = np.floor(-np.log2(np.maximum(z[inside], 1e-300))).astype(int)
-            out[inside] = np.where(k % 2 == 0, 1.0, -1.0)
-            out[z >= 0.5] = 1.0
-            return out
-
-        def ev(x):
-            x = np.atleast_2d(x)
-            return np.stack([np.zeros(len(x)), np.zeros(len(x)),
-                             stripe_sign(x[:, 2])], axis=1)
-
-        def trace(pts):
-            return np.zeros_like(np.atleast_2d(pts))
-
-        vf = VectorField(ev, analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)),
-                         integrability="inf", label="oscillating_gradient")
-        return CatalogEntry(name, vf, ZERO_MEASURE, trace_z_plane=trace,
-                            extras={"div_variation": "unbounded"})
 
     if name == "plane_wave_em":
         def ev(x):
@@ -397,16 +369,8 @@ def catalog(name: str) -> CatalogEntry:
             x = np.atleast_2d(x)
             return np.stack([np.zeros(len(x)), np.zeros(len(x)), np.cos(x[:, 0])], axis=1)
 
-        def h_field(x):
-            x = np.atleast_2d(x)
-            return np.stack([np.zeros(len(x)), np.zeros(len(x)), np.sin(x[:, 0])], axis=1)
-
-        def dhdt(x):
-            return -crl(x)
-
-        vf = VectorField(ev, analytic_curl=crl, integrability="inf", label="plane_wave_em")
-        return CatalogEntry(name, vf, CurlMeasure(lebesgue_density=crl),
-                            extras={"magnetic_field": h_field, "dH_dt": dhdt})
+        vf = VectorField(ev, analytic_curl=crl, label="plane_wave_em")
+        return CatalogEntry(name, vf, CurlMeasure(lebesgue_density=crl))
 
     raise FieldError(f"unknown catalog field {name!r}; choose one of {CATALOG_NAMES}")
 
@@ -425,7 +389,6 @@ class PiecewiseField:
     plane_normal: Array  # unit, pointing to the plus side
     plus_field: VectorField
     minus_field: VectorField
-    trace_offset: float = 1e-6
 
     def side(self, x: Array) -> Array:
         return (np.atleast_2d(x) - self.plane_point) @ self.plane_normal
@@ -442,9 +405,9 @@ class PiecewiseField:
         return out
 
     def one_sided_traces(self, pts: Array) -> tuple[Array, Array]:
-        """(plus, minus) limits at interface points, via normal offsets."""
+        """(plus, minus) limits at interface points, via normal offsets of 1e-6."""
         pts = np.atleast_2d(pts)
-        h = self.trace_offset * self.plane_normal
+        h = 1e-6 * self.plane_normal
         return self.plus_field.eval(pts + h), self.minus_field.eval(pts - h)
 
     def jump_density(self, pts: Array) -> Array:

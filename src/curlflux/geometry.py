@@ -423,23 +423,6 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
     raise GeometryError(f"no collar construction for manifold kind {manifold.kind!r}")
 
 
-def shrink_tangential(manifold: BoundaryManifold, collar: TangentialCollar,
-                      t: float) -> BoundaryManifold:
-    """Remove the collar band of depth t; returns the shrunk manifold."""
-    if not 0.0 <= t < 0.5:
-        raise GeometryError("shrink parameter must satisfy 0 <= t < 1/2")
-    if manifold.closed or t == 0.0:
-        return manifold
-    m = manifold.meta
-    if manifold.kind == "disk":
-        return disk_manifold(m["center"], m["radius"] * (1.0 - t), m["frame"][2],
-                             order=m["order"], n_angular=m["n_angular"])
-    if manifold.kind == "spherical_cap":
-        return spherical_cap_manifold(m["center"], m["radius"], m["colatitude"] * (1.0 - t),
-                                      m["order"], m["n_angular"], m["inner_normal"])
-    raise GeometryError(f"cannot shrink manifold kind {manifold.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # localizer ramps (collar band integrals)
 # ---------------------------------------------------------------------------
@@ -540,11 +523,6 @@ def ramp_integral(segments: RampSegments, t: float, delta: float) -> tuple[float
     vals, mags = np.concatenate([segments.lines[p][1] for p in pieces], axis=1)
     return (_layer_sum(layer_w, vals / delta),
             _layer_sum(layer_w, mags) / (collar.layer_jacobian * delta))
-
-
-def band_area(collar: TangentialCollar, t: float, delta: float) -> float:
-    """Surface area of the collar band Psi((t, t+delta) x Gamma)."""
-    return band_mass(collar, t, t + delta, lambda pts: np.ones(len(pts)))
 
 
 def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
@@ -702,7 +680,7 @@ class TransversalCollar:
 
 @dataclass(frozen=True)
 class SolidRegion:
-    """Bounded region with patch boundary, a volume rule, and an ambient ball.
+    """Bounded region with a patch boundary and a volume rule.
 
     The volume rule is the product of the three 1-D `volume_rules` (slowest
     first) mapped about `ambient_center` by `coordinates`: "spherical"
@@ -717,7 +695,6 @@ class SolidRegion:
     volume_rules: tuple[QuadratureRule, QuadratureRule, QuadratureRule]
     coordinates: str
     contains: Callable[[np.ndarray], np.ndarray]
-    ambient_radius: float
     ambient_center: np.ndarray
     meta: dict = field(default_factory=dict)
     frame: Optional[np.ndarray] = None
@@ -778,7 +755,7 @@ def ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = DEFAUL
     def contains(x):
         return np.linalg.norm(np.atleast_2d(x) - center, axis=1) < radius
 
-    return SolidRegion("ball", (sphere,), rules, "spherical", contains, 2.0 * radius, center,
+    return SolidRegion("ball", (sphere,), rules, "spherical", contains, center,
                        meta={"center": center, "radius": float(radius)})
 
 
@@ -794,8 +771,7 @@ def half_ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = D
         rel = np.atleast_2d(x) - center
         return (np.linalg.norm(rel, axis=1) < radius) & (rel[:, 2] > 0.0)
 
-    return SolidRegion("half_ball", (face, dome), rules, "spherical", contains,
-                       2.0 * radius, center,
+    return SolidRegion("half_ball", (face, dome), rules, "spherical", contains, center,
                        meta={"center": center, "radius": float(radius),
                              "normal": np.array([0.0, 0.0, 1.0])})
 
@@ -816,9 +792,8 @@ def cylinder_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, z0: float = 0.0
         rel = np.atleast_2d(x) - center
         return (np.hypot(rel[:, 0], rel[:, 1]) < radius) & (rel[:, 2] > z0) & (rel[:, 2] < z1)
 
-    amb = 2.0 * max(radius, abs(z0), abs(z1))
     return SolidRegion("cylinder", (bottom, top, side), rules, "cylindrical", contains,
-                       amb, center,
+                       center,
                        meta={"center": center, "radius": float(radius),
                              "z0": float(z0), "z1": float(z1)})
 
@@ -844,8 +819,7 @@ def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0),
         rel = np.abs(np.atleast_2d(x) - center)
         return np.all(rel < h, axis=1)
 
-    return SolidRegion("box", tuple(faces), rules, "cartesian", contains,
-                       2.0 * float(np.max(h)), center,
+    return SolidRegion("box", tuple(faces), rules, "cartesian", contains, center,
                        meta={"center": center, "half_widths": h})
 
 
@@ -939,7 +913,7 @@ def _support_region(region: SolidRegion, center, radius, kinks) -> SolidRegion:
         return SolidRegion("ball", (), _spherical_rules(radius, order, n_angular,
                                                         radial_breaks=kinks), "spherical",
                            lambda x: np.linalg.norm(np.atleast_2d(x) - center, axis=1) < radius,
-                           2.0 * radius, center, meta=meta)
+                           center, meta=meta)
     for patch in region.boundary:
         if patch.name not in ("disk", "rectangle"):
             continue
@@ -954,7 +928,7 @@ def _support_region(region: SolidRegion, center, radius, kinks) -> SolidRegion:
             rel = np.atleast_2d(x) - center
             return (np.linalg.norm(rel, axis=1) < radius) & (rel @ n > 0.0)
 
-        return SolidRegion("half_ball", (), rules, "spherical", contains, 2.0 * radius, center,
+        return SolidRegion("half_ball", (), rules, "spherical", contains, center,
                            meta={**meta, "normal": n}, frame=np.stack(frame_from_normal(n)))
     return region
 

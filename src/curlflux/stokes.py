@@ -35,7 +35,7 @@ from .geometry import (
     surface_integral,
     volume_integral,
 )
-from .sequences import GAP_TOL, judge_sequence, richardson_limit
+from .sequences import judge_sequence, richardson_limit
 from .testfns import ScalarTestFunction, VectorTestField, radial_bump
 
 DELTA_J_RANGE = range(2, 13)  # default ramp widths 2^-j
@@ -117,24 +117,6 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
     return StokesResult("tangential_localizer", t, deltas, vals,
                         verdict.tail_oscillation, verdict.converged, flux,
                         meta={"gap": verdict.gap, "scale": verdict.scale})
-
-
-def vorticity_flux(trace, manifold: BoundaryManifold, collar: TangentialCollar,
-                   t: float, breaks_radii: Sequence[float] = ()) -> float:
-    """Flux through the shrunk manifold: the mass of the localizer-limit
-    measure, checked for independence of the cutoff choice to GAP_TOL times
-    the route's scale."""
-    res1 = stokes_tangential(trace, manifold, collar, t, breaks_radii=breaks_radii)
-    if not res1.converged:
-        raise StokesRefusal("localizer limit did not converge; no flux reported")
-    center = manifold.meta.get("center", np.zeros(3))
-    big = radial_bump(center, 64.0 * (1.0 + np.linalg.norm(center)), plateau=0.9)
-    res2 = stokes_tangential(trace, manifold, collar, t, testfn=big,
-                             breaks_radii=breaks_radii)
-    if res2.converged and (abs(res2.extrapolated - res1.extrapolated)
-                           > GAP_TOL * res1.meta["scale"]):
-        raise StokesRefusal("flux depends on the cutoff beyond tolerance")
-    return float(res1.extrapolated)
 
 
 def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
@@ -276,11 +258,6 @@ def manifold_div_measure(values, manifold: BoundaryManifold,
     return ManifoldDivMeasure(manifold, values, pw_div, tuple(atoms), 2e-3, resid)
 
 
-def gauss_green_manifold(dm: ManifoldDivMeasure, testfn: ScalarTestFunction) -> float:
-    """Boundary functional -<div v, phi> - int grad_tau(phi) . v."""
-    return -dm.action(testfn.value) - _tangential_pairing(dm.manifold.patch, testfn, dm.values)
-
-
 def stokes_transversal(trace_on_shifted, manifold: BoundaryManifold,
                        collar: TransversalCollar, t: float,
                        maximal_value: Optional[float] = None,
@@ -339,42 +316,6 @@ def _tangential_pairing(patch, phi: ScalarTestFunction, values) -> float:
         return np.einsum("ij,ij->i", gt, np.atleast_2d(values(pts)))
 
     return surface_integral(patch, integrand)
-
-
-def divergence_free_residual(G1, G2, manifold: BoundaryManifold,
-                             dictionary: Sequence[ScalarTestFunction]) -> float:
-    """Sup over the dictionary of the pairing of div(G1 - G2) with the entries.
-
-    Entries must be supported in the interior of the manifold: the
-    distributional surface divergence pairs against compactly supported test
-    functions, and edge-supported entries would see a spurious boundary flux.
-    Each pairing is integrated with `support_rule`: on a flat disk, over the
-    polar sub-disk centred on the entry's support and split at its kink
-    radii; entries without a support ball use the manifold's own rule.
-    """
-    def diff(pts):
-        return np.atleast_2d(G1(pts)) - np.atleast_2d(G2(pts))
-
-    worst = 0.0
-    for phi in dictionary:
-        patch = support_rule(manifold.patch, phi.support, phi.support_breaks)
-        worst = max(worst, abs(_tangential_pairing(patch, phi, diff)))
-    return worst
-
-
-def mass_representative_independence(G1, G2, manifold: BoundaryManifold,
-                                     collar: TangentialCollar, t: float,
-                                     dictionary: Sequence[ScalarTestFunction]) -> float:
-    """|mass(G1) - mass(G2)| for representatives differing by a divergence-free
-    field; the precondition (residual at most 1e-5) is verified against the
-    dictionary first."""
-    resid = divergence_free_residual(G1, G2, manifold, dictionary)
-    if resid > 1e-5:
-        raise StokesRefusal(
-            f"representatives do not differ by a divergence-free field (residual {resid:.2e})")
-    _, m1, _ = boundary_pairing_mass(G1, manifold, collar, t)
-    _, m2, _ = boundary_pairing_mass(G2, manifold, collar, t)
-    return abs(m1 - m2)
 
 
 def normal_trace_ext(mu: CurlMeasure, region: SolidRegion,
@@ -513,7 +454,7 @@ def vorticity_flux_cm1(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
 
 
 # ---------------------------------------------------------------------------
-# smooth validators, field-theory face check, jump conditions
+# smooth validators and jump conditions
 # ---------------------------------------------------------------------------
 
 
@@ -551,19 +492,6 @@ def smooth_validators(fld: VectorField, region: SolidRegion,
         - volume_integral(region, lambda x: np.einsum("ij,ij->i", fld.eval(x), other.curl(x)))
     d4 = abs(lhs4 - rhs4)
     return {"D1": float(d1), "D2": float(d2), "D3": float(d3), "D4": float(d4)}
-
-
-def faraday_face_check(E: VectorField, dH_dt, face: BoundaryManifold) -> float:
-    """|circulation-route flux of curl E + flux of dH/dt| through a face.
-
-    The circulation route is -loop integral of E . tau with tau induced by
-    the face orientation; for an exact field pair the two fluxes cancel.
-    """
-    circ = line_integral(face.boundary,
-                         lambda pts: np.einsum("ij,ij->i", E.eval(pts), face.tangents))
-    flux_h = surface_integral(face.patch, lambda pts: np.einsum(
-        "ij,ij->i", np.atleast_2d(dH_dt(pts)), face.patch.normals))
-    return abs(-circ + flux_h)
 
 
 def rankine_hugoniot_check(pw: PiecewiseField, sheet_density=None) -> tuple[float, float]:

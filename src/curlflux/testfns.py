@@ -128,14 +128,14 @@ def radial_bump(center, radius: float, plateau: float = 0.5) -> ScalarTestFuncti
                               support_breaks=(plateau * radius,))
 
 
-def trig_scalar(k, phase: float = 0.0) -> ScalarTestFunction:
+def trig_scalar(k) -> ScalarTestFunction:
     k = np.asarray(k, dtype=float)
 
     def value(x):
-        return np.sin(np.atleast_2d(x) @ k + phase)
+        return np.sin(np.atleast_2d(x) @ k)
 
     def gradient(x):
-        c = np.cos(np.atleast_2d(x) @ k + phase)
+        c = np.cos(np.atleast_2d(x) @ k)
         return c[:, None] * k
 
     return ScalarTestFunction(value, gradient, "trig")
@@ -189,16 +189,3 @@ def bump_vector(center, radius: float, direction) -> VectorTestField:
 
     return VectorTestField(value, curl, "bump_vector")
 
-
-def windowed(field: VectorTestField, window: ScalarTestFunction) -> VectorTestField:
-    """Compactly supported version of a vector field: value = w v,
-    curl = w curl(v) + grad(w) x v."""
-
-    def value(x):
-        return window.value(x)[:, None] * field.value(x)
-
-    def curl(x):
-        return (window.value(x)[:, None] * field.curl(x)
-                + np.cross(window.gradient(x), field.value(x)))
-
-    return VectorTestField(value, curl, f"windowed({field.label})")

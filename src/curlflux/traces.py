@@ -3,14 +3,14 @@
 Two independent routes are provided for the same object: the volume pairing
 (curl measure against the test function minus the field against its curl),
 and the layer route that integrates the field against the gradient of a solid
-ramp supported on an inward shell. Cross-checking the two is itself one of
-the shipped diagnostics.
+ramp supported on an inward shell. The tests cross-check the layer route
+against `trace_pairing_vector`; no command runs that check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .geometry import (
     SolidRegion,
     SurfacePatch,
     TransversalCollar,
-    ball_region,
     disk_patch,
     shell_integral,
     support_rule,
@@ -45,11 +44,6 @@ def _scalar_as_vec(phi):
     return testvec
 
 
-def _ambient_for(region: SolidRegion) -> SolidRegion:
-    return ball_region(region.ambient_center, region.ambient_radius,
-                       order=24, n_angular=64)
-
-
 def trace_pairing(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
                   testfn: ScalarTestFunction) -> np.ndarray:
     """Vector-valued pairing of the interior tangential trace with a scalar
@@ -71,25 +65,15 @@ def trace_pairing(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
 
 
 def trace_pairing_vector(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
-                         testvec: VectorTestField, side: str = "interior",
-                         ambient: Optional[SolidRegion] = None) -> float:
-    """Scalar pairing against a vector test field (componentwise contraction).
-
-    The exterior side integrates over `ambient` minus the region; pass an
-    ambient region whose rule resolves the test field if the default ball is
-    too coarse.
-    """
+                         testvec: VectorTestField) -> float:
+    """Scalar pairing of the interior trace against a vector test field
+    (componentwise contraction): the curl measure against the test field
+    minus the volume integral of F . curl(test field)."""
     def fdotcurl(x):
         return np.einsum("ij,ij->i", fld.eval(x), testvec.curl(x))
 
-    m_in = float(np.sum(integrate_measure(mu, testvec.value, region)))
-    v_in = volume_integral(region, fdotcurl)
-    if side == "interior":
-        return m_in - v_in
-    amb = ambient or _ambient_for(region)
-    m_amb = float(np.sum(integrate_measure(mu, testvec.value, amb)))
-    v_amb = volume_integral(amb, fdotcurl)
-    return -(m_amb - m_in) + (v_amb - v_in)
+    return (float(np.sum(integrate_measure(mu, testvec.value, region)))
+            - volume_integral(region, fdotcurl))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ from curlflux.testfns import (
     ScalarTestFunction,
     cutoff_profile,
     cutoff_profile_prime,
-    radial_bump,
-    trig_scalar,
 )
 
 
@@ -76,18 +74,3 @@ def cutoff_one():
 
     return ScalarTestFunction(value, gradient, "cutoff_one")
 
-
-@pytest.fixture(scope="session")
-def scalar_dictionary():
-    """Bumps at three scales around offset centers near the origin plus two
-    trig entries, at scale 1/2."""
-    scale = 0.5
-    rng = np.random.default_rng(1234)
-    entries = []
-    for level in (1.0, 0.5, 0.25):
-        for _ in range(2):
-            off = scale * 0.3 * rng.uniform(-1.0, 1.0, size=3)
-            entries.append(radial_bump(off, level * scale))
-    entries.append(trig_scalar(rng.standard_normal(3) / scale))
-    entries.append(trig_scalar(rng.standard_normal(3) / scale, phase=0.7))
-    return entries

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 from pathlib import Path
 
@@ -194,8 +195,21 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["maximal", "--field", "rigid_rotation", "--t-grid", "nan"],
     ["trace", "--field", "rigid_rotation", "--t-grid", "inf"],
     ["trace", "--field", "rigid_rotation", "--t-grid", "2^-5..2^-2"],
+    # a field the catalog does not hold
+    ["stokes", "--field", "oscillating_gradient"],
+    # tolerances no residual can be judged against
+    ["validate", "--field", "rigid_rotation", "--tol", "nan"],
+    ["validate", "--field", "rigid_rotation", "--tol", "-1"],
+    # --config values outside the choices the flags accept (a dict is the file's content)
+    ["trace", "--field", "rigid_rotation", "--config", {"side": "inner"}],
+    ["trace", "--field", "rigid_rotation", "--config", {"emit": "xml"}],
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for a in argv:
+        if isinstance(a, dict):
+            config.write_text(json.dumps(a))
+    argv = [str(config) if isinstance(a, dict) else a for a in argv]
     assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -292,32 +292,6 @@ def test_degenerate_boundary_rejected():
         geo.build_tangential_collar(shrunk)
 
 
-def test_shrink_tangential(unit_disk_manifold, unit_disk_collar):
-    shrunk = geo.shrink_tangential(unit_disk_manifold, unit_disk_collar, 0.25)
-    assert abs(shrunk.meta["radius"] - 0.75) < 1e-12
-    same = geo.shrink_tangential(unit_disk_manifold, unit_disk_collar, 0.0)
-    assert same is unit_disk_manifold
-    with pytest.raises(geo.GeometryError):
-        geo.shrink_tangential(unit_disk_manifold, unit_disk_collar, 0.7)
-
-
-def test_shrink_cap_area_monotone():
-    man = geo.spherical_cap_manifold((0, 0, 0), 1.0, 1.0)
-    col = geo.build_tangential_collar(man)
-    areas = [geo.shrink_tangential(man, col, t).patch.area() for t in (0.0, 0.1, 0.2)]
-    assert areas[0] > areas[1] > areas[2]
-
-
-@pytest.mark.parametrize("man", [
-    geo.disk_manifold((0, 0, 0), 1.0),
-    geo.disk_manifold((0, 0, 0), 1.0, order=12, n_angular=48),
-    geo.spherical_cap_manifold((0, 0, 0), 1.0, 1.0, order=10, n_angular=40),
-], ids=["disk_default", "disk_12x48", "cap_10x40"])
-def test_shrink_tangential_keeps_node_count(man):
-    shrunk = geo.shrink_tangential(man, geo.build_tangential_collar(man), 0.2)
-    assert shrunk.patch.nodes.shape == man.patch.nodes.shape
-
-
 # ---------------------------------------------------------------------------
 # collar bands
 # ---------------------------------------------------------------------------
@@ -328,7 +302,8 @@ def test_band_area_comparability(unit_disk_collar):
     c = 4.0 * np.pi
     for t in (0.0, 0.2):
         for delta in (0.05, 0.1):
-            area = geo.band_area(unit_disk_collar, t, delta)
+            area = geo.band_mass(unit_disk_collar, t, t + delta,
+                                 lambda pts: np.ones(len(pts)))
             assert delta / c <= area <= c * delta
 
 

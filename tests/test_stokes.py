@@ -111,21 +111,6 @@ def test_support_property(rigid_rotation, unit_disk_manifold, unit_disk_collar):
     assert max(abs(v) for v in res.delta_values) == 0.0
 
 
-def test_vorticity_flux_cutoff_independence(rigid_rotation, unit_disk_manifold,
-                                            unit_disk_collar):
-    flux = stk.vorticity_flux(rigid_rotation.trace_z_plane, unit_disk_manifold,
-                              unit_disk_collar, 0.0)
-    assert abs(flux - 2.0 * np.pi) < 1e-8
-
-
-def test_vorticity_flux_refuses_nonconvergent(annuli, unit_disk_manifold,
-                                              unit_disk_collar):
-    with pytest.raises(stk.StokesRefusal):
-        stk.vorticity_flux(annuli.trace_z_plane, unit_disk_manifold,
-                           unit_disk_collar, 0.0,
-                           breaks_radii=annuli.trace_breaks_radii)
-
-
 def test_line_vortex_tangential_flux(line_vortex):
     man = geo.disk_manifold((0, 0, 0.5), 0.5)
     col = geo.build_tangential_collar(man)
@@ -207,15 +192,6 @@ def test_verdict_and_flux_do_not_depend_on_units(unit_references, unit_disk_mani
         with pytest.raises(stk.StokesRefusal):
             stk.boundary_pairing_mass(lambda x: 10.0 ** k * trace(x), unit_disk_manifold,
                                       unit_disk_collar, t, breaks_radii=breaks)
-
-
-def test_vorticity_flux_is_reported_in_any_units(rigid_rotation, unit_disk_manifold,
-                                                unit_disk_collar):
-    # at 10^9 the Richardson gap and the roundoff of the cutoff check are far
-    # above any absolute tolerance, but not above GAP_TOL times the scale
-    flux = stk.vorticity_flux(lambda x: 1e9 * rigid_rotation.trace_z_plane(x),
-                              unit_disk_manifold, unit_disk_collar, 0.0)
-    assert abs(flux / 1e9 - 2.0 * np.pi) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -334,36 +310,20 @@ def test_annuli_divergence_mass_grows(annuli, unit_disk_manifold):
     assert masses[2] > 2.0 * 2.0 * np.pi * (1 - 2.0 ** -6) * 0.5
 
 
-def test_gauss_green_manifold_smooth(unit_disk_manifold):
-    # smooth tangential field: boundary functional equals the conormal flux
+def test_gauss_green_manifold_smooth(unit_disk_manifold, cylinder_collar):
+    # smooth tangential field: the transversal route's <div v, 1> on the
+    # shifted disk equals the outward conormal flux through its rim
     def v(pts):
         pts = np.atleast_2d(pts)
         return np.stack([pts[:, 0] ** 2, pts[:, 1], np.zeros(len(pts))], axis=1)
 
-    dm = stk.manifold_div_measure(v, unit_disk_manifold)
-    one = ScalarTestFunction(lambda p: np.ones(np.atleast_2d(p).shape[0]),
-                             lambda p: np.zeros_like(np.atleast_2d(p)), "one")
-    gg = stk.gauss_green_manifold(dm, one)
-    pts = unit_disk_manifold.boundary.nodes
-    con = unit_disk_manifold.conormals
-    oracle = -float(np.sum(unit_disk_manifold.boundary.weights
-                           * np.einsum("ij,ij->i", v(pts), con)))
-    # boundary functional = -<div v, 1> = -(-loop v . conormal)
-    assert abs(gg - (-oracle)) < 1e-5
-
-
-def test_gauss_green_dirac_disk(unit_disk_manifold):
-    def radial(pts):
-        pts = np.atleast_2d(pts)
-        rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        out = np.stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1)
-        return out / (2.0 * np.pi * np.where(rho2 == 0, 1.0, rho2)[:, None])
-
-    dm = stk.manifold_div_measure(radial, unit_disk_manifold,
-                                  singular_points=[(0.0, 0.0, 0.0)])
-    one = ScalarTestFunction(lambda p: np.ones(np.atleast_2d(p).shape[0]),
-                             lambda p: np.zeros_like(np.atleast_2d(p)), "one")
-    assert abs(stk.gauss_green_manifold(dm, one) + 1.0) < 1e-6
+    out = stk.stokes_transversal(v, unit_disk_manifold, cylinder_collar, 0.25)
+    shifted = out["manifold"]
+    pts = shifted.boundary.nodes
+    # the stored conormals point inward
+    oracle = -float(np.sum(shifted.boundary.weights
+                           * np.einsum("ij,ij->i", v(pts), shifted.conormals)))
+    assert abs(out["flux"] - oracle) < 1e-5
 
 
 def test_transversal_route_line_vortex(line_vortex, cylinder_collar):
@@ -454,10 +414,7 @@ def test_boundary_pairing_zero(unit_disk_manifold, unit_disk_collar):
 
 def test_mass_representative_independence(line_vortex, unit_disk_manifold,
                                           unit_disk_collar):
-    # interior-supported dictionary: the divergence pairing must not see the rim
-    dictionary = [radial_bump((0.0, 0.0, 0.0), 0.45),
-                  radial_bump((0.2, 0.1, 0.0), 0.35),
-                  radial_bump((-0.3, 0.2, 0.0), 0.3)]
+    # representatives that differ by a divergence-free field have one mass
     G1 = line_vortex.trace_z_plane
 
     def azimuthal(pts):
@@ -477,23 +434,9 @@ def test_mass_representative_independence(line_vortex, unit_disk_manifold,
     for extra in (azimuthal, harmonic_rotated):
         G2 = lambda pts, e=extra: G1(pts) + e(pts)
         for t in (0.1, 0.2, 0.3, 0.4, 0.45):
-            diff = stk.mass_representative_independence(
-                G1, G2, unit_disk_manifold, unit_disk_collar, t, dictionary)
-            assert diff < 1e-6
-
-
-def test_mass_independence_precondition(unit_disk_manifold, unit_disk_collar,
-                                        scalar_dictionary):
-    G1 = lambda pts: np.zeros_like(np.atleast_2d(pts))
-
-    def radial_nondivfree(pts):
-        pts = np.atleast_2d(pts)
-        return np.stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1)
-
-    with pytest.raises(stk.StokesRefusal):
-        stk.mass_representative_independence(G1, radial_nondivfree,
-                                             unit_disk_manifold, unit_disk_collar,
-                                             0.2, scalar_dictionary)
+            _, m1, _ = stk.boundary_pairing_mass(G1, unit_disk_manifold, unit_disk_collar, t)
+            _, m2, _ = stk.boundary_pairing_mass(G2, unit_disk_manifold, unit_disk_collar, t)
+            assert abs(m1 - m2) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +554,7 @@ def test_three_route_equality_line_vortex(line_vortex, cylinder_collar,
 
 
 # ---------------------------------------------------------------------------
-# smooth validators, field-pair face check, jump conditions
+# smooth validators and jump conditions
 # ---------------------------------------------------------------------------
 
 
@@ -641,30 +584,6 @@ def test_smooth_validators_gradient_field(half_ball):
     other = random_trig_vector(17, n_modes=2, kmax=1.0)
     res = stk.smooth_validators(fld, half_ball, phi, other)
     assert max(res.values()) < 1e-8
-
-
-def test_faraday_plane_wave():
-    entry = flds.catalog("plane_wave_em")
-    face = geo.disk_manifold((0.2, -0.1, 0.0), 0.8)
-    resid = stk.faraday_face_check(entry.vector_field, entry.extras["dH_dt"], face)
-    assert resid < 1e-8
-
-
-def test_faraday_static_fields():
-    cst = flds.constant_field((0.0, 1.0, 0.0))
-    face = geo.disk_manifold((0, 0, 0), 1.0)
-    resid = stk.faraday_face_check(cst, lambda x: np.zeros_like(np.atleast_2d(x)),
-                                   face)
-    assert resid < 1e-12
-
-
-def test_faraday_randomized_consistent_pair():
-    E = random_trig_vector(23, n_modes=3, kmax=1.5)
-    fld = flds.VectorField(E.value, analytic_curl=E.curl, label="random")
-    dHdt = lambda x: -E.curl(x)
-    face = geo.disk_manifold((0.1, 0.2, 0.05), 0.9)
-    resid = stk.faraday_face_check(fld, dHdt, face)
-    assert resid < 1e-6
 
 
 def test_rankine_hugoniot_constructed():

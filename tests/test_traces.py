@@ -72,25 +72,6 @@ def test_pairing_newtonian_pv(newtonian, half_ball):
     assert np.linalg.norm(pairing - pv) < 1e-3
 
 
-def test_interior_exterior_agreement(rigid_rotation):
-    # integrable curl density: the two one-sided pairings agree for test
-    # fields compactly supported in the ambient region
-    from curlflux.testfns import radial_bump, windowed
-    region = geo.half_ball_region(order=24, n_angular=48)
-    tv = windowed(random_trig_vector(21, n_modes=2, kmax=1.0),
-                  radial_bump((0, 0, 0), 1.8, plateau=0.6))
-    ambient = geo.ball_region((0, 0, 0), 2.0, order=24, n_angular=64,
-                              radial_breaks=(1.0, 0.6 * 1.8, 1.8))
-    interior = trc.trace_pairing_vector(rigid_rotation.curl,
-                                        rigid_rotation.vector_field,
-                                        region, tv, side="interior")
-    exterior = trc.trace_pairing_vector(rigid_rotation.curl,
-                                        rigid_rotation.vector_field,
-                                        region, tv, side="exterior",
-                                        ambient=ambient)
-    assert abs(interior - exterior) < 1e-6
-
-
 # ---------------------------------------------------------------------------
 # vector pairing
 # ---------------------------------------------------------------------------
