@@ -93,8 +93,23 @@ def _jsonify(v):
 def _number(text, name: str) -> float:
     try:
         return float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, not {text!r}") from None
+
+
+def _param(p: dict, key: str, default, kind: type):
+    """The number under `key` (flag or --config value), else `default`, as a
+    float or an int (`kind`); a boolean, a non-number or, for an int, a
+    non-integral value is refused."""
+    value = p.get(key, default)
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, not {value!r}")
+    number = _number(value, key)
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be an integer, not {value!r}")
+    return int(number)
 
 
 def _parse_spec(spec, keys: dict) -> tuple[str, dict]:
@@ -236,7 +251,7 @@ def _parse_grid(spec) -> tuple:
 
 def _j_range(p: dict, start: int, default_max: int) -> range:
     """Ramp exponents start ... delta_max_j; an empty range has no verdict."""
-    jmax = int(p.get("delta_max_j", default_max))
+    jmax = _param(p, "delta_max_j", default_max, int)
     if jmax < start:
         raise ConfigError(f"delta_max_j must be at least {start}, not {jmax}")
     return range(start, jmax + 1)
@@ -252,7 +267,7 @@ def cmd_stokes(p: dict) -> ResultTable:
         raise ConfigError(f"delta_max_j applies to the tangential route only, not {route}")
     if route != "transversal" and "region" in p:
         raise ConfigError(f"region applies to the transversal route only, not {route}")
-    t = float(p.get("t", 0.0))
+    t = _param(p, "t", 0.0, float)
     if entry.trace_z_plane is None:
         raise ConfigError(f"catalog field {p['field']!r} carries no face trace")
     meta = {"field": p["field"], "route": route, "t": t}
@@ -289,7 +304,7 @@ def cmd_maximal(p: dict) -> ResultTable:
     man = parse_surface(p.get("surface", "disk:r=1"))
     tcol = geo.build_transversal_collar(region)
     t_grid = _parse_grid(p.get("t_grid", tuple(np.linspace(0.05, 0.45, 9))))
-    lam = float(p.get("lam", 4.0))
+    lam = _param(p, "lam", 4.0, float)
     if not lam > 0.0:
         raise ConfigError(f"lam must be positive, not {lam:g}")
     if entry.curl is None:
@@ -315,15 +330,15 @@ def cmd_br(p: dict) -> ResultTable:
     gamma = p.get("gamma", "1,0,0")
     if isinstance(gamma, str):
         gamma = tuple(_number(v, "gamma") for v in gamma.split(","))
-    dt = float(p.get("dt", 0.01))
-    steps = int(p.get("steps", 10))
-    dump_every = int(p.get("dump_every", max(1, steps // 4)))
+    dt = _param(p, "dt", 0.01, float)
+    steps = _param(p, "steps", 10, int)
+    dump_every = _param(p, "dump_every", max(1, steps // 4), int)
     if steps < 0:
         raise ConfigError(f"steps must be non-negative, not {steps}")
     if dump_every < 1:
         raise ConfigError(f"dump_every must be at least 1, not {dump_every}")
     desing = p.get("delta_br")
-    amp = float(p.get("amplitude", 0.0))
+    amp = _param(p, "amplitude", 0.0, float)
     sheet = br.flat_periodic_sheet(n1, n2, gamma=gamma,
                                    desing=None if desing is None else _number(desing, "delta_br"),
                                    bump_amplitude=amp)
@@ -350,7 +365,7 @@ def cmd_br(p: dict) -> ResultTable:
 def cmd_validate(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
     region = parse_region(p.get("region", "half_ball"))
-    tol = float(p.get("tol", 1e-8))
+    tol = _param(p, "tol", 1e-8, float)
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"tol must be a finite non-negative number, not {tol:g}")
     phi = smooth_bump(np.asarray(region.ambient_center) + np.array([0.1, 0.0, 0.2]), 2.5)
@@ -374,7 +389,7 @@ def cmd_example(p: dict) -> ResultTable:
     if name != "annuli":
         raise ConfigError("example currently ships the dyadic-annuli trace only")
     entry = get_catalog("annuli")
-    t = float(p.get("t", 0.0))
+    t = _param(p, "t", 0.0, float)
     man = geo.disk_manifold((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(man)
     res = stokes.stokes_tangential(entry.trace_z_plane, man, col, t,

@@ -354,10 +354,9 @@ def catalog(name: str) -> CatalogEntry:
             return np.stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1)
 
         const = np.array([0.0, 0.0, 2.0])
-        vf = VectorField(ev, analytic_curl=lambda x: np.broadcast_to(
-            const, (np.atleast_2d(x).shape[0], 3)).copy(), label="rigid_rotation")
-        mu = CurlMeasure(lebesgue_density=lambda x: np.broadcast_to(
-            const, (np.atleast_2d(x).shape[0], 3)).copy())
+        vf = VectorField(ev, analytic_curl=lambda x: np.tile(const, (len(np.atleast_2d(x)), 1)),
+                         label="rigid_rotation")
+        mu = CurlMeasure(lebesgue_density=lambda x: np.tile(const, (len(np.atleast_2d(x)), 1)))
         return CatalogEntry(name, vf, mu, trace_z_plane=trace)
 
     if name == "plane_wave_em":

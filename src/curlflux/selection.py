@@ -8,7 +8,8 @@ one-sided valid. Concentration on a single layer is flagged as infinite.
 A transversal scan reads its measure through one slide (`SlideMeasure`).
 Each sheet part's slide depths and |density| at its nodes are computed once
 per scan; each window then only masks and sums them. A Lebesgue density is
-evaluated on a window's eight Gauss layers in one call. Line parts are
+evaluated on a window's eight Gauss layers in blocks of whole layers, one
+call per block of at most `geometry.BLOCK_POINTS` points. Line parts are
 solved per window on their own rule.
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .fields import CurlMeasure, LinePart
 from .geometry import (
+    BLOCK_POINTS,
     POSITION_TOL,
     BoundaryManifold,
     GeometryError,
@@ -130,12 +132,17 @@ def _lebesgue_slab_mass(density, slide: PatchSlide, lo: float, hi: float) -> flo
     if hi <= lo:
         return 0.0
     s_rule = gauss_legendre(8, lo, hi)
-    # the window's eight layers in one shift and one density call
-    pts = slide.shift_point(slide.patch.nodes, s_rule.nodes[:, None, None])
-    sq = np.atleast_2d(density(pts.reshape(-1, 3))) ** 2
-    # |d| summed in np.linalg.norm's order; einsum's differs in the last bit
-    mags = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2]).reshape(len(s_rule.nodes), -1)
-    layers = np.sum(slide.patch.weights * mags, axis=1)
+    nodes, weights = slide.patch.nodes, slide.patch.weights
+    # whole layers in blocks of at most BLOCK_POINTS points (one layer if the
+    # face is larger), one shift and one density call per block
+    step = max(1, BLOCK_POINTS // len(weights))
+    layers = []
+    for k in range(0, len(s_rule.nodes), step):
+        pts = slide.shift_point(nodes, s_rule.nodes[k:k + step, None, None])
+        sq = np.atleast_2d(density(pts.reshape(-1, 3))) ** 2
+        # |d| summed in np.linalg.norm's order; einsum's differs in the last bit
+        mags = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2]).reshape(-1, len(weights))
+        layers.extend(np.sum(weights * mags, axis=1))
     total = 0.0
     for s, w, layer in zip(s_rule.nodes, s_rule.weights, layers):
         total += w * slide.area_scale(s) * float(layer)

@@ -203,6 +203,11 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     # --config values outside the choices the flags accept (a dict is the file's content)
     ["trace", "--field", "rigid_rotation", "--config", {"side": "inner"}],
     ["trace", "--field", "rigid_rotation", "--config", {"emit": "xml"}],
+    # --config numbers that skip the flags' type conversion
+    ["stokes", "--field", "rigid_rotation", "--config", {"t": "abc"}],
+    ["br", "--grid", "4x4", "--config", {"steps": 1.5}],
+    ["br", "--grid", "4x4", "--steps", "1", "--config", {"dump_every": True}],
+    ["maximal", "--field", "line_vortex", "--config", {"lam": [1.0]}],
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
     config = tmp_path / "config.json"

@@ -597,3 +597,19 @@ def test_a_region_read_for_its_collar_builds_no_volume_rule():
     assert region.volume_weights.size == 8 * 8 * 16
     assert {"_volume", "volume_weights"} <= set(vars(region))
 
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_blocked_volume_integral_equals_one_evaluation(vector):
+    region = geo.ball_region((0.1, -0.2, 0.3), 0.9, order=20)
+    assert region.volume_weights.size > 4 * geo.BLOCK_POINTS
+    sizes = []
+
+    def integrand(x):
+        sizes.append(len(x))
+        v = np.stack([np.sin(x[:, 0]) * x[:, 1], np.exp(x[:, 2]), x[:, 0] * x[:, 2]], axis=1)
+        return v if vector else np.sin(x[:, 0]) * np.exp(x[:, 1] * x[:, 2])
+
+    blocked = geo.volume_integral(region, integrand)
+    assert max(sizes) <= geo.BLOCK_POINTS and sum(sizes) == region.volume_weights.size
+    whole = geo._node_sum(region.volume_weights, integrand(region.volume_nodes))
+    assert np.array_equal(blocked, whole) and np.shape(blocked) == ((3,) if vector else ())

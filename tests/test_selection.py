@@ -143,13 +143,30 @@ def _per_layer_slab_mass(density, slide, lo, hi):
     return total
 
 
-@pytest.mark.parametrize("region", ["cylinder", "ball"])
-def test_batched_layers_equal_the_per_layer_loop(region):
-    if region == "ball":
-        reg = geo.ball_region((0.1, 0.0, -0.2), 0.8, order=8, n_angular=16)
-    else:
-        # the default rule: 2304 nodes per face, as the scans of the CLI use
-        reg = geo.cylinder_region((0.1, 0.0, -0.2), 0.8, -0.2, 0.6)
+# (region, order, n_angular): face sizes against geo.BLOCK_POINTS
+BLOCK_FACES = {
+    # the default rule: 2304 nodes per face, as the scans of the CLI use; 2 layers a block
+    "cylinder": ("cylinder", geo.DEFAULT_ORDER, geo.DEFAULT_ANGULAR),
+    # 768 nodes per face: blocks of 6 layers and a remainder of 2
+    "cylinder_remainder": ("cylinder", 16, 48),
+    # 6144 nodes per face, above the budget: one layer a block
+    "cylinder_above_budget": ("cylinder", 64, 96),
+    # 128 nodes on the sphere: all eight layers in one block
+    "ball": ("ball", 8, 16),
+}
+
+
+def _block_region(face):
+    kind, order, n_angular = BLOCK_FACES[face]
+    if kind == "ball":
+        return geo.ball_region((0.1, 0.0, -0.2), 0.8, order=order, n_angular=n_angular)
+    return geo.cylinder_region((0.1, 0.0, -0.2), 0.8, -0.2, 0.6, order=order,
+                               n_angular=n_angular)
+
+
+@pytest.mark.parametrize("face", sorted(BLOCK_FACES))
+def test_batched_layers_equal_the_per_layer_loop(face):
+    reg = _block_region(face)
     col = geo.build_transversal_collar(reg)
     # planar faces, the cylinder side and the sphere; windows inside, clipped
     # at depth 0 and clipped at the slide's depth range (the radius 0.8)
@@ -162,6 +179,24 @@ def test_batched_layers_equal_the_per_layer_loop(region):
                 assert (sel._lebesgue_slab_mass(density, slide, lo, hi)
                         == _per_layer_slab_mass(density, slide, lo, hi))
     assert "_volume" not in vars(reg)
+
+
+@pytest.mark.parametrize("face", ["cylinder", "cylinder_remainder", "ball"])
+def test_a_window_evaluates_whole_layers_within_the_budget(face):
+    col = geo.build_transversal_collar(_block_region(face))
+    sizes = []
+
+    def density(x):
+        sizes.append(len(x))
+        return np.cos(x)
+
+    for slide in col.slides:
+        n = len(slide.patch.weights)
+        sizes.clear()
+        sel._lebesgue_slab_mass(density, slide, 0.1, 0.3)
+        assert sum(sizes) == 8 * n
+        assert all(k % n == 0 and k <= geo.BLOCK_POINTS for k in sizes)
+        assert len(sizes) == -(-8 // (geo.BLOCK_POINTS // n))
 
 
 def test_a_scan_builds_no_volume_rule(line_vortex):
