@@ -2,10 +2,12 @@
 regions with volume rules.
 
 Every curve, patch and boundary manifold is held as its quadrature node set:
-the points, normals and weights of a closed-form parametrization (no meshes),
-evaluated once when the shape is built. Collar maps for the canonical catalog
-(disk, spherical cap, sphere, cylinder side, planar faces) are exact, which
-keeps the localizer-limit computations free of mesh noise.
+the points, normals and weights of a closed-form parametrization (no meshes).
+A curve evaluates them when it is built; a surface patch holds the 1-D rules
+of its parameters and evaluates them on first read, as a solid region does
+its volume rule. Collar maps for the canonical catalog (disk, spherical cap,
+sphere, cylinder side, planar faces) are exact, which keeps the
+localizer-limit computations free of mesh noise.
 Conventions fixed once and used everywhere:
 
 * regions carry the *inner* unit normal on their boundary;
@@ -15,7 +17,7 @@ Conventions fixed once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -45,14 +47,22 @@ def _unit(v):
     return v / np.where(n == 0.0, 1.0, n)
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b of two 3-vectors: the products and differences np.cross forms,
+    so the same floats, without its per-call cost on single vectors."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def frame_from_normal(normal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-handed orthonormal frame (e1, e2, n) with n the given direction."""
     n = np.asarray(normal, dtype=float)
     n = n / np.linalg.norm(n)
-    a = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(a, n)
+    a = (0.0, 0.0, 1.0) if abs(n[2]) < 0.9 else (1.0, 0.0, 0.0)
+    e1 = _cross(a, n)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    e2 = _cross(n, e1)
     return e1, e2, n
 
 
@@ -134,27 +144,93 @@ def line_integral(curve: Curve, integrand) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """Patch of a parametrized surface (u, v) -> R^3 as its node set.
+    """Patch of a parametrized surface (u, v) -> R^3 and its node set.
 
-    Constructors evaluate the map once, on the product of two 1-D rules (u
-    slowest) or on the rays of `support_rule`'s singular polar rule, into
-    read-only arrays: `nodes` (points), `normals` (unit) and `weights` (rule
-    weight times the area element |X_u x X_v|), so a surface integral is
-    sum(weights * f(nodes)).
+    The patch holds the parameters of its nodes with their plain rule
+    weights, as two rules `u` and `v`. On a product rule (u slowest) the
+    arrays of `u` are a column (n_u, 1), so the two broadcast to the node
+    grid; on `support_rule`'s singular polar rule both are flat, one entry
+    per node along the rays. `coordinates` names the map of (u, v) about
+    `origin`:
+
+    * "polar": (rho, phi) -> origin + rho (cos phi e1 + sin phi e2), with
+      (e1, e2, n) the rows of `frame` and n the normal;
+    * "spherical": (cos colatitude, phi) on the sphere of radius `scale`;
+    * "cylinder_side": (z, phi) on the cylinder of radius `scale` about the
+      z axis through `origin`;
+    * "rectangle": (u, v) -> origin + u e1 + v e2, with (e1, e2, n) the rows
+      of `frame`, n the unit normal and `scale` = |e1 x e2|.
+
+    The normals of a sphere or cylinder side are `sign` times the outward
+    ones. `nodes` (points), `normals` (unit) and `weights` (rule weight times
+    the area element |X_u x X_v|) are built from these on first read, into
+    read-only arrays, so a surface integral is sum(weights * f(nodes)).
     """
 
     name: str
-    nodes: np.ndarray  # (n, 3)
-    normals: np.ndarray  # (n, 3), unit
-    weights: np.ndarray  # (n,)
+    coordinates: str
+    u: QuadratureRule
+    v: QuadratureRule
+    origin: np.ndarray
+    frame: Optional[np.ndarray]  # (3, 3): polar and rectangle
+    scale: float  # 1 on a polar patch
+    sign: float  # 1 on a polar patch or a rectangle
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for a in (self.nodes, self.normals, self.weights):
-            a.flags.writeable = False
+    @cached_property
+    def nodes(self) -> np.ndarray:  # (n, 3)
+        u, v = self.u.nodes, self.v.nodes
+        if self.coordinates == "polar":
+            e1, e2, _ = self.frame
+            ring = np.cos(v)[..., None] * e1 + np.sin(v)[..., None] * e2
+            pts = self.origin + u[..., None] * ring
+        elif self.coordinates == "spherical":
+            st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+            local = np.stack(np.broadcast_arrays(st * np.cos(v), st * np.sin(v), u), axis=-1)
+            pts = self.origin + self.scale * local
+        elif self.coordinates == "cylinder_side":
+            r = self.scale
+            pts = self.origin + np.stack(np.broadcast_arrays(r * np.cos(v), r * np.sin(v), u),
+                                         axis=-1)
+        else:
+            e1, e2, _ = self.frame
+            pts = self.origin + u[..., None] * e1 + v[..., None] * e2
+        return _read_only(pts.reshape(-1, 3))
+
+    @cached_property
+    def normals(self) -> np.ndarray:  # (n, 3), unit
+        if self.coordinates == "spherical":
+            return _read_only(self.sign * _unit(self.nodes - self.origin))
+        if self.coordinates == "cylinder_side":
+            phi = self.v.nodes
+            ring = self.sign * np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
+            return _read_only(np.tile(ring, (self.u.nodes.size, 1)))
+        size = np.broadcast(self.u.nodes, self.v.nodes).size
+        return _read_only(np.tile(self.frame[2], (size, 1)))
+
+    @cached_property
+    def weights(self) -> np.ndarray:  # (n,)
+        w = self.u.weights * self.v.weights
+        if self.coordinates == "polar":
+            w = w * self.u.nodes
+        elif self.coordinates == "spherical":
+            w = w * (self.scale * self.scale)
+        else:
+            w = w * self.scale
+        return _read_only(w.ravel())
 
     def area(self) -> float:
         return float(np.sum(self.weights))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _column(rule: QuadratureRule) -> QuadratureRule:
+    """`rule` with its arrays as a column (n, 1): the slow axis of a product."""
+    return QuadratureRule(rule.nodes[:, None], rule.weights[:, None], rule.order)
 
 
 def surface_integral(patch: SurfacePatch, integrand) -> float | np.ndarray:
@@ -177,22 +253,18 @@ def disk_patch(center, radius: float, normal=(0.0, 0.0, 1.0),
     """
     bp = sorted({float(inner_radius), float(radius), *(float(b) for b in radial_breaks
                                                        if inner_radius < b < radius)})
-    r_rule = gauss_legendre_split(order, np.asarray(bp))
-    a_rule = periodic_trapezoid(n_angular)
-    return _polar_patch(center, normal, r_rule.nodes[:, None], a_rule.nodes,
-                        np.outer(r_rule.weights, a_rule.weights), radius, inner_radius)
+    return _polar_patch(center, normal, _column(gauss_legendre_split(order, np.asarray(bp))),
+                        periodic_trapezoid(n_angular), radius, inner_radius)
 
 
-def _polar_patch(center, normal, rho, phi, w, radius: float,
+def _polar_patch(center, normal, rho: QuadratureRule, phi: QuadratureRule, radius: float,
                  inner_radius: float) -> SurfacePatch:
-    """Flat patch in polar coordinates (rho, phi) about `center`, from node
-    coordinates and plain rule weights `w` of broadcasting shapes; the nodes
-    may be any set inside the annulus inner_radius <= rho <= radius."""
+    """Flat patch in polar coordinates (rho, phi) about `center`, on the
+    parameter rules `rho` and `phi` (see `SurfacePatch`); the nodes may be any
+    set inside the annulus inner_radius <= rho <= radius."""
     center = np.asarray(center, dtype=float)
     e1, e2, n = frame_from_normal(normal)
-    ring = np.cos(phi)[..., None] * e1 + np.sin(phi)[..., None] * e2
-    nodes = (center + rho[..., None] * ring).reshape(-1, 3)
-    return SurfacePatch("disk", nodes, np.tile(n, (len(nodes), 1)), (w * rho).ravel(),
+    return SurfacePatch("disk", "polar", rho, phi, center, np.stack([e1, e2, n]), 1.0, 1.0,
                         meta={"center": center, "normal": n, "radius": float(radius),
                               "inner_radius": float(inner_radius)})
 
@@ -205,17 +277,10 @@ def sphere_patch(center, radius: float, order: int = DEFAULT_ORDER,
     The area element is R^2 du dphi exactly, so the product rule is exact for
     polynomial integrands. `inner_normal` orients nu toward the center.
     """
-    center = np.asarray(center, dtype=float)
-    sign = -1.0 if inner_normal else 1.0
-    u_rule = gauss_legendre(order, u_range[0], u_range[1])
-    a_rule = periodic_trapezoid(n_angular)
-    u, phi = u_rule.nodes[:, None], a_rule.nodes
-    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    local = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), u), axis=-1)
-    nodes = (center + radius * local).reshape(-1, 3)
-    weights = np.outer(u_rule.weights, a_rule.weights).ravel() * (radius * radius)
     name = "sphere" if u_range == (-1.0, 1.0) else "spherical_cap"
-    return SurfacePatch(name, nodes, sign * _unit(nodes - center), weights)
+    return SurfacePatch(name, "spherical", _column(gauss_legendre(order, *u_range)),
+                        periodic_trapezoid(n_angular), np.asarray(center, dtype=float), None,
+                        float(radius), -1.0 if inner_normal else 1.0)
 
 
 def spherical_cap_patch(center, radius: float, colatitude: float,
@@ -229,32 +294,20 @@ def spherical_cap_patch(center, radius: float, colatitude: float,
 def cylinder_side_patch(center, radius: float, z0: float, z1: float,
                         order: int = DEFAULT_ORDER, n_angular: int = DEFAULT_ANGULAR,
                         inner_normal: bool = True) -> SurfacePatch:
-    center = np.asarray(center, dtype=float)
-    sign = -1.0 if inner_normal else 1.0
-    z_rule = gauss_legendre(order, z0, z1)
-    a_rule = periodic_trapezoid(n_angular)
-    z, phi = z_rule.nodes[:, None], a_rule.nodes
-    local = np.stack(np.broadcast_arrays(radius * np.cos(phi), radius * np.sin(phi), z), axis=-1)
-    normals = sign * np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
-    weights = np.outer(z_rule.weights, a_rule.weights).ravel() * float(radius)
-    return SurfacePatch("cylinder_side", (center + local).reshape(-1, 3),
-                        np.tile(normals, (z.size, 1)), weights)
+    return SurfacePatch("cylinder_side", "cylinder_side", _column(gauss_legendre(order, z0, z1)),
+                        periodic_trapezoid(n_angular), np.asarray(center, dtype=float), None,
+                        float(radius), -1.0 if inner_normal else 1.0)
 
 
 def rectangle_patch(corner, e1, e2, extent1: float, extent2: float, normal_sign: float = 1.0,
                     order: int = DEFAULT_ORDER) -> SurfacePatch:
-    corner = np.asarray(corner, dtype=float)
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
-    n = normal_sign * np.cross(e1, e2)
+    n = normal_sign * _cross(e1, e2)
     n /= np.linalg.norm(n)
-    u_rule = gauss_legendre(order, 0.0, extent1)
-    v_rule = gauss_legendre(order, 0.0, extent2)
-    nodes = (corner + u_rule.nodes[:, None, None] * e1
-             + v_rule.nodes[None, :, None] * e2).reshape(-1, 3)
-    weights = (np.outer(u_rule.weights, v_rule.weights).ravel()
-               * np.linalg.norm(np.cross(e1, e2)))
-    return SurfacePatch("rectangle", nodes, np.tile(n, (len(nodes), 1)), weights)
+    return SurfacePatch("rectangle", "rectangle", _column(gauss_legendre(order, 0.0, extent1)),
+                        gauss_legendre(order, 0.0, extent2), np.asarray(corner, dtype=float),
+                        np.stack([e1, e2, n]), np.linalg.norm(_cross(e1, e2)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +333,20 @@ class BoundaryManifold:
         return self.kind == "closed"
 
 
+def _fit_bilip(collar: TangentialCollar) -> float:
+    """Largest distortion max(d/gap, gap/d) between pairs of six sampled
+    layers, with d their `layer_distance`; 1 if no pair is distorted, and for
+    the empty collar."""
+    if collar.empty:
+        return 1.0
+    ss = np.linspace(0.0, min(0.45, collar.s_max * 0.9), 6)
+    pts = collar.layer(ss).nodes
+    d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1).min(axis=-1)
+    gap = np.abs(ss[:, None] - ss[None, :])
+    pair = np.triu((gap > 0) & (d > 0), 1)
+    return float(np.max([1.0, *(d[pair] / gap[pair]), *(gap[pair] / d[pair])]))
+
+
 @dataclass(frozen=True)
 class TangentialCollar:
     """Bi-Lipschitz sliding of the boundary curve into the surface.
@@ -289,16 +356,18 @@ class TangentialCollar:
     layers on one shared rule. `grad_s` is the surface gradient of the collar
     parameter (its magnitude is the localizer slope per unit delta);
     `layer_jacobian` is the constant factor that converts ds x arclength to
-    surface area.
+    surface area. `bilip` is the comparability constant (>= 1), fitted on
+    first read.
     """
 
     layer: Callable[[float | np.ndarray], Curve]
     grad_s: Callable[[np.ndarray, np.ndarray], np.ndarray]  # points, per-point s -> (n,3)
     layer_jacobian: float
     s_max: float
-    bilip: float  # fitted comparability constant, >= 1
     param_of_radius: Optional[Callable[[float], float]] = None  # shape-specific break mapping
     empty: bool = False
+
+    bilip = cached_property(_fit_bilip)
 
     def layer_distance(self, s0: float, s1: float) -> float:
         """min distance between two layer curves at equal rule nodes; for the
@@ -308,23 +377,12 @@ class TangentialCollar:
         return float(np.linalg.norm(a - b, axis=1).min())
 
 
-def _fit_bilip(collar: TangentialCollar) -> float:
-    """Largest distortion max(d/gap, gap/d) between pairs of six sampled
-    layers, with d their `layer_distance`; 1 if no pair is distorted."""
-    ss = np.linspace(0.0, min(0.45, collar.s_max * 0.9), 6)
-    pts = collar.layer(ss).nodes
-    d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1).min(axis=-1)
-    gap = np.abs(ss[:, None] - ss[None, :])
-    pair = np.triu((gap > 0) & (d > 0), 1)
-    return float(np.max([1.0, *(d[pair] / gap[pair]), *(gap[pair] / d[pair])]))
-
-
 def disk_manifold(center, radius: float, normal=(0.0, 0.0, 1.0), order: int = DEFAULT_ORDER,
                   n_angular: int = DEFAULT_ANGULAR) -> BoundaryManifold:
     """Flat disk whose boundary circle slides radially toward the center."""
     center = np.asarray(center, dtype=float)
-    e1, e2, n = frame_from_normal(normal)
     patch = disk_patch(center, radius, normal, order, n_angular)
+    e1, e2, n = patch.frame
     rule = periodic_trapezoid(n_angular)
     s = rule.nodes
     conormals = -(np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
@@ -377,7 +435,7 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
     if manifold.closed:
         return TangentialCollar(lambda s: empty_curve(),
                                 lambda pts, s: np.zeros_like(np.atleast_2d(pts)),
-                                0.0, s_max=1.0, bilip=1.0, empty=True)
+                                0.0, s_max=1.0, empty=True)
     if manifold.boundary.length() <= 0.0:
         raise GeometryError("degenerate boundary curve")
 
@@ -389,7 +447,7 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
         def layer(s):
             return circle_curve(center, radius * (1.0 - s), e1, e2)
 
-        axis = np.cross(e1, e2)
+        axis = _cross(e1, e2)
 
         def grad_s(pts, s):
             pts = np.atleast_2d(pts)
@@ -397,9 +455,8 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
             rho = _unit(rel - np.outer(rel @ axis, axis))
             return -rho / radius
 
-        collar = TangentialCollar(layer, grad_s, float(radius), s_max=1.0, bilip=1.0,
-                                  param_of_radius=lambda r: 1.0 - r / radius)
-        return replace(collar, bilip=_fit_bilip(collar))
+        return TangentialCollar(layer, grad_s, float(radius), s_max=1.0,
+                                param_of_radius=lambda r: 1.0 - r / radius)
 
     if manifold.kind == "spherical_cap":
         center = manifold.meta["center"]
@@ -422,8 +479,7 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
                                 -np.sin(th)], axis=1)
             return -e_theta / (R * th0)
 
-        collar = TangentialCollar(layer, grad_s, float(R * th0), s_max=1.0, bilip=1.0)
-        return replace(collar, bilip=_fit_bilip(collar))
+        return TangentialCollar(layer, grad_s, float(R * th0), s_max=1.0)
 
     raise GeometryError(f"no collar construction for manifold kind {manifold.kind!r}")
 
@@ -460,6 +516,11 @@ def _band_lines(collar: TangentialCollar, layer, s_order: int,
     return np.concatenate([r.weights for r in rules]) * collar.layer_jacobian, lines
 
 
+def _check_band(collar: TangentialCollar, t: float, delta: float) -> None:
+    if not (0.0 < delta and t >= 0.0 and t + delta <= collar.s_max):
+        raise GeometryError("ramp band outside collar range")
+
+
 def _layer_sum(layer_w: np.ndarray, lines: np.ndarray) -> float:
     """The layers' line sums added one by one in s order (cumsum is sequential)."""
     return float(np.cumsum(layer_w * lines)[-1])
@@ -494,6 +555,34 @@ class RampSegments:
             vals, mags = vals * phi, mags * np.abs(phi)
         return np.stack([vals, mags])
 
+    def evaluate(self, t: float, deltas: Sequence[float]) -> None:
+        """Add to the table the segments of the bands (t, t + delta) that it
+        lacks, for every width in `deltas`.
+
+        They are taken in s order, in blocks of whole segments of at most
+        `BLOCK_POINTS` points (one segment if it alone has more), one
+        `_band_lines` call per block, so a route's widths share one batch of
+        few layer calls and no block's (n, 3) arrays reach the mmap
+        threshold. The layer node count is read off an empty layer family.
+        """
+        collar = self.collar
+        if collar.empty:
+            return
+        for delta in deltas:
+            _check_band(collar, t, delta)
+        missing = sorted({p for d in deltas for p in _segments(t, t + d, self.breaks)}
+                         - self.lines.keys())
+        if not missing:
+            return
+        n = self.s_order
+        m = self.layer(np.empty(0)).weights.shape[-1]  # nodes per layer curve
+        step = max(1, BLOCK_POINTS // (n * m))
+        for k in range(0, len(missing), step):
+            block = missing[k:k + step]
+            layer_w, lines = _band_lines(collar, self.layer, n, block, self._integrand)
+            for i, p in enumerate(block):
+                self.lines[p] = (layer_w[i * n:(i + 1) * n], lines[:, i * n:(i + 1) * n])
+
 
 def ramp_integral(segments: RampSegments, t: float, delta: float) -> tuple[float, float]:
     """Integral of scalar * (field . grad ramp) over the collar band (t, t+delta),
@@ -501,29 +590,25 @@ def ramp_integral(segments: RampSegments, t: float, delta: float) -> tuple[float
 
     The band is parametrized as (s, curve), with dH^2 = layer_jacobian ds dH^1,
     so |grad s| = 1 / layer_jacobian (coarea); grad ramp = grad s / delta.
-    Its segments, split at the breaks of `segments`, come from that table;
-    the ones it lacks are evaluated first, in one batch. The band joins their
-    layer weights and line sums in s order, divides the sums by delta and
-    adds the layers one by one. A segment has the nodes a split rule over
-    this band alone would give it, and its line sums are row reductions, so
-    the result equals evaluating the band on its own whenever dividing by
-    delta is exact: for the routes' widths 2^-j it is, since scaling by a
-    power of two commutes with rounding. At t = 0, with a break at every
-    width, each band is a prefix of the widest and adds no evaluation.
+    Its segments, split at the breaks of `segments`, come from that table:
+    a route evaluates the segments of all its widths first, in one
+    `RampSegments.evaluate` call, and any this band still lacks are
+    evaluated here. The band joins their layer weights and line sums in s
+    order, divides the sums by delta and adds the layers one by one. A
+    segment has the nodes a split rule over this band alone would give it,
+    and its line sums are row reductions, so the result equals evaluating
+    the band on its own whenever dividing by delta is exact: for the routes'
+    widths 2^-j it is, since scaling by a power of two commutes with
+    rounding. At t = 0, with a break at every width, each band is a prefix
+    of the widest.
     """
     collar = segments.collar
     if collar.empty:
         return 0.0, 0.0
-    if not (0.0 < delta and t >= 0.0 and t + delta <= collar.s_max):
-        raise GeometryError("ramp band outside collar range")
+    _check_band(collar, t, delta)
     pieces = _segments(t, t + delta, segments.breaks)
-    missing = [p for p in pieces if p not in segments.lines]
-    if missing:
-        layer_w, lines = _band_lines(collar, segments.layer, segments.s_order, missing,
-                                     segments._integrand)
-        n = segments.s_order
-        for i, p in enumerate(missing):
-            segments.lines[p] = (layer_w[i * n:(i + 1) * n], lines[:, i * n:(i + 1) * n])
+    if not all(p in segments.lines for p in pieces):
+        segments.evaluate(t, (delta,))
     layer_w = np.concatenate([segments.lines[p][0] for p in pieces])
     vals, mags = np.concatenate([segments.lines[p][1] for p in pieces], axis=1)
     return (_layer_sum(layer_w, vals / delta),
@@ -718,9 +803,7 @@ class SolidRegion:
             w = rule.weights * a
         else:
             pts, w = self.ambient_center + rule.nodes, rule.weights
-        pts.flags.writeable = False
-        w.flags.writeable = False
-        return pts, w
+        return _read_only(pts), _read_only(w)
 
     @cached_property
     def volume_nodes(self) -> np.ndarray:  # (n, 3) physical points
@@ -900,7 +983,7 @@ def _support_disk(patch: SurfacePatch, center, radius, kinks, singular_point):
     e1, e2, _ = frame_from_normal(n)
     order, angles = 16, periodic_trapezoid(96)
     d = foot - sing
-    rho, phis, weights = [], [], []
+    rho, rho_w, phis, phi_w = [], [], [], []
     for phi, w_phi in zip(angles.nodes, angles.weights):
         # the ray sing + rho u meets the circle |x - foot| = b where
         # rho^2 - 2 rho (d . u) + |d|^2 - b^2 = 0; sing lies inside the support
@@ -913,11 +996,13 @@ def _support_disk(patch: SurfacePatch, center, radius, kinks, singular_point):
         hi = cuts[-1]  # far crossing of the support circle
         rho_rule = gauss_legendre_split(order, np.unique(np.clip(cuts, 0.0, hi)))
         rho.append(rho_rule.nodes)
+        rho_w.append(rho_rule.weights)
         phis.append(np.full(rho_rule.nodes.size, phi))
-        weights.append(rho_rule.weights * w_phi)
-    rho = np.concatenate(rho)
-    return _polar_patch(sing, n, rho, np.concatenate(phis), np.concatenate(weights),
-                        float(np.max(rho)), 0.0)
+        phi_w.append(np.full(rho_rule.nodes.size, w_phi))
+    rays = QuadratureRule(np.concatenate(rho), np.concatenate(rho_w), 2 * order - 1)
+    return _polar_patch(sing, n, rays,
+                        QuadratureRule(np.concatenate(phis), np.concatenate(phi_w), angles.order),
+                        float(np.max(rays.nodes)), 0.0)
 
 
 def _support_region(region: SolidRegion, center, radius, kinks) -> SolidRegion:

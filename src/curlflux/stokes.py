@@ -99,10 +99,12 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
     the widths, band integral of |trace| |grad ramp| |testfn|; `meta` holds
     that scale and the Richardson gap.
 
-    The widths share one `RampSegments` table, so each band segment (split at
-    the trace's break radii) is evaluated once per call; on the dyadic annuli
-    at t = 0 the 11 default widths evaluate the 39 segments of the widest band
-    instead of 374. The widths are powers of two, so the values equal those of
+    The widths share one `RampSegments` table, filled in one blocked batch
+    before any width is read, so each band segment (split at the trace's
+    break radii) is evaluated once per call: a default solve without breaks
+    evaluates its 11 segments in 3 layer calls, and on the dyadic annuli at
+    t = 0 the 11 widths evaluate the 39 segments of the widest band instead
+    of 374. The widths are powers of two, so the values equal those of
     separately evaluated bands (see `ramp_integral`).
     """
     scalar = testfn.value if testfn is not None else None
@@ -111,6 +113,7 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
     if t + max(deltas) > collar.s_max:
         raise GeometryError("ramp exceeds collar range")
     segments = RampSegments(collar, trace, scalar, collar.layer, s_order=10, breaks=breaks)
+    segments.evaluate(t, deltas)
     vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
     verdict = judge_sequence(vals, max(mags))
     flux = -verdict.limit if verdict.converged else None
@@ -149,6 +152,7 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
                              a0 + half_width)
 
         segments = RampSegments(collar, trace, bump.value, window, s_order=8, breaks=())
+        segments.evaluate(t, deltas)
         vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
         verdict = judge_sequence(vals, max(mags))
         curve_mass = line_integral(window(t), bump.value)

@@ -151,6 +151,87 @@ def test_patch_node_set_matches_closed_form_maps(kind):
             arr[0] = 0.0
 
 
+def _eager_polar(center, normal, rho, phi, w):
+    # the node set as disk patches built it when they were evaluated on
+    # construction: rho and phi broadcast, w their plain rule weights
+    center = np.asarray(center, dtype=float)
+    e1, e2, n = geo.frame_from_normal(normal)
+    ring = np.cos(phi)[..., None] * e1 + np.sin(phi)[..., None] * e2
+    nodes = (center + rho[..., None] * ring).reshape(-1, 3)
+    return nodes, np.tile(n, (len(nodes), 1)), (w * rho).ravel()
+
+
+def _eager_sphere(center, radius, u_lo, sign):
+    center = np.asarray(center, dtype=float)
+    u_rule, a_rule = gauss_legendre(6, u_lo, 1.0), periodic_trapezoid(12)
+    u, phi = u_rule.nodes[:, None], a_rule.nodes
+    st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    local = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), u), axis=-1)
+    nodes = (center + radius * local).reshape(-1, 3)
+    weights = np.outer(u_rule.weights, a_rule.weights).ravel() * (radius * radius)
+    return nodes, sign * geo._unit(nodes - center), weights
+
+
+def _eager_patch(kind, patch):
+    angles = periodic_trapezoid(12)
+    if kind in ("disk", "annulus"):
+        c, normal, bp = (((0.1, 0.2, 0.3), (1.0, 1.0, 0.5), [0.0, 0.5, 1.5]) if kind == "disk"
+                         else ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), [0.3, 1.0]))
+        r_rule = gauss_legendre_split(6, np.array(bp))
+        return _eager_polar(c, normal, r_rule.nodes[:, None], angles.nodes,
+                            np.outer(r_rule.weights, angles.weights))
+    if kind == "polar_support":
+        # the rays' own parameters and weights, rho_w * phi_w per node
+        return _eager_polar(patch.origin, (0.0, 0.0, 1.0), patch.u.nodes, patch.v.nodes,
+                            patch.u.weights * patch.v.weights)
+    if kind == "sphere":
+        return _eager_sphere((0, 0, 1), 2.0, -1.0, -1.0)
+    if kind == "cap":
+        return _eager_sphere((0, 0, 0), 1.0, float(np.cos(0.7)), 1.0)
+    if kind == "cylinder_side":
+        z_rule = gauss_legendre(6, -0.5, 1.0)
+        z, phi = z_rule.nodes[:, None], angles.nodes
+        local = np.stack(np.broadcast_arrays(0.8 * np.cos(phi), 0.8 * np.sin(phi), z), axis=-1)
+        normals = -1.0 * np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
+        return (local.reshape(-1, 3), np.tile(normals, (z.size, 1)),
+                np.outer(z_rule.weights, angles.weights).ravel() * 0.8)
+    e1, e2 = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.6, 0.8])
+    n = -1.0 * np.cross(e1, e2)
+    n /= np.linalg.norm(n)
+    u_rule, v_rule = gauss_legendre(6, 0.0, 2.0), gauss_legendre(6, 0.0, 0.5)
+    nodes = (np.array([1.0, 0.0, 0.0]) + u_rule.nodes[:, None, None] * e1
+             + v_rule.nodes[None, :, None] * e2).reshape(-1, 3)
+    weights = np.outer(u_rule.weights, v_rule.weights).ravel() * np.linalg.norm(np.cross(e1, e2))
+    return nodes, np.tile(n, (len(nodes), 1)), weights
+
+
+@pytest.mark.parametrize("kind", sorted(PATCHES))
+def test_lazy_patch_equals_the_eager_one_and_builds_once(kind):
+    patch = PATCHES[kind]()
+    assert not {"nodes", "normals", "weights"} & set(vars(patch))
+    nodes, normals, weights = _eager_patch(kind, patch)
+    # the weights alone build no points
+    assert np.array_equal(patch.weights, weights) and "nodes" not in vars(patch)
+    assert np.array_equal(patch.nodes, nodes)
+    assert np.array_equal(patch.normals, normals)
+    for name in ("nodes", "normals", "weights"):
+        a = getattr(patch, name)
+        assert getattr(patch, name) is a and not a.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(patch, name, a.copy())
+
+
+def test_frame_from_normal_equals_the_np_cross_frame():
+    rng = np.random.default_rng(5)
+    for normal in [(0, 0, 1.0), (1.0, 1.0, 0.5), (0.3, 0.1, -1.0), *rng.normal(size=(50, 3))]:
+        n = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
+        a = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+        e1 = np.cross(a, n)
+        e1 /= np.linalg.norm(e1)
+        for got, want in zip(geo.frame_from_normal(normal), (e1, np.cross(n, e1), n)):
+            assert np.array_equal(got, want)
+
+
 def _callable_members(shape, path):
     # paths of the fields and meta values that hold callables, nested
     # curves and patches included
@@ -282,6 +363,15 @@ def test_closed_sphere_collar_is_empty():
     man = geo.closed_sphere_manifold((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(man)
     assert col.empty
+    assert col.bilip == 1.0
+
+
+def test_bilip_is_fitted_on_first_read_only():
+    for col in _collar_cases():
+        assert "bilip" not in vars(col)
+        theta = col.bilip
+        assert vars(col)["bilip"] == theta >= 1.0
+        assert col.bilip is theta
 
 
 def test_degenerate_boundary_rejected():
@@ -358,12 +448,23 @@ def _separate_band(collar, layer, s_order, breaks, trace, scalar, t, delta):
     return band(vals), band(mags) / (collar.layer_jacobian * delta)
 
 
+def _read_widths(segments, t, deltas):
+    # one blocked batch for all widths, then each width read off the table
+    # without evaluating anything more
+    segments.evaluate(t, deltas)
+    table = dict(segments.lines)
+    got = [geo.ramp_integral(segments, t, d) for d in deltas]
+    assert segments.lines == table
+    return got
+
+
 @pytest.mark.parametrize("t", [0.0, 0.1, 0.3])
 @pytest.mark.parametrize("with_scalar", [False, True], ids=["one", "scalar"])
 @pytest.mark.parametrize("radius", [1.0, 1.7])
 def test_shared_segments_equal_separate_bands(annuli, t, with_scalar, radius):
-    # the widths of one route read one segment table; every width's (value,
-    # scale) must be the floats of its own band evaluated from scratch
+    # the widths of one route read one segment table, filled in blocks of
+    # whole segments; every width's (value, scale) must be the floats of its
+    # own band evaluated from scratch
     center = np.array([0.2, -0.1, 0.5]) if radius != 1.0 else np.zeros(3)
     man = geo.disk_manifold(center, radius)
     collar = geo.build_tangential_collar(man)
@@ -371,10 +472,9 @@ def test_shared_segments_equal_separate_bands(annuli, t, with_scalar, radius):
     scalar = (lambda p: 1.0 + p[:, 0] ** 2) if with_scalar else None
     breaks = tuple(collar.param_of_radius(radius * r) for r in annuli.trace_breaks_radii)
     segments = geo.RampSegments(collar, trace, scalar, collar.layer, 10, breaks)
-    for j in range(2, 13):
-        delta = 2.0 ** -j
-        assert geo.ramp_integral(segments, t, delta) == _separate_band(
-            collar, collar.layer, 10, breaks, trace, scalar, t, delta)
+    deltas = [2.0 ** -j for j in range(2, 13)]
+    for delta, got in zip(deltas, _read_widths(segments, t, deltas)):
+        assert got == _separate_band(collar, collar.layer, 10, breaks, trace, scalar, t, delta)
 
 
 def test_shared_segments_equal_separate_bands_on_a_window(rigid_rotation):
@@ -393,10 +493,22 @@ def test_shared_segments_equal_separate_bands_on_a_window(rigid_rotation):
 
     segments = geo.RampSegments(collar, rigid_rotation.trace_z_plane, bump.value, window,
                                 8, ())
-    for j in range(5, 14):
-        delta = 2.0 ** -j
-        assert geo.ramp_integral(segments, 0.0, delta) == _separate_band(
-            collar, window, 8, (), rigid_rotation.trace_z_plane, bump.value, 0.0, delta)
+    deltas = [2.0 ** -j for j in range(5, 14)]
+    for delta, got in zip(deltas, _read_widths(segments, 0.0, deltas)):
+        assert got == _separate_band(collar, window, 8, (), rigid_rotation.trace_z_plane,
+                                     bump.value, 0.0, delta)
+
+
+def test_a_band_outside_the_collar_is_refused_before_any_evaluation(rigid_rotation,
+                                                                     unit_disk_collar):
+    segments = geo.RampSegments(unit_disk_collar, rigid_rotation.trace_z_plane, None,
+                                unit_disk_collar.layer, 10, ())
+    for t, deltas in ((0.0, (0.25, 1.5)), (-0.1, (0.25,)), (0.1, (0.0,))):
+        with pytest.raises(geo.GeometryError):
+            segments.evaluate(t, deltas)
+        with pytest.raises(geo.GeometryError):
+            geo.ramp_integral(segments, t, deltas[-1])
+    assert segments.lines == {}
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,11 @@ def closed_form_ramp_value(j: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def test_tangential_route_makes_one_layer_call_per_ramp_width(rigid_rotation,
-                                                               unit_disk_manifold,
-                                                               unit_disk_collar):
-    # each band's layers come from one batched call, not one curve per s node
+def test_tangential_route_evaluates_its_widths_in_blocks_of_whole_segments(
+        rigid_rotation, unit_disk_manifold, unit_disk_collar):
+    # the 11 widths' segments of 10 layers share one batch: after an empty
+    # family that gives the layer node count, blocks of as many whole
+    # segments as fit in BLOCK_POINTS points, 5 of 960 points each
     calls = []
 
     def layer(s):
@@ -39,8 +40,60 @@ def test_tangential_route_makes_one_layer_call_per_ramp_width(rigid_rotation,
     collar = dataclasses.replace(unit_disk_collar, layer=layer)
     res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk_manifold, collar, 0.0)
     assert res.converged
-    assert len(calls) == len(stk.DELTA_J_RANGE) == 11
-    assert all(shape == (10,) for shape in calls)
+    per_block = geo.BLOCK_POINTS // (10 * geo.DEFAULT_ANGULAR)
+    n_segments = len(stk.DELTA_J_RANGE)
+    assert calls[0] == (0,)
+    assert len(calls) - 1 == -(-n_segments // per_block) == 3
+    assert calls[1:] == [(10 * per_block,)] * 2 + [(10,)]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_every_ramp_integrand_call_gets_whole_segments_within_the_budget(
+        annuli, unit_disk_manifold, unit_disk_collar, t):
+    # the annuli's breaks split the bands into many segments of 10 layers of
+    # 96 nodes; every field call takes whole ones, at most BLOCK_POINTS points
+    sizes = []
+
+    def trace(p):
+        sizes.append(len(p))
+        return annuli.trace_z_plane(p)
+
+    stk.stokes_tangential(trace, unit_disk_manifold, unit_disk_collar, t,
+                          breaks_radii=annuli.trace_breaks_radii)
+    segment = 10 * geo.DEFAULT_ANGULAR
+    assert all(k % segment == 0 and k <= geo.BLOCK_POINTS for k in sizes)
+    n_segments, per_block = sum(sizes) // segment, geo.BLOCK_POINTS // segment
+    assert n_segments > per_block
+    assert len(sizes) == -(-n_segments // per_block)
+
+
+def test_density_windows_evaluate_each_radius_in_one_block(rigid_rotation,
+                                                           unit_disk_manifold,
+                                                           unit_disk_collar):
+    # nine widths of 8 layers on 48-node arcs: 3456 points, one field call
+    sizes = []
+
+    def trace(p):
+        sizes.append(len(p))
+        return rigid_rotation.trace_z_plane(p)
+
+    stk.stokes_density(trace, unit_disk_manifold, unit_disk_collar, 0.0,
+                       np.array([1.0, 0.0, 0.0]), [0.2, 0.1])
+    assert sizes == [9 * 8 * 48] * 2
+
+
+@pytest.mark.parametrize("route", ["tangential", "mass"])
+def test_boundary_routes_build_no_disk_patch(rigid_rotation, route):
+    # the tangential and mass routes read the boundary circle and the meta of
+    # their manifold, never the 2-D node set of its disk
+    man = geo.disk_manifold((0.1, -0.2, 0.3), 0.7)
+    col = geo.build_tangential_collar(man)
+    if route == "tangential":
+        assert stk.stokes_tangential(rigid_rotation.trace_z_plane, man, col, 0.1).converged
+    else:
+        stk.boundary_pairing_mass(rigid_rotation.trace_z_plane, man, col, 0.1)
+    assert not {"nodes", "normals", "weights"} & set(vars(man.patch))
+    assert "bilip" not in vars(col)
 
 
 def test_tangential_route_evaluates_each_band_segment_once(annuli, unit_disk_manifold,
