@@ -296,20 +296,12 @@ def _flag_collisions(sheet: SheetState, factor: float):
 
 
 def diagnostics(sheet: SheetState) -> dict:
-    """Circulation vector, sheet area, curvature proxy, and truncation estimate."""
+    """Circulation vector and truncation estimate."""
     if sheet.n_markers == 0:
-        return {"circulation": np.zeros(3), "area": 0.0, "max_curvature": 0.0,
-                "truncation_error": 0.0}
+        return {"circulation": np.zeros(3), "truncation_error": 0.0}
     x, g, w = sheet.flat()
     circulation = np.tensordot(w, g, axes=(0, 0))
-    area = float(np.sum(sheet.weights))
-    lap = (np.roll(sheet.markers, 1, 0) + np.roll(sheet.markers, -1, 0)
-           + np.roll(sheet.markers, 1, 1) + np.roll(sheet.markers, -1, 1)
-           - 4.0 * sheet.markers)
-    h2 = sheet.weights.mean()
-    max_curv = float(np.linalg.norm(lap, axis=-1).max() / max(h2, 1e-300))
-    return {"circulation": circulation, "area": area, "max_curvature": max_curv,
-            "truncation_error": sheet.truncation_error_estimate()}
+    return {"circulation": circulation, "truncation_error": sheet.truncation_error_estimate()}
 
 
 def two_body_velocity(gamma_j, x_j, w_j, x, delta: float) -> np.ndarray:

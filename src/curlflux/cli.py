@@ -208,16 +208,18 @@ def run(config: RunConfig) -> ResultTable:
 def cmd_trace(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
     region = parse_region(p.get("region", "cylinder"))
+    # flat disk faces and closed spheres, each sampled on the region's own rule
+    faces = [patch for patch in region.boundary if patch.name in ("disk", "sphere")]
+    if not faces:
+        raise ConfigError(f"trace samples flat disk faces and closed spheres; region "
+                          f"{region.name!r} has neither")
     tcol = geo.build_transversal_collar(region)
     t_grid = _parse_grid(p.get("t_grid", "2^-2..2^-9"))
     side = p.get("side", "interior")
     if side not in ("interior", "exterior"):
         raise ConfigError(f"side must be interior or exterior, not {side!r}")
     rows = []
-    for patch in region.boundary:
-        # flat faces and closed spheres, each sampled on the region's own rule
-        if patch.name not in ("disk", "sphere"):
-            continue
+    for patch in faces:
         tt = traces.estimate_trace_layerwise(entry.vector_field, patch, tcol, t_grid, side)
         for x, v, c, r in zip(tt.points, tt.values, tt.converged,
                               tt.tangentiality_residual):

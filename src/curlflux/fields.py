@@ -16,14 +16,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import (
+    Curve,
     GeometryError,
     SolidRegion,
     SurfacePatch,
     disk_patch,
-    surface_integral,
-    volume_integral,
+    integrate,
 )
-from .quadrature import gauss_legendre_split
+from .quadrature import QuadratureRule, gauss_legendre_split
 
 Array = np.ndarray
 
@@ -96,22 +96,10 @@ class LinePart:
                 out += [-b - np.sqrt(disc), -b + np.sqrt(disc)]
         return tuple(out)
 
-    def pair(self, testvec, lo: float, hi: float, breaks: Sequence[float] = ()) -> Array:
-        # composite 8-point rule on 24 panels: kinks of piecewise-polynomial
-        # test profiles cost only O(panel_width^3) instead of polluting a
-        # single global rule; kinks passed as `breaks` become panel edges and
-        # cost nothing
-        if hi <= lo:
-            return np.zeros(3)
-        edges = np.linspace(lo, hi, 25)
-        inner = [b for b in breaks if lo < b < hi]
-        if inner:
-            edges = np.union1d(edges, inner)
-        rule = gauss_legendre_split(8, edges)
-        pts = self.positions(rule.nodes)
-        dens = np.atleast_2d(self.density(pts))
-        vals = np.atleast_2d(testvec(pts))
-        return np.tensordot(rule.weights, dens * vals, axes=(0, 0))
+    def segment(self, rule: QuadratureRule) -> Curve:
+        """The segment as a node set at the parameters of `rule`; the
+        direction is unit, so the rule's weights are arclength weights."""
+        return Curve(self.positions(rule.nodes), rule.weights)
 
 
 @dataclass(frozen=True)
@@ -120,13 +108,6 @@ class SheetPart:
 
     patch: SurfacePatch
     density: Callable[[Array], Array]
-
-    def pair(self, testvec, region: Optional[SolidRegion] = None) -> Array:
-        pts, w = self.patch.nodes, self.patch.weights
-        if region is not None:
-            w = w * region.contains(pts).astype(float)
-        vals = np.atleast_2d(self.density(pts)) * np.atleast_2d(testvec(pts))
-        return np.tensordot(w, vals, axes=(0, 0))
 
 
 @dataclass(frozen=True)
@@ -213,21 +194,32 @@ def integrate_measure(mu: CurlMeasure, testvec, region: SolidRegion,
                       ) -> Array:
     """Pairing of a curl measure against a vector test function over a region.
 
-    Lebesgue part by volume quadrature, sheet parts by masked surface
-    quadrature, line parts by exact segment clipping. `line_breaks` maps a
-    line part to the parameters where the test function has kinks along it;
-    they are added to that part's panel edges.
+    Each part is integrated over its own node set: the Lebesgue part over the
+    region's, a sheet part over its patch with the region's indicator as a
+    0/1 factor of the integrand, and a line part over its segment clipped
+    exactly to the region. The segment's rule is a composite 8-point rule on
+    24 panels, so kinks of piecewise-polynomial test profiles cost only
+    O(panel_width^3) instead of polluting a single global rule. `line_breaks`
+    maps a line part to the parameters where the test function has kinks
+    along it; they become panel edges and cost nothing.
     """
+    def paired(density):
+        return lambda x: np.atleast_2d(density(x)) * np.atleast_2d(testvec(x))
+
     out = np.zeros(3)
     if mu.lebesgue_density is not None:
-        out = out + volume_integral(
-            region, lambda x: np.atleast_2d(mu.lebesgue_density(x)) * np.atleast_2d(testvec(x)))
+        out = out + integrate(region, paired(mu.lebesgue_density))
     for sp in mu.sheet_parts:
-        out = out + sp.pair(testvec, region)
+        f = paired(sp.density)
+        out = out + integrate(sp.patch,
+                              lambda x: f(x) * region.contains(x)[:, None].astype(float))
     for lp in mu.line_parts:
         lo, hi = lp.clipped(region)
-        out = out + lp.pair(testvec, lo, hi,
-                            breaks=line_breaks(lp) if line_breaks is not None else ())
+        if hi <= lo:
+            continue
+        breaks = line_breaks(lp) if line_breaks is not None else ()
+        edges = np.union1d(np.linspace(lo, hi, 25), [b for b in breaks if lo < b < hi])
+        out = out + integrate(lp.segment(gauss_legendre_split(8, edges)), paired(lp.density))
     return out
 
 
@@ -454,9 +446,8 @@ def gluing_total_variation(pw: PiecewiseField, region: SolidRegion) -> float:
             side = pw.side(x)
             mask = side > 0 if sign > 0 else side < 0
             return mags * mask.astype(float)
-        total += volume_integral(region, dens)
-    total += surface_integral(pw.interface,
-                              lambda pts: np.linalg.norm(pw.jump_density(pts), axis=1))
+        total += integrate(region, dens)
+    total += integrate(pw.interface, lambda pts: np.linalg.norm(pw.jump_density(pts), axis=1))
     return float(total)
 
 

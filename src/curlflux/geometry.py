@@ -1,13 +1,15 @@
 """Surface patches, boundary curves, collar maps, localizer ramps, and solid
 regions with volume rules.
 
-Every curve, patch and boundary manifold is held as its quadrature node set:
-the points, normals and weights of a closed-form parametrization (no meshes).
-A curve evaluates them when it is built; a surface patch holds the 1-D rules
-of its parameters and evaluates them on first read, as a solid region does
-its volume rule. Collar maps for the canonical catalog (disk, spherical cap,
-sphere, cylinder side, planar faces) are exact, which keeps the
-localizer-limit computations free of mesh noise.
+Every curve, patch, boundary manifold and solid region is held as its
+quadrature node set: the points (and normals) and weights of a closed-form
+parametrization (no meshes). A curve evaluates them when it is built; a
+surface patch holds the 1-D rules of its parameters and evaluates them on
+first read, as a solid region does its volume rule. Curves, patches and
+regions all read `nodes` (n, 3) and `weights` (n,), and `integrate` is the
+one integral over any of them. Collar maps for the canonical catalog (disk,
+spherical cap, sphere, cylinder side, planar faces) are exact, which keeps
+the localizer-limit computations free of mesh noise.
 Conventions fixed once and used everywhere:
 
 * regions carry the *inner* unit normal on their boundary;
@@ -82,15 +84,12 @@ class Curve:
 
     `nodes` holds the points, (m, 3) or (k, m, 3) for a family, and `weights`
     the arclength weights (rule weight times |gamma'|), (m,) or (k, m).
-    Collar layers at an array of parameters are families; `length` and
-    `line_integral` take one curve.
+    Collar layers at an array of parameters are families; `integrate` takes
+    one curve.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def length(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def _arc(center, radius, e1, e2, rule: QuadratureRule) -> Curve:
@@ -128,13 +127,24 @@ def _node_sum(w: np.ndarray, vals: np.ndarray) -> float | np.ndarray:
     return np.tensordot(w, vals, axes=(0, 0))
 
 
-def line_integral(curve: Curve, integrand) -> float | np.ndarray:
-    """Arclength integral of a pointwise integrand over a curve; raises on a
-    non-finite result."""
-    vals = _node_sum(curve.weights, np.asarray(integrand(curve.nodes)))
-    if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
-        raise GeometryError("non-finite line integrand")
-    return vals
+def integrate(node_set, integrand) -> float | np.ndarray:
+    """Integral of an integrand over a node set: a curve, a surface patch or a
+    solid region, or anything else with `nodes` (n, 3) and `weights` (n,).
+    Raises on non-finite integrand values.
+
+    The integrand must be pointwise (its value at a node depends on that
+    node alone): it is evaluated on slices of at most `BLOCK_POINTS` nodes,
+    written into one values array that is summed once.
+    """
+    nodes = node_set.nodes
+    first = np.asarray(integrand(nodes[:BLOCK_POINTS]), dtype=float)
+    vals = np.empty((len(nodes),) + first.shape[1:])
+    vals[:BLOCK_POINTS] = first
+    for k in range(BLOCK_POINTS, len(nodes), BLOCK_POINTS):
+        vals[k:k + BLOCK_POINTS] = integrand(nodes[k:k + BLOCK_POINTS])
+    if not np.all(np.isfinite(vals)):
+        raise GeometryError("non-finite integrand")
+    return _node_sum(node_set.weights, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +229,6 @@ class SurfacePatch:
             w = w * self.scale
         return _read_only(w.ravel())
 
-    def area(self) -> float:
-        return float(np.sum(self.weights))
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -231,16 +238,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _column(rule: QuadratureRule) -> QuadratureRule:
     """`rule` with its arrays as a column (n, 1): the slow axis of a product."""
     return QuadratureRule(rule.nodes[:, None], rule.weights[:, None], rule.order)
-
-
-def surface_integral(patch: SurfacePatch, integrand) -> float | np.ndarray:
-    """Surface integral over a patch's node set; raises on non-finite
-    integrand values."""
-    vals = np.asarray(integrand(patch.nodes), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(np.atleast_1d(vals)))[0]
-        raise GeometryError(f"non-finite surface integrand at node index {bad}")
-    return _node_sum(patch.weights, vals)
 
 
 def disk_patch(center, radius: float, normal=(0.0, 0.0, 1.0),
@@ -436,7 +433,7 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
         return TangentialCollar(lambda s: empty_curve(),
                                 lambda pts, s: np.zeros_like(np.atleast_2d(pts)),
                                 0.0, s_max=1.0, empty=True)
-    if manifold.boundary.length() <= 0.0:
+    if np.sum(manifold.boundary.weights) <= 0.0:
         raise GeometryError("degenerate boundary curve")
 
     if manifold.kind == "disk":
@@ -776,8 +773,8 @@ class SolidRegion:
     first) mapped about `ambient_center` by `coordinates`: "spherical"
     (r, u = cos colatitude measured along the third row of `frame`, default
     e3, phi), "cylindrical" (rho, phi, z) or "cartesian" offsets. It is built
-    on first read of `volume_nodes` or `volume_weights`, into read-only
-    arrays; collars and support rules never read it.
+    on first read of `nodes` or `weights`, into read-only arrays; collars and
+    support rules never read it.
     """
 
     name: str
@@ -806,34 +803,12 @@ class SolidRegion:
         return _read_only(pts), _read_only(w)
 
     @cached_property
-    def volume_nodes(self) -> np.ndarray:  # (n, 3) physical points
+    def nodes(self) -> np.ndarray:  # (n, 3) physical points
         return self._volume[0]
 
     @cached_property
-    def volume_weights(self) -> np.ndarray:  # plain weights including metric factor
+    def weights(self) -> np.ndarray:  # plain weights including metric factor
         return self._volume[1]
-
-    def volume(self) -> float:
-        return float(np.sum(self.volume_weights))
-
-
-def volume_integral(region: SolidRegion, integrand) -> float | np.ndarray:
-    """Volume integral over a region's node set; raises on non-finite
-    integrand values.
-
-    The integrand must be pointwise (its value at a node depends on that
-    node alone): it is evaluated on slices of at most `BLOCK_POINTS` nodes,
-    written into one values array that is summed once.
-    """
-    nodes = region.volume_nodes
-    first = np.asarray(integrand(nodes[:BLOCK_POINTS]), dtype=float)
-    vals = np.empty((len(nodes),) + first.shape[1:])
-    vals[:BLOCK_POINTS] = first
-    for k in range(BLOCK_POINTS, len(nodes), BLOCK_POINTS):
-        vals[k:k + BLOCK_POINTS] = integrand(nodes[k:k + BLOCK_POINTS])
-    if not np.all(np.isfinite(vals)):
-        raise GeometryError("non-finite volume integrand")
-    return _node_sum(region.volume_weights, vals)
 
 
 def _spherical_rules(radius, order, n_angular, u_range=(-1.0, 1.0), radial_breaks=()):

@@ -20,7 +20,7 @@ class QuadratureRule:
     order: int
 
     def __post_init__(self):
-        if np.any(self.weights <= 0):
+        if (self.weights <= 0).any():
             raise ValueError("quadrature weights must be positive")
 
 

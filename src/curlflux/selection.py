@@ -31,6 +31,7 @@ from .geometry import (
     TangentialCollar,
     TransversalCollar,
     band_mass,
+    integrate,
 )
 from .quadrature import gauss_legendre
 
@@ -109,9 +110,8 @@ def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: float, hi: float) -> fl
     s0, s1 = max(s0, lp.lo), min(s1, lp.hi)
     if s1 <= s0:
         return 0.0
-    rule = gauss_legendre(64, s0, s1)
-    dens = np.atleast_2d(lp.density(lp.positions(rule.nodes)))
-    return float(np.sum(rule.weights * np.linalg.norm(dens, axis=1)))
+    return integrate(lp.segment(gauss_legendre(64, s0, s1)),
+                     lambda x: np.linalg.norm(np.atleast_2d(lp.density(x)), axis=1))
 
 
 def _sheet_mass(sheet, inside) -> float:

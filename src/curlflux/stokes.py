@@ -28,12 +28,10 @@ from .geometry import (
     arc_curve,
     central_gradient,
     circle_curve,
-    line_integral,
+    integrate,
     ramp_integral,
     shift_transversal,
     support_rule,
-    surface_integral,
-    volume_integral,
 )
 from .sequences import judge_sequence, richardson_limit
 from .testfns import ScalarTestFunction, VectorTestField, radial_bump
@@ -155,7 +153,7 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
         segments.evaluate(t, deltas)
         vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
         verdict = judge_sequence(vals, max(mags))
-        curve_mass = line_integral(window(t), bump.value)
+        curve_mass = integrate(window(t), bump.value)
         ests.append(-verdict.limit / curve_mass if verdict.converged and curve_mass > 0
                     else np.nan)
     arr = [e for e in ests if np.isfinite(e)]
@@ -196,15 +194,14 @@ class ManifoldDivMeasure:
 
     def action(self, phi_value: Callable[[np.ndarray], np.ndarray]) -> float:
         """<div_tau v, phi> including atoms."""
-        total = surface_integral(self.manifold.patch, lambda pts: self._excluded_div(pts)
-                                 * np.asarray(phi_value(pts), dtype=float))
+        total = integrate(self.manifold.patch, lambda pts: self._excluded_div(pts)
+                          * np.asarray(phi_value(pts), dtype=float))
         for p, strength in self.atoms:
             total += strength * float(np.asarray(phi_value(p[None, :]))[0])
         return float(total)
 
     def total_mass(self) -> float:
-        total = surface_integral(self.manifold.patch,
-                                 lambda pts: np.abs(self._excluded_div(pts)))
+        total = integrate(self.manifold.patch, lambda pts: np.abs(self._excluded_div(pts)))
         return float(total + sum(abs(s) for _, s in self.atoms))
 
     def dual_mass_estimate(self, dictionary: Sequence[ScalarTestFunction]) -> float:
@@ -256,8 +253,8 @@ def manifold_div_measure(values, manifold: BoundaryManifold,
         for r in (0.05, 0.025, 0.0125):
             circ = circle_curve(sp, r, e1, e2, n_nodes=128)
             outward = lambda q: (np.atleast_2d(q) - sp) / r
-            fluxes.append(line_integral(
-                circ, lambda q: np.einsum("ij,ij->i", np.atleast_2d(values(q)), outward(q))))
+            fluxes.append(integrate(circ, lambda q: np.einsum(
+                "ij,ij->i", np.atleast_2d(values(q)), outward(q))))
         atoms.append((sp, float(richardson_limit(fluxes))))
     return ManifoldDivMeasure(manifold, values, pw_div, tuple(atoms), 2e-3, resid)
 
@@ -319,7 +316,7 @@ def _tangential_pairing(patch, phi: ScalarTestFunction, values) -> float:
         gt = g - np.einsum("ij,ij->i", g, nu)[:, None] * nu
         return np.einsum("ij,ij->i", gt, np.atleast_2d(values(pts)))
 
-    return surface_integral(patch, integrand)
+    return integrate(patch, integrand)
 
 
 def normal_trace_ext(mu: CurlMeasure, region: SolidRegion,
@@ -471,29 +468,29 @@ def smooth_validators(fld: VectorField, region: SolidRegion,
 
     def bd(values):
         # values(points, inner normals) over every boundary patch
-        return sum(surface_integral(patch, lambda pts, patch=patch: values(pts, patch.normals))
+        return sum(integrate(patch, lambda pts, patch=patch: values(pts, patch.normals))
                    for patch in region.boundary)
 
-    vol_curl = volume_integral(region, fld.analytic_curl)
+    vol_curl = integrate(region, fld.analytic_curl)
     d1 = np.linalg.norm(vol_curl - bd(lambda p, nu: np.cross(fld.eval(p), nu)))
 
-    lhs2 = volume_integral(region, lambda x: phi.value(x)[:, None] * fld.analytic_curl(x)
-                           - np.cross(fld.eval(x), phi.gradient(x)))
+    lhs2 = integrate(region, lambda x: phi.value(x)[:, None] * fld.analytic_curl(x)
+                     - np.cross(fld.eval(x), phi.gradient(x)))
     rhs2 = bd(lambda p, nu: phi.value(p)[:, None] * np.cross(fld.eval(p), nu))
     d2 = np.linalg.norm(lhs2 - rhs2)
 
     lhs3 = bd(lambda p, nu: np.einsum(
         "ij,ij->i", np.cross(fld.eval(p), other.value(p)), nu))
-    rhs3 = volume_integral(region, lambda x: np.einsum("ij,ij->i", fld.eval(x), other.curl(x))) \
-        - volume_integral(region, lambda x: np.einsum("ij,ij->i", fld.analytic_curl(x),
-                                                      other.value(x)))
+    rhs3 = integrate(region, lambda x: np.einsum("ij,ij->i", fld.eval(x), other.curl(x))) \
+        - integrate(region, lambda x: np.einsum("ij,ij->i", fld.analytic_curl(x),
+                                                other.value(x)))
     d3 = abs(lhs3 - rhs3)
 
     lhs4 = bd(lambda p, nu: np.einsum(
         "ij,ij->i", np.cross(fld.eval(p), nu), other.value(p)))
-    rhs4 = volume_integral(region, lambda x: np.einsum("ij,ij->i", fld.analytic_curl(x),
-                                                       other.value(x))) \
-        - volume_integral(region, lambda x: np.einsum("ij,ij->i", fld.eval(x), other.curl(x)))
+    rhs4 = integrate(region, lambda x: np.einsum("ij,ij->i", fld.analytic_curl(x),
+                                                 other.value(x))) \
+        - integrate(region, lambda x: np.einsum("ij,ij->i", fld.eval(x), other.curl(x)))
     d4 = abs(lhs4 - rhs4)
     return {"D1": float(d1), "D2": float(d2), "D3": float(d3), "D4": float(d4)}
 

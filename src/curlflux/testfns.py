@@ -51,7 +51,7 @@ class ScalarTestFunction:
     support_breaks: tuple = ()
 
 
-def _exp_profile(u, plateau: float = 0.5):
+def _exp_profile(u, plateau: float):
     """C-infinity profile: 1 for u <= plateau, exp(1 - 1/(1-v^2)) decay to 0 at u = 1."""
     u = np.asarray(u, dtype=float)
     v = np.clip((u - plateau) / (1.0 - plateau), 0.0, 1.0)
@@ -62,7 +62,7 @@ def _exp_profile(u, plateau: float = 0.5):
     return out
 
 
-def _exp_profile_prime(u, plateau: float = 0.5):
+def _exp_profile_prime(u, plateau: float):
     u = np.asarray(u, dtype=float)
     v = (u - plateau) / (1.0 - plateau)
     out = np.zeros_like(v)
@@ -73,29 +73,37 @@ def _exp_profile_prime(u, plateau: float = 0.5):
     return out
 
 
+def _bump(center, radius: float, plateau: float, profile, profile_prime,
+          name: str) -> ScalarTestFunction:
+    """The radial bump profile(|x-c| / radius, plateau) with the gradient of
+    `profile_prime`: 1 on |x-c| <= plateau*radius, 0 outside radius, which
+    are its support ball and its one kink radius."""
+    center = np.asarray(center, dtype=float)
+
+    def value(x):
+        r = np.linalg.norm(np.atleast_2d(x) - center, axis=1)
+        return profile(r / radius, plateau)
+
+    def gradient(x):
+        x = np.atleast_2d(x)
+        rel = x - center
+        r = np.linalg.norm(rel, axis=1)
+        mag = profile_prime(r / radius, plateau) / radius
+        safe = np.where(r == 0.0, 1.0, r)
+        return mag[:, None] * rel / safe[:, None]
+
+    return ScalarTestFunction(value, gradient, f"{name}(r={radius:g})",
+                              support=(tuple(center), radius),
+                              support_breaks=(plateau * radius,))
+
+
 def smooth_bump(center, radius: float, plateau: float = 0.5) -> ScalarTestFunction:
     """C-infinity bump: 1 on |x-c| <= plateau*radius, 0 outside radius.
 
     Spectrally friendly for Gauss rules; use where quadrature error must sit
     well below 1e-8.
     """
-    center = np.asarray(center, dtype=float)
-
-    def value(x):
-        r = np.linalg.norm(np.atleast_2d(x) - center, axis=1)
-        return _exp_profile(r / radius, plateau)
-
-    def gradient(x):
-        x = np.atleast_2d(x)
-        rel = x - center
-        r = np.linalg.norm(rel, axis=1)
-        mag = _exp_profile_prime(r / radius, plateau) / radius
-        safe = np.where(r == 0.0, 1.0, r)
-        return mag[:, None] * rel / safe[:, None]
-
-    return ScalarTestFunction(value, gradient, f"smooth_bump(r={radius:g})",
-                              support=(tuple(center), radius),
-                              support_breaks=(plateau * radius,))
+    return _bump(center, radius, plateau, _exp_profile, _exp_profile_prime, "smooth_bump")
 
 
 @dataclass(frozen=True)
@@ -108,24 +116,8 @@ class VectorTestField:
 
 
 def radial_bump(center, radius: float, plateau: float = 0.5) -> ScalarTestFunction:
-    """Bump equal to 1 on |x-c| <= plateau*radius, 0 outside radius."""
-    center = np.asarray(center, dtype=float)
-
-    def value(x):
-        r = np.linalg.norm(np.atleast_2d(x) - center, axis=1)
-        return cutoff_profile(r / radius, plateau)
-
-    def gradient(x):
-        x = np.atleast_2d(x)
-        rel = x - center
-        r = np.linalg.norm(rel, axis=1)
-        mag = cutoff_profile_prime(r / radius, plateau) / radius
-        safe = np.where(r == 0.0, 1.0, r)
-        return mag[:, None] * rel / safe[:, None]
-
-    return ScalarTestFunction(value, gradient, f"bump(r={radius:g})",
-                              support=(tuple(center), radius),
-                              support_breaks=(plateau * radius,))
+    """C^2 bump equal to 1 on |x-c| <= plateau*radius, 0 outside radius."""
+    return _bump(center, radius, plateau, cutoff_profile, cutoff_profile_prime, "bump")
 
 
 def trig_scalar(k) -> ScalarTestFunction:

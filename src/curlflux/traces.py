@@ -21,10 +21,9 @@ from .geometry import (
     SurfacePatch,
     TransversalCollar,
     disk_patch,
+    integrate,
     shell_integral,
     support_rule,
-    surface_integral,
-    volume_integral,
 )
 from .sequences import (
     GAP_TOL,
@@ -61,7 +60,7 @@ def trace_pairing(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
 
     support = support_rule(region, testfn.support, testfn.support_breaks)
     return (integrate_measure(mu, _scalar_as_vec(testfn.value), support)
-            - volume_integral(support, fxg))
+            - integrate(support, fxg))
 
 
 def trace_pairing_vector(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
@@ -73,7 +72,7 @@ def trace_pairing_vector(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
         return np.einsum("ij,ij->i", fld.eval(x), testvec.curl(x))
 
     return (float(np.sum(integrate_measure(mu, testvec.value, region)))
-            - volume_integral(region, fdotcurl))
+            - integrate(region, fdotcurl))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +198,5 @@ def pv_face_pairing(kernel, center, radius: float, testfn: ScalarTestFunction,
     annulus = disk_patch(center, radius, order=16, n_angular=96,
                          inner_radius=eps,
                          radial_breaks=_geometric_breaks(eps, radius))
-    vals = surface_integral(
-        annulus, lambda pts: np.atleast_2d(kernel(pts)) * testfn.value(pts)[:, None])
-    return np.asarray(vals)
+    return np.asarray(integrate(
+        annulus, lambda pts: np.atleast_2d(kernel(pts)) * testfn.value(pts)[:, None]))

@@ -208,6 +208,8 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["br", "--grid", "4x4", "--config", {"steps": 1.5}],
     ["br", "--grid", "4x4", "--steps", "1", "--config", {"dump_every": True}],
     ["maximal", "--field", "line_vortex", "--config", {"lam": [1.0]}],
+    # a region with no face the trace command samples
+    ["trace", "--field", "rigid_rotation", "--region", "box"],
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
     config = tmp_path / "config.json"

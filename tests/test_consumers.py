@@ -17,7 +17,6 @@ TEST_ONLY_METHODS = {
     "TangentialCollar.layer_distance":
         "test_geometry's collar oracles and test_layer_distance_and_bilip_equal_all_pairs_minimum",
     "ManifoldDivMeasure.dual_mass_estimate": "test_stokes.test_annuli_divergence_mass_grows",
-    "SolidRegion.volume": "test_geometry.test_region_volumes and test_region_boundary_tiles",
 }
 
 
@@ -33,13 +32,14 @@ def _code_files():
 
 
 def _referenced(node):
-    # names a node reads as identifiers or attributes; a name inside a string,
-    # such as a regex that mentions it, is no reference
+    # (name, whether read as an attribute) for every identifier or attribute a
+    # node reads; a name inside a string, such as a regex that mentions it,
+    # is no reference
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            yield sub.id
+            yield sub.id, False
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            yield sub.attr, True
 
 
 def _public_definitions():
@@ -71,24 +71,26 @@ def _members(top):
 
 
 def _unconsumed():
-    # where each name is read, by (file, top-level statement, class member); a
-    # definition's own body does not consume it, so a top-level definition
-    # needs a reader outside its statement and a method one outside itself,
-    # such as another member of its class
+    # where each name is read, by (file, top-level statement, class member,
+    # whether as an attribute); a definition's own body does not consume it,
+    # so a top-level definition needs a reader outside its statement and a
+    # method one outside itself, such as another member of its class. Only an
+    # attribute read (`x.name`) reaches a method: a bare name of the same
+    # spelling is a local variable or another definition
     readers = {}
     for path in _code_files():
         for top in _parse(path).body:
             for member, node in _members(top):
-                for name in _referenced(node):
+                for name, attr in _referenced(node):
                     readers.setdefault(name, set()).add(
-                        (path, getattr(top, "name", None), member))
+                        (path, getattr(top, "name", None), member, attr))
     out = []
     for path, cls, node in _public_definitions():
         found = readers.get(node.name, set())
         if cls is None:
             found = {r for r in found if r[:2] != (path, node.name)}
         else:
-            found = found - {(path, cls, node.name)}
+            found = {r for r in found if r[3] and r[:3] != (path, cls, node.name)}
         if not found:
             out.append(node.name if cls is None else f"{cls}.{node.name}")
     return out
@@ -112,9 +114,11 @@ def test_a_method_read_by_its_own_class_is_consumed(tmp_path, monkeypatch):
                    "    def area(self):\n        return self.area()\n"
                    "    def size(self):\n        return 1\n"
                    "    def scale(self):\n        return self.size()\n"
-                   "def use(s):\n    return s.scale()\n")
+                   "    def volume(self):\n        return 1\n"
+                   "def use(s):\n    volume = s.scale()\n    return volume\n")
     monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
     monkeypatch.setattr(sys.modules[__name__], "PERFBENCH", tmp_path / "absent")
     # `area` reads only itself, and nothing reads `Shape` or `use`; `size` is
-    # read by `scale`, and `scale` by `use`
-    assert _unconsumed() == ["Shape", "Shape.area", "use"]
+    # read by `scale`, and `scale` by `use`; `use` binds a local `volume`,
+    # which is no read of the method
+    assert _unconsumed() == ["Shape", "Shape.area", "Shape.volume", "use"]

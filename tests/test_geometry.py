@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curlflux import fields as flds
 from curlflux import geometry as geo
 from curlflux.quadrature import (
     gauss_legendre,
@@ -16,25 +17,25 @@ from curlflux.testfns import radial_bump
 
 def test_disk_area_and_moment():
     disk = geo.disk_patch((0, 0, 0), 1.0)
-    assert abs(disk.area() - np.pi) < 1e-10
-    assert abs(geo.surface_integral(disk, lambda p: p[:, 0] ** 2) - np.pi / 4) < 1e-12
+    assert abs(np.sum(disk.weights) - np.pi) < 1e-10
+    assert abs(geo.integrate(disk, lambda p: p[:, 0] ** 2) - np.pi / 4) < 1e-12
 
 
 def test_sphere_area_order16():
     sph = geo.sphere_patch((0, 0, 0), 1.0, order=16)
-    assert abs(sph.area() - 4 * np.pi) < 1e-8
+    assert abs(np.sum(sph.weights) - 4 * np.pi) < 1e-8
 
 
 def test_unit_circle_integrals(unit_disk_manifold):
     curve = unit_disk_manifold.boundary
-    assert abs(curve.length() - 2 * np.pi) < 1e-12
+    assert abs(np.sum(curve.weights) - 2 * np.pi) < 1e-12
     # int cos^2 over the circle
-    val = geo.line_integral(curve, lambda p: p[:, 0] ** 2)
+    val = geo.integrate(curve, lambda p: p[:, 0] ** 2)
     assert abs(val - np.pi) < 1e-12
 
 
 def test_degenerate_curve_integral():
-    assert geo.line_integral(geo.empty_curve(), lambda p: np.ones(len(p))) == 0.0
+    assert geo.integrate(geo.empty_curve(), lambda p: np.ones(len(p))) == 0.0
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -42,7 +43,7 @@ def test_degenerate_curve_integral():
 def test_disk_polynomial_exactness(i, j):
     # polar GL x trapezoid integrates x^i y^j exactly on the unit disk
     disk = geo.disk_patch((0, 0, 0), 1.0, order=12, n_angular=32)
-    val = geo.surface_integral(disk, lambda p: p[:, 0] ** i * p[:, 1] ** j)
+    val = geo.integrate(disk, lambda p: p[:, 0] ** i * p[:, 1] ** j)
     if i % 2 == 1 or j % 2 == 1:
         exact = 0.0
     else:
@@ -54,29 +55,45 @@ def test_disk_polynomial_exactness(i, j):
 
 def test_surface_rule_convergence_order():
     # non-polynomial smooth integrand: error collapses fast with order
-    exact_ref = geo.surface_integral(geo.disk_patch((0, 0, 0), 1.0, order=64),
-                                     lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1]))
+    exact_ref = geo.integrate(geo.disk_patch((0, 0, 0), 1.0, order=64),
+                              lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1]))
     errs = []
     for order in (4, 8, 16):
-        val = geo.surface_integral(geo.disk_patch((0, 0, 0), 1.0, order=order),
-                                   lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1]))
+        val = geo.integrate(geo.disk_patch((0, 0, 0), 1.0, order=order),
+                            lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1]))
         errs.append(abs(val - exact_ref))
     assert errs[1] < errs[0] / 10
     assert errs[2] < errs[1] / 10 or errs[2] < 1e-14
 
 
-def test_nonfinite_integrand_rejected():
-    disk = geo.disk_patch((0, 0, 0), 1.0)
-    with pytest.raises(geo.GeometryError), np.errstate(divide="ignore"):
-        geo.surface_integral(disk, lambda p: 1.0 / (p[:, 0] - p[:, 0]))
+def _nan_rows(x):
+    return np.full((len(np.atleast_2d(x)), 3), np.nan)
 
 
-def test_nonfinite_line_and_volume_integrands_rejected(unit_disk_manifold):
-    with pytest.raises(geo.GeometryError):
-        geo.line_integral(unit_disk_manifold.boundary, lambda p: np.full(len(p), np.nan))
-    with pytest.raises(geo.GeometryError):
-        geo.volume_integral(geo.ball_region(order=8, n_angular=16),
-                            lambda p: np.full((len(p), 3), np.inf))
+_E3 = np.array([0.0, 0.0, 1.0])
+_UNIT_BALL = geo.ball_region(order=8, n_angular=16)
+# a non-finite integrand on each kind of node set, directly or as a part of a
+# curl measure paired over the unit ball; a measure part's pairing raises
+# like any other integral instead of returning NaN
+NONFINITE = {
+    "curve": lambda: geo.integrate(geo.circle_curve((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0)),
+                                   lambda p: np.full(len(p), np.nan)),
+    "patch": lambda: geo.integrate(geo.disk_patch((0, 0, 0), 1.0),
+                                   lambda p: 1.0 / (p[:, 0] - p[:, 0])),
+    "region": lambda: geo.integrate(_UNIT_BALL, lambda p: np.full((len(p), 3), np.inf)),
+    "sheet_part": lambda: flds.integrate_measure(
+        flds.CurlMeasure(sheet_parts=(flds.SheetPart(geo.disk_patch((0, 0, 0), 0.5),
+                                                     _nan_rows),)), _nan_rows, _UNIT_BALL),
+    "line_part": lambda: flds.integrate_measure(
+        flds.CurlMeasure(line_parts=(flds.LinePart(np.zeros(3), _E3, -2.0, 2.0, _nan_rows),)),
+        lambda x: np.ones((len(x), 3)), _UNIT_BALL),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NONFINITE))
+def test_nonfinite_integrand_raises(kind):
+    with pytest.raises(geo.GeometryError), np.errstate(divide="ignore", invalid="ignore"):
+        NONFINITE[kind]()
 
 
 PATCHES = {
@@ -139,7 +156,7 @@ def test_patch_node_set_matches_closed_form_maps(kind):
         x = patch.nodes
         assert np.all(x[:, 2] == 0.0) and np.all(patch.normals == [0.0, 0.0, 1.0])
         assert np.linalg.norm(x - [0.1, 0.0, 0.0], axis=1).max() <= 0.3 + 1e-12
-        assert abs(patch.area() - 0.09 * np.pi) < 1e-13
+        assert abs(np.sum(patch.weights) - 0.09 * np.pi) < 1e-13
         assert abs(patch.weights @ x[:, 0] - 0.009 * np.pi) < 1e-13
     else:
         nodes, normals, weights = _closed_form(kind)
@@ -609,10 +626,10 @@ def test_shift_keeps_the_sphere_rule(inner_normal):
 
 
 def test_region_volumes(half_ball, unit_cylinder):
-    assert abs(half_ball.volume() - 2 * np.pi / 3) < 1e-10
-    assert abs(unit_cylinder.volume() - np.pi) < 1e-10
+    assert abs(np.sum(half_ball.weights) - 2 * np.pi / 3) < 1e-10
+    assert abs(np.sum(unit_cylinder.weights) - np.pi) < 1e-10
     ball = geo.ball_region(order=16, n_angular=32)
-    assert abs(ball.volume() - 4 * np.pi / 3) < 1e-10
+    assert abs(np.sum(ball.weights) - 4 * np.pi / 3) < 1e-10
 
 
 def test_region_boundary_tiles(half_ball):
@@ -621,7 +638,7 @@ def test_region_boundary_tiles(half_ball):
     def f(x):
         return x
 
-    vol = 3.0 * half_ball.volume()
+    vol = 3.0 * np.sum(half_ball.weights)
     bd = 0.0
     for patch in half_ball.boundary:
         pts, nu, w = patch.nodes, patch.normals, patch.weights
@@ -689,13 +706,13 @@ def test_lazy_volume_rule_equals_the_eager_one(kind):
     region = build()
     assert region.name == kind.removeprefix("support_")
     pts, w = eager()
-    assert np.array_equal(region.volume_nodes, pts)
-    assert np.array_equal(region.volume_weights, w)
+    assert np.array_equal(region.nodes, pts)
+    assert np.array_equal(region.weights, w)
     # read-only, and built once
-    for a in (region.volume_nodes, region.volume_weights):
+    for a in (region.nodes, region.weights):
         assert not a.flags.writeable
-    assert region.volume_nodes is region.volume_nodes
-    assert region.volume_weights is region.volume_weights
+    assert region.nodes is region.nodes
+    assert region.weights is region.weights
 
 
 def test_a_region_read_for_its_collar_builds_no_volume_rule():
@@ -705,23 +722,29 @@ def test_a_region_read_for_its_collar_builds_no_volume_rule():
     geo.shift_transversal(man, col, 0.1)
     geo.shell_integral(col, 0.1, lambda base, pts, sl, s: np.ones(len(pts)))
     geo.support_rule(region, ((0.0, 0.0, 0.5), 0.2))
-    assert not {"_volume", "volume_nodes", "volume_weights"} & set(vars(region))
-    assert region.volume_weights.size == 8 * 8 * 16
-    assert {"_volume", "volume_weights"} <= set(vars(region))
+    assert not {"_volume", "nodes", "weights"} & set(vars(region))
+    assert region.weights.size == 8 * 8 * 16
+    assert {"_volume", "weights"} <= set(vars(region))
 
 
 @pytest.mark.parametrize("vector", [False, True])
 def test_blocked_volume_integral_equals_one_evaluation(vector):
-    region = geo.ball_region((0.1, -0.2, 0.3), 0.9, order=20)
-    assert region.volume_weights.size > 4 * geo.BLOCK_POINTS
-    sizes = []
+    # `integrate` on a region, a patch and a curve above BLOCK_POINTS nodes
+    # equals one evaluation on all nodes summed by the same reduction
+    node_sets = (geo.ball_region((0.1, -0.2, 0.3), 0.9, order=20),
+                 geo.disk_patch((0.1, -0.2, 0.3), 0.9, order=64),
+                 geo.circle_curve((0.1, -0.2, 0.3), 0.9, (1, 0, 0), (0, 1, 0), n_nodes=12000))
+    assert [len(s.weights) for s in node_sets] == [38400, 6144, 12000]
+    for node_set in node_sets:
+        sizes = []
 
-    def integrand(x):
-        sizes.append(len(x))
-        v = np.stack([np.sin(x[:, 0]) * x[:, 1], np.exp(x[:, 2]), x[:, 0] * x[:, 2]], axis=1)
-        return v if vector else np.sin(x[:, 0]) * np.exp(x[:, 1] * x[:, 2])
+        def integrand(x):
+            sizes.append(len(x))
+            v = np.stack([np.sin(x[:, 0]) * x[:, 1], np.exp(x[:, 2]), x[:, 0] * x[:, 2]], axis=1)
+            return v if vector else np.sin(x[:, 0]) * np.exp(x[:, 1] * x[:, 2])
 
-    blocked = geo.volume_integral(region, integrand)
-    assert max(sizes) <= geo.BLOCK_POINTS and sum(sizes) == region.volume_weights.size
-    whole = geo._node_sum(region.volume_weights, integrand(region.volume_nodes))
-    assert np.array_equal(blocked, whole) and np.shape(blocked) == ((3,) if vector else ())
+        blocked = geo.integrate(node_set, integrand)
+        assert len(sizes) > 1 and max(sizes) <= geo.BLOCK_POINTS
+        assert sum(sizes) == node_set.weights.size
+        whole = geo._node_sum(node_set.weights, integrand(node_set.nodes))
+        assert np.array_equal(blocked, whole) and np.shape(blocked) == ((3,) if vector else ())

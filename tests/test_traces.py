@@ -58,7 +58,7 @@ def test_face_centred_pairing_matches_face_integral(rigid_rotation, kind):
     e3 = np.array([0.0, 0.0, 1.0])
     disk = geo.disk_patch(bump.support[0], bump.support[1], e3,
                           radial_breaks=bump.support_breaks)
-    want = geo.surface_integral(disk, lambda x: bump.value(x)[:, None] * np.cross(
+    want = geo.integrate(disk, lambda x: bump.value(x)[:, None] * np.cross(
         rigid_rotation.vector_field.eval(x), e3))
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
@@ -113,7 +113,7 @@ def test_vector_pairing_line_vortex_face_oracle(line_vortex):
                                    cyl, tv)
     face = geo.disk_patch((0, 0, 0), 1.0, order=24, n_angular=96,
                           radial_breaks=(0.0125, 0.025, 0.05, 0.1, 0.2, 0.4))
-    oracle = geo.surface_integral(
+    oracle = geo.integrate(
         face, lambda pts: np.einsum("ij,ij->i", line_vortex.trace_z_plane(pts),
                                     tv.value(pts)))
     assert abs(got - oracle) < 1e-5
@@ -251,7 +251,7 @@ def test_layer_route_line_vortex_face(line_vortex, cylinder_collar):
         [2.0 ** -k for k in range(4, 10)]).limit
     face = geo.disk_patch((0, 0, 0), 1.0, order=24, n_angular=96,
                           radial_breaks=(0.05, 0.1, 0.2, 0.4))
-    oracle = geo.surface_integral(
+    oracle = geo.integrate(
         face, lambda pts: np.einsum("ij,ij->i", line_vortex.trace_z_plane(pts),
                                     tv.value(pts)))
     assert abs(got - oracle) < 2e-3
