@@ -134,7 +134,8 @@ def integrate(node_set, integrand) -> float | np.ndarray:
 
     The integrand must be pointwise (its value at a node depends on that
     node alone): it is evaluated on slices of at most `BLOCK_POINTS` nodes,
-    written into one values array that is summed once.
+    written into one values array that is summed once. Per-node data such as
+    a patch's normals is read by integrating over the node indices.
     """
     nodes = node_set.nodes
     first = np.asarray(integrand(nodes[:BLOCK_POINTS]), dtype=float)

@@ -13,6 +13,7 @@ pairing of an integrable divergence representative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -307,16 +308,20 @@ def boundary_pairing_mass(G, manifold: BoundaryManifold, collar: TangentialColla
     return pairing, mass, res_one
 
 
+def _normal_integral(patch, integrand) -> float | np.ndarray:
+    """Integral of integrand(points, normals) over a patch, by node indices."""
+    indices = SimpleNamespace(nodes=np.arange(len(patch.weights)), weights=patch.weights)
+    return integrate(indices, lambda i: integrand(patch.nodes[i], patch.normals[i]))
+
+
 def _tangential_pairing(patch, phi: ScalarTestFunction, values) -> float:
     """Surface integral of grad_tau(phi) . values over a patch."""
-    nu = patch.normals
-
-    def integrand(pts):
+    def integrand(pts, nu):
         g = np.atleast_2d(phi.gradient(pts))
         gt = g - np.einsum("ij,ij->i", g, nu)[:, None] * nu
         return np.einsum("ij,ij->i", gt, np.atleast_2d(values(pts)))
 
-    return integrate(patch, integrand)
+    return _normal_integral(patch, integrand)
 
 
 def normal_trace_ext(mu: CurlMeasure, region: SolidRegion,
@@ -468,8 +473,7 @@ def smooth_validators(fld: VectorField, region: SolidRegion,
 
     def bd(values):
         # values(points, inner normals) over every boundary patch
-        return sum(integrate(patch, lambda pts, patch=patch: values(pts, patch.normals))
-                   for patch in region.boundary)
+        return sum(_normal_integral(patch, values) for patch in region.boundary)
 
     vol_curl = integrate(region, fld.analytic_curl)
     d1 = np.linalg.norm(vol_curl - bd(lambda p, nu: np.cross(fld.eval(p), nu)))

@@ -639,6 +639,27 @@ def test_smooth_validators_gradient_field(half_ball):
     assert max(res.values()) < 1e-8
 
 
+def test_integrals_of_normals_on_faces_above_block_points(rigid_rotation):
+    # 6144-node faces: each block of the node set reads its own normals, and
+    # the integrals equal one evaluation on all nodes
+    fld = rigid_rotation.vector_field
+    region = geo.cylinder_region(order=64)
+    assert min(len(p.weights) for p in region.boundary) > geo.BLOCK_POINTS
+    phi = smooth_bump((0.1, 0.0, 0.2), 2.5)
+    other = random_trig_vector(11, n_modes=2, kmax=1.0)
+    res = stk.smooth_validators(fld, region, phi, other)
+    bd = sum(geo._node_sum(p.weights, np.cross(fld.eval(p.nodes), p.normals))
+             for p in region.boundary)
+    assert res["D1"] == np.linalg.norm(geo.integrate(region, fld.analytic_curl) - bd)
+
+    patch = geo.disk_patch((0.1, -0.2, 0.0), 0.9, order=64)
+    bump = smooth_bump((0.2, 0.0, 0.0), 0.7)
+    g = bump.gradient(patch.nodes)
+    gt = g - np.einsum("ij,ij->i", g, patch.normals)[:, None] * patch.normals
+    whole = geo._node_sum(patch.weights, np.einsum("ij,ij->i", gt, fld.eval(patch.nodes)))
+    assert stk._tangential_pairing(patch, bump, fld.eval) == whole
+
+
 def test_rankine_hugoniot_constructed():
     interface = flds.unit_disk_interface()
     pw, mu = flds.make_vortex_sheet(flds.constant_field((1.0, 0.0, 0.0)),
