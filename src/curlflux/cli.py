@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -639,7 +640,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(out_path, "w") as fh:
             table.emit(fmt, fh)
     else:
-        table.emit(fmt)
+        try:
+            table.emit(fmt)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # reader gone: point stdout at devnull so the exit flush cannot raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     if table.passed is False:
         return 1
     return 0

@@ -6,10 +6,11 @@ quadrature node set: the points (and normals) and weights of a closed-form
 parametrization (no meshes). A curve evaluates them when it is built; a
 surface patch holds the 1-D rules of its parameters and evaluates them on
 first read, as a solid region does its volume rule. Curves, patches and
-regions all read `nodes` (n, 3) and `weights` (n,), and `integrate` is the
-one integral over any of them. Collar maps for the canonical catalog (disk,
-spherical cap, sphere, cylinder side, planar faces) are exact, which keeps
-the localizer-limit computations free of mesh noise.
+regions all read `nodes` (n, 3) and `weights` (n,): `integrate` is the one
+integral over any of them, and `_band_lines` the one over a family of layers
+(collar bands, slide slabs and shells). Collar maps for the canonical catalog
+(disk, spherical cap, sphere, cylinder side, planar faces) are exact, which
+keeps the localizer-limit computations free of mesh noise.
 Conventions fixed once and used everywhere:
 
 * regions carry the *inner* unit normal on their boundary;
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -494,24 +496,29 @@ def _segments(lo: float, hi: float, breaks: Sequence[float]) -> list[tuple[float
     return list(zip(bp[:-1], bp[1:]))
 
 
-def _band_lines(collar: TangentialCollar, layer, s_order: int,
-                segments: Sequence[tuple[float, float]], integrand):
-    """Per-layer line sums of a band integrand on Gauss-Legendre segments.
+def _band_lines(layer, s_order: int, segments: Sequence[tuple[float, float]], integrand):
+    """The one evaluation of a layered integral (collar bands, slide slabs and
+    shells): per-layer sums of an integrand on Gauss-Legendre segments in s.
 
-    Each segment (lo, hi) carries the rule `gauss_legendre(s_order, lo, hi)`;
-    `layer` maps all their s nodes to one family of layer curves on an m-node
-    rule in a single call. `integrand(pts, s)` maps the stacked points
-    (n_s*m, 3) and the collar parameter of each to k rows of values
-    (k, n_s*m). Returns the layer weights w_s * J (J the collar's constant
-    `layer_jacobian`), (n_s,), and the line sums of each row, (k, n_s).
+    Segment (lo, hi) carries `gauss_legendre(s_order, lo, hi)`. `layer` maps
+    k of the s nodes to a node-set family, `nodes` (k, m, 3) and `weights`
+    (k, m); `integrand(pts, s)` maps its points (k*m, 3) and the k layers' s
+    to rows of values (rows, k*m) or one row (k*m,). Whole layers go in s
+    order in blocks of at most `BLOCK_POINTS` points (a larger layer alone),
+    m read off an empty family; a layer's sum is a row reduction, which the
+    blocks leave unchanged. Returns the s nodes and weights, (n_s,), and the
+    layer sums, (rows, n_s): callers apply their Jacobian and add in s order.
     """
     rules = [gauss_legendre(s_order, lo, hi) for lo, hi in segments]
     s = np.concatenate([r.nodes for r in rules])
-    layers = layer(s)
-    line_w = layers.weights
-    vals = integrand(layers.nodes.reshape(-1, 3), np.repeat(s, line_w.shape[1]))
-    lines = np.sum(line_w * np.reshape(vals, (-1, *line_w.shape)), axis=-1)
-    return np.concatenate([r.weights for r in rules]) * collar.layer_jacobian, lines
+    step = max(1, BLOCK_POINTS // layer(s[:0]).weights.shape[-1])
+    lines = []
+    for k in range(0, len(s), step):
+        family = layer(s[k:k + step])
+        w = family.weights
+        vals = integrand(family.nodes.reshape(-1, 3), s[k:k + step])
+        lines.append(np.sum(w * np.reshape(vals, (-1, *w.shape)), axis=-1))
+    return s, np.concatenate([r.weights for r in rules]), np.concatenate(lines, axis=1)
 
 
 def _check_band(collar: TangentialCollar, t: float, delta: float) -> None:
@@ -546,6 +553,7 @@ class RampSegments:
 
     def _integrand(self, pts: np.ndarray, s: np.ndarray) -> np.ndarray:
         f = np.asarray(self.covector_field(pts), dtype=float)
+        s = np.repeat(s, len(pts) // len(s))  # grad_s takes the s of each point
         vals = np.einsum("ij,ij->i", f, self.collar.grad_s(pts, s))
         mags = np.sqrt(np.einsum("ij,ij->i", f, f))
         if self.scalar is not None:
@@ -554,15 +562,8 @@ class RampSegments:
         return np.stack([vals, mags])
 
     def evaluate(self, t: float, deltas: Sequence[float]) -> None:
-        """Add to the table the segments of the bands (t, t + delta) that it
-        lacks, for every width in `deltas`.
-
-        They are taken in s order, in blocks of whole segments of at most
-        `BLOCK_POINTS` points (one segment if it alone has more), one
-        `_band_lines` call per block, so a route's widths share one batch of
-        few layer calls and no block's (n, 3) arrays reach the mmap
-        threshold. The layer node count is read off an empty layer family.
-        """
+        """Add to the table, in one `_band_lines` call, the segments that it
+        lacks of the bands (t, t + delta) of all widths in `deltas`."""
         collar = self.collar
         if collar.empty:
             return
@@ -573,13 +574,10 @@ class RampSegments:
         if not missing:
             return
         n = self.s_order
-        m = self.layer(np.empty(0)).weights.shape[-1]  # nodes per layer curve
-        step = max(1, BLOCK_POINTS // (n * m))
-        for k in range(0, len(missing), step):
-            block = missing[k:k + step]
-            layer_w, lines = _band_lines(collar, self.layer, n, block, self._integrand)
-            for i, p in enumerate(block):
-                self.lines[p] = (layer_w[i * n:(i + 1) * n], lines[:, i * n:(i + 1) * n])
+        _, w, lines = _band_lines(self.layer, n, missing, self._integrand)
+        layer_w = w * collar.layer_jacobian
+        for i, p in enumerate(missing):
+            self.lines[p] = (layer_w[i * n:(i + 1) * n], lines[:, i * n:(i + 1) * n])
 
 
 def ramp_integral(segments: RampSegments, t: float, delta: float) -> tuple[float, float]:
@@ -588,17 +586,14 @@ def ramp_integral(segments: RampSegments, t: float, delta: float) -> tuple[float
 
     The band is parametrized as (s, curve), with dH^2 = layer_jacobian ds dH^1,
     so |grad s| = 1 / layer_jacobian (coarea); grad ramp = grad s / delta.
-    Its segments, split at the breaks of `segments`, come from that table:
-    a route evaluates the segments of all its widths first, in one
-    `RampSegments.evaluate` call, and any this band still lacks are
-    evaluated here. The band joins their layer weights and line sums in s
-    order, divides the sums by delta and adds the layers one by one. A
-    segment has the nodes a split rule over this band alone would give it,
-    and its line sums are row reductions, so the result equals evaluating
-    the band on its own whenever dividing by delta is exact: for the routes'
-    widths 2^-j it is, since scaling by a power of two commutes with
-    rounding. At t = 0, with a break at every width, each band is a prefix
-    of the widest.
+    Its segments, split at the breaks of `segments`, come from that table,
+    which a route fills for all its widths at once (any still missing are
+    evaluated here); the band joins their layer weights and line sums in s order,
+    divides the sums by delta and adds the layers one by one. A segment has
+    the nodes a split rule over this band alone would give it, so the result
+    equals evaluating the band on its own whenever dividing by delta is
+    exact, as it is for the routes' widths 2^-j. At t = 0, with a break at
+    every width, each band is a prefix of the widest.
     """
     collar = segments.collar
     if collar.empty:
@@ -617,15 +612,12 @@ def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
               breaks: Sequence[float] = ()) -> float:
     """Integral of a scalar surface density over the collar band (lo, hi),
     clipped to the collar's range and split at `breaks`."""
+    lo, hi = max(lo, 0.0), min(hi, collar.s_max)
     if collar.empty or hi <= lo:
         return 0.0
-    lo = max(lo, 0.0)
-    hi = min(hi, collar.s_max)
-    if hi <= lo:
-        return 0.0
-    layer_w, lines = _band_lines(collar, collar.layer, 8, _segments(lo, hi, breaks),
-                                 lambda pts, s: np.asarray(density(pts), dtype=float))
-    return _layer_sum(layer_w, lines[0])
+    _, w, lines = _band_lines(collar.layer, 8, _segments(lo, hi, breaks),
+                              lambda pts, s: np.asarray(density(pts), dtype=float))
+    return _layer_sum(w * collar.layer_jacobian, lines[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1088,23 +1080,29 @@ def shift_transversal(manifold: BoundaryManifold, collar: TransversalCollar,
     raise GeometryError(f"cannot shift manifold kind {manifold.kind!r}")
 
 
-def shell_integral(collar: TransversalCollar, eps: float, integrand) -> float | np.ndarray:
-    """Volume integral over the inward shell of depth eps, via per-patch slides.
+def slab_integral(slide: PatchSlide, lo: float, hi: float, integrand) -> np.ndarray:
+    """Integral of each row of `integrand(pts, s)` (see `_band_lines`) over the
+    slab of depths (lo, hi) along a slide: eight Gauss layers of slid copies
+    of its patch, weighted by `area_scale` and added in depth order."""
+    nodes, weights = slide.patch.nodes, slide.patch.weights
 
-    `integrand(base_pts, shifted_pts, slide, s)` returns per-node values at the
-    slid points; base points identify the boundary feet. Overlaps near patch
-    junctions contribute O(eps^2) volume and vanish in the localizer limits
-    this is used for.
-    """
-    total = None
-    for sl in collar.slides:
-        s_rule = gauss_legendre(8, 0.0, eps)
-        base = sl.patch.nodes
-        acc = None
-        for s, w in zip(s_rule.nodes, s_rule.weights):
-            pts = sl.shift_point(base, s)
-            vals = np.asarray(integrand(base, pts, sl, s))
-            contrib = w * sl.area_scale(s) * np.tensordot(sl.patch.weights, vals, axes=(0, 0))
-            acc = contrib if acc is None else acc + contrib
-        total = acc if total is None else total + acc
-    return total
+    def layers(s):
+        return SimpleNamespace(nodes=slide.shift_point(nodes, s[:, None, None]),
+                               weights=np.broadcast_to(weights, (len(s), len(weights))))
+
+    s, w, lines = _band_lines(layers, 8, [(lo, hi)], integrand)
+    return np.cumsum(w * slide.area_scale(s) * lines, axis=-1)[:, -1]
+
+
+def shell_integral(collar: TransversalCollar, eps: float, integrand) -> np.ndarray:
+    """Volume integral over the inward shell of depth eps: the sum of the
+    slides' slabs (0, eps). `integrand(pts, slide, i)` maps slid points to
+    rows of values, with `i` the index of each point's foot in `slide.patch`.
+    Overlaps near patch junctions contribute O(eps^2) volume and vanish in
+    the localizer limits this is used for."""
+    def slab(sl):
+        n = len(sl.patch.weights)
+        return slab_integral(sl, 0.0, eps,
+                             lambda pts, s: integrand(pts, sl, np.arange(len(pts)) % n))
+
+    return sum(slab(sl) for sl in collar.slides)

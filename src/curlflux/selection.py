@@ -8,9 +8,9 @@ one-sided valid. Concentration on a single layer is flagged as infinite.
 A transversal scan reads its measure through one slide (`SlideMeasure`).
 Each sheet part's slide depths and |density| at its nodes are computed once
 per scan; each window then only masks and sums them. A Lebesgue density is
-evaluated on a window's eight Gauss layers in blocks of whole layers, one
-call per block of at most `geometry.BLOCK_POINTS` points. Line parts are
-solved per window on their own rule.
+integrated over a window's slab by `geometry.slab_integral`, on eight Gauss
+layers that the one layered core, `geometry._band_lines`, evaluates in
+blocks of whole layers. Line parts are solved per window on their own rule.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from .fields import CurlMeasure, LinePart
 from .geometry import (
-    BLOCK_POINTS,
     POSITION_TOL,
     BoundaryManifold,
     GeometryError,
@@ -32,6 +31,7 @@ from .geometry import (
     TransversalCollar,
     band_mass,
     integrate,
+    slab_integral,
 )
 from .quadrature import gauss_legendre
 
@@ -48,6 +48,15 @@ def _window(variant: str):
         raise ValueError(f"unknown maximal variant {variant!r}; "
                          f"expected one of {', '.join(_WINDOWS)}")
     return _WINDOWS[variant]
+
+
+def _window_sup(window, t: float, mass) -> float:
+    """Max over the eps grid of mass(lo, hi) / eps on the windows (lo, hi) =
+    window(t, eps), starting from 0."""
+    best = 0.0
+    for eps in DEFAULT_EPS_GRID:
+        best = max(best, mass(*window(t, eps)) / eps)
+    return best
 
 
 @dataclass(frozen=True)
@@ -127,26 +136,16 @@ def _sheet_layer_mass(sheet, t: float) -> float:
 
 
 def _lebesgue_slab_mass(density, slide: PatchSlide, lo: float, hi: float) -> float:
-    lo = max(lo, 0.0)
-    hi = min(hi, slide.depth_range)
+    lo, hi = max(lo, 0.0), min(hi, slide.depth_range)
     if hi <= lo:
         return 0.0
-    s_rule = gauss_legendre(8, lo, hi)
-    nodes, weights = slide.patch.nodes, slide.patch.weights
-    # whole layers in blocks of at most BLOCK_POINTS points (one layer if the
-    # face is larger), one shift and one density call per block
-    step = max(1, BLOCK_POINTS // len(weights))
-    layers = []
-    for k in range(0, len(s_rule.nodes), step):
-        pts = slide.shift_point(nodes, s_rule.nodes[k:k + step, None, None])
-        sq = np.atleast_2d(density(pts.reshape(-1, 3))) ** 2
+
+    def mags(pts, s):
+        sq = np.atleast_2d(density(pts)) ** 2
         # |d| summed in np.linalg.norm's order; einsum's differs in the last bit
-        mags = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2]).reshape(-1, len(weights))
-        layers.extend(np.sum(weights * mags, axis=1))
-    total = 0.0
-    for s, w, layer in zip(s_rule.nodes, s_rule.weights, layers):
-        total += w * slide.area_scale(s) * float(layer)
-    return total
+        return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+
+    return float(slab_integral(slide, lo, hi, mags)[0])
 
 
 def measure_slab_mass(m: SlideMeasure, lo: float, hi: float) -> float:
@@ -171,16 +170,9 @@ def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
     window = _window(variant)
     slide = collar.slide_for(manifold.patch)
     m = SlideMeasure(mu, slide)
-    vals = []
-    for t in t_grid:
-        if single_layer_mass(m, t) > 0.0:
-            vals.append(np.inf)
-            continue
-        best = 0.0
-        for eps in DEFAULT_EPS_GRID:
-            lo, hi = window(t, eps)
-            best = max(best, measure_slab_mass(m, lo, hi) / eps)
-        vals.append(best)
+    vals = [np.inf if single_layer_mass(m, t) > 0.0
+            else _window_sup(window, t, lambda lo, hi: measure_slab_mass(m, lo, hi))
+            for t in t_grid]
     collar_mass = measure_slab_mass(m, -0.75, min(0.75, slide.depth_range))
     for sheet in m.sheets:
         # concentrated layers inside the collar contribute their full mass
@@ -202,14 +194,8 @@ def maximal_tangential(surface_density, manifold: BoundaryManifold,
     def mag(pts):
         return np.linalg.norm(np.atleast_2d(surface_density(pts)), axis=1)
 
-    vals = []
-    for t in t_grid:
-        best = 0.0
-        for eps in DEFAULT_EPS_GRID:
-            lo, hi = window(t, eps)
-            m = band_mass(collar, lo, hi, mag, breaks=breaks)
-            best = max(best, m / eps)
-        vals.append(best)
+    vals = [_window_sup(window, t, lambda lo, hi: band_mass(collar, lo, hi, mag, breaks=breaks))
+            for t in t_grid]
     collar_mass = band_mass(collar, 0.0, min(0.75, collar.s_max), mag, breaks=breaks)
     return MaximalScan(tuple(t_grid), tuple(vals), f"tangential_{variant}",
                        DEFAULT_EPS_GRID, collar_mass)

@@ -131,11 +131,11 @@ def _layer_pairing(fld: VectorField, collar: TransversalCollar, data,
     verdict's scale is the largest shell integral of |F x h/eps| |data|."""
     sums = []
     for eps in eps_grid:
-        def integrand(base, pts, slide, s):
+        def integrand(pts, slide, i):
             fx = np.cross(fld.eval(pts), -slide.outward_field(pts) / eps)
-            d = np.atleast_2d(data(base, pts, slide.patch.normals))
+            d = np.atleast_2d(data(slide.patch.nodes[i], pts, slide.patch.normals[i]))
             return np.stack([np.einsum("ij,ij->i", fx, d), np.sqrt(
-                np.einsum("ij,ij->i", fx, fx) * np.einsum("ij,ij->i", d, d))], axis=1)
+                np.einsum("ij,ij->i", fx, fx) * np.einsum("ij,ij->i", d, d))])
         sums.append(shell_integral(collar, eps, integrand))
     vals, mags = np.transpose(sums)
     return judge_sequence(vals, mags.max())

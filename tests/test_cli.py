@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -227,3 +230,16 @@ def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
 def test_dict_specs_refuse_unread_keys(params):
     with pytest.raises(cli.ConfigError):
         cli.parse_surface(params)
+
+
+def test_a_reader_that_closes_the_pipe_gets_no_traceback():
+    # as `curlflux stokes ... | head -0`: the reader is gone before the first write
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "curlflux.cli", "stokes", "--field",
+                             "rigid_rotation"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -720,11 +720,49 @@ def test_a_region_read_for_its_collar_builds_no_volume_rule():
     col = geo.build_transversal_collar(region)
     man = geo.disk_manifold((0, 0, 0), 1.0, order=8, n_angular=16)
     geo.shift_transversal(man, col, 0.1)
-    geo.shell_integral(col, 0.1, lambda base, pts, sl, s: np.ones(len(pts)))
+    geo.shell_integral(col, 0.1, lambda pts, sl, i: np.ones(len(pts)))
     geo.support_rule(region, ((0.0, 0.0, 0.5), 0.2))
     assert not {"_volume", "nodes", "weights"} & set(vars(region))
     assert region.weights.size == 8 * 8 * 16
     assert {"_volume", "weights"} <= set(vars(region))
+
+
+def test_shell_integral_evaluates_whole_layers_that_know_their_feet():
+    # a half ball's faces have 2304 nodes, so each slide's 8 layers take
+    # 18 432 points, evaluated in blocks of whole layers under the budget
+    col = geo.build_transversal_collar(geo.half_ball_region((0.1, -0.2, 0.3), 0.9))
+    eps = 0.05
+    calls = []
+
+    def integrand(pts, sl, i):
+        n = len(sl.patch.weights)
+        calls.append(len(pts))
+        assert len(pts) % n == 0 and len(pts) <= geo.BLOCK_POINTS
+        # each point is its foot slid along the slide, and each layer names
+        # every foot once
+        rel = pts - sl.patch.nodes[i]
+        assert np.all(np.linalg.norm(np.cross(rel, sl.outward_field(sl.patch.nodes[i])),
+                                     axis=1) < 1e-12)
+        assert np.all(np.linalg.norm(rel, axis=1) <= eps)
+        assert np.all(np.bincount(i, minlength=n) == len(pts) // n)
+        depth = np.einsum("ij,ij->i", rel, sl.patch.normals[i])
+        return np.stack([depth * np.exp(pts[:, 2]), np.sin(pts[:, 0]) * pts[:, 1]])
+
+    got = geo.shell_integral(col, eps, integrand)
+    assert [len(sl.patch.weights) for sl in col.slides] == [2304, 2304]
+    assert sum(calls) == 2 * 8 * 2304 and len(calls) == 2 * 4
+
+    # reference: one layer at a time, summed with tensordot
+    want = 0.0
+    for sl in col.slides:
+        rule = gauss_legendre(8, 0.0, eps)
+        n = len(sl.patch.weights)
+        for s, w in zip(rule.nodes, rule.weights):
+            vals = integrand(sl.shift_point(sl.patch.nodes, s), sl, np.arange(n))
+            want = want + w * sl.area_scale(s) * np.tensordot(vals, sl.patch.weights,
+                                                               axes=(1, 0))
+    assert got.shape == (2,) and np.all(np.abs(want) > 1e-3)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("vector", [False, True])

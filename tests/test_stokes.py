@@ -26,11 +26,11 @@ def closed_form_ramp_value(j: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def test_tangential_route_evaluates_its_widths_in_blocks_of_whole_segments(
+def test_tangential_route_evaluates_its_widths_in_blocks_of_whole_layers(
         rigid_rotation, unit_disk_manifold, unit_disk_collar):
     # the 11 widths' segments of 10 layers share one batch: after an empty
     # family that gives the layer node count, blocks of as many whole
-    # segments as fit in BLOCK_POINTS points, 5 of 960 points each
+    # 96-node layers as fit in BLOCK_POINTS points, 52 of 4992 points each
     calls = []
 
     def layer(s):
@@ -40,18 +40,18 @@ def test_tangential_route_evaluates_its_widths_in_blocks_of_whole_segments(
     collar = dataclasses.replace(unit_disk_collar, layer=layer)
     res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk_manifold, collar, 0.0)
     assert res.converged
-    per_block = geo.BLOCK_POINTS // (10 * geo.DEFAULT_ANGULAR)
-    n_segments = len(stk.DELTA_J_RANGE)
+    per_block = geo.BLOCK_POINTS // geo.DEFAULT_ANGULAR
+    n_layers = 10 * len(stk.DELTA_J_RANGE)
     assert calls[0] == (0,)
-    assert len(calls) - 1 == -(-n_segments // per_block) == 3
-    assert calls[1:] == [(10 * per_block,)] * 2 + [(10,)]
+    assert len(calls) - 1 == -(-n_layers // per_block) == 3
+    assert calls[1:] == [(per_block,)] * 2 + [(n_layers - 2 * per_block,)] == [(52,)] * 2 + [(6,)]
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1])
-def test_every_ramp_integrand_call_gets_whole_segments_within_the_budget(
+def test_every_ramp_integrand_call_gets_whole_layers_within_the_budget(
         annuli, unit_disk_manifold, unit_disk_collar, t):
     # the annuli's breaks split the bands into many segments of 10 layers of
-    # 96 nodes; every field call takes whole ones, at most BLOCK_POINTS points
+    # 96 nodes; every field call takes whole layers, at most BLOCK_POINTS points
     sizes = []
 
     def trace(p):
@@ -60,11 +60,11 @@ def test_every_ramp_integrand_call_gets_whole_segments_within_the_budget(
 
     stk.stokes_tangential(trace, unit_disk_manifold, unit_disk_collar, t,
                           breaks_radii=annuli.trace_breaks_radii)
-    segment = 10 * geo.DEFAULT_ANGULAR
-    assert all(k % segment == 0 and k <= geo.BLOCK_POINTS for k in sizes)
-    n_segments, per_block = sum(sizes) // segment, geo.BLOCK_POINTS // segment
-    assert n_segments > per_block
-    assert len(sizes) == -(-n_segments // per_block)
+    layer = geo.DEFAULT_ANGULAR
+    assert all(k % layer == 0 and k <= geo.BLOCK_POINTS for k in sizes)
+    n_layers, per_block = sum(sizes) // layer, geo.BLOCK_POINTS // layer
+    assert n_layers % 10 == 0 and n_layers > per_block
+    assert len(sizes) == -(-n_layers // per_block)
 
 
 def test_density_windows_evaluate_each_radius_in_one_block(rigid_rotation,

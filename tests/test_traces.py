@@ -338,4 +338,7 @@ def test_tangentiality_defect_equals_nearest_node_reference(rigid_rotation, shap
     t_tan = trc.boundary_pairing_layer_route(fld, tcol, data_tangential, eps_grid)
     got = trc.tangentiality_defect(fld, region, tcol, tv.value, eps_grid)
     assert got == abs(t_full - t_tan)
-    assert 0.0 < got < 1e-3
+    # h is parallel to nu on balls and half balls, so (F x h) . nu = 0 and the
+    # defect is zero in exact arithmetic: only rounding is left
+    assert abs(t_full) > 1
+    assert got <= 1e-12 * abs(t_full)
