@@ -32,7 +32,6 @@ from .quadrature import (
     gauss_legendre,
     gauss_legendre_split,
     periodic_trapezoid,
-    tensor_product_3d,
 )
 
 POSITION_TOL = 1e-9  # "lies on patch" node tolerance, absolute
@@ -747,13 +746,21 @@ class TransversalCollar:
     def slide_for(self, patch: SurfacePatch) -> PatchSlide:
         """The slide of `patch` itself, else the first slide whose depth
         vanishes on every node of `patch`: manifolds rebuilt on a region's
-        face carry a fresh patch, and faces share their names."""
+        face carry a fresh patch, and faces share their names. A disk is
+        matched on c, c +- r e1 and c +- r e2 without its nodes: three collinear
+        points lie on no sphere, and on a cylinder only along its axis, which
+        e1 and e2 cannot both follow."""
         for s in self.slides:
             if s.patch is patch:
                 return s
+        if patch.name == "disk":
+            e1, e2, _ = patch.frame
+            probes = patch.origin + patch.meta["radius"] * np.array([np.zeros(3), e1, -e1, e2, -e2])
+        else:
+            probes = patch.nodes
         for s in self.slides:
             if (s.slab_coordinate is not None
-                    and np.all(np.abs(s.slab_coordinate(patch.nodes)) <= POSITION_TOL)):
+                    and np.all(np.abs(s.slab_coordinate(probes)) <= POSITION_TOL)):
                 return s
         raise GeometryError(f"no slide registered for patch {patch.name!r}")
 
@@ -766,8 +773,8 @@ class SolidRegion:
     first) mapped about `ambient_center` by `coordinates`: "spherical"
     (r, u = cos colatitude measured along the third row of `frame`, default
     e3, phi), "cylindrical" (rho, phi, z) or "cartesian" offsets. It is built
-    on first read of `nodes` or `weights`, into read-only arrays; collars and
-    support rules never read it.
+    on first read of `nodes` or `weights` by broadcasting the 1-D rules, into
+    read-only arrays; collars and support rules never read it.
     """
 
     name: str
@@ -781,19 +788,22 @@ class SolidRegion:
 
     @cached_property
     def _volume(self) -> tuple[np.ndarray, np.ndarray]:
-        rule = tensor_product_3d(*self.volume_rules)
-        a, b, c = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
+        # the flat (n, 3) grid's products in its order: bit-identical to it
+        ra, rb, rc = self.volume_rules
+        a, b, c = ra.nodes[:, None, None], rb.nodes[:, None], rc.nodes
+        w = ra.weights[:, None, None] * rb.weights[:, None] * rc.weights
         if self.coordinates == "spherical":
+            w *= a
+            w *= a
             st = np.sqrt(np.clip(1.0 - b * b, 0.0, None))
-            local = np.stack([a * st * np.cos(c), a * st * np.sin(c), a * b], axis=1)
-            pts = self.ambient_center + (local if self.frame is None else local @ self.frame)
-            w = rule.weights * a * a
+            a, b, c = a * st * np.cos(c), a * st * np.sin(c), a * b
         elif self.coordinates == "cylindrical":
-            pts = self.ambient_center + np.stack([a * np.cos(b), a * np.sin(b), c], axis=1)
-            w = rule.weights * a
-        else:
-            pts, w = self.ambient_center + rule.nodes, rule.weights
-        return _read_only(pts), _read_only(w)
+            w *= a
+            a, b, c = a * np.cos(b), a * np.sin(b), c
+        pts = np.stack(np.broadcast_arrays(a, b, c), axis=-1).reshape(-1, 3)
+        pts = pts if self.frame is None else pts @ self.frame
+        pts += self.ambient_center
+        return _read_only(pts), _read_only(w.reshape(-1))
 
     @cached_property
     def nodes(self) -> np.ndarray:  # (n, 3) physical points
@@ -1067,13 +1077,11 @@ def shift_transversal(manifold: BoundaryManifold, collar: TransversalCollar,
     slide = collar.slide_for(manifold.patch)
     if t >= slide.depth_range:
         raise GeometryError("shift leaves the collar neighborhood")
+    m = manifold.meta
     if manifold.kind == "disk":
-        m = manifold.meta
-        new_center = slide.shift_point(m["center"][None, :], t)[0]
-        return disk_manifold(new_center, m["radius"], m["frame"][2],
+        return disk_manifold(slide.shift_point(m["center"], t)[0], m["radius"], m["frame"][2],
                              order=m["order"], n_angular=m["n_angular"])
     if manifold.kind == "closed":
-        m = manifold.meta
         return closed_sphere_manifold(m["center"], m["radius"] - t, order=m["order"],
                                       n_angular=m["n_angular"],
                                       inner_normal=m["inner_normal"])
@@ -1087,8 +1095,8 @@ def slab_integral(slide: PatchSlide, lo: float, hi: float, integrand) -> np.ndar
     nodes, weights = slide.patch.nodes, slide.patch.weights
 
     def layers(s):
-        return SimpleNamespace(nodes=slide.shift_point(nodes, s[:, None, None]),
-                               weights=np.broadcast_to(weights, (len(s), len(weights))))
+        pts = slide.shift_point(nodes, s[:, None, None]) if len(s) else np.empty((0, *nodes.shape))
+        return SimpleNamespace(nodes=pts, weights=np.broadcast_to(weights, (len(s), len(weights))))
 
     s, w, lines = _band_lines(layers, 8, [(lo, hi)], integrand)
     return np.cumsum(w * slide.area_scale(s) * lines, axis=-1)[:, -1]

@@ -1,8 +1,8 @@
-"""Gauss-Legendre and trapezoid quadrature rules on reference domains.
+"""1-D Gauss-Legendre and trapezoid quadrature rules.
 
-Weights are plain parameter-measure weights; metric factors (area/volume
-elements) are applied by the caller, so a rule sums to the measure of its
-reference parameter domain.
+Weights are plain parameter-measure weights, so a rule sums to the length of
+its interval. Patches and regions form their product rules by broadcasting
+these and apply their own metric factors (area and volume elements).
 """
 
 from dataclasses import dataclass
@@ -47,13 +47,6 @@ def periodic_trapezoid(n: int) -> QuadratureRule:
     """Equispaced rule on [0, 2 pi); spectrally accurate for periodic integrands."""
     h = 2.0 * np.pi / n
     return QuadratureRule(np.arange(n) * h, np.full(n, h), order=n - 1)
-
-
-def tensor_product_3d(ru: QuadratureRule, rv: QuadratureRule, rw: QuadratureRule) -> QuadratureRule:
-    u, v, w = np.meshgrid(ru.nodes, rv.nodes, rw.nodes, indexing="ij")
-    a, b, c = np.meshgrid(ru.weights, rv.weights, rw.weights, indexing="ij")
-    nodes = np.stack([u.ravel(), v.ravel(), w.ravel()], axis=1)
-    return QuadratureRule(nodes, (a * b * c).ravel(), order=min(ru.order, rv.order, rw.order))
 
 
 def gauss_legendre_split(n: int, breakpoints: np.ndarray) -> QuadratureRule:

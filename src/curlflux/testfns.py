@@ -81,13 +81,12 @@ def _bump(center, radius: float, plateau: float, profile, profile_prime,
     center = np.asarray(center, dtype=float)
 
     def value(x):
-        r = np.linalg.norm(np.atleast_2d(x) - center, axis=1)
-        return profile(r / radius, plateau)
+        rel = np.atleast_2d(x) - center
+        return profile(np.sqrt(np.add.reduce(rel * rel, axis=1)) / radius, plateau)
 
     def gradient(x):
-        x = np.atleast_2d(x)
-        rel = x - center
-        r = np.linalg.norm(rel, axis=1)
+        rel = np.atleast_2d(x) - center
+        r = np.sqrt(np.add.reduce(rel * rel, axis=1))  # np.linalg.norm's sum, without its call cost
         mag = profile_prime(r / radius, plateau) / radius
         safe = np.where(r == 0.0, 1.0, r)
         return mag[:, None] * rel / safe[:, None]

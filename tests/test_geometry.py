@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from curlflux.quadrature import (
     gauss_legendre,
     gauss_legendre_split,
     periodic_trapezoid,
-    tensor_product_3d,
 )
 from curlflux.testfns import radial_bump
 
@@ -600,6 +600,47 @@ def test_fresh_face_patch_gets_the_slide_it_lies_on(unit_cylinder, cylinder_coll
         cylinder_collar.slide_for(geo.disk_patch((0, 0, 0.5), 1.0))
 
 
+def _slide_on_every_node(collar, patch):
+    # the match by all nodes, which a disk no longer needs
+    return next(s for s in collar.slides if s.slab_coordinate is not None
+                and np.all(np.abs(s.slab_coordinate(patch.nodes)) <= geo.POSITION_TOL))
+
+
+def test_a_disk_finds_its_slide_without_building_its_nodes(unit_cylinder, cylinder_collar):
+    for face in unit_cylinder.boundary[:2]:
+        m = face.meta
+        man = geo.disk_manifold(m["center"], 0.6, m["normal"], order=8, n_angular=16)
+        shifted = geo.shift_transversal(man, cylinder_collar, 0.1)
+        assert "nodes" not in vars(man.patch) and "nodes" not in vars(shifted.patch)
+        fresh = geo.disk_manifold(m["center"], 0.6, m["normal"], order=8, n_angular=16)
+        slide = _slide_on_every_node(cylinder_collar, fresh.patch)
+        assert cylinder_collar.slide_for(man.patch) is slide
+        assert np.allclose(shifted.meta["center"], slide.shift_point(m["center"], 0.1))
+
+
+@pytest.mark.parametrize("center, normal", [((0, 0, 0), (0.1, 0, 1)),  # tilted
+                                            ((0, 0, 1e-6), (0, 0, 1)),  # off the plane
+                                            ((0, 0, 0.5), (0, 0, 1))])  # a plane with no face
+def test_a_disk_off_every_face_still_gets_no_slide(cylinder_collar, center, normal):
+    man = geo.disk_manifold(center, 0.5, normal, order=8, n_angular=16)
+    with pytest.raises(geo.GeometryError):
+        geo.shift_transversal(man, cylinder_collar, 0.1)
+
+
+def test_a_disk_on_a_sphere_at_three_points_gets_no_slide():
+    # centre, centre + r e1 and centre + r e2 lie on the unit sphere, so a
+    # match on those three alone would give the disk the sphere's slide
+    r = 0.5
+    e1, e2, n = geo.frame_from_normal((0, 0, 1))
+    center = -0.5 * r * (e1 + e2) + np.sqrt(1.0 - 0.5 * r * r) * n
+    patch = geo.disk_patch(center, r, n, order=8, n_angular=16)
+    for p in (center, center + r * e1, center + r * e2):
+        assert abs(np.linalg.norm(p) - 1.0) < 1e-15
+    col = geo.build_transversal_collar(geo.ball_region(order=8, n_angular=16))
+    with pytest.raises(geo.GeometryError):
+        col.slide_for(patch)
+
+
 def test_shift_keeps_the_disk_rule(half_ball):
     col = geo.build_transversal_collar(half_ball)
     face = geo.disk_manifold((0, 0, 0), 0.8, order=12, n_angular=48)
@@ -646,33 +687,41 @@ def test_region_boundary_tiles(half_ball):
     assert abs(vol + bd) < 1e-10
 
 
+def _eager_product(ru, rv, rw):
+    # the flat (n, 3) tensor grid of three 1-D rules, u slowest, as the
+    # deleted quadrature.tensor_product_3d built it through meshgrid
+    u, v, w = np.meshgrid(ru.nodes, rv.nodes, rw.nodes, indexing="ij")
+    a, b, c = np.meshgrid(ru.weights, rv.weights, rw.weights, indexing="ij")
+    return np.stack([u.ravel(), v.ravel(), w.ravel()], axis=1), (a * b * c).ravel()
+
+
 def _eager_spherical(center, radius, order, n_angular, u_range=(-1.0, 1.0),
                      radial_breaks=(), frame=None):
     # the volume rule as regions built it before it became lazy
     center = np.asarray(center, dtype=float)
     bp = sorted({0.0, float(radius), *(float(b) for b in radial_breaks if 0.0 < b < radius)})
-    rule = tensor_product_3d(gauss_legendre_split(order, np.asarray(bp)),
-                             gauss_legendre(order, u_range[0], u_range[1]),
-                             periodic_trapezoid(n_angular))
-    r, u, phi = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
+    nodes, weights = _eager_product(gauss_legendre_split(order, np.asarray(bp)),
+                                    gauss_legendre(order, u_range[0], u_range[1]),
+                                    periodic_trapezoid(n_angular))
+    r, u, phi = nodes[:, 0], nodes[:, 1], nodes[:, 2]
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
     local = np.stack([r * st * np.cos(phi), r * st * np.sin(phi), r * u], axis=1)
     pts = center + (local if frame is None else local @ np.asarray(frame, dtype=float))
-    return pts, rule.weights * r * r
+    return pts, weights * r * r
 
 
 def _eager_cylinder(center, radius, z0, z1, order, n_angular):
-    rule = tensor_product_3d(gauss_legendre(order, 0.0, radius), periodic_trapezoid(n_angular),
-                             gauss_legendre(order, z0, z1))
-    rho, phi, z = rule.nodes[:, 0], rule.nodes[:, 1], rule.nodes[:, 2]
+    nodes, weights = _eager_product(gauss_legendre(order, 0.0, radius),
+                                    periodic_trapezoid(n_angular), gauss_legendre(order, z0, z1))
+    rho, phi, z = nodes[:, 0], nodes[:, 1], nodes[:, 2]
     pts = np.asarray(center, dtype=float) + np.stack([rho * np.cos(phi), rho * np.sin(phi), z],
                                                      axis=1)
-    return pts, rule.weights * rho
+    return pts, weights * rho
 
 
 def _eager_box(center, h, order):
-    rule = tensor_product_3d(*(gauss_legendre(order, -h[k], h[k]) for k in range(3)))
-    return np.asarray(center, dtype=float) + rule.nodes, rule.weights
+    nodes, weights = _eager_product(*(gauss_legendre(order, -h[k], h[k]) for k in range(3)))
+    return np.asarray(center, dtype=float) + nodes, weights
 
 
 CENTER = (0.1, -0.2, 0.3)
@@ -725,6 +774,49 @@ def test_a_region_read_for_its_collar_builds_no_volume_rule():
     assert not {"_volume", "nodes", "weights"} & set(vars(region))
     assert region.weights.size == 8 * 8 * 16
     assert {"_volume", "weights"} <= set(vars(region))
+
+
+@pytest.mark.parametrize("region", [geo.cylinder_region(order=8, n_angular=16),
+                                    geo.ball_region(order=8, n_angular=16)],
+                         ids=["cylinder", "ball"])
+def test_a_slab_slides_no_empty_family(region):
+    # the layer size comes from the patch, so the slide shifts only real layers
+    for sl in geo.build_transversal_collar(region).slides:
+        depths = []
+
+        def shift(pts, s, sl=sl):
+            depths.append(np.size(s))
+            return sl.shift_point(pts, s)
+
+        def integrand(pts, s):
+            return np.stack([np.exp(pts[:, 0]) * pts[:, 2], np.cos(pts[:, 1])])
+
+        got = geo.slab_integral(dataclasses.replace(sl, shift_point=shift), 0.05, 0.2, integrand)
+        assert depths and min(depths) > 0
+        # the same sums as the layers one at a time, added in depth order
+        rule = gauss_legendre(8, 0.05, 0.2)
+        lines = np.array([np.sum(sl.patch.weights * integrand(sl.shift_point(sl.patch.nodes, s),
+                                                              None), axis=-1)
+                          for s in rule.nodes]).T
+        want = np.cumsum(rule.weights * sl.area_scale(rule.nodes) * lines, axis=-1)[:, -1]
+        assert np.array_equal(got, want)
+
+
+def test_a_support_volume_rule_allocates_under_three_times_its_output():
+    region = geo.half_ball_region((0.1, -0.2, 0.3), 0.9)
+    support = (((0.2, -0.1, 0.3), 0.3), (0.15,))
+    geo.support_rule(region, *support).nodes  # the cached 1-D reference rules
+    half = geo.support_rule(region, *support)
+    assert half.name == "half_ball"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        nodes, weights = half._volume
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert weights.size == 16384
+    assert peak <= 3 * (nodes.nbytes + weights.nbytes)
 
 
 def test_shell_integral_evaluates_whole_layers_that_know_their_feet():
