@@ -144,36 +144,59 @@ REGION_KEYS = {**dict.fromkeys(("ball", "half_ball", "half-ball"), ("r", "center
                "box": ("center", "half_widths", "order")}
 
 
+def _positive(kv: dict, key: str, default: float) -> float:
+    value = _param(kv, key, default, float)
+    if not (np.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{key} must be a finite positive number, not {value:g}")
+    return value
+
+
+def _order(kv: dict) -> int:
+    order = _param(kv, "order", geo.DEFAULT_ORDER, int)
+    if order < 1:
+        raise ConfigError(f"order must be at least 1, not {order}")
+    return order
+
+
 def parse_surface(spec) -> geo.BoundaryManifold:
     """Surface spec: 'disk:r=0.5,z=0.5' or a JSON-style dict."""
     shape, kv = _parse_spec(spec, SURFACE_KEYS)
-    r = float(kv.get("r", 1.0))
+    r = _positive(kv, "r", 1.0)
     if shape == "disk":
         center = kv.get("center", (kv.get("x", 0.0), kv.get("y", 0.0), kv.get("z", 0.0)))
         normal = kv.get("normal", (0.0, 0.0, 1.0))
-        order = int(kv.get("order", geo.DEFAULT_ORDER))
-        return geo.disk_manifold(center, r, normal, order=order)
+        return geo.disk_manifold(center, r, normal, order=_order(kv))
     if shape == "sphere":
         return geo.closed_sphere_manifold(kv.get("center", (0, 0, 0)), r)
-    return geo.spherical_cap_manifold(kv.get("center", (0, 0, 0)), r,
-                                      float(kv.get("colatitude", np.pi / 2)))
+    colatitude = _param(kv, "colatitude", np.pi / 2, float)
+    if not 0.0 < colatitude < np.pi:
+        raise ConfigError(f"colatitude must lie in (0, pi), not {colatitude:g}")
+    return geo.spherical_cap_manifold(kv.get("center", (0, 0, 0)), r, colatitude)
 
 
 def parse_region(spec) -> geo.SolidRegion:
     """Region spec: 'cylinder:r=1,z0=0,z1=1' or a JSON-style dict."""
     shape, kv = _parse_spec(spec, REGION_KEYS)
-    order = int(kv.get("order", geo.DEFAULT_ORDER))
+    order = _order(kv)
     center = kv.get("center", (0, 0, 0))
-    r = float(kv.get("r", 1.0))
+    if shape == "box":
+        try:
+            h = np.asarray(kv.get("half_widths", (1.0, 1.0, 1.0)), dtype=float)
+        except (TypeError, ValueError):
+            h = np.zeros(0)
+        if h.shape != (3,) or not np.all(np.isfinite(h) & (h > 0.0)):
+            raise ConfigError(f"half_widths must be three finite positive numbers, "
+                              f"not {kv['half_widths']!r}")
+        return geo.box_region(center, h, order=min(order, 16))
+    r = _positive(kv, "r", 1.0)
     if shape == "ball":
         return geo.ball_region(center, r, order=order)
     if shape in ("half_ball", "half-ball"):
         return geo.half_ball_region(center, r, order=order)
-    if shape == "cylinder":
-        return geo.cylinder_region(center, r, float(kv.get("z0", 0.0)),
-                                   float(kv.get("z1", 1.0)), order=order)
-    return geo.box_region(center, kv.get("half_widths", (1.0, 1.0, 1.0)),
-                          order=min(order, 16))
+    z0, z1 = _param(kv, "z0", 0.0, float), _param(kv, "z1", 1.0, float)
+    if not (np.isfinite(z0) and np.isfinite(z1) and z1 > z0):
+        raise ConfigError(f"z0 and z1 must be finite with z1 > z0, not {z0:g} and {z1:g}")
+    return geo.cylinder_region(center, r, z0, z1, order=order)
 
 
 def get_catalog(name: str) -> flds.CatalogEntry:
@@ -314,8 +337,8 @@ def cmd_maximal(p: dict) -> ResultTable:
         raise ConfigError("field carries no curl measure")
     scan = selection.maximal_transversal(entry.curl, man, tcol, t_grid)
     report = selection.good_set_scan(scan, lam)
-    rows = [[t, v, ("yes" if (np.isfinite(v) and v <= lam) else "no")]
-            for t, v in zip(scan.t_grid, scan.values)]
+    good = set(report.good_t)
+    rows = [[t, v, "yes" if t in good else "no"] for t, v in zip(scan.t_grid, scan.values)]
     return ResultTable(["t", "maximal", "good"], rows,
                        metadata={"field": p["field"], "lambda": lam,
                                  "collar_mass": FLOAT_FMT % scan.collar_mass,

@@ -11,7 +11,7 @@ declared, never detected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -84,17 +84,6 @@ class LinePart:
 
     def clipped(self, region: SolidRegion) -> tuple[float, float]:
         return clip_segment(region, self.point, self.direction, self.lo, self.hi)
-
-    def sphere_crossings(self, center, radii: Sequence[float]) -> tuple[float, ...]:
-        """Parameters where the line meets the spheres |x - center| = r."""
-        rel = self.point - np.asarray(center, dtype=float)
-        b = rel @ self.direction
-        out = []
-        for r in radii:
-            disc = b * b - rel @ rel + r * r
-            if disc > 0.0:
-                out += [-b - np.sqrt(disc), -b + np.sqrt(disc)]
-        return tuple(out)
 
     def segment(self, rule: QuadratureRule) -> Curve:
         """The segment as a node set at the parameters of `rule`; the
@@ -189,9 +178,7 @@ def clip_segment(region: SolidRegion, point: Array, direction: Array,
     raise GeometryError(f"segment clipping not implemented for region {region.name!r}")
 
 
-def integrate_measure(mu: CurlMeasure, testvec, region: SolidRegion,
-                      line_breaks: Optional[Callable[[LinePart], Sequence[float]]] = None
-                      ) -> Array:
+def integrate_measure(mu: CurlMeasure, testvec, region: SolidRegion) -> Array:
     """Pairing of a curl measure against a vector test function over a region.
 
     Each part is integrated over its own node set: the Lebesgue part over the
@@ -199,9 +186,7 @@ def integrate_measure(mu: CurlMeasure, testvec, region: SolidRegion,
     0/1 factor of the integrand, and a line part over its segment clipped
     exactly to the region. The segment's rule is a composite 8-point rule on
     24 panels, so kinks of piecewise-polynomial test profiles cost only
-    O(panel_width^3) instead of polluting a single global rule. `line_breaks`
-    maps a line part to the parameters where the test function has kinks
-    along it; they become panel edges and cost nothing.
+    O(panel_width^3) instead of polluting a single global rule.
     """
     def paired(density):
         return lambda x: np.atleast_2d(density(x)) * np.atleast_2d(testvec(x))
@@ -217,8 +202,7 @@ def integrate_measure(mu: CurlMeasure, testvec, region: SolidRegion,
         lo, hi = lp.clipped(region)
         if hi <= lo:
             continue
-        breaks = line_breaks(lp) if line_breaks is not None else ()
-        edges = np.union1d(np.linspace(lo, hi, 25), [b for b in breaks if lo < b < hi])
+        edges = np.linspace(lo, hi, 25)
         out = out + integrate(lp.segment(gauss_legendre_split(8, edges)), paired(lp.density))
     return out
 

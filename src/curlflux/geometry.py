@@ -159,11 +159,9 @@ class SurfacePatch:
     """Patch of a parametrized surface (u, v) -> R^3 and its node set.
 
     The patch holds the parameters of its nodes with their plain rule
-    weights, as two rules `u` and `v`. On a product rule (u slowest) the
+    weights, as the two rules `u` and `v` of a product rule, u slowest: the
     arrays of `u` are a column (n_u, 1), so the two broadcast to the node
-    grid; on `support_rule`'s singular polar rule both are flat, one entry
-    per node along the rays. `coordinates` names the map of (u, v) about
-    `origin`:
+    grid. `coordinates` names the map of (u, v) about `origin`:
 
     * "polar": (rho, phi) -> origin + rho (cos phi e1 + sin phi e2), with
       (e1, e2, n) the rows of `frame` and n the normal;
@@ -252,18 +250,10 @@ def disk_patch(center, radius: float, normal=(0.0, 0.0, 1.0),
     """
     bp = sorted({float(inner_radius), float(radius), *(float(b) for b in radial_breaks
                                                        if inner_radius < b < radius)})
-    return _polar_patch(center, normal, _column(gauss_legendre_split(order, np.asarray(bp))),
-                        periodic_trapezoid(n_angular), radius, inner_radius)
-
-
-def _polar_patch(center, normal, rho: QuadratureRule, phi: QuadratureRule, radius: float,
-                 inner_radius: float) -> SurfacePatch:
-    """Flat patch in polar coordinates (rho, phi) about `center`, on the
-    parameter rules `rho` and `phi` (see `SurfacePatch`); the nodes may be any
-    set inside the annulus inner_radius <= rho <= radius."""
     center = np.asarray(center, dtype=float)
     e1, e2, n = frame_from_normal(normal)
-    return SurfacePatch("disk", "polar", rho, phi, center, np.stack([e1, e2, n]), 1.0, 1.0,
+    return SurfacePatch("disk", "polar", _column(gauss_legendre_split(order, np.asarray(bp))),
+                        periodic_trapezoid(n_angular), center, np.stack([e1, e2, n]), 1.0, 1.0,
                         meta={"center": center, "normal": n, "radius": float(radius),
                               "inner_radius": float(inner_radius)})
 
@@ -332,20 +322,6 @@ class BoundaryManifold:
         return self.kind == "closed"
 
 
-def _fit_bilip(collar: TangentialCollar) -> float:
-    """Largest distortion max(d/gap, gap/d) between pairs of six sampled
-    layers, with d their `layer_distance`; 1 if no pair is distorted, and for
-    the empty collar."""
-    if collar.empty:
-        return 1.0
-    ss = np.linspace(0.0, min(0.45, collar.s_max * 0.9), 6)
-    pts = collar.layer(ss).nodes
-    d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1).min(axis=-1)
-    gap = np.abs(ss[:, None] - ss[None, :])
-    pair = np.triu((gap > 0) & (d > 0), 1)
-    return float(np.max([1.0, *(d[pair] / gap[pair]), *(gap[pair] / d[pair])]))
-
-
 @dataclass(frozen=True)
 class TangentialCollar:
     """Bi-Lipschitz sliding of the boundary curve into the surface.
@@ -355,8 +331,7 @@ class TangentialCollar:
     layers on one shared rule. `grad_s` is the surface gradient of the collar
     parameter (its magnitude is the localizer slope per unit delta);
     `layer_jacobian` is the constant factor that converts ds x arclength to
-    surface area. `bilip` is the comparability constant (>= 1), fitted on
-    first read.
+    surface area.
     """
 
     layer: Callable[[float | np.ndarray], Curve]
@@ -365,15 +340,6 @@ class TangentialCollar:
     s_max: float
     param_of_radius: Optional[Callable[[float], float]] = None  # shape-specific break mapping
     empty: bool = False
-
-    bilip = cached_property(_fit_bilip)
-
-    def layer_distance(self, s0: float, s1: float) -> float:
-        """min distance between two layer curves at equal rule nodes; for the
-        concentric circles of the catalog collars this is the min over all
-        node pairs."""
-        a, b = self.layer(np.array([s0, s1])).nodes
-        return float(np.linalg.norm(a - b, axis=1).min())
 
 
 def disk_manifold(center, radius: float, normal=(0.0, 0.0, 1.0), order: int = DEFAULT_ORDER,
@@ -617,24 +583,6 @@ def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
     _, w, lines = _band_lines(collar.layer, 8, _segments(lo, hi, breaks),
                               lambda pts, s: np.asarray(density(pts), dtype=float))
     return _layer_sum(w * collar.layer_jacobian, lines[0])
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradients
-# ---------------------------------------------------------------------------
-
-
-def central_gradient(value, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a scalar function of points (n,3), at
-    step 1e-6."""
-    h = 1e-6
-    x = np.atleast_2d(x)
-    out = np.zeros_like(x)
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        out[:, k] = (value(x + e) - value(x - e)) / (2.0 * h)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -904,87 +852,23 @@ def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0),
 # ---------------------------------------------------------------------------
 
 
-def support_rule(domain, support, breaks: Sequence[float] = (), singular_point=None):
-    """Quadrature domain for pairing against a test function supported in a ball.
+def support_rule(region: SolidRegion, support, breaks: Sequence[float] = ()) -> SolidRegion:
+    """Volume rule for pairing against a test function supported in a ball.
 
     `support` is the ball (center, radius) outside which the test function
     vanishes and `breaks` are the radii of its profile kinks inside it, as in
-    `ScalarTestFunction.support` and `.support_breaks`. The returned patch or
-    region covers the support only, and its rule is split at the kinks:
-
-    * flat disk patch (disk ∩ face): the polar sub-disk centred on the foot
-      of the support's center, split at the in-plane kink radii;
-    * the same with a `singular_point` whose foot lies inside the support: a
-      polar rule centred at that foot, whose area element absorbs a 1/rho
-      singularity there. The kink circles are not concentric with it, so
-      each angular ray runs to the support circle and is split where it
-      crosses them;
-    * solid region (ball ∩ region): the support ball when it lies inside the
-      region, or the half ball on the inner side of a flat face the support
-      is centred on, oriented by that face's inner normal.
-
-    Any other case (no support, a curved patch, a support leaving the
-    domain) returns `domain` itself, whose own rule is then used.
+    `ScalarTestFunction.support` and `.support_breaks`. The returned region
+    covers the support only, split radially at the kinks: the support ball
+    when it lies inside `region`, or the half ball on the inner side of a
+    flat face the support is centred on, oriented by that face's inner
+    normal. It is quadrature-only: pairings need its nodes, not its boundary.
+    Any other case (no support, a support leaving the region) returns
+    `region` itself, whose own rule is then used.
     """
     if support is None:
-        return domain
+        return region
     center, radius = np.asarray(support[0], dtype=float), float(support[1])
     kinks = sorted(float(b) for b in breaks if 0.0 < b < radius)
-    if isinstance(domain, SolidRegion):
-        return _support_region(domain, center, radius, kinks)
-    return _support_disk(domain, center, radius, kinks, singular_point)
-
-
-def _support_disk(patch: SurfacePatch, center, radius, kinks, singular_point):
-    if patch.name != "disk":
-        return patch
-    m = patch.meta
-    n = m["normal"]
-    height = abs((center - m["center"]) @ n)
-    if height >= radius:
-        return patch
-    foot = center - ((center - m["center"]) @ n) * n
-    # the support ball and its kink spheres cut the plane in concentric circles
-    r_plane = np.sqrt(radius ** 2 - height ** 2)
-    k_plane = [np.sqrt(b * b - height * height) for b in kinks if b > height]
-    offset = float(np.linalg.norm(foot - m["center"]))
-    if offset + r_plane > m["radius"] or (m["inner_radius"] > 0.0
-                                          and offset - r_plane < m["inner_radius"]):
-        return patch
-    sing = None
-    if singular_point is not None:
-        sing = np.asarray(singular_point, dtype=float)
-        sing = sing - ((sing - m["center"]) @ n) * n
-    if sing is None or np.linalg.norm(foot - sing) >= r_plane:
-        return disk_patch(foot, r_plane, n, order=12, n_angular=48, radial_breaks=k_plane)
-
-    e1, e2, _ = frame_from_normal(n)
-    order, angles = 16, periodic_trapezoid(96)
-    d = foot - sing
-    rho, rho_w, phis, phi_w = [], [], [], []
-    for phi, w_phi in zip(angles.nodes, angles.weights):
-        # the ray sing + rho u meets the circle |x - foot| = b where
-        # rho^2 - 2 rho (d . u) + |d|^2 - b^2 = 0; sing lies inside the support
-        du = d @ (np.cos(phi) * e1 + np.sin(phi) * e2)
-        cuts = [0.0]
-        for b in (*k_plane, r_plane):
-            disc = du * du - d @ d + b * b
-            if disc > 0.0:
-                cuts += [du - np.sqrt(disc), du + np.sqrt(disc)]
-        hi = cuts[-1]  # far crossing of the support circle
-        rho_rule = gauss_legendre_split(order, np.unique(np.clip(cuts, 0.0, hi)))
-        rho.append(rho_rule.nodes)
-        rho_w.append(rho_rule.weights)
-        phis.append(np.full(rho_rule.nodes.size, phi))
-        phi_w.append(np.full(rho_rule.nodes.size, w_phi))
-    rays = QuadratureRule(np.concatenate(rho), np.concatenate(rho_w), 2 * order - 1)
-    return _polar_patch(sing, n, rays,
-                        QuadratureRule(np.concatenate(phis), np.concatenate(phi_w), angles.order),
-                        float(np.max(rays.nodes)), 0.0)
-
-
-def _support_region(region: SolidRegion, center, radius, kinks) -> SolidRegion:
-    # a quadrature-only ball or half ball: pairings need its nodes, not its boundary
     order, n_angular = 16, 32
     meta = {"center": center, "radius": radius}
     if _ball_fits(region, center, radius):

@@ -203,8 +203,7 @@ def maximal_tangential(surface_density, manifold: BoundaryManifold,
 
 @dataclass(frozen=True)
 class GoodSetReport:
-    lam: float
-    good_t: tuple[float, ...]
+    good_t: tuple[float, ...]  # the scan's t whose value is finite and at most lambda
     complement_measure: float
     weak_bound: float  # 10 |mu|(collar) / lambda
 
@@ -223,5 +222,5 @@ def good_set_scan(scan: MaximalScan, lam: float) -> GoodSetReport:
         cell = 1.0
     bad = ~((v <= lam) & np.isfinite(v))
     good = tuple(float(x) for x in t[~bad])
-    return GoodSetReport(lam, good, float(np.sum(bad) * cell),
+    return GoodSetReport(good, float(np.sum(bad) * cell),
                          10.0 * scan.collar_mass / lam)

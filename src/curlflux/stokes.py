@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import CurlMeasure, LinePart, PiecewiseField, VectorField, integrate_measure
+from .fields import PiecewiseField, VectorField
 from .geometry import (
     BoundaryManifold,
     GeometryError,
@@ -27,12 +27,10 @@ from .geometry import (
     TangentialCollar,
     TransversalCollar,
     arc_curve,
-    central_gradient,
     circle_curve,
     integrate,
     ramp_integral,
     shift_transversal,
-    support_rule,
 )
 from .sequences import judge_sequence, richardson_limit
 from .testfns import ScalarTestFunction, VectorTestField, radial_bump
@@ -51,8 +49,6 @@ class StokesRefusal(RuntimeError):
 
 @dataclass(frozen=True)
 class StokesResult:
-    route: str
-    t: float
     deltas: tuple[float, ...]
     delta_values: tuple[float, ...]  # ramp-localizer integrals per delta
     t_osc: float
@@ -116,8 +112,7 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
     vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
     verdict = judge_sequence(vals, max(mags))
     flux = -verdict.limit if verdict.converged else None
-    return StokesResult("tangential_localizer", t, deltas, vals,
-                        verdict.tail_oscillation, verdict.converged, flux,
+    return StokesResult(deltas, vals, verdict.tail_oscillation, verdict.converged, flux,
                         meta={"gap": verdict.gap, "scale": verdict.scale})
 
 
@@ -183,7 +178,6 @@ class ManifoldDivMeasure:
     pointwise_div: Callable[[np.ndarray], np.ndarray]
     atoms: tuple[tuple[np.ndarray, float], ...]
     exclusion: float
-    tangentiality: float
 
     def _excluded_div(self, pts) -> np.ndarray:
         """Pointwise divergence, zero inside the exclusion disks of the atoms."""
@@ -257,7 +251,7 @@ def manifold_div_measure(values, manifold: BoundaryManifold,
             fluxes.append(integrate(circ, lambda q: np.einsum(
                 "ij,ij->i", np.atleast_2d(values(q)), outward(q))))
         atoms.append((sp, float(richardson_limit(fluxes))))
-    return ManifoldDivMeasure(manifold, values, pw_div, tuple(atoms), 2e-3, resid)
+    return ManifoldDivMeasure(manifold, values, pw_div, tuple(atoms), 2e-3)
 
 
 def stokes_transversal(trace_on_shifted, manifold: BoundaryManifold,
@@ -322,141 +316,6 @@ def _tangential_pairing(patch, phi: ScalarTestFunction, values) -> float:
         return np.einsum("ij,ij->i", gt, np.atleast_2d(values(pts)))
 
     return _normal_integral(patch, integrand)
-
-
-def normal_trace_ext(mu: CurlMeasure, region: SolidRegion,
-                     testfn: ScalarTestFunction, line_breaks=None) -> float:
-    """Normal trace pairing of a divergence-free measure: -int grad(phi) . dmu.
-
-    `line_breaks` maps a line part to the parameters of the test function's
-    kinks along it (see `integrate_measure`)."""
-    return -float(np.sum(integrate_measure(mu, testfn.gradient, region,
-                                           line_breaks=line_breaks)))
-
-
-@dataclass(frozen=True)
-class SolidLocalizer:
-    """Lipschitz extension of the manifold ramp localizer into the region.
-
-    Vanishes at depth > width; equals the boundary ramp value on the face.
-    Built from the region's transversal collar feet, so the normal-trace
-    pairing below sees a legitimate extension.
-    """
-
-    region: SolidRegion
-    collar: TransversalCollar
-    face: BoundaryManifold
-    tangential: TangentialCollar
-    t: float
-    delta: float
-    width: float
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        from .testfns import cutoff_profile
-        x = np.atleast_2d(x)
-        slide = self.collar.slide_for(self.face.patch)
-        depth = slide.slab_coordinate(x)
-        inward = -slide.outward_field(x)
-        foot = x - depth[:, None] * inward
-        ramp = self._face_ramp(foot)
-        prof = cutoff_profile(np.clip(depth, 0.0, None) / self.width)
-        prof = np.where(depth < 0.0, 0.0, prof)
-        return prof * ramp
-
-    @property
-    def kink_depths(self) -> tuple[float, float]:
-        """Depths where the C^2 depth profile has kinks: plateau end and support end."""
-        return (0.5 * self.width, self.width)
-
-    def line_crossings(self, lp: LinePart) -> tuple[float, ...]:
-        """Parameters where a line part crosses the kink depths; the face is
-        flat, so the depth is affine along the line."""
-        slide = self.collar.slide_for(self.face.patch)
-        p = lp.point[None, :]
-        rate = float(lp.direction @ -slide.outward_field(p)[0])
-        if abs(rate) < 1e-15:
-            return ()
-        depth0 = float(slide.slab_coordinate(p)[0])
-        return tuple((d - depth0) / rate for d in self.kink_depths)
-
-    def _face_ramp(self, foot: np.ndarray) -> np.ndarray:
-        if self.tangential.empty:
-            return np.ones(foot.shape[0])
-        center = self.face.meta["center"]
-        radius = self.face.meta["radius"]
-        rel = np.atleast_2d(foot) - center
-        _, _, n = self.face.meta["frame"]
-        rel = rel - np.outer(rel @ n, n)
-        rho = np.linalg.norm(rel, axis=1)
-        s = 1.0 - rho / radius
-        return np.clip((s - self.t) / self.delta, 0.0, 1.0)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return central_gradient(self.value, x)
-
-
-def _kink_crossings(phi: ScalarTestFunction):
-    """Line-part breaks at the test function's kink spheres, or None."""
-    if phi.support is None:
-        return None
-    center, radius = phi.support
-    radii = (*phi.support_breaks, radius)
-    return lambda lp: lp.sphere_crossings(center, radii)
-
-
-def vorticity_flux_cm1(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
-                       manifold: BoundaryManifold, collar: TangentialCollar,
-                       t: float, G_pieces: Sequence[tuple],
-                       dictionary: Sequence[ScalarTestFunction]) -> dict:
-    """Vorticity flux by the integrable-representative mass route.
-
-    `G_pieces` lists (patch, values) pairs representing G on the boundary
-    patches where the test dictionary is supported. The representative is
-    validated by matching divergence pairings of the distributional trace on
-    the dictionary to 1e-4; the flux is cross-checked against the localizer
-    extension of the normal trace.
-
-    Each pairing is integrated with `support_rule` on the entry's support.
-    The surface side uses the polar sub-disk split at the kink radii, or,
-    when the field declares a point or line singularity, the polar rule
-    centred on it with every ray split at the kink circles. The volume side
-    uses the support ball, or the half ball on the face the entry is centred
-    on, split radially at the kinks; line parts of `mu` get panel edges where
-    they cross the kink spheres. The cross-check splits line parts where they
-    cross the localizer's kink depths.
-    """
-    sing = None
-    if fld.singular_set is not None and fld.singular_set.kind in ("point", "line"):
-        sing = fld.singular_set.point
-    worst = 0.0
-    for phi in dictionary:
-        lhs = sum(_tangential_pairing(
-            support_rule(patch, phi.support, phi.support_breaks, singular_point=sing),
-            phi, values) for patch, values in G_pieces)
-        rhs = float(np.sum(integrate_measure(
-            mu, phi.gradient, support_rule(region, phi.support, phi.support_breaks),
-            line_breaks=_kink_crossings(phi))))
-        worst = max(worst, abs(lhs - rhs))
-    if worst > 1e-4:
-        raise StokesRefusal(
-            f"representative fails the divergence pairing validation ({worst:.2e})")
-
-    face_values = next((v for p, v in G_pieces if p is manifold.patch), G_pieces[0][1])
-    _, mass, diag = boundary_pairing_mass(face_values, manifold, collar, t)
-
-    tcollar = None
-    crosscheck = None
-    try:
-        from .geometry import build_transversal_collar
-        tcollar = build_transversal_collar(region)
-        loc = SolidLocalizer(region, tcollar, manifold, collar, t,
-                             delta=2.0 ** -8, width=0.05)
-        probe = ScalarTestFunction(loc.value, loc.gradient, "solid_localizer")
-        crosscheck = normal_trace_ext(mu, region, probe, line_breaks=loc.line_crossings)
-    except GeometryError:
-        pass
-    return {"flux": mass, "validation_residual": worst,
-            "crosscheck": crosscheck, "diagnostics": diag}
 
 
 # ---------------------------------------------------------------------------

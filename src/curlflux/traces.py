@@ -89,7 +89,6 @@ class TangentialTrace:
     side: str
     converged: np.ndarray  # (n,) bool
     tangentiality_residual: np.ndarray  # (n,) |value . nu|
-    sup_bound: float
 
 
 def estimate_trace_layerwise(fld: VectorField, surface: BoundaryManifold | SurfacePatch,
@@ -118,8 +117,7 @@ def estimate_trace_layerwise(fld: VectorField, surface: BoundaryManifold | Surfa
     scale = np.sqrt(np.einsum("mij,mij->mi", stack, stack).max())
     conv = np.linalg.norm(richardson_gap(stack), axis=1) <= GAP_TOL * scale
     resid = np.abs(np.einsum("ij,ij->i", values, nu0))
-    return TangentialTrace(base, values, side, conv, resid,
-                           float(np.linalg.norm(values, axis=1).max()))
+    return TangentialTrace(base, values, side, conv, resid)
 
 
 def _layer_pairing(fld: VectorField, collar: TransversalCollar, data,

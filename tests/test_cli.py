@@ -215,6 +215,11 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["trace", "--field", "rigid_rotation", "--region", "box"],
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
+    _assert_refused(argv, tmp_path, capsys)
+
+
+def _assert_refused(argv, tmp_path, capsys):
+    # `cli.main` exits 2 with an error line; a dict in argv is a --config file
     config = tmp_path / "config.json"
     for a in argv:
         if isinstance(a, dict):
@@ -223,6 +228,27 @@ def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    # radii must be finite and positive
+    "disk:r=0", "disk:r=nan", "disk:r=-1", "sphere:r=inf", "cap:r=0",
+    "ball:r=-1", "half_ball:r=0", "cylinder:r=nan",
+    # orders must be integers of at least 1
+    "disk:order=0", "disk:order=2.5", "ball:order=0", "ball:order=2.5",
+    # a cylinder needs z1 > z0, a cap a colatitude in (0, pi)
+    "cylinder:z0=1,z1=0", "cylinder:z0=0.5,z1=0.5", "cylinder:z1=inf",
+    "cap:colatitude=0", "cap:colatitude=4", "cap:colatitude=nan",
+    # a box needs three finite positive half-widths
+    {"shape": "box", "half_widths": [1.0, 0.0, 1.0]}, {"shape": "box", "half_widths": [1.0, 1.0]},
+], ids=str)
+def test_shape_specs_refuse_numbers_out_of_range(spec, tmp_path, capsys):
+    # `maximal` reads a surface and a region; a dict spec goes in by --config
+    shape = spec["shape"] if isinstance(spec, dict) else spec.partition(":")[0]
+    key = "surface" if shape in cli.SURFACE_KEYS else "region"
+    argv = ["maximal", "--field", "rigid_rotation"]
+    argv += ["--config", {key: spec}] if isinstance(spec, dict) else [f"--{key}", spec]
+    _assert_refused(argv, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("params", [{"shape": "disk", "rr": 0.5}, {"shape": "cap", "radius": 0.5},

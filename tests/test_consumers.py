@@ -7,16 +7,30 @@ SRC = ROOT / "src" / "curlflux"
 PERFBENCH = ROOT / "perfbench"
 
 # public names of src/curlflux that no code outside tests/ reaches yet
-AWAITING_A_COMMAND = {"vorticity_flux_cm1", "maximal_tangential"}  # paper quantities the CLI cannot reach
+AWAITING_A_COMMAND = {"maximal_tangential"}  # paper quantities the CLI cannot reach
 # references the tests compare against
 ORACLES = {"two_body_velocity", "numeric_curl", "trace_pairing_vector"}
 CONSTRUCTORS = {"trig_scalar", "gradient_field", "bump_vector"}  # test inputs
 ALLOWED = AWAITING_A_COMMAND | ORACLES | CONSTRUCTORS
 # public methods that only tests read, by the test that needs each one
 TEST_ONLY_METHODS = {
-    "TangentialCollar.layer_distance":
-        "test_geometry's collar oracles and test_layer_distance_and_bilip_equal_all_pairs_minimum",
     "ManifoldDivMeasure.dual_mass_estimate": "test_stokes.test_annuli_divergence_mass_grows",
+}
+_ORIENTATION = ("the orientation oracles of test_geometry.test_tangent_convention, "
+                "test_stokes.test_rigid_rotation_flux and "
+                "test_stokes.test_gauss_green_manifold_smooth")
+_OUTPUT_RECORD = "an output record's field, kept until results carry their evidence"
+# dataclass fields and properties that no code outside tests/ reads, by the
+# test or the reason that keeps each one
+TEST_ONLY_FIELDS = {
+    "BoundaryManifold.conormals": _ORIENTATION,
+    "BoundaryManifold.tangents": _ORIENTATION,
+    "TransversalCollar.kappa": "build_transversal_collar refuses kappa <= 0; "
+                               "test_geometry.test_box_collar_kappa reads the margin",
+    "MaximalScan.variant": _OUTPUT_RECORD,
+    "MaximalScan.epsilon_grid": _OUTPUT_RECORD,
+    "StokesDensity.r_grid": _OUTPUT_RECORD,
+    "StokesDensity.estimates": _OUTPUT_RECORD,
 }
 
 
@@ -42,6 +56,32 @@ def _referenced(node):
             yield sub.attr, True
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _is_dataclass(node):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _member_name(member):
+    # the name a class member defines: a method, a dataclass field
+    # (`name: type`) or an assigned attribute such as `name = cached_property(f)`
+    if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+        return member.target.id
+    if isinstance(member, ast.Assign) and isinstance(member.targets[0], ast.Name):
+        return member.targets[0].id
+    return getattr(member, "name", None)
+
+
+def _is_property(member):
+    # `name = property(f)` or `name = cached_property(f)`; decorated ones are methods
+    return (isinstance(member, ast.Assign) and isinstance(member.value, ast.Call)
+            and getattr(member.value.func, "id", None) in ("property", "cached_property"))
+
+
 def _public_definitions():
     # (file, class name or None, definition) for every public top-level
     # function and class, and every public method of a top-level class
@@ -51,12 +91,33 @@ def _public_definitions():
         for node in _parse(path).body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                yield path, None, node
+                yield path, None, node.name
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
                             and not member.name.startswith("_")):
-                        yield path, node.name, member
+                        yield path, node.name, member.name
+
+
+def _state_and_helpers():
+    # (file, class name or None, name) for every private top-level function
+    # and class, every private method, and every dataclass field and
+    # assigned property of a top-level class, in every module
+    for path in sorted(SRC.glob("*.py")):
+        for node in _parse(path).body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and node.name.startswith("_") and not _dunder(node.name):
+                yield path, None, node.name
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                name = _member_name(member)
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if name.startswith("_") and not _dunder(name):
+                        yield path, node.name, name
+                elif ((isinstance(member, ast.AnnAssign) and _is_dataclass(node))
+                      or _is_property(member)) and name is not None:
+                    yield path, node.name, name
 
 
 def _members(top):
@@ -67,16 +128,16 @@ def _members(top):
     for node in (*top.decorator_list, *top.bases, *top.keywords):
         yield None, node
     for member in top.body:
-        yield getattr(member, "name", None), member
+        yield _member_name(member), member
 
 
-def _unconsumed():
+def _unconsumed(definitions=_public_definitions):
     # where each name is read, by (file, top-level statement, class member,
     # whether as an attribute); a definition's own body does not consume it,
     # so a top-level definition needs a reader outside its statement and a
-    # method one outside itself, such as another member of its class. Only an
-    # attribute read (`x.name`) reaches a method: a bare name of the same
-    # spelling is a local variable or another definition
+    # member (method, field or property) one outside itself, such as another
+    # member of its class. Only an attribute read (`x.name`) reaches a member:
+    # a bare name of the same spelling is a local variable or another definition
     readers = {}
     for path in _code_files():
         for top in _parse(path).body:
@@ -85,14 +146,14 @@ def _unconsumed():
                     readers.setdefault(name, set()).add(
                         (path, getattr(top, "name", None), member, attr))
     out = []
-    for path, cls, node in _public_definitions():
-        found = readers.get(node.name, set())
+    for path, cls, name in definitions():
+        found = readers.get(name, set())
         if cls is None:
-            found = {r for r in found if r[:2] != (path, node.name)}
+            found = {r for r in found if r[:2] != (path, name)}
         else:
-            found = {r for r in found if r[3] and r[:3] != (path, cls, node.name)}
+            found = {r for r in found if r[3] and r[:3] != (path, cls, name)}
         if not found:
-            out.append(node.name if cls is None else f"{cls}.{node.name}")
+            out.append(name if cls is None else f"{cls}.{name}")
     return out
 
 
@@ -106,6 +167,17 @@ def test_every_public_name_has_a_consumer():
 def test_the_allowlist_names_only_unconsumed_definitions():
     # a name that gains a consumer leaves the allowlist
     assert sorted((ALLOWED | set(TEST_ONLY_METHODS)) - set(_unconsumed())) == []
+
+
+def test_every_field_property_and_private_helper_has_a_reader():
+    # state that only tests read is no output: delete it, or name the test
+    # that needs it in TEST_ONLY_FIELDS
+    orphans = sorted(set(_unconsumed(_state_and_helpers)) - set(TEST_ONLY_FIELDS))
+    assert not orphans, f"no reader in src/ or perfbench/: {orphans}"
+
+
+def test_the_field_allowlist_names_only_unread_state():
+    assert sorted(set(TEST_ONLY_FIELDS) - set(_unconsumed(_state_and_helpers))) == []
 
 
 def test_a_method_read_by_its_own_class_is_consumed(tmp_path, monkeypatch):
@@ -122,3 +194,24 @@ def test_a_method_read_by_its_own_class_is_consumed(tmp_path, monkeypatch):
     # read by `scale`, and `scale` by `use`; `use` binds a local `volume`,
     # which is no read of the method
     assert _unconsumed() == ["Shape", "Shape.area", "Shape.volume", "use"]
+
+
+def test_fields_properties_and_private_helpers_need_an_attribute_read(tmp_path, monkeypatch):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from dataclasses import dataclass\n"
+                   "from functools import cached_property\n"
+                   "def _fit(r):\n    return r.size\n"
+                   "def _lonely():\n    return 1\n"
+                   "@dataclass\nclass Rec:\n    size: int\n    label: str\n"
+                   "    fitted = cached_property(_fit)\n"
+                   "    def __post_init__(self):\n        pass\n"
+                   "    def _helper(self):\n        return self._helper()\n"
+                   "class Plain:\n    unread: int\n"
+                   "def use(r):\n    label = 1\n    return r.fitted, label\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "PERFBENCH", tmp_path / "absent")
+    # `size` is read by `_fit`, which `fitted` reads, and `use` reads
+    # `fitted`; `label` is bound only as a local, `_helper` reads only itself
+    # and nothing reads `_lonely`; dunders and a plain class's annotations are
+    # no state
+    assert _unconsumed(_state_and_helpers) == ["_lonely", "Rec.label", "Rec._helper"]

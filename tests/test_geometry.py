@@ -100,9 +100,6 @@ PATCHES = {
     "disk": lambda: geo.disk_patch((0.1, 0.2, 0.3), 1.5, (1.0, 1.0, 0.5), order=6,
                                    n_angular=12, radial_breaks=(0.5,)),
     "annulus": lambda: geo.disk_patch((0, 0, 0), 1.0, order=6, n_angular=12, inner_radius=0.3),
-    "polar_support": lambda: geo.support_rule(geo.disk_patch((0, 0, 0), 1.0),
-                                              ((0.1, 0.0, 0.0), 0.3), (0.15,),
-                                              singular_point=(0.0, 0.0, 0.0)),
     "sphere": lambda: geo.sphere_patch((0, 0, 1), 2.0, order=6, n_angular=12),
     "cap": lambda: geo.spherical_cap_patch((0, 0, 0), 1.0, 0.7, order=6, n_angular=12,
                                            inner_normal=False),
@@ -150,19 +147,10 @@ def _closed_form(kind):
 @pytest.mark.parametrize("kind", sorted(PATCHES))
 def test_patch_node_set_matches_closed_form_maps(kind):
     patch = PATCHES[kind]()
-    if kind == "polar_support":
-        # rays from the singular point (the origin) across the support disk
-        # about (0.1, 0, 0) of radius 0.3: exact area and first moment
-        x = patch.nodes
-        assert np.all(x[:, 2] == 0.0) and np.all(patch.normals == [0.0, 0.0, 1.0])
-        assert np.linalg.norm(x - [0.1, 0.0, 0.0], axis=1).max() <= 0.3 + 1e-12
-        assert abs(np.sum(patch.weights) - 0.09 * np.pi) < 1e-13
-        assert abs(patch.weights @ x[:, 0] - 0.009 * np.pi) < 1e-13
-    else:
-        nodes, normals, weights = _closed_form(kind)
-        np.testing.assert_allclose(patch.nodes, nodes, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(patch.normals, normals, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(patch.weights, weights, rtol=1e-14, atol=0.0)
+    nodes, normals, weights = _closed_form(kind)
+    np.testing.assert_allclose(patch.nodes, nodes, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(patch.normals, normals, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(patch.weights, weights, rtol=1e-14, atol=0.0)
     for arr in (patch.nodes, patch.normals, patch.weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -189,7 +177,7 @@ def _eager_sphere(center, radius, u_lo, sign):
     return nodes, sign * geo._unit(nodes - center), weights
 
 
-def _eager_patch(kind, patch):
+def _eager_patch(kind):
     angles = periodic_trapezoid(12)
     if kind in ("disk", "annulus"):
         c, normal, bp = (((0.1, 0.2, 0.3), (1.0, 1.0, 0.5), [0.0, 0.5, 1.5]) if kind == "disk"
@@ -197,10 +185,6 @@ def _eager_patch(kind, patch):
         r_rule = gauss_legendre_split(6, np.array(bp))
         return _eager_polar(c, normal, r_rule.nodes[:, None], angles.nodes,
                             np.outer(r_rule.weights, angles.weights))
-    if kind == "polar_support":
-        # the rays' own parameters and weights, rho_w * phi_w per node
-        return _eager_polar(patch.origin, (0.0, 0.0, 1.0), patch.u.nodes, patch.v.nodes,
-                            patch.u.weights * patch.v.weights)
     if kind == "sphere":
         return _eager_sphere((0, 0, 1), 2.0, -1.0, -1.0)
     if kind == "cap":
@@ -226,7 +210,7 @@ def _eager_patch(kind, patch):
 def test_lazy_patch_equals_the_eager_one_and_builds_once(kind):
     patch = PATCHES[kind]()
     assert not {"nodes", "normals", "weights"} & set(vars(patch))
-    nodes, normals, weights = _eager_patch(kind, patch)
+    nodes, normals, weights = _eager_patch(kind)
     # the weights alone build no points
     assert np.array_equal(patch.weights, weights) and "nodes" not in vars(patch)
     assert np.array_equal(patch.nodes, nodes)
@@ -316,8 +300,7 @@ def test_curve_on_patch(unit_disk_manifold):
 def test_disk_collar_radial(unit_disk_manifold, unit_disk_collar):
     col = unit_disk_collar
     # layer distance equals the parameter gap for the radial collar
-    assert abs(col.layer_distance(0.0, 0.25) - 0.25) < 1e-12
-    assert col.bilip < 1.005
+    assert abs(_all_pairs_distance(col, 0.0, 0.25) - 0.25) < 1e-12
 
 
 def test_cap_collar_great_circle_oracle():
@@ -327,8 +310,7 @@ def test_cap_collar_great_circle_oracle():
     th0 = np.pi / 2
     for s0, s1 in [(0.0, 0.1), (0.1, 0.3)]:
         chord = 2.0 * np.sin(0.5 * th0 * (s1 - s0))
-        assert abs(col.layer_distance(s0, s1) - chord) < 1e-10
-    assert col.bilip <= 2.0
+        assert abs(_all_pairs_distance(col, s0, s1) - chord) < 1e-10
 
 
 def _collar_cases():
@@ -364,31 +346,10 @@ def test_arc_family_equals_stacked_arcs():
     assert np.array_equal(family.weights, np.stack([c.weights for c in arcs]))
 
 
-def test_layer_distance_and_bilip_equal_all_pairs_minimum():
-    for col in _collar_cases():
-        ss = np.linspace(0.0, 0.45, 6)
-        theta = 1.0
-        for i in range(len(ss)):
-            for j in range(i + 1, len(ss)):
-                d = _all_pairs_distance(col, ss[i], ss[j])
-                assert col.layer_distance(ss[i], ss[j]) == d
-                theta = max(theta, d / (ss[j] - ss[i]), (ss[j] - ss[i]) / d)
-        assert col.bilip == theta
-
-
 def test_closed_sphere_collar_is_empty():
     man = geo.closed_sphere_manifold((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(man)
     assert col.empty
-    assert col.bilip == 1.0
-
-
-def test_bilip_is_fitted_on_first_read_only():
-    for col in _collar_cases():
-        assert "bilip" not in vars(col)
-        theta = col.bilip
-        assert vars(col)["bilip"] == theta >= 1.0
-        assert col.bilip is theta
 
 
 def test_degenerate_boundary_rejected():

@@ -93,7 +93,6 @@ def test_boundary_routes_build_no_disk_patch(rigid_rotation, route):
     else:
         stk.boundary_pairing_mass(rigid_rotation.trace_z_plane, man, col, 0.1)
     assert not {"nodes", "normals", "weights"} & set(vars(man.patch))
-    assert "bilip" not in vars(col)
 
 
 def test_tangential_route_evaluates_each_band_segment_once(annuli, unit_disk_manifold,
@@ -493,14 +492,18 @@ def test_mass_representative_independence(line_vortex, unit_disk_manifold,
 
 
 # ---------------------------------------------------------------------------
-# normal trace of the curl measure
+# normal trace of the curl measure: -int grad(phi) . dmu
 # ---------------------------------------------------------------------------
+
+
+def _normal_trace(mu, region, phi):
+    return -float(np.sum(flds.integrate_measure(mu, phi.gradient, region)))
 
 
 def test_normal_trace_constant_testfn(rigid_rotation, half_ball):
     one = ScalarTestFunction(lambda p: np.ones(np.atleast_2d(p).shape[0]),
                              lambda p: np.zeros_like(np.atleast_2d(p)), "one")
-    assert stk.normal_trace_ext(rigid_rotation.curl, half_ball, one) == 0.0
+    assert _normal_trace(rigid_rotation.curl, half_ball, one) == 0.0
 
 
 def test_normal_trace_line_ramp(line_vortex, unit_cylinder):
@@ -510,7 +513,7 @@ def test_normal_trace_line_ramp(line_vortex, unit_cylinder):
         lambda p: slope * np.atleast_2d(p)[:, 2],
         lambda p: np.broadcast_to(np.array([0.0, 0.0, slope]),
                                   (np.atleast_2d(p).shape[0], 3)).copy(), "ramp")
-    got = stk.normal_trace_ext(line_vortex.curl, unit_cylinder, phi)
+    got = _normal_trace(line_vortex.curl, unit_cylinder, phi)
     assert abs(got + slope * 1.0) < 1e-12
 
 
@@ -519,66 +522,7 @@ def test_normal_trace_zero_measure(half_ball):
                              lambda p: np.broadcast_to(np.array([1.0, 0.0, 0.0]),
                                                        (np.atleast_2d(p).shape[0], 3)).copy(),
                              "x1")
-    assert stk.normal_trace_ext(flds.ZERO_MEASURE, half_ball, phi) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# integrable-representative flux route
-# ---------------------------------------------------------------------------
-
-
-def test_cm1_route_line_vortex(line_vortex, unit_cylinder, unit_disk_manifold,
-                               unit_disk_collar):
-    dictionary = [radial_bump((0.0, 0.0, 0.0), 0.45),
-                  radial_bump((0.15, 0.0, 0.0), 0.3),
-                  radial_bump((0.0, -0.2, 0.0), 0.25)]
-    out = stk.vorticity_flux_cm1(line_vortex.curl, line_vortex.vector_field,
-                                 unit_cylinder, unit_disk_manifold,
-                                 unit_disk_collar, 0.25,
-                                 [(unit_disk_manifold.patch, line_vortex.trace_z_plane)],
-                                 dictionary)
-    assert abs(out["flux"] - 1.0) < 1e-10
-    assert out["validation_residual"] <= 1e-4
-    assert out["crosscheck"] is not None
-    assert abs(out["crosscheck"] - out["flux"]) < 1e-3
-
-
-def test_cm1_route_newtonian_zero_mass(newtonian, unit_disk_manifold,
-                                       unit_disk_collar):
-    # continuous representative vanishing near the boundary circle: zero mass
-    hb = geo.half_ball_region(order=24, n_angular=64)
-    zero_rep = lambda pts: np.zeros_like(np.atleast_2d(pts))
-    dictionary = [radial_bump((0.0, 0.0, 0.0), 0.45),
-                  radial_bump((0.1, 0.1, 0.0), 0.3)]
-    out = stk.vorticity_flux_cm1(newtonian.curl, newtonian.vector_field, hb,
-                                 unit_disk_manifold, unit_disk_collar, 0.25,
-                                 [(unit_disk_manifold.patch, zero_rep)], dictionary)
-    assert abs(out["flux"]) < 1e-12
-    if out["crosscheck"] is not None:
-        assert abs(out["crosscheck"]) < 1e-6
-
-
-def test_cm1_route_smooth_field(rigid_rotation, unit_cylinder, unit_disk_manifold,
-                                unit_disk_collar):
-    dictionary = [radial_bump((0.0, 0.0, 0.0), 0.45),
-                  radial_bump((0.1, -0.1, 0.0), 0.3)]
-    out = stk.vorticity_flux_cm1(rigid_rotation.curl, rigid_rotation.vector_field,
-                                 unit_cylinder, unit_disk_manifold,
-                                 unit_disk_collar, 0.25,
-                                 [(unit_disk_manifold.patch,
-                                   rigid_rotation.trace_z_plane)], dictionary)
-    # classical flux through the shrunk disk of radius 0.75
-    assert abs(out["flux"] - 2.0 * np.pi * 0.75 ** 2) < 1e-6
-
-
-def test_cm1_route_rejects_bad_representative(line_vortex, unit_cylinder,
-                                              unit_disk_manifold, unit_disk_collar):
-    bad = lambda pts: 0.5 * line_vortex.trace_z_plane(pts)
-    dictionary = [radial_bump((0.0, 0.0, 0.0), 0.45)]
-    with pytest.raises(stk.StokesRefusal):
-        stk.vorticity_flux_cm1(line_vortex.curl, line_vortex.vector_field,
-                               unit_cylinder, unit_disk_manifold, unit_disk_collar,
-                               0.25, [(unit_disk_manifold.patch, bad)], dictionary)
+    assert _normal_trace(flds.ZERO_MEASURE, half_ball, phi) == 0.0
 
 
 # ---------------------------------------------------------------------------
