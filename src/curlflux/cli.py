@@ -144,11 +144,32 @@ REGION_KEYS = {**dict.fromkeys(("ball", "half_ball", "half-ball"), ("r", "center
                "box": ("center", "half_widths", "order")}
 
 
-def _positive(kv: dict, key: str, default: float) -> float:
+def _finite(kv: dict, key: str, default: float) -> float:
     value = _param(kv, key, default, float)
-    if not (np.isfinite(value) and value > 0.0):
+    if not np.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, not {value:g}")
+    return value
+
+
+def _positive(kv: dict, key: str, default: float) -> float:
+    value = _finite(kv, key, default)
+    if not value > 0.0:
         raise ConfigError(f"{key} must be a finite positive number, not {value:g}")
     return value
+
+
+def _vector(kv: dict, key: str, default) -> np.ndarray:
+    """The three finite numbers under `key` (a JSON spec's list), else `default`."""
+    value = kv.get(key, default)
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        v = np.zeros(0)
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        # a string spec gives one number per key
+        hint = "; use a JSON spec (or x=,y=,z= for a disk's center)" if v.ndim == 0 else ""
+        raise ConfigError(f"{key} must be three finite numbers, not {value!r}{hint}")
+    return v
 
 
 def _order(kv: dict) -> int:
@@ -163,39 +184,38 @@ def parse_surface(spec) -> geo.BoundaryManifold:
     shape, kv = _parse_spec(spec, SURFACE_KEYS)
     r = _positive(kv, "r", 1.0)
     if shape == "disk":
-        center = kv.get("center", (kv.get("x", 0.0), kv.get("y", 0.0), kv.get("z", 0.0)))
-        normal = kv.get("normal", (0.0, 0.0, 1.0))
+        center = _vector(kv, "center", [_finite(kv, key, 0.0) for key in "xyz"])
+        normal = _vector(kv, "normal", (0.0, 0.0, 1.0))
+        if not normal.any():
+            raise ConfigError("normal must not be the zero vector")
         return geo.disk_manifold(center, r, normal, order=_order(kv))
+    center = _vector(kv, "center", (0.0, 0.0, 0.0))
     if shape == "sphere":
-        return geo.closed_sphere_manifold(kv.get("center", (0, 0, 0)), r)
+        return geo.closed_sphere_manifold(center, r)
     colatitude = _param(kv, "colatitude", np.pi / 2, float)
     if not 0.0 < colatitude < np.pi:
         raise ConfigError(f"colatitude must lie in (0, pi), not {colatitude:g}")
-    return geo.spherical_cap_manifold(kv.get("center", (0, 0, 0)), r, colatitude)
+    return geo.spherical_cap_manifold(center, r, colatitude)
 
 
 def parse_region(spec) -> geo.SolidRegion:
     """Region spec: 'cylinder:r=1,z0=0,z1=1' or a JSON-style dict."""
     shape, kv = _parse_spec(spec, REGION_KEYS)
     order = _order(kv)
-    center = kv.get("center", (0, 0, 0))
+    center = _vector(kv, "center", (0.0, 0.0, 0.0))
     if shape == "box":
-        try:
-            h = np.asarray(kv.get("half_widths", (1.0, 1.0, 1.0)), dtype=float)
-        except (TypeError, ValueError):
-            h = np.zeros(0)
-        if h.shape != (3,) or not np.all(np.isfinite(h) & (h > 0.0)):
-            raise ConfigError(f"half_widths must be three finite positive numbers, "
-                              f"not {kv['half_widths']!r}")
+        h = _vector(kv, "half_widths", (1.0, 1.0, 1.0))
+        if not np.all(h > 0.0):
+            raise ConfigError(f"half_widths must be positive, not {kv['half_widths']!r}")
         return geo.box_region(center, h, order=min(order, 16))
     r = _positive(kv, "r", 1.0)
     if shape == "ball":
         return geo.ball_region(center, r, order=order)
     if shape in ("half_ball", "half-ball"):
         return geo.half_ball_region(center, r, order=order)
-    z0, z1 = _param(kv, "z0", 0.0, float), _param(kv, "z1", 1.0, float)
-    if not (np.isfinite(z0) and np.isfinite(z1) and z1 > z0):
-        raise ConfigError(f"z0 and z1 must be finite with z1 > z0, not {z0:g} and {z1:g}")
+    z0, z1 = _finite(kv, "z0", 0.0), _finite(kv, "z1", 1.0)
+    if not z1 > z0:
+        raise ConfigError(f"z1 must exceed z0, not {z0:g} and {z1:g}")
     return geo.cylinder_region(center, r, z0, z1, order=order)
 
 
@@ -286,6 +306,10 @@ def _j_range(p: dict, start: int, default_max: int) -> range:
 def cmd_stokes(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
     man = parse_surface(p.get("surface", "disk:r=1"))
+    # the face trace F x e3 describes z-plane disks with normal +e3; a closed sphere has no collar
+    if not (man.closed or man.kind == "disk" and np.array_equal(man.meta["frame"][2], (0, 0, 1))):
+        raise ConfigError("stokes pairs the face trace F x e3, so it takes a disk with normal "
+                          "+e3 or a closed sphere")
     route = p.get("route", "tangential")
     if route not in ("tangential", "mass", "transversal"):
         raise ConfigError(f"unknown stokes route {route!r}")
@@ -394,7 +418,7 @@ def cmd_validate(p: dict) -> ResultTable:
     tol = _param(p, "tol", 1e-8, float)
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"tol must be a finite non-negative number, not {tol:g}")
-    phi = smooth_bump(np.asarray(region.ambient_center) + np.array([0.1, 0.0, 0.2]), 2.5)
+    phi = smooth_bump(region.center + np.array([0.1, 0.0, 0.2]), 2.5)
     from .testfns import random_trig_vector
     other = random_trig_vector(11, n_modes=2, kmax=1.0)
     res = stokes.smooth_validators(entry.vector_field, region, phi, other)

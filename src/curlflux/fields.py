@@ -17,7 +17,6 @@ import numpy as np
 
 from .geometry import (
     Curve,
-    GeometryError,
     SolidRegion,
     SurfacePatch,
     disk_patch,
@@ -66,7 +65,6 @@ class VectorField:
     eval: Callable[[Array], Array]  # (n,3) -> (n,3)
     analytic_curl: Optional[Callable[[Array], Array]] = None
     singular_set: Optional[SingularSet] = None
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,6 @@ class LinePart:
 
     def positions(self, s: Array) -> Array:
         return self.point + np.outer(np.atleast_1d(s), self.direction)
-
-    def clipped(self, region: SolidRegion) -> tuple[float, float]:
-        return clip_segment(region, self.point, self.direction, self.lo, self.hi)
 
     def segment(self, rule: QuadratureRule) -> Curve:
         """The segment as a node set at the parameters of `rule`; the
@@ -111,73 +106,6 @@ class CurlMeasure:
 ZERO_MEASURE = CurlMeasure()
 
 
-def clip_segment(region: SolidRegion, point: Array, direction: Array,
-                 lo: float, hi: float) -> tuple[float, float]:
-    """Exact parameter interval of segment point + s*direction inside a canonical region."""
-    p = np.asarray(point, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    c = region.meta.get("center", region.ambient_center)
-    rel = p - c
-    if region.name in ("ball", "half_ball"):
-        R = region.meta["radius"]
-        b = rel @ d
-        cc = rel @ rel - R * R
-        disc = b * b - cc
-        if disc <= 0:
-            return 0.0, 0.0
-        s0, s1 = -b - np.sqrt(disc), -b + np.sqrt(disc)
-        if region.name == "half_ball":
-            # keep the side of the flat face its inner normal points to
-            n = region.meta["normal"]
-            dn, rn = d @ n, rel @ n
-            if abs(dn) > 1e-15:
-                s_face = -rn / dn
-                if dn > 0:
-                    s0 = max(s0, s_face)
-                else:
-                    s1 = min(s1, s_face)
-            elif rn <= 0:
-                return 0.0, 0.0
-        return max(lo, s0), min(hi, s1)
-    if region.name == "cylinder":
-        R, z0, z1 = region.meta["radius"], region.meta["z0"], region.meta["z1"]
-        s0, s1 = lo, hi
-        dxy = d.copy()
-        dxy[2] = 0.0
-        rxy = rel.copy()
-        rxy[2] = 0.0
-        a = dxy @ dxy
-        if a > 1e-30:
-            b = rxy @ dxy
-            cc = rxy @ rxy - R * R
-            disc = b * b - a * cc
-            if disc <= 0:
-                return 0.0, 0.0
-            s0 = max(s0, (-b - np.sqrt(disc)) / a)
-            s1 = min(s1, (-b + np.sqrt(disc)) / a)
-        elif rxy @ rxy >= R * R:
-            return 0.0, 0.0
-        if abs(d[2]) > 1e-15:
-            sa, sb = (z0 - rel[2]) / d[2], (z1 - rel[2]) / d[2]
-            s0 = max(s0, min(sa, sb))
-            s1 = min(s1, max(sa, sb))
-        elif not (z0 < rel[2] < z1):
-            return 0.0, 0.0
-        return s0, s1
-    if region.name == "box":
-        h = region.meta["half_widths"]
-        s0, s1 = lo, hi
-        for k in range(3):
-            if abs(d[k]) > 1e-15:
-                sa, sb = (-h[k] - rel[k]) / d[k], (h[k] - rel[k]) / d[k]
-                s0 = max(s0, min(sa, sb))
-                s1 = min(s1, max(sa, sb))
-            elif abs(rel[k]) >= h[k]:
-                return 0.0, 0.0
-        return s0, s1
-    raise GeometryError(f"segment clipping not implemented for region {region.name!r}")
-
-
 def integrate_measure(mu: CurlMeasure, testvec, region: SolidRegion) -> Array:
     """Pairing of a curl measure against a vector test function over a region.
 
@@ -199,7 +127,7 @@ def integrate_measure(mu: CurlMeasure, testvec, region: SolidRegion) -> Array:
         out = out + integrate(sp.patch,
                               lambda x: f(x) * region.contains(x)[:, None].astype(float))
     for lp in mu.line_parts:
-        lo, hi = lp.clipped(region)
+        lo, hi = region.clip(lp.point, lp.direction, lp.lo, lp.hi)
         if hi <= lo:
             continue
         edges = np.linspace(lo, hi, 25)
@@ -271,7 +199,7 @@ def catalog(name: str) -> CatalogEntry:
             return -out / (4.0 * np.pi * r3[:, None])
 
         vf = VectorField(ev, analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)),
-                         singular_set=SingularSet("point"), label="newtonian")
+                         singular_set=SingularSet("point"))
         return CatalogEntry(name, vf, ZERO_MEASURE, trace_z_plane=trace)
 
     if name == "line_vortex":
@@ -291,7 +219,7 @@ def catalog(name: str) -> CatalogEntry:
                         lambda pts: np.broadcast_to(np.array([0.0, 0.0, 1.0]),
                                                     (np.atleast_2d(pts).shape[0], 3)).copy())
         vf = VectorField(ev, analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)),
-                         singular_set=SingularSet("line"), label="line_vortex")
+                         singular_set=SingularSet("line"))
         return CatalogEntry(name, vf, CurlMeasure(line_parts=(line,)), trace_z_plane=trace)
 
     if name == "annuli":
@@ -315,7 +243,7 @@ def catalog(name: str) -> CatalogEntry:
         # a bounded extension of the boundary data, constant across the face plane;
         # its one-sided limits on z = 0 reproduce the declared data
         vf = VectorField(lambda x: surface_data(x), analytic_curl=None,
-                         singular_set=None, label="annuli")
+                         singular_set=None)
         return CatalogEntry(name, vf, None, trace_z_plane=trace,
                             trace_breaks_radii=alternation_radii())
 
@@ -330,8 +258,7 @@ def catalog(name: str) -> CatalogEntry:
             return np.stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1)
 
         const = np.array([0.0, 0.0, 2.0])
-        vf = VectorField(ev, analytic_curl=lambda x: np.tile(const, (len(np.atleast_2d(x)), 1)),
-                         label="rigid_rotation")
+        vf = VectorField(ev, analytic_curl=lambda x: np.tile(const, (len(np.atleast_2d(x)), 1)))
         mu = CurlMeasure(lebesgue_density=lambda x: np.tile(const, (len(np.atleast_2d(x)), 1)))
         return CatalogEntry(name, vf, mu, trace_z_plane=trace)
 
@@ -344,7 +271,7 @@ def catalog(name: str) -> CatalogEntry:
             x = np.atleast_2d(x)
             return np.stack([np.zeros(len(x)), np.zeros(len(x)), np.cos(x[:, 0])], axis=1)
 
-        vf = VectorField(ev, analytic_curl=crl, label="plane_wave_em")
+        vf = VectorField(ev, analytic_curl=crl)
         return CatalogEntry(name, vf, CurlMeasure(lebesgue_density=crl))
 
     raise FieldError(f"unknown catalog field {name!r}; choose one of {CATALOG_NAMES}")
@@ -443,5 +370,4 @@ def unit_disk_interface() -> SurfacePatch:
 def constant_field(vec) -> VectorField:
     vec = np.asarray(vec, dtype=float)
     return VectorField(lambda x: np.broadcast_to(vec, (np.atleast_2d(x).shape[0], 3)).copy(),
-                       analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)),
-                       label=f"const{tuple(vec)}")
+                       analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)))

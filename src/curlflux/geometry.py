@@ -8,9 +8,10 @@ surface patch holds the 1-D rules of its parameters and evaluates them on
 first read, as a solid region does its volume rule. Curves, patches and
 regions all read `nodes` (n, 3) and `weights` (n,): `integrate` is the one
 integral over any of them, and `_band_lines` the one over a family of layers
-(collar bands, slide slabs and shells). Collar maps for the canonical catalog
-(disk, spherical cap, sphere, cylinder side, planar faces) are exact, which
-keeps the localizer-limit computations free of mesh noise.
+(collar bands, slide slabs and shells). A solid region describes its shape
+once, as a round part cut by flat faces; containment, clipping and fit tests
+read that. Collars and slides (each patch along its own normal) of the
+canonical shapes are exact, which keeps the localizer limits free of mesh noise.
 Conventions fixed once and used everywhere:
 
 * regions carry the *inner* unit normal on their boundary;
@@ -254,8 +255,7 @@ def disk_patch(center, radius: float, normal=(0.0, 0.0, 1.0),
     e1, e2, n = frame_from_normal(normal)
     return SurfacePatch("disk", "polar", _column(gauss_legendre_split(order, np.asarray(bp))),
                         periodic_trapezoid(n_angular), center, np.stack([e1, e2, n]), 1.0, 1.0,
-                        meta={"center": center, "normal": n, "radius": float(radius),
-                              "inner_radius": float(inner_radius)})
+                        meta={"radius": float(radius)})
 
 
 def sphere_patch(center, radius: float, order: int = DEFAULT_ORDER,
@@ -592,7 +592,8 @@ def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
 
 @dataclass(frozen=True)
 class PatchSlide:
-    """Inward normal sliding of one boundary patch: Phi(t, x) = x - t h(x)."""
+    """Inward normal sliding of one boundary patch: Phi(t, x) = x - t h(x).
+    `slab_coordinate` is the slide depth of arbitrary points."""
 
     patch: SurfacePatch
     shift_point: Callable[[np.ndarray, float], np.ndarray]
@@ -600,12 +601,12 @@ class PatchSlide:
     outward_field: Callable[[np.ndarray], np.ndarray]  # h, unit
     area_scale: Callable[[float], float]  # H^2(Phi(t, patch)) / H^2(patch)
     depth_range: float
-    slab_coordinate: Optional[Callable[[np.ndarray], np.ndarray]] = None  # depth of arbitrary points
+    slab_coordinate: Callable[[np.ndarray], np.ndarray]
 
 
-def planar_slide(patch: SurfacePatch, inward) -> PatchSlide:
-    inward = np.asarray(inward, dtype=float)
-    base = patch.nodes[0]
+def planar_slide(patch: SurfacePatch) -> PatchSlide:
+    """A flat patch slid along its inner normal."""
+    inward = patch.frame[2]
 
     def shift(pts, t):
         return np.atleast_2d(pts) + t * inward
@@ -614,14 +615,15 @@ def planar_slide(patch: SurfacePatch, inward) -> PatchSlide:
         return np.broadcast_to(patch.normals[0], (np.atleast_2d(pts).shape[0], 3)).copy()
 
     def slab(pts):
-        return (np.atleast_2d(pts) - base) @ inward
+        return (np.atleast_2d(pts) - patch.origin) @ inward
 
     return PatchSlide(patch, shift, nrm, lambda pts: np.broadcast_to(-inward, (np.atleast_2d(pts).shape[0], 3)).copy(),
                       lambda t: 1.0, depth_range=np.inf, slab_coordinate=slab)
 
 
-def spherical_slide(patch: SurfacePatch, center, radius: float) -> PatchSlide:
-    center = np.asarray(center, dtype=float)
+def spherical_slide(patch: SurfacePatch) -> PatchSlide:
+    """A sphere patch slid toward its centre."""
+    center, radius = patch.origin, patch.scale
 
     def shift(pts, t):
         pts = np.atleast_2d(pts)
@@ -640,12 +642,12 @@ def spherical_slide(patch: SurfacePatch, center, radius: float) -> PatchSlide:
                       depth_range=radius, slab_coordinate=slab)
 
 
-def cylinder_slide(patch: SurfacePatch, center, radius: float) -> PatchSlide:
-    center = np.asarray(center, dtype=float)
+def cylinder_slide(patch: SurfacePatch) -> PatchSlide:
+    """A cylinder side slid toward its axis."""
+    center, radius = patch.origin, patch.scale
 
     def radial(pts):
         rel = np.atleast_2d(pts) - center
-        rel = rel.copy()
         rel[:, 2] = 0.0
         return _unit(rel)
 
@@ -664,29 +666,11 @@ def cylinder_slide(patch: SurfacePatch, center, radius: float) -> PatchSlide:
                       depth_range=radius, slab_coordinate=slab)
 
 
-def star_slide(patch: SurfacePatch, center) -> PatchSlide:
-    """Star-shaped slide of a flat patch along the normalized ray field from an
-    interior point."""
-    center = np.asarray(center, dtype=float)
-
-    def outward(pts):
-        return _unit(np.atleast_2d(pts) - center)
-
-    def shift(pts, t):
-        pts = np.atleast_2d(pts)
-        return pts - t * outward(pts)
-
-    def nrm(pts, t):
-        # transported normal approximated by the base normal, one constant
-        # vector on a flat patch; adequate for small t
-        return np.broadcast_to(patch.normals[0], (np.atleast_2d(pts).shape[0], 3)).copy()
-
-    return PatchSlide(patch, shift, nrm, outward, lambda t: 1.0, depth_range=np.inf)
-
-
 @dataclass(frozen=True)
 class TransversalCollar:
-    """Per-patch inward slides with a globally transversal outward field h."""
+    """Per-patch inward slides with a globally transversal outward field h:
+    every slide moves its patch along the patch's own normal, so each has a
+    depth coordinate and the margin kappa is 1 up to rounding."""
 
     slides: tuple[PatchSlide, ...]
     kappa: float
@@ -707,21 +691,28 @@ class TransversalCollar:
         else:
             probes = patch.nodes
         for s in self.slides:
-            if (s.slab_coordinate is not None
-                    and np.all(np.abs(s.slab_coordinate(probes)) <= POSITION_TOL)):
+            if np.all(np.abs(s.slab_coordinate(probes)) <= POSITION_TOL):
                 return s
         raise GeometryError(f"no slide registered for patch {patch.name!r}")
 
 
 @dataclass(frozen=True)
 class SolidRegion:
-    """Bounded region with a patch boundary and a volume rule.
+    """Bounded region: one description of its shape, the patches of its
+    boundary and a volume rule.
+
+    The shape is a round part cut by flat faces. The round part is the ball
+    of `radius` about `center`, or with an `axis` the infinite cylinder of
+    that radius about the line through `center` along it; a radius of inf
+    leaves it unbounded (a box). Each face is a (point, inner unit normal)
+    pair whose open half-space the region lies in. `contains`, `clip` and
+    `support_rule`'s fit test read this description only.
 
     The volume rule is the product of the three 1-D `volume_rules` (slowest
-    first) mapped about `ambient_center` by `coordinates`: "spherical"
-    (r, u = cos colatitude measured along the third row of `frame`, default
-    e3, phi), "cylindrical" (rho, phi, z) or "cartesian" offsets. It is built
-    on first read of `nodes` or `weights` by broadcasting the 1-D rules, into
+    first) mapped about `center` by `coordinates`: "spherical" (r, u = cos
+    colatitude measured along the third row of `frame`, default e3, phi),
+    "cylindrical" (rho, phi, z) or "cartesian" offsets. It is built on first
+    read of `nodes` or `weights` by broadcasting the 1-D rules, into
     read-only arrays; collars and support rules never read it.
     """
 
@@ -729,10 +720,46 @@ class SolidRegion:
     boundary: tuple[SurfacePatch, ...]
     volume_rules: tuple[QuadratureRule, QuadratureRule, QuadratureRule]
     coordinates: str
-    contains: Callable[[np.ndarray], np.ndarray]
-    ambient_center: np.ndarray
-    meta: dict = field(default_factory=dict)
+    center: np.ndarray
+    radius: float
+    axis: Optional[np.ndarray]  # (3,) unit for a cylinder, None for a ball
+    faces: tuple[tuple[np.ndarray, np.ndarray], ...]
     frame: Optional[np.ndarray] = None
+
+    def _off_axis(self, v: np.ndarray) -> np.ndarray:
+        """v less its component along the axis (v itself without one)."""
+        if self.axis is None:
+            return v
+        return v - np.multiply.outer(v @ self.axis, self.axis)
+
+    def contains(self, x) -> np.ndarray:
+        """Whether each point lies in the open region."""
+        x = np.atleast_2d(x)
+        inside = np.linalg.norm(self._off_axis(x - self.center), axis=1) < self.radius
+        for point, normal in self.faces:
+            inside &= (x - point) @ normal > 0.0
+        return inside
+
+    def clip(self, point, direction, lo: float, hi: float) -> tuple[float, float]:
+        """The parameters (s0, s1) within (lo, hi) between which point + s
+        direction lies in the region, exactly; s1 <= s0 when it misses."""
+        p, d = np.asarray(point, dtype=float), np.asarray(direction, dtype=float)
+        rel, along = self._off_axis(p - self.center), self._off_axis(d)
+        a, b, c = along @ along, rel @ along, rel @ rel - self.radius ** 2
+        if a > 1e-30:
+            disc = b * b - a * c
+            if disc <= 0:
+                return 0.0, 0.0
+            lo, hi = max(lo, (-b - np.sqrt(disc)) / a), min(hi, (-b + np.sqrt(disc)) / a)
+        elif c >= 0:
+            return 0.0, 0.0
+        for q, n in self.faces:
+            dn, rn = d @ n, (p - q) @ n
+            if abs(dn) > 1e-15:
+                lo, hi = (max(lo, -rn / dn), hi) if dn > 0 else (lo, min(hi, -rn / dn))
+            elif rn <= 0:
+                return 0.0, 0.0
+        return lo, hi
 
     @cached_property
     def _volume(self) -> tuple[np.ndarray, np.ndarray]:
@@ -750,7 +777,7 @@ class SolidRegion:
             a, b, c = a * np.cos(b), a * np.sin(b), c
         pts = np.stack(np.broadcast_arrays(a, b, c), axis=-1).reshape(-1, 3)
         pts = pts if self.frame is None else pts @ self.frame
-        pts += self.ambient_center
+        pts += self.center
         return _read_only(pts), _read_only(w.reshape(-1))
 
     @cached_property
@@ -760,6 +787,11 @@ class SolidRegion:
     @cached_property
     def weights(self) -> np.ndarray:  # plain weights including metric factor
         return self._volume[1]
+
+
+def _faces(*patches: SurfacePatch) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (point, inner unit normal) of each flat patch."""
+    return tuple((p.origin, p.frame[2]) for p in patches)
 
 
 def _spherical_rules(radius, order, n_angular, u_range=(-1.0, 1.0), radial_breaks=()):
@@ -775,12 +807,7 @@ def ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = DEFAUL
     center = np.asarray(center, dtype=float)
     rules = _spherical_rules(radius, order, n_angular, radial_breaks=radial_breaks)
     sphere = sphere_patch(center, radius, order, n_angular, inner_normal=True)
-
-    def contains(x):
-        return np.linalg.norm(np.atleast_2d(x) - center, axis=1) < radius
-
-    return SolidRegion("ball", (sphere,), rules, "spherical", contains, center,
-                       meta={"center": center, "radius": float(radius)})
+    return SolidRegion("ball", (sphere,), rules, "spherical", center, float(radius), None, ())
 
 
 def half_ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = DEFAULT_ORDER,
@@ -790,14 +817,8 @@ def half_ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = D
     rules = _spherical_rules(radius, order, n_angular, u_range=(0.0, 1.0))
     dome = sphere_patch(center, radius, order, n_angular, inner_normal=True, u_range=(0.0, 1.0))
     face = disk_patch(center, radius, normal=(0.0, 0.0, 1.0), order=order, n_angular=n_angular)
-
-    def contains(x):
-        rel = np.atleast_2d(x) - center
-        return (np.linalg.norm(rel, axis=1) < radius) & (rel[:, 2] > 0.0)
-
-    return SolidRegion("half_ball", (face, dome), rules, "spherical", contains, center,
-                       meta={"center": center, "radius": float(radius),
-                             "normal": np.array([0.0, 0.0, 1.0])})
+    return SolidRegion("half_ball", (face, dome), rules, "spherical", center, float(radius),
+                       None, _faces(face))
 
 
 def cylinder_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, z0: float = 0.0, z1: float = 1.0,
@@ -811,15 +832,8 @@ def cylinder_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, z0: float = 0.0
     top = disk_patch(center + np.array([0, 0, z1]), radius, normal=(0, 0, -1.0),
                      order=order, n_angular=n_angular)
     side = cylinder_side_patch(center, radius, z0, z1, order, n_angular, inner_normal=True)
-
-    def contains(x):
-        rel = np.atleast_2d(x) - center
-        return (np.hypot(rel[:, 0], rel[:, 1]) < radius) & (rel[:, 2] > z0) & (rel[:, 2] < z1)
-
-    return SolidRegion("cylinder", (bottom, top, side), rules, "cylindrical", contains,
-                       center,
-                       meta={"center": center, "radius": float(radius),
-                             "z0": float(z0), "z1": float(z1)})
+    return SolidRegion("cylinder", (bottom, top, side), rules, "cylindrical", center,
+                       float(radius), np.array([0.0, 0.0, 1.0]), _faces(bottom, top))
 
 
 def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0),
@@ -838,13 +852,8 @@ def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0),
                                          2 * e2 / (2 * h[(k + 2) % 3]),
                                          2 * h[(k + 1) % 3], 2 * h[(k + 2) % 3],
                                          normal_sign=-sgn, order=order))
-
-    def contains(x):
-        rel = np.abs(np.atleast_2d(x) - center)
-        return np.all(rel < h, axis=1)
-
-    return SolidRegion("box", tuple(faces), rules, "cartesian", contains, center,
-                       meta={"center": center, "half_widths": h})
+    return SolidRegion("box", tuple(faces), rules, "cartesian", center, np.inf, None,
+                       _faces(*faces))
 
 
 # ---------------------------------------------------------------------------
@@ -860,90 +869,51 @@ def support_rule(region: SolidRegion, support, breaks: Sequence[float] = ()) -> 
     `ScalarTestFunction.support` and `.support_breaks`. The returned region
     covers the support only, split radially at the kinks: the support ball
     when it lies inside `region`, or the half ball on the inner side of a
-    flat face the support is centred on, oriented by that face's inner
-    normal. It is quadrature-only: pairings need its nodes, not its boundary.
-    Any other case (no support, a support leaving the region) returns
-    `region` itself, whose own rule is then used.
+    face the support is centred on, oriented by that face's inner normal. It
+    is quadrature-only: pairings need its nodes, not its boundary. Any other
+    case (no support, a support leaving the region) returns `region` itself,
+    whose own rule is then used.
     """
     if support is None:
         return region
     center, radius = np.asarray(support[0], dtype=float), float(support[1])
     kinks = sorted(float(b) for b in breaks if 0.0 < b < radius)
     order, n_angular = 16, 32
-    meta = {"center": center, "radius": radius}
     if _ball_fits(region, center, radius):
         return SolidRegion("ball", (), _spherical_rules(radius, order, n_angular,
                                                         radial_breaks=kinks), "spherical",
-                           lambda x: np.linalg.norm(np.atleast_2d(x) - center, axis=1) < radius,
-                           center, meta=meta)
-    for patch in region.boundary:
-        if patch.name not in ("disk", "rectangle"):
-            continue
-        n = patch.normals[0]
-        if abs((center - patch.nodes[0]) @ n) > POSITION_TOL \
-                or not _ball_fits(region, center, radius, n):
+                           center, radius, None, ())
+    for point, n in region.faces:
+        if abs((center - point) @ n) > POSITION_TOL or not _ball_fits(region, center, radius, n):
             continue
         rules = _spherical_rules(radius, order, n_angular, u_range=(0.0, 1.0),
                                  radial_breaks=kinks)
-
-        def contains(x, n=n):
-            rel = np.atleast_2d(x) - center
-            return (np.linalg.norm(rel, axis=1) < radius) & (rel @ n > 0.0)
-
-        return SolidRegion("half_ball", (), rules, "spherical", contains, center,
-                           meta={**meta, "normal": n}, frame=np.stack(frame_from_normal(n)))
+        return SolidRegion("half_ball", (), rules, "spherical", center, radius, None,
+                           ((center, n),), frame=np.stack(frame_from_normal(n)))
     return region
 
 
 def _ball_fits(region: SolidRegion, center, radius: float, normal=None) -> bool:
     """Whether the ball about `center`, or with `normal` its half on that side,
-    lies in the closure of a canonical region; False for other regions."""
+    lies in the closure of `region`: the whole ball in the round part, and
+    the piece on the inner side of every face."""
 
     def reach(v):
         # min of (x - center) . v over the piece
         vn = 0.0 if normal is None else float(v @ normal)
         return -radius * (np.sqrt(max(0.0, 1.0 - vn * vn)) if vn > 0.0 else 1.0)
 
-    m = region.meta
-    rel = center - m.get("center", region.ambient_center)
-    axes = np.eye(3)
-    if region.name == "ball":
-        return bool(np.linalg.norm(rel) + radius <= m["radius"])
-    if region.name == "half_ball":
-        return bool(np.linalg.norm(rel) + radius <= m["radius"]
-                    and rel @ m["normal"] + reach(m["normal"]) >= 0.0)
-    if region.name == "cylinder":
-        return bool(np.hypot(rel[0], rel[1]) + radius <= m["radius"]
-                    and rel[2] + reach(axes[2]) >= m["z0"]
-                    and rel[2] - reach(-axes[2]) <= m["z1"])
-    if region.name == "box":
-        h = m["half_widths"]
-        return all(rel[k] + reach(axes[k]) >= -h[k] and rel[k] - reach(-axes[k]) <= h[k]
-                   for k in range(3))
-    return False
+    return bool(np.linalg.norm(region._off_axis(center - region.center)) + radius <= region.radius
+                and all((center - point) @ n + reach(n) >= 0.0 for point, n in region.faces))
 
 
 def build_transversal_collar(region: SolidRegion) -> TransversalCollar:
-    """Per-patch inward slides; reports the transversality margin kappa > 0."""
-    slides = []
-    if region.name == "ball":
-        slides.append(spherical_slide(region.boundary[0], region.meta["center"],
-                                      region.meta["radius"]))
-    elif region.name == "half_ball":
-        face, dome = region.boundary
-        slides.append(planar_slide(face, inward=np.array([0.0, 0.0, 1.0])))
-        slides.append(spherical_slide(dome, region.meta["center"], region.meta["radius"]))
-    elif region.name == "cylinder":
-        bottom, top, side = region.boundary
-        slides.append(planar_slide(bottom, inward=np.array([0.0, 0.0, 1.0])))
-        slides.append(planar_slide(top, inward=np.array([0.0, 0.0, -1.0])))
-        slides.append(cylinder_slide(side, region.meta["center"], region.meta["radius"]))
-    elif region.name == "box":
-        for p in region.boundary:
-            slides.append(star_slide(p, region.meta["center"]))
-    else:
-        raise GeometryError(f"no transversal collar for region {region.name!r}")
-
+    """Per-patch inward slides, read off each boundary patch: a flat patch
+    slides along its inner normal, a sphere toward its centre and a cylinder
+    side toward its axis, with the centre and radius the patch's `origin`
+    and `scale`. Reports the transversality margin kappa > 0."""
+    make = {"spherical": spherical_slide, "cylinder_side": cylinder_slide}
+    slides = [make.get(p.coordinates, planar_slide)(p) for p in region.boundary]
     kappa = np.inf
     for sl in slides:
         h = sl.outward_field(sl.patch.nodes)

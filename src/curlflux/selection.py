@@ -74,8 +74,8 @@ class SlideMeasure:
 
     `sheets` holds, per sheet part, its node weights, the slide depth of its
     nodes and |density| there: none depends on the window, so they are
-    computed once, on first read. A slide that cannot place points in depth
-    refuses a measure with sheet parts.
+    computed once, on first read. Every slide has a depth coordinate, so
+    every face places sheet and line parts.
     """
 
     mu: CurlMeasure
@@ -83,8 +83,6 @@ class SlideMeasure:
 
     @cached_property
     def sheets(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        if self.mu.sheet_parts and self.slide.slab_coordinate is None:
-            raise GeometryError("sheet-part slab mass needs the slide's depth coordinate")
         return tuple((sp.patch.weights, self.slide.slab_coordinate(sp.patch.nodes),
                       np.linalg.norm(np.atleast_2d(sp.density(sp.patch.nodes)), axis=1))
                      for sp in self.mu.sheet_parts)
@@ -94,13 +92,9 @@ def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: float, hi: float) -> fl
     """Mass of a straight line measure inside the slab lo < depth < hi.
 
     The depth must be affine along the segment, as it is for planar slides;
-    the slab is then solved for exactly. A slide without a depth coordinate,
-    or a depth whose value at the segment's midpoint is not the mean of its
-    end values, is refused.
+    the slab is then solved for exactly. A depth whose value at the
+    segment's midpoint is not the mean of its end values is refused.
     """
-    if slide.slab_coordinate is None:
-        raise GeometryError("line-part slab mass needs the slide's depth coordinate")
-
     def depth(s):
         return slide.slab_coordinate(lp.positions(np.array([s])))[0]
 

@@ -26,13 +26,13 @@ def smoothstep_prime(u):
     return np.where(inside, 30.0 * u ** 2 * (1.0 - u) ** 2, 0.0)
 
 
-def cutoff_profile(u, plateau: float = 0.5):
+def cutoff_profile(u, plateau: float):
     """Decreasing C^2 profile: 1 for u <= plateau, 0 for u >= 1; |slope| <= 3.75
-    at the default plateau 1/2."""
+    at plateau 1/2."""
     return 1.0 - smoothstep((u - plateau) / (1.0 - plateau))
 
 
-def cutoff_profile_prime(u, plateau: float = 0.5):
+def cutoff_profile_prime(u, plateau: float):
     return -smoothstep_prime((u - plateau) / (1.0 - plateau)) / (1.0 - plateau)
 
 
@@ -46,7 +46,6 @@ class ScalarTestFunction:
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
     support: "tuple | None" = None
     support_breaks: tuple = ()
 
@@ -73,8 +72,7 @@ def _exp_profile_prime(u, plateau: float):
     return out
 
 
-def _bump(center, radius: float, plateau: float, profile, profile_prime,
-          name: str) -> ScalarTestFunction:
+def _bump(center, radius: float, plateau: float, profile, profile_prime) -> ScalarTestFunction:
     """The radial bump profile(|x-c| / radius, plateau) with the gradient of
     `profile_prime`: 1 on |x-c| <= plateau*radius, 0 outside radius, which
     are its support ball and its one kink radius."""
@@ -91,8 +89,7 @@ def _bump(center, radius: float, plateau: float, profile, profile_prime,
         safe = np.where(r == 0.0, 1.0, r)
         return mag[:, None] * rel / safe[:, None]
 
-    return ScalarTestFunction(value, gradient, f"{name}(r={radius:g})",
-                              support=(tuple(center), radius),
+    return ScalarTestFunction(value, gradient, support=(tuple(center), radius),
                               support_breaks=(plateau * radius,))
 
 
@@ -102,7 +99,7 @@ def smooth_bump(center, radius: float, plateau: float = 0.5) -> ScalarTestFuncti
     Spectrally friendly for Gauss rules; use where quadrature error must sit
     well below 1e-8.
     """
-    return _bump(center, radius, plateau, _exp_profile, _exp_profile_prime, "smooth_bump")
+    return _bump(center, radius, plateau, _exp_profile, _exp_profile_prime)
 
 
 @dataclass(frozen=True)
@@ -111,12 +108,11 @@ class VectorTestField:
 
     value: Callable[[np.ndarray], np.ndarray]
     curl: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
 
 def radial_bump(center, radius: float, plateau: float = 0.5) -> ScalarTestFunction:
     """C^2 bump equal to 1 on |x-c| <= plateau*radius, 0 outside radius."""
-    return _bump(center, radius, plateau, cutoff_profile, cutoff_profile_prime, "bump")
+    return _bump(center, radius, plateau, cutoff_profile, cutoff_profile_prime)
 
 
 def trig_scalar(k) -> ScalarTestFunction:
@@ -129,7 +125,7 @@ def trig_scalar(k) -> ScalarTestFunction:
         c = np.cos(np.atleast_2d(x) @ k)
         return c[:, None] * k
 
-    return ScalarTestFunction(value, gradient, "trig")
+    return ScalarTestFunction(value, gradient)
 
 
 def trig_vector(modes) -> VectorTestField:
@@ -150,7 +146,7 @@ def trig_vector(modes) -> VectorTestField:
             out += np.cos(x @ k + p)[:, None] * np.cross(k, a)
         return out
 
-    return VectorTestField(value, curl, "trig_vector")
+    return VectorTestField(value, curl)
 
 
 def random_trig_vector(seed: int, n_modes: int = 3, kmax: float = 2.0) -> VectorTestField:
@@ -162,9 +158,7 @@ def random_trig_vector(seed: int, n_modes: int = 3, kmax: float = 2.0) -> Vector
 
 def gradient_field(phi: ScalarTestFunction) -> VectorTestField:
     """Curl-free vector field grad(phi)."""
-    return VectorTestField(phi.gradient,
-                           lambda x: np.zeros_like(np.atleast_2d(x)),
-                           f"grad({phi.label})")
+    return VectorTestField(phi.gradient, lambda x: np.zeros_like(np.atleast_2d(x)))
 
 
 def bump_vector(center, radius: float, direction) -> VectorTestField:
@@ -178,5 +172,5 @@ def bump_vector(center, radius: float, direction) -> VectorTestField:
     def curl(x):
         return np.cross(bump.gradient(x), d)
 
-    return VectorTestField(value, curl, "bump_vector")
+    return VectorTestField(value, curl)
 

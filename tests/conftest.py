@@ -63,14 +63,14 @@ def cutoff_one():
 
     def value(x):
         r = np.linalg.norm(np.atleast_2d(x), axis=1)
-        return cutoff_profile(r / radius)
+        return cutoff_profile(r / radius, 0.5)
 
     def gradient(x):
         x = np.atleast_2d(x)
         r = np.linalg.norm(x, axis=1)
-        mag = cutoff_profile_prime(r / radius) / radius
+        mag = cutoff_profile_prime(r / radius, 0.5) / radius
         safe = np.where(r == 0.0, 1.0, r)
         return mag[:, None] * x / safe[:, None]
 
-    return ScalarTestFunction(value, gradient, "cutoff_one")
+    return ScalarTestFunction(value, gradient)
 

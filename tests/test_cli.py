@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,7 +79,7 @@ def test_r_is_the_surface_radius_key(spec):
                                   "cylinder:r=0.5"])
 def test_r_is_the_region_radius_key(spec):
     region = cli.parse_region(spec)
-    assert region.meta["radius"] == 0.5
+    assert region.radius == 0.5
 
 
 def _main_output(argv, tmp_path) -> bytes:
@@ -228,6 +229,12 @@ def _assert_refused(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+# surfaces the face trace F x e3 does not describe: `stokes` refuses them
+FACE_TRACE_MISSES = ["cap:r=1", "cap:r=1,colatitude=1", {"shape": "disk", "normal": [1, 0, 0]},
+                     {"shape": "disk", "normal": [0, 0, -1]}]
 
 
 @pytest.mark.parametrize("spec", [
@@ -241,14 +248,33 @@ def _assert_refused(argv, tmp_path, capsys):
     "cap:colatitude=0", "cap:colatitude=4", "cap:colatitude=nan",
     # a box needs three finite positive half-widths
     {"shape": "box", "half_widths": [1.0, 0.0, 1.0]}, {"shape": "box", "half_widths": [1.0, 1.0]},
+    # coordinates must be finite, and a string spec cannot hold a vector
+    "disk:x=nan", "disk:z=inf", "disk:normal=0", "disk:center=1", "ball:center=1",
+    {"shape": "disk", "center": [0, "a", 0]}, {"shape": "disk", "center": [0.0, float("nan"), 0.0]},
+    {"shape": "ball", "center": [0.0, 1.0]},
+    # a normal must be three finite numbers, not all zero
+    {"shape": "disk", "normal": [0, 0, 0]}, {"shape": "disk", "normal": [0.0, 0.0, float("inf")]},
+    *FACE_TRACE_MISSES,
 ], ids=str)
 def test_shape_specs_refuse_numbers_out_of_range(spec, tmp_path, capsys):
-    # `maximal` reads a surface and a region; a dict spec goes in by --config
+    # `maximal` reads a surface and a region and takes caps and any disk
+    # normal, so only the spec checks refuse there; `stokes` also refuses the
+    # surfaces its face trace misses, which parse; a dict spec goes in by --config
     shape = spec["shape"] if isinstance(spec, dict) else spec.partition(":")[0]
     key = "surface" if shape in cli.SURFACE_KEYS else "region"
-    argv = ["maximal", "--field", "rigid_rotation"]
+    command = "stokes" if spec in FACE_TRACE_MISSES else "maximal"
+    if command == "stokes":
+        cli.parse_surface(spec)
+    argv = [command, "--field", "rigid_rotation"]
     argv += ["--config", {key: spec}] if isinstance(spec, dict) else [f"--{key}", spec]
-    _assert_refused(argv, tmp_path, capsys)
+    err = _assert_refused(argv, tmp_path, capsys)
+    # the refusal comes from the check on one of the spec's own keys
+    keys = (set(spec) - {"shape"} if isinstance(spec, dict)
+            else {item.partition("=")[0] for item in spec.partition(":")[2].split(",")})
+    if command == "stokes":
+        assert "face trace" in err
+    else:
+        assert any(re.search(rf"\b{k}\b", err) for k in keys), err
 
 
 @pytest.mark.parametrize("params", [{"shape": "disk", "rr": 0.5}, {"shape": "cap", "radius": 0.5},

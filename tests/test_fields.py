@@ -114,13 +114,13 @@ def test_divergence_free_annihilation(line_vortex, rigid_rotation, unit_cylinder
 
 def test_segment_clipping():
     cyl = geo.cylinder_region()
-    lo, hi = flds.clip_segment(cyl, np.zeros(3), np.array([0, 0, 1.0]), -8.0, 8.0)
+    lo, hi = cyl.clip(np.zeros(3), np.array([0, 0, 1.0]), -8.0, 8.0)
     assert abs(lo - 0.0) < 1e-12 and abs(hi - 1.0) < 1e-12
     ball = geo.ball_region()
-    lo, hi = flds.clip_segment(ball, np.zeros(3), np.array([0, 0, 1.0]), -8.0, 8.0)
+    lo, hi = ball.clip(np.zeros(3), np.array([0, 0, 1.0]), -8.0, 8.0)
     assert abs(lo + 1.0) < 1e-12 and abs(hi - 1.0) < 1e-12
     hb = geo.half_ball_region()
-    lo, hi = flds.clip_segment(hb, np.zeros(3), np.array([0, 0, 1.0]), -8.0, 8.0)
+    lo, hi = hb.clip(np.zeros(3), np.array([0, 0, 1.0]), -8.0, 8.0)
     assert abs(lo - 0.0) < 1e-12 and abs(hi - 1.0) < 1e-12
 
 

@@ -555,7 +555,7 @@ def test_fresh_face_patch_gets_the_slide_it_lies_on(unit_cylinder, cylinder_coll
     # both flat faces of a cylinder are named "disk"; a disk rebuilt on the
     # top face must get the top face's slide, and a disk on no face none
     for face, slide in zip(unit_cylinder.boundary[:2], cylinder_collar.slides[:2]):
-        man = geo.disk_manifold(face.meta["center"], 1.0, face.meta["normal"])
+        man = geo.disk_manifold(face.origin, 1.0, face.frame[2])
         assert cylinder_collar.slide_for(man.patch) is slide
     with pytest.raises(geo.GeometryError):
         cylinder_collar.slide_for(geo.disk_patch((0, 0, 0.5), 1.0))
@@ -563,20 +563,19 @@ def test_fresh_face_patch_gets_the_slide_it_lies_on(unit_cylinder, cylinder_coll
 
 def _slide_on_every_node(collar, patch):
     # the match by all nodes, which a disk no longer needs
-    return next(s for s in collar.slides if s.slab_coordinate is not None
-                and np.all(np.abs(s.slab_coordinate(patch.nodes)) <= geo.POSITION_TOL))
+    return next(s for s in collar.slides
+                if np.all(np.abs(s.slab_coordinate(patch.nodes)) <= geo.POSITION_TOL))
 
 
 def test_a_disk_finds_its_slide_without_building_its_nodes(unit_cylinder, cylinder_collar):
     for face in unit_cylinder.boundary[:2]:
-        m = face.meta
-        man = geo.disk_manifold(m["center"], 0.6, m["normal"], order=8, n_angular=16)
+        man = geo.disk_manifold(face.origin, 0.6, face.frame[2], order=8, n_angular=16)
         shifted = geo.shift_transversal(man, cylinder_collar, 0.1)
         assert "nodes" not in vars(man.patch) and "nodes" not in vars(shifted.patch)
-        fresh = geo.disk_manifold(m["center"], 0.6, m["normal"], order=8, n_angular=16)
+        fresh = geo.disk_manifold(face.origin, 0.6, face.frame[2], order=8, n_angular=16)
         slide = _slide_on_every_node(cylinder_collar, fresh.patch)
         assert cylinder_collar.slide_for(man.patch) is slide
-        assert np.allclose(shifted.meta["center"], slide.shift_point(m["center"], 0.1))
+        assert np.allclose(shifted.meta["center"], slide.shift_point(face.origin, 0.1))
 
 
 @pytest.mark.parametrize("center, normal", [((0, 0, 0), (0.1, 0, 1)),  # tilted
@@ -723,6 +722,35 @@ def test_lazy_volume_rule_equals_the_eager_one(kind):
         assert not a.flags.writeable
     assert region.nodes is region.nodes
     assert region.weights is region.weights
+
+
+@pytest.mark.parametrize("kind", sorted(LAZY_VOLUMES))
+def test_a_region_contains_its_own_volume_nodes(kind):
+    region = LAZY_VOLUMES[kind][0]()
+    assert region.contains(region.nodes).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(LAZY_VOLUMES)), st.integers(0, 2 ** 32 - 1))
+def test_clip_gives_the_chord_that_contains_accepts(kind, seed):
+    # regions are convex, so a line meets one in the one interval clip gives:
+    # inside it every point is contained, a little outside it none is
+    region = LAZY_VOLUMES[kind][0]()
+    rng = np.random.default_rng(seed)
+    p = region.center + rng.uniform(-1.5, 1.5, 3)
+    if rng.random() < 0.25:  # along an axis: parallel to faces and the cylinder axis
+        d = np.eye(3)[rng.integers(3)] * rng.choice((-1.0, 1.0))
+    else:
+        d = rng.normal(size=3)
+        d /= np.linalg.norm(d)
+    lo, hi = region.clip(p, d, -4.0, 4.0)
+    if hi <= lo:
+        assert not region.contains(p + np.outer(np.linspace(-3.99, 3.99, 81), d)).any()
+        return
+    inside = [lo + f * (hi - lo) for f in (0.01, 0.5, 0.99)]
+    assert region.contains(p + np.outer(inside, d)).all()
+    outside = [s for s in (lo - 1e-6, hi + 1e-6) if -4.0 < s < 4.0]
+    assert not region.contains(p + np.outer(outside, d)).any()
 
 
 def test_a_region_read_for_its_collar_builds_no_volume_rule():

@@ -109,24 +109,23 @@ def test_weak11_all_catalog(line_vortex, rigid_rotation, newtonian, cylinder_col
             assert sel.good_set_scan(scan, lam).holds
 
 
-def test_slab_masses_refused_on_a_slide_without_depth(line_vortex):
-    # a box face slides along rays from the centre: no depth coordinate, so a
-    # sheet or line part's slab mass cannot be placed and is refused, not 0
+def test_box_face_scans_place_line_and_sheet_parts(line_vortex):
+    # a box face slides along its inner normal, so its scans place line and
+    # sheet parts in depth: the axis filament gives 2 at every t, and a flat
+    # sheet at depth 0.25 concentrates in that layer alone
     box = geo.box_region(order=6)
     col = geo.build_transversal_collar(box)
-    face = box.boundary[0]
-    man = geo.BoundaryManifold(face, geo.empty_curve(), np.zeros((1, 3)), np.zeros((1, 3)),
+    bottom = next(p for p in box.boundary if np.array_equal(p.frame[2], [0.0, 0.0, 1.0]))
+    man = geo.BoundaryManifold(bottom, geo.empty_curve(), np.zeros((1, 3)), np.zeros((1, 3)),
                                kind="rectangle", meta={})
-    assert col.slide_for(face).slab_coordinate is None
-    sheet = flds.SheetPart(geo.rectangle_patch((0.5, -0.5, -0.5), (0, 1, 0), (0, 0, 1), 1.0, 1.0),
+    t_grid = [0.1, 0.25, 0.4]
+    scan = sel.maximal_transversal(line_vortex.curl, man, col, t_grid)
+    assert np.abs(np.asarray(scan.values) - 2.0).max() < 1e-10
+    sheet = flds.SheetPart(geo.rectangle_patch((-1.0, -1.0, -0.75), (1, 0, 0), (0, 1, 0), 2.0, 2.0),
                            lambda pts: np.tile([0.0, 1.0, 0.0], (len(np.atleast_2d(pts)), 1)))
-    for mu in (flds.CurlMeasure(sheet_parts=(sheet,)), line_vortex.curl):
-        with pytest.raises(geo.GeometryError, match="depth coordinate"):
-            sel.maximal_transversal(mu, man, col, [0.1])
-    # a Lebesgue density needs only the slide's shift
-    scan = sel.maximal_transversal(flds.CurlMeasure(lebesgue_density=lambda x: np.ones_like(x)),
-                                   man, col, [0.1])
-    assert np.isfinite(scan.values[0])
+    scan = sel.maximal_transversal(flds.CurlMeasure(sheet_parts=(sheet,)), man, col, t_grid)
+    assert scan.values[1] == np.inf
+    assert np.all(np.isfinite([scan.values[0], scan.values[2]]))
 
 
 def _per_layer_slab_mass(density, slide, lo, hi):

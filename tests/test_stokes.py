@@ -335,7 +335,7 @@ def _ring_testfn(r_k: float, width: float) -> ScalarTestFunction:
         rad = np.stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1) / safe[:, None]
         return mag[:, None] * rad
 
-    return ScalarTestFunction(value, gradient, f"ring(r={r_k:g})")
+    return ScalarTestFunction(value, gradient)
 
 
 def test_annuli_divergence_mass_grows(annuli, unit_disk_manifold):
@@ -502,7 +502,7 @@ def _normal_trace(mu, region, phi):
 
 def test_normal_trace_constant_testfn(rigid_rotation, half_ball):
     one = ScalarTestFunction(lambda p: np.ones(np.atleast_2d(p).shape[0]),
-                             lambda p: np.zeros_like(np.atleast_2d(p)), "one")
+                             lambda p: np.zeros_like(np.atleast_2d(p)))
     assert _normal_trace(rigid_rotation.curl, half_ball, one) == 0.0
 
 
@@ -512,7 +512,7 @@ def test_normal_trace_line_ramp(line_vortex, unit_cylinder):
     phi = ScalarTestFunction(
         lambda p: slope * np.atleast_2d(p)[:, 2],
         lambda p: np.broadcast_to(np.array([0.0, 0.0, slope]),
-                                  (np.atleast_2d(p).shape[0], 3)).copy(), "ramp")
+                                  (np.atleast_2d(p).shape[0], 3)).copy())
     got = _normal_trace(line_vortex.curl, unit_cylinder, phi)
     assert abs(got + slope * 1.0) < 1e-12
 
@@ -520,8 +520,7 @@ def test_normal_trace_line_ramp(line_vortex, unit_cylinder):
 def test_normal_trace_zero_measure(half_ball):
     phi = ScalarTestFunction(lambda p: np.atleast_2d(p)[:, 0],
                              lambda p: np.broadcast_to(np.array([1.0, 0.0, 0.0]),
-                                                       (np.atleast_2d(p).shape[0], 3)).copy(),
-                             "x1")
+                                                       (np.atleast_2d(p).shape[0], 3)).copy())
     assert _normal_trace(flds.ZERO_MEASURE, half_ball, phi) == 0.0
 
 
@@ -576,7 +575,7 @@ def test_smooth_validators_gradient_field(half_ball):
         lambda x: np.stack([np.atleast_2d(x)[:, 1] * np.atleast_2d(x)[:, 2],
                             np.atleast_2d(x)[:, 0] * np.atleast_2d(x)[:, 2],
                             np.atleast_2d(x)[:, 0] * np.atleast_2d(x)[:, 1]], axis=1),
-        analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)), label="grad(xyz)")
+        analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)))
     phi = smooth_bump((0.0, 0.1, 0.3), 2.5)
     other = random_trig_vector(17, n_modes=2, kmax=1.0)
     res = stk.smooth_validators(fld, half_ball, phi, other)

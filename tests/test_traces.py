@@ -141,7 +141,7 @@ def test_layerwise_glued_constants(unit_cylinder, cylinder_collar):
     interface = flds.unit_disk_interface()
     pw, _ = flds.make_vortex_sheet(flds.constant_field((1, 0, 0)),
                                    flds.constant_field((0, 0, 0)), interface)
-    fld = flds.VectorField(pw.eval, label="glued")
+    fld = flds.VectorField(pw.eval)
     man = geo.disk_manifold((0, 0, 0), 1.0)
     t_grid = [2.0 ** -k for k in range(2, 8)]
     inner = trc.estimate_trace_layerwise(fld, man, cylinder_collar, t_grid, "interior")
@@ -152,7 +152,7 @@ def test_layerwise_glued_constants(unit_cylinder, cylinder_collar):
 
 def test_layerwise_lipschitz_gradient_two_sided(unit_cylinder, cylinder_collar):
     # gradient of a Lipschitz potential: interior and exterior traces agree
-    fld = flds.VectorField(lambda x: 2.0 * np.atleast_2d(x), label="grad|x|^2")
+    fld = flds.VectorField(lambda x: 2.0 * np.atleast_2d(x))
     man = geo.disk_manifold((0, 0, 0), 1.0)
     t_grid = [2.0 ** -k for k in range(2, 10)]
     inner = trc.estimate_trace_layerwise(fld, man, cylinder_collar, t_grid, "interior")
@@ -280,6 +280,17 @@ def test_tangentiality_defect_random_fields(rigid_rotation):
         defect = trc.tangentiality_defect(rigid_rotation.vector_field, ball, tcol,
                                           tv.value, [2.0 ** -k for k in range(3, 9)])
         assert defect < 1e-3
+
+
+def test_box_tangentiality_defect_is_zero(rigid_rotation):
+    # box faces slide along their inner normals, so the ramp gradient is the
+    # face normal over eps and the normal part of the data pairs to 0
+    box = geo.box_region((0.1, 0.0, 0.0), (0.8,) * 3, order=12)
+    tcol = geo.build_transversal_collar(box)
+    tv = random_trig_vector(5, n_modes=2, kmax=1.0)
+    defect = trc.tangentiality_defect(rigid_rotation.vector_field, box, tcol, tv.value,
+                                      [2.0 ** -k for k in range(3, 9)])
+    assert defect < 1e-10
 
 
 def test_tangentiality_defect_default_grid_is_reusable(rigid_rotation):
