@@ -307,7 +307,8 @@ def cmd_stokes(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
     man = parse_surface(p.get("surface", "disk:r=1"))
     # the face trace F x e3 describes z-plane disks with normal +e3; a closed sphere has no collar
-    if not (man.closed or man.kind == "disk" and np.array_equal(man.meta["frame"][2], (0, 0, 1))):
+    patch = man.patch
+    if not (man.closed or patch.name == "disk" and np.array_equal(patch.frame[2], (0, 0, 1))):
         raise ConfigError("stokes pairs the face trace F x e3, so it takes a disk with normal "
                           "+e3 or a closed sphere")
     route = p.get("route", "tangential")
@@ -324,7 +325,10 @@ def cmd_stokes(p: dict) -> ResultTable:
     if route == "transversal":
         region = parse_region(p.get("region", "cylinder"))
         tcol = geo.build_transversal_collar(region)
-        sing = [(0.0, 0.0, t)] if p["field"] == "line_vortex" else []
+        sing = []
+        if p["field"] == "line_vortex" and np.hypot(*patch.origin[:2]) < patch.scale:
+            # the vortex axis (the z axis) crosses the shifted disk: an atom there
+            sing = [(0.0, 0.0, tcol.slide_for(patch).shift_point(patch.origin, t)[0, 2])]
         out = stokes.stokes_transversal(entry.trace_z_plane, man, tcol, t,
                                         singular_points=sing)
         return ResultTable(["t", "flux", "div_mass"], [[t, out["flux"], out["div_mass"]]], meta)
@@ -342,9 +346,8 @@ def cmd_stokes(p: dict) -> ResultTable:
             entry.trace_z_plane, man, col, t, breaks_radii=entry.trace_breaks_radii)
         columns, rows = ["t", "flux_mass", "pairing", "t_osc"], [[t, mass, pairing, res.t_osc]]
     # the verdict's evidence: the Richardson gap and the tolerance GAP_TOL * scale
-    scale = res.meta["scale"]
-    meta.update(gap=FLOAT_FMT % res.meta["gap"], scale=FLOAT_FMT % scale,
-                tolerance=FLOAT_FMT % (GAP_TOL * scale), verdict=res.verdict)
+    meta.update(gap=FLOAT_FMT % res.gap, scale=FLOAT_FMT % res.scale,
+                tolerance=FLOAT_FMT % (GAP_TOL * res.scale), verdict=res.verdict)
     return ResultTable(columns, rows, meta)
 
 
@@ -560,7 +563,7 @@ def _repro_density() -> ResultTable:
     center = np.array([0.3, 0.2, 0.7])
     radius = 1.0
     man = geo.disk_manifold(center, radius, n_angular=512)
-    e1, e2, n = man.meta["frame"]
+    e1, e2, n = man.patch.frame
     col = geo.build_tangential_collar(man)
     r_grid = [2.0 ** (-k) for k in range(3, 9)]
     rows, ok = [], True

@@ -10,7 +10,7 @@ declared, never detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,20 +38,17 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class SingularSet:
-    """Declared singular locus for quadrature exclusion: a point or a line."""
+    """Declared singular locus for quadrature exclusion: the origin or the
+    z axis."""
 
     kind: str  # "point" | "line"
-    point: Array = field(default_factory=lambda: np.zeros(3))
-    direction: Array = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def distance(self, x: Array) -> Array:
         x = np.atleast_2d(x)
-        rel = x - self.point
         if self.kind == "point":
-            return np.linalg.norm(rel, axis=1)
+            return np.linalg.norm(x, axis=1)
         if self.kind == "line":
-            along = rel @ self.direction
-            return np.linalg.norm(rel - np.outer(along, self.direction), axis=1)
+            return np.linalg.norm(x[:, :2], axis=1)
         raise FieldError(f"unknown singular set kind {self.kind!r}")
 
 

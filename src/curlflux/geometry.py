@@ -21,7 +21,7 @@ Conventions fixed once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
@@ -165,7 +165,8 @@ class SurfacePatch:
     grid. `coordinates` names the map of (u, v) about `origin`:
 
     * "polar": (rho, phi) -> origin + rho (cos phi e1 + sin phi e2), with
-      (e1, e2, n) the rows of `frame` and n the normal;
+      (e1, e2, n) the rows of `frame`, n the normal and `scale` the outer
+      radius (the weights read the rho nodes, not `scale`);
     * "spherical": (cos colatitude, phi) on the sphere of radius `scale`;
     * "cylinder_side": (z, phi) on the cylinder of radius `scale` about the
       z axis through `origin`;
@@ -184,9 +185,8 @@ class SurfacePatch:
     v: QuadratureRule
     origin: np.ndarray
     frame: Optional[np.ndarray]  # (3, 3): polar and rectangle
-    scale: float  # 1 on a polar patch
+    scale: float
     sign: float  # 1 on a polar patch or a rectangle
-    meta: dict = field(default_factory=dict)
 
     @cached_property
     def nodes(self) -> np.ndarray:  # (n, 3)
@@ -254,8 +254,8 @@ def disk_patch(center, radius: float, normal=(0.0, 0.0, 1.0),
     center = np.asarray(center, dtype=float)
     e1, e2, n = frame_from_normal(normal)
     return SurfacePatch("disk", "polar", _column(gauss_legendre_split(order, np.asarray(bp))),
-                        periodic_trapezoid(n_angular), center, np.stack([e1, e2, n]), 1.0, 1.0,
-                        meta={"radius": float(radius)})
+                        periodic_trapezoid(n_angular), center, np.stack([e1, e2, n]),
+                        float(radius), 1.0)
 
 
 def sphere_patch(center, radius: float, order: int = DEFAULT_ORDER,
@@ -308,18 +308,18 @@ def rectangle_patch(corner, e1, e2, extent1: float, extent2: float, normal_sign:
 class BoundaryManifold:
     """Oriented patch with its boundary curve and, at the boundary nodes, the
     unit conormal (pointing into the patch) and the induced tangent
-    tau = nu_sigma x nu_gamma."""
+    tau = nu_sigma x nu_gamma. The patch alone describes the shape: a disk's
+    rim, conormals and tangents are built from it, and collars, shifts and
+    routes read its origin, scale and frame."""
 
     patch: SurfacePatch
     boundary: Curve
     conormals: np.ndarray  # (m, 3)
     tangents: np.ndarray  # (m, 3)
-    kind: str
-    meta: dict
 
     @property
     def closed(self) -> bool:
-        return self.kind == "closed"
+        return self.patch.name == "sphere"
 
 
 @dataclass(frozen=True)
@@ -331,13 +331,12 @@ class TangentialCollar:
     layers on one shared rule. `grad_s` is the surface gradient of the collar
     parameter (its magnitude is the localizer slope per unit delta);
     `layer_jacobian` is the constant factor that converts ds x arclength to
-    surface area.
+    surface area. The collar parameter s runs over [0, 1].
     """
 
     layer: Callable[[float | np.ndarray], Curve]
     grad_s: Callable[[np.ndarray, np.ndarray], np.ndarray]  # points, per-point s -> (n,3)
     layer_jacobian: float
-    s_max: float
     param_of_radius: Optional[Callable[[float], float]] = None  # shape-specific break mapping
     empty: bool = False
 
@@ -345,16 +344,16 @@ class TangentialCollar:
 def disk_manifold(center, radius: float, normal=(0.0, 0.0, 1.0), order: int = DEFAULT_ORDER,
                   n_angular: int = DEFAULT_ANGULAR) -> BoundaryManifold:
     """Flat disk whose boundary circle slides radially toward the center."""
-    center = np.asarray(center, dtype=float)
-    patch = disk_patch(center, radius, normal, order, n_angular)
+    return _disk_manifold(disk_patch(center, radius, normal, order, n_angular))
+
+
+def _disk_manifold(patch: SurfacePatch) -> BoundaryManifold:
+    """A disk patch with its rim circle at the patch's own angles."""
     e1, e2, n = patch.frame
-    rule = periodic_trapezoid(n_angular)
-    s = rule.nodes
+    s = patch.v.nodes
     conormals = -(np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
-    return BoundaryManifold(patch, _arc(center, radius, e1, e2, rule), conormals,
-                            np.cross(n, conormals), kind="disk",
-                            meta={"center": center, "radius": float(radius),
-                                  "frame": (e1, e2, n), "order": order, "n_angular": n_angular})
+    return BoundaryManifold(patch, _arc(patch.origin, patch.scale, e1, e2, patch.v), conormals,
+                            np.cross(n, conormals))
 
 
 def spherical_cap_manifold(center, radius: float, colatitude: float,
@@ -373,25 +372,18 @@ def spherical_cap_manifold(center, radius: float, colatitude: float,
     ct, st = np.cos(colatitude), np.sin(colatitude)
     conormals = -np.stack([ct * np.cos(s), ct * np.sin(s), -st * np.ones_like(s)], axis=1)
     tangents = np.cross(sign * _unit(curve.nodes - center), conormals)
-    return BoundaryManifold(patch, curve, conormals, tangents, kind="spherical_cap",
-                            meta={"center": center, "radius": float(radius),
-                                  "colatitude": float(colatitude), "inner_normal": inner_normal,
-                                  "order": order, "n_angular": n_angular})
+    return BoundaryManifold(patch, curve, conormals, tangents)
 
 
 def closed_sphere_manifold(center, radius: float, order: int = DEFAULT_ORDER,
                            n_angular: int = DEFAULT_ANGULAR, inner_normal: bool = True) -> BoundaryManifold:
     patch = sphere_patch(center, radius, order, n_angular, inner_normal)
-    return BoundaryManifold(patch, empty_curve(), np.zeros((1, 3)), np.zeros((1, 3)),
-                            kind="closed",
-                            meta={"center": np.asarray(center, dtype=float),
-                                  "radius": float(radius),
-                                  "order": order, "n_angular": n_angular,
-                                  "inner_normal": inner_normal})
+    return BoundaryManifold(patch, empty_curve(), np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
-    """Closed-form collar for the canonical catalog shapes; its layers are
+    """Closed-form collar for the canonical catalog shapes, read off the
+    manifold's patch (a cap's colatitude off its rim); its layers are
     circles on the default angular rule.
 
     For a closed surface (empty boundary) the collar is empty and the
@@ -400,14 +392,14 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
     if manifold.closed:
         return TangentialCollar(lambda s: empty_curve(),
                                 lambda pts, s: np.zeros_like(np.atleast_2d(pts)),
-                                0.0, s_max=1.0, empty=True)
+                                0.0, empty=True)
     if np.sum(manifold.boundary.weights) <= 0.0:
         raise GeometryError("degenerate boundary curve")
+    patch = manifold.patch
 
-    if manifold.kind == "disk":
-        center = manifold.meta["center"]
-        radius = manifold.meta["radius"]
-        e1, e2, _ = manifold.meta["frame"]
+    if patch.name == "disk":
+        center, radius = patch.origin, patch.scale
+        e1, e2, _ = patch.frame
 
         def layer(s):
             return circle_curve(center, radius * (1.0 - s), e1, e2)
@@ -420,13 +412,13 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
             rho = _unit(rel - np.outer(rel @ axis, axis))
             return -rho / radius
 
-        return TangentialCollar(layer, grad_s, float(radius), s_max=1.0,
+        return TangentialCollar(layer, grad_s, radius,
                                 param_of_radius=lambda r: 1.0 - r / radius)
 
-    if manifold.kind == "spherical_cap":
-        center = manifold.meta["center"]
-        R = manifold.meta["radius"]
-        th0 = manifold.meta["colatitude"]
+    if patch.name == "spherical_cap":
+        center, R = patch.origin, patch.scale
+        rim = manifold.boundary.nodes[0] - center
+        th0 = float(np.arctan2(np.hypot(rim[0], rim[1]), rim[2]))
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
 
@@ -444,9 +436,9 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
                                 -np.sin(th)], axis=1)
             return -e_theta / (R * th0)
 
-        return TangentialCollar(layer, grad_s, float(R * th0), s_max=1.0)
+        return TangentialCollar(layer, grad_s, float(R * th0))
 
-    raise GeometryError(f"no collar construction for manifold kind {manifold.kind!r}")
+    raise GeometryError(f"no collar construction for a {patch.name!r} manifold")
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +479,7 @@ def _band_lines(layer, s_order: int, segments: Sequence[tuple[float, float]], in
 
 
 def _check_band(collar: TangentialCollar, t: float, delta: float) -> None:
-    if not (0.0 < delta and t >= 0.0 and t + delta <= collar.s_max):
+    if not (0.0 < delta and t >= 0.0 and t + delta <= 1.0):
         raise GeometryError("ramp band outside collar range")
 
 
@@ -576,8 +568,8 @@ def ramp_integral(segments: RampSegments, t: float, delta: float) -> tuple[float
 def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
               breaks: Sequence[float] = ()) -> float:
     """Integral of a scalar surface density over the collar band (lo, hi),
-    clipped to the collar's range and split at `breaks`."""
-    lo, hi = max(lo, 0.0), min(hi, collar.s_max)
+    clipped to the collar's range [0, 1] and split at `breaks`."""
+    lo, hi = max(lo, 0.0), min(hi, 1.0)
     if collar.empty or hi <= lo:
         return 0.0
     _, w, lines = _band_lines(collar.layer, 8, _segments(lo, hi, breaks),
@@ -687,7 +679,7 @@ class TransversalCollar:
                 return s
         if patch.name == "disk":
             e1, e2, _ = patch.frame
-            probes = patch.origin + patch.meta["radius"] * np.array([np.zeros(3), e1, -e1, e2, -e2])
+            probes = patch.origin + patch.scale * np.array([np.zeros(3), e1, -e1, e2, -e2])
         else:
             probes = patch.nodes
         for s in self.slides:
@@ -925,21 +917,20 @@ def build_transversal_collar(region: SolidRegion) -> TransversalCollar:
 
 def shift_transversal(manifold: BoundaryManifold, collar: TransversalCollar,
                       t: float) -> BoundaryManifold:
-    """Slide a canonical manifold inward by t along its region collar."""
+    """Slide a disk or a closed sphere inward by t along its region collar,
+    by moving its patch: a disk's origin moves along its slide, a sphere's
+    radius shrinks by t. Its rules, frame and orientation are kept."""
     if not abs(t) < 0.5:
         raise GeometryError("transversal shift requires |t| < 1/2")
-    slide = collar.slide_for(manifold.patch)
+    patch = manifold.patch
+    slide = collar.slide_for(patch)
     if t >= slide.depth_range:
         raise GeometryError("shift leaves the collar neighborhood")
-    m = manifold.meta
-    if manifold.kind == "disk":
-        return disk_manifold(slide.shift_point(m["center"], t)[0], m["radius"], m["frame"][2],
-                             order=m["order"], n_angular=m["n_angular"])
-    if manifold.kind == "closed":
-        return closed_sphere_manifold(m["center"], m["radius"] - t, order=m["order"],
-                                      n_angular=m["n_angular"],
-                                      inner_normal=m["inner_normal"])
-    raise GeometryError(f"cannot shift manifold kind {manifold.kind!r}")
+    if patch.name == "disk":
+        return _disk_manifold(replace(patch, origin=slide.shift_point(patch.origin, t)[0]))
+    if manifold.closed:
+        return replace(manifold, patch=replace(patch, scale=patch.scale - t))
+    raise GeometryError(f"cannot shift a {patch.name!r} manifold")
 
 
 def slab_integral(slide: PatchSlide, lo: float, hi: float, integrand) -> np.ndarray:

@@ -160,9 +160,17 @@ def single_layer_mass(m: SlideMeasure, t: float) -> float:
 def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
                         collar: TransversalCollar, t_grid: Sequence[float],
                         variant: str = "two_sided") -> MaximalScan:
-    """Layer-mass maximal function along the transversal slides of a manifold."""
+    """Layer-mass maximal function along the transversal slides of a manifold.
+
+    The scan reads the measure over the whole region face the manifold lies
+    on, so a manifold whose area is not the face's is refused.
+    """
     window = _window(variant)
     slide = collar.slide_for(manifold.patch)
+    area, face_area = np.sum(manifold.patch.weights), np.sum(slide.patch.weights)
+    if abs(area - face_area) > 1e-9 * face_area:
+        raise GeometryError(f"maximal scans the whole region face it lies on (area "
+                            f"{face_area:.6g}), not a surface of area {area:.6g}")
     m = SlideMeasure(mu, slide)
     vals = [np.inf if single_layer_mass(m, t) > 0.0
             else _window_sup(window, t, lambda lo, hi: measure_slab_mass(m, lo, hi))
@@ -190,7 +198,7 @@ def maximal_tangential(surface_density, manifold: BoundaryManifold,
 
     vals = [_window_sup(window, t, lambda lo, hi: band_mass(collar, lo, hi, mag, breaks=breaks))
             for t in t_grid]
-    collar_mass = band_mass(collar, 0.0, min(0.75, collar.s_max), mag, breaks=breaks)
+    collar_mass = band_mass(collar, 0.0, 0.75, mag, breaks=breaks)
     return MaximalScan(tuple(t_grid), tuple(vals), f"tangential_{variant}",
                        DEFAULT_EPS_GRID, collar_mass)
 

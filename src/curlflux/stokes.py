@@ -12,7 +12,7 @@ pairing of an integrable divergence representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
@@ -54,7 +54,8 @@ class StokesResult:
     t_osc: float
     converged: bool
     extrapolated: Optional[float]  # flux functional = -(limit of delta_values)
-    meta: dict = field(default_factory=dict)
+    gap: float  # the verdict's Richardson gap
+    scale: float  # the magnitude integral the gap is judged against
 
     @property
     def verdict(self) -> str:
@@ -91,8 +92,8 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
     The stored delta values are the raw ramp integrals; the flux functional
     is minus their Richardson limit. It is only reported when
     `judge_sequence` finds the sequence converged against the largest, over
-    the widths, band integral of |trace| |grad ramp| |testfn|; `meta` holds
-    that scale and the Richardson gap.
+    the widths, band integral of |trace| |grad ramp| |testfn|; the result
+    holds that `scale` and the Richardson `gap`.
 
     The widths share one `RampSegments` table, filled in one blocked batch
     before any width is read, so each band segment (split at the trace's
@@ -105,7 +106,7 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
     scalar = testfn.value if testfn is not None else None
     deltas = tuple(2.0 ** (-j) for j in j_range)
     breaks = _breaks_in_s(collar, breaks_radii)
-    if t + max(deltas) > collar.s_max:
+    if t + max(deltas) > 1.0:
         raise GeometryError("ramp exceeds collar range")
     segments = RampSegments(collar, trace, scalar, collar.layer, s_order=10, breaks=breaks)
     segments.evaluate(t, deltas)
@@ -113,7 +114,7 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
     verdict = judge_sequence(vals, max(mags))
     flux = -verdict.limit if verdict.converged else None
     return StokesResult(deltas, vals, verdict.tail_oscillation, verdict.converged, flux,
-                        meta={"gap": verdict.gap, "scale": verdict.scale})
+                        verdict.gap, verdict.scale)
 
 
 def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
@@ -127,12 +128,12 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
     windowed to the bump's angular support on 48-node arcs, so radii far
     below the global angular resolution remain well resolved.
     """
-    if manifold.kind != "disk":
+    patch = manifold.patch
+    if patch.name != "disk":
         raise GeometryError("density estimation implemented for disk manifolds")
     x0 = np.asarray(x0, dtype=float)
-    center = manifold.meta["center"]
-    radius = manifold.meta["radius"]
-    e1, e2, n = manifold.meta["frame"]
+    center, radius = patch.origin, patch.scale
+    e1, e2, _ = patch.frame
     rel = x0 - center
     a0 = float(np.arctan2(rel @ e2, rel @ e1))
     deltas = [2.0 ** (-j) for j in range(5, 14)]
@@ -169,22 +170,21 @@ class ManifoldDivMeasure:
     """Tangential surface field with distributionally-measured divergence.
 
     The divergence action splits into a pointwise part (quadrature outside
-    exclusion disks around declared singular points) and point atoms whose
-    strengths are estimated from circulation flux through shrinking circles.
+    exclusion disks of radius 2e-3 around declared singular points) and point
+    atoms whose strengths are estimated from circulation flux through
+    shrinking circles.
     """
 
     manifold: BoundaryManifold
     values: Callable[[np.ndarray], np.ndarray]
     pointwise_div: Callable[[np.ndarray], np.ndarray]
     atoms: tuple[tuple[np.ndarray, float], ...]
-    exclusion: float
 
     def _excluded_div(self, pts) -> np.ndarray:
         """Pointwise divergence, zero inside the exclusion disks of the atoms."""
         out = np.asarray(self.pointwise_div(pts), dtype=float)
         for p, _ in self.atoms:
-            out = out * (np.linalg.norm(np.atleast_2d(pts) - p, axis=1)
-                         > self.exclusion).astype(float)
+            out = out * (np.linalg.norm(np.atleast_2d(pts) - p, axis=1) > 2e-3).astype(float)
         return out
 
     def action(self, phi_value: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -208,13 +208,6 @@ class ManifoldDivMeasure:
                     for phi in dictionary), default=0.0)
 
 
-def _flat_frame(manifold: BoundaryManifold):
-    if manifold.kind != "disk":
-        raise GeometryError("pointwise surface divergence implemented for flat disks only")
-    e1, e2, n = manifold.meta["frame"]
-    return e1, e2, n
-
-
 def manifold_div_measure(values, manifold: BoundaryManifold,
                          singular_points: Sequence = ()) -> ManifoldDivMeasure:
     """Build the divergence measure of a tangential field on a flat disk.
@@ -225,7 +218,9 @@ def manifold_div_measure(values, manifold: BoundaryManifold,
     come from outward circulation flux through circles of radii 0.05, 0.025
     and 0.0125, Richardson-extrapolated.
     """
-    e1, e2, n = _flat_frame(manifold)
+    if manifold.patch.name != "disk":
+        raise GeometryError("pointwise surface divergence implemented for flat disks only")
+    e1, e2, n = manifold.patch.frame
     pts = manifold.patch.nodes
     vals = np.atleast_2d(values(pts))
     resid = float(np.max(np.abs(vals @ n)))
@@ -251,7 +246,7 @@ def manifold_div_measure(values, manifold: BoundaryManifold,
             fluxes.append(integrate(circ, lambda q: np.einsum(
                 "ij,ij->i", np.atleast_2d(values(q)), outward(q))))
         atoms.append((sp, float(richardson_limit(fluxes))))
-    return ManifoldDivMeasure(manifold, values, pw_div, tuple(atoms), 2e-3)
+    return ManifoldDivMeasure(manifold, values, pw_div, tuple(atoms))
 
 
 def stokes_transversal(trace_on_shifted, manifold: BoundaryManifold,

@@ -40,6 +40,17 @@ def test_stokes_transversal_reports_no_verdict():
     assert len(table.rows) == 1
 
 
+@pytest.mark.parametrize("surface, flux", [("disk:x=3,r=0.5", 0.0), ("disk:x=0.2,r=0.5", 1.0),
+                                           ("disk:z=1", 1.0)])
+def test_stokes_transversal_gives_the_line_vortex_an_atom_only_where_its_axis_crosses(
+        surface, flux):
+    # the axis (the z axis) misses a disk centred at x = 3, so no circulation
+    # passes it; on the disks it crosses, bottom or top face, the atom carries 1
+    table, _ = _csv("stokes", {"field": "line_vortex", "route": "transversal",
+                               "region": "cylinder:r=5", "surface": surface, "t": 0.25})
+    assert table.rows[0][1] == pytest.approx(flux, abs=1e-3)
+
+
 def test_br_dumps_every_step_of_a_short_run():
     table, text = _csv("br", {"grid": "8x8", "steps": 2})
     assert table.columns == ["step", "time", "marker", "x", "y", "z"]
@@ -72,7 +83,7 @@ def test_stokes_needs_five_ramp_widths_for_a_verdict(jmax, verdict):
                                   "cap:r=0.5", {"shape": "spherical_cap", "r": 0.5},
                                   "sphere:r=0.5"])
 def test_r_is_the_surface_radius_key(spec):
-    assert cli.parse_surface(spec).meta["radius"] == 0.5
+    assert cli.parse_surface(spec).patch.scale == 0.5
 
 
 @pytest.mark.parametrize("spec", ["ball:r=0.5", "half_ball:r=0.5", {"shape": "ball", "r": 0.5},
@@ -214,6 +225,9 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["maximal", "--field", "line_vortex", "--config", {"lam": [1.0]}],
     # a region with no face the trace command samples
     ["trace", "--field", "rigid_rotation", "--region", "box"],
+    # surfaces smaller than the region face that a maximal scan reads whole
+    ["maximal", "--field", "rigid_rotation", "--surface", "disk:r=0.5"],
+    ["maximal", "--field", "rigid_rotation", "--region", "ball", "--surface", "cap:r=1"],
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
     _assert_refused(argv, tmp_path, capsys)
@@ -257,9 +271,9 @@ FACE_TRACE_MISSES = ["cap:r=1", "cap:r=1,colatitude=1", {"shape": "disk", "norma
     *FACE_TRACE_MISSES,
 ], ids=str)
 def test_shape_specs_refuse_numbers_out_of_range(spec, tmp_path, capsys):
-    # `maximal` reads a surface and a region and takes caps and any disk
-    # normal, so only the spec checks refuse there; `stokes` also refuses the
-    # surfaces its face trace misses, which parse; a dict spec goes in by --config
+    # `maximal` refuses these in the spec checks, before it reads a face;
+    # `stokes` also refuses the surfaces its face trace misses, which parse;
+    # a dict spec goes in by --config
     shape = spec["shape"] if isinstance(spec, dict) else spec.partition(":")[0]
     key = "surface" if shape in cli.SURFACE_KEYS else "region"
     command = "stokes" if spec in FACE_TRACE_MISSES else "maximal"

@@ -234,9 +234,8 @@ def test_frame_from_normal_equals_the_np_cross_frame():
 
 
 def _callable_members(shape, path):
-    # paths of the fields and meta values that hold callables, nested
-    # curves and patches included
-    found = [f"{path}.meta[{k!r}]" for k, v in getattr(shape, "meta", {}).items() if callable(v)]
+    # paths of the fields that hold callables, nested curves and patches included
+    found = []
     for f in dataclasses.fields(shape):
         value = getattr(shape, f.name)
         if callable(value):
@@ -355,7 +354,7 @@ def test_closed_sphere_collar_is_empty():
 def test_degenerate_boundary_rejected():
     man = geo.disk_manifold((0, 0, 0), 1.0)
     shrunk = geo.BoundaryManifold(man.patch, geo.empty_curve(), np.zeros((1, 3)),
-                                  np.zeros((1, 3)), kind="disk", meta=man.meta)
+                                  np.zeros((1, 3)))
     with pytest.raises(geo.GeometryError):
         geo.build_tangential_collar(shrunk)
 
@@ -460,7 +459,7 @@ def test_shared_segments_equal_separate_bands_on_a_window(rigid_rotation):
     center, radius = np.array([0.3, 0.2, 0.7]), 1.0
     man = geo.disk_manifold(center, radius, n_angular=512)
     collar = geo.build_tangential_collar(man)
-    e1, e2, _ = man.meta["frame"]
+    e1, e2, _ = man.patch.frame
     a0, half_width = 0.1, 1.5 * 2.0 ** -5 / radius
     bump = radial_bump(center + radius * (np.cos(a0) * e1 + np.sin(a0) * e2), 2.0 ** -5,
                        plateau=0.6)
@@ -500,7 +499,7 @@ def test_ball_transversal_collar():
     assert abs(col.kappa - 1.0) < 1e-12
     man = geo.closed_sphere_manifold((0, 0, 0), 1.0, order=12, n_angular=32)
     shifted = geo.shift_transversal(man, col, 0.1)
-    assert abs(shifted.meta["radius"] - 0.9) < 1e-12
+    assert abs(shifted.patch.scale - 0.9) < 1e-12
 
 
 def test_half_ball_face_slide(half_ball):
@@ -575,7 +574,7 @@ def test_a_disk_finds_its_slide_without_building_its_nodes(unit_cylinder, cylind
         fresh = geo.disk_manifold(face.origin, 0.6, face.frame[2], order=8, n_angular=16)
         slide = _slide_on_every_node(cylinder_collar, fresh.patch)
         assert cylinder_collar.slide_for(man.patch) is slide
-        assert np.allclose(shifted.meta["center"], slide.shift_point(face.origin, 0.1))
+        assert np.allclose(shifted.patch.origin, slide.shift_point(face.origin, 0.1))
 
 
 @pytest.mark.parametrize("center, normal", [((0, 0, 0), (0.1, 0, 1)),  # tilted
@@ -606,9 +605,25 @@ def test_shift_keeps_the_disk_rule(half_ball):
     face = geo.disk_manifold((0, 0, 0), 0.8, order=12, n_angular=48)
     shifted = geo.shift_transversal(face, col, 0.1)
     assert shifted.patch.nodes.shape == face.patch.nodes.shape == (576, 3)
-    assert (shifted.meta["order"], shifted.meta["n_angular"]) == (12, 48)
+    assert shifted.patch.u is face.patch.u and shifted.patch.v is face.patch.v
     assert np.array_equal(shifted.patch.weights, face.patch.weights)
     assert np.abs(shifted.patch.nodes - face.patch.nodes - [0.0, 0.0, 0.1]).max() < 1e-15
+
+
+@pytest.mark.parametrize("center, radius, step", [((0.0, 0.0, 0.0), 1.0, 0.1),  # bottom face
+                                                 ((0.2, -0.1, 1.0), 0.5, -0.1)])  # top face
+def test_a_shifted_disk_is_the_disk_built_at_its_shifted_centre(cylinder_collar, center,
+                                                                radius, step):
+    # moving a +e3 disk's patch gives, bit for bit, the disk built afresh there
+    man = geo.disk_manifold(center, radius, order=12, n_angular=48)
+    shifted = geo.shift_transversal(man, cylinder_collar, 0.1)
+    fresh = geo.disk_manifold(np.add(center, (0.0, 0.0, step)), radius, order=12, n_angular=48)
+    for got, want in ((shifted.patch, fresh.patch), (shifted.boundary, fresh.boundary)):
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(shifted.patch.normals, fresh.patch.normals)
+    assert np.array_equal(shifted.conormals, fresh.conormals)
+    assert np.array_equal(shifted.tangents, fresh.tangents)
 
 
 @pytest.mark.parametrize("inner_normal", [True, False])
@@ -618,8 +633,8 @@ def test_shift_keeps_the_sphere_rule(inner_normal):
                                      inner_normal=inner_normal)
     shifted = geo.shift_transversal(man, col, 0.1)
     assert shifted.patch.nodes.shape == man.patch.nodes.shape == (384, 3)
-    assert (shifted.meta["order"], shifted.meta["n_angular"]) == (12, 32)
-    assert shifted.meta["inner_normal"] is inner_normal
+    assert shifted.patch.u is man.patch.u and shifted.patch.v is man.patch.v
+    assert shifted.patch.sign == man.patch.sign == (-1.0 if inner_normal else 1.0)
     slide = col.slide_for(man.patch)
     assert np.abs(shifted.patch.nodes - slide.shift_point(man.patch.nodes, 0.1)).max() < 1e-15
     assert np.abs(shifted.patch.normals - man.patch.normals).max() < 1e-15

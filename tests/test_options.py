@@ -63,3 +63,82 @@ def test_every_option_is_set_by_some_caller():
 
     unset = [label for label, fn, name, index in _options() if not passed(fn, name, index)]
     assert not unset, f"{len(unset)} options no caller sets: {unset}"
+
+
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _no_init(value):
+    # field(..., init=False) is no constructor parameter
+    return (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant) and not k.value.value
+                    for k in value.keywords))
+
+
+def _dataclass_fields():
+    # class name -> [(field name, has a default)] of the constructor fields
+    # of every dataclass in src/curlflux, in declaration order
+    classes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                classes[node.name] = [(s.target.id, s.value is not None) for s in node.body
+                                      if isinstance(s, ast.AnnAssign)
+                                      and isinstance(s.target, ast.Name) and not _no_init(s.value)]
+    return classes
+
+
+def _literal(node):
+    # a literal's source form, or None for a value the code computes
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
+def _field_settings(classes):
+    # (class, field) -> the values its constructions and dataclasses.replace
+    # calls give it: a literal's dump, None for a computed value, "default"
+    # for a construction that leaves it at its default
+    settings = {(c, f): [] for c, fields in classes.items() for f, _ in fields}
+    for root in CALLERS:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "replace":
+                    for k in node.keywords:
+                        for c, fields in classes.items():
+                            if k.arg in dict(fields):
+                                settings[c, k.arg].append(_literal(k.value))
+                    continue
+                if name not in classes:
+                    continue
+                given = {f: _literal(arg) for (f, _), arg in zip(classes[name], node.args)}
+                given.update({k.arg: _literal(k.value) for k in node.keywords if k.arg})
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords)):
+                    # *args or **kwargs may set any field, to a computed value
+                    given.update({f: None for f, _ in classes[name]})
+                for f, has_default in classes[name]:
+                    if f in given:
+                        settings[name, f].append(given[f])
+                    elif has_default:
+                        settings[name, f].append("default")
+    return settings
+
+
+def test_every_dataclass_field_takes_more_than_one_value():
+    # a field that no construction (or dataclasses.replace) in src/,
+    # perfbench/ or tests/ sets, or that every one sets to the same literal,
+    # holds one value, so it belongs at its use as a constant
+    settings = _field_settings(_dataclass_fields())
+    one_value = [f"{c}.{f}" for (c, f), values in sorted(settings.items())
+                 if set(values) <= {"default"}
+                 or (len(set(values)) == 1 and values[0] is not None)]
+    assert not one_value, f"{len(one_value)} fields hold one value: {one_value}"

@@ -116,8 +116,7 @@ def test_box_face_scans_place_line_and_sheet_parts(line_vortex):
     box = geo.box_region(order=6)
     col = geo.build_transversal_collar(box)
     bottom = next(p for p in box.boundary if np.array_equal(p.frame[2], [0.0, 0.0, 1.0]))
-    man = geo.BoundaryManifold(bottom, geo.empty_curve(), np.zeros((1, 3)), np.zeros((1, 3)),
-                               kind="rectangle", meta={})
+    man = geo.BoundaryManifold(bottom, geo.empty_curve(), np.zeros((1, 3)), np.zeros((1, 3)))
     t_grid = [0.1, 0.25, 0.4]
     scan = sel.maximal_transversal(line_vortex.curl, man, col, t_grid)
     assert np.abs(np.asarray(scan.values) - 2.0).max() < 1e-10

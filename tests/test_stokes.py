@@ -84,8 +84,8 @@ def test_density_windows_evaluate_each_radius_in_one_block(rigid_rotation,
 
 @pytest.mark.parametrize("route", ["tangential", "mass"])
 def test_boundary_routes_build_no_disk_patch(rigid_rotation, route):
-    # the tangential and mass routes read the boundary circle and the meta of
-    # their manifold, never the 2-D node set of its disk
+    # the tangential and mass routes read the boundary circle and the patch
+    # fields of their manifold, never the 2-D node set of its disk
     man = geo.disk_manifold((0.1, -0.2, 0.3), 0.7)
     col = geo.build_tangential_collar(man)
     if route == "tangential":
@@ -231,10 +231,10 @@ def test_verdict_and_flux_do_not_depend_on_units(unit_references, unit_disk_mani
     res = stk.stokes_tangential(lambda x: 10.0 ** k * trace(x), unit_disk_manifold,
                                 unit_disk_collar, t, breaks_radii=breaks)
     assert res.converged == ref.converged
-    assert abs(res.meta["gap"]) / res.meta["scale"] == pytest.approx(
-        abs(ref.meta["gap"]) / ref.meta["scale"], rel=1e-3, abs=1e-13)
+    assert abs(res.gap) / res.scale == pytest.approx(abs(ref.gap) / ref.scale,
+                                                     rel=1e-3, abs=1e-13)
     if ref.converged:
-        assert abs(res.extrapolated / 10.0 ** k - ref.extrapolated) <= 1e-12 * ref.meta["scale"]
+        assert abs(res.extrapolated / 10.0 ** k - ref.extrapolated) <= 1e-12 * ref.scale
         pairing, mass, _ = stk.boundary_pairing_mass(
             lambda x: 10.0 ** k * trace(x), unit_disk_manifold, unit_disk_collar, t,
             breaks_radii=breaks)
