@@ -179,7 +179,7 @@ def _order(kv: dict) -> int:
     return order
 
 
-def parse_surface(spec) -> geo.BoundaryManifold:
+def parse_surface(spec) -> geo.SurfacePatch:
     """Surface spec: 'disk:r=0.5,z=0.5' or a JSON-style dict."""
     shape, kv = _parse_spec(spec, SURFACE_KEYS)
     r = _positive(kv, "r", 1.0)
@@ -188,14 +188,14 @@ def parse_surface(spec) -> geo.BoundaryManifold:
         normal = _vector(kv, "normal", (0.0, 0.0, 1.0))
         if not normal.any():
             raise ConfigError("normal must not be the zero vector")
-        return geo.disk_manifold(center, r, normal, order=_order(kv))
+        return geo.disk_patch(center, r, normal, order=_order(kv))
     center = _vector(kv, "center", (0.0, 0.0, 0.0))
     if shape == "sphere":
-        return geo.closed_sphere_manifold(center, r)
+        return geo.sphere_patch(center, r)
     colatitude = _param(kv, "colatitude", np.pi / 2, float)
     if not 0.0 < colatitude < np.pi:
         raise ConfigError(f"colatitude must lie in (0, pi), not {colatitude:g}")
-    return geo.spherical_cap_manifold(center, r, colatitude)
+    return geo.spherical_cap_patch(center, r, colatitude)
 
 
 def parse_region(spec) -> geo.SolidRegion:
@@ -305,10 +305,10 @@ def _j_range(p: dict, start: int, default_max: int) -> range:
 
 def cmd_stokes(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
-    man = parse_surface(p.get("surface", "disk:r=1"))
+    patch = parse_surface(p.get("surface", "disk:r=1"))
     # the face trace F x e3 describes z-plane disks with normal +e3; a closed sphere has no collar
-    patch = man.patch
-    if not (man.closed or patch.name == "disk" and np.array_equal(patch.frame[2], (0, 0, 1))):
+    if not (patch.name == "sphere"
+            or patch.name == "disk" and np.array_equal(patch.frame[2], (0, 0, 1))):
         raise ConfigError("stokes pairs the face trace F x e3, so it takes a disk with normal "
                           "+e3 or a closed sphere")
     route = p.get("route", "tangential")
@@ -329,12 +329,12 @@ def cmd_stokes(p: dict) -> ResultTable:
         if p["field"] == "line_vortex" and np.hypot(*patch.origin[:2]) < patch.scale:
             # the vortex axis (the z axis) crosses the shifted disk: an atom there
             sing = [(0.0, 0.0, tcol.slide_for(patch).shift_point(patch.origin, t)[0, 2])]
-        out = stokes.stokes_transversal(entry.trace_z_plane, man, tcol, t,
+        out = stokes.stokes_transversal(entry.trace_z_plane, patch, tcol, t,
                                         singular_points=sing)
         return ResultTable(["t", "flux", "div_mass"], [[t, out["flux"], out["div_mass"]]], meta)
-    col = geo.build_tangential_collar(man)
+    col = geo.build_tangential_collar(patch)
     if route == "tangential":
-        res = stokes.stokes_tangential(entry.trace_z_plane, man, col, t,
+        res = stokes.stokes_tangential(entry.trace_z_plane, patch, col, t,
                                        j_range=_j_range(p, 2, 12),
                                        breaks_radii=entry.trace_breaks_radii)
         columns, rows = ["delta", "ramp_integral"], [[d, v] for d, v in
@@ -343,7 +343,7 @@ def cmd_stokes(p: dict) -> ResultTable:
                     flux=FLOAT_FMT % res.extrapolated if res.converged else "n/a")
     else:
         pairing, mass, res = stokes.boundary_pairing_mass(
-            entry.trace_z_plane, man, col, t, breaks_radii=entry.trace_breaks_radii)
+            entry.trace_z_plane, patch, col, t, breaks_radii=entry.trace_breaks_radii)
         columns, rows = ["t", "flux_mass", "pairing", "t_osc"], [[t, mass, pairing, res.t_osc]]
     # the verdict's evidence: the Richardson gap and the tolerance GAP_TOL * scale
     meta.update(gap=FLOAT_FMT % res.gap, scale=FLOAT_FMT % res.scale,
@@ -354,7 +354,7 @@ def cmd_stokes(p: dict) -> ResultTable:
 def cmd_maximal(p: dict) -> ResultTable:
     entry = get_catalog(p["field"])
     region = parse_region(p.get("region", "cylinder"))
-    man = parse_surface(p.get("surface", "disk:r=1"))
+    patch = parse_surface(p.get("surface", "disk:r=1"))
     tcol = geo.build_transversal_collar(region)
     t_grid = _parse_grid(p.get("t_grid", tuple(np.linspace(0.05, 0.45, 9))))
     lam = _param(p, "lam", 4.0, float)
@@ -362,7 +362,7 @@ def cmd_maximal(p: dict) -> ResultTable:
         raise ConfigError(f"lam must be positive, not {lam:g}")
     if entry.curl is None:
         raise ConfigError("field carries no curl measure")
-    scan = selection.maximal_transversal(entry.curl, man, tcol, t_grid)
+    scan = selection.maximal_transversal(entry.curl, patch, tcol, t_grid)
     report = selection.good_set_scan(scan, lam)
     good = set(report.good_t)
     rows = [[t, v, "yes" if t in good else "no"] for t, v in zip(scan.t_grid, scan.values)]
@@ -443,9 +443,9 @@ def cmd_example(p: dict) -> ResultTable:
         raise ConfigError("example currently ships the dyadic-annuli trace only")
     entry = get_catalog("annuli")
     t = _param(p, "t", 0.0, float)
-    man = geo.disk_manifold((0, 0, 0), 1.0)
-    col = geo.build_tangential_collar(man)
-    res = stokes.stokes_tangential(entry.trace_z_plane, man, col, t,
+    disk = geo.disk_patch((0, 0, 0), 1.0)
+    col = geo.build_tangential_collar(disk)
+    res = stokes.stokes_tangential(entry.trace_z_plane, disk, col, t,
                                    j_range=_j_range(p, 1, 10),
                                    breaks_radii=entry.trace_breaks_radii)
     rows = []
@@ -482,9 +482,9 @@ def cmd_reproduce(p: dict) -> ResultTable:
 
 def _repro_explicitcompute() -> ResultTable:
     entry = get_catalog("annuli")
-    man = geo.disk_manifold((0, 0, 0), 1.0)
-    col = geo.build_tangential_collar(man)
-    res = stokes.stokes_tangential(entry.trace_z_plane, man, col, 0.0,
+    disk = geo.disk_patch((0, 0, 0), 1.0)
+    col = geo.build_tangential_collar(disk)
+    res = stokes.stokes_tangential(entry.trace_z_plane, disk, col, 0.0,
                                    j_range=range(1, 11),
                                    breaks_radii=entry.trace_breaks_radii)
     rows, ok = [], True
@@ -498,7 +498,7 @@ def _repro_explicitcompute() -> ResultTable:
     nonconv_ok = not res.converged
     rows.append(["verdict", res.verdict, "NON-CONVERGENT", "",
                  "pass" if nonconv_ok else "FAIL"])
-    res03 = stokes.stokes_tangential(entry.trace_z_plane, man, col, 0.3,
+    res03 = stokes.stokes_tangential(entry.trace_z_plane, disk, col, 0.3,
                                      breaks_radii=entry.trace_breaks_radii)
     rows.append(["t=0.3", res03.verdict, "CONVERGED", "",
                  "pass" if res03.converged else "FAIL"])
@@ -511,10 +511,10 @@ def _repro_distclaim() -> ResultTable:
     entry = get_catalog("line_vortex")
     region = geo.cylinder_region(order=20, n_angular=64)
     tcol = geo.build_transversal_collar(region)
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    disk = geo.disk_patch((0, 0, 0), 1.0)
     rows, ok = [], True
     for t in (0.15, 0.3, 0.45):
-        out = stokes.stokes_transversal(entry.trace_z_plane, man, tcol, t,
+        out = stokes.stokes_transversal(entry.trace_z_plane, disk, tcol, t,
                                         singular_points=[(0.0, 0.0, t)])
         err = abs(out["flux"] - 1.0)
         ok &= err <= 1e-3
@@ -562,9 +562,9 @@ def _repro_density() -> ResultTable:
     entry = get_catalog("rigid_rotation")
     center = np.array([0.3, 0.2, 0.7])
     radius = 1.0
-    man = geo.disk_manifold(center, radius, n_angular=512)
-    e1, e2, n = man.patch.frame
-    col = geo.build_tangential_collar(man)
+    disk = geo.disk_patch(center, radius, n_angular=512)
+    e1, e2, n = disk.frame
+    col = geo.build_tangential_collar(disk)
     r_grid = [2.0 ** (-k) for k in range(3, 9)]
     rows, ok = [], True
     angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False) + 0.1
@@ -573,7 +573,7 @@ def _repro_density() -> ResultTable:
         x0 = center + radius * ring
         tau = np.cross(n, -ring)
         expected = -float(entry.vector_field.eval(x0[None, :])[0] @ tau)
-        dens = stokes.stokes_density(entry.trace_z_plane, man, col, 0.0, x0, r_grid)
+        dens = stokes.stokes_density(entry.trace_z_plane, disk, col, 0.0, x0, r_grid)
         err = abs(dens.limit - expected)
         ok &= err <= 1e-2
         rows.append([f"density[{i}]", dens.limit, expected, err,
@@ -585,7 +585,7 @@ def _repro_density() -> ResultTable:
 def _repro_weak11() -> ResultTable:
     region = geo.cylinder_region(order=16, n_angular=48)
     tcol = geo.build_transversal_collar(region)
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    disk = geo.disk_patch((0, 0, 0), 1.0)
     t_grid = np.linspace(0.02, 0.48, 24)
     lams = [2.0 ** k for k in range(-4, 5)]
     rows, ok = [], True
@@ -597,7 +597,7 @@ def _repro_weak11() -> ResultTable:
                                                        (np.atleast_2d(pts).shape[0], 3)).copy())
     cases["concentrated_sheet"] = flds.CurlMeasure(sheet_parts=(sheet,))
     for label, mu in cases.items():
-        scan = selection.maximal_transversal(mu, man, tcol, t_grid)
+        scan = selection.maximal_transversal(mu, disk, tcol, t_grid)
         for lam in lams:
             rep = selection.good_set_scan(scan, lam)
             ok &= rep.holds

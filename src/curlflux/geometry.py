@@ -1,22 +1,28 @@
 """Surface patches, boundary curves, collar maps, localizer ramps, and solid
 regions with volume rules.
 
-Every curve, patch, boundary manifold and solid region is held as its
-quadrature node set: the points (and normals) and weights of a closed-form
-parametrization (no meshes). A curve evaluates them when it is built; a
-surface patch holds the 1-D rules of its parameters and evaluates them on
-first read, as a solid region does its volume rule. Curves, patches and
-regions all read `nodes` (n, 3) and `weights` (n,): `integrate` is the one
-integral over any of them, and `_band_lines` the one over a family of layers
-(collar bands, slide slabs and shells). A solid region describes its shape
-once, as a round part cut by flat faces; containment, clipping and fit tests
-read that. Collars and slides (each patch along its own normal) of the
-canonical shapes are exact, which keeps the localizer limits free of mesh noise.
-Conventions fixed once and used everywhere:
+Every curve, surface patch and solid region is held as its quadrature node
+set: the points (and normals) and weights of a closed-form parametrization
+(no meshes). A curve evaluates them when it is built; a surface patch holds
+the 1-D rules of its parameters and evaluates them on first read, as a solid
+region does its volume rule. Curves, patches and regions all read `nodes`
+(n, 3) and `weights` (n,): `integrate` is the one integral over any of them,
+and `_band_lines` the one over a family of layers (collar bands, slide slabs
+and shells). A solid region describes its shape once, as a round part cut by
+flat faces; containment, clipping and fit tests read that. Collars and slides
+(each patch along its own normal) of the canonical shapes are exact, which
+keeps the localizer limits free of mesh noise.
+
+A surface with boundary is its `SurfacePatch`: collars, shifts and routes
+read the patch's origin, scale, frame and rules, and no rim curve is stored.
+`disk_manifold` and `closed_sphere_manifold` are other names of `disk_patch`
+and `sphere_patch`, the ones the benchmark calls. Conventions fixed once and
+used everywhere:
 
 * regions carry the *inner* unit normal on their boundary;
 * the conormal nu_gamma of a boundary curve points *into* the surface;
-* the curve tangent is tau = nu_sigma x nu_gamma (right-hand rule).
+* the curve tangent is tau = nu_sigma x nu_gamma (right-hand rule); the
+  tangential route's sign rests on it.
 """
 
 from __future__ import annotations
@@ -157,7 +163,8 @@ def integrate(node_set, integrand) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """Patch of a parametrized surface (u, v) -> R^3 and its node set.
+    """Patch of a parametrized surface (u, v) -> R^3 and its node set: the
+    one description of a surface, with or without boundary.
 
     The patch holds the parameters of its nodes with their plain rule
     weights, as the two rules `u` and `v` of a product rule, u slowest: the
@@ -249,6 +256,8 @@ def disk_patch(center, radius: float, normal=(0.0, 0.0, 1.0),
     Polar parameters (rho, phi); Gauss-Legendre radially (split at the given
     break radii) x trapezoid in angle.
     """
+    if not radius > inner_radius:
+        raise GeometryError(f"a disk needs a radius above {inner_radius:g}, not {radius:g}")
     bp = sorted({float(inner_radius), float(radius), *(float(b) for b in radial_breaks
                                                        if inner_radius < b < radius)})
     center = np.asarray(center, dtype=float)
@@ -299,27 +308,14 @@ def rectangle_patch(corner, e1, e2, extent1: float, extent2: float, normal_sign:
                         np.stack([e1, e2, n]), np.linalg.norm(_cross(e1, e2)), 1.0)
 
 
+# the names perfbench/workloads.py builds its surfaces by; a surface is its patch
+disk_manifold = disk_patch
+closed_sphere_manifold = sphere_patch
+
+
 # ---------------------------------------------------------------------------
-# boundary manifolds and tangential collars
+# tangential collars
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundaryManifold:
-    """Oriented patch with its boundary curve and, at the boundary nodes, the
-    unit conormal (pointing into the patch) and the induced tangent
-    tau = nu_sigma x nu_gamma. The patch alone describes the shape: a disk's
-    rim, conormals and tangents are built from it, and collars, shifts and
-    routes read its origin, scale and frame."""
-
-    patch: SurfacePatch
-    boundary: Curve
-    conormals: np.ndarray  # (m, 3)
-    tangents: np.ndarray  # (m, 3)
-
-    @property
-    def closed(self) -> bool:
-        return self.patch.name == "sphere"
 
 
 @dataclass(frozen=True)
@@ -341,61 +337,18 @@ class TangentialCollar:
     empty: bool = False
 
 
-def disk_manifold(center, radius: float, normal=(0.0, 0.0, 1.0), order: int = DEFAULT_ORDER,
-                  n_angular: int = DEFAULT_ANGULAR) -> BoundaryManifold:
-    """Flat disk whose boundary circle slides radially toward the center."""
-    return _disk_manifold(disk_patch(center, radius, normal, order, n_angular))
-
-
-def _disk_manifold(patch: SurfacePatch) -> BoundaryManifold:
-    """A disk patch with its rim circle at the patch's own angles."""
-    e1, e2, n = patch.frame
-    s = patch.v.nodes
-    conormals = -(np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
-    return BoundaryManifold(patch, _arc(patch.origin, patch.scale, e1, e2, patch.v), conormals,
-                            np.cross(n, conormals))
-
-
-def spherical_cap_manifold(center, radius: float, colatitude: float,
-                           order: int = DEFAULT_ORDER, n_angular: int = DEFAULT_ANGULAR,
-                           inner_normal: bool = True) -> BoundaryManifold:
-    """Cap around the +z pole; its boundary circle slides along meridians."""
-    center = np.asarray(center, dtype=float)
-    patch = spherical_cap_patch(center, radius, colatitude, order, n_angular, inner_normal)
-    rim_r = radius * np.sin(colatitude)
-    rim_c = center + np.array([0.0, 0.0, radius * np.cos(colatitude)])
-    rule = periodic_trapezoid(n_angular)
-    curve = _arc(rim_c, rim_r, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), rule)
-    sign = -1.0 if inner_normal else 1.0
-    # unit tangent to the sphere pointing toward the pole (decreasing colatitude)
-    s = rule.nodes
-    ct, st = np.cos(colatitude), np.sin(colatitude)
-    conormals = -np.stack([ct * np.cos(s), ct * np.sin(s), -st * np.ones_like(s)], axis=1)
-    tangents = np.cross(sign * _unit(curve.nodes - center), conormals)
-    return BoundaryManifold(patch, curve, conormals, tangents)
-
-
-def closed_sphere_manifold(center, radius: float, order: int = DEFAULT_ORDER,
-                           n_angular: int = DEFAULT_ANGULAR, inner_normal: bool = True) -> BoundaryManifold:
-    patch = sphere_patch(center, radius, order, n_angular, inner_normal)
-    return BoundaryManifold(patch, empty_curve(), np.zeros((1, 3)), np.zeros((1, 3)))
-
-
-def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
-    """Closed-form collar for the canonical catalog shapes, read off the
-    manifold's patch (a cap's colatitude off its rim); its layers are
+def build_tangential_collar(patch: SurfacePatch) -> TangentialCollar:
+    """Closed-form collar of a disk or a cap, read off its patch (a cap's
+    colatitude th0 off its u rule, which spans (cos th0, 1)); its layers are
     circles on the default angular rule.
 
-    For a closed surface (empty boundary) the collar is empty and the
+    For a closed sphere (empty boundary) the collar is empty and the
     localizer degenerates to the constant 1.
     """
-    if manifold.closed:
+    if patch.name == "sphere":
         return TangentialCollar(lambda s: empty_curve(),
                                 lambda pts, s: np.zeros_like(np.atleast_2d(pts)),
                                 0.0, empty=True)
-    if np.sum(manifold.boundary.weights) <= 0.0:
-        raise GeometryError("degenerate boundary curve")
-    patch = manifold.patch
 
     if patch.name == "disk":
         center, radius = patch.origin, patch.scale
@@ -417,8 +370,8 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
 
     if patch.name == "spherical_cap":
         center, R = patch.origin, patch.scale
-        rim = manifold.boundary.nodes[0] - center
-        th0 = float(np.arctan2(np.hypot(rim[0], rim[1]), rim[2]))
+        height = float(np.sum(patch.u.weights))  # 1 - cos(th0)
+        th0 = float(np.arctan2(np.sqrt(height * (2.0 - height)), 1.0 - height))
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
 
@@ -438,7 +391,7 @@ def build_tangential_collar(manifold: BoundaryManifold) -> TangentialCollar:
 
         return TangentialCollar(layer, grad_s, float(R * th0))
 
-    raise GeometryError(f"no collar construction for a {patch.name!r} manifold")
+    raise GeometryError(f"no collar construction for a {patch.name!r} patch")
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +622,8 @@ class TransversalCollar:
 
     def slide_for(self, patch: SurfacePatch) -> PatchSlide:
         """The slide of `patch` itself, else the first slide whose depth
-        vanishes on every node of `patch`: manifolds rebuilt on a region's
-        face carry a fresh patch, and faces share their names. A disk is
+        vanishes on every node of `patch`: a surface built on a region's
+        face is a fresh patch, and faces share their names. A disk is
         matched on c, c +- r e1 and c +- r e2 without its nodes: three collinear
         points lie on no sphere, and on a cylinder only along its axis, which
         e1 and e2 cannot both follow."""
@@ -915,22 +868,21 @@ def build_transversal_collar(region: SolidRegion) -> TransversalCollar:
     return TransversalCollar(tuple(slides), kappa)
 
 
-def shift_transversal(manifold: BoundaryManifold, collar: TransversalCollar,
-                      t: float) -> BoundaryManifold:
-    """Slide a disk or a closed sphere inward by t along its region collar,
-    by moving its patch: a disk's origin moves along its slide, a sphere's
-    radius shrinks by t. Its rules, frame and orientation are kept."""
+def shift_transversal(patch: SurfacePatch, collar: TransversalCollar,
+                      t: float) -> SurfacePatch:
+    """Slide a disk or a closed sphere inward by t along its region collar:
+    a disk's origin moves along its slide, a sphere's radius shrinks by t.
+    Its rules, frame and orientation are kept."""
     if not abs(t) < 0.5:
         raise GeometryError("transversal shift requires |t| < 1/2")
-    patch = manifold.patch
     slide = collar.slide_for(patch)
     if t >= slide.depth_range:
         raise GeometryError("shift leaves the collar neighborhood")
     if patch.name == "disk":
-        return _disk_manifold(replace(patch, origin=slide.shift_point(patch.origin, t)[0]))
-    if manifold.closed:
-        return replace(manifold, patch=replace(patch, scale=patch.scale - t))
-    raise GeometryError(f"cannot shift a {patch.name!r} manifold")
+        return replace(patch, origin=slide.shift_point(patch.origin, t)[0])
+    if patch.name == "sphere":
+        return replace(patch, scale=patch.scale - t)
+    raise GeometryError(f"cannot shift a {patch.name!r} patch")
 
 
 def slab_integral(slide: PatchSlide, lo: float, hi: float, integrand) -> np.ndarray:

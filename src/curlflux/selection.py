@@ -24,9 +24,9 @@ import numpy as np
 from .fields import CurlMeasure, LinePart
 from .geometry import (
     POSITION_TOL,
-    BoundaryManifold,
     GeometryError,
     PatchSlide,
+    SurfacePatch,
     TangentialCollar,
     TransversalCollar,
     band_mass,
@@ -157,20 +157,24 @@ def single_layer_mass(m: SlideMeasure, t: float) -> float:
     return sum(_sheet_layer_mass(sheet, t) for sheet in m.sheets)
 
 
-def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
+def maximal_transversal(mu: CurlMeasure, patch: SurfacePatch,
                         collar: TransversalCollar, t_grid: Sequence[float],
                         variant: str = "two_sided") -> MaximalScan:
-    """Layer-mass maximal function along the transversal slides of a manifold.
+    """Layer-mass maximal function along the transversal slides of a surface.
 
-    The scan reads the measure over the whole region face the manifold lies
-    on, so a manifold whose area is not the face's is refused.
+    The scan reads the measure over the whole region face the surface lies
+    on, so a surface whose area or centre is not the face's is refused.
     """
     window = _window(variant)
-    slide = collar.slide_for(manifold.patch)
-    area, face_area = np.sum(manifold.patch.weights), np.sum(slide.patch.weights)
-    if abs(area - face_area) > 1e-9 * face_area:
-        raise GeometryError(f"maximal scans the whole region face it lies on (area "
-                            f"{face_area:.6g}), not a surface of area {area:.6g}")
+    slide = collar.slide_for(patch)
+    face = slide.patch
+    area, face_area = np.sum(patch.weights), np.sum(face.weights)
+    if (abs(area - face_area) > 1e-9 * face_area
+            or np.linalg.norm(patch.origin - face.origin) > POSITION_TOL):
+        raise GeometryError(
+            f"maximal scans the whole region face it lies on (area {face_area:.6g}, centre "
+            f"{np.round(face.origin, 6).tolist()}), not a surface of area {area:.6g} "
+            f"centred at {np.round(patch.origin, 6).tolist()}")
     m = SlideMeasure(mu, slide)
     vals = [np.inf if single_layer_mass(m, t) > 0.0
             else _window_sup(window, t, lambda lo, hi: measure_slab_mass(m, lo, hi))
@@ -185,7 +189,7 @@ def maximal_transversal(mu: CurlMeasure, manifold: BoundaryManifold,
                        DEFAULT_EPS_GRID, collar_mass)
 
 
-def maximal_tangential(surface_density, manifold: BoundaryManifold,
+def maximal_tangential(surface_density, patch: SurfacePatch,
                        collar: TangentialCollar, t_grid: Sequence[float],
                        variant: str = "two_sided",
                        breaks: Sequence[float] = ()) -> MaximalScan:

@@ -20,10 +20,10 @@ import numpy as np
 
 from .fields import PiecewiseField, VectorField
 from .geometry import (
-    BoundaryManifold,
     GeometryError,
     RampSegments,
     SolidRegion,
+    SurfacePatch,
     TangentialCollar,
     TransversalCollar,
     arc_curve,
@@ -82,7 +82,7 @@ def _breaks_in_s(collar: TangentialCollar, radii: Sequence[float]) -> tuple[floa
     return tuple(collar.param_of_radius(r) for r in radii)
 
 
-def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialCollar,
+def stokes_tangential(trace, patch: SurfacePatch, collar: TangentialCollar,
                       t: float, testfn: Optional[ScalarTestFunction] = None,
                       j_range: Sequence[int] = DELTA_J_RANGE,
                       breaks_radii: Sequence[float] = ()) -> StokesResult:
@@ -112,14 +112,15 @@ def stokes_tangential(trace, manifold: BoundaryManifold, collar: TangentialColla
     segments.evaluate(t, deltas)
     vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
     verdict = judge_sequence(vals, max(mags))
-    flux = -verdict.limit if verdict.converged else None
+    # + 0.0 makes the flux of a zero limit 0, not -0, and keeps every other value's bits
+    flux = -verdict.limit + 0.0 if verdict.converged else None
     return StokesResult(deltas, vals, verdict.tail_oscillation, verdict.converged, flux,
                         verdict.gap, verdict.scale)
 
 
-def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
+def stokes_density(trace, patch: SurfacePatch, collar: TangentialCollar,
                    t: float, x0, r_grid: Sequence[float]) -> StokesDensity:
-    """Boundary-measure density at a point of the shrunk manifold's boundary.
+    """Boundary-measure density at a point of the shrunk disk's rim.
 
     Each radius pairs the localizer limit over ramp widths 2^-5 ... 2^-13
     against a bump and normalizes by the curve mass of the same bump; a
@@ -128,9 +129,8 @@ def stokes_density(trace, manifold: BoundaryManifold, collar: TangentialCollar,
     windowed to the bump's angular support on 48-node arcs, so radii far
     below the global angular resolution remain well resolved.
     """
-    patch = manifold.patch
     if patch.name != "disk":
-        raise GeometryError("density estimation implemented for disk manifolds")
+        raise GeometryError("density estimation implemented for disks")
     x0 = np.asarray(x0, dtype=float)
     center, radius = patch.origin, patch.scale
     e1, e2, _ = patch.frame
@@ -175,7 +175,7 @@ class ManifoldDivMeasure:
     shrinking circles.
     """
 
-    manifold: BoundaryManifold
+    patch: SurfacePatch
     values: Callable[[np.ndarray], np.ndarray]
     pointwise_div: Callable[[np.ndarray], np.ndarray]
     atoms: tuple[tuple[np.ndarray, float], ...]
@@ -189,14 +189,14 @@ class ManifoldDivMeasure:
 
     def action(self, phi_value: Callable[[np.ndarray], np.ndarray]) -> float:
         """<div_tau v, phi> including atoms."""
-        total = integrate(self.manifold.patch, lambda pts: self._excluded_div(pts)
+        total = integrate(self.patch, lambda pts: self._excluded_div(pts)
                           * np.asarray(phi_value(pts), dtype=float))
         for p, strength in self.atoms:
             total += strength * float(np.asarray(phi_value(p[None, :]))[0])
         return float(total)
 
     def total_mass(self) -> float:
-        total = integrate(self.manifold.patch, lambda pts: np.abs(self._excluded_div(pts)))
+        total = integrate(self.patch, lambda pts: np.abs(self._excluded_div(pts)))
         return float(total + sum(abs(s) for _, s in self.atoms))
 
     def dual_mass_estimate(self, dictionary: Sequence[ScalarTestFunction]) -> float:
@@ -204,11 +204,11 @@ class ManifoldDivMeasure:
         sup over unit test functions of the pairing with the field's surface
         gradient. Independent of the pointwise/atom decomposition, so it also
         sees line-concentrated divergence."""
-        return max((abs(_tangential_pairing(self.manifold.patch, phi, self.values))
+        return max((abs(_tangential_pairing(self.patch, phi, self.values))
                     for phi in dictionary), default=0.0)
 
 
-def manifold_div_measure(values, manifold: BoundaryManifold,
+def manifold_div_measure(values, patch: SurfacePatch,
                          singular_points: Sequence = ()) -> ManifoldDivMeasure:
     """Build the divergence measure of a tangential field on a flat disk.
 
@@ -218,10 +218,10 @@ def manifold_div_measure(values, manifold: BoundaryManifold,
     come from outward circulation flux through circles of radii 0.05, 0.025
     and 0.0125, Richardson-extrapolated.
     """
-    if manifold.patch.name != "disk":
+    if patch.name != "disk":
         raise GeometryError("pointwise surface divergence implemented for flat disks only")
-    e1, e2, n = manifold.patch.frame
-    pts = manifold.patch.nodes
+    e1, e2, n = patch.frame
+    pts = patch.nodes
     vals = np.atleast_2d(values(pts))
     resid = float(np.max(np.abs(vals @ n)))
     if resid > 1e-8:
@@ -246,14 +246,14 @@ def manifold_div_measure(values, manifold: BoundaryManifold,
             fluxes.append(integrate(circ, lambda q: np.einsum(
                 "ij,ij->i", np.atleast_2d(values(q)), outward(q))))
         atoms.append((sp, float(richardson_limit(fluxes))))
-    return ManifoldDivMeasure(manifold, values, pw_div, tuple(atoms))
+    return ManifoldDivMeasure(patch, values, pw_div, tuple(atoms))
 
 
-def stokes_transversal(trace_on_shifted, manifold: BoundaryManifold,
+def stokes_transversal(trace_on_shifted, patch: SurfacePatch,
                        collar: TransversalCollar, t: float,
                        maximal_value: Optional[float] = None,
                        singular_points: Sequence = ()) -> dict:
-    """Flux through the transversally shifted manifold via the Gauss-Green
+    """Flux through the transversally shifted disk via the Gauss-Green
     functional of its trace as a bounded-divergence surface field.
 
     Refuses when the supplied transversal maximal value at t is infinite
@@ -261,12 +261,12 @@ def stokes_transversal(trace_on_shifted, manifold: BoundaryManifold,
     """
     if maximal_value is not None and not np.isfinite(maximal_value):
         raise StokesRefusal(f"transversal maximal function infinite at t={t}")
-    shifted = shift_transversal(manifold, collar, t)
+    shifted = shift_transversal(patch, collar, t)
     dm = manifold_div_measure(trace_on_shifted, shifted,
                               singular_points=singular_points)
     flux = dm.action(lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
     return {"flux": float(flux), "div_mass": dm.total_mass(),
-            "manifold": shifted, "div_measure": dm}
+            "patch": shifted, "div_measure": dm}
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +274,25 @@ def stokes_transversal(trace_on_shifted, manifold: BoundaryManifold,
 # ---------------------------------------------------------------------------
 
 
-def boundary_pairing_mass(G, manifold: BoundaryManifold, collar: TangentialCollar,
+def boundary_pairing_mass(G, patch: SurfacePatch, collar: TangentialCollar,
                           t: float, testfn: Optional[ScalarTestFunction] = None,
                           breaks_radii: Sequence[float] = ()) -> tuple[float, float, StokesResult]:
     """Boundary pairing <<G . nu, psi>> by ramp limits, and the induced mass.
 
     Returns (pairing, mass, diagnostics); mass = -<<G . nu, 1>>.
     """
-    res_one = stokes_tangential(G, manifold, collar, t, testfn=None,
+    res_one = stokes_tangential(G, patch, collar, t, testfn=None,
                                 breaks_radii=breaks_radii)
     if not res_one.converged:
         raise StokesRefusal("boundary pairing did not converge at this parameter")
-    mass = float(res_one.extrapolated)  # already -(limit)
-    if testfn is None:
-        pairing = -mass
-    else:
-        res = stokes_tangential(G, manifold, collar, t, testfn=testfn,
+    res = res_one
+    if testfn is not None:
+        res = stokes_tangential(G, patch, collar, t, testfn=testfn,
                                 breaks_radii=breaks_radii)
         if not res.converged:
             raise StokesRefusal("boundary pairing did not converge for this test function")
-        pairing = -float(res.extrapolated)
-    return pairing, mass, res_one
+    # extrapolated values are already -(limit); + 0.0 as in stokes_tangential
+    return -float(res.extrapolated) + 0.0, float(res_one.extrapolated), res_one
 
 
 def _normal_integral(patch, integrand) -> float | np.ndarray:

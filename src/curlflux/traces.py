@@ -16,7 +16,6 @@ import numpy as np
 
 from .fields import CurlMeasure, VectorField, integrate_measure
 from .geometry import (
-    BoundaryManifold,
     SolidRegion,
     SurfacePatch,
     TransversalCollar,
@@ -91,11 +90,11 @@ class TangentialTrace:
     tangentiality_residual: np.ndarray  # (n,) |value . nu|
 
 
-def estimate_trace_layerwise(fld: VectorField, surface: BoundaryManifold | SurfacePatch,
+def estimate_trace_layerwise(fld: VectorField, patch: SurfacePatch,
                              collar: TransversalCollar, t_grid: Sequence[float],
                              side: str = "interior") -> TangentialTrace:
-    """Pull back F x nu from transversally shifted copies of a boundary patch
-    (or of a manifold's patch), sampled at its own nodes.
+    """Pull back F x nu from transversally shifted copies of a boundary
+    patch, sampled at its own nodes.
 
     `t_grid` lists the shifts 2^-j, finest last. Each node's value is the
     Richardson limit of its column of the (shifts, nodes, 3) stack. A node
@@ -103,7 +102,6 @@ def estimate_trace_layerwise(fld: VectorField, surface: BoundaryManifold | Surfa
     times sup |F x nu| over the stack, so fewer than five shifts flag every
     node. Non-convergent nodes keep their value but are flagged.
     """
-    patch = surface.patch if isinstance(surface, BoundaryManifold) else surface
     slide = collar.slide_for(patch)
     base, nu0 = patch.nodes, patch.normals
     sign = 1.0 if side == "interior" else -1.0

@@ -10,14 +10,35 @@ from curlflux.testfns import (
 )
 
 
-@pytest.fixture(scope="session")
-def unit_disk_manifold():
-    return geo.disk_manifold((0.0, 0.0, 0.0), 1.0)
+def rim(patch):
+    """The rim of a disk or spherical-cap patch at the patch's own angles:
+    the curve, the unit conormals (pointing into the patch) and the tangents
+    tau = nu x conormal. The orientation oracle of the tangential route."""
+    s = patch.v.nodes
+    if patch.name == "disk":
+        e1, e2, nu = patch.frame
+        curve = geo.circle_curve(patch.origin, patch.scale, e1, e2, s.size)
+        conormals = -(np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
+        return curve, conormals, np.cross(nu, conormals)
+    # a cap about the +z pole; its u rule spans (cos th0, 1)
+    ct = 1.0 - np.sum(patch.u.weights)
+    st, radius = np.sqrt(1.0 - ct * ct), patch.scale
+    curve = geo.circle_curve(patch.origin + [0.0, 0.0, radius * ct], radius * st,
+                             (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), s.size)
+    # unit tangents to the sphere pointing toward the pole
+    conormals = np.stack([-ct * np.cos(s), -ct * np.sin(s), st * np.ones_like(s)], axis=1)
+    nu = patch.sign * (curve.nodes - patch.origin) / radius
+    return curve, conormals, np.cross(nu, conormals)
 
 
 @pytest.fixture(scope="session")
-def unit_disk_collar(unit_disk_manifold):
-    return geo.build_tangential_collar(unit_disk_manifold)
+def unit_disk():
+    return geo.disk_patch((0.0, 0.0, 0.0), 1.0)
+
+
+@pytest.fixture(scope="session")
+def unit_disk_collar(unit_disk):
+    return geo.build_tangential_collar(unit_disk)
 
 
 @pytest.fixture(scope="session")

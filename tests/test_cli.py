@@ -71,6 +71,18 @@ def test_stokes_reports_the_gap_its_scale_and_tolerance(route):
     assert scale == pytest.approx(2.0 * np.pi, rel=1e-3)
 
 
+@pytest.mark.parametrize("route", ["tangential", "mass"])
+def test_a_closed_sphere_has_flux_0_not_minus_0(route):
+    # a closed sphere's collar is empty, so every ramp integral and the limit are +0.0
+    table, text = _csv("stokes", {"field": "rigid_rotation", "surface": "sphere", "route": route})
+    assert "-0" not in text
+    if route == "tangential":
+        assert table.metadata["flux"] == "0"
+    else:
+        assert table.columns[1:3] == ["flux_mass", "pairing"]
+        assert text.splitlines()[-1].split(",")[1:3] == ["0", "0"]
+
+
 @pytest.mark.parametrize("jmax, verdict", [(5, "NON-CONVERGENT"), (6, "CONVERGED")])
 def test_stokes_needs_five_ramp_widths_for_a_verdict(jmax, verdict):
     # widths 2^-2 ... 2^-jmax: the Richardson gap needs five of them
@@ -83,7 +95,7 @@ def test_stokes_needs_five_ramp_widths_for_a_verdict(jmax, verdict):
                                   "cap:r=0.5", {"shape": "spherical_cap", "r": 0.5},
                                   "sphere:r=0.5"])
 def test_r_is_the_surface_radius_key(spec):
-    assert cli.parse_surface(spec).patch.scale == 0.5
+    assert cli.parse_surface(spec).scale == 0.5
 
 
 @pytest.mark.parametrize("spec", ["ball:r=0.5", "half_ball:r=0.5", {"shape": "ball", "r": 0.5},
@@ -225,12 +237,20 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["maximal", "--field", "line_vortex", "--config", {"lam": [1.0]}],
     # a region with no face the trace command samples
     ["trace", "--field", "rigid_rotation", "--region", "box"],
-    # surfaces smaller than the region face that a maximal scan reads whole
+    # surfaces smaller than the region face that a maximal scan reads whole, or off its centre
     ["maximal", "--field", "rigid_rotation", "--surface", "disk:r=0.5"],
     ["maximal", "--field", "rigid_rotation", "--region", "ball", "--surface", "cap:r=1"],
+    ["maximal", "--field", "rigid_rotation", "--surface", "disk:x=0.3", "--t-grid", "0.1"],
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
     _assert_refused(argv, tmp_path, capsys)
+
+
+def test_maximal_names_the_centre_of_a_disk_off_the_face(tmp_path, capsys):
+    # the unit disk at x = 0.3 has the bottom face's area but leaves the unit cylinder
+    err = _assert_refused(["maximal", "--field", "rigid_rotation", "--surface", "disk:x=0.3"],
+                          tmp_path, capsys)
+    assert "centre [0.0, 0.0, 0.0]" in err and "centred at [0.3, 0.0, 0.0]" in err
 
 
 def _assert_refused(argv, tmp_path, capsys):

@@ -16,15 +16,10 @@ ALLOWED = AWAITING_A_COMMAND | ORACLES | CONSTRUCTORS
 TEST_ONLY_METHODS = {
     "ManifoldDivMeasure.dual_mass_estimate": "test_stokes.test_annuli_divergence_mass_grows",
 }
-_ORIENTATION = ("the orientation oracles of test_geometry.test_tangent_convention, "
-                "test_stokes.test_rigid_rotation_flux and "
-                "test_stokes.test_gauss_green_manifold_smooth")
 _OUTPUT_RECORD = "an output record's field, kept until results carry their evidence"
 # dataclass fields and properties that no code outside tests/ reads, by the
 # test or the reason that keeps each one
 TEST_ONLY_FIELDS = {
-    "BoundaryManifold.conormals": _ORIENTATION,
-    "BoundaryManifold.tangents": _ORIENTATION,
     "TransversalCollar.kappa": "build_transversal_collar refuses kappa <= 0; "
                                "test_geometry.test_box_collar_kappa reads the margin",
     "MaximalScan.variant": _OUTPUT_RECORD,
@@ -82,16 +77,30 @@ def _is_property(member):
             and getattr(member.value.func, "id", None) in ("property", "cached_property"))
 
 
+def _alias(node):
+    # the name `name = function` binds at module level, else None
+    if (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Name)):
+        return node.targets[0].id
+    return None
+
+
 def _public_definitions():
     # (file, class name or None, definition) for every public top-level
-    # function and class, and every public method of a top-level class
+    # function and class, every public module-level alias of a function
+    # (`name = function`), and every public method of a top-level class
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "cli":
             continue
-        for node in _parse(path).body:
+        body = _parse(path).body
+        functions = {n.name for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 yield path, None, node.name
+            alias = _alias(node)
+            if alias and not alias.startswith("_") and node.value.id in functions:
+                yield path, None, alias
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -134,17 +143,18 @@ def _members(top):
 def _unconsumed(definitions=_public_definitions):
     # where each name is read, by (file, top-level statement, class member,
     # whether as an attribute); a definition's own body does not consume it,
-    # so a top-level definition needs a reader outside its statement and a
-    # member (method, field or property) one outside itself, such as another
-    # member of its class. Only an attribute read (`x.name`) reaches a member:
-    # a bare name of the same spelling is a local variable or another definition
+    # nor an alias's own assignment, so a top-level definition or alias needs
+    # a reader outside its statement and a member (method, field or property)
+    # one outside itself, such as another member of its class. Only an
+    # attribute read (`x.name`) reaches a member: a bare name of the same
+    # spelling is a local variable or another definition
     readers = {}
     for path in _code_files():
         for top in _parse(path).body:
             for member, node in _members(top):
                 for name, attr in _referenced(node):
                     readers.setdefault(name, set()).add(
-                        (path, getattr(top, "name", None), member, attr))
+                        (path, getattr(top, "name", None) or _alias(top), member, attr))
     out = []
     for path, cls, name in definitions():
         found = readers.get(name, set())
@@ -194,6 +204,18 @@ def test_a_method_read_by_its_own_class_is_consumed(tmp_path, monkeypatch):
     # read by `scale`, and `scale` by `use`; `use` binds a local `volume`,
     # which is no read of the method
     assert _unconsumed() == ["Shape", "Shape.area", "Shape.volume", "use"]
+
+
+def test_an_alias_of_a_public_function_needs_a_reader(tmp_path, monkeypatch):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def build(r):\n    return r\n"
+                   "make = build\nunused = build\n_private = build\nLIMIT = 3\n"
+                   "def use():\n    return make(LIMIT)\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "PERFBENCH", tmp_path / "absent")
+    # the aliases read `build`, and `use` reads `make`; nothing reads `unused`
+    # or `use`, a private alias is no public name and a constant no alias
+    assert _unconsumed() == ["unused", "use"]
 
 
 def test_fields_properties_and_private_helpers_need_an_attribute_read(tmp_path, monkeypatch):

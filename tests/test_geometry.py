@@ -14,6 +14,8 @@ from curlflux.quadrature import (
 )
 from curlflux.testfns import radial_bump
 
+from conftest import rim
+
 
 def test_disk_area_and_moment():
     disk = geo.disk_patch((0, 0, 0), 1.0)
@@ -26,8 +28,8 @@ def test_sphere_area_order16():
     assert abs(np.sum(sph.weights) - 4 * np.pi) < 1e-8
 
 
-def test_unit_circle_integrals(unit_disk_manifold):
-    curve = unit_disk_manifold.boundary
+def test_unit_circle_integrals(unit_disk):
+    curve, _, _ = rim(unit_disk)
     assert abs(np.sum(curve.weights) - 2 * np.pi) < 1e-12
     # int cos^2 over the circle
     val = geo.integrate(curve, lambda p: p[:, 0] ** 2)
@@ -246,11 +248,11 @@ def _callable_members(shape, path):
 
 
 def test_shapes_hold_arrays_not_callables():
-    collar = geo.build_tangential_collar(geo.disk_manifold((0, 0, 0), 1.0))
+    collar = geo.build_tangential_collar(geo.disk_patch((0, 0, 0), 1.0))
     shapes = {**{kind: make() for kind, make in PATCHES.items()},
-              "disk_manifold": geo.disk_manifold((0.1, 0.2, 0.3), 1.5, (1.0, 1.0, 0.5)),
-              "cap_manifold": geo.spherical_cap_manifold((0, 0, 0), 1.0, 0.7),
-              "closed_manifold": geo.closed_sphere_manifold((0, 0, 0), 1.0),
+              "tilted_disk": geo.disk_patch((0.1, 0.2, 0.3), 1.5, (1.0, 1.0, 0.5)),
+              "cap": geo.spherical_cap_patch((0, 0, 0), 1.0, 0.7),
+              "closed_sphere": geo.sphere_patch((0, 0, 0), 1.0),
               "layer_family": collar.layer(np.array([0.1, 0.2, 0.3])),
               "empty_curve": geo.empty_curve()}
     assert not [p for kind, shape in shapes.items() for p in _callable_members(shape, kind)]
@@ -261,22 +263,21 @@ def test_shapes_hold_arrays_not_callables():
 # ---------------------------------------------------------------------------
 
 
-def test_tangent_convention(unit_disk_manifold):
-    nu = unit_disk_manifold.patch.normals[0]
-    con = unit_disk_manifold.conormals
-    tau = unit_disk_manifold.tangents
+def test_tangent_convention(unit_disk):
+    nu = unit_disk.normals[0]
+    curve, con, tau = rim(unit_disk)
     assert np.abs(con @ nu).max() < 1e-12
     assert np.abs(tau - np.cross(nu, con)).max() < 1e-10
     assert np.abs(np.linalg.norm(tau, axis=1) - 1).max() < 1e-10
     # conormal points into the disk
-    pts = unit_disk_manifold.boundary.nodes
+    pts = curve.nodes
     assert np.all(np.linalg.norm(pts + 0.1 * con, axis=1) < 1.0)
 
 
 def test_cap_tangent_convention():
     c, R = np.array([0.1, 0.2, -0.3]), 1.3
-    man = geo.spherical_cap_manifold(c, R, 1.0, inner_normal=True)
-    pts, con, tau = man.boundary.nodes, man.conormals, man.tangents
+    curve, con, tau = rim(geo.spherical_cap_patch(c, R, 1.0, inner_normal=True))
+    pts = curve.nodes
     nu = -(pts - c) / R
     assert np.abs(np.linalg.norm(pts - c, axis=1) - R).max() < 1e-12
     assert np.abs(np.einsum("ij,ij->i", nu, con)).max() < 1e-12
@@ -286,8 +287,8 @@ def test_cap_tangent_convention():
     assert np.all(con[:, 2] > 0.0)
 
 
-def test_curve_on_patch(unit_disk_manifold):
-    pts = unit_disk_manifold.boundary.nodes
+def test_curve_on_patch(unit_disk):
+    pts = rim(unit_disk)[0].nodes
     assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < geo.POSITION_TOL
 
 
@@ -296,14 +297,14 @@ def test_curve_on_patch(unit_disk_manifold):
 # ---------------------------------------------------------------------------
 
 
-def test_disk_collar_radial(unit_disk_manifold, unit_disk_collar):
+def test_disk_collar_radial(unit_disk, unit_disk_collar):
     col = unit_disk_collar
     # layer distance equals the parameter gap for the radial collar
     assert abs(_all_pairs_distance(col, 0.0, 0.25) - 0.25) < 1e-12
 
 
 def test_cap_collar_great_circle_oracle():
-    man = geo.spherical_cap_manifold((0, 0, 0), 1.0, np.pi / 2)
+    man = geo.spherical_cap_patch((0, 0, 0), 1.0, np.pi / 2)
     col = geo.build_tangential_collar(man)
     # great-circle distance between colatitude rings theta0*(1-s)
     th0 = np.pi / 2
@@ -314,10 +315,10 @@ def test_cap_collar_great_circle_oracle():
 
 def _collar_cases():
     for r in (0.1, 0.37, 1.0, 2.9):
-        yield geo.build_tangential_collar(geo.disk_manifold((0.2, -0.1, 0.5), r,
-                                                            normal=(0.3, 0.1, 1.0)))
+        yield geo.build_tangential_collar(geo.disk_patch((0.2, -0.1, 0.5), r,
+                                                         normal=(0.3, 0.1, 1.0)))
     for th in (0.3, 1.0, 2.0):
-        yield geo.build_tangential_collar(geo.spherical_cap_manifold((0.1, 0.2, -0.3), 1.3, th))
+        yield geo.build_tangential_collar(geo.spherical_cap_patch((0.1, 0.2, -0.3), 1.3, th))
 
 
 def _all_pairs_distance(collar, s0, s1):
@@ -346,17 +347,16 @@ def test_arc_family_equals_stacked_arcs():
 
 
 def test_closed_sphere_collar_is_empty():
-    man = geo.closed_sphere_manifold((0, 0, 0), 1.0)
+    man = geo.sphere_patch((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(man)
     assert col.empty
 
 
-def test_degenerate_boundary_rejected():
-    man = geo.disk_manifold((0, 0, 0), 1.0)
-    shrunk = geo.BoundaryManifold(man.patch, geo.empty_curve(), np.zeros((1, 3)),
-                                  np.zeros((1, 3)))
-    with pytest.raises(geo.GeometryError):
-        geo.build_tangential_collar(shrunk)
+@pytest.mark.parametrize("radius, inner_radius", [(0.0, 0.0), (-1.0, 0.0), (0.3, 0.3)])
+def test_a_disk_needs_a_radius_above_its_inner_radius(radius, inner_radius):
+    # its rim would have no positive length for a collar to slide
+    with pytest.raises(geo.GeometryError, match="radius above"):
+        geo.disk_patch((0, 0, 0), radius, inner_radius=inner_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +377,7 @@ def test_band_area_comparability(unit_disk_collar):
 def test_band_quadrature_matches_layer_loop(annuli):
     # reference: one layer curve and one integrand call per s node, layers
     # added in s-rule order; the batched band must give the same floats
-    man = geo.disk_manifold((0.2, -0.1, 0.5), 1.7)
+    man = geo.disk_patch((0.2, -0.1, 0.5), 1.7)
     collar = geo.build_tangential_collar(man)
     t, delta, breaks = 0.1, 0.0625, (0.12, 0.14)
     weight = lambda p: 1.0 + p[:, 0] ** 2
@@ -443,7 +443,7 @@ def test_shared_segments_equal_separate_bands(annuli, t, with_scalar, radius):
     # whole segments; every width's (value, scale) must be the floats of its
     # own band evaluated from scratch
     center = np.array([0.2, -0.1, 0.5]) if radius != 1.0 else np.zeros(3)
-    man = geo.disk_manifold(center, radius)
+    man = geo.disk_patch(center, radius)
     collar = geo.build_tangential_collar(man)
     trace = lambda p: annuli.trace_z_plane((p - center) / radius)  # noqa: E731
     scalar = (lambda p: 1.0 + p[:, 0] ** 2) if with_scalar else None
@@ -457,9 +457,9 @@ def test_shared_segments_equal_separate_bands(annuli, t, with_scalar, radius):
 def test_shared_segments_equal_separate_bands_on_a_window(rigid_rotation):
     # the windowed bands of one stokes_density radius
     center, radius = np.array([0.3, 0.2, 0.7]), 1.0
-    man = geo.disk_manifold(center, radius, n_angular=512)
+    man = geo.disk_patch(center, radius, n_angular=512)
     collar = geo.build_tangential_collar(man)
-    e1, e2, _ = man.patch.frame
+    e1, e2, _ = man.frame
     a0, half_width = 0.1, 1.5 * 2.0 ** -5 / radius
     bump = radial_bump(center + radius * (np.cos(a0) * e1 + np.sin(a0) * e2), 2.0 ** -5,
                        plateau=0.6)
@@ -497,22 +497,22 @@ def test_ball_transversal_collar():
     ball = geo.ball_region(order=12, n_angular=32)
     col = geo.build_transversal_collar(ball)
     assert abs(col.kappa - 1.0) < 1e-12
-    man = geo.closed_sphere_manifold((0, 0, 0), 1.0, order=12, n_angular=32)
+    man = geo.sphere_patch((0, 0, 0), 1.0, order=12, n_angular=32)
     shifted = geo.shift_transversal(man, col, 0.1)
-    assert abs(shifted.patch.scale - 0.9) < 1e-12
+    assert abs(shifted.scale - 0.9) < 1e-12
 
 
 def test_half_ball_face_slide(half_ball):
     col = geo.build_transversal_collar(half_ball)
-    face = geo.disk_manifold((0, 0, 0), 1.0)
+    face = geo.disk_patch((0, 0, 0), 1.0)
     shifted = geo.shift_transversal(face, col, 0.1)
-    assert np.abs(shifted.patch.nodes[:, 2] - 0.1).max() < 1e-12
+    assert np.abs(shifted.nodes[:, 2] - 0.1).max() < 1e-12
 
 
 def test_shift_identity_and_range(unit_cylinder, cylinder_collar):
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     same = geo.shift_transversal(man, cylinder_collar, 0.0)
-    assert np.abs(same.patch.nodes - man.patch.nodes).max() < 1e-12
+    assert np.abs(same.nodes - man.nodes).max() < 1e-12
     with pytest.raises(geo.GeometryError):
         geo.shift_transversal(man, cylinder_collar, 0.6)
 
@@ -544,8 +544,8 @@ def test_box_faces_get_their_own_slides():
 
 def test_fresh_patch_falls_back_to_slide_by_name(half_ball):
     col = geo.build_transversal_collar(half_ball)
-    face = geo.disk_manifold((0, 0, 0), 1.0)
-    assert col.slide_for(face.patch) is col.slides[0]
+    face = geo.disk_patch((0, 0, 0), 1.0)
+    assert col.slide_for(face) is col.slides[0]
     with pytest.raises(geo.GeometryError):
         col.slide_for(geo.cylinder_side_patch((0, 0, 0), 1.0, 0.0, 1.0))
 
@@ -554,8 +554,8 @@ def test_fresh_face_patch_gets_the_slide_it_lies_on(unit_cylinder, cylinder_coll
     # both flat faces of a cylinder are named "disk"; a disk rebuilt on the
     # top face must get the top face's slide, and a disk on no face none
     for face, slide in zip(unit_cylinder.boundary[:2], cylinder_collar.slides[:2]):
-        man = geo.disk_manifold(face.origin, 1.0, face.frame[2])
-        assert cylinder_collar.slide_for(man.patch) is slide
+        man = geo.disk_patch(face.origin, 1.0, face.frame[2])
+        assert cylinder_collar.slide_for(man) is slide
     with pytest.raises(geo.GeometryError):
         cylinder_collar.slide_for(geo.disk_patch((0, 0, 0.5), 1.0))
 
@@ -568,20 +568,20 @@ def _slide_on_every_node(collar, patch):
 
 def test_a_disk_finds_its_slide_without_building_its_nodes(unit_cylinder, cylinder_collar):
     for face in unit_cylinder.boundary[:2]:
-        man = geo.disk_manifold(face.origin, 0.6, face.frame[2], order=8, n_angular=16)
+        man = geo.disk_patch(face.origin, 0.6, face.frame[2], order=8, n_angular=16)
         shifted = geo.shift_transversal(man, cylinder_collar, 0.1)
-        assert "nodes" not in vars(man.patch) and "nodes" not in vars(shifted.patch)
-        fresh = geo.disk_manifold(face.origin, 0.6, face.frame[2], order=8, n_angular=16)
-        slide = _slide_on_every_node(cylinder_collar, fresh.patch)
-        assert cylinder_collar.slide_for(man.patch) is slide
-        assert np.allclose(shifted.patch.origin, slide.shift_point(face.origin, 0.1))
+        assert "nodes" not in vars(man) and "nodes" not in vars(shifted)
+        fresh = geo.disk_patch(face.origin, 0.6, face.frame[2], order=8, n_angular=16)
+        slide = _slide_on_every_node(cylinder_collar, fresh)
+        assert cylinder_collar.slide_for(man) is slide
+        assert np.allclose(shifted.origin, slide.shift_point(face.origin, 0.1))
 
 
 @pytest.mark.parametrize("center, normal", [((0, 0, 0), (0.1, 0, 1)),  # tilted
                                             ((0, 0, 1e-6), (0, 0, 1)),  # off the plane
                                             ((0, 0, 0.5), (0, 0, 1))])  # a plane with no face
 def test_a_disk_off_every_face_still_gets_no_slide(cylinder_collar, center, normal):
-    man = geo.disk_manifold(center, 0.5, normal, order=8, n_angular=16)
+    man = geo.disk_patch(center, 0.5, normal, order=8, n_angular=16)
     with pytest.raises(geo.GeometryError):
         geo.shift_transversal(man, cylinder_collar, 0.1)
 
@@ -602,12 +602,12 @@ def test_a_disk_on_a_sphere_at_three_points_gets_no_slide():
 
 def test_shift_keeps_the_disk_rule(half_ball):
     col = geo.build_transversal_collar(half_ball)
-    face = geo.disk_manifold((0, 0, 0), 0.8, order=12, n_angular=48)
+    face = geo.disk_patch((0, 0, 0), 0.8, order=12, n_angular=48)
     shifted = geo.shift_transversal(face, col, 0.1)
-    assert shifted.patch.nodes.shape == face.patch.nodes.shape == (576, 3)
-    assert shifted.patch.u is face.patch.u and shifted.patch.v is face.patch.v
-    assert np.array_equal(shifted.patch.weights, face.patch.weights)
-    assert np.abs(shifted.patch.nodes - face.patch.nodes - [0.0, 0.0, 0.1]).max() < 1e-15
+    assert shifted.nodes.shape == face.nodes.shape == (576, 3)
+    assert shifted.u is face.u and shifted.v is face.v
+    assert np.array_equal(shifted.weights, face.weights)
+    assert np.abs(shifted.nodes - face.nodes - [0.0, 0.0, 0.1]).max() < 1e-15
 
 
 @pytest.mark.parametrize("center, radius, step", [((0.0, 0.0, 0.0), 1.0, 0.1),  # bottom face
@@ -615,30 +615,30 @@ def test_shift_keeps_the_disk_rule(half_ball):
 def test_a_shifted_disk_is_the_disk_built_at_its_shifted_centre(cylinder_collar, center,
                                                                 radius, step):
     # moving a +e3 disk's patch gives, bit for bit, the disk built afresh there
-    man = geo.disk_manifold(center, radius, order=12, n_angular=48)
+    man = geo.disk_patch(center, radius, order=12, n_angular=48)
     shifted = geo.shift_transversal(man, cylinder_collar, 0.1)
-    fresh = geo.disk_manifold(np.add(center, (0.0, 0.0, step)), radius, order=12, n_angular=48)
-    for got, want in ((shifted.patch, fresh.patch), (shifted.boundary, fresh.boundary)):
+    fresh = geo.disk_patch(np.add(center, (0.0, 0.0, step)), radius, order=12, n_angular=48)
+    (shifted_rim, *shifted_frame), (fresh_rim, *fresh_frame) = rim(shifted), rim(fresh)
+    for got, want in ((shifted, fresh), (shifted_rim, fresh_rim)):
         assert np.array_equal(got.nodes, want.nodes)
         assert np.array_equal(got.weights, want.weights)
-    assert np.array_equal(shifted.patch.normals, fresh.patch.normals)
-    assert np.array_equal(shifted.conormals, fresh.conormals)
-    assert np.array_equal(shifted.tangents, fresh.tangents)
+    assert np.array_equal(shifted.normals, fresh.normals)
+    for got, want in zip(shifted_frame, fresh_frame):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("inner_normal", [True, False])
 def test_shift_keeps_the_sphere_rule(inner_normal):
     col = geo.build_transversal_collar(geo.ball_region(order=12, n_angular=32))
-    man = geo.closed_sphere_manifold((0, 0, 0), 1.0, order=12, n_angular=32,
-                                     inner_normal=inner_normal)
+    man = geo.sphere_patch((0, 0, 0), 1.0, order=12, n_angular=32, inner_normal=inner_normal)
     shifted = geo.shift_transversal(man, col, 0.1)
-    assert shifted.patch.nodes.shape == man.patch.nodes.shape == (384, 3)
-    assert shifted.patch.u is man.patch.u and shifted.patch.v is man.patch.v
-    assert shifted.patch.sign == man.patch.sign == (-1.0 if inner_normal else 1.0)
-    slide = col.slide_for(man.patch)
-    assert np.abs(shifted.patch.nodes - slide.shift_point(man.patch.nodes, 0.1)).max() < 1e-15
-    assert np.abs(shifted.patch.normals - man.patch.normals).max() < 1e-15
-    assert np.abs(shifted.patch.weights - 0.81 * man.patch.weights).max() < 1e-15
+    assert shifted.nodes.shape == man.nodes.shape == (384, 3)
+    assert shifted.u is man.u and shifted.v is man.v
+    assert shifted.sign == man.sign == (-1.0 if inner_normal else 1.0)
+    slide = col.slide_for(man)
+    assert np.abs(shifted.nodes - slide.shift_point(man.nodes, 0.1)).max() < 1e-15
+    assert np.abs(shifted.normals - man.normals).max() < 1e-15
+    assert np.abs(shifted.weights - 0.81 * man.weights).max() < 1e-15
 
 
 def test_region_volumes(half_ball, unit_cylinder):
@@ -771,7 +771,7 @@ def test_clip_gives_the_chord_that_contains_accepts(kind, seed):
 def test_a_region_read_for_its_collar_builds_no_volume_rule():
     region = geo.cylinder_region(order=8, n_angular=16)
     col = geo.build_transversal_collar(region)
-    man = geo.disk_manifold((0, 0, 0), 1.0, order=8, n_angular=16)
+    man = geo.disk_patch((0, 0, 0), 1.0, order=8, n_angular=16)
     geo.shift_transversal(man, col, 0.1)
     geo.shell_integral(col, 0.1, lambda pts, sl, i: np.ones(len(pts)))
     geo.support_rule(region, ((0.0, 0.0, 0.5), 0.2))

@@ -4,19 +4,20 @@ import pytest
 from curlflux import fields as flds
 from curlflux import geometry as geo
 from curlflux import selection as sel
+from curlflux import traces as trc
 from curlflux.quadrature import gauss_legendre
 
 
 def test_line_vortex_transversal_maximal(line_vortex, unit_cylinder, cylinder_collar):
     # shells around shifted disks always contain an axis segment of length 2 eps
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     scan = sel.maximal_transversal(line_vortex.curl, man, cylinder_collar,
                                    t_grid=[0.1, 0.25, 0.4])
     assert np.abs(np.asarray(scan.values) - 2.0).max() < 1e-10
 
 
 def test_one_sided_below_two_sided(line_vortex, cylinder_collar):
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     t_grid = [0.1, 0.25, 0.4]
     two = sel.maximal_transversal(line_vortex.curl, man, cylinder_collar, t_grid)
     plus = sel.maximal_transversal(line_vortex.curl, man, cylinder_collar, t_grid,
@@ -27,13 +28,13 @@ def test_one_sided_below_two_sided(line_vortex, cylinder_collar):
         assert a <= c + 1e-12 and b <= c + 1e-12
 
 
-def test_unknown_maximal_variant_rejected(line_vortex, cylinder_collar, unit_disk_manifold,
+def test_unknown_maximal_variant_rejected(line_vortex, cylinder_collar, unit_disk,
                                           unit_disk_collar):
     with pytest.raises(ValueError, match="unknown maximal variant"):
-        sel.maximal_transversal(line_vortex.curl, unit_disk_manifold, cylinder_collar,
+        sel.maximal_transversal(line_vortex.curl, unit_disk, cylinder_collar,
                                 [0.1], variant="plus_minus")
     with pytest.raises(ValueError, match="unknown maximal variant"):
-        sel.maximal_tangential(line_vortex.vector_field.eval, unit_disk_manifold,
+        sel.maximal_tangential(line_vortex.vector_field.eval, unit_disk,
                                unit_disk_collar, [0.1], variant="two-sided")
 
 
@@ -42,7 +43,7 @@ def test_line_slab_mass_refused_on_a_curved_slide(line_vortex):
     # slab solve does not apply: midpoint depth 1 against the end mean -7
     ball = geo.ball_region(order=8, n_angular=16)
     col = geo.build_transversal_collar(ball)
-    sphere = geo.closed_sphere_manifold((0, 0, 0), 1.0)
+    sphere = geo.sphere_patch((0, 0, 0), 1.0)
     with pytest.raises(geo.GeometryError, match="affine"):
         sel.maximal_transversal(line_vortex.curl, sphere, col, [0.1])
 
@@ -53,18 +54,18 @@ def test_concentrated_sheet_flagged(cylinder_collar):
         lambda pts: np.broadcast_to(np.array([0.0, 1.0, 0.0]),
                                     (np.atleast_2d(pts).shape[0], 3)).copy())
     mu = flds.CurlMeasure(sheet_parts=(sheet,))
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     scan = sel.maximal_transversal(mu, man, cylinder_collar, t_grid=[0.1, 0.25, 0.4])
     assert np.isinf(scan.values[1])
     assert np.isfinite(scan.values[0]) and np.isfinite(scan.values[2])
     # layer vanishing: finite maximal value means zero single-layer mass
-    slide = cylinder_collar.slide_for(man.patch)
+    slide = cylinder_collar.slide_for(man)
     assert sel.single_layer_mass(sel.SlideMeasure(mu, slide), 0.1) == 0.0
     assert sel.single_layer_mass(sel.SlideMeasure(mu, slide), 0.25) > 3.0
 
 
 def test_zero_measure_scan(cylinder_collar):
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     scan = sel.maximal_transversal(flds.ZERO_MEASURE, man, cylinder_collar,
                                    t_grid=[0.1, 0.3])
     assert max(scan.values) == 0.0
@@ -72,19 +73,19 @@ def test_zero_measure_scan(cylinder_collar):
     assert rep.complement_measure == 0.0 and rep.holds
 
 
-def test_tangential_maximal_uniform_density(unit_disk_manifold, unit_disk_collar):
+def test_tangential_maximal_uniform_density(unit_disk, unit_disk_collar):
     ind = lambda pts: ((np.hypot(pts[:, 0], pts[:, 1]) < 1.0).astype(float)[:, None]
                        * np.array([1.0, 0.0, 0.0]))
     t_grid = [0.1, 0.2, 0.3]
-    scan = sel.maximal_tangential(ind, unit_disk_manifold, unit_disk_collar, t_grid)
+    scan = sel.maximal_tangential(ind, unit_disk, unit_disk_collar, t_grid)
     for t, v in zip(scan.t_grid, scan.values):
         assert abs(v - 4 * np.pi * (1 - t)) < 2e-2 * 4 * np.pi
 
 
-def test_annuli_trace_finite_maximal(annuli, unit_disk_manifold, unit_disk_collar):
+def test_annuli_trace_finite_maximal(annuli, unit_disk, unit_disk_collar):
     # bounded data has finite layer maximal values even where the localizer
     # limit fails: the scan is necessary, not sufficient
-    scan = sel.maximal_tangential(annuli.trace_z_plane, unit_disk_manifold,
+    scan = sel.maximal_tangential(annuli.trace_z_plane, unit_disk,
                                   unit_disk_collar, t_grid=[0.0, 0.1, 0.25],
                                   breaks=[2.0 ** -k for k in range(1, 12)])
     assert np.all(np.isfinite(scan.values))
@@ -92,7 +93,7 @@ def test_annuli_trace_finite_maximal(annuli, unit_disk_manifold, unit_disk_colla
 
 
 def test_weak11_line_vortex(line_vortex, cylinder_collar):
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     scan = sel.maximal_transversal(line_vortex.curl, man, cylinder_collar,
                                    t_grid=np.linspace(0.05, 0.45, 9))
     rep = sel.good_set_scan(scan, 3.0)
@@ -101,7 +102,7 @@ def test_weak11_line_vortex(line_vortex, cylinder_collar):
 
 
 def test_weak11_all_catalog(line_vortex, rigid_rotation, newtonian, cylinder_collar):
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     t_grid = np.linspace(0.02, 0.48, 24)
     for entry in (line_vortex, rigid_rotation, newtonian):
         scan = sel.maximal_transversal(entry.curl, man, cylinder_collar, t_grid)
@@ -116,15 +117,37 @@ def test_box_face_scans_place_line_and_sheet_parts(line_vortex):
     box = geo.box_region(order=6)
     col = geo.build_transversal_collar(box)
     bottom = next(p for p in box.boundary if np.array_equal(p.frame[2], [0.0, 0.0, 1.0]))
-    man = geo.BoundaryManifold(bottom, geo.empty_curve(), np.zeros((1, 3)), np.zeros((1, 3)))
     t_grid = [0.1, 0.25, 0.4]
-    scan = sel.maximal_transversal(line_vortex.curl, man, col, t_grid)
+    scan = sel.maximal_transversal(line_vortex.curl, bottom, col, t_grid)
     assert np.abs(np.asarray(scan.values) - 2.0).max() < 1e-10
     sheet = flds.SheetPart(geo.rectangle_patch((-1.0, -1.0, -0.75), (1, 0, 0), (0, 1, 0), 2.0, 2.0),
                            lambda pts: np.tile([0.0, 1.0, 0.0], (len(np.atleast_2d(pts)), 1)))
-    scan = sel.maximal_transversal(flds.CurlMeasure(sheet_parts=(sheet,)), man, col, t_grid)
+    scan = sel.maximal_transversal(flds.CurlMeasure(sheet_parts=(sheet,)), bottom, col, t_grid)
     assert scan.values[1] == np.inf
     assert np.all(np.isfinite([scan.values[0], scan.values[2]]))
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "half_ball"])
+def test_a_region_face_gives_the_floats_of_the_disk_built_at_its_centre(kind, line_vortex,
+                                                                          rigid_rotation):
+    # a surface is its patch: the face a region holds and the disk the
+    # benchmark builds at that face's centre read the same slide and rules
+    center, radius = (0.1, -0.2, 0.05), 0.8
+    region = (geo.cylinder_region(center, radius, 0.0, radius) if kind == "cylinder"
+              else geo.half_ball_region(center, radius))
+    face = region.boundary[0]
+    disk = geo.disk_manifold(face.origin, radius)
+    col = geo.build_transversal_collar(region)
+    for mu in (line_vortex.curl, rigid_rotation.curl):
+        got, want = (sel.maximal_transversal(mu, p, col, [0.1, 0.25]) for p in (face, disk))
+        assert got.values == want.values and got.collar_mass == want.collar_mass
+    t_grid = [2.0 ** -k for k in range(2, 8)]
+    got, want = (trc.estimate_trace_layerwise(rigid_rotation.vector_field, p, col, t_grid)
+                 for p in (face, disk))
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.converged, want.converged)
+    got, want = (geo.shift_transversal(p, col, 0.1) for p in (face, disk))
+    assert np.array_equal(got.nodes, want.nodes) and np.array_equal(got.weights, want.weights)
 
 
 def _per_layer_slab_mass(density, slide, lo, hi):
@@ -200,6 +223,6 @@ def test_a_window_evaluates_whole_layers_within_the_budget(face):
 def test_a_scan_builds_no_volume_rule(line_vortex):
     region = geo.cylinder_region(order=8, n_angular=16)
     col = geo.build_transversal_collar(region)
-    sel.maximal_transversal(line_vortex.curl, geo.disk_manifold((0, 0, 0), 1.0), col, [0.1])
+    sel.maximal_transversal(line_vortex.curl, geo.disk_patch((0, 0, 0), 1.0), col, [0.1])
     assert "_volume" not in vars(region)
 

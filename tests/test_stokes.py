@@ -16,6 +16,8 @@ from curlflux.testfns import (
     trig_scalar,
 )
 
+from conftest import rim
+
 
 def closed_form_ramp_value(j: int) -> float:
     return np.pi * (-1.0) ** (j + 1) * (2.0 / 3.0 - 0.6 * 2.0 ** (-j))
@@ -27,7 +29,7 @@ def closed_form_ramp_value(j: int) -> float:
 
 
 def test_tangential_route_evaluates_its_widths_in_blocks_of_whole_layers(
-        rigid_rotation, unit_disk_manifold, unit_disk_collar):
+        rigid_rotation, unit_disk, unit_disk_collar):
     # the 11 widths' segments of 10 layers share one batch: after an empty
     # family that gives the layer node count, blocks of as many whole
     # 96-node layers as fit in BLOCK_POINTS points, 52 of 4992 points each
@@ -38,7 +40,7 @@ def test_tangential_route_evaluates_its_widths_in_blocks_of_whole_layers(
         return unit_disk_collar.layer(s)
 
     collar = dataclasses.replace(unit_disk_collar, layer=layer)
-    res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk_manifold, collar, 0.0)
+    res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk, collar, 0.0)
     assert res.converged
     per_block = geo.BLOCK_POINTS // geo.DEFAULT_ANGULAR
     n_layers = 10 * len(stk.DELTA_J_RANGE)
@@ -49,7 +51,7 @@ def test_tangential_route_evaluates_its_widths_in_blocks_of_whole_layers(
 
 @pytest.mark.parametrize("t", [0.0, 0.1])
 def test_every_ramp_integrand_call_gets_whole_layers_within_the_budget(
-        annuli, unit_disk_manifold, unit_disk_collar, t):
+        annuli, unit_disk, unit_disk_collar, t):
     # the annuli's breaks split the bands into many segments of 10 layers of
     # 96 nodes; every field call takes whole layers, at most BLOCK_POINTS points
     sizes = []
@@ -58,7 +60,7 @@ def test_every_ramp_integrand_call_gets_whole_layers_within_the_budget(
         sizes.append(len(p))
         return annuli.trace_z_plane(p)
 
-    stk.stokes_tangential(trace, unit_disk_manifold, unit_disk_collar, t,
+    stk.stokes_tangential(trace, unit_disk, unit_disk_collar, t,
                           breaks_radii=annuli.trace_breaks_radii)
     layer = geo.DEFAULT_ANGULAR
     assert all(k % layer == 0 and k <= geo.BLOCK_POINTS for k in sizes)
@@ -68,7 +70,7 @@ def test_every_ramp_integrand_call_gets_whole_layers_within_the_budget(
 
 
 def test_density_windows_evaluate_each_radius_in_one_block(rigid_rotation,
-                                                           unit_disk_manifold,
+                                                           unit_disk,
                                                            unit_disk_collar):
     # nine widths of 8 layers on 48-node arcs: 3456 points, one field call
     sizes = []
@@ -77,25 +79,25 @@ def test_density_windows_evaluate_each_radius_in_one_block(rigid_rotation,
         sizes.append(len(p))
         return rigid_rotation.trace_z_plane(p)
 
-    stk.stokes_density(trace, unit_disk_manifold, unit_disk_collar, 0.0,
+    stk.stokes_density(trace, unit_disk, unit_disk_collar, 0.0,
                        np.array([1.0, 0.0, 0.0]), [0.2, 0.1])
     assert sizes == [9 * 8 * 48] * 2
 
 
 @pytest.mark.parametrize("route", ["tangential", "mass"])
 def test_boundary_routes_build_no_disk_patch(rigid_rotation, route):
-    # the tangential and mass routes read the boundary circle and the patch
-    # fields of their manifold, never the 2-D node set of its disk
-    man = geo.disk_manifold((0.1, -0.2, 0.3), 0.7)
+    # the tangential and mass routes read the origin, scale and frame of
+    # their disk, never its 2-D node set
+    man = geo.disk_patch((0.1, -0.2, 0.3), 0.7)
     col = geo.build_tangential_collar(man)
     if route == "tangential":
         assert stk.stokes_tangential(rigid_rotation.trace_z_plane, man, col, 0.1).converged
     else:
         stk.boundary_pairing_mass(rigid_rotation.trace_z_plane, man, col, 0.1)
-    assert not {"nodes", "normals", "weights"} & set(vars(man.patch))
+    assert not {"nodes", "normals", "weights"} & set(vars(man))
 
 
-def test_tangential_route_evaluates_each_band_segment_once(annuli, unit_disk_manifold,
+def test_tangential_route_evaluates_each_band_segment_once(annuli, unit_disk,
                                                           unit_disk_collar):
     # at t = 0 every width 2^-j is an alternation break, so each band is a
     # prefix of the widest one: 39 segments of 10 layers of 96 nodes
@@ -105,27 +107,26 @@ def test_tangential_route_evaluates_each_band_segment_once(annuli, unit_disk_man
         points.append(len(p))
         return annuli.trace_z_plane(p)
 
-    stk.stokes_tangential(trace, unit_disk_manifold, unit_disk_collar, 0.0,
+    stk.stokes_tangential(trace, unit_disk, unit_disk_collar, 0.0,
                           breaks_radii=annuli.trace_breaks_radii)
     assert sum(points) <= 40_000  # 39 * 10 * 96 = 37 440; 359 040 with a table per width
 
 
-def test_rigid_rotation_flux(rigid_rotation, unit_disk_manifold, unit_disk_collar):
-    res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk_manifold,
+def test_rigid_rotation_flux(rigid_rotation, unit_disk, unit_disk_collar):
+    res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk,
                                 unit_disk_collar, 0.0)
     assert res.converged
     assert abs(res.extrapolated - 2.0 * np.pi) < 1e-10
     # classical circulation identity under the fixed orientation
-    boundary = unit_disk_manifold.boundary
+    boundary, _, tangents = rim(unit_disk)
     circ = float(np.sum(
         boundary.weights
-        * np.einsum("ij,ij->i", rigid_rotation.vector_field.eval(boundary.nodes),
-                    unit_disk_manifold.tangents)))
+        * np.einsum("ij,ij->i", rigid_rotation.vector_field.eval(boundary.nodes), tangents)))
     assert abs(res.extrapolated + circ) < 1e-10
 
 
-def test_annuli_closed_form(annuli, unit_disk_manifold, unit_disk_collar):
-    res = stk.stokes_tangential(annuli.trace_z_plane, unit_disk_manifold,
+def test_annuli_closed_form(annuli, unit_disk, unit_disk_collar):
+    res = stk.stokes_tangential(annuli.trace_z_plane, unit_disk,
                                 unit_disk_collar, 0.0, j_range=range(1, 11),
                                 breaks_radii=annuli.trace_breaks_radii)
     for j, v in enumerate(res.delta_values, start=1):
@@ -134,9 +135,9 @@ def test_annuli_closed_form(annuli, unit_disk_manifold, unit_disk_collar):
     assert res.t_osc >= 4.0 * np.pi / 3.0 - 0.1
 
 
-def test_annuli_oscillation_detector(annuli, unit_disk_manifold, unit_disk_collar):
+def test_annuli_oscillation_detector(annuli, unit_disk, unit_disk_collar):
     # consecutive ramp values differ by pi (4/3 - 0.9 2^-j)
-    res = stk.stokes_tangential(annuli.trace_z_plane, unit_disk_manifold,
+    res = stk.stokes_tangential(annuli.trace_z_plane, unit_disk,
                                 unit_disk_collar, 0.0, j_range=range(1, 13),
                                 breaks_radii=annuli.trace_breaks_radii)
     vals = res.delta_values
@@ -145,41 +146,41 @@ def test_annuli_oscillation_detector(annuli, unit_disk_manifold, unit_disk_colla
         assert gap >= 4.0 * np.pi / 3.0 - 0.1
 
 
-def test_annuli_converges_off_resonance(annuli, unit_disk_manifold, unit_disk_collar):
-    res = stk.stokes_tangential(annuli.trace_z_plane, unit_disk_manifold,
+def test_annuli_converges_off_resonance(annuli, unit_disk, unit_disk_collar):
+    res = stk.stokes_tangential(annuli.trace_z_plane, unit_disk,
                                 unit_disk_collar, 0.3,
                                 breaks_radii=annuli.trace_breaks_radii)
     assert res.converged
     assert abs(res.extrapolated + 2.0 * np.pi * 0.7) < 1e-8
 
 
-def test_support_property(rigid_rotation, unit_disk_manifold, unit_disk_collar):
+def test_support_property(rigid_rotation, unit_disk, unit_disk_collar):
     # test function supported away from the shrunk boundary circle: exact zero
     # once the ramp width drops below the separation
     bump = radial_bump((0.0, 0.0, 0.0), 0.3)
-    res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk_manifold,
+    res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk,
                                 unit_disk_collar, 0.0, testfn=bump,
                                 j_range=range(4, 10))
     assert max(abs(v) for v in res.delta_values) == 0.0
 
 
 def test_line_vortex_tangential_flux(line_vortex):
-    man = geo.disk_manifold((0, 0, 0.5), 0.5)
+    man = geo.disk_patch((0, 0, 0.5), 0.5)
     col = geo.build_tangential_collar(man)
     res = stk.stokes_tangential(line_vortex.trace_z_plane, man, col, 0.0)
     assert res.converged
     assert abs(res.extrapolated - 1.0) < 1e-10
 
 
-def test_constant_field_zero_flux(unit_disk_manifold, unit_disk_collar):
+def test_constant_field_zero_flux(unit_disk, unit_disk_collar):
     cst = flds.constant_field((0.3, -0.2, 0.7))
     trace = lambda pts: np.cross(cst.eval(pts), np.array([0.0, 0.0, 1.0]))
-    res = stk.stokes_tangential(trace, unit_disk_manifold, unit_disk_collar, 0.0)
+    res = stk.stokes_tangential(trace, unit_disk, unit_disk_collar, 0.0)
     assert res.converged and abs(res.extrapolated) < 1e-10
 
 
 def test_newtonian_zero_flux_away_from_singularity(newtonian):
-    man = geo.disk_manifold((0, 0, 0.5), 0.4)
+    man = geo.disk_patch((0, 0, 0.5), 0.4)
     col = geo.build_tangential_collar(man)
     res = stk.stokes_tangential(newtonian.trace_z_plane, man, col, 0.0)
     assert res.converged and abs(res.extrapolated) < 1e-10
@@ -201,11 +202,11 @@ UNIT_CASES = ("rigid_rotation", "annuli@0.3", "annuli@0", "zero_flux")
 
 
 @pytest.fixture(scope="module")
-def unit_references(unit_disk_manifold, unit_disk_collar):
+def unit_references(unit_disk, unit_disk_collar):
     out = {}
     for name in UNIT_CASES:
         trace, breaks, t = _unit_case(name)
-        out[name] = stk.stokes_tangential(trace, unit_disk_manifold, unit_disk_collar, t,
+        out[name] = stk.stokes_tangential(trace, unit_disk, unit_disk_collar, t,
                                           breaks_radii=breaks)
     return out
 
@@ -222,13 +223,13 @@ def test_unit_references_read_the_closed_forms(unit_references):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(UNIT_CASES), st.integers(-9, 9))
-def test_verdict_and_flux_do_not_depend_on_units(unit_references, unit_disk_manifold,
+def test_verdict_and_flux_do_not_depend_on_units(unit_references, unit_disk,
                                                  unit_disk_collar, name, k):
     # the judge's scale is an integral of |trace| on the ramp bands, so it
     # scales with the field; the verdict must not see the factor 10^k
     trace, breaks, t = _unit_case(name)
     ref = unit_references[name]
-    res = stk.stokes_tangential(lambda x: 10.0 ** k * trace(x), unit_disk_manifold,
+    res = stk.stokes_tangential(lambda x: 10.0 ** k * trace(x), unit_disk,
                                 unit_disk_collar, t, breaks_radii=breaks)
     assert res.converged == ref.converged
     assert abs(res.gap) / res.scale == pytest.approx(abs(ref.gap) / ref.scale,
@@ -236,13 +237,13 @@ def test_verdict_and_flux_do_not_depend_on_units(unit_references, unit_disk_mani
     if ref.converged:
         assert abs(res.extrapolated / 10.0 ** k - ref.extrapolated) <= 1e-12 * ref.scale
         pairing, mass, _ = stk.boundary_pairing_mass(
-            lambda x: 10.0 ** k * trace(x), unit_disk_manifold, unit_disk_collar, t,
+            lambda x: 10.0 ** k * trace(x), unit_disk, unit_disk_collar, t,
             breaks_radii=breaks)
         assert mass == res.extrapolated and pairing == -mass
     else:
         assert res.extrapolated is None
         with pytest.raises(stk.StokesRefusal):
-            stk.boundary_pairing_mass(lambda x: 10.0 ** k * trace(x), unit_disk_manifold,
+            stk.boundary_pairing_mass(lambda x: 10.0 ** k * trace(x), unit_disk,
                                       unit_disk_collar, t, breaks_radii=breaks)
 
 
@@ -251,32 +252,32 @@ def test_verdict_and_flux_do_not_depend_on_units(unit_references, unit_disk_mani
 # ---------------------------------------------------------------------------
 
 
-def test_density_rigid_rotation_centered(rigid_rotation, unit_disk_manifold,
+def test_density_rigid_rotation_centered(rigid_rotation, unit_disk,
                                          unit_disk_collar):
     x0 = np.array([1.0, 0.0, 0.0])
-    dens = stk.stokes_density(rigid_rotation.trace_z_plane, unit_disk_manifold,
+    dens = stk.stokes_density(rigid_rotation.trace_z_plane, unit_disk,
                               unit_disk_collar, 0.0, x0,
                               [2.0 ** -k for k in range(3, 9)])
     assert dens.converged
     assert abs(dens.limit - 1.0) < 1e-2
 
 
-def test_density_constant_field_cases(unit_disk_manifold, unit_disk_collar):
+def test_density_constant_field_cases(unit_disk, unit_disk_collar):
     # node 24 of the 96-node boundary rule sits at angle pi / 2
-    x0 = unit_disk_manifold.boundary.nodes[24]
-    tau = unit_disk_manifold.tangents[24]
+    boundary, _, tangents = rim(unit_disk)
+    x0, tau = boundary.nodes[24], tangents[24]
     r_grid = [2.0 ** -k for k in range(3, 8)]
     # constant field parallel to the tangent: density = -|F|
     cst = flds.constant_field(tau)
     trace = lambda pts: np.cross(cst.eval(pts), np.array([0.0, 0.0, 1.0]))
-    dens = stk.stokes_density(trace, unit_disk_manifold, unit_disk_collar, 0.0,
+    dens = stk.stokes_density(trace, unit_disk, unit_disk_collar, 0.0,
                               x0, r_grid)
     assert abs(dens.limit + 1.0) < 1e-2
     # constant field orthogonal to the tangent: density = 0
     nrm = np.cross(np.array([0.0, 0.0, 1.0]), tau)
     cst2 = flds.constant_field(nrm)
     trace2 = lambda pts: np.cross(cst2.eval(pts), np.array([0.0, 0.0, 1.0]))
-    dens2 = stk.stokes_density(trace2, unit_disk_manifold, unit_disk_collar, 0.0,
+    dens2 = stk.stokes_density(trace2, unit_disk, unit_disk_collar, 0.0,
                                x0, r_grid)
     assert abs(dens2.limit) < 1e-2
 
@@ -286,14 +287,14 @@ def test_density_constant_field_cases(unit_disk_manifold, unit_disk_collar):
 # ---------------------------------------------------------------------------
 
 
-def test_manifold_div_radial_dirac(unit_disk_manifold):
+def test_manifold_div_radial_dirac(unit_disk):
     def radial(pts):
         pts = np.atleast_2d(pts)
         rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
         out = np.stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1)
         return out / (2.0 * np.pi * np.where(rho2 == 0, 1.0, rho2)[:, None])
 
-    dm = stk.manifold_div_measure(radial, unit_disk_manifold,
+    dm = stk.manifold_div_measure(radial, unit_disk,
                                   singular_points=[(0.0, 0.0, 0.0)])
     assert abs(dm.atoms[0][1] - 1.0) < 1e-10
     bump = radial_bump((0.05, 0.0, 0.0), 0.3)
@@ -301,21 +302,21 @@ def test_manifold_div_radial_dirac(unit_disk_manifold):
     assert abs(dm.action(bump.value) - bump.value(np.zeros((1, 3)))[0]) < 1e-6
 
 
-def test_manifold_div_rotation_free(unit_disk_manifold):
+def test_manifold_div_rotation_free(unit_disk):
     def rot(pts):
         pts = np.atleast_2d(pts)
         return np.stack([-pts[:, 1], pts[:, 0], np.zeros(len(pts))], axis=1)
 
-    dm = stk.manifold_div_measure(rot, unit_disk_manifold)
+    dm = stk.manifold_div_measure(rot, unit_disk)
     bump = radial_bump((0.1, 0.1, 0.0), 0.4)
     assert abs(dm.action(bump.value)) < 1e-8
 
 
-def test_manifold_div_rejects_non_tangential(unit_disk_manifold):
+def test_manifold_div_rejects_non_tangential(unit_disk):
     tilt = lambda pts: np.broadcast_to(np.array([0.0, 0.2, 1.0]),
                                        (np.atleast_2d(pts).shape[0], 3)).copy()
     with pytest.raises(stk.StokesRefusal):
-        stk.manifold_div_measure(tilt, unit_disk_manifold)
+        stk.manifold_div_measure(tilt, unit_disk)
 
 
 def _ring_testfn(r_k: float, width: float) -> ScalarTestFunction:
@@ -338,7 +339,7 @@ def _ring_testfn(r_k: float, width: float) -> ScalarTestFunction:
     return ScalarTestFunction(value, gradient)
 
 
-def test_annuli_divergence_mass_grows(annuli, unit_disk_manifold):
+def test_annuli_divergence_mass_grows(annuli, unit_disk):
     # radial alternating data: the dual divergence bound grows without bound
     # as the test dictionary resolves more jump circles
     def radial_data(pts):
@@ -349,7 +350,7 @@ def test_annuli_divergence_mass_grows(annuli, unit_disk_manifold):
         return -(eta / safe)[:, None] * np.stack(
             [pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1)
 
-    dm = stk.manifold_div_measure(radial_data, unit_disk_manifold)
+    dm = stk.manifold_div_measure(radial_data, unit_disk)
     masses = []
     for levels in (2, 4, 6):
         dictionary = [
@@ -362,24 +363,23 @@ def test_annuli_divergence_mass_grows(annuli, unit_disk_manifold):
     assert masses[2] > 2.0 * 2.0 * np.pi * (1 - 2.0 ** -6) * 0.5
 
 
-def test_gauss_green_manifold_smooth(unit_disk_manifold, cylinder_collar):
+def test_gauss_green_manifold_smooth(unit_disk, cylinder_collar):
     # smooth tangential field: the transversal route's <div v, 1> on the
     # shifted disk equals the outward conormal flux through its rim
     def v(pts):
         pts = np.atleast_2d(pts)
         return np.stack([pts[:, 0] ** 2, pts[:, 1], np.zeros(len(pts))], axis=1)
 
-    out = stk.stokes_transversal(v, unit_disk_manifold, cylinder_collar, 0.25)
-    shifted = out["manifold"]
-    pts = shifted.boundary.nodes
-    # the stored conormals point inward
-    oracle = -float(np.sum(shifted.boundary.weights
-                           * np.einsum("ij,ij->i", v(pts), shifted.conormals)))
+    out = stk.stokes_transversal(v, unit_disk, cylinder_collar, 0.25)
+    boundary, conormals, _ = rim(out["patch"])
+    # the conormals point inward
+    oracle = -float(np.sum(boundary.weights
+                           * np.einsum("ij,ij->i", v(boundary.nodes), conormals)))
     assert abs(out["flux"] - oracle) < 1e-5
 
 
 def test_transversal_route_line_vortex(line_vortex, cylinder_collar):
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     for t in (0.15, 0.35):
         out = stk.stokes_transversal(line_vortex.trace_z_plane, man,
                                      cylinder_collar, t,
@@ -388,7 +388,7 @@ def test_transversal_route_line_vortex(line_vortex, cylinder_collar):
 
 
 def test_transversal_route_rigid_rotation(rigid_rotation, cylinder_collar):
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     out = stk.stokes_transversal(rigid_rotation.trace_z_plane, man,
                                  cylinder_collar, 0.25)
     assert abs(out["flux"] - 2.0 * np.pi) < 1e-6
@@ -400,7 +400,7 @@ def test_transversal_refuses_concentration(cylinder_collar):
         lambda pts: np.broadcast_to(np.array([0.0, 1.0, 0.0]),
                                     (np.atleast_2d(pts).shape[0], 3)).copy())
     mu = flds.CurlMeasure(sheet_parts=(sheet,))
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     scan = sel.maximal_transversal(mu, man, cylinder_collar, t_grid=[0.25])
     with pytest.raises(stk.StokesRefusal):
         stk.stokes_transversal(lambda pts: np.zeros_like(np.atleast_2d(pts)),
@@ -411,7 +411,7 @@ def test_transversal_refuses_concentration(cylinder_collar):
 def test_div_mass_bounded_by_maximal(line_vortex, rigid_rotation, cylinder_collar):
     # one fitted constant bounds the surface divergence mass by the one-sided
     # transversal maximal value across the catalog
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     ratios = []
     for entry, sing in ((line_vortex, True), (rigid_rotation, False)):
         for t in (0.2, 0.3):
@@ -429,15 +429,15 @@ def test_div_mass_bounded_by_maximal(line_vortex, rigid_rotation, cylinder_colla
 # ---------------------------------------------------------------------------
 
 
-def test_boundary_pairing_radial_mass(line_vortex, unit_disk_manifold,
+def test_boundary_pairing_radial_mass(line_vortex, unit_disk,
                                       unit_disk_collar):
     for t in (0.25, 0.5):
         pairing, mass, diag = stk.boundary_pairing_mass(
-            line_vortex.trace_z_plane, unit_disk_manifold, unit_disk_collar, t)
+            line_vortex.trace_z_plane, unit_disk, unit_disk_collar, t)
         assert abs(mass - 1.0) < 1e-10
 
 
-def test_boundary_pairing_smooth_matches_line_quadrature(unit_disk_manifold,
+def test_boundary_pairing_smooth_matches_line_quadrature(unit_disk,
                                                          unit_disk_collar):
     def G(pts):
         pts = np.atleast_2d(pts)
@@ -446,7 +446,7 @@ def test_boundary_pairing_smooth_matches_line_quadrature(unit_disk_manifold,
 
     phi = trig_scalar(np.array([1.0, 0.5, 0.0]))
     t = 0.2
-    pairing, mass, _ = stk.boundary_pairing_mass(G, unit_disk_manifold,
+    pairing, mass, _ = stk.boundary_pairing_mass(G, unit_disk,
                                                  unit_disk_collar, t, testfn=phi)
     layer = unit_disk_collar.layer(t)
     pts = layer.nodes
@@ -457,14 +457,14 @@ def test_boundary_pairing_smooth_matches_line_quadrature(unit_disk_manifold,
     assert abs(pairing - oracle) < 1e-4
 
 
-def test_boundary_pairing_zero(unit_disk_manifold, unit_disk_collar):
+def test_boundary_pairing_zero(unit_disk, unit_disk_collar):
     zero = lambda pts: np.zeros_like(np.atleast_2d(pts))
-    pairing, mass, _ = stk.boundary_pairing_mass(zero, unit_disk_manifold,
+    pairing, mass, _ = stk.boundary_pairing_mass(zero, unit_disk,
                                                  unit_disk_collar, 0.2)
     assert pairing == 0.0 and mass == 0.0
 
 
-def test_mass_representative_independence(line_vortex, unit_disk_manifold,
+def test_mass_representative_independence(line_vortex, unit_disk,
                                           unit_disk_collar):
     # representatives that differ by a divergence-free field have one mass
     G1 = line_vortex.trace_z_plane
@@ -486,8 +486,8 @@ def test_mass_representative_independence(line_vortex, unit_disk_manifold,
     for extra in (azimuthal, harmonic_rotated):
         G2 = lambda pts, e=extra: G1(pts) + e(pts)
         for t in (0.1, 0.2, 0.3, 0.4, 0.45):
-            _, m1, _ = stk.boundary_pairing_mass(G1, unit_disk_manifold, unit_disk_collar, t)
-            _, m2, _ = stk.boundary_pairing_mass(G2, unit_disk_manifold, unit_disk_collar, t)
+            _, m1, _ = stk.boundary_pairing_mass(G1, unit_disk, unit_disk_collar, t)
+            _, m2, _ = stk.boundary_pairing_mass(G2, unit_disk, unit_disk_collar, t)
             assert abs(m1 - m2) < 1e-6
 
 
@@ -530,17 +530,17 @@ def test_normal_trace_zero_measure(half_ball):
 
 
 def test_three_route_equality_line_vortex(line_vortex, cylinder_collar,
-                                          unit_disk_manifold, unit_disk_collar):
+                                          unit_disk, unit_disk_collar):
     t = 0.25
-    man_t = geo.disk_manifold((0, 0, 0.5), 0.5)
+    man_t = geo.disk_patch((0, 0, 0.5), 0.5)
     col_t = geo.build_tangential_collar(man_t)
     res = stk.stokes_tangential(line_vortex.trace_z_plane, man_t, col_t, t)
     tangential = res.extrapolated
     transversal = stk.stokes_transversal(line_vortex.trace_z_plane,
-                                         unit_disk_manifold, cylinder_collar, t,
+                                         unit_disk, cylinder_collar, t,
                                          singular_points=[(0, 0, t)])["flux"]
     _, mass, _ = stk.boundary_pairing_mass(line_vortex.trace_z_plane,
-                                           unit_disk_manifold, unit_disk_collar, t)
+                                           unit_disk, unit_disk_collar, t)
     assert abs(tangential - 1.0) < 1e-3
     assert abs(transversal - 1.0) < 1e-3
     assert abs(mass - 1.0) < 1e-3

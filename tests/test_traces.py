@@ -127,7 +127,7 @@ def test_vector_pairing_line_vortex_face_oracle(line_vortex):
 def test_layerwise_smooth_sphere(rigid_rotation):
     ball = geo.ball_region(order=16, n_angular=48)
     tcol = geo.build_transversal_collar(ball)
-    man = geo.closed_sphere_manifold((0, 0, 0), 1.0, order=16, n_angular=48)
+    man = geo.sphere_patch((0, 0, 0), 1.0, order=16, n_angular=48)
     tt = trc.estimate_trace_layerwise(rigid_rotation.vector_field, man, tcol,
                                       [2.0 ** -k for k in range(2, 10)])
     nu = -tt.points / np.linalg.norm(tt.points, axis=1, keepdims=True)
@@ -142,7 +142,7 @@ def test_layerwise_glued_constants(unit_cylinder, cylinder_collar):
     pw, _ = flds.make_vortex_sheet(flds.constant_field((1, 0, 0)),
                                    flds.constant_field((0, 0, 0)), interface)
     fld = flds.VectorField(pw.eval)
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     t_grid = [2.0 ** -k for k in range(2, 8)]
     inner = trc.estimate_trace_layerwise(fld, man, cylinder_collar, t_grid, "interior")
     assert np.abs(inner.values - np.array([0.0, -1.0, 0.0])).max() < 1e-12
@@ -153,18 +153,18 @@ def test_layerwise_glued_constants(unit_cylinder, cylinder_collar):
 def test_layerwise_lipschitz_gradient_two_sided(unit_cylinder, cylinder_collar):
     # gradient of a Lipschitz potential: interior and exterior traces agree
     fld = flds.VectorField(lambda x: 2.0 * np.atleast_2d(x))
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     t_grid = [2.0 ** -k for k in range(2, 10)]
     inner = trc.estimate_trace_layerwise(fld, man, cylinder_collar, t_grid, "interior")
     outer = trc.estimate_trace_layerwise(fld, man, cylinder_collar, t_grid, "exterior")
     assert np.abs(inner.values - outer.values).max() < 1e-8
 
 
-def _layerwise_per_node_loop(fld, manifold, collar, t_grid, side):
+def _layerwise_per_node_loop(fld, patch, collar, t_grid, side):
     """Reference: shifted-layer values extrapolated by one Richardson call
     per node and component, judged per node against sup |F x nu|."""
-    slide = collar.slide_for(manifold.patch)
-    base = manifold.patch.nodes
+    slide = collar.slide_for(patch)
+    base = patch.nodes
     sign = 1.0 if side == "interior" else -1.0
     seq = []
     for t in t_grid:
@@ -189,12 +189,12 @@ def test_layerwise_equals_per_node_aitken_loop(shape, side):
     center, radius = (0.1, -0.2, 0.05), 0.8
     if shape == "ball_sphere":
         region = geo.ball_region(center, radius, order=12, n_angular=32)
-        man = geo.closed_sphere_manifold(center, radius, order=12, n_angular=32)
+        man = geo.sphere_patch(center, radius, order=12, n_angular=32)
     else:
         region = geo.half_ball_region(center, radius, order=12, n_angular=32)
-        man = (geo.disk_manifold(center, radius, order=12) if shape == "half_ball_disk"
-               else geo.spherical_cap_manifold(center, radius, np.pi / 2, order=12,
-                                               n_angular=32))
+        man = (geo.disk_patch(center, radius, order=12) if shape == "half_ball_disk"
+               else geo.spherical_cap_patch(center, radius, np.pi / 2, order=12,
+                                            n_angular=32))
     tcol = geo.build_transversal_collar(region)
     t_grid = [2.0 ** -k for k in range(2, 10)]
     fld = flds.catalog("plane_wave_em").vector_field
@@ -208,7 +208,7 @@ def test_layerwise_equals_per_node_aitken_loop(shape, side):
 def test_layerwise_with_fewer_than_five_layers_flags_every_node(n_layers, unit_cylinder,
                                                                 cylinder_collar):
     # the Richardson gap needs five shifts; with fewer no node is backed
-    man = geo.disk_manifold((0, 0, 0), 1.0)
+    man = geo.disk_patch((0, 0, 0), 1.0)
     fld = flds.catalog("rigid_rotation").vector_field
     tt = trc.estimate_trace_layerwise(fld, man, cylinder_collar,
                                       [2.0 ** -k for k in range(2, 2 + n_layers)], "interior")
