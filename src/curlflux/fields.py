@@ -19,6 +19,8 @@ from .geometry import (
     Curve,
     SolidRegion,
     SurfacePatch,
+    _cross_rows,
+    _norm,
     disk_patch,
     integrate,
 )
@@ -46,9 +48,9 @@ class SingularSet:
     def distance(self, x: Array) -> Array:
         x = np.atleast_2d(x)
         if self.kind == "point":
-            return np.linalg.norm(x, axis=1)
+            return _norm(x)
         if self.kind == "line":
-            return np.linalg.norm(x[:, :2], axis=1)
+            return _norm(x[:, :2])
         raise FieldError(f"unknown singular set kind {self.kind!r}")
 
 
@@ -75,7 +77,7 @@ class LinePart:
     density: Callable[[Array], Array]  # points on the line -> (n,3)
 
     def positions(self, s: Array) -> Array:
-        return self.point + np.outer(np.atleast_1d(s), self.direction)
+        return self.point + np.ravel(s)[:, None] * self.direction
 
     def segment(self, rule: QuadratureRule) -> Curve:
         """The segment as a node set at the parameters of `rule`; the
@@ -185,13 +187,13 @@ def catalog(name: str) -> CatalogEntry:
     if name == "newtonian":
         def ev(x):
             x = np.atleast_2d(x)
-            r3 = np.linalg.norm(x, axis=1) ** 3
+            r3 = _norm(x) ** 3
             return -x / (4.0 * np.pi * r3[:, None])
 
         def trace(pts):
             # F x e3 on a z-plane through the singular point's altitude
             pts = np.atleast_2d(pts)
-            r3 = np.linalg.norm(pts, axis=1) ** 3
+            r3 = _norm(pts) ** 3
             out = np.stack([pts[:, 1], -pts[:, 0], np.zeros(len(pts))], axis=1)
             return -out / (4.0 * np.pi * r3[:, None])
 
@@ -312,7 +314,7 @@ class PiecewiseField:
     def jump_density(self, pts: Array) -> Array:
         """Sheet density of the distributional curl: (tr_minus - tr_plus) x nu."""
         tp, tm = self.one_sided_traces(pts)
-        return np.cross(tm - tp, self.plane_normal)
+        return _cross_rows(tm - tp, self.plane_normal)
 
 
 def make_vortex_sheet(u_plus: VectorField, u_minus: VectorField,
@@ -320,7 +322,7 @@ def make_vortex_sheet(u_plus: VectorField, u_minus: VectorField,
     """Glue two one-sided fields; the curl gains a sheet part carrying the
     tangential jump of the traces."""
     n = interface.normals[0]
-    if np.max(np.linalg.norm(interface.normals - n, axis=1)) > 1e-12:
+    if np.max(_norm(interface.normals - n)) > 1e-12:
         raise FieldError("vortex sheet interface must be a flat patch")
     pw = PiecewiseField(interface, interface.nodes[0], n, u_plus, u_minus)
 
@@ -350,12 +352,12 @@ def gluing_total_variation(pw: PiecewiseField, region: SolidRegion) -> float:
         if fld.analytic_curl is None:
             continue
         def dens(x, fld=fld, sign=sign):
-            mags = np.linalg.norm(np.atleast_2d(fld.analytic_curl(x)), axis=1)
+            mags = _norm(np.atleast_2d(fld.analytic_curl(x)))
             side = pw.side(x)
             mask = side > 0 if sign > 0 else side < 0
             return mags * mask.astype(float)
         total += integrate(region, dens)
-    total += integrate(pw.interface, lambda pts: np.linalg.norm(pw.jump_density(pts), axis=1))
+    total += integrate(pw.interface, lambda pts: _norm(pw.jump_density(pts)))
     return float(total)
 
 

@@ -5,12 +5,15 @@ half-width grid of layer mass divided by half-width; the grid supremum is a
 lower bound of the true maximal function, which keeps the weak-(1,1) check
 one-sided valid. Concentration on a single layer is flagged as infinite.
 
-A transversal scan reads its measure through one slide (`SlideMeasure`).
-Each sheet part's slide depths and |density| at its nodes are computed once
-per scan; each window then only masks and sums them. A Lebesgue density is
-integrated over a window's slab by `geometry.slab_integral`, on eight Gauss
-layers that the one layered core, `geometry._band_lines`, evaluates in
-blocks of whole layers. Line parts are solved per window on their own rule.
+A transversal scan reads its measure through one slide (`SlideMeasure`)
+and evaluates all its windows, one per (t, half-width) and the collar's, in
+one `measure_slab_mass` call. The Lebesgue part is integrated over the
+windows' slabs by one `geometry.slab_integral` call: eight Gauss layers per
+window, which the one layered core, `geometry._band_lines`, evaluates in
+blocks of whole layers. Each line part is solved for every window at once,
+its windows' rules evaluated together in blocks. Each sheet part's slide
+depths and |density| at its nodes are computed once per scan; each window
+masks and sums them.
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ import numpy as np
 
 from .fields import CurlMeasure, LinePart
 from .geometry import (
+    BLOCK_POINTS,
     POSITION_TOL,
     GeometryError,
     PatchSlide,
     SurfacePatch,
     TangentialCollar,
     TransversalCollar,
+    _norm,
     band_mass,
-    integrate,
     slab_integral,
 )
 from .quadrature import gauss_legendre
@@ -84,16 +88,19 @@ class SlideMeasure:
     @cached_property
     def sheets(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         return tuple((sp.patch.weights, self.slide.slab_coordinate(sp.patch.nodes),
-                      np.linalg.norm(np.atleast_2d(sp.density(sp.patch.nodes)), axis=1))
+                      _norm(np.atleast_2d(sp.density(sp.patch.nodes))))
                      for sp in self.mu.sheet_parts)
 
 
-def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: float, hi: float) -> float:
-    """Mass of a straight line measure inside the slab lo < depth < hi.
+def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: np.ndarray,
+                    hi: np.ndarray) -> np.ndarray:
+    """Mass of a straight line measure inside each slab lo < depth < hi.
 
     The depth must be affine along the segment, as it is for planar slides;
-    the slab is then solved for exactly. A depth whose value at the
-    segment's midpoint is not the mean of its end values is refused.
+    every slab is then solved for exactly. A depth whose value at the
+    segment's midpoint is not the mean of its end values is refused. The
+    windows' 64-node rules are evaluated together, in blocks of whole rules
+    of at most `BLOCK_POINTS` points.
     """
     def depth(s):
         return slide.slab_coordinate(lp.positions(np.array([s])))[0]
@@ -106,15 +113,27 @@ def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: float, hi: float) -> fl
     if abs(b - a) < 1e-14:
         # segment parallel to the layers: zero unless it sits inside the slab,
         # in which case the mass concentrates and is handled by the caller
-        return float(dens_mag * (lp.hi - lp.lo)) if lo < a < hi else 0.0
+        return np.where((lo < a) & (a < hi), float(dens_mag * (lp.hi - lp.lo)), 0.0)
     # affine depth: invert exactly
-    s_of = lambda depth: lp.lo + (depth - a) * (lp.hi - lp.lo) / (b - a)
-    s0, s1 = sorted((s_of(lo), s_of(hi)))
-    s0, s1 = max(s0, lp.lo), min(s1, lp.hi)
-    if s1 <= s0:
-        return 0.0
-    return integrate(lp.segment(gauss_legendre(64, s0, s1)),
-                     lambda x: np.linalg.norm(np.atleast_2d(lp.density(x)), axis=1))
+    s_lo = lp.lo + (lo - a) * (lp.hi - lp.lo) / (b - a)
+    s_hi = lp.lo + (hi - a) * (lp.hi - lp.lo) / (b - a)
+    s0 = np.maximum(np.minimum(s_lo, s_hi), lp.lo)
+    s1 = np.minimum(np.maximum(s_lo, s_hi), lp.hi)
+    out = np.zeros(len(lo))
+    hit = np.flatnonzero(s1 > s0)
+    # each window's gauss_legendre(64, s0, s1), formed as that rule forms it
+    ref = gauss_legendre(64, -1.0, 1.0)
+    mid, half = 0.5 * (s0[hit] + s1[hit]), 0.5 * (s1[hit] - s0[hit])
+    nodes = mid[:, None] + half[:, None] * ref.nodes
+    weights = half[:, None] * ref.weights
+    step = BLOCK_POINTS // len(ref.nodes)
+    for k in range(0, len(hit), step):
+        mags = _norm(np.atleast_2d(lp.density(lp.positions(nodes[k:k + step]))))
+        if not np.all(np.isfinite(mags)):
+            raise GeometryError("non-finite integrand")
+        out[hit[k:k + step]] = np.sum(weights[k:k + step] * mags.reshape(-1, len(ref.nodes)),
+                                      axis=1)
+    return out
 
 
 def _sheet_mass(sheet, inside) -> float:
@@ -129,25 +148,29 @@ def _sheet_layer_mass(sheet, t: float) -> float:
     return _sheet_mass(sheet, lambda depth: np.abs(depth - t) < 1e-10)
 
 
-def _lebesgue_slab_mass(density, slide: PatchSlide, lo: float, hi: float) -> float:
-    lo, hi = max(lo, 0.0), min(hi, slide.depth_range)
-    if hi <= lo:
-        return 0.0
+def _lebesgue_slab_mass(density, slide: PatchSlide, lo, hi) -> np.ndarray:
+    """|density| integrated over each slab (lo, hi), floats or arrays of
+    window ends, clipped to the slide's depths [0, depth_range]: one
+    `slab_integral` call over every slab left open."""
+    lo = np.maximum(np.atleast_1d(lo), 0.0)
+    hi = np.minimum(np.atleast_1d(hi), slide.depth_range)
+    out = np.zeros(len(lo))
+    open_ = hi > lo
+    if open_.any():
+        out[open_] = slab_integral(slide, lo[open_], hi[open_],
+                                   lambda pts, s: _norm(np.atleast_2d(density(pts))))[0]
+    return out
 
-    def mags(pts, s):
-        sq = np.atleast_2d(density(pts)) ** 2
-        # |d| summed in np.linalg.norm's order; einsum's differs in the last bit
-        return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
 
-    return float(slab_integral(slide, lo, hi, mags)[0])
-
-
-def measure_slab_mass(m: SlideMeasure, lo: float, hi: float) -> float:
-    total = 0.0
+def measure_slab_mass(m: SlideMeasure, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """|mu| of each slab lo < depth < hi along the slide, for arrays of window
+    ends; per window the Lebesgue, sheet and line parts are added in turn."""
+    total = np.zeros(len(lo))
     if m.mu.lebesgue_density is not None:
         total += _lebesgue_slab_mass(m.mu.lebesgue_density, m.slide, lo, hi)
     for sheet in m.sheets:
-        total += _sheet_mass(sheet, lambda depth: (depth > lo) & (depth < hi))
+        total += [_sheet_mass(sheet, lambda depth: (depth > a) & (depth < b))
+                  for a, b in zip(lo, hi)]
     for lp in m.mu.line_parts:
         total += _line_slab_mass(lp, m.slide, lo, hi)
     return total
@@ -176,10 +199,15 @@ def maximal_transversal(mu: CurlMeasure, patch: SurfacePatch,
             f"{np.round(face.origin, 6).tolist()}), not a surface of area {area:.6g} "
             f"centred at {np.round(patch.origin, 6).tolist()}")
     m = SlideMeasure(mu, slide)
-    vals = [np.inf if single_layer_mass(m, t) > 0.0
-            else _window_sup(window, t, lambda lo, hi: measure_slab_mass(m, lo, hi))
-            for t in t_grid]
-    collar_mass = measure_slab_mass(m, -0.75, min(0.75, slide.depth_range))
+    concentrated = [single_layer_mass(m, t) > 0.0 for t in t_grid]
+    # every window the sups read, then the collar's, in one batch
+    windows = [window(t, eps) for t, c in zip(t_grid, concentrated) if not c
+               for eps in DEFAULT_EPS_GRID]
+    windows.append((-0.75, min(0.75, slide.depth_range)))
+    mass = dict(zip(windows, measure_slab_mass(m, *np.transpose(windows)).tolist()))
+    vals = [np.inf if c else _window_sup(window, t, lambda lo, hi: mass[lo, hi])
+            for t, c in zip(t_grid, concentrated)]
+    collar_mass = mass[windows[-1]]
     for sheet in m.sheets:
         # concentrated layers inside the collar contribute their full mass
         layer_t = float(np.median(sheet[1]))  # the sheet's median depth
@@ -189,8 +217,7 @@ def maximal_transversal(mu: CurlMeasure, patch: SurfacePatch,
                        DEFAULT_EPS_GRID, collar_mass)
 
 
-def maximal_tangential(surface_density, patch: SurfacePatch,
-                       collar: TangentialCollar, t_grid: Sequence[float],
+def maximal_tangential(surface_density, collar: TangentialCollar, t_grid: Sequence[float],
                        variant: str = "two_sided",
                        breaks: Sequence[float] = ()) -> MaximalScan:
     """Layer-mass maximal function of an integrable surface density over the
@@ -198,7 +225,7 @@ def maximal_tangential(surface_density, patch: SurfacePatch,
     window = _window(variant)
 
     def mag(pts):
-        return np.linalg.norm(np.atleast_2d(surface_density(pts)), axis=1)
+        return _norm(np.atleast_2d(surface_density(pts)))
 
     vals = [_window_sup(window, t, lambda lo, hi: band_mass(collar, lo, hi, mag, breaks=breaks))
             for t in t_grid]

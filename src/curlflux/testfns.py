@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import _cross_rows, _norm
+
 
 def smoothstep(u):
     """Quintic smoothstep: 0 at u<=0, 1 at u>=1, C^2 at the ends."""
@@ -77,17 +79,22 @@ def _bump(center, radius: float, plateau: float, profile, profile_prime) -> Scal
     `profile_prime`: 1 on |x-c| <= plateau*radius, 0 outside radius, which
     are its support ball and its one kink radius."""
     center = np.asarray(center, dtype=float)
+    column = center[:, None]
+
+    def offsets(x):
+        # x - center as its three columns, (3, n): each difference runs
+        # along the nodes, not over a length-3 axis
+        return np.subtract(np.atleast_2d(x).T, column, order="C")
 
     def value(x):
-        rel = np.atleast_2d(x) - center
-        return profile(np.sqrt(np.add.reduce(rel * rel, axis=1)) / radius, plateau)
+        return profile(_norm(offsets(x).T) / radius, plateau)
 
     def gradient(x):
-        rel = np.atleast_2d(x) - center
-        r = np.sqrt(np.add.reduce(rel * rel, axis=1))  # np.linalg.norm's sum, without its call cost
+        rel = offsets(x)
+        r = _norm(rel.T)
         mag = profile_prime(r / radius, plateau) / radius
         safe = np.where(r == 0.0, 1.0, r)
-        return mag[:, None] * rel / safe[:, None]
+        return np.stack(mag * rel / safe, axis=-1)
 
     return ScalarTestFunction(value, gradient, support=(tuple(center), radius),
                               support_breaks=(plateau * radius,))
@@ -170,7 +177,7 @@ def bump_vector(center, radius: float, direction) -> VectorTestField:
         return bump.value(x)[:, None] * d
 
     def curl(x):
-        return np.cross(bump.gradient(x), d)
+        return _cross_rows(bump.gradient(x), d)
 
     return VectorTestField(value, curl)
 

@@ -19,6 +19,8 @@ from .geometry import (
     SolidRegion,
     SurfacePatch,
     TransversalCollar,
+    _cross_rows,
+    _norm,
     disk_patch,
     integrate,
     shell_integral,
@@ -55,7 +57,7 @@ def trace_pairing(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
     itself.
     """
     def fxg(x):
-        return np.cross(fld.eval(x), testfn.gradient(x))
+        return _cross_rows(fld.eval(x), testfn.gradient(x))
 
     support = support_rule(region, testfn.support, testfn.support_breaks)
     return (integrate_measure(mu, _scalar_as_vec(testfn.value), support)
@@ -109,11 +111,11 @@ def estimate_trace_layerwise(fld: VectorField, patch: SurfacePatch,
     for t in t_grid:
         pts = slide.shift_point(base, sign * t)
         nu_t = slide.shifted_normal(pts, sign * t)
-        seq.append(np.cross(fld.eval(pts), nu_t))
+        seq.append(_cross_rows(fld.eval(pts), nu_t))
     stack = np.stack(seq, axis=0)  # (m, n, 3)
     values = richardson_limit(stack)
     scale = np.sqrt(np.einsum("mij,mij->mi", stack, stack).max())
-    conv = np.linalg.norm(richardson_gap(stack), axis=1) <= GAP_TOL * scale
+    conv = _norm(richardson_gap(stack)) <= GAP_TOL * scale
     resid = np.abs(np.einsum("ij,ij->i", values, nu0))
     return TangentialTrace(base, values, side, conv, resid)
 
@@ -128,7 +130,7 @@ def _layer_pairing(fld: VectorField, collar: TransversalCollar, data,
     sums = []
     for eps in eps_grid:
         def integrand(pts, slide, i):
-            fx = np.cross(fld.eval(pts), -slide.outward_field(pts) / eps)
+            fx = _cross_rows(fld.eval(pts), -slide.outward_field(pts) / eps)
             d = np.atleast_2d(data(slide.patch.nodes[i], pts, slide.patch.normals[i]))
             return np.stack([np.einsum("ij,ij->i", fx, d), np.sqrt(
                 np.einsum("ij,ij->i", fx, fx) * np.einsum("ij,ij->i", d, d))])

@@ -34,8 +34,8 @@ def test_unknown_maximal_variant_rejected(line_vortex, cylinder_collar, unit_dis
         sel.maximal_transversal(line_vortex.curl, unit_disk, cylinder_collar,
                                 [0.1], variant="plus_minus")
     with pytest.raises(ValueError, match="unknown maximal variant"):
-        sel.maximal_tangential(line_vortex.vector_field.eval, unit_disk,
-                               unit_disk_collar, [0.1], variant="two-sided")
+        sel.maximal_tangential(line_vortex.vector_field.eval, unit_disk_collar, [0.1],
+                               variant="two-sided")
 
 
 def test_line_slab_mass_refused_on_a_curved_slide(line_vortex):
@@ -73,20 +73,20 @@ def test_zero_measure_scan(cylinder_collar):
     assert rep.complement_measure == 0.0 and rep.holds
 
 
-def test_tangential_maximal_uniform_density(unit_disk, unit_disk_collar):
+def test_tangential_maximal_uniform_density(unit_disk_collar):
     ind = lambda pts: ((np.hypot(pts[:, 0], pts[:, 1]) < 1.0).astype(float)[:, None]
                        * np.array([1.0, 0.0, 0.0]))
     t_grid = [0.1, 0.2, 0.3]
-    scan = sel.maximal_tangential(ind, unit_disk, unit_disk_collar, t_grid)
+    scan = sel.maximal_tangential(ind, unit_disk_collar, t_grid)
     for t, v in zip(scan.t_grid, scan.values):
         assert abs(v - 4 * np.pi * (1 - t)) < 2e-2 * 4 * np.pi
 
 
-def test_annuli_trace_finite_maximal(annuli, unit_disk, unit_disk_collar):
+def test_annuli_trace_finite_maximal(annuli, unit_disk_collar):
     # bounded data has finite layer maximal values even where the localizer
     # limit fails: the scan is necessary, not sufficient
-    scan = sel.maximal_tangential(annuli.trace_z_plane, unit_disk,
-                                  unit_disk_collar, t_grid=[0.0, 0.1, 0.25],
+    scan = sel.maximal_tangential(annuli.trace_z_plane, unit_disk_collar,
+                                  t_grid=[0.0, 0.1, 0.25],
                                   breaks=[2.0 ** -k for k in range(1, 12)])
     assert np.all(np.isfinite(scan.values))
     assert max(scan.values) <= 4.0 * np.pi + 1e-6  # |data| <= 1 on the unit disk
@@ -226,3 +226,114 @@ def test_a_scan_builds_no_volume_rule(line_vortex):
     sel.maximal_transversal(line_vortex.curl, geo.disk_patch((0, 0, 0), 1.0), col, [0.1])
     assert "_volume" not in vars(region)
 
+
+
+def _per_window_line_mass(lp, slide, lo, hi):
+    # a line part's slab mass solved for one window on its own 64-node rule,
+    # on a slide whose depth is affine along it
+    def depth(s):
+        return slide.slab_coordinate(lp.positions(np.array([s])))[0]
+
+    a, b = depth(lp.lo), depth(lp.hi)
+    if abs(b - a) < 1e-14:
+        mag = np.linalg.norm(lp.density(lp.positions(np.array([0.0])))[0])
+        return float(mag * (lp.hi - lp.lo)) if lo < a < hi else 0.0
+    s0, s1 = sorted(lp.lo + (d - a) * (lp.hi - lp.lo) / (b - a) for d in (lo, hi))
+    s0, s1 = max(s0, lp.lo), min(s1, lp.hi)
+    if s1 <= s0:
+        return 0.0
+    return geo.integrate(lp.segment(gauss_legendre(64, s0, s1)),
+                         lambda x: np.linalg.norm(lp.density(x), axis=1))
+
+
+def _per_window_mass(mu, slide, lo, hi):
+    # one window's mass, its parts added in the order the scan adds them
+    total = 0.0
+    if mu.lebesgue_density is not None:
+        total += _per_layer_slab_mass(mu.lebesgue_density, slide, lo, hi)
+    for sp in mu.sheet_parts:
+        depth = slide.slab_coordinate(sp.patch.nodes)
+        mags = np.linalg.norm(sp.density(sp.patch.nodes), axis=1)
+        total += float(np.sum(sp.patch.weights * ((depth > lo) & (depth < hi)) * mags))
+    for lp in mu.line_parts:
+        total += _per_window_line_mass(lp, slide, lo, hi)
+    return total
+
+
+def _per_window_scan(mu, patch, collar, t_grid, variant):
+    # maximal_transversal with every window evaluated on its own
+    slide = collar.slide_for(patch)
+    m = sel.SlideMeasure(mu, slide)
+    window = sel._WINDOWS[variant]
+    values = tuple(np.inf if sel.single_layer_mass(m, t) > 0.0 else
+                   sel._window_sup(window, t, lambda lo, hi: _per_window_mass(mu, slide, lo, hi))
+                   for t in t_grid)
+    collar_mass = _per_window_mass(mu, slide, -0.75, min(0.75, slide.depth_range))
+    for sheet in m.sheets:
+        layer_t = float(np.median(sheet[1]))
+        if -0.75 < layer_t < 0.75:
+            collar_mass += sel._sheet_layer_mass(sheet, layer_t)
+    return values, collar_mass
+
+
+def _flat_sheet(z):
+    return flds.SheetPart(geo.disk_patch((0.1, 0.0, z), 0.8, order=8, n_angular=16),
+                          lambda pts: np.tile([0.0, 1.0, 0.5], (len(np.atleast_2d(pts)), 1)))
+
+
+# t at depth 0, 0.01 and 0.78 clip windows at depth 0 and at the radius 0.8,
+# the depth range of the cylinder side and the sphere; eight or nine sups of
+# eleven windows give the line parts more 64-node rules than one block holds
+SCAN_T = [0.0, 0.01, 0.1, 0.2, 0.25, 0.4, 0.5, 0.6, 0.78]
+
+
+@pytest.mark.parametrize("variant", sorted(sel._WINDOWS))
+@pytest.mark.parametrize("face", ["planar", "cylinder_side", "sphere"])
+def test_a_batched_scan_equals_the_per_window_loop(face, variant):
+    if face == "sphere":
+        region = geo.ball_region((0.1, 0.0, -0.2), 0.8, order=8, n_angular=16)
+    else:
+        region = geo.cylinder_region((0.1, 0.0, -0.2), 0.8, -0.2, 0.6, order=8, n_angular=16)
+    col = geo.build_transversal_collar(region)
+    patch = region.boundary[{"planar": 0, "cylinder_side": 2, "sphere": 0}[face]]
+    lebesgue = flds.CurlMeasure(lebesgue_density=lambda x: np.stack(
+        [np.sin(3.0 * x[:, 0]), x[:, 1] * x[:, 2], np.exp(x[:, 2])], axis=1))
+    # the bottom face (z = -0.4) has the first sheet at depth 0.25, whose
+    # layer reads inf
+    sheets = flds.CurlMeasure(sheet_parts=(_flat_sheet(-0.15), _flat_sheet(0.05)))
+    # the z axis, with a density that varies along it so the order of a
+    # window's sum shows in its last bit: it runs along the cylinder side at
+    # depth 0.7, parallel to its layers, and its depth below the sphere is curved
+    axis = flds.LinePart(np.zeros(3), np.array([0.0, 0.0, 1.0]), -8.0, 8.0, lambda x: np.stack(
+        [np.cos(x[:, 2]), 1.0 + x[:, 2] ** 2, np.zeros(len(x))], axis=1))
+    measures = [lebesgue, sheets,
+                flds.CurlMeasure(lebesgue.lebesgue_density, sheets.sheet_parts, (axis,))]
+    for mu in measures:
+        if face == "sphere" and mu.line_parts:
+            with pytest.raises(geo.GeometryError, match="affine along the segment; this slide"):
+                sel.maximal_transversal(mu, patch, col, SCAN_T, variant)
+            continue
+        scan = sel.maximal_transversal(mu, patch, col, SCAN_T, variant)
+        values, collar_mass = _per_window_scan(mu, patch, col, SCAN_T, variant)
+        assert scan.values == values and scan.collar_mass == collar_mass
+        assert all(type(v) is float for v in (*scan.values, scan.collar_mass))
+        if face == "planar" and mu.sheet_parts:
+            assert [np.isinf(v) for v in scan.values] == [t == 0.25 for t in SCAN_T]
+    assert "_volume" not in vars(region)
+
+
+def test_a_scan_evaluates_its_windows_in_one_call(line_vortex, rigid_rotation, monkeypatch):
+    col = geo.build_transversal_collar(geo.cylinder_region(order=8, n_angular=16))
+    calls = []
+    batch = sel.measure_slab_mass
+
+    def counted(m, lo, hi):
+        calls.append(len(lo))
+        return batch(m, lo, hi)
+
+    monkeypatch.setattr(sel, "measure_slab_mass", counted)
+    mu = flds.CurlMeasure(rigid_rotation.curl.lebesgue_density, (),
+                          line_vortex.curl.line_parts)
+    sel.maximal_transversal(mu, geo.disk_patch((0, 0, 0), 1.0), col, [0.1, 0.2, 0.3])
+    # three sups over the eps grid and the collar window
+    assert calls == [3 * len(sel.DEFAULT_EPS_GRID) + 1]
