@@ -219,13 +219,6 @@ def parse_region(spec) -> geo.SolidRegion:
     return geo.cylinder_region(center, r, z0, z1, order=order)
 
 
-def get_catalog(name: str) -> flds.CatalogEntry:
-    if name not in flds.CATALOG_NAMES:
-        raise ConfigError(f"unknown catalog field {name!r}; "
-                          f"choose one of {', '.join(flds.CATALOG_NAMES)}")
-    return flds.catalog(name)
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
@@ -250,7 +243,7 @@ def run(config: RunConfig) -> ResultTable:
 
 
 def cmd_trace(p: dict) -> ResultTable:
-    entry = get_catalog(p["field"])
+    entry = flds.catalog(p["field"])
     region = parse_region(p.get("region", "cylinder"))
     # flat disk faces and closed spheres, each sampled on the region's own rule
     faces = [patch for patch in region.boundary if patch.name in ("disk", "sphere")]
@@ -304,13 +297,8 @@ def _j_range(p: dict, start: int, default_max: int) -> range:
 
 
 def cmd_stokes(p: dict) -> ResultTable:
-    entry = get_catalog(p["field"])
-    patch = parse_surface(p.get("surface", "disk:r=1"))
-    # the face trace F x e3 describes z-plane disks with normal +e3; a closed sphere has no collar
-    if not (patch.name == "sphere"
-            or patch.name == "disk" and np.array_equal(patch.frame[2], (0, 0, 1))):
-        raise ConfigError("stokes pairs the face trace F x e3, so it takes a disk with normal "
-                          "+e3 or a closed sphere")
+    entry = flds.catalog(p["field"])
+    patch = parse_surface(p.get("surface", "disk:r=1"))  # a disk, a cap or a closed sphere
     route = p.get("route", "tangential")
     if route not in ("tangential", "mass", "transversal"):
         raise ConfigError(f"unknown stokes route {route!r}")
@@ -319,23 +307,26 @@ def cmd_stokes(p: dict) -> ResultTable:
     if route != "transversal" and "region" in p:
         raise ConfigError(f"region applies to the transversal route only, not {route}")
     t = _param(p, "t", 0.0, float)
-    if entry.trace_z_plane is None:
-        raise ConfigError(f"catalog field {p['field']!r} carries no face trace")
+    trace = flds.surface_trace(entry.vector_field, patch)  # F x nu, nu read from the patch
     meta = {"field": p["field"], "route": route, "t": t}
     if route == "transversal":
         region = parse_region(p.get("region", "cylinder"))
         tcol = geo.build_transversal_collar(region)
-        sing = []
-        if p["field"] == "line_vortex" and np.hypot(*patch.origin[:2]) < patch.scale:
-            # the vortex axis (the z axis) crosses the shifted disk: an atom there
-            sing = [(0.0, 0.0, tcol.slide_for(patch).shift_point(patch.origin, t)[0, 2])]
-        out = stokes.stokes_transversal(entry.trace_z_plane, patch, tcol, t,
-                                        singular_points=sing)
+        # the trace's divergence has an atom where a line part of the curl crosses
+        atoms = flds.line_crossings(entry.curl or flds.ZERO_MEASURE,
+                                    geo.shift_transversal(patch, tcol, t))
+        out = stokes.stokes_transversal(trace, patch, tcol, t, singular_points=atoms)
         return ResultTable(["t", "flux", "div_mass"], [[t, out["flux"], out["div_mass"]]], meta)
+    if entry.trace_breaks_radii and not (patch.name == "disk" and not patch.origin[:2].any()
+                                         and np.array_equal(abs(patch.frame[2]), (0, 0, 1))):
+        # the band rules split at the jump radii, circles about the z axis; they
+        # are layers only of a disk about that axis, and cross any other's layers
+        raise stokes.StokesRefusal(
+            f"{p['field']} jumps on circles about the z axis, so the tangential and mass "
+            "routes take it only on a disk centred on that axis with normal +-e3")
     col = geo.build_tangential_collar(patch)
     if route == "tangential":
-        res = stokes.stokes_tangential(entry.trace_z_plane, patch, col, t,
-                                       j_range=_j_range(p, 2, 12),
+        res = stokes.stokes_tangential(trace, patch, col, t, j_range=_j_range(p, 2, 12),
                                        breaks_radii=entry.trace_breaks_radii)
         columns, rows = ["delta", "ramp_integral"], [[d, v] for d, v in
                                                      zip(res.deltas, res.delta_values)]
@@ -343,7 +334,7 @@ def cmd_stokes(p: dict) -> ResultTable:
                     flux=FLOAT_FMT % res.extrapolated if res.converged else "n/a")
     else:
         pairing, mass, res = stokes.boundary_pairing_mass(
-            entry.trace_z_plane, patch, col, t, breaks_radii=entry.trace_breaks_radii)
+            trace, patch, col, t, breaks_radii=entry.trace_breaks_radii)
         columns, rows = ["t", "flux_mass", "pairing", "t_osc"], [[t, mass, pairing, res.t_osc]]
     # the verdict's evidence: the Richardson gap and the tolerance GAP_TOL * scale
     meta.update(gap=FLOAT_FMT % res.gap, scale=FLOAT_FMT % res.scale,
@@ -352,7 +343,7 @@ def cmd_stokes(p: dict) -> ResultTable:
 
 
 def cmd_maximal(p: dict) -> ResultTable:
-    entry = get_catalog(p["field"])
+    entry = flds.catalog(p["field"])
     region = parse_region(p.get("region", "cylinder"))
     patch = parse_surface(p.get("surface", "disk:r=1"))
     tcol = geo.build_transversal_collar(region)
@@ -416,7 +407,7 @@ def cmd_br(p: dict) -> ResultTable:
 
 
 def cmd_validate(p: dict) -> ResultTable:
-    entry = get_catalog(p["field"])
+    entry = flds.catalog(p["field"])
     region = parse_region(p.get("region", "half_ball"))
     tol = _param(p, "tol", 1e-8, float)
     if not (np.isfinite(tol) and tol >= 0.0):
@@ -441,11 +432,11 @@ def cmd_example(p: dict) -> ResultTable:
     name = p.get("name", "annuli")
     if name != "annuli":
         raise ConfigError("example currently ships the dyadic-annuli trace only")
-    entry = get_catalog("annuli")
+    entry = flds.catalog("annuli")
     t = _param(p, "t", 0.0, float)
     disk = geo.disk_patch((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(disk)
-    res = stokes.stokes_tangential(entry.trace_z_plane, disk, col, t,
+    res = stokes.stokes_tangential(flds.surface_trace(entry.vector_field, disk), disk, col, t,
                                    j_range=_j_range(p, 1, 10),
                                    breaks_radii=entry.trace_breaks_radii)
     rows = []
@@ -481,11 +472,11 @@ def cmd_reproduce(p: dict) -> ResultTable:
 
 
 def _repro_explicitcompute() -> ResultTable:
-    entry = get_catalog("annuli")
+    entry = flds.catalog("annuli")
     disk = geo.disk_patch((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(disk)
-    res = stokes.stokes_tangential(entry.trace_z_plane, disk, col, 0.0,
-                                   j_range=range(1, 11),
+    trace = flds.surface_trace(entry.vector_field, disk)
+    res = stokes.stokes_tangential(trace, disk, col, 0.0, j_range=range(1, 11),
                                    breaks_radii=entry.trace_breaks_radii)
     rows, ok = [], True
     for j, v in enumerate(res.delta_values, start=1):
@@ -498,7 +489,7 @@ def _repro_explicitcompute() -> ResultTable:
     nonconv_ok = not res.converged
     rows.append(["verdict", res.verdict, "NON-CONVERGENT", "",
                  "pass" if nonconv_ok else "FAIL"])
-    res03 = stokes.stokes_tangential(entry.trace_z_plane, disk, col, 0.3,
+    res03 = stokes.stokes_tangential(trace, disk, col, 0.3,
                                      breaks_radii=entry.trace_breaks_radii)
     rows.append(["t=0.3", res03.verdict, "CONVERGED", "",
                  "pass" if res03.converged else "FAIL"])
@@ -508,14 +499,15 @@ def _repro_explicitcompute() -> ResultTable:
 
 
 def _repro_distclaim() -> ResultTable:
-    entry = get_catalog("line_vortex")
+    entry = flds.catalog("line_vortex")
     region = geo.cylinder_region(order=20, n_angular=64)
     tcol = geo.build_transversal_collar(region)
     disk = geo.disk_patch((0, 0, 0), 1.0)
+    trace = flds.surface_trace(entry.vector_field, disk)
     rows, ok = [], True
     for t in (0.15, 0.3, 0.45):
-        out = stokes.stokes_transversal(entry.trace_z_plane, disk, tcol, t,
-                                        singular_points=[(0.0, 0.0, t)])
+        atoms = flds.line_crossings(entry.curl, geo.shift_transversal(disk, tcol, t))
+        out = stokes.stokes_transversal(trace, disk, tcol, t, singular_points=atoms)
         err = abs(out["flux"] - 1.0)
         ok &= err <= 1e-3
         rows.append([f"flux(height={t:g})", out["flux"], 1.0, err,
@@ -525,15 +517,16 @@ def _repro_distclaim() -> ResultTable:
 
 
 def _repro_maxlaim() -> ResultTable:
-    entry = get_catalog("newtonian")
+    entry = flds.catalog("newtonian")
     region = geo.half_ball_region(order=32, n_angular=96)
+    face = flds.surface_trace(entry.vector_field, region.boundary[0])
     rows, ok = [], True
     eps = 1e-3
     tests = [smooth_bump((0.25, -0.1, 0.0), 0.9, plateau=0.3),
              smooth_bump((0.0, 0.3, 0.0), 0.8, plateau=0.4)]
     for i, phi in enumerate(tests):
         pairing = traces.trace_pairing(entry.curl, entry.vector_field, region, phi)
-        pv = traces.pv_face_pairing(entry.trace_z_plane, (0, 0, 0), 1.0, phi, eps)
+        pv = traces.pv_face_pairing(face, (0, 0, 0), 1.0, phi, eps)
         err = float(np.linalg.norm(pairing - pv))
         ok &= err <= 1e-3
         rows.append([f"pv_vs_pairing[{i}]", float(np.linalg.norm(pairing)),
@@ -543,7 +536,7 @@ def _repro_maxlaim() -> ResultTable:
 
 
 def _repro_gluing() -> ResultTable:
-    interface = flds.unit_disk_interface()
+    interface = geo.disk_patch((0, 0, 0), 1.0)
     pw, mu = flds.make_vortex_sheet(flds.constant_field((1.0, 0.0, 0.0)),
                                     flds.constant_field((0.0, 0.0, 0.0)), interface)
     region = geo.ball_region(radius=1.0, order=20)
@@ -559,12 +552,13 @@ def _repro_gluing() -> ResultTable:
 
 
 def _repro_density() -> ResultTable:
-    entry = get_catalog("rigid_rotation")
+    entry = flds.catalog("rigid_rotation")
     center = np.array([0.3, 0.2, 0.7])
     radius = 1.0
     disk = geo.disk_patch(center, radius, n_angular=512)
     e1, e2, n = disk.frame
     col = geo.build_tangential_collar(disk)
+    trace = flds.surface_trace(entry.vector_field, disk)
     r_grid = [2.0 ** (-k) for k in range(3, 9)]
     rows, ok = [], True
     angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False) + 0.1
@@ -573,7 +567,7 @@ def _repro_density() -> ResultTable:
         x0 = center + radius * ring
         tau = np.cross(n, -ring)
         expected = -float(entry.vector_field.eval(x0[None, :])[0] @ tau)
-        dens = stokes.stokes_density(entry.trace_z_plane, disk, col, 0.0, x0, r_grid)
+        dens = stokes.stokes_density(trace, disk, col, 0.0, x0, r_grid)
         err = abs(dens.limit - expected)
         ok &= err <= 1e-2
         rows.append([f"density[{i}]", dens.limit, expected, err,
@@ -589,9 +583,9 @@ def _repro_weak11() -> ResultTable:
     t_grid = np.linspace(0.02, 0.48, 24)
     lams = [2.0 ** k for k in range(-4, 5)]
     rows, ok = [], True
-    cases = {"line_vortex": get_catalog("line_vortex").curl,
-             "rigid_rotation": get_catalog("rigid_rotation").curl,
-             "newtonian": get_catalog("newtonian").curl}
+    cases = {"line_vortex": flds.catalog("line_vortex").curl,
+             "rigid_rotation": flds.catalog("rigid_rotation").curl,
+             "newtonian": flds.catalog("newtonian").curl}
     sheet = flds.SheetPart(geo.disk_patch((0, 0, 0.25), 1.0),
                            lambda pts: np.broadcast_to(np.array([0.0, 1.0, 0.0]),
                                                        (np.atleast_2d(pts).shape[0], 3)).copy())
@@ -632,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--side", choices=("interior", "exterior"))
     sp.add_argument("--t-grid", dest="t_grid")
 
-    sp = command("stokes", "Stokes functional routes")
+    sp = command("stokes", "Stokes functional routes: the flux of the curl through a disk, "
+                 "cap or closed sphere, from the face trace F x nu")
     sp.add_argument("--field", required=True)
     sp.add_argument("--surface")
     sp.add_argument("--region")

@@ -3,9 +3,9 @@ glued fields, curl-measure decomposition, and measure integration.
 
 Catalog entries carry their exact curl decomposition (Lebesgue density, sheet
 parts on flat patches, line parts on straight segments), except the annuli,
-whose entry has `curl=None`. Where the trace on the canonical z-plane faces has
-a closed form, the entry carries that trace as well. Singular sets are
-declared, never detected.
+whose entry has `curl=None`. The trace of a field on any surface is F x nu,
+with nu read from its patch (`surface_trace`); an entry's z-plane trace is
+that rule at nu = e3. Singular sets are declared, never detected.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .geometry import (
     SurfacePatch,
     _cross_rows,
     _norm,
-    disk_patch,
+    _unit,
     integrate,
 )
 from .quadrature import QuadratureRule, gauss_legendre_split
@@ -149,6 +149,47 @@ def numeric_curl(fld: VectorField, x, h: float = 1e-3) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# face traces
+# ---------------------------------------------------------------------------
+
+
+def _face_trace(fld: VectorField, nu: Array) -> Callable[[Array], Array]:
+    """x -> F(x) x nu for a constant normal: F times the matrix of v -> v x nu,
+    exact when nu is an axis (each product is by 0 or +-1)."""
+    n0, n1, n2 = nu
+    cross_nu = np.array([[0.0, -n2, n1], [n2, 0.0, -n0], [-n1, n0, 0.0]])
+    return lambda x: fld.eval(x) @ cross_nu
+
+
+def surface_trace(fld: VectorField, patch: SurfacePatch) -> Callable[[Array], Array]:
+    """The tangential trace x -> F(x) x nu(x) of a field on a patch, with nu
+    the patch's normal: its frame normal if flat, and on a sphere
+    `sign` (x - origin) / |x - origin|, the floats of `patch.normals`."""
+    if patch.coordinates == "spherical":
+        return lambda x: _cross_rows(fld.eval(x),
+                                     patch.sign * _unit(np.atleast_2d(x) - patch.origin))
+    if patch.frame is None:
+        raise FieldError(f"no face trace on a {patch.name!r} patch")
+    return _face_trace(fld, patch.frame[2])
+
+
+def line_crossings(mu: CurlMeasure, disk: SurfacePatch) -> list[Array]:
+    """The points where the line parts of `mu` cross a flat disk strictly
+    inside its radius: the atoms of the surface divergence of a trace on it.
+    A segment parallel to the disk, or ending before its plane, has none."""
+    if disk.name != "disk":
+        raise FieldError(f"line crossings are found on flat disks, not a {disk.name!r} patch")
+    nu, points = disk.frame[2], []
+    for lp in mu.line_parts:
+        along = lp.direction @ nu  # 0 for a segment parallel to the disk, which never crosses
+        s = (disk.origin - lp.point) @ nu / along if along else np.nan
+        x = lp.point + s * lp.direction
+        if lp.lo <= s <= lp.hi and np.linalg.norm(x - disk.origin) < disk.scale:
+            points.append(x)
+    return points
+
+
+# ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
 
@@ -158,7 +199,7 @@ class CatalogEntry:
     name: str
     vector_field: VectorField
     curl: Optional[CurlMeasure]
-    trace_z_plane: Optional[Callable[[Array], Array]] = None  # interior trace on z-plane faces, nu=+e3
+    trace_z_plane: Callable[[Array], Array]  # F x e3: the trace on z-plane faces, nu = +e3
     trace_breaks_radii: tuple[float, ...] = ()
 
 
@@ -183,45 +224,29 @@ def alternation_radii() -> tuple[float, ...]:
 
 
 def catalog(name: str) -> CatalogEntry:
-    """Closed-form fields with exact curl measures and z-plane traces."""
+    """Closed-form fields with exact curl measures; an entry's z-plane trace
+    is the face trace F x e3 of its field."""
+    e3 = np.array([0.0, 0.0, 1.0])
+    breaks = ()
     if name == "newtonian":
         def ev(x):
             x = np.atleast_2d(x)
             r3 = _norm(x) ** 3
             return -x / (4.0 * np.pi * r3[:, None])
 
-        def trace(pts):
-            # F x e3 on a z-plane through the singular point's altitude
-            pts = np.atleast_2d(pts)
-            r3 = _norm(pts) ** 3
-            out = np.stack([pts[:, 1], -pts[:, 0], np.zeros(len(pts))], axis=1)
-            return -out / (4.0 * np.pi * r3[:, None])
-
-        vf = VectorField(ev, analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)),
-                         singular_set=SingularSet("point"))
-        return CatalogEntry(name, vf, ZERO_MEASURE, trace_z_plane=trace)
-
-    if name == "line_vortex":
+        vf = VectorField(ev, lambda x: np.zeros_like(np.atleast_2d(x)), SingularSet("point"))
+        mu = ZERO_MEASURE
+    elif name == "line_vortex":
         def ev(x):
             x = np.atleast_2d(x)
             rho2 = x[:, 0] ** 2 + x[:, 1] ** 2
             return np.stack([-x[:, 1] / rho2, x[:, 0] / rho2, x[:, 2]], axis=1) / (2.0 * np.pi)
 
-        def trace(pts):
-            # (F x e3) = (x, y, 0) / (2 pi rho^2) on any z-plane
-            pts = np.atleast_2d(pts)
-            rho2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-            out = np.stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1)
-            return out / (2.0 * np.pi * rho2[:, None])
-
-        line = LinePart(np.zeros(3), np.array([0.0, 0.0, 1.0]), -LINE_EXTENT, LINE_EXTENT,
-                        lambda pts: np.broadcast_to(np.array([0.0, 0.0, 1.0]),
-                                                    (np.atleast_2d(pts).shape[0], 3)).copy())
-        vf = VectorField(ev, analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)),
-                         singular_set=SingularSet("line"))
-        return CatalogEntry(name, vf, CurlMeasure(line_parts=(line,)), trace_z_plane=trace)
-
-    if name == "annuli":
+        line = LinePart(np.zeros(3), e3, -LINE_EXTENT, LINE_EXTENT,
+                        lambda pts: np.broadcast_to(e3, (np.atleast_2d(pts).shape[0], 3)).copy())
+        vf = VectorField(ev, lambda x: np.zeros_like(np.atleast_2d(x)), SingularSet("line"))
+        mu = CurlMeasure(line_parts=(line,))
+    elif name == "annuli":
         def surface_data(x):
             x = np.atleast_2d(x)
             rho = np.hypot(x[:, 0], x[:, 1])
@@ -230,38 +255,18 @@ def catalog(name: str) -> CatalogEntry:
             return (eta / safe)[:, None] * np.stack([x[:, 1], -x[:, 0],
                                                      np.zeros(len(x))], axis=1)
 
-        def trace(pts):
-            # g x e3 = -(eta/rho) (x, y, 0)
-            pts = np.atleast_2d(pts)
-            rho = np.hypot(pts[:, 0], pts[:, 1])
-            eta = alternation_profile(rho)
-            safe = np.where(rho == 0.0, 1.0, rho)
-            return -(eta / safe)[:, None] * np.stack([pts[:, 0], pts[:, 1],
-                                                      np.zeros(len(pts))], axis=1)
-
         # a bounded extension of the boundary data, constant across the face plane;
         # its one-sided limits on z = 0 reproduce the declared data
-        vf = VectorField(lambda x: surface_data(x), analytic_curl=None,
-                         singular_set=None)
-        return CatalogEntry(name, vf, None, trace_z_plane=trace,
-                            trace_breaks_radii=alternation_radii())
-
-    if name == "rigid_rotation":
+        vf, mu, breaks = VectorField(surface_data), None, alternation_radii()
+    elif name == "rigid_rotation":
         def ev(x):
             x = np.atleast_2d(x)
             return np.stack([-x[:, 1], x[:, 0], np.zeros(len(x))], axis=1)
 
-        def trace(pts):
-            # F x e3 = (x, y, 0)
-            pts = np.atleast_2d(pts)
-            return np.stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1)
-
         const = np.array([0.0, 0.0, 2.0])
         vf = VectorField(ev, analytic_curl=lambda x: np.tile(const, (len(np.atleast_2d(x)), 1)))
         mu = CurlMeasure(lebesgue_density=lambda x: np.tile(const, (len(np.atleast_2d(x)), 1)))
-        return CatalogEntry(name, vf, mu, trace_z_plane=trace)
-
-    if name == "plane_wave_em":
+    elif name == "plane_wave_em":
         def ev(x):
             x = np.atleast_2d(x)
             return np.stack([np.zeros(len(x)), np.sin(x[:, 0]), np.zeros(len(x))], axis=1)
@@ -270,10 +275,11 @@ def catalog(name: str) -> CatalogEntry:
             x = np.atleast_2d(x)
             return np.stack([np.zeros(len(x)), np.zeros(len(x)), np.cos(x[:, 0])], axis=1)
 
-        vf = VectorField(ev, analytic_curl=crl)
-        return CatalogEntry(name, vf, CurlMeasure(lebesgue_density=crl))
-
-    raise FieldError(f"unknown catalog field {name!r}; choose one of {CATALOG_NAMES}")
+        vf, mu = VectorField(ev, analytic_curl=crl), CurlMeasure(lebesgue_density=crl)
+    else:
+        names = ", ".join(CATALOG_NAMES)
+        raise FieldError(f"unknown catalog field {name!r}; choose one of {names}")
+    return CatalogEntry(name, vf, mu, _face_trace(vf, e3), breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +365,6 @@ def gluing_total_variation(pw: PiecewiseField, region: SolidRegion) -> float:
         total += integrate(region, dens)
     total += integrate(pw.interface, lambda pts: _norm(pw.jump_density(pts)))
     return float(total)
-
-
-def unit_disk_interface() -> SurfacePatch:
-    """Unit disk in the z=0 plane oriented by +e3 (plus side above)."""
-    return disk_patch((0.0, 0.0, 0.0), 1.0, (0.0, 0.0, 1.0))
 
 
 def constant_field(vec) -> VectorField:

@@ -26,6 +26,8 @@ from .geometry import (
     SurfacePatch,
     TangentialCollar,
     TransversalCollar,
+    _cross_rows,
+    _norm,
     arc_curve,
     circle_curve,
     integrate,
@@ -184,7 +186,7 @@ class ManifoldDivMeasure:
         """Pointwise divergence, zero inside the exclusion disks of the atoms."""
         out = np.asarray(self.pointwise_div(pts), dtype=float)
         for p, _ in self.atoms:
-            out = out * (np.linalg.norm(np.atleast_2d(pts) - p, axis=1) > 2e-3).astype(float)
+            out = out * (_norm(np.atleast_2d(pts) - p) > 2e-3).astype(float)
         return out
 
     def action(self, phi_value: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -328,22 +330,22 @@ def smooth_validators(fld: VectorField, region: SolidRegion,
         return sum(_normal_integral(patch, values) for patch in region.boundary)
 
     vol_curl = integrate(region, fld.analytic_curl)
-    d1 = np.linalg.norm(vol_curl - bd(lambda p, nu: np.cross(fld.eval(p), nu)))
+    d1 = np.linalg.norm(vol_curl - bd(lambda p, nu: _cross_rows(fld.eval(p), nu)))
 
     lhs2 = integrate(region, lambda x: phi.value(x)[:, None] * fld.analytic_curl(x)
-                     - np.cross(fld.eval(x), phi.gradient(x)))
-    rhs2 = bd(lambda p, nu: phi.value(p)[:, None] * np.cross(fld.eval(p), nu))
+                     - _cross_rows(fld.eval(x), phi.gradient(x)))
+    rhs2 = bd(lambda p, nu: phi.value(p)[:, None] * _cross_rows(fld.eval(p), nu))
     d2 = np.linalg.norm(lhs2 - rhs2)
 
     lhs3 = bd(lambda p, nu: np.einsum(
-        "ij,ij->i", np.cross(fld.eval(p), other.value(p)), nu))
+        "ij,ij->i", _cross_rows(fld.eval(p), other.value(p)), nu))
     rhs3 = integrate(region, lambda x: np.einsum("ij,ij->i", fld.eval(x), other.curl(x))) \
         - integrate(region, lambda x: np.einsum("ij,ij->i", fld.analytic_curl(x),
                                                 other.value(x)))
     d3 = abs(lhs3 - rhs3)
 
     lhs4 = bd(lambda p, nu: np.einsum(
-        "ij,ij->i", np.cross(fld.eval(p), nu), other.value(p)))
+        "ij,ij->i", _cross_rows(fld.eval(p), nu), other.value(p)))
     rhs4 = integrate(region, lambda x: np.einsum("ij,ij->i", fld.analytic_curl(x),
                                                  other.value(x))) \
         - integrate(region, lambda x: np.einsum("ij,ij->i", fld.eval(x), other.curl(x)))
@@ -361,6 +363,6 @@ def rankine_hugoniot_check(pw: PiecewiseField, sheet_density=None) -> tuple[floa
     tp, tm = pw.one_sided_traces(pts)
     res_n = float(np.max(np.abs((tp - tm) @ pw.plane_normal)))
     omega = (sheet_density or pw.jump_density)(pts)
-    jump_tau = np.cross(tp - tm, -pw.plane_normal)
-    res_t = float(np.max(np.linalg.norm(jump_tau - omega, axis=1)))
+    jump_tau = _cross_rows(tp - tm, -pw.plane_normal)
+    res_t = float(np.max(_norm(jump_tau - omega)))
     return res_n, res_t

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -266,11 +267,6 @@ def _assert_refused(argv, tmp_path, capsys):
     return err
 
 
-# surfaces the face trace F x e3 does not describe: `stokes` refuses them
-FACE_TRACE_MISSES = ["cap:r=1", "cap:r=1,colatitude=1", {"shape": "disk", "normal": [1, 0, 0]},
-                     {"shape": "disk", "normal": [0, 0, -1]}]
-
-
 @pytest.mark.parametrize("spec", [
     # radii must be finite and positive
     "disk:r=0", "disk:r=nan", "disk:r=-1", "sphere:r=inf", "cap:r=0",
@@ -288,27 +284,103 @@ FACE_TRACE_MISSES = ["cap:r=1", "cap:r=1,colatitude=1", {"shape": "disk", "norma
     {"shape": "ball", "center": [0.0, 1.0]},
     # a normal must be three finite numbers, not all zero
     {"shape": "disk", "normal": [0, 0, 0]}, {"shape": "disk", "normal": [0.0, 0.0, float("inf")]},
-    *FACE_TRACE_MISSES,
 ], ids=str)
 def test_shape_specs_refuse_numbers_out_of_range(spec, tmp_path, capsys):
     # `maximal` refuses these in the spec checks, before it reads a face;
-    # `stokes` also refuses the surfaces its face trace misses, which parse;
     # a dict spec goes in by --config
     shape = spec["shape"] if isinstance(spec, dict) else spec.partition(":")[0]
     key = "surface" if shape in cli.SURFACE_KEYS else "region"
-    command = "stokes" if spec in FACE_TRACE_MISSES else "maximal"
-    if command == "stokes":
-        cli.parse_surface(spec)
-    argv = [command, "--field", "rigid_rotation"]
+    argv = ["maximal", "--field", "rigid_rotation"]
     argv += ["--config", {key: spec}] if isinstance(spec, dict) else [f"--{key}", spec]
     err = _assert_refused(argv, tmp_path, capsys)
     # the refusal comes from the check on one of the spec's own keys
     keys = (set(spec) - {"shape"} if isinstance(spec, dict)
             else {item.partition("=")[0] for item in spec.partition(":")[2].split(",")})
-    if command == "stokes":
-        assert "face trace" in err
-    else:
-        assert any(re.search(rf"\b{k}\b", err) for k in keys), err
+    assert any(re.search(rf"\b{k}\b", err) for k in keys), err
+
+
+# rigid rotation's curl is 2 e3, so its flux is 2 pi R^2 n_z through a disk
+# and -2 pi sin^2(colatitude) through a unit cap, whose normals point inward
+@pytest.mark.parametrize("spec, flux", [
+    ("cap:r=1", -2.0 * np.pi),
+    ("cap:r=1,colatitude=1", -2.0 * np.pi * np.sin(1.0) ** 2),
+    ({"shape": "disk", "normal": [1, 0, 0]}, 0.0),
+    ({"shape": "disk", "normal": [0, 0, -1]}, -2.0 * np.pi),
+], ids=["cap", "cap-colatitude-1", "disk-normal-e1", "disk-normal-minus-e3"])
+@pytest.mark.parametrize("route", ["tangential", "mass"])
+def test_stokes_reads_the_normal_of_any_disk_or_cap(spec, flux, route):
+    table, _ = _csv("stokes", {"field": "rigid_rotation", "surface": spec, "route": route})
+    assert table.metadata["verdict"] == "CONVERGED"
+    got = float(table.metadata["flux"]) if route == "tangential" else table.rows[0][1]
+    assert got == pytest.approx(flux, abs=1e-9)
+
+
+def test_stokes_gives_the_plane_wave_its_trace():
+    # curl = cos(x) e3, so the unit z-disk carries 2 pi J1(1)
+    table, _ = _csv("stokes", {"field": "plane_wave_em"})
+    assert table.metadata["flux"] == "2.76491937477"
+
+
+# the annuli jump on circles about the z axis, which cross the layers of these
+# disks inside the band rules: on the two off-axis disks a split circulation
+# quadrature gives -1.59107578563 and -0.90950395719, and the ramp sequence
+# converges, self-consistently, to -1.57356662385 and -0.91850238048
+@pytest.mark.parametrize("surface, t", [("disk:x=0.1,r=0.9", 0.45), ("disk:x=0.3,r=0.5", 0.3),
+                                        ({"shape": "disk", "normal": [1, 0, 1]}, 0.3)],
+                         ids=["x=0.1", "x=0.3", "tilted"])
+@pytest.mark.parametrize("route", ["tangential", "mass"])
+def test_stokes_refuses_the_annuli_off_the_z_axis(surface, t, route, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"surface": surface, "t": t, "route": route}))
+    assert cli.main(["stokes", "--field", "annuli", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and "z axis" in err
+
+
+def test_stokes_takes_the_annuli_on_a_disk_about_the_z_axis():
+    # a disk centred on the axis, here with normal -e3, splits its rule at the jumps:
+    # the flux is -(-2 pi 0.7) with the normal reversed
+    table, _ = _csv("stokes", {"field": "annuli", "t": 0.3,
+                               "surface": {"shape": "disk", "z": 0.5, "normal": [0, 0, -1]}})
+    assert table.metadata["verdict"] == "CONVERGED"
+    assert float(table.metadata["flux"]) == pytest.approx(2.0 * np.pi * 0.7, abs=1e-8)
+
+
+def _field_name_tests(tree):
+    # every comparison of a field's name (p["field"] or p.get("field")) with a
+    # string literal, or a tuple, list or set of them
+    def reads_field(node):
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+            key = node.args[0] if node.args else None
+        else:
+            return False
+        return isinstance(key, ast.Constant) and key.value == "field"
+
+    def literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(literal(e) for e in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(reads_field(n) for n in (node.left, *node.comparators))
+            and any(literal(n) for n in (node.left, *node.comparators))]
+
+
+def test_the_cli_branches_on_no_field_name():
+    # a field enters the routes through its entry's data (vector field, curl
+    # measure, jump radii), never through its name
+    assert _field_name_tests(ast.parse(Path(cli.__file__).read_text())) == []
+
+
+def test_the_field_name_guard_sees_each_form():
+    source = ('if p["field"] == "line_vortex": pass\n'
+              'if "annuli" != p.get("field"): pass\n'
+              'if p["field"] in ("a", "b"): pass\n'
+              'if p["route"] == "mass" or p["field"] == name: pass\n')
+    assert _field_name_tests(ast.parse(source)) == [
+        "p['field'] == 'line_vortex'", "'annuli' != p.get('field')", "p['field'] in ('a', 'b')"]
 
 
 @pytest.mark.parametrize("params", [{"shape": "disk", "rr": 0.5}, {"shape": "cap", "radius": 0.5},

@@ -83,7 +83,7 @@ def test_a_radial_bump_gives_the_floats_of_the_add_reduce_radius(x, center, radi
 # source guard
 # ---------------------------------------------------------------------------
 
-GUARDED = ("geometry", "testfns", "traces", "selection", "fields")
+GUARDED = ("geometry", "testfns", "traces", "selection", "fields", "stokes")
 # single-vector uses, by module and enclosing function, with their reason
 SINGLE_VECTOR = {
     ("testfns", "trig_vector.curl"): "np.cross(k, a) of one mode's two 3-vectors",

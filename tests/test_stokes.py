@@ -550,6 +550,94 @@ def test_three_route_equality_line_vortex(line_vortex, cylinder_collar,
 
 
 # ---------------------------------------------------------------------------
+# the face trace F x nu on tilted disks and caps: closed-form fluxes
+# ---------------------------------------------------------------------------
+
+
+def _j1(a: float) -> float:
+    # Bessel J1 from its power series sum_k (-1)^k (a/2)^(2k+1) / (k! (k+1)!)
+    k = np.arange(30)
+    terms = np.cumprod(np.concatenate(([a / 2.0], -(a / 2.0) ** 2 / (k[1:] * (k[1:] + 1.0)))))
+    return float(np.sum(terms))
+
+
+def test_j1_series_reads_its_tabulated_values():
+    assert _j1(1.0) == pytest.approx(0.44005058574493355, abs=1e-15)
+    assert _j1(3.8317059702075125) == pytest.approx(0.0, abs=1e-14)  # its first zero
+
+
+def _tangential_and_mass(entry, patch, t):
+    # the tangential flux, and the mass route's flux from the same ramp sequence
+    trace = flds.surface_trace(entry.vector_field, patch)
+    col = geo.build_tangential_collar(patch)
+    res = stk.stokes_tangential(trace, patch, col, t)
+    pairing, mass, _ = stk.boundary_pairing_mass(trace, patch, col, t)
+    assert res.converged and pairing == -mass
+    return res.extrapolated, mass
+
+
+UNIT_NORMALS = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi)).map(
+    lambda a: np.array([np.sin(a[0]) * np.cos(a[1]), np.sin(a[0]) * np.sin(a[1]), np.cos(a[0])]))
+CENTRES = st.tuples(*[st.floats(-2.0, 2.0)] * 3).map(np.array)
+RADII = st.floats(0.2, 3.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(UNIT_NORMALS, CENTRES, RADII, st.floats(0.0, 0.45))
+def test_rigid_rotation_through_a_tilted_disk_is_2_pi_r2_nz(rigid_rotation, normal, center,
+                                                            radius, t):
+    patch = geo.disk_patch(center, radius, normal)
+    exact = 2.0 * np.pi * (radius * (1.0 - t)) ** 2 * patch.frame[2][2]
+    for flux in _tangential_and_mass(rigid_rotation, patch, t):
+        assert flux == pytest.approx(exact, abs=1e-10 * radius ** 2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(UNIT_NORMALS.filter(lambda n: abs(n[2]) >= 0.3), st.floats(-1.0, 1.0), RADII,
+       st.floats(0.0, 0.3), st.floats(0.0, 2.0 * np.pi), st.booleans(), st.floats(0.0, 1.0))
+def test_line_vortex_through_a_tilted_disk_is_the_sign_of_nz_where_its_axis_crosses(
+        line_vortex, normal, height, radius, t, angle, crosses, f):
+    # the axis meets the disk's plane at (0, 0, height), inside the shrunk disk
+    # well clear of the ramp bands (0.25 R off centre at most) or well outside
+    # the disk (1.5 R to 2 R off centre): the 96-node rings resolve its 1 / rho
+    # to about 1e-9 at the steepest tilts
+    e1, e2, n = geo.frame_from_normal(normal)
+    off = radius * (0.25 * f if crosses else 1.5 + 0.5 * f)
+    center = np.array([0.0, 0.0, height]) + off * (np.cos(angle) * e1 + np.sin(angle) * e2)
+    exact = np.sign(n[2]) if crosses else 0.0
+    for flux in _tangential_and_mass(line_vortex, geo.disk_patch(center, radius, normal), t):
+        assert flux == pytest.approx(exact, abs=1e-8)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(-2.0, 2.0), RADII, st.floats(0.2, 2.8), st.floats(0.0, 0.45),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_caps_carry_minus_2_pi_r2_sin2_and_minus_1(rigid_rotation, line_vortex, height,
+                                                  radius, colatitude, t, cx, cy):
+    # the normals point to the centre: -e3 at the pole. Rigid rotation's flux is
+    # its curl 2 e3 through the disk the shrunk cap projects to, at any centre;
+    # the line vortex crosses a cap about the z axis once, at its pole
+    cap = geo.spherical_cap_patch((cx, cy, height), radius, colatitude)
+    exact = -2.0 * np.pi * (radius * np.sin(colatitude * (1.0 - t))) ** 2
+    for flux in _tangential_and_mass(rigid_rotation, cap, t):
+        assert flux == pytest.approx(exact, abs=1e-10 * radius ** 2)
+    cap = geo.spherical_cap_patch((0.0, 0.0, height), radius, colatitude)
+    for flux in _tangential_and_mass(line_vortex, cap, t):
+        assert flux == pytest.approx(-1.0, abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(CENTRES, RADII, st.floats(0.0, 0.45))
+def test_plane_wave_through_a_z_disk_is_cos_cx_2_pi_a_j1(center, radius, t):
+    # curl = cos(x) e3, and the shrunk disk has radius a = R (1 - t)
+    a = radius * (1.0 - t)
+    exact = np.cos(center[0]) * 2.0 * np.pi * a * _j1(a)
+    entry = flds.catalog("plane_wave_em")
+    for flux in _tangential_and_mass(entry, geo.disk_patch(center, radius), t):
+        assert flux == pytest.approx(exact, abs=1e-10 * radius ** 2)
+
+
+# ---------------------------------------------------------------------------
 # smooth validators and jump conditions
 # ---------------------------------------------------------------------------
 
@@ -604,7 +692,7 @@ def test_integrals_of_normals_on_faces_above_block_points(rigid_rotation):
 
 
 def test_rankine_hugoniot_constructed():
-    interface = flds.unit_disk_interface()
+    interface = geo.disk_patch((0, 0, 0), 1.0)
     pw, mu = flds.make_vortex_sheet(flds.constant_field((1.0, 0.0, 0.0)),
                                     flds.constant_field((-1.0, 0.0, 0.0)), interface)
     res_n, res_t = stk.rankine_hugoniot_check(pw, mu.sheet_parts[0].density)
@@ -612,7 +700,7 @@ def test_rankine_hugoniot_constructed():
 
 
 def test_rankine_hugoniot_continuous():
-    interface = flds.unit_disk_interface()
+    interface = geo.disk_patch((0, 0, 0), 1.0)
     pw, mu = flds.make_vortex_sheet(flds.constant_field((0.3, 0.1, 0.0)),
                                     flds.constant_field((0.3, 0.1, 0.0)), interface)
     res_n, res_t = stk.rankine_hugoniot_check(pw)
@@ -621,7 +709,7 @@ def test_rankine_hugoniot_continuous():
 
 def test_rankine_hugoniot_detects_normal_jump():
     eps = 1e-3
-    interface = flds.unit_disk_interface()
+    interface = geo.disk_patch((0, 0, 0), 1.0)
     pw, _ = flds.make_vortex_sheet(flds.constant_field((1.0, 0.0, eps)),
                                    flds.constant_field((0.0, 0.0, 0.0)), interface)
     res_n, _ = stk.rankine_hugoniot_check(pw)

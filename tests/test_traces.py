@@ -138,7 +138,7 @@ def test_layerwise_smooth_sphere(rigid_rotation):
 
 
 def test_layerwise_glued_constants(unit_cylinder, cylinder_collar):
-    interface = flds.unit_disk_interface()
+    interface = geo.disk_patch((0, 0, 0), 1.0)
     pw, _ = flds.make_vortex_sheet(flds.constant_field((1, 0, 0)),
                                    flds.constant_field((0, 0, 0)), interface)
     fld = flds.VectorField(pw.eval)
