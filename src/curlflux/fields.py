@@ -19,8 +19,11 @@ from .geometry import (
     Curve,
     SolidRegion,
     SurfacePatch,
+    _by_columns,
+    _columns,
     _cross_rows,
     _norm,
+    _rows,
     _unit,
     integrate,
 )
@@ -77,7 +80,8 @@ class LinePart:
     density: Callable[[Array], Array]  # points on the line -> (n,3)
 
     def positions(self, s: Array) -> Array:
-        return self.point + np.ravel(s)[:, None] * self.direction
+        s = np.ravel(s)
+        return _by_columns(lambda p, d: p + s * d, self.point, self.direction)
 
     def segment(self, rule: QuadratureRule) -> Curve:
         """The segment as a node set at the parameters of `rule`; the
@@ -123,8 +127,8 @@ def integrate_measure(mu: CurlMeasure, testvec, region: SolidRegion) -> Array:
         out = out + integrate(region, paired(mu.lebesgue_density))
     for sp in mu.sheet_parts:
         f = paired(sp.density)
-        out = out + integrate(sp.patch,
-                              lambda x: f(x) * region.contains(x)[:, None].astype(float))
+        out = out + integrate(sp.patch, lambda x: _by_columns(
+            np.multiply, f(x), region.contains(x)[:, None].astype(float)))
     for lp in mu.line_parts:
         lo, hi = region.clip(lp.point, lp.direction, lp.lo, lp.hi)
         if hi <= lo:
@@ -166,8 +170,8 @@ def surface_trace(fld: VectorField, patch: SurfacePatch) -> Callable[[Array], Ar
     the patch's normal: its frame normal if flat, and on a sphere
     `sign` (x - origin) / |x - origin|, the floats of `patch.normals`."""
     if patch.coordinates == "spherical":
-        return lambda x: _cross_rows(fld.eval(x),
-                                     patch.sign * _unit(np.atleast_2d(x) - patch.origin))
+        return lambda x: _cross_rows(fld.eval(x), patch.sign * _unit(
+            _by_columns(np.subtract, np.atleast_2d(x), patch.origin)))
     if patch.frame is None:
         raise FieldError(f"no face trace on a {patch.name!r} patch")
     return _face_trace(fld, patch.frame[2])
@@ -196,7 +200,6 @@ def line_crossings(mu: CurlMeasure, disk: SurfacePatch) -> list[Array]:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
     vector_field: VectorField
     curl: Optional[CurlMeasure]
     trace_z_plane: Callable[[Array], Array]  # F x e3: the trace on z-plane faces, nu = +e3
@@ -232,7 +235,7 @@ def catalog(name: str) -> CatalogEntry:
         def ev(x):
             x = np.atleast_2d(x)
             r3 = _norm(x) ** 3
-            return -x / (4.0 * np.pi * r3[:, None])
+            return _by_columns(np.divide, -x, 4.0 * np.pi * r3[:, None])
 
         vf = VectorField(ev, lambda x: np.zeros_like(np.atleast_2d(x)), SingularSet("point"))
         mu = ZERO_MEASURE
@@ -240,10 +243,10 @@ def catalog(name: str) -> CatalogEntry:
         def ev(x):
             x = np.atleast_2d(x)
             rho2 = x[:, 0] ** 2 + x[:, 1] ** 2
-            return np.stack([-x[:, 1] / rho2, x[:, 0] / rho2, x[:, 2]], axis=1) / (2.0 * np.pi)
+            return _columns(-x[:, 1] / rho2, x[:, 0] / rho2, x[:, 2]) / (2.0 * np.pi)
 
         line = LinePart(np.zeros(3), e3, -LINE_EXTENT, LINE_EXTENT,
-                        lambda pts: np.broadcast_to(e3, (np.atleast_2d(pts).shape[0], 3)).copy())
+                        lambda pts: _rows(e3, len(np.atleast_2d(pts))))
         vf = VectorField(ev, lambda x: np.zeros_like(np.atleast_2d(x)), SingularSet("line"))
         mu = CurlMeasure(line_parts=(line,))
     elif name == "annuli":
@@ -251,9 +254,8 @@ def catalog(name: str) -> CatalogEntry:
             x = np.atleast_2d(x)
             rho = np.hypot(x[:, 0], x[:, 1])
             eta = alternation_profile(rho)
-            safe = np.where(rho == 0.0, 1.0, rho)
-            return (eta / safe)[:, None] * np.stack([x[:, 1], -x[:, 0],
-                                                     np.zeros(len(x))], axis=1)
+            f = eta / np.where(rho == 0.0, 1.0, rho)
+            return _columns(f * x[:, 1], f * -x[:, 0], f * 0.0)
 
         # a bounded extension of the boundary data, constant across the face plane;
         # its one-sided limits on z = 0 reproduce the declared data
@@ -261,25 +263,27 @@ def catalog(name: str) -> CatalogEntry:
     elif name == "rigid_rotation":
         def ev(x):
             x = np.atleast_2d(x)
-            return np.stack([-x[:, 1], x[:, 0], np.zeros(len(x))], axis=1)
+            return _columns(-x[:, 1], x[:, 0], 0.0)
 
-        const = np.array([0.0, 0.0, 2.0])
-        vf = VectorField(ev, analytic_curl=lambda x: np.tile(const, (len(np.atleast_2d(x)), 1)))
-        mu = CurlMeasure(lebesgue_density=lambda x: np.tile(const, (len(np.atleast_2d(x)), 1)))
+        def const(x):
+            return _rows((0.0, 0.0, 2.0), len(np.atleast_2d(x)))
+
+        vf = VectorField(ev, analytic_curl=const)
+        mu = CurlMeasure(lebesgue_density=const)
     elif name == "plane_wave_em":
         def ev(x):
             x = np.atleast_2d(x)
-            return np.stack([np.zeros(len(x)), np.sin(x[:, 0]), np.zeros(len(x))], axis=1)
+            return _columns(0.0, np.sin(x[:, 0]), 0.0)
 
         def crl(x):
             x = np.atleast_2d(x)
-            return np.stack([np.zeros(len(x)), np.zeros(len(x)), np.cos(x[:, 0])], axis=1)
+            return _columns(0.0, 0.0, np.cos(x[:, 0]))
 
         vf, mu = VectorField(ev, analytic_curl=crl), CurlMeasure(lebesgue_density=crl)
     else:
         names = ", ".join(CATALOG_NAMES)
         raise FieldError(f"unknown catalog field {name!r}; choose one of {names}")
-    return CatalogEntry(name, vf, mu, _face_trace(vf, e3), breaks)
+    return CatalogEntry(vf, mu, _face_trace(vf, e3), breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +302,7 @@ class PiecewiseField:
     minus_field: VectorField
 
     def side(self, x: Array) -> Array:
-        return (np.atleast_2d(x) - self.plane_point) @ self.plane_normal
+        return _by_columns(np.subtract, np.atleast_2d(x), self.plane_point) @ self.plane_normal
 
     def eval(self, x: Array) -> Array:
         x = np.atleast_2d(x)
@@ -315,7 +319,8 @@ class PiecewiseField:
         """(plus, minus) limits at interface points, via normal offsets of 1e-6."""
         pts = np.atleast_2d(pts)
         h = 1e-6 * self.plane_normal
-        return self.plus_field.eval(pts + h), self.minus_field.eval(pts - h)
+        return (self.plus_field.eval(_by_columns(np.add, pts, h)),
+                self.minus_field.eval(_by_columns(np.subtract, pts, h)))
 
     def jump_density(self, pts: Array) -> Array:
         """Sheet density of the distributional curl: (tr_minus - tr_plus) x nu."""
@@ -369,5 +374,5 @@ def gluing_total_variation(pw: PiecewiseField, region: SolidRegion) -> float:
 
 def constant_field(vec) -> VectorField:
     vec = np.asarray(vec, dtype=float)
-    return VectorField(lambda x: np.broadcast_to(vec, (np.atleast_2d(x).shape[0], 3)).copy(),
+    return VectorField(lambda x: _rows(vec, len(np.atleast_2d(x))),
                        analytic_curl=lambda x: np.zeros_like(np.atleast_2d(x)))

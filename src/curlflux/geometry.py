@@ -52,10 +52,45 @@ DEFAULT_ORDER = 24
 DEFAULT_ANGULAR = 96
 
 
-# Column kernels: per-node vector arithmetic on (..., 3) arrays, one column
-# at a time. They give the floats of numpy's own calls at a fraction of the
-# cost of its loops over a length-3 axis. `@` and einsum add in another
-# order, so their last bit may differ from these, and they stay as they are.
+# Column kernels: per-node vector arithmetic on (..., 3) arrays goes one
+# column at a time. An (..., 3) array broadcast against a (3,) row or an
+# (..., 1) column runs numpy's loop over the length-3 axis, about three times
+# the cost of the same products and sums on the three columns, so every such
+# row or column broadcast goes by columns, and an (..., 3) result is written
+# column by column, never stacked, tiled or repeated. Each float is formed as
+# numpy forms it on the rows. `@` and einsum add in another order, so their
+# last bit may differ from a column sum; they stay as they are.
+
+
+def _columns(c0, c1, c2) -> np.ndarray:
+    """The (..., 3) array of three columns broadcast against each other (a
+    float is a constant column)."""
+    out = np.empty(np.broadcast(c0, c1, c2).shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = c0, c1, c2
+    return out
+
+
+def _by_columns(f, *arrays) -> np.ndarray:
+    """f(*arrays) over the last axis, one column at a time: f of the k-th
+    columns, k = 0, 1, 2, as the columns of one (..., 3) array. A (3,) row
+    gives its k-th entry and an (..., 1) array its one column, as numpy
+    broadcasts them, so each float is the one f forms on the rows. A ufunc
+    writes each column straight into the result."""
+    columns = list(zip(*((a[..., 0], a[..., 1], a[..., 2]) if a.shape[-1] == 3
+                         else (a[..., 0],) * 3 for a in arrays)))
+    if not isinstance(f, np.ufunc):
+        return _columns(*(f(*c) for c in columns))
+    out = np.empty(np.broadcast(*columns[0]).shape + (3,))
+    for k, c in enumerate(columns):
+        f(*c, out=out[..., k])
+    return out
+
+
+def _rows(row, n: int) -> np.ndarray:
+    """(n, 3): the 3-vector `row` in every row, written by columns."""
+    out = np.empty((n, 3))
+    out[:, 0], out[:, 1], out[:, 2] = row
+    return out
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -69,8 +104,8 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 def _unit(v: np.ndarray) -> np.ndarray:
     """v over |v| along the last axis; zero rows stay zero."""
-    n = _norm(v)[..., None]
-    return v / np.where(n == 0.0, 1.0, n)
+    n = _norm(v)
+    return _by_columns(np.divide, v, np.where(n == 0.0, 1.0, n)[..., None])
 
 
 def _cross(a, b) -> np.ndarray:
@@ -131,12 +166,12 @@ class Curve:
 def _arc(center, radius, e1, e2, rule: QuadratureRule) -> Curve:
     """The circle about `center` in the plane (e1, e2) at the angles of
     `rule`; with a (k,) `radius` and a (3,) or (k, 3) `center`, k circles."""
-    center = np.asarray(center, dtype=float)[..., None, :]
-    radius = np.asarray(radius, dtype=float)
-    s = rule.nodes
-    ring = (np.cos(s)[:, None] * np.asarray(e1, dtype=float)
-            + np.sin(s)[:, None] * np.asarray(e2, dtype=float))
-    return Curve(center + radius[..., None, None] * ring, rule.weights * radius[..., None])
+    radius = np.asarray(radius, dtype=float)[..., None]
+    cos, sin = np.cos(rule.nodes), np.sin(rule.nodes)
+    pts = _by_columns(lambda c, a, b: c[..., None] + radius * (cos * a + sin * b),
+                      np.asarray(center, dtype=float), np.asarray(e1, dtype=float),
+                      np.asarray(e2, dtype=float))
+    return Curve(pts, rule.weights * radius)
 
 
 def circle_curve(center, radius, e1, e2, n_nodes: int = DEFAULT_ANGULAR) -> Curve:
@@ -173,7 +208,12 @@ def integrate(node_set, integrand) -> float | np.ndarray:
     written into one values array that is summed once. Per-node data such as
     a patch's normals is read by integrating over the node indices.
     """
-    nodes = node_set.nodes
+    return _node_sum(node_set.weights, _node_values(node_set.nodes, integrand))
+
+
+def _node_values(nodes: np.ndarray, integrand) -> np.ndarray:
+    """The integrand at every node, the values `integrate` sums: evaluated
+    on slices of at most `BLOCK_POINTS` nodes; raises on non-finite values."""
     first = np.asarray(integrand(nodes[:BLOCK_POINTS]), dtype=float)
     vals = np.empty((len(nodes),) + first.shape[1:])
     vals[:BLOCK_POINTS] = first
@@ -181,7 +221,7 @@ def integrate(node_set, integrand) -> float | np.ndarray:
         vals[k:k + BLOCK_POINTS] = integrand(nodes[k:k + BLOCK_POINTS])
     if not np.all(np.isfinite(vals)):
         raise GeometryError("non-finite integrand")
-    return _node_sum(node_set.weights, vals)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -226,33 +266,31 @@ class SurfacePatch:
     @cached_property
     def nodes(self) -> np.ndarray:  # (n, 3)
         u, v = self.u.nodes, self.v.nodes
+        x, y, z = self.origin
         if self.coordinates == "polar":
-            e1, e2, _ = self.frame
-            ring = np.cos(v)[..., None] * e1 + np.sin(v)[..., None] * e2
-            pts = self.origin + u[..., None] * ring
+            cos, sin = np.cos(v), np.sin(v)
+            pts = _by_columns(lambda o, a, b: o + u * (cos * a + sin * b),
+                              self.origin, *self.frame[:2])
         elif self.coordinates == "spherical":
-            st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-            local = np.stack(np.broadcast_arrays(st * np.cos(v), st * np.sin(v), u), axis=-1)
-            pts = self.origin + self.scale * local
+            st, r = np.sqrt(np.clip(1.0 - u * u, 0.0, None)), self.scale
+            pts = _columns(x + r * (st * np.cos(v)), y + r * (st * np.sin(v)), z + r * u)
         elif self.coordinates == "cylinder_side":
             r = self.scale
-            pts = self.origin + np.stack(np.broadcast_arrays(r * np.cos(v), r * np.sin(v), u),
-                                         axis=-1)
+            pts = _columns(x + r * np.cos(v), y + r * np.sin(v), z + u)
         else:
-            e1, e2, _ = self.frame
-            pts = self.origin + u[..., None] * e1 + v[..., None] * e2
+            pts = _by_columns(lambda o, a, b: o + u * a + v * b, self.origin, *self.frame[:2])
         return _read_only(pts.reshape(-1, 3))
 
     @cached_property
     def normals(self) -> np.ndarray:  # (n, 3), unit
         if self.coordinates == "spherical":
-            return _read_only(self.sign * _unit(self.nodes - self.origin))
+            return _read_only(self.sign * _unit(_by_columns(np.subtract, self.nodes, self.origin)))
         if self.coordinates == "cylinder_side":
-            phi = self.v.nodes
-            ring = self.sign * np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
-            return _read_only(np.tile(ring, (self.u.nodes.size, 1)))
-        size = np.broadcast(self.u.nodes, self.v.nodes).size
-        return _read_only(np.tile(self.frame[2], (size, 1)))
+            phi, sign = self.v.nodes, self.sign
+            zero = np.zeros((self.u.nodes.size, phi.size))
+            ring = _columns(sign * np.cos(phi), sign * np.sin(phi), sign * zero)
+            return _read_only(ring.reshape(-1, 3))
+        return _read_only(_rows(self.frame[2], np.broadcast(self.u.nodes, self.v.nodes).size))
 
     @cached_property
     def weights(self) -> np.ndarray:  # (n,)
@@ -388,10 +426,9 @@ def build_tangential_collar(patch: SurfacePatch) -> TangentialCollar:
         axis = _cross(e1, e2)
 
         def grad_s(pts, s):
-            pts = np.atleast_2d(pts)
-            rel = pts - center
-            rho = _unit(rel - (rel @ axis)[:, None] * axis)
-            return -rho / radius
+            rel = _by_columns(np.subtract, np.atleast_2d(pts), center)
+            along = _by_columns(np.multiply, (rel @ axis)[:, None], axis)
+            return _unit(rel - along) / -radius
 
         return TangentialCollar(layer, grad_s, radius,
                                 param_of_radius=lambda r: 1.0 - r / radius)
@@ -402,20 +439,20 @@ def build_tangential_collar(patch: SurfacePatch) -> TangentialCollar:
         th0 = float(np.arctan2(np.sqrt(height * (2.0 - height)), 1.0 - height))
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
+        e3 = np.array([0.0, 0.0, 1.0])
 
         def layer(s):
             th = th0 * (1.0 - np.asarray(s))
-            c = center + np.multiply.outer(R * np.cos(th), [0.0, 0.0, 1.0])
+            up = R * np.cos(th)
+            c = _by_columns(lambda o, a: o + up * a, center, e3)
             return circle_curve(c, R * np.sin(th), e1, e2)
 
         def grad_s(pts, s):
-            pts = np.atleast_2d(pts)
-            rel = _unit(pts - center)
+            rel = _unit(_by_columns(np.subtract, np.atleast_2d(pts), center))
             phi = np.arctan2(rel[:, 1], rel[:, 0])
             th = np.arccos(np.clip(rel[:, 2], -1.0, 1.0))
-            e_theta = np.stack([np.cos(th) * np.cos(phi), np.cos(th) * np.sin(phi),
-                                -np.sin(th)], axis=1)
-            return -e_theta / (R * th0)
+            e_theta = _columns(np.cos(th) * np.cos(phi), np.cos(th) * np.sin(phi), -np.sin(th))
+            return e_theta / -(R * th0)
 
         return TangentialCollar(layer, grad_s, float(R * th0))
 
@@ -566,7 +603,9 @@ def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
 @dataclass(frozen=True)
 class PatchSlide:
     """Inward normal sliding of one boundary patch: Phi(t, x) = x - t h(x).
-    `slab_coordinate` is the slide depth of arbitrary points."""
+    `slab_coordinate` is the slide depth of arbitrary points. `shift_point`
+    takes a float t or an array that broadcasts against a column of the
+    points: (k, 1) slides (n, 3) points to k layers, (k, n, 3)."""
 
     patch: SurfacePatch
     shift_point: Callable[[np.ndarray, float], np.ndarray]
@@ -582,34 +621,40 @@ def planar_slide(patch: SurfacePatch) -> PatchSlide:
     inward = patch.frame[2]
 
     def shift(pts, t):
-        return np.atleast_2d(pts) + t * inward
+        return _by_columns(np.add, np.atleast_2d(pts), np.asarray(t)[..., None] * inward)
 
     def nrm(pts, t):
-        return np.broadcast_to(patch.normals[0], (np.atleast_2d(pts).shape[0], 3)).copy()
+        return _rows(inward, len(np.atleast_2d(pts)))
+
+    def outward(pts):
+        return _rows(-inward, len(np.atleast_2d(pts)))
 
     def slab(pts):
-        return (np.atleast_2d(pts) - patch.origin) @ inward
+        return _by_columns(np.subtract, np.atleast_2d(pts), patch.origin) @ inward
 
-    return PatchSlide(patch, shift, nrm, lambda pts: np.broadcast_to(-inward, (np.atleast_2d(pts).shape[0], 3)).copy(),
-                      lambda t: 1.0, depth_range=np.inf, slab_coordinate=slab)
+    return PatchSlide(patch, shift, nrm, outward, lambda t: 1.0, depth_range=np.inf,
+                      slab_coordinate=slab)
 
 
 def spherical_slide(patch: SurfacePatch) -> PatchSlide:
     """A sphere patch slid toward its centre."""
     center, radius = patch.origin, patch.scale
 
+    def rel(pts):
+        return _by_columns(np.subtract, np.atleast_2d(pts), center)
+
     def shift(pts, t):
-        pts = np.atleast_2d(pts)
-        return center + (1.0 - t / radius) * (pts - center)
+        f = 1.0 - t / radius
+        return _by_columns(lambda p, c: c + f * (p - c), np.atleast_2d(pts), center)
 
     def nrm(pts, t):
-        return -_unit(np.atleast_2d(pts) - center)
+        return -_unit(rel(pts))
 
     def outward(pts):
-        return _unit(np.atleast_2d(pts) - center)
+        return _unit(rel(pts))
 
     def slab(pts):
-        return radius - _norm(np.atleast_2d(pts) - center)
+        return radius - _norm(rel(pts))
 
     return PatchSlide(patch, shift, nrm, outward, lambda t: (1.0 - t / radius) ** 2,
                       depth_range=radius, slab_coordinate=slab)
@@ -620,20 +665,19 @@ def cylinder_slide(patch: SurfacePatch) -> PatchSlide:
     center, radius = patch.origin, patch.scale
 
     def radial(pts):
-        rel = np.atleast_2d(pts) - center
-        rel[:, 2] = 0.0
-        return _unit(rel)
+        pts = np.atleast_2d(pts)
+        return _unit(_columns(pts[..., 0] - center[0], pts[..., 1] - center[1], 0.0))
 
     def shift(pts, t):
         pts = np.atleast_2d(pts)
-        return pts - t * radial(pts)
+        return _by_columns(lambda p, r: p - t * r, pts, radial(pts))
 
     def nrm(pts, t):
         return -radial(pts)
 
     def slab(pts):
-        rel = np.atleast_2d(pts) - center
-        return radius - np.hypot(rel[:, 0], rel[:, 1])
+        pts = np.atleast_2d(pts)
+        return radius - np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
 
     return PatchSlide(patch, shift, nrm, radial, lambda t: (1.0 - t / radius),
                       depth_range=radius, slab_coordinate=slab)
@@ -703,14 +747,14 @@ class SolidRegion:
         """v less its component along the axis (v itself without one)."""
         if self.axis is None:
             return v
-        return v - np.multiply.outer(v @ self.axis, self.axis)
+        return v - _by_columns(np.multiply, (v @ self.axis)[..., None], self.axis)
 
     def contains(self, x) -> np.ndarray:
         """Whether each point lies in the open region."""
         x = np.atleast_2d(x)
-        inside = _norm(self._off_axis(x - self.center)) < self.radius
+        inside = _norm(self._off_axis(_by_columns(np.subtract, x, self.center))) < self.radius
         for point, normal in self.faces:
-            inside &= (x - point) @ normal > 0.0
+            inside &= _by_columns(np.subtract, x, point) @ normal > 0.0
         return inside
 
     def clip(self, point, direction, lo: float, hi: float) -> tuple[float, float]:
@@ -748,10 +792,13 @@ class SolidRegion:
         elif self.coordinates == "cylindrical":
             w *= a
             a, b, c = a * np.cos(b), a * np.sin(b), c
-        pts = np.stack(np.broadcast_arrays(a, b, c), axis=-1).reshape(-1, 3)
-        pts = pts if self.frame is None else pts @ self.frame
-        pts += self.center
-        return _read_only(pts), _read_only(w.reshape(-1))
+        if self.frame is None:
+            # the centre goes on before the grid is broadcast: the same sums
+            x, y, z = self.center
+            pts = _columns(a + x, b + y, c + z)
+        else:
+            pts = _by_columns(np.add, _columns(a, b, c).reshape(-1, 3) @ self.frame, self.center)
+        return _read_only(pts.reshape(-1, 3)), _read_only(w.reshape(-1))
 
     @cached_property
     def nodes(self) -> np.ndarray:  # (n, 3) physical points
@@ -922,7 +969,7 @@ def slab_integral(slide: PatchSlide, lo, hi, integrand) -> np.ndarray:
     nodes, weights = slide.patch.nodes, slide.patch.weights
 
     def layers(s):
-        pts = slide.shift_point(nodes, s[:, None, None]) if len(s) else np.empty((0, *nodes.shape))
+        pts = slide.shift_point(nodes, s[:, None]) if len(s) else np.empty((0, *nodes.shape))
         return SimpleNamespace(nodes=pts, weights=np.broadcast_to(weights, (len(s), len(weights))))
 
     windows = list(zip(np.ravel(lo), np.ravel(hi)))

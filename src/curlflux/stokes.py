@@ -13,6 +13,7 @@ pairing of an integrable divergence representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
@@ -26,7 +27,9 @@ from .geometry import (
     SurfacePatch,
     TangentialCollar,
     TransversalCollar,
+    _by_columns,
     _cross_rows,
+    _node_values,
     _norm,
     arc_curve,
     circle_curve,
@@ -182,23 +185,30 @@ class ManifoldDivMeasure:
     pointwise_div: Callable[[np.ndarray], np.ndarray]
     atoms: tuple[tuple[np.ndarray, float], ...]
 
-    def _excluded_div(self, pts) -> np.ndarray:
-        """Pointwise divergence, zero inside the exclusion disks of the atoms."""
-        out = np.asarray(self.pointwise_div(pts), dtype=float)
-        for p, _ in self.atoms:
-            out = out * (_norm(np.atleast_2d(pts) - p) > 2e-3).astype(float)
-        return out
+    @cached_property
+    def _excluded_div(self) -> np.ndarray:
+        """Pointwise divergence at the patch nodes, zero inside the exclusion
+        disks of the atoms: evaluated once, in the blocks `integrate` takes,
+        and refused as it refuses non-finite values."""
+        def div(pts):
+            out = np.asarray(self.pointwise_div(pts), dtype=float)
+            for p, _ in self.atoms:
+                out = out * (_norm(_by_columns(np.subtract, pts, p)) > 2e-3).astype(float)
+            return out
+
+        return _node_values(self.patch.nodes, div)
 
     def action(self, phi_value: Callable[[np.ndarray], np.ndarray]) -> float:
         """<div_tau v, phi> including atoms."""
-        total = integrate(self.patch, lambda pts: self._excluded_div(pts)
-                          * np.asarray(phi_value(pts), dtype=float))
+        div, nodes = self._excluded_div, self.patch.nodes
+        indices = SimpleNamespace(nodes=np.arange(len(div)), weights=self.patch.weights)
+        total = integrate(indices, lambda i: div[i] * np.asarray(phi_value(nodes[i]), dtype=float))
         for p, strength in self.atoms:
             total += strength * float(np.asarray(phi_value(p[None, :]))[0])
         return float(total)
 
     def total_mass(self) -> float:
-        total = integrate(self.patch, lambda pts: np.abs(self._excluded_div(pts)))
+        total = float(np.sum(self.patch.weights * np.abs(self._excluded_div)))
         return float(total + sum(abs(s) for _, s in self.atoms))
 
     def dual_mass_estimate(self, dictionary: Sequence[ScalarTestFunction]) -> float:
@@ -229,13 +239,14 @@ def manifold_div_measure(values, patch: SurfacePatch,
     if resid > 1e-8:
         raise StokesRefusal(f"surface field is not tangential (residual {resid:.2e})")
     fd_step = 1e-5
+    h1, h2 = fd_step * e1, fd_step * e2
 
     def pw_div(p):
         p = np.atleast_2d(p)
-        vp1 = np.atleast_2d(values(p + fd_step * e1))
-        vm1 = np.atleast_2d(values(p - fd_step * e1))
-        vp2 = np.atleast_2d(values(p + fd_step * e2))
-        vm2 = np.atleast_2d(values(p - fd_step * e2))
+        vp1 = np.atleast_2d(values(_by_columns(np.add, p, h1)))
+        vm1 = np.atleast_2d(values(_by_columns(np.subtract, p, h1)))
+        vp2 = np.atleast_2d(values(_by_columns(np.add, p, h2)))
+        vm2 = np.atleast_2d(values(_by_columns(np.subtract, p, h2)))
         return ((vp1 - vm1) @ e1 + (vp2 - vm2) @ e2) / (2.0 * fd_step)
 
     atoms = []
@@ -244,7 +255,7 @@ def manifold_div_measure(values, patch: SurfacePatch,
         fluxes = []
         for r in (0.05, 0.025, 0.0125):
             circ = circle_curve(sp, r, e1, e2, n_nodes=128)
-            outward = lambda q: (np.atleast_2d(q) - sp) / r
+            outward = lambda q: _by_columns(np.subtract, np.atleast_2d(q), sp) / r
             fluxes.append(integrate(circ, lambda q: np.einsum(
                 "ij,ij->i", np.atleast_2d(values(q)), outward(q))))
         atoms.append((sp, float(richardson_limit(fluxes))))
@@ -307,7 +318,7 @@ def _tangential_pairing(patch, phi: ScalarTestFunction, values) -> float:
     """Surface integral of grad_tau(phi) . values over a patch."""
     def integrand(pts, nu):
         g = np.atleast_2d(phi.gradient(pts))
-        gt = g - np.einsum("ij,ij->i", g, nu)[:, None] * nu
+        gt = g - _by_columns(np.multiply, np.einsum("ij,ij->i", g, nu)[:, None], nu)
         return np.einsum("ij,ij->i", gt, np.atleast_2d(values(pts)))
 
     return _normal_integral(patch, integrand)
@@ -332,9 +343,12 @@ def smooth_validators(fld: VectorField, region: SolidRegion,
     vol_curl = integrate(region, fld.analytic_curl)
     d1 = np.linalg.norm(vol_curl - bd(lambda p, nu: _cross_rows(fld.eval(p), nu)))
 
-    lhs2 = integrate(region, lambda x: phi.value(x)[:, None] * fld.analytic_curl(x)
+    def scaled(x, v):
+        return _by_columns(np.multiply, phi.value(x)[:, None], v)
+
+    lhs2 = integrate(region, lambda x: scaled(x, fld.analytic_curl(x))
                      - _cross_rows(fld.eval(x), phi.gradient(x)))
-    rhs2 = bd(lambda p, nu: phi.value(p)[:, None] * _cross_rows(fld.eval(p), nu))
+    rhs2 = bd(lambda p, nu: scaled(p, _cross_rows(fld.eval(p), nu)))
     d2 = np.linalg.norm(lhs2 - rhs2)
 
     lhs3 = bd(lambda p, nu: np.einsum(

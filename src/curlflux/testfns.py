@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import _cross_rows, _norm
+from .geometry import _by_columns, _columns, _cross_rows, _norm
 
 
 def smoothstep(u):
@@ -94,7 +94,7 @@ def _bump(center, radius: float, plateau: float, profile, profile_prime) -> Scal
         r = _norm(rel.T)
         mag = profile_prime(r / radius, plateau) / radius
         safe = np.where(r == 0.0, 1.0, r)
-        return np.stack(mag * rel / safe, axis=-1)
+        return _columns(*(mag * rel / safe))
 
     return ScalarTestFunction(value, gradient, support=(tuple(center), radius),
                               support_breaks=(plateau * radius,))
@@ -130,7 +130,7 @@ def trig_scalar(k) -> ScalarTestFunction:
 
     def gradient(x):
         c = np.cos(np.atleast_2d(x) @ k)
-        return c[:, None] * k
+        return _by_columns(np.multiply, c[:, None], k)
 
     return ScalarTestFunction(value, gradient)
 
@@ -143,14 +143,14 @@ def trig_vector(modes) -> VectorTestField:
         x = np.atleast_2d(x)
         out = np.zeros_like(x)
         for a, k, p in modes:
-            out += np.sin(x @ k + p)[:, None] * a
+            out += _by_columns(np.multiply, np.sin(x @ k + p)[:, None], a)
         return out
 
     def curl(x):
         x = np.atleast_2d(x)
         out = np.zeros_like(x)
         for a, k, p in modes:
-            out += np.cos(x @ k + p)[:, None] * np.cross(k, a)
+            out += _by_columns(np.multiply, np.cos(x @ k + p)[:, None], np.cross(k, a))
         return out
 
     return VectorTestField(value, curl)
@@ -174,7 +174,7 @@ def bump_vector(center, radius: float, direction) -> VectorTestField:
     bump = radial_bump(center, radius)
 
     def value(x):
-        return bump.value(x)[:, None] * d
+        return _by_columns(np.multiply, bump.value(x)[:, None], d)
 
     def curl(x):
         return _cross_rows(bump.gradient(x), d)

@@ -19,6 +19,8 @@ from .geometry import (
     SolidRegion,
     SurfacePatch,
     TransversalCollar,
+    _by_columns,
+    _columns,
     _cross_rows,
     _norm,
     disk_patch,
@@ -40,7 +42,7 @@ from .testfns import ScalarTestFunction, VectorTestField
 def _scalar_as_vec(phi):
     def testvec(x):
         v = np.asarray(phi(x), dtype=float)
-        return np.repeat(v[:, None], 3, axis=1)
+        return _columns(v, v, v)
     return testvec
 
 
@@ -166,7 +168,7 @@ def tangentiality_defect(fld: VectorField, region: SolidRegion,
 
     def data_tangential(base, pts, nu):
         vals = np.atleast_2d(boundary_data(base))
-        return vals - np.einsum("ij,ij->i", vals, nu)[:, None] * nu
+        return vals - _by_columns(np.multiply, np.einsum("ij,ij->i", vals, nu)[:, None], nu)
 
     t_full = boundary_pairing_layer_route(fld, collar, boundary_data, eps_grid)
     t_tan = _backed(_layer_pairing(fld, collar, data_tangential, eps_grid))
@@ -196,5 +198,5 @@ def pv_face_pairing(kernel, center, radius: float, testfn: ScalarTestFunction,
     annulus = disk_patch(center, radius, order=16, n_angular=96,
                          inner_radius=eps,
                          radial_breaks=_geometric_breaks(eps, radius))
-    return np.asarray(integrate(
-        annulus, lambda pts: np.atleast_2d(kernel(pts)) * testfn.value(pts)[:, None]))
+    return np.asarray(integrate(annulus, lambda pts: _by_columns(
+        np.multiply, np.atleast_2d(kernel(pts)), testfn.value(pts)[:, None])))
