@@ -14,8 +14,8 @@ target, with displacements folded to the target-centered cell and image
 weights from the even hat partition of unity (weight 1 - |d|/L per
 coordinate). The window is symmetric under negation, so the induced velocity
 of a uniform flat sheet cancels to rounding noise, and exact half-cell ties
-get half weights instead of a discontinuous fold. The neglected lattice tail
-is reported as a truncation-error estimate in the diagnostics.
+get half weights instead of a discontinuous fold. The lattice beyond the
+window is neglected.
 
 Strength is a material invariant: it is carried with the markers and
 re-projected onto the discrete tangent plane each step.
@@ -183,15 +183,6 @@ class SheetState:
         return (self.markers.reshape(n, 3), self.strength.reshape(n, 3),
                 self.weights.reshape(n))
 
-    def truncation_error_estimate(self) -> float:
-        """Crude bound on the neglected periodic-image tail of the kernel sum."""
-        if self.periods is None:
-            return 0.0
-        _, g, w = self.flat()
-        lmin = min(self.periods)
-        strength = float(np.sum(w * np.linalg.norm(g, axis=1)))
-        return strength / (4.0 * np.pi * lmin ** 2)
-
     def tangent_basis(self):
         """Central-difference tangent vectors along the two grid directions."""
         X = self.markers
@@ -296,12 +287,11 @@ def _flag_collisions(sheet: SheetState, factor: float):
 
 
 def diagnostics(sheet: SheetState) -> dict:
-    """Circulation vector and truncation estimate."""
+    """The sheet's circulation vector."""
     if sheet.n_markers == 0:
-        return {"circulation": np.zeros(3), "truncation_error": 0.0}
-    x, g, w = sheet.flat()
-    circulation = np.tensordot(w, g, axes=(0, 0))
-    return {"circulation": circulation, "truncation_error": sheet.truncation_error_estimate()}
+        return {"circulation": np.zeros(3)}
+    _, g, w = sheet.flat()
+    return {"circulation": np.tensordot(w, g, axes=(0, 0))}
 
 
 def two_body_velocity(gamma_j, x_j, w_j, x, delta: float) -> np.ndarray:

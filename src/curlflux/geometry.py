@@ -311,7 +311,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _column(rule: QuadratureRule) -> QuadratureRule:
     """`rule` with its arrays as a column (n, 1): the slow axis of a product."""
-    return QuadratureRule(rule.nodes[:, None], rule.weights[:, None], rule.order)
+    return QuadratureRule(rule.nodes[:, None], rule.weights[:, None])
 
 
 def disk_patch(center, radius: float, normal=(0.0, 0.0, 1.0),
@@ -583,18 +583,6 @@ def ramp_integral(segments: RampSegments, t: float, delta: float) -> tuple[float
             _layer_sum(layer_w, mags) / (collar.layer_jacobian * delta))
 
 
-def band_mass(collar: TangentialCollar, lo: float, hi: float, density,
-              breaks: Sequence[float] = ()) -> float:
-    """Integral of a scalar surface density over the collar band (lo, hi),
-    clipped to the collar's range [0, 1] and split at `breaks`."""
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
-    if collar.empty or hi <= lo:
-        return 0.0
-    _, w, lines = _band_lines(collar.layer, 8, _segments(lo, hi, breaks),
-                              lambda pts, s: np.asarray(density(pts), dtype=float))
-    return _layer_sum(w * collar.layer_jacobian, lines[0])
-
-
 # ---------------------------------------------------------------------------
 # solid regions and transversal collars
 # ---------------------------------------------------------------------------
@@ -687,10 +675,9 @@ def cylinder_slide(patch: SurfacePatch) -> PatchSlide:
 class TransversalCollar:
     """Per-patch inward slides with a globally transversal outward field h:
     every slide moves its patch along the patch's own normal, so each has a
-    depth coordinate and the margin kappa is 1 up to rounding."""
+    depth coordinate and the margin min(-nu . h) is 1 up to rounding."""
 
     slides: tuple[PatchSlide, ...]
-    kappa: float
 
     def slide_for(self, patch: SurfacePatch) -> PatchSlide:
         """The slide of `patch` itself, else the first slide whose depth
@@ -931,7 +918,8 @@ def build_transversal_collar(region: SolidRegion) -> TransversalCollar:
     """Per-patch inward slides, read off each boundary patch: a flat patch
     slides along its inner normal, a sphere toward its centre and a cylinder
     side toward its axis, with the centre and radius the patch's `origin`
-    and `scale`. Reports the transversality margin kappa > 0."""
+    and `scale`. Refuses a transversality margin kappa = min(-nu . h) that
+    is not positive."""
     make = {"spherical": spherical_slide, "cylinder_side": cylinder_slide}
     slides = [make.get(p.coordinates, planar_slide)(p) for p in region.boundary]
     kappa = np.inf
@@ -940,7 +928,7 @@ def build_transversal_collar(region: SolidRegion) -> TransversalCollar:
         kappa = min(kappa, float(np.min(-np.einsum("ij,ij->i", sl.patch.normals, h))))
     if not kappa > 0.0:
         raise GeometryError("failed to find a transversal field with kappa > 0")
-    return TransversalCollar(tuple(slides), kappa)
+    return TransversalCollar(tuple(slides))
 
 
 def shift_transversal(patch: SurfacePatch, collar: TransversalCollar,

@@ -17,7 +17,6 @@ class QuadratureRule:
 
     nodes: np.ndarray  # (n,) or (n, d)
     weights: np.ndarray  # (n,)
-    order: int
 
     def __post_init__(self):
         if (self.weights <= 0).any():
@@ -40,13 +39,13 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     The returned arrays are fresh, so callers may modify them."""
     x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return QuadratureRule(mid + half * x, half * w, order=2 * n - 1)
+    return QuadratureRule(mid + half * x, half * w)
 
 
 def periodic_trapezoid(n: int) -> QuadratureRule:
     """Equispaced rule on [0, 2 pi); spectrally accurate for periodic integrands."""
     h = 2.0 * np.pi / n
-    return QuadratureRule(np.arange(n) * h, np.full(n, h), order=n - 1)
+    return QuadratureRule(np.arange(n) * h, np.full(n, h))
 
 
 def gauss_legendre_split(n: int, breakpoints: np.ndarray) -> QuadratureRule:
@@ -57,4 +56,4 @@ def gauss_legendre_split(n: int, breakpoints: np.ndarray) -> QuadratureRule:
         raise ValueError("empty breakpoint partition")
     nodes = np.concatenate([s.nodes for s in segs])
     weights = np.concatenate([s.weights for s in segs])
-    return QuadratureRule(nodes, weights, order=2 * n - 1)
+    return QuadratureRule(nodes, weights)

@@ -26,15 +26,13 @@ import numpy as np
 
 from .fields import CurlMeasure, LinePart
 from .geometry import (
-    BLOCK_POINTS,
     POSITION_TOL,
     GeometryError,
     PatchSlide,
     SurfacePatch,
-    TangentialCollar,
     TransversalCollar,
+    _node_values,
     _norm,
-    band_mass,
     slab_integral,
 )
 from .quadrature import gauss_legendre
@@ -67,8 +65,6 @@ def _window_sup(window, t: float, mass) -> float:
 class MaximalScan:
     t_grid: tuple[float, ...]
     values: tuple[float, ...]  # may contain inf
-    variant: str  # "transversal"/"tangential" x "two_sided"/"plus"/"minus"
-    epsilon_grid: tuple[float, ...]
     collar_mass: float  # |mu| of the full collar image, for the weak-(1,1) bound
 
 
@@ -99,8 +95,8 @@ def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: np.ndarray,
     The depth must be affine along the segment, as it is for planar slides;
     every slab is then solved for exactly. A depth whose value at the
     segment's midpoint is not the mean of its end values is refused. The
-    windows' 64-node rules are evaluated together, in blocks of whole rules
-    of at most `BLOCK_POINTS` points.
+    windows' 64-node rules are evaluated together, as one node set of
+    segment parameters in the blocks `integrate` takes.
     """
     def depth(s):
         return slide.slab_coordinate(lp.positions(np.array([s])))[0]
@@ -126,13 +122,9 @@ def _line_slab_mass(lp: LinePart, slide: PatchSlide, lo: np.ndarray,
     mid, half = 0.5 * (s0[hit] + s1[hit]), 0.5 * (s1[hit] - s0[hit])
     nodes = mid[:, None] + half[:, None] * ref.nodes
     weights = half[:, None] * ref.weights
-    step = BLOCK_POINTS // len(ref.nodes)
-    for k in range(0, len(hit), step):
-        mags = _norm(np.atleast_2d(lp.density(lp.positions(nodes[k:k + step]))))
-        if not np.all(np.isfinite(mags)):
-            raise GeometryError("non-finite integrand")
-        out[hit[k:k + step]] = np.sum(weights[k:k + step] * mags.reshape(-1, len(ref.nodes)),
-                                      axis=1)
+    mags = _node_values(nodes.ravel(),
+                        lambda s: _norm(np.atleast_2d(lp.density(lp.positions(s)))))
+    out[hit] = np.sum(weights * mags.reshape(weights.shape), axis=1)
     return out
 
 
@@ -145,7 +137,7 @@ def _sheet_mass(sheet, inside) -> float:
 
 def _sheet_layer_mass(sheet, t: float) -> float:
     """Mass carried by the single layer at depth t (concentration detector)."""
-    return _sheet_mass(sheet, lambda depth: np.abs(depth - t) < 1e-10)
+    return _sheet_mass(sheet, lambda depth: np.abs(depth - t) <= POSITION_TOL)
 
 
 def _lebesgue_slab_mass(density, slide: PatchSlide, lo, hi) -> np.ndarray:
@@ -213,25 +205,7 @@ def maximal_transversal(mu: CurlMeasure, patch: SurfacePatch,
         layer_t = float(np.median(sheet[1]))  # the sheet's median depth
         if -0.75 < layer_t < 0.75:
             collar_mass += _sheet_layer_mass(sheet, layer_t)
-    return MaximalScan(tuple(t_grid), tuple(vals), f"transversal_{variant}",
-                       DEFAULT_EPS_GRID, collar_mass)
-
-
-def maximal_tangential(surface_density, collar: TangentialCollar, t_grid: Sequence[float],
-                       variant: str = "two_sided",
-                       breaks: Sequence[float] = ()) -> MaximalScan:
-    """Layer-mass maximal function of an integrable surface density over the
-    tangential collar bands of the boundary curve."""
-    window = _window(variant)
-
-    def mag(pts):
-        return _norm(np.atleast_2d(surface_density(pts)))
-
-    vals = [_window_sup(window, t, lambda lo, hi: band_mass(collar, lo, hi, mag, breaks=breaks))
-            for t in t_grid]
-    collar_mass = band_mass(collar, 0.0, 0.75, mag, breaks=breaks)
-    return MaximalScan(tuple(t_grid), tuple(vals), f"tangential_{variant}",
-                       DEFAULT_EPS_GRID, collar_mass)
+    return MaximalScan(tuple(t_grid), tuple(vals), collar_mass)
 
 
 @dataclass(frozen=True)

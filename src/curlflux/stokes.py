@@ -67,15 +67,6 @@ class StokesResult:
         return "CONVERGED" if self.converged else "NON-CONVERGENT"
 
 
-@dataclass(frozen=True)
-class StokesDensity:
-    point: np.ndarray
-    r_grid: tuple[float, ...]
-    estimates: tuple[float, ...]
-    limit: Optional[float]
-    converged: bool
-
-
 # ---------------------------------------------------------------------------
 # tangential localizer route
 # ---------------------------------------------------------------------------
@@ -124,13 +115,15 @@ def stokes_tangential(trace, patch: SurfacePatch, collar: TangentialCollar,
 
 
 def stokes_density(trace, patch: SurfacePatch, collar: TangentialCollar,
-                   t: float, x0, r_grid: Sequence[float]) -> StokesDensity:
-    """Boundary-measure density at a point of the shrunk disk's rim.
+                   t: float, x0, r_grid: Sequence[float]) -> Optional[float]:
+    """Boundary-measure density at a point of the shrunk disk's rim, or None
+    when no radius gives an estimate.
 
     Each radius pairs the localizer limit over ramp widths 2^-5 ... 2^-13
     against a bump and normalizes by the curve mass of the same bump; a
     radius whose ramp sequence fails `judge_sequence` gives no estimate. The
-    r-limit reproduces -(trace . tangent) at continuity points. Quadrature is
+    estimate at the last radius that gives one is reported; as r -> 0 it
+    reproduces -(trace . tangent) at continuity points. Quadrature is
     windowed to the bump's angular support on 48-node arcs, so radii far
     below the global angular resolution remain well resolved.
     """
@@ -142,7 +135,7 @@ def stokes_density(trace, patch: SurfacePatch, collar: TangentialCollar,
     rel = x0 - center
     a0 = float(np.arctan2(rel @ e2, rel @ e1))
     deltas = [2.0 ** (-j) for j in range(5, 14)]
-    ests = []
+    limit = None
     for r in r_grid:
         bump = radial_bump(x0, r, plateau=0.6)
         half_width = 1.5 * r / (radius * (1.0 - t))
@@ -156,13 +149,10 @@ def stokes_density(trace, patch: SurfacePatch, collar: TangentialCollar,
         vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
         verdict = judge_sequence(vals, max(mags))
         curve_mass = integrate(window(t), bump.value)
-        ests.append(-verdict.limit / curve_mass if verdict.converged and curve_mass > 0
-                    else np.nan)
-    arr = [e for e in ests if np.isfinite(e)]
-    # estimates converge slowly in the window radius; report the finest scale
-    limit = float(arr[-1]) if arr else None
-    return StokesDensity(x0, tuple(r_grid), tuple(float(e) for e in ests), limit,
-                         bool(arr))
+        if verdict.converged and curve_mass > 0:
+            # estimates converge slowly in the window radius; keep the finest
+            limit = -verdict.limit / curve_mass
+    return limit
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +171,6 @@ class ManifoldDivMeasure:
     """
 
     patch: SurfacePatch
-    values: Callable[[np.ndarray], np.ndarray]
     pointwise_div: Callable[[np.ndarray], np.ndarray]
     atoms: tuple[tuple[np.ndarray, float], ...]
 
@@ -210,14 +199,6 @@ class ManifoldDivMeasure:
     def total_mass(self) -> float:
         total = float(np.sum(self.patch.weights * np.abs(self._excluded_div)))
         return float(total + sum(abs(s) for _, s in self.atoms))
-
-    def dual_mass_estimate(self, dictionary: Sequence[ScalarTestFunction]) -> float:
-        """Lower bound of the divergence mass from the defining dual formula:
-        sup over unit test functions of the pairing with the field's surface
-        gradient. Independent of the pointwise/atom decomposition, so it also
-        sees line-concentrated divergence."""
-        return max((abs(_tangential_pairing(self.patch, phi, self.values))
-                    for phi in dictionary), default=0.0)
 
 
 def manifold_div_measure(values, patch: SurfacePatch,
@@ -259,7 +240,7 @@ def manifold_div_measure(values, patch: SurfacePatch,
             fluxes.append(integrate(circ, lambda q: np.einsum(
                 "ij,ij->i", np.atleast_2d(values(q)), outward(q))))
         atoms.append((sp, float(richardson_limit(fluxes))))
-    return ManifoldDivMeasure(patch, values, pw_div, tuple(atoms))
+    return ManifoldDivMeasure(patch, pw_div, tuple(atoms))
 
 
 def stokes_transversal(trace_on_shifted, patch: SurfacePatch,
@@ -278,8 +259,7 @@ def stokes_transversal(trace_on_shifted, patch: SurfacePatch,
     dm = manifold_div_measure(trace_on_shifted, shifted,
                               singular_points=singular_points)
     flux = dm.action(lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
-    return {"flux": float(flux), "div_mass": dm.total_mass(),
-            "patch": shifted, "div_measure": dm}
+    return {"flux": float(flux), "div_mass": dm.total_mass()}
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +292,6 @@ def _normal_integral(patch, integrand) -> float | np.ndarray:
     """Integral of integrand(points, normals) over a patch, by node indices."""
     indices = SimpleNamespace(nodes=np.arange(len(patch.weights)), weights=patch.weights)
     return integrate(indices, lambda i: integrand(patch.nodes[i], patch.normals[i]))
-
-
-def _tangential_pairing(patch, phi: ScalarTestFunction, values) -> float:
-    """Surface integral of grad_tau(phi) . values over a patch."""
-    def integrand(pts, nu):
-        g = np.atleast_2d(phi.gradient(pts))
-        gt = g - _by_columns(np.multiply, np.einsum("ij,ij->i", g, nu)[:, None], nu)
-        return np.einsum("ij,ij->i", gt, np.atleast_2d(values(pts)))
-
-    return _normal_integral(patch, integrand)
 
 
 # ---------------------------------------------------------------------------

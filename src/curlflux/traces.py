@@ -89,7 +89,6 @@ class TangentialTrace:
 
     points: np.ndarray  # (n,3) base boundary points
     values: np.ndarray  # (n,3) extrapolated F x nu
-    side: str
     converged: np.ndarray  # (n,) bool
     tangentiality_residual: np.ndarray  # (n,) |value . nu|
 
@@ -119,7 +118,7 @@ def estimate_trace_layerwise(fld: VectorField, patch: SurfacePatch,
     scale = np.sqrt(np.einsum("mij,mij->mi", stack, stack).max())
     conv = _norm(richardson_gap(stack)) <= GAP_TOL * scale
     resid = np.abs(np.einsum("ij,ij->i", values, nu0))
-    return TangentialTrace(base, values, side, conv, resid)
+    return TangentialTrace(base, values, conv, resid)
 
 
 def _layer_pairing(fld: VectorField, collar: TransversalCollar, data,

@@ -6,27 +6,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "curlflux"
 PERFBENCH = ROOT / "perfbench"
 
-# public names of src/curlflux that no code outside tests/ reaches yet
-AWAITING_A_COMMAND = {"maximal_tangential"}  # paper quantities the CLI cannot reach
-# references the tests compare against
+# public names of src/curlflux that no code outside tests/ reaches: the
+# references the tests compare against and the tests' input constructors
 ORACLES = {"two_body_velocity", "numeric_curl", "trace_pairing_vector"}
-CONSTRUCTORS = {"trig_scalar", "gradient_field", "bump_vector"}  # test inputs
-ALLOWED = AWAITING_A_COMMAND | ORACLES | CONSTRUCTORS
-# public methods that only tests read, by the test that needs each one
-TEST_ONLY_METHODS = {
-    "ManifoldDivMeasure.dual_mass_estimate": "test_stokes.test_annuli_divergence_mass_grows",
-}
-_OUTPUT_RECORD = "an output record's field, kept until results carry their evidence"
-# dataclass fields and properties that no code outside tests/ reads, by the
-# test or the reason that keeps each one
-TEST_ONLY_FIELDS = {
-    "TransversalCollar.kappa": "build_transversal_collar refuses kappa <= 0; "
-                               "test_geometry.test_box_collar_kappa reads the margin",
-    "MaximalScan.variant": _OUTPUT_RECORD,
-    "MaximalScan.epsilon_grid": _OUTPUT_RECORD,
-    "StokesDensity.r_grid": _OUTPUT_RECORD,
-    "StokesDensity.estimates": _OUTPUT_RECORD,
-}
+CONSTRUCTORS = {"trig_scalar", "gradient_field", "bump_vector"}
+ALLOWED = ORACLES | CONSTRUCTORS
 
 
 def _parse(path):
@@ -41,14 +25,20 @@ def _code_files():
 
 
 def _referenced(node):
-    # (name, whether read as an attribute) for every identifier or attribute a
-    # node reads; a name inside a string, such as a regex that mentions it,
-    # is no reference
+    # (name, whether read as an attribute, the callee it is copied into) for
+    # every identifier or attribute a node reads; a name inside a string,
+    # such as a regex that mentions it, is no reference. An attribute passed
+    # as it stands to a call is copied into the name the call is made
+    # through: a class, or `replace` for `dataclasses.replace`
+    copies = {id(arg): getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+              for sub in ast.walk(node) if isinstance(sub, ast.Call)
+              for arg in (*sub.args, *(k.value for k in sub.keywords))
+              if isinstance(arg, ast.Attribute)}
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            yield sub.id, False
+            yield sub.id, False, None
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr, True
+            yield sub.attr, True, copies.get(id(sub))
 
 
 def _dunder(name):
@@ -147,21 +137,25 @@ def _unconsumed(definitions=_public_definitions):
     # a reader outside its statement and a member (method, field or property)
     # one outside itself, such as another member of its class. Only an
     # attribute read (`x.name`) reaches a member: a bare name of the same
-    # spelling is a local variable or another definition
+    # spelling is a local variable or another definition, and a read that
+    # only copies the member into a construction of its own class or into a
+    # `dataclasses.replace` passes it on without using it
     readers = {}
     for path in _code_files():
         for top in _parse(path).body:
             for member, node in _members(top):
-                for name, attr in _referenced(node):
+                for name, attr, copied_into in _referenced(node):
                     readers.setdefault(name, set()).add(
-                        (path, getattr(top, "name", None) or _alias(top), member, attr))
+                        (path, getattr(top, "name", None) or _alias(top), member, attr,
+                         copied_into))
     out = []
     for path, cls, name in definitions():
         found = readers.get(name, set())
         if cls is None:
             found = {r for r in found if r[:2] != (path, name)}
         else:
-            found = {r for r in found if r[3] and r[:3] != (path, cls, name)}
+            found = {r for r in found if r[3] and r[:3] != (path, cls, name)
+                     and r[4] not in (cls, "replace")}
         if not found:
             out.append(name if cls is None else f"{cls}.{name}")
     return out
@@ -170,24 +164,19 @@ def _unconsumed(definitions=_public_definitions):
 def test_every_public_name_has_a_consumer():
     # a public function or class that neither src/ nor perfbench/ reaches serves
     # only its own tests: delete it, move it to tests/, or give it a command
-    orphans = sorted(set(_unconsumed()) - ALLOWED - set(TEST_ONLY_METHODS))
+    orphans = sorted(set(_unconsumed()) - ALLOWED)
     assert not orphans, f"no consumer in src/ or perfbench/: {orphans}"
 
 
 def test_the_allowlist_names_only_unconsumed_definitions():
     # a name that gains a consumer leaves the allowlist
-    assert sorted((ALLOWED | set(TEST_ONLY_METHODS)) - set(_unconsumed())) == []
+    assert sorted(ALLOWED - set(_unconsumed())) == []
 
 
 def test_every_field_property_and_private_helper_has_a_reader():
-    # state that only tests read is no output: delete it, or name the test
-    # that needs it in TEST_ONLY_FIELDS
-    orphans = sorted(set(_unconsumed(_state_and_helpers)) - set(TEST_ONLY_FIELDS))
+    # state that only tests read is no output: delete it
+    orphans = sorted(_unconsumed(_state_and_helpers))
     assert not orphans, f"no reader in src/ or perfbench/: {orphans}"
-
-
-def test_the_field_allowlist_names_only_unread_state():
-    assert sorted(set(TEST_ONLY_FIELDS) - set(_unconsumed(_state_and_helpers))) == []
 
 
 def test_a_method_read_by_its_own_class_is_consumed(tmp_path, monkeypatch):
@@ -237,3 +226,21 @@ def test_fields_properties_and_private_helpers_need_an_attribute_read(tmp_path, 
     # and nothing reads `_lonely`; dunders and a plain class's annotations are
     # no state
     assert _unconsumed(_state_and_helpers) == ["_lonely", "Rec.label", "Rec._helper"]
+
+
+def test_a_field_copied_into_its_own_class_or_a_replace_is_not_read(tmp_path, monkeypatch):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import dataclasses\n"
+                   "from dataclasses import dataclass\n"
+                   "@dataclass\nclass Rule:\n    nodes: int\n    order: int\n    tag: int\n"
+                   "@dataclass\nclass Box:\n    size: int\n"
+                   "def column(r):\n    return Rule(r.nodes, r.order, tag=r.tag)\n"
+                   "def relabel(r):\n    return dataclasses.replace(r, tag=r.tag)\n"
+                   "def pack(b):\n    return Rule(b.size, 0, 0)\n"
+                   "def use(r):\n    return column(relabel(r)).nodes\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "PERFBENCH", tmp_path / "absent")
+    # `order` and `tag` are only copied into a new Rule or a replace;
+    # `nodes` is copied too but `use` reads it, and `size` is read by the
+    # construction of another class
+    assert _unconsumed(_state_and_helpers) == ["Rule.order", "Rule.tag"]

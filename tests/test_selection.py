@@ -28,14 +28,10 @@ def test_one_sided_below_two_sided(line_vortex, cylinder_collar):
         assert a <= c + 1e-12 and b <= c + 1e-12
 
 
-def test_unknown_maximal_variant_rejected(line_vortex, cylinder_collar, unit_disk,
-                                          unit_disk_collar):
+def test_unknown_maximal_variant_rejected(line_vortex, cylinder_collar, unit_disk):
     with pytest.raises(ValueError, match="unknown maximal variant"):
         sel.maximal_transversal(line_vortex.curl, unit_disk, cylinder_collar,
                                 [0.1], variant="plus_minus")
-    with pytest.raises(ValueError, match="unknown maximal variant"):
-        sel.maximal_tangential(line_vortex.vector_field.eval, unit_disk_collar, [0.1],
-                               variant="two-sided")
 
 
 def test_line_slab_mass_refused_on_a_curved_slide(line_vortex):
@@ -64,6 +60,22 @@ def test_concentrated_sheet_flagged(cylinder_collar):
     assert sel.single_layer_mass(sel.SlideMeasure(mu, slide), 0.25) > 3.0
 
 
+@pytest.mark.parametrize("offset, concentrated", [(5e-10, True), (2e-9, False)])
+def test_a_sheet_lies_on_a_layer_within_the_position_tolerance(cylinder_collar, offset,
+                                                               concentrated):
+    # a sheet lies on the layer at t when its depth is within
+    # geometry.POSITION_TOL = 1e-9 of t, the tolerance of every other
+    # "lies on" test: then the value is infinite, else finite
+    sheet = flds.SheetPart(
+        geo.disk_patch((0, 0, 0.25 + offset), 1.0),
+        lambda pts: np.broadcast_to(np.array([0.0, 1.0, 0.0]),
+                                    (np.atleast_2d(pts).shape[0], 3)).copy())
+    mu = flds.CurlMeasure(sheet_parts=(sheet,))
+    man = geo.disk_patch((0, 0, 0), 1.0)
+    scan = sel.maximal_transversal(mu, man, cylinder_collar, t_grid=[0.25])
+    assert np.isinf(scan.values[0]) == concentrated
+
+
 def test_zero_measure_scan(cylinder_collar):
     man = geo.disk_patch((0, 0, 0), 1.0)
     scan = sel.maximal_transversal(flds.ZERO_MEASURE, man, cylinder_collar,
@@ -71,25 +83,6 @@ def test_zero_measure_scan(cylinder_collar):
     assert max(scan.values) == 0.0
     rep = sel.good_set_scan(scan, 0.5)
     assert rep.complement_measure == 0.0 and rep.holds
-
-
-def test_tangential_maximal_uniform_density(unit_disk_collar):
-    ind = lambda pts: ((np.hypot(pts[:, 0], pts[:, 1]) < 1.0).astype(float)[:, None]
-                       * np.array([1.0, 0.0, 0.0]))
-    t_grid = [0.1, 0.2, 0.3]
-    scan = sel.maximal_tangential(ind, unit_disk_collar, t_grid)
-    for t, v in zip(scan.t_grid, scan.values):
-        assert abs(v - 4 * np.pi * (1 - t)) < 2e-2 * 4 * np.pi
-
-
-def test_annuli_trace_finite_maximal(annuli, unit_disk_collar):
-    # bounded data has finite layer maximal values even where the localizer
-    # limit fails: the scan is necessary, not sufficient
-    scan = sel.maximal_tangential(annuli.trace_z_plane, unit_disk_collar,
-                                  t_grid=[0.0, 0.1, 0.25],
-                                  breaks=[2.0 ** -k for k in range(1, 12)])
-    assert np.all(np.isfinite(scan.values))
-    assert max(scan.values) <= 4.0 * np.pi + 1e-6  # |data| <= 1 on the unit disk
 
 
 def test_weak11_line_vortex(line_vortex, cylinder_collar):

@@ -258,8 +258,8 @@ def test_density_rigid_rotation_centered(rigid_rotation, unit_disk,
     dens = stk.stokes_density(rigid_rotation.trace_z_plane, unit_disk,
                               unit_disk_collar, 0.0, x0,
                               [2.0 ** -k for k in range(3, 9)])
-    assert dens.converged
-    assert abs(dens.limit - 1.0) < 1e-2
+    assert dens is not None
+    assert abs(dens - 1.0) < 1e-2
 
 
 def test_density_constant_field_cases(unit_disk, unit_disk_collar):
@@ -272,14 +272,14 @@ def test_density_constant_field_cases(unit_disk, unit_disk_collar):
     trace = lambda pts: np.cross(cst.eval(pts), np.array([0.0, 0.0, 1.0]))
     dens = stk.stokes_density(trace, unit_disk, unit_disk_collar, 0.0,
                               x0, r_grid)
-    assert abs(dens.limit + 1.0) < 1e-2
+    assert abs(dens + 1.0) < 1e-2
     # constant field orthogonal to the tangent: density = 0
     nrm = np.cross(np.array([0.0, 0.0, 1.0]), tau)
     cst2 = flds.constant_field(nrm)
     trace2 = lambda pts: np.cross(cst2.eval(pts), np.array([0.0, 0.0, 1.0]))
     dens2 = stk.stokes_density(trace2, unit_disk, unit_disk_collar, 0.0,
                                x0, r_grid)
-    assert abs(dens2.limit) < 1e-2
+    assert abs(dens2) < 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -319,50 +319,6 @@ def test_manifold_div_rejects_non_tangential(unit_disk):
         stk.manifold_div_measure(tilt, unit_disk)
 
 
-def _ring_testfn(r_k: float, width: float) -> ScalarTestFunction:
-    # unit-sup bump of the planar radius, supported on an annulus around r_k
-    from curlflux.testfns import cutoff_profile, cutoff_profile_prime
-
-    def value(pts):
-        rho = np.hypot(np.atleast_2d(pts)[:, 0], np.atleast_2d(pts)[:, 1])
-        return cutoff_profile(np.abs(rho - r_k) / width, plateau=0.2)
-
-    def gradient(pts):
-        pts = np.atleast_2d(pts)
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        safe = np.where(rho == 0, 1.0, rho)
-        mag = (cutoff_profile_prime(np.abs(rho - r_k) / width, plateau=0.2)
-               * np.sign(rho - r_k) / width)
-        rad = np.stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1) / safe[:, None]
-        return mag[:, None] * rad
-
-    return ScalarTestFunction(value, gradient)
-
-
-def test_annuli_divergence_mass_grows(annuli, unit_disk):
-    # radial alternating data: the dual divergence bound grows without bound
-    # as the test dictionary resolves more jump circles
-    def radial_data(pts):
-        pts = np.atleast_2d(pts)
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        eta = flds.alternation_profile(rho)
-        safe = np.where(rho == 0, 1.0, rho)
-        return -(eta / safe)[:, None] * np.stack(
-            [pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1)
-
-    dm = stk.manifold_div_measure(radial_data, unit_disk)
-    masses = []
-    for levels in (2, 4, 6):
-        dictionary = [
-            _ring_testfn(1.0 - 2.0 ** (-k), 2.0 ** (-k - 2) * 0.9)
-            for k in range(1, levels + 1)
-        ]
-        masses.append(dm.dual_mass_estimate(dictionary))
-    assert masses[0] < masses[1] < masses[2]
-    # each jump circle carries |jump| = 2 across radius 1 - 2^-k
-    assert masses[2] > 2.0 * 2.0 * np.pi * (1 - 2.0 ** -6) * 0.5
-
-
 def test_gauss_green_manifold_smooth(unit_disk, cylinder_collar):
     # smooth tangential field: the transversal route's <div v, 1> on the
     # shifted disk equals the outward conormal flux through its rim
@@ -371,7 +327,7 @@ def test_gauss_green_manifold_smooth(unit_disk, cylinder_collar):
         return np.stack([pts[:, 0] ** 2, pts[:, 1], np.zeros(len(pts))], axis=1)
 
     out = stk.stokes_transversal(v, unit_disk, cylinder_collar, 0.25)
-    boundary, conormals, _ = rim(out["patch"])
+    boundary, conormals, _ = rim(geo.shift_transversal(unit_disk, cylinder_collar, 0.25))
     # the conormals point inward
     oracle = -float(np.sum(boundary.weights
                            * np.einsum("ij,ij->i", v(boundary.nodes), conormals)))
@@ -682,13 +638,6 @@ def test_integrals_of_normals_on_faces_above_block_points(rigid_rotation):
     bd = sum(geo._node_sum(p.weights, np.cross(fld.eval(p.nodes), p.normals))
              for p in region.boundary)
     assert res["D1"] == np.linalg.norm(geo.integrate(region, fld.analytic_curl) - bd)
-
-    patch = geo.disk_patch((0.1, -0.2, 0.0), 0.9, order=64)
-    bump = smooth_bump((0.2, 0.0, 0.0), 0.7)
-    g = bump.gradient(patch.nodes)
-    gt = g - np.einsum("ij,ij->i", g, patch.normals)[:, None] * patch.normals
-    whole = geo._node_sum(patch.weights, np.einsum("ij,ij->i", gt, fld.eval(patch.nodes)))
-    assert stk._tangential_pairing(patch, bump, fld.eval) == whole
 
 
 def test_rankine_hugoniot_constructed():
