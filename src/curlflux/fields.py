@@ -304,17 +304,6 @@ class PiecewiseField:
     def side(self, x: Array) -> Array:
         return _by_columns(np.subtract, np.atleast_2d(x), self.plane_point) @ self.plane_normal
 
-    def eval(self, x: Array) -> Array:
-        x = np.atleast_2d(x)
-        s = self.side(x)
-        out = np.empty_like(x)
-        plus = s > 0
-        if np.any(plus):
-            out[plus] = self.plus_field.eval(x[plus])
-        if np.any(~plus):
-            out[~plus] = self.minus_field.eval(x[~plus])
-        return out
-
     def one_sided_traces(self, pts: Array) -> tuple[Array, Array]:
         """(plus, minus) limits at interface points, via normal offsets of 1e-6."""
         pts = np.atleast_2d(pts)

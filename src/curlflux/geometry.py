@@ -219,6 +219,12 @@ def _node_values(nodes: np.ndarray, integrand) -> np.ndarray:
     vals[:BLOCK_POINTS] = first
     for k in range(BLOCK_POINTS, len(nodes), BLOCK_POINTS):
         vals[k:k + BLOCK_POINTS] = integrand(nodes[k:k + BLOCK_POINTS])
+    return _finite(vals)
+
+
+def _finite(vals) -> np.ndarray:
+    """`vals` as a float array; raises on non-finite integrand values."""
+    vals = np.asarray(vals, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise GeometryError("non-finite integrand")
     return vals
@@ -774,8 +780,8 @@ class SolidRegion:
         if self.coordinates == "spherical":
             w *= a
             w *= a
-            st = np.sqrt(np.clip(1.0 - b * b, 0.0, None))
-            a, b, c = a * st * np.cos(c), a * st * np.sin(c), a * b
+            st, cos, sin = _sphere_factors(b, c)
+            a, b, c = a * st * cos, a * st * sin, a * b
         elif self.coordinates == "cylindrical":
             w *= a
             a, b, c = a * np.cos(b), a * np.sin(b), c
@@ -788,12 +794,29 @@ class SolidRegion:
         return _read_only(pts.reshape(-1, 3)), _read_only(w.reshape(-1))
 
     @cached_property
+    def directions(self) -> np.ndarray:
+        """A spherical rule's unit directions (n_u * n_phi, 3) about `center`,
+        in node order within each radius: the node at radius r_k and
+        direction d_j is center + r_k d_j up to rounding."""
+        _, ru, rp = self.volume_rules
+        u = ru.nodes[:, None]
+        st, cos, sin = _sphere_factors(u, rp.nodes)
+        d = _columns(st * cos, st * sin, u).reshape(-1, 3)
+        return _read_only(d if self.frame is None else d @ self.frame)
+
+    @cached_property
     def nodes(self) -> np.ndarray:  # (n, 3) physical points
         return self._volume[0]
 
     @cached_property
     def weights(self) -> np.ndarray:  # plain weights including metric factor
         return self._volume[1]
+
+
+def _sphere_factors(u, phi):
+    """sin(colatitude), cos(phi) and sin(phi) of the spherical parameters
+    (u = cos colatitude, phi): the factors of a direction and of a node."""
+    return np.sqrt(np.clip(1.0 - u * u, 0.0, None)), np.cos(phi), np.sin(phi)
 
 
 def _faces(*patches: SurfacePatch) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -873,16 +896,14 @@ def support_rule(region: SolidRegion, support, breaks: Sequence[float] = ()) -> 
 
     `support` is the ball (center, radius) outside which the test function
     vanishes and `breaks` are the radii of its profile kinks inside it, as in
-    `ScalarTestFunction.support` and `.support_breaks`. The returned region
+    a `RadialProfile`'s centre and radius and its kink. The returned region
     covers the support only, split radially at the kinks: the support ball
     when it lies inside `region`, or the half ball on the inner side of a
     face the support is centred on, oriented by that face's inner normal. It
     is quadrature-only: pairings need its nodes, not its boundary. Any other
-    case (no support, a support leaving the region) returns `region` itself,
-    whose own rule is then used.
+    case (a support leaving the region) returns `region` itself, whose own
+    rule is then used.
     """
-    if support is None:
-        return region
     center, radius = np.asarray(support[0], dtype=float), float(support[1])
     kinks = sorted(float(b) for b in breaks if 0.0 < b < radius)
     order, n_angular = 16, 32

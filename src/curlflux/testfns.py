@@ -9,7 +9,8 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,17 +40,28 @@ def cutoff_profile_prime(u, plateau: float):
 
 
 @dataclass(frozen=True)
-class ScalarTestFunction:
-    """Compactly supported scalar with analytic gradient.
+class RadialProfile:
+    """A radial bump as a function of the radius about its `center`:
+    profile(r / radius), 0 outside `radius` and kinked only at `kink`, with
+    `profile_prime` its derivative in r / radius. The ball (center, radius)
+    is its support, on which pairings integrate."""
 
-    `support` optionally records an enclosing ball (center, radius) so
-    pairings can integrate over it instead of a whole region.
-    """
+    center: np.ndarray
+    radius: float
+    kink: float
+    profile: Callable[[np.ndarray], np.ndarray]
+    profile_prime: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class ScalarTestFunction:
+    """Compactly supported scalar with analytic gradient; a radial bump also
+    holds its `radial` profile, so pairings can integrate over its support
+    ball instead of a whole region."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    support: "tuple | None" = None
-    support_breaks: tuple = ()
+    radial: Optional[RadialProfile] = None
 
 
 def _exp_profile(u, plateau: float):
@@ -80,6 +92,7 @@ def _bump(center, radius: float, plateau: float, profile, profile_prime) -> Scal
     are its support ball and its one kink radius."""
     center = np.asarray(center, dtype=float)
     column = center[:, None]
+    prof, prime = partial(profile, plateau=plateau), partial(profile_prime, plateau=plateau)
 
     def offsets(x):
         # x - center as its three columns, (3, n): each difference runs
@@ -87,17 +100,17 @@ def _bump(center, radius: float, plateau: float, profile, profile_prime) -> Scal
         return np.subtract(np.atleast_2d(x).T, column, order="C")
 
     def value(x):
-        return profile(_norm(offsets(x).T) / radius, plateau)
+        return prof(_norm(offsets(x).T) / radius)
 
     def gradient(x):
         rel = offsets(x)
         r = _norm(rel.T)
-        mag = profile_prime(r / radius, plateau) / radius
+        mag = prime(r / radius) / radius
         safe = np.where(r == 0.0, 1.0, r)
         return _columns(*(mag * rel / safe))
 
-    return ScalarTestFunction(value, gradient, support=(tuple(center), radius),
-                              support_breaks=(plateau * radius,))
+    return ScalarTestFunction(value, gradient,
+                              RadialProfile(center, radius, plateau * radius, prof, prime))
 
 
 def smooth_bump(center, radius: float, plateau: float = 0.5) -> ScalarTestFunction:

@@ -12,6 +12,33 @@ ORACLES = {"two_body_velocity", "numeric_curl", "trace_pairing_vector"}
 CONSTRUCTORS = {"trig_scalar", "gradient_field", "bump_vector"}
 ALLOWED = ORACLES | CONSTRUCTORS
 
+# The guard sees `x.name` but not the class of `x`, so a member name that two
+# or more src/ classes define counts as read only for the classes named here,
+# each read through that class somewhere in src/ or perfbench/ (a member of
+# its own class counts). A new class that reuses a name must be added, after
+# checking that its own member has a reader.
+READ_THROUGH = {
+    "CatalogEntry": {"curl"},
+    "Curve": {"nodes", "weights"},
+    "LinePart": {"density"},
+    "ManifoldDivMeasure": {"patch"},
+    "MaximalScan": {"values"},
+    "PatchSlide": {"patch"},
+    "QuadratureRule": {"nodes", "weights"},
+    "RadialProfile": {"center", "radius"},
+    "RampSegments": {"layer"},
+    "ScalarTestFunction": {"value"},
+    "SequenceVerdict": {"converged", "gap", "scale"},
+    "SheetPart": {"density", "patch"},
+    "SheetState": {"normals", "weights"},
+    "SolidRegion": {"center", "coordinates", "frame", "name", "nodes", "radius", "weights"},
+    "StokesResult": {"converged", "gap", "scale"},
+    "SurfacePatch": {"coordinates", "frame", "name", "nodes", "normals", "scale", "weights"},
+    "TangentialCollar": {"layer"},
+    "TangentialTrace": {"converged", "values"},
+    "VectorTestField": {"curl", "value"},
+}
+
 
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
@@ -130,6 +157,16 @@ def _members(top):
         yield _member_name(member), member
 
 
+def _shared_members():
+    # member name -> the classes defining it, for names two or more define
+    owners = {}
+    for defs in (_public_definitions, _state_and_helpers):
+        for _, cls, name in defs():
+            if cls is not None:
+                owners.setdefault(name, set()).add(cls)
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
 def _unconsumed(definitions=_public_definitions):
     # where each name is read, by (file, top-level statement, class member,
     # whether as an attribute); a definition's own body does not consume it,
@@ -139,7 +176,9 @@ def _unconsumed(definitions=_public_definitions):
     # attribute read (`x.name`) reaches a member: a bare name of the same
     # spelling is a local variable or another definition, and a read that
     # only copies the member into a construction of its own class or into a
-    # `dataclasses.replace` passes it on without using it
+    # `dataclasses.replace` passes it on without using it. A member whose
+    # name another class also defines is read only if READ_THROUGH names it
+    shared = _shared_members()
     readers = {}
     for path in _code_files():
         for top in _parse(path).body:
@@ -156,6 +195,8 @@ def _unconsumed(definitions=_public_definitions):
         else:
             found = {r for r in found if r[3] and r[:3] != (path, cls, name)
                      and r[4] not in (cls, "replace")}
+            if name in shared and name not in READ_THROUGH.get(cls, ()):
+                found = set()
         if not found:
             out.append(name if cls is None else f"{cls}.{name}")
     return out
@@ -177,6 +218,39 @@ def test_every_field_property_and_private_helper_has_a_reader():
     # state that only tests read is no output: delete it
     orphans = sorted(_unconsumed(_state_and_helpers))
     assert not orphans, f"no reader in src/ or perfbench/: {orphans}"
+
+
+def test_the_read_through_list_names_only_shared_members():
+    # an entry whose name no longer collides, or whose class no longer
+    # defines it, leaves the list
+    shared = _shared_members()
+    stale = sorted(f"{cls}.{name}" for cls, names in READ_THROUGH.items() for name in names
+                   if cls not in shared.get(name, ()))
+    assert not stale, stale
+
+
+def test_a_member_name_two_classes_share_is_read_only_through_listed_classes(tmp_path,
+                                                                            monkeypatch):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from dataclasses import dataclass\n"
+                   "@dataclass\nclass Probe:\n    point: int\n    converged: bool\n"
+                   "@dataclass\nclass Result:\n    point: int\n"
+                   "    def near(self):\n        return 1\n"
+                   "class Shell:\n    def near(self):\n        return 2\n"
+                   "def use(r, p):\n"
+                   "    return r.point, p.converged, r.near(), Probe, Result, Shell\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "PERFBENCH", tmp_path / "absent")
+    monkeypatch.setattr(sys.modules[__name__], "READ_THROUGH",
+                        {"Result": {"point", "near"}})
+    # `point` and `near` are each defined by two classes and read once, by
+    # name: only the listed Result members count as read. `converged`
+    # belongs to Probe alone, so its read counts; nothing reads `use`
+    assert _unconsumed() == ["Shell.near", "use"]
+    assert _unconsumed(_state_and_helpers) == ["Probe.point"]
+    monkeypatch.setattr(sys.modules[__name__], "READ_THROUGH", {})
+    assert _unconsumed() == ["Result.near", "Shell.near", "use"]
+    assert _unconsumed(_state_and_helpers) == ["Probe.point", "Result.point"]
 
 
 def test_a_method_read_by_its_own_class_is_consumed(tmp_path, monkeypatch):

@@ -176,15 +176,6 @@ def test_gluing_tv_interior_parts(rigid_rotation):
     assert abs(flds.gluing_total_variation(pw, region) - expected) < 1e-8
 
 
-def test_piecewise_eval_dispatch():
-    interface = geo.disk_patch((0, 0, 0), 1.0)
-    pw, _ = flds.make_vortex_sheet(flds.constant_field((1, 0, 0)),
-                                   flds.constant_field((0, 1, 0)), interface)
-    above = pw.eval(np.array([[0.1, 0.0, 0.5]]))[0]
-    below = pw.eval(np.array([[0.1, 0.0, -0.5]]))[0]
-    assert np.array_equal(above, [1, 0, 0]) and np.array_equal(below, [0, 1, 0])
-
-
 # ---------------------------------------------------------------------------
 # face traces: F x nu
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curlflux import fields as flds
 from curlflux import geometry as geo
@@ -7,7 +11,9 @@ from curlflux import traces as trc
 from curlflux.sequences import GAP_TOL, richardson_gap, richardson_limit
 from curlflux.stokes import StokesRefusal
 from curlflux.testfns import (
+    cutoff_profile,
     gradient_field,
+    radial_bump,
     random_trig_vector,
     smooth_bump,
 )
@@ -56,11 +62,155 @@ def test_face_centred_pairing_matches_face_integral(rigid_rotation, kind):
     bump = radial_bump(center + [0.25, 0.1, 0.0], 0.22)
     got = trc.trace_pairing(rigid_rotation.curl, rigid_rotation.vector_field, region, bump)
     e3 = np.array([0.0, 0.0, 1.0])
-    disk = geo.disk_patch(bump.support[0], bump.support[1], e3,
-                          radial_breaks=bump.support_breaks)
+    disk = geo.disk_patch(bump.radial.center, bump.radial.radius, e3,
+                          radial_breaks=(bump.radial.kink,))
     want = geo.integrate(disk, lambda x: bump.value(x)[:, None] * np.cross(
         rigid_rotation.vector_field.eval(x), e3))
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def _support(region, bump):
+    r = bump.radial
+    return geo.support_rule(region, (r.center, r.radius), (r.kink,))
+
+
+def _pointwise_parts(entry, node_set, bump):
+    """Per-node weighted values of phi * (curl measure's Lebesgue part) and of
+    F x grad(phi) from the bump's own `value` and `gradient`, and the
+    pointwise integral of the sheet and line parts."""
+    x, w = node_set.nodes, node_set.weights
+    vol = w[:, None] * np.cross(entry.vector_field.eval(x), bump.gradient(x))
+    density = entry.curl.lebesgue_density
+    leb = np.zeros_like(vol)
+    if density is not None:
+        leb = w[:, None] * density(x) * bump.value(x)[:, None]
+    singular = flds.integrate_measure(dataclasses.replace(entry.curl, lebesgue_density=None),
+                                      trc._scalar_as_vec(bump.value), node_set)
+    return leb, vol, singular
+
+
+def _exact_sum_reference(entry, node_set, bump):
+    """The pairing from pointwise `value` and `gradient` on the same rule,
+    each component summed exactly (math.fsum), so a comparison measures the
+    rounding of the pairing under test alone."""
+    leb, vol, singular = _pointwise_parts(entry, node_set, bump)
+    return np.array([math.fsum(leb[:, k]) + singular[k] - math.fsum(vol[:, k])
+                     for k in range(3)])
+
+
+def _mass_r(r):
+    # the face integral of the bump profile, 2 pi int profile(rho/r) rho drho,
+    # times r: the scale a vanishing pairing is measured against
+    x, w = np.polynomial.legendre.leggauss(8)
+    mass = 0.0
+    for lo, hi in ((0.0, 0.5 * r), (0.5 * r, r)):
+        rho = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        mass += 0.5 * (hi - lo) * np.sum(w * cutoff_profile(rho / r, 0.5) * rho)
+    return 2.0 * np.pi * mass * r
+
+
+def _fitting_bump(kind, rng):
+    """A region and a radial bump whose support fits it: inside a ball or a
+    cylinder, centred on a z face of a half ball or a cylinder, or on a +-e1
+    or +-e2 face of a box (whose half ball runs through a rotated frame)."""
+    center = rng.uniform(-0.5, 0.5, 3)
+    radius = rng.uniform(0.6, 1.5)
+    r = radius * rng.uniform(0.1, 0.4)
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    off = rng.uniform(0.0, radius - r) * np.array([np.cos(ang), np.sin(ang), 0.0])
+    if kind == "ball":
+        d = rng.normal(size=3)
+        region = geo.ball_region(center, radius)
+        return region, center + rng.uniform(0.0, radius - r) * d / np.linalg.norm(d), r
+    if kind == "half_ball":
+        return geo.half_ball_region(center, radius), center + off, r
+    if kind in ("cylinder", "cylinder_face"):
+        region = geo.cylinder_region(center, radius, 0.0, radius)
+        if kind == "cylinder":
+            z = rng.uniform(r, radius - r)
+        else:
+            z = rng.choice([0.0, radius])
+        return region, center + off + [0.0, 0.0, z], r
+    h = rng.uniform(0.5, 1.0, 3)
+    region = geo.box_region(center, h, order=8)
+    axis = int(rng.integers(2))
+    other = 1 - axis
+    r = min(h) * rng.uniform(0.2, 0.9)
+    c = center.copy()
+    c[axis] += rng.choice([-1.0, 1.0]) * h[axis]
+    c[other] += rng.uniform(-1.0, 1.0) * (h[other] - r)
+    c[2] += rng.uniform(-1.0, 1.0) * (h[2] - r)
+    return region, c, r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["ball", "half_ball", "cylinder", "cylinder_face", "box"]),
+       st.sampled_from(["rigid_rotation", "plane_wave_em"]), st.integers(0, 2 ** 32 - 1))
+def test_a_fitting_radial_bump_pairs_through_its_own_rule(kind, name, seed):
+    # the profile on the radial rule and the gradient on the unit directions
+    # give the pairing of the pointwise value and gradient to rounding
+    region, c, r = _fitting_bump(kind, np.random.default_rng(seed))
+    entry, bump = flds.catalog(name), radial_bump(c, r)
+    support = _support(region, bump)
+    assert support is not region
+    assert support.name == ("ball" if kind in ("ball", "cylinder") else "half_ball")
+    got = trc.trace_pairing(entry.curl, entry.vector_field, region, bump)
+    want = _exact_sum_reference(entry, support, bump)
+    assert np.abs(got - want).max() <= 1e-13 * _mass_r(r)
+
+
+@pytest.mark.parametrize("part", ["field", "density"])
+def test_a_radial_pairing_refuses_a_non_finite_value_at_one_node(part):
+    region = geo.half_ball_region((0.1, -0.2, 0.05), 0.9)
+    bump = radial_bump((0.2, -0.1, 0.05), 0.2)
+    bad = _support(region, bump).nodes[777]
+    entry = flds.catalog("rigid_rotation")
+
+    def poisoned(f):
+        def g(x):
+            out = np.array(f(x), dtype=float)
+            out[np.all(x == bad, axis=1)] = np.nan
+            return out
+        return g
+
+    fld, mu = entry.vector_field, entry.curl
+    if part == "field":
+        fld = dataclasses.replace(fld, eval=poisoned(fld.eval))
+    else:
+        mu = dataclasses.replace(mu, lebesgue_density=poisoned(mu.lebesgue_density))
+    with pytest.raises(geo.GeometryError):
+        trc.trace_pairing(mu, fld, region, bump)
+
+
+@pytest.mark.parametrize("name", ["rigid_rotation", "line_vortex"])
+def test_a_support_leaving_the_region_keeps_the_pointwise_pairing(name):
+    # the support crosses the half ball's dome: the region's own rule, with
+    # value and gradient at every node, bit for bit
+    region = geo.half_ball_region((0.0, 0.0, 0.0), 0.8, order=12, n_angular=32)
+    bump = radial_bump((0.1, 0.05, 0.4), 0.5)
+    assert _support(region, bump) is region
+    entry = flds.catalog(name)
+    got = trc.trace_pairing(entry.curl, entry.vector_field, region, bump)
+
+    def fxg(x):
+        return geo._cross_rows(entry.vector_field.eval(x), bump.gradient(x))
+
+    want = (flds.integrate_measure(entry.curl, trc._scalar_as_vec(bump.value), region)
+            - geo.integrate(region, fxg))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_line_vortex_pairing_matches_its_reference(line_vortex, unit_cylinder):
+    # the axis crosses the support ball: its line part pairs pointwise, F x
+    # grad(phi) by the radial rule
+    bump = radial_bump((0.12, -0.05, 0.5), 0.3)
+    support = _support(unit_cylinder, bump)
+    assert support.name == "ball"
+    _, _, line = _pointwise_parts(line_vortex, support, bump)
+    assert line[2] > 0.3  # the integral of phi along the axis chord
+    got = trc.trace_pairing(line_vortex.curl, line_vortex.vector_field, unit_cylinder, bump)
+    want = _exact_sum_reference(line_vortex, support, bump)
+    assert np.abs(got - want).max() <= 1e-13 * _mass_r(0.3)
 
 
 def test_pairing_newtonian_pv(newtonian, half_ball):
@@ -141,7 +291,13 @@ def test_layerwise_glued_constants(unit_cylinder, cylinder_collar):
     interface = geo.disk_patch((0, 0, 0), 1.0)
     pw, _ = flds.make_vortex_sheet(flds.constant_field((1, 0, 0)),
                                    flds.constant_field((0, 0, 0)), interface)
-    fld = flds.VectorField(pw.eval)
+    def glued(x):
+        # the plus field on the plus side of the interface plane, else the minus one
+        x = np.atleast_2d(x)
+        plus = (pw.side(x) > 0)[:, None]
+        return np.where(plus, pw.plus_field.eval(x), pw.minus_field.eval(x))
+
+    fld = flds.VectorField(glued)
     man = geo.disk_patch((0, 0, 0), 1.0)
     t_grid = [2.0 ** -k for k in range(2, 8)]
     inner = trc.estimate_trace_layerwise(fld, man, cylinder_collar, t_grid, "interior")
@@ -229,16 +385,16 @@ def test_cross_route_equality(rigid_rotation, half_ball):
     a = trc.trace_pairing_vector(rigid_rotation.curl, rigid_rotation.vector_field,
                                  half_ball, tv)
     b = trc._layer_pairing(rigid_rotation.vector_field, tcol,
-                           lambda base, pts, nu: tv.value(pts),
-                           [2.0 ** -k for k in range(3, 9)]).limit
+                           lambda base, pts, nu: (tv.value(pts),),
+                           [2.0 ** -k for k in range(3, 9)])[0].limit
     assert abs(a - b) < 1e-4
 
 
 def test_layer_route_zero_testvec(rigid_rotation, half_ball):
     tcol = geo.build_transversal_collar(half_ball)
     val = trc._layer_pairing(
-        rigid_rotation.vector_field, tcol,
-        lambda base, pts, nu: np.zeros_like(np.atleast_2d(pts)), [0.1, 0.05, 0.025]).limit
+        rigid_rotation.vector_field, tcol, lambda base, pts, nu: (np.zeros_like(pts),),
+        [0.1, 0.05, 0.025])[0].limit
     assert val == 0.0
 
 
@@ -246,14 +402,21 @@ def test_layer_route_line_vortex_face(line_vortex, cylinder_collar):
     from curlflux.testfns import bump_vector
     tv = bump_vector((0.35, 0.0, 0.0), 0.45, (0.1, -0.2, 0.25))
     got = trc._layer_pairing(
-        line_vortex.vector_field, cylinder_collar, lambda base, pts, nu: tv.value(pts),
-        [2.0 ** -k for k in range(4, 10)]).limit
+        line_vortex.vector_field, cylinder_collar, lambda base, pts, nu: (tv.value(pts),),
+        [2.0 ** -k for k in range(4, 10)])[0].limit
     face = geo.disk_patch((0, 0, 0), 1.0, order=24, n_angular=96,
                           radial_breaks=(0.05, 0.1, 0.2, 0.4))
     oracle = geo.integrate(
         face, lambda pts: np.einsum("ij,ij->i", line_vortex.trace_z_plane(pts),
                                     tv.value(pts)))
     assert abs(got - oracle) < 2e-3
+
+
+def _layer_route(fld, collar, boundary_data, eps_grid):
+    """The backed layer pairing against boundary data alone."""
+    verdict, = trc._layer_pairing(fld, collar, lambda base, pts, nu: (boundary_data(base),),
+                                  eps_grid)
+    return trc._backed(verdict)
 
 
 def test_tangentiality_defect_normal_data(rigid_rotation):
@@ -264,8 +427,8 @@ def test_tangentiality_defect_normal_data(rigid_rotation):
     def nu_data(base):
         return -base / np.linalg.norm(np.atleast_2d(base), axis=1, keepdims=True)
 
-    t_nu = trc.boundary_pairing_layer_route(rigid_rotation.vector_field, tcol,
-                                            nu_data, [2.0 ** -k for k in range(3, 9)])
+    t_nu = _layer_route(rigid_rotation.vector_field, tcol, nu_data,
+                        [2.0 ** -k for k in range(3, 9)])
     defect = trc.tangentiality_defect(rigid_rotation.vector_field, ball, tcol,
                                       nu_data, [2.0 ** -k for k in range(3, 9)])
     assert abs(t_nu) < 1e-3
@@ -344,8 +507,8 @@ def test_tangentiality_defect_equals_nearest_node_reference(rigid_rotation, shap
         nu = _nearest_node_normals(region, base)
         return vals - np.einsum("ij,ij->i", vals, nu)[:, None] * nu
 
-    t_full = trc.boundary_pairing_layer_route(fld, tcol, tv.value, eps_grid)
-    t_tan = trc.boundary_pairing_layer_route(fld, tcol, data_tangential, eps_grid)
+    t_full = _layer_route(fld, tcol, tv.value, eps_grid)
+    t_tan = _layer_route(fld, tcol, data_tangential, eps_grid)
     got = trc.tangentiality_defect(fld, region, tcol, tv.value, eps_grid)
     assert got == abs(t_full - t_tan)
     # h is parallel to nu on balls and half balls, so (F x h) . nu = 0 and the
