@@ -7,8 +7,8 @@ set: the points (and normals) and weights of a closed-form parametrization
 the 1-D rules of its parameters and evaluates them on first read, as a solid
 region does its volume rule. Curves, patches and regions all read `nodes`
 (n, 3) and `weights` (n,): `integrate` is the one integral over any of them,
-and `_band_lines` the one over a family of layers (collar bands, slide slabs
-and shells). A solid region describes its shape once, as a round part cut by
+and `_band_lines` the one over a family of layers (collar bands, slide slabs,
+shells and a maximal scan's depth profile). A solid region describes its shape once, as a round part cut by
 flat faces; containment, clipping and fit tests read that. Collars and slides
 (each patch along its own normal) of the canonical shapes are exact, which
 keeps the localizer limits free of mesh noise.
@@ -478,8 +478,9 @@ def _segments(lo: float, hi: float, breaks: Sequence[float]) -> list[tuple[float
 
 
 def _band_lines(layer, s_order: int, segments: Sequence[tuple[float, float]], integrand):
-    """The one evaluation of a layered integral (collar bands, slide slabs and
-    shells): per-layer sums of an integrand on Gauss-Legendre segments in s.
+    """The one evaluation of a layered integral (collar bands, slide slabs,
+    shells and depth profiles): per-layer sums of an integrand on
+    Gauss-Legendre segments in s.
 
     Segment (lo, hi) carries `gauss_legendre(s_order, lo, hi)`. `layer` maps
     k of the s nodes to a node-set family, `nodes` (k, m, 3) and `weights`
@@ -488,7 +489,8 @@ def _band_lines(layer, s_order: int, segments: Sequence[tuple[float, float]], in
     order in blocks of at most `BLOCK_POINTS` points (a larger layer alone),
     m read off an empty family; a layer's sum is a row reduction, which the
     blocks leave unchanged. Returns the s nodes and weights, (n_s,), and the
-    layer sums, (rows, n_s): callers apply their Jacobian and add in s order.
+    layer sums, (rows, n_s): callers apply their Jacobian and add in s order,
+    or fit them.
     """
     rules = [gauss_legendre(s_order, lo, hi) for lo, hi in segments]
     s = np.concatenate([r.nodes for r in rules])
@@ -969,22 +971,25 @@ def shift_transversal(patch: SurfacePatch, collar: TransversalCollar,
     raise GeometryError(f"cannot shift a {patch.name!r} patch")
 
 
-def slab_integral(slide: PatchSlide, lo, hi, integrand) -> np.ndarray:
-    """Integral of each row of `integrand(pts, s)` (see `_band_lines`) over the
-    slabs of depths (lo, hi) along a slide, for floats or arrays of window
-    ends: eight Gauss layers of slid copies of its patch per slab, all in one
-    `_band_lines` call, weighted by `area_scale` and added in depth order
-    within each slab. Returns (rows,) + the shape of lo."""
+def _slid_layers(slide: PatchSlide):
+    """The slid copies of a slide's patch as a layer family for `_band_lines`:
+    at an array of k depths, nodes (k, m, 3) and the patch weights (k, m)."""
     nodes, weights = slide.patch.nodes, slide.patch.weights
 
     def layers(s):
         pts = slide.shift_point(nodes, s[:, None]) if len(s) else np.empty((0, *nodes.shape))
         return SimpleNamespace(nodes=pts, weights=np.broadcast_to(weights, (len(s), len(weights))))
 
-    windows = list(zip(np.ravel(lo), np.ravel(hi)))
-    s, w, lines = _band_lines(layers, 8, windows, integrand)
-    per_layer = (w * slide.area_scale(s) * lines).reshape(len(lines), len(windows), 8)
-    return np.cumsum(per_layer, axis=-1)[..., -1].reshape(len(lines), *np.shape(lo))
+    return layers
+
+
+def slab_integral(slide: PatchSlide, lo: float, hi: float, integrand) -> np.ndarray:
+    """Integral of each row of `integrand(pts, s)` (see `_band_lines`) over the
+    slab of depths (lo, hi) along a slide: eight Gauss layers of slid copies
+    of its patch in one `_band_lines` call, weighted by `area_scale` and
+    added in depth order. Returns (rows,)."""
+    s, w, lines = _band_lines(_slid_layers(slide), 8, [(lo, hi)], integrand)
+    return np.cumsum(w * slide.area_scale(s) * lines, axis=-1)[:, -1]
 
 
 def shell_integral(collar: TransversalCollar, eps: float, integrand) -> np.ndarray:

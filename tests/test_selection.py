@@ -143,29 +143,27 @@ def test_a_region_face_gives_the_floats_of_the_disk_built_at_its_centre(kind, li
     assert np.array_equal(got.nodes, want.nodes) and np.array_equal(got.weights, want.weights)
 
 
-def _per_layer_slab_mass(density, slide, lo, hi):
-    # the Lebesgue slab mass one Gauss layer at a time
+def _reference_slab_mass(density, slide, lo, hi):
+    # the Lebesgue slab mass on 64 Gauss layers of its own, evaluated together
     lo, hi = max(lo, 0.0), min(hi, slide.depth_range)
     if hi <= lo:
         return 0.0
-    s_rule = gauss_legendre(8, lo, hi)
-    total = 0.0
-    for s, w in zip(s_rule.nodes, s_rule.weights):
-        pts = slide.shift_point(slide.patch.nodes, s)
-        mags = np.linalg.norm(np.atleast_2d(density(pts)), axis=1)
-        total += w * slide.area_scale(s) * float(np.sum(slide.patch.weights * mags))
-    return total
+    s_rule = gauss_legendre(64, lo, hi)
+    pts = slide.shift_point(slide.patch.nodes, s_rule.nodes[:, None])
+    mags = np.linalg.norm(np.atleast_2d(density(pts.reshape(-1, 3))), axis=1)
+    lines = np.sum(slide.patch.weights * mags.reshape(len(s_rule.nodes), -1), axis=1)
+    return float(np.sum(s_rule.weights * slide.area_scale(s_rule.nodes) * lines))
 
 
 # (region, order, n_angular): face sizes against geo.BLOCK_POINTS
 BLOCK_FACES = {
     # the default rule: 2304 nodes per face, as the scans of the CLI use; 2 layers a block
     "cylinder": ("cylinder", geo.DEFAULT_ORDER, geo.DEFAULT_ANGULAR),
-    # 768 nodes per face: blocks of 6 layers and a remainder of 2
+    # 768 nodes per face: blocks of 6 layers and a remainder of 4
     "cylinder_remainder": ("cylinder", 16, 48),
     # 6144 nodes per face, above the budget: one layer a block
     "cylinder_above_budget": ("cylinder", 64, 96),
-    # 128 nodes on the sphere: all eight layers in one block
+    # 128 nodes on the sphere: all sixteen layers in one block
     "ball": ("ball", 8, 16),
 }
 
@@ -178,20 +176,25 @@ def _block_region(face):
                                n_angular=n_angular)
 
 
+def _smooth_density(x):
+    return np.stack([np.sin(3.0 * x[:, 0]), x[:, 1] * x[:, 2], np.exp(x[:, 2])], axis=1)
+
+
 @pytest.mark.parametrize("face", sorted(BLOCK_FACES))
 def test_batched_layers_equal_the_per_layer_loop(face):
     reg = _block_region(face)
     col = geo.build_transversal_collar(reg)
-    # planar faces, the cylinder side and the sphere; windows inside, clipped
-    # at depth 0 and clipped at the slide's depth range (the radius 0.8)
-    windows = [(0.1, 0.3), (-0.05, 0.05), (0.0, 0.2), (0.7, 0.9), (0.79, 1.5), (-0.1, 0.0)]
+    # planar faces, the cylinder side and the sphere: the face masses of a
+    # round's panels, evaluated in blocks of whole layers, are the per-layer
+    # sums at each panel's sixteen Gauss depths
+    panels = [(0.1, 0.3), (0.0, 0.2), (0.7, 0.8)]
     for slide in col.slides:
-        for density in (flds.catalog("plane_wave_em").curl.lebesgue_density,
-                        lambda x: np.stack([np.sin(3.0 * x[:, 0]), x[:, 1] * x[:, 2],
-                                            np.exp(x[:, 2])], axis=1)):
-            for lo, hi in windows:
-                assert (sel._lebesgue_slab_mass(density, slide, lo, hi)
-                        == _per_layer_slab_mass(density, slide, lo, hi))
+        for density in (flds.catalog("plane_wave_em").curl.lebesgue_density, _smooth_density):
+            want = [[float(np.sum(slide.patch.weights * np.linalg.norm(
+                        np.atleast_2d(density(slide.shift_point(slide.patch.nodes, s))), axis=1)))
+                     for s in gauss_legendre(sel.PROFILE_ORDER, lo, hi).nodes]
+                    for lo, hi in panels]
+            assert np.array_equal(sel._face_masses(density, slide, panels), want)
     assert "_volume" not in vars(reg)
 
 
@@ -207,10 +210,78 @@ def test_a_window_evaluates_whole_layers_within_the_budget(face):
     for slide in col.slides:
         n = len(slide.patch.weights)
         sizes.clear()
-        sel._lebesgue_slab_mass(density, slide, 0.1, 0.3)
-        assert sum(sizes) == 8 * n
+        panels, _ = sel._depth_profile(density, slide, 0.3)
+        # every call holds whole layers under the budget, and a profile
+        # evaluates sixteen layers per panel it tries: at least its own
         assert all(k % n == 0 and k <= geo.BLOCK_POINTS for k in sizes)
-        assert len(sizes) == -(-8 // (geo.BLOCK_POINTS // n))
+        assert sum(sizes) % (16 * n) == 0 and sum(sizes) >= 16 * n * len(panels)
+        sizes.clear()
+        sel._lebesgue_slab_mass(density, slide, 0.1, 0.3)
+        assert all(k % n == 0 and k <= geo.BLOCK_POINTS for k in sizes)
+
+
+def test_a_rigid_rotation_scan_evaluates_sixteen_layers_whatever_its_windows():
+    rigid = flds.catalog("rigid_rotation").curl.lebesgue_density
+    col = geo.build_transversal_collar(_block_region("cylinder"))
+    sizes = []
+
+    def density(x):
+        sizes.append(len(x))
+        return rigid(x)
+
+    mu = flds.CurlMeasure(lebesgue_density=density)
+    face = col.slides[0].patch
+    n = len(face.weights)
+    for t_grid in ([0.1], np.linspace(0.05, 0.45, 9), np.linspace(0.01, 0.7, 40)):
+        sizes.clear()
+        scan = sel.maximal_transversal(mu, face, col, t_grid)
+        # |curl| = 2: one panel, two layers a block
+        assert sizes == [2 * n] * 8
+        assert np.allclose(scan.values, 4.0 * np.sum(face.weights), rtol=1e-14, atol=0.0)
+
+
+def test_a_kink_at_a_dyadic_depth_resolves_to_tolerance():
+    # |density| = 1 + |depth - D/2| below the bottom face: the profile splits
+    # at D/2 and each half is exact, so every window matches its closed form
+    col = geo.build_transversal_collar(_block_region("cylinder"))
+    slide = col.slides[0]
+    area = float(np.sum(slide.patch.weights))
+    depth = 0.75
+
+    def density(x):
+        d = slide.slab_coordinate(x)
+        return np.stack([1.0 + np.abs(d - 0.5 * depth), np.zeros(len(x)), np.zeros(len(x))],
+                        axis=1)
+
+    def exact(lo, hi):
+        def prim(s):
+            return s + 0.5 * (s - 0.5 * depth) * abs(s - 0.5 * depth)
+        return area * (prim(hi) - prim(lo))
+
+    panels, _ = sel._depth_profile(density, slide, depth)
+    assert panels.tolist() == [[0.0, 0.375], [0.375, 0.75]]
+    windows = [(0.375 - 2.0 ** -k, 0.375 + 2.0 ** -k) for k in range(2, 13)] + [(0.0, 0.75)]
+    got = sel._lebesgue_slab_mass(density, slide, *np.transpose(windows))
+    for g, (lo, hi) in zip(got, windows):
+        assert abs(g - exact(lo, hi)) <= 1e-13 * exact(lo, hi)
+
+
+def test_a_jump_at_an_undeclared_depth_is_refused_with_its_reason():
+    # a jump at a depth no dyadic panel edge meets is bisected down to the
+    # floor and refused, whether a node sees it or it hides between a
+    # panel's outermost depth and its edge
+    col = geo.build_transversal_collar(_block_region("cylinder"))
+    slide = col.slides[0]
+    for jump in (0.2373, 0.3 + 1.0 / 3.0):
+        def density(x, jump=jump):
+            step = (slide.slab_coordinate(x) > jump).astype(float)
+            return np.stack([1.0 + step, np.zeros(len(x)), np.zeros(len(x))], axis=1)
+
+        with pytest.raises(geo.GeometryError, match="does not resolve on depths .*jumps or kinks"):
+            sel._lebesgue_slab_mass(density, slide, 0.0, 0.75)
+        with pytest.raises(geo.GeometryError, match="jumps or kinks"):
+            sel.maximal_transversal(flds.CurlMeasure(lebesgue_density=density),
+                                    slide.patch, col, [0.1])
 
 
 def test_a_scan_builds_no_volume_rule(line_vortex):
@@ -220,19 +291,66 @@ def test_a_scan_builds_no_volume_rule(line_vortex):
     assert "_volume" not in vars(region)
 
 
+def test_a_non_finite_density_is_refused_in_a_scan():
+    # NaN above z = 0.3: the depth profile, and a sheet's magnitudes, refuse
+    # it, since max() in the window sup would drop it without a trace
+    col = geo.build_transversal_collar(geo.cylinder_region(order=8, n_angular=16))
+    disk = geo.disk_patch((0, 0, 0), 1.0)
+
+    def nan_above(x):
+        return np.where((x[:, 2] > 0.3)[:, None], np.nan, 1.0) * np.ones((len(x), 3))
+
+    with pytest.raises(geo.GeometryError, match="non-finite"):
+        sel.maximal_transversal(flds.CurlMeasure(lebesgue_density=nan_above), disk, col,
+                                (0.1, 0.2, 0.4))
+    sheet = flds.SheetPart(geo.disk_patch((0, 0, 0.25), 1.0, order=8, n_angular=16),
+                           lambda x: np.where((x[:, 0] > 0.5)[:, None], np.nan, 1.0)
+                           * np.ones((len(x), 3)))
+    with pytest.raises(geo.GeometryError, match="non-finite"):
+        sel.maximal_transversal(flds.CurlMeasure(sheet_parts=(sheet,)), disk, col, (0.1,))
+
+
+def _side_axis():
+    # the z axis, with a density that varies along it so the order of a
+    # window's sum shows in its last bit: it runs along the side of the
+    # cylinder below at depth 0.7, parallel to its layers, and its depth below
+    # a sphere is curved
+    return flds.LinePart(np.zeros(3), np.array([0.0, 0.0, 1.0]), -8.0, 8.0, lambda x: np.stack(
+        [np.cos(x[:, 2]), 1.0 + x[:, 2] ** 2, np.zeros(len(x))], axis=1))
+
+
+def test_a_line_part_in_one_layer_is_its_whole_mass_and_concentrates():
+    region = geo.cylinder_region((0.1, 0.0, -0.2), 0.8, -0.2, 0.6, order=8, n_angular=16)
+    col = geo.build_transversal_collar(region)
+    side = region.boundary[2]
+    axis = _side_axis()
+    mu = flds.CurlMeasure(line_parts=(axis,))
+    m = sel.SlideMeasure(mu, col.slide_for(side))
+    whole = geo.integrate(axis.segment(gauss_legendre(64, axis.lo, axis.hi)),
+                          lambda x: np.linalg.norm(axis.density(x), axis=1))
+    assert abs(whole - 358.087) < 1e-3
+    assert sel.measure_slab_mass(m, np.array([0.6, 0.71]), np.array([0.8, 0.8])).tolist() == [
+        whole, 0.0]
+    assert sel.single_layer_mass(m, 0.7) == whole and sel.single_layer_mass(m, 0.6) == 0.0
+    scan = sel.maximal_transversal(mu, side, col, [0.5, 0.7, 0.7 + 5e-10, 0.7 + 2e-9])
+    assert scan.values[1:3] == (np.inf, np.inf)
+    assert scan.values[0] == whole / 0.25 and np.isfinite(scan.values[3])
+    assert scan.collar_mass == whole
+
 
 def _per_window_line_mass(lp, slide, lo, hi):
     # a line part's slab mass solved for one window on its own 64-node rule,
-    # on a slide whose depth is affine along it
+    # on a slide whose depth is affine along it; a segment parallel to the
+    # layers puts its whole mass in the slab that contains its depth
     def depth(s):
         return slide.slab_coordinate(lp.positions(np.array([s])))[0]
 
     a, b = depth(lp.lo), depth(lp.hi)
     if abs(b - a) < 1e-14:
-        mag = np.linalg.norm(lp.density(lp.positions(np.array([0.0])))[0])
-        return float(mag * (lp.hi - lp.lo)) if lo < a < hi else 0.0
-    s0, s1 = sorted(lp.lo + (d - a) * (lp.hi - lp.lo) / (b - a) for d in (lo, hi))
-    s0, s1 = max(s0, lp.lo), min(s1, lp.hi)
+        s0, s1 = (lp.lo, lp.hi) if lo < a < hi else (0.0, 0.0)
+    else:
+        s0, s1 = sorted(lp.lo + (d - a) * (lp.hi - lp.lo) / (b - a) for d in (lo, hi))
+        s0, s1 = max(s0, lp.lo), min(s1, lp.hi)
     if s1 <= s0:
         return 0.0
     return geo.integrate(lp.segment(gauss_legendre(64, s0, s1)),
@@ -240,10 +358,11 @@ def _per_window_line_mass(lp, slide, lo, hi):
 
 
 def _per_window_mass(mu, slide, lo, hi):
-    # one window's mass, its parts added in the order the scan adds them
+    # one window's mass, its parts added in the order the scan adds them;
+    # the Lebesgue part from the 64-layer reference
     total = 0.0
     if mu.lebesgue_density is not None:
-        total += _per_layer_slab_mass(mu.lebesgue_density, slide, lo, hi)
+        total += _reference_slab_mass(mu.lebesgue_density, slide, lo, hi)
     for sp in mu.sheet_parts:
         depth = slide.slab_coordinate(sp.patch.nodes)
         mags = np.linalg.norm(sp.density(sp.patch.nodes), axis=1)
@@ -280,28 +399,51 @@ def _flat_sheet(z):
 SCAN_T = [0.0, 0.01, 0.1, 0.2, 0.25, 0.4, 0.5, 0.6, 0.78]
 
 
-@pytest.mark.parametrize("variant", sorted(sel._WINDOWS))
-@pytest.mark.parametrize("face", ["planar", "cylinder_side", "sphere"])
-def test_a_batched_scan_equals_the_per_window_loop(face, variant):
+def _scan_face(face):
     if face == "sphere":
         region = geo.ball_region((0.1, 0.0, -0.2), 0.8, order=8, n_angular=16)
     else:
         region = geo.cylinder_region((0.1, 0.0, -0.2), 0.8, -0.2, 0.6, order=8, n_angular=16)
+    return region, region.boundary[{"planar": 0, "cylinder_side": 2, "sphere": 0}[face]]
+
+
+@pytest.mark.parametrize("face", ["planar", "cylinder_side", "sphere"])
+def test_every_window_is_within_1e_13_of_a_64_layer_reference(face):
+    region, patch = _scan_face(face)
     col = geo.build_transversal_collar(region)
-    patch = region.boundary[{"planar": 0, "cylinder_side": 2, "sphere": 0}[face]]
-    lebesgue = flds.CurlMeasure(lebesgue_density=lambda x: np.stack(
-        [np.sin(3.0 * x[:, 0]), x[:, 1] * x[:, 2], np.exp(x[:, 2])], axis=1))
+    slide = col.slide_for(patch)
+    collar = (-0.75, min(0.75, slide.depth_range))
+    for density in (flds.catalog("rigid_rotation").curl.lebesgue_density, _smooth_density):
+        reference = {}
+        for variant, window in sel._WINDOWS.items():
+            windows = [window(t, eps) for t in SCAN_T for eps in sel.DEFAULT_EPS_GRID]
+            windows.append(collar)
+            got = sel._lebesgue_slab_mass(density, slide, *np.transpose(windows))
+            for g, (lo, hi) in zip(got, windows):
+                if (lo, hi) not in reference:
+                    reference[lo, hi] = _reference_slab_mass(density, slide, lo, hi)
+                want = reference[lo, hi]
+                assert abs(g - want) <= 1e-13 * want
+            # and the scan's values and collar mass, over the same windows
+            scan = sel.maximal_transversal(flds.CurlMeasure(lebesgue_density=density), patch,
+                                           col, SCAN_T, variant)
+            values = [sel._window_sup(window, t, lambda lo, hi: reference[lo, hi])
+                      for t in SCAN_T]
+            assert np.allclose(scan.values, values, rtol=1e-13, atol=0.0)
+            assert abs(scan.collar_mass - reference[collar]) <= 1e-13 * reference[collar]
+    assert "_volume" not in vars(region)
+
+
+@pytest.mark.parametrize("variant", sorted(sel._WINDOWS))
+@pytest.mark.parametrize("face", ["planar", "cylinder_side", "sphere"])
+def test_a_batched_scan_equals_the_per_window_loop(face, variant):
+    # the sheet and line parts, bit for bit
+    region, patch = _scan_face(face)
+    col = geo.build_transversal_collar(region)
     # the bottom face (z = -0.4) has the first sheet at depth 0.25, whose
     # layer reads inf
     sheets = flds.CurlMeasure(sheet_parts=(_flat_sheet(-0.15), _flat_sheet(0.05)))
-    # the z axis, with a density that varies along it so the order of a
-    # window's sum shows in its last bit: it runs along the cylinder side at
-    # depth 0.7, parallel to its layers, and its depth below the sphere is curved
-    axis = flds.LinePart(np.zeros(3), np.array([0.0, 0.0, 1.0]), -8.0, 8.0, lambda x: np.stack(
-        [np.cos(x[:, 2]), 1.0 + x[:, 2] ** 2, np.zeros(len(x))], axis=1))
-    measures = [lebesgue, sheets,
-                flds.CurlMeasure(lebesgue.lebesgue_density, sheets.sheet_parts, (axis,))]
-    for mu in measures:
+    for mu in (sheets, flds.CurlMeasure(None, sheets.sheet_parts, (_side_axis(),))):
         if face == "sphere" and mu.line_parts:
             with pytest.raises(geo.GeometryError, match="affine along the segment; this slide"):
                 sel.maximal_transversal(mu, patch, col, SCAN_T, variant)
@@ -310,7 +452,7 @@ def test_a_batched_scan_equals_the_per_window_loop(face, variant):
         values, collar_mass = _per_window_scan(mu, patch, col, SCAN_T, variant)
         assert scan.values == values and scan.collar_mass == collar_mass
         assert all(type(v) is float for v in (*scan.values, scan.collar_mass))
-        if face == "planar" and mu.sheet_parts:
+        if face == "planar":
             assert [np.isinf(v) for v in scan.values] == [t == 0.25 for t in SCAN_T]
     assert "_volume" not in vars(region)
 
