@@ -28,7 +28,7 @@ used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
@@ -725,7 +725,7 @@ class SolidRegion:
     colatitude measured along the third row of `frame`, default e3, phi),
     "cylindrical" (rho, phi, z) or "cartesian" offsets. It is built on first
     read of `nodes` or `weights` by broadcasting the 1-D rules, into
-    read-only arrays; collars and support rules never read it.
+    read-only arrays; collars and radial pairings never read it.
     """
 
     name: str
@@ -794,17 +794,6 @@ class SolidRegion:
         else:
             pts = _by_columns(np.add, _columns(a, b, c).reshape(-1, 3) @ self.frame, self.center)
         return _read_only(pts.reshape(-1, 3)), _read_only(w.reshape(-1))
-
-    @cached_property
-    def directions(self) -> np.ndarray:
-        """A spherical rule's unit directions (n_u * n_phi, 3) about `center`,
-        in node order within each radius: the node at radius r_k and
-        direction d_j is center + r_k d_j up to rounding."""
-        _, ru, rp = self.volume_rules
-        u = ru.nodes[:, None]
-        st, cos, sin = _sphere_factors(u, rp.nodes)
-        d = _columns(st * cos, st * sin, u).reshape(-1, 3)
-        return _read_only(d if self.frame is None else d @ self.frame)
 
     @cached_property
     def nodes(self) -> np.ndarray:  # (n, 3) physical points
@@ -893,34 +882,64 @@ def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0),
 # ---------------------------------------------------------------------------
 
 
+# the product rule of a support ball: Gauss-Legendre in r (per kink-split
+# segment) and u, the periodic trapezoid in phi
+SUPPORT_ORDER, SUPPORT_ANGULAR = 16, 32
+
+
+def support_fit(region: SolidRegion, center, radius: float):
+    """Where the support ball (center, radius) of a test function lies in
+    `region`: ("ball", None) when the whole ball does, ("half_ball", n) when
+    the ball is centred on a flat face and its half on the face's inner side,
+    n that face's inner normal, does; (None, None) otherwise."""
+    if _ball_fits(region, center, radius):
+        return "ball", None
+    for point, n in region.faces:
+        if abs((center - point) @ n) <= POSITION_TOL and _ball_fits(region, center, radius, n):
+            return "half_ball", n
+    return None, None
+
+
 def support_rule(region: SolidRegion, support, breaks: Sequence[float] = ()) -> SolidRegion:
     """Volume rule for pairing against a test function supported in a ball.
 
     `support` is the ball (center, radius) outside which the test function
-    vanishes and `breaks` are the radii of its profile kinks inside it, as in
-    a `RadialProfile`'s centre and radius and its kink. The returned region
-    covers the support only, split radially at the kinks: the support ball
-    when it lies inside `region`, or the half ball on the inner side of a
-    face the support is centred on, oriented by that face's inner normal. It
-    is quadrature-only: pairings need its nodes, not its boundary. Any other
-    case (a support leaving the region) returns `region` itself, whose own
-    rule is then used.
+    vanishes and `breaks` are the radii of its profile kinks inside it. The
+    returned region covers the support only, split radially at the kinks:
+    the support ball or the half ball `support_fit` finds, the half ball
+    oriented by its face's inner normal. It is quadrature-only: its `contains`
+    and `clip` are the support's, and it has no boundary. A support leaving
+    the region returns `region` itself, whose own rule is then used.
     """
     center, radius = np.asarray(support[0], dtype=float), float(support[1])
+    kind, n = support_fit(region, center, radius)
+    if kind is None:
+        return region
     kinks = sorted(float(b) for b in breaks if 0.0 < b < radius)
-    order, n_angular = 16, 32
-    if _ball_fits(region, center, radius):
-        return SolidRegion("ball", (), _spherical_rules(radius, order, n_angular,
-                                                        radial_breaks=kinks), "spherical",
-                           center, radius, None, ())
-    for point, n in region.faces:
-        if abs((center - point) @ n) > POSITION_TOL or not _ball_fits(region, center, radius, n):
-            continue
-        rules = _spherical_rules(radius, order, n_angular, u_range=(0.0, 1.0),
-                                 radial_breaks=kinks)
-        return SolidRegion("half_ball", (), rules, "spherical", center, radius, None,
-                           ((center, n),), frame=np.stack(frame_from_normal(n)))
-    return region
+    u_range, faces, frame = (((-1.0, 1.0), (), None) if n is None else
+                             ((0.0, 1.0), ((center, n),), np.stack(frame_from_normal(n))))
+    rules = _spherical_rules(radius, SUPPORT_ORDER, SUPPORT_ANGULAR, u_range, kinks)
+    return SolidRegion(kind, (), rules, "spherical", center, radius, None, faces, frame=frame)
+
+
+@lru_cache(maxsize=None)
+def unit_support(kink: float, half: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`support_rule`'s rule for the unit ball about the origin (with `half`
+    its upper half, u = cos colatitude in (0, 1)), split radially at the
+    kink fraction `kink`, as its three factors: the radial nodes (n_r,) on
+    [0, 1], the weights (n_r, n_u * n_phi) with r^2 and the angular weights,
+    and the unit directions (n_u * n_phi, 3) in node order within a radius.
+    The support of radius R about c has the node c + R r_k d_j and the
+    weight R^3 w_kj there (d_j rotated by a face frame for a half ball), up
+    to rounding. Built once per (kink, half); the arrays are read-only."""
+    ra, ru, rp = _spherical_rules(1.0, SUPPORT_ORDER, SUPPORT_ANGULAR,
+                                  (0.0, 1.0) if half else (-1.0, 1.0), (kink,))
+    u = ru.nodes[:, None]
+    st, cos, sin = _sphere_factors(u, rp.nodes)
+    directions = _columns(st * cos, st * sin, u).reshape(-1, 3)
+    angular = (ru.weights[:, None] * rp.weights).reshape(-1)
+    weights = (ra.weights * ra.nodes * ra.nodes)[:, None] * angular
+    return _read_only(ra.nodes), _read_only(weights), _read_only(directions)
 
 
 def _ball_fits(region: SolidRegion, center, radius: float, normal=None) -> bool:

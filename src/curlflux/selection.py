@@ -338,13 +338,7 @@ def maximal_transversal(mu: CurlMeasure, patch: SurfacePatch,
     mass = dict(zip(windows, measure_slab_mass(m, *np.transpose(windows)).tolist()))
     vals = [np.inf if c else _window_sup(window, t, lambda lo, hi: mass[lo, hi])
             for t, c in zip(t_grid, concentrated)]
-    collar_mass = mass[windows[-1]]
-    for sheet in m.sheets:
-        # concentrated layers inside the collar contribute their full mass
-        layer_t = float(np.median(sheet[1]))  # the sheet's median depth
-        if -0.75 < layer_t < 0.75:
-            collar_mass += _sheet_layer_mass(sheet, layer_t)
-    return MaximalScan(tuple(t_grid), tuple(vals), collar_mass)
+    return MaximalScan(tuple(t_grid), tuple(vals), mass[windows[-1]])
 
 
 @dataclass(frozen=True)

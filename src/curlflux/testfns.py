@@ -42,9 +42,10 @@ def cutoff_profile_prime(u, plateau: float):
 @dataclass(frozen=True)
 class RadialProfile:
     """A radial bump as a function of the radius about its `center`:
-    profile(r / radius), 0 outside `radius` and kinked only at `kink`, with
-    `profile_prime` its derivative in r / radius. The ball (center, radius)
-    is its support, on which pairings integrate."""
+    profile(r / radius), 0 outside `radius` and kinked only at r / radius =
+    `kink`, a fraction of the radius, with `profile_prime` its derivative in
+    r / radius. The ball (center, radius) is its support, on which pairings
+    integrate."""
 
     center: np.ndarray
     radius: float
@@ -89,7 +90,7 @@ def _exp_profile_prime(u, plateau: float):
 def _bump(center, radius: float, plateau: float, profile, profile_prime) -> ScalarTestFunction:
     """The radial bump profile(|x-c| / radius, plateau) with the gradient of
     `profile_prime`: 1 on |x-c| <= plateau*radius, 0 outside radius, which
-    are its support ball and its one kink radius."""
+    are its support ball and its one kink."""
     center = np.asarray(center, dtype=float)
     column = center[:, None]
     prof, prime = partial(profile, plateau=plateau), partial(profile_prime, plateau=plateau)
@@ -110,7 +111,7 @@ def _bump(center, radius: float, plateau: float, profile, profile_prime) -> Scal
         return _columns(*(mag * rel / safe))
 
     return ScalarTestFunction(value, gradient,
-                              RadialProfile(center, radius, plateau * radius, prof, prime))
+                              RadialProfile(center, radius, plateau, prof, prime))
 
 
 def smooth_bump(center, radius: float, plateau: float = 0.5) -> ScalarTestFunction:

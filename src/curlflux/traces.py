@@ -26,9 +26,12 @@ from .geometry import (
     _finite,
     _norm,
     disk_patch,
+    frame_from_normal,
     integrate,
     shell_integral,
+    support_fit,
     support_rule,
+    unit_support,
 )
 from .sequences import (
     GAP_TOL,
@@ -54,55 +57,70 @@ def trace_pairing(mu: CurlMeasure, fld: VectorField, region: SolidRegion,
     test function.
 
     The integral of testfn against the curl measure minus the volume
-    integral of F x grad(testfn), both on `support_rule`'s rule for a radial
-    bump: its support ball split at the profile kink when it lies in the
-    region, or the half ball on a flat face the support is centred on. There
-    the Lebesgue part and F x grad(testfn) go by `_radial_pairing`; the
-    sheet and line parts, and a test function with no radial profile or
-    whose support leaves the region, integrate `value` and `gradient` at
-    every node, over the region's own rule in the last two cases.
+    integral of F x grad(testfn). For a radial bump whose support ball lies
+    in the region, or whose half ball lies on a flat face the support is
+    centred on (`support_fit`), the Lebesgue part and F x grad(testfn) go by
+    `_radial_pairing` on the support's cached unit rule, and the sheet and
+    line parts, when there are any, by `integrate_measure` over the
+    `support_rule` region, which only clips and contains. A test function
+    with no radial profile, or whose support leaves the region, integrates
+    `value` and `gradient` at every node of the region's own rule.
     """
     radial = testfn.radial
-    support = region if radial is None else support_rule(
-        region, (radial.center, radial.radius), (radial.kink,))
+    kind, normal = (None, None) if radial is None else support_fit(
+        region, radial.center, radial.radius)
     testvec = _scalar_as_vec(testfn.value)
-    if support is region:
+    if kind is None:
         def fxg(x):
             return _cross_rows(fld.eval(x), testfn.gradient(x))
 
-        return integrate_measure(mu, testvec, support) - integrate(support, fxg)
-    lebesgue, volume = _radial_pairing(mu.lebesgue_density, fld, support, radial)
-    singular = replace(mu, lebesgue_density=None)
-    return (lebesgue + integrate_measure(singular, testvec, support)) - volume
+        return integrate_measure(mu, testvec, region) - integrate(region, fxg)
+    lebesgue, volume = _radial_pairing(mu.lebesgue_density, fld, radial, normal)
+    if mu.sheet_parts or mu.line_parts:
+        support = support_rule(region, (radial.center, radial.radius),
+                               (radial.kink * radial.radius,))
+        lebesgue = lebesgue + integrate_measure(replace(mu, lebesgue_density=None), testvec,
+                                                support)
+    return lebesgue - volume
 
 
-def _radial_pairing(density, fld: VectorField, support: SolidRegion, radial: RadialProfile):
+def _radial_pairing(density, fld: VectorField, radial: RadialProfile, normal):
     """The integrals of phi * density (a zero vector for None) and of F x
-    grad(phi) over the support ball or half ball of the radial bump phi.
+    grad(phi) over the support ball of the radial bump phi, or with a face's
+    inner `normal` over its half ball on that side.
 
-    The rule is a product about the bump's centre, so phi takes one value
-    per radius r_k, profile(r_k / R), and grad(phi) at the node of direction
-    d_j is profile'(r_k / R) / R d_j. F x grad(phi) summed over the nodes is
-    then the sum over directions of (sum over radii of w slope F) x d_j. F
-    and the density are evaluated on blocks of whole shells under
-    `BLOCK_POINTS` and summed as each block is evaluated; non-finite values
-    raise, as `integrate` does.
+    The rule is `unit_support`'s for the profile's kink, scaled about the
+    bump's centre: the node c + R r_k d_j has the weight R^3 w_kj, so phi
+    takes one value per radius, profile(r_k), and grad(phi) there is
+    profile'(r_k) / R d_j. F x grad(phi) summed over the nodes is then the
+    sum over directions of (sum over radii of w slope F) x d_j. The nodes are
+    formed by columns on blocks of whole shells under `BLOCK_POINTS`, where F
+    and the density are evaluated and summed, so no array of every node is
+    built; non-finite values raise, as `integrate` does.
     """
-    dirs = support.directions
-    m = len(dirs)
-    u = support.volume_rules[0].nodes / radial.radius
-    phi, slope = radial.profile(u), radial.profile_prime(u) / radial.radius
-    nodes, weights = support.nodes, support.weights.reshape(-1, m)
+    r, weights, dirs = unit_support(radial.kink, normal is not None)
+    if normal is not None:
+        dirs = dirs @ np.stack(frame_from_normal(normal))
+    m, rad = len(dirs), radial.radius
+    radii = rad * r
+    # R^3 w phi and R^3 w profile' / R, with the profiles at the unit radii
+    phi, slope = rad ** 3 * radial.profile(r), rad ** 2 * radial.profile_prime(r)
     lebesgue, along = np.zeros(3), np.zeros((m, 3))
     step = max(1, BLOCK_POINTS // m)
-    for k in range(0, len(u), step):
-        x = nodes[k * m:(k + step) * m]
+    for k in range(0, len(r), step):
         w = weights[k:k + step]
-        f = _finite(fld.eval(x)).reshape(len(w), m, 3)
-        along += np.einsum("kj,kjc->jc", w * slope[k:k + step, None], f)
+        x = np.empty((len(w), m, 3))
+        for c in range(3):  # c + R r_k d_j, written by columns
+            np.multiply(radii[k:k + step, None], dirs[:, c], out=x[..., c])
+            x[..., c] += radial.center[c]
+        x = x.reshape(-1, 3)
+        # F and the density are summed as they are evaluated, so only the
+        # block's nodes outlive a statement
+        along += np.einsum("kj,kjc->jc", w * slope[k:k + step, None],
+                           _finite(fld.eval(x)).reshape(len(w), m, 3))
         if density is not None:
-            rho = _finite(np.atleast_2d(density(x)))
-            lebesgue += np.tensordot((w * phi[k:k + step, None]).ravel(), rho, axes=(0, 0))
+            lebesgue += np.tensordot((w * phi[k:k + step, None]).ravel(),
+                                     _finite(np.atleast_2d(density(x))), axes=(0, 0))
     return lebesgue, np.sum(_cross_rows(along, dirs), axis=0)
 
 

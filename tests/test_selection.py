@@ -60,6 +60,18 @@ def test_concentrated_sheet_flagged(cylinder_collar):
     assert sel.single_layer_mass(sel.SlideMeasure(mu, slide), 0.25) > 3.0
 
 
+def test_a_concentrated_sheet_counts_once_in_the_collar_mass(cylinder_collar):
+    # a unit-density sheet of area pi at depth 0.25, inside the collar window:
+    # its mass pi, not twice it, and a weak-(1,1) bound of 10 pi / lambda
+    sheet = flds.SheetPart(geo.disk_patch((0, 0, 0.25), 1.0),
+                           lambda pts: geo._rows((0.0, 1.0, 0.0), len(np.atleast_2d(pts))))
+    man = geo.disk_patch((0, 0, 0), 1.0)
+    scan = sel.maximal_transversal(flds.CurlMeasure(sheet_parts=(sheet,)), man,
+                                   cylinder_collar, t_grid=[0.1, 0.25, 0.4])
+    assert abs(scan.collar_mass - np.pi) <= 1e-13 * np.pi
+    assert abs(sel.good_set_scan(scan, 2.0).weak_bound - 5.0 * np.pi) <= 1e-12
+
+
 @pytest.mark.parametrize("offset, concentrated", [(5e-10, True), (2e-9, False)])
 def test_a_sheet_lies_on_a_layer_within_the_position_tolerance(cylinder_collar, offset,
                                                                concentrated):
@@ -380,12 +392,7 @@ def _per_window_scan(mu, patch, collar, t_grid, variant):
     values = tuple(np.inf if sel.single_layer_mass(m, t) > 0.0 else
                    sel._window_sup(window, t, lambda lo, hi: _per_window_mass(mu, slide, lo, hi))
                    for t in t_grid)
-    collar_mass = _per_window_mass(mu, slide, -0.75, min(0.75, slide.depth_range))
-    for sheet in m.sheets:
-        layer_t = float(np.median(sheet[1]))
-        if -0.75 < layer_t < 0.75:
-            collar_mass += sel._sheet_layer_mass(sheet, layer_t)
-    return values, collar_mass
+    return values, _per_window_mass(mu, slide, -0.75, min(0.75, slide.depth_range))
 
 
 def _flat_sheet(z):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from curlflux import fields as flds
 from curlflux import geometry as geo
+from curlflux import quadrature
 from curlflux import traces as trc
 from curlflux.sequences import GAP_TOL, richardson_gap, richardson_limit
 from curlflux.stokes import StokesRefusal
@@ -63,7 +65,7 @@ def test_face_centred_pairing_matches_face_integral(rigid_rotation, kind):
     got = trc.trace_pairing(rigid_rotation.curl, rigid_rotation.vector_field, region, bump)
     e3 = np.array([0.0, 0.0, 1.0])
     disk = geo.disk_patch(bump.radial.center, bump.radial.radius, e3,
-                          radial_breaks=(bump.radial.kink,))
+                          radial_breaks=(bump.radial.kink * bump.radial.radius,))
     want = geo.integrate(disk, lambda x: bump.value(x)[:, None] * np.cross(
         rigid_rotation.vector_field.eval(x), e3))
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
@@ -71,7 +73,7 @@ def test_face_centred_pairing_matches_face_integral(rigid_rotation, kind):
 
 def _support(region, bump):
     r = bump.radial
-    return geo.support_rule(region, (r.center, r.radius), (r.kink,))
+    return geo.support_rule(region, (r.center, r.radius), (r.kink * r.radius,))
 
 
 def _pointwise_parts(entry, node_set, bump):
@@ -159,17 +161,105 @@ def test_a_fitting_radial_bump_pairs_through_its_own_rule(kind, name, seed):
     assert np.abs(got - want).max() <= 1e-13 * _mass_r(r)
 
 
+def _exact_pairing(entry, region, bump):
+    """The exact pairing of a smooth field: 0 for a support inside the
+    region, and for one centred on a flat face the face integral of
+    phi (F x n), n the face's inner normal, on a fine disk rule split at the
+    kink and summed exactly (math.fsum)."""
+    r = bump.radial
+    faces = [n for point, n in region.faces if abs((r.center - point) @ n) < 1e-9]
+    if not faces:
+        return np.zeros(3)
+    disk = geo.disk_patch(r.center, r.radius, faces[0], radial_breaks=(r.kink * r.radius,))
+    x = disk.nodes
+    terms = (disk.weights * bump.value(x))[:, None] * np.cross(entry.vector_field.eval(x),
+                                                               faces[0])
+    return np.array([math.fsum(terms[:, k]) for k in range(3)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["ball", "half_ball", "cylinder", "cylinder_face", "box"]),
+       st.sampled_from(["rigid_rotation", "plane_wave_em"]), st.integers(0, 2 ** 32 - 1))
+def test_a_fitting_radial_bump_pairs_to_its_exact_value(kind, name, seed):
+    region, c, r = _fitting_bump(kind, np.random.default_rng(seed))
+    entry, bump = flds.catalog(name), radial_bump(c, r)
+    got = trc.trace_pairing(entry.curl, entry.vector_field, region, bump)
+    want = _exact_pairing(entry, region, bump)
+    assert np.abs(got - want).max() <= 1e-13 * _mass_r(r)
+
+
+def _counted_rules(monkeypatch):
+    # every 1-D Gauss-Legendre rule built, through either module's name
+    calls = []
+    rule = quadrature.gauss_legendre
+
+    def counted(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(quadrature, "gauss_legendre", counted)
+    monkeypatch.setattr(geo, "gauss_legendre", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["ball", "half_ball"])
+def test_a_second_pairing_of_a_kink_fraction_builds_no_rule(kind, monkeypatch):
+    # the unit rule is cached per kink fraction and ball kind: a second bump
+    # of the same plateau, at another centre and radius, builds no 1-D rule,
+    # and a field with no sheet or line parts builds no support region
+    region = geo.half_ball_region((0.1, -0.2, 0.05), 0.9)
+    z = 0.05 if kind == "half_ball" else 0.45
+    first = radial_bump((0.2, -0.1, z), 0.2, plateau=0.4375)
+    second = radial_bump((0.0, -0.3, z), 0.25, plateau=0.4375)
+    assert geo.support_fit(region, second.radial.center, 0.25)[0] == kind
+    entry = flds.catalog("rigid_rotation")
+    geo.unit_support.cache_clear()
+    calls, supports = _counted_rules(monkeypatch), []
+    monkeypatch.setattr(trc, "support_rule", lambda *args: supports.append(args))
+    trc.trace_pairing(entry.curl, entry.vector_field, region, first)
+    assert calls
+    calls.clear()
+    got = trc.trace_pairing(entry.curl, entry.vector_field, region, second)
+    assert calls == [] and supports == []
+    want = _exact_pairing(entry, region, second)
+    assert np.abs(got - want).max() <= 1e-13 * _mass_r(0.25)
+
+
+@pytest.mark.parametrize("name", ["rigid_rotation", "plane_wave_em"])
+def test_a_pairing_allocates_under_one_array_of_its_support_nodes(name):
+    # nodes formed shell block by shell block: the peak stays under one
+    # (16384, 3) float array of every node of the support rule
+    region = geo.half_ball_region((0.1, -0.2, 0.05), 0.9)
+    entry = flds.catalog(name)
+    for c in ((0.2, -0.1, 0.05), (0.2, -0.1, 0.45)):
+        bump = radial_bump(c, 0.2)
+        trc.trace_pairing(entry.curl, entry.vector_field, region, bump)  # the cached rule
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trc.trace_pairing(entry.curl, entry.vector_field, region, bump)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16384 * 3 * 8
+
+
 @pytest.mark.parametrize("part", ["field", "density"])
 def test_a_radial_pairing_refuses_a_non_finite_value_at_one_node(part):
     region = geo.half_ball_region((0.1, -0.2, 0.05), 0.9)
     bump = radial_bump((0.2, -0.1, 0.05), 0.2)
+    # the pairing forms its own nodes, equal to the support rule's up to
+    # rounding: the one within 1e-12 of node 777 is poisoned
     bad = _support(region, bump).nodes[777]
     entry = flds.catalog("rigid_rotation")
+    hits = []
 
     def poisoned(f):
         def g(x):
             out = np.array(f(x), dtype=float)
-            out[np.all(x == bad, axis=1)] = np.nan
+            near = np.linalg.norm(x - bad, axis=1) < 1e-12
+            hits.append(int(near.sum()))
+            out[near] = np.nan
             return out
         return g
 
@@ -180,6 +270,7 @@ def test_a_radial_pairing_refuses_a_non_finite_value_at_one_node(part):
         mu = dataclasses.replace(mu, lebesgue_density=poisoned(mu.lebesgue_density))
     with pytest.raises(geo.GeometryError):
         trc.trace_pairing(mu, fld, region, bump)
+    assert sum(hits) == 1
 
 
 @pytest.mark.parametrize("name", ["rigid_rotation", "line_vortex"])
