@@ -41,8 +41,14 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         params = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         if getattr(args, "config", None):
-            with open(args.config) as fh:
-                overrides = json.load(fh)
+            try:
+                with open(args.config) as fh:
+                    overrides = json.load(fh)
+            except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            if not isinstance(overrides, dict):
+                raise ConfigError(f"config {args.config} must hold a JSON object, "
+                                  f"not {type(overrides).__name__}")
             params.update(overrides)
         return cls(args.command, params)
 
@@ -667,11 +673,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig.from_args(args)
-    fmt = config.params.get("emit", "csv")
     try:
+        config = RunConfig.from_args(args)
+        fmt, out_path = config.params.get("emit", "csv"), config.params.get("out")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"emit must be csv or json, not {fmt!r}")
+        if not isinstance(out_path, (str, type(None))):  # open() takes an int as a descriptor
+            raise ConfigError(f"out must be a path, not {out_path!r}")
         table = run(config)
     except (ConfigError, flds.FieldError, geo.GeometryError, br.SheetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -679,10 +687,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except stokes.StokesRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    out_path = config.params.get("out")
     if out_path:
-        with open(out_path, "w") as fh:
-            table.emit(fmt, fh)
+        try:
+            with open(out_path, "w") as fh:
+                table.emit(fmt, fh)
+        except OSError as exc:
+            print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+            return 2
     else:
         try:
             table.emit(fmt)

@@ -179,11 +179,10 @@ def circle_curve(center, radius, e1, e2, n_nodes: int = DEFAULT_ANGULAR) -> Curv
     return _arc(center, radius, e1, e2, periodic_trapezoid(n_nodes))
 
 
-def arc_curve(center, radius, e1, e2, angle_lo: float, angle_hi: float,
-              n_nodes: int = 48) -> Curve:
-    """Circular arc (or family of arcs) with a Gauss-Legendre rule; for
-    window-localized integrands."""
-    return _arc(center, radius, e1, e2, gauss_legendre(n_nodes, angle_lo, angle_hi))
+def arc_curve(center, radius, e1, e2, angle_lo: float, angle_hi: float) -> Curve:
+    """Circular arc (or family of arcs) with a 48-node Gauss-Legendre rule;
+    for window-localized integrands."""
+    return _arc(center, radius, e1, e2, gauss_legendre(48, angle_lo, angle_hi))
 
 
 def empty_curve() -> Curve:
@@ -353,12 +352,10 @@ def sphere_patch(center, radius: float, order: int = DEFAULT_ORDER,
                         float(radius), -1.0 if inner_normal else 1.0)
 
 
-def spherical_cap_patch(center, radius: float, colatitude: float,
-                        order: int = DEFAULT_ORDER, n_angular: int = DEFAULT_ANGULAR,
-                        inner_normal: bool = True) -> SurfacePatch:
-    """Cap around the +z pole: colatitude in (0, pi)."""
-    return sphere_patch(center, radius, order, n_angular, inner_normal,
-                        u_range=(float(np.cos(colatitude)), 1.0))
+def spherical_cap_patch(center, radius: float, colatitude: float) -> SurfacePatch:
+    """Cap around the +z pole, colatitude in (0, pi), on the default rules,
+    with the inner normal."""
+    return sphere_patch(center, radius, u_range=(float(np.cos(colatitude)), 1.0))
 
 
 def cylinder_side_patch(center, radius: float, z0: float, z1: float,
@@ -581,10 +578,8 @@ def ramp_integral(segments: RampSegments, t: float, delta: float) -> tuple[float
     collar = segments.collar
     if collar.empty:
         return 0.0, 0.0
-    _check_band(collar, t, delta)
+    segments.evaluate(t, (delta,))  # checks the band; evaluates only missing segments
     pieces = _segments(t, t + delta, segments.breaks)
-    if not all(p in segments.lines for p in pieces):
-        segments.evaluate(t, (delta,))
     layer_w = np.concatenate([segments.lines[p][0] for p in pieces])
     vals, mags = np.concatenate([segments.lines[p][1] for p in pieces], axis=1)
     return (_layer_sum(layer_w, vals / delta),
@@ -824,9 +819,9 @@ def _spherical_rules(radius, order, n_angular, u_range=(-1.0, 1.0), radial_break
 
 
 def ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = DEFAULT_ORDER,
-                n_angular: int = DEFAULT_ANGULAR, radial_breaks=()) -> SolidRegion:
+                n_angular: int = DEFAULT_ANGULAR) -> SolidRegion:
     center = np.asarray(center, dtype=float)
-    rules = _spherical_rules(radius, order, n_angular, radial_breaks=radial_breaks)
+    rules = _spherical_rules(radius, order, n_angular)
     sphere = sphere_patch(center, radius, order, n_angular, inner_normal=True)
     return SolidRegion("ball", (sphere,), rules, "spherical", center, float(radius), None, ())
 

@@ -1,9 +1,10 @@
 """Maximal functions over collar parameters and good-manifold scans.
 
-The maximal value at a collar parameter is the supremum over a geometric
-half-width grid of layer mass divided by half-width; the grid supremum is a
-lower bound of the true maximal function, which keeps the weak-(1,1) check
-one-sided valid. Concentration on a single layer is flagged as infinite.
+The maximal value at a collar parameter t is the supremum over a geometric
+half-width grid of the mass of the two-sided window (t - eps, t + eps)
+divided by eps; the grid supremum is a lower bound of the true maximal
+function, which keeps the weak-(1,1) check one-sided valid. Concentration on
+a single layer is flagged as infinite.
 
 A transversal scan reads its measure through one slide (`SlideMeasure`)
 and evaluates all its windows, one per (t, half-width) and the collar's, in
@@ -54,25 +55,12 @@ PROFILE_ORDER = 16
 PROFILE_TAIL = 1e-14
 PROFILE_FLOOR = POSITION_TOL
 
-# band (lo, hi) about the parameter t at half-width eps, per maximal variant
-_WINDOWS = {"two_sided": lambda t, eps: (t - eps, t + eps),
-            "plus": lambda t, eps: (t, t + eps),
-            "minus": lambda t, eps: (t - eps, t)}
 
-
-def _window(variant: str):
-    if variant not in _WINDOWS:
-        raise ValueError(f"unknown maximal variant {variant!r}; "
-                         f"expected one of {', '.join(_WINDOWS)}")
-    return _WINDOWS[variant]
-
-
-def _window_sup(window, t: float, mass) -> float:
-    """Max over the eps grid of mass(lo, hi) / eps on the windows (lo, hi) =
-    window(t, eps), starting from 0."""
+def _window_sup(t: float, mass: dict) -> float:
+    """Max over the eps grid of mass[t - eps, t + eps] / eps, starting from 0."""
     best = 0.0
     for eps in DEFAULT_EPS_GRID:
-        best = max(best, mass(*window(t, eps)) / eps)
+        best = max(best, mass[t - eps, t + eps] / eps)
     return best
 
 
@@ -312,14 +300,13 @@ def single_layer_mass(m: SlideMeasure, t: float) -> float:
 
 
 def maximal_transversal(mu: CurlMeasure, patch: SurfacePatch,
-                        collar: TransversalCollar, t_grid: Sequence[float],
-                        variant: str = "two_sided") -> MaximalScan:
-    """Layer-mass maximal function along the transversal slides of a surface.
+                        collar: TransversalCollar, t_grid: Sequence[float]) -> MaximalScan:
+    """Two-sided layer-mass maximal function along the transversal slides of
+    a surface: at each t the windows are (t - eps, t + eps).
 
     The scan reads the measure over the whole region face the surface lies
     on, so a surface whose area or centre is not the face's is refused.
     """
-    window = _window(variant)
     slide = collar.slide_for(patch)
     face = slide.patch
     area, face_area = np.sum(patch.weights), np.sum(face.weights)
@@ -332,12 +319,11 @@ def maximal_transversal(mu: CurlMeasure, patch: SurfacePatch,
     m = SlideMeasure(mu, slide)
     concentrated = [single_layer_mass(m, t) > 0.0 for t in t_grid]
     # every window the sups read, then the collar's, in one batch
-    windows = [window(t, eps) for t, c in zip(t_grid, concentrated) if not c
+    windows = [(t - eps, t + eps) for t, c in zip(t_grid, concentrated) if not c
                for eps in DEFAULT_EPS_GRID]
     windows.append((-0.75, min(0.75, slide.depth_range)))
     mass = dict(zip(windows, measure_slab_mass(m, *np.transpose(windows)).tolist()))
-    vals = [np.inf if c else _window_sup(window, t, lambda lo, hi: mass[lo, hi])
-            for t, c in zip(t_grid, concentrated)]
+    vals = [np.inf if c else _window_sup(t, mass) for t, c in zip(t_grid, concentrated)]
     return MaximalScan(tuple(t_grid), tuple(vals), mass[windows[-1]])
 
 

@@ -5,17 +5,17 @@ ramp localizer and sends the ramp width to zero; the reported flux functional
 is minus that limit, which matches the classical identity
 flux(curl F . nu) = -circulation for smooth fields under the inward-normal
 orientation used throughout. The transversal route reduces the same flux to a
-Gauss-Green functional of the trace as a bounded-divergence surface field on
-a shifted manifold. The mass route replaces the circulation by the boundary
-pairing of an integrable divergence representative.
+Gauss-Green functional of the trace on a shifted manifold: the trace's
+surface divergence, a pointwise part plus atoms at declared singular points,
+paired with 1. The mass route replaces the circulation by the boundary
+pairing of an integrable divergence representative against 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -79,8 +79,7 @@ def _breaks_in_s(collar: TangentialCollar, radii: Sequence[float]) -> tuple[floa
 
 
 def stokes_tangential(trace, patch: SurfacePatch, collar: TangentialCollar,
-                      t: float, testfn: Optional[ScalarTestFunction] = None,
-                      j_range: Sequence[int] = DELTA_J_RANGE,
+                      t: float, j_range: Sequence[int] = DELTA_J_RANGE,
                       breaks_radii: Sequence[float] = ()) -> StokesResult:
     """Ramp-localizer integrals at widths 2^-j with convergence verdict.
 
@@ -88,8 +87,8 @@ def stokes_tangential(trace, patch: SurfacePatch, collar: TangentialCollar,
     The stored delta values are the raw ramp integrals; the flux functional
     is minus their Richardson limit. It is only reported when
     `judge_sequence` finds the sequence converged against the largest, over
-    the widths, band integral of |trace| |grad ramp| |testfn|; the result
-    holds that `scale` and the Richardson `gap`.
+    the widths, band integral of |trace| |grad ramp|; the result holds that
+    `scale` and the Richardson `gap`.
 
     The widths share one `RampSegments` table, filled in one blocked batch
     before any width is read, so each band segment (split at the trace's
@@ -99,12 +98,11 @@ def stokes_tangential(trace, patch: SurfacePatch, collar: TangentialCollar,
     of 374. The widths are powers of two, so the values equal those of
     separately evaluated bands (see `ramp_integral`).
     """
-    scalar = testfn.value if testfn is not None else None
     deltas = tuple(2.0 ** (-j) for j in j_range)
     breaks = _breaks_in_s(collar, breaks_radii)
     if t + max(deltas) > 1.0:
         raise GeometryError("ramp exceeds collar range")
-    segments = RampSegments(collar, trace, scalar, collar.layer, s_order=10, breaks=breaks)
+    segments = RampSegments(collar, trace, None, collar.layer, s_order=10, breaks=breaks)
     segments.evaluate(t, deltas)
     vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
     verdict = judge_sequence(vals, max(mags))
@@ -156,91 +154,58 @@ def stokes_density(trace, patch: SurfacePatch, collar: TangentialCollar,
 
 
 # ---------------------------------------------------------------------------
-# divergence-measure fields on a flat manifold and the Gauss-Green route
+# the Gauss-Green route on a flat manifold
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManifoldDivMeasure:
-    """Tangential surface field with distributionally-measured divergence.
+def manifold_div_flux(values, patch: SurfacePatch,
+                      singular_points: Sequence = ()) -> tuple[float, float]:
+    """(flux, div_mass) of a tangential field on a flat disk: its surface
+    divergence paired with 1, and the total mass of that divergence.
 
-    The divergence action splits into a pointwise part (quadrature outside
-    exclusion disks of radius 2e-3 around declared singular points) and point
-    atoms whose strengths are estimated from circulation flux through
-    shrinking circles.
-    """
-
-    patch: SurfacePatch
-    pointwise_div: Callable[[np.ndarray], np.ndarray]
-    atoms: tuple[tuple[np.ndarray, float], ...]
-
-    @cached_property
-    def _excluded_div(self) -> np.ndarray:
-        """Pointwise divergence at the patch nodes, zero inside the exclusion
-        disks of the atoms: evaluated once, in the blocks `integrate` takes,
-        and refused as it refuses non-finite values."""
-        def div(pts):
-            out = np.asarray(self.pointwise_div(pts), dtype=float)
-            for p, _ in self.atoms:
-                out = out * (_norm(_by_columns(np.subtract, pts, p)) > 2e-3).astype(float)
-            return out
-
-        return _node_values(self.patch.nodes, div)
-
-    def action(self, phi_value: Callable[[np.ndarray], np.ndarray]) -> float:
-        """<div_tau v, phi> including atoms."""
-        div, nodes = self._excluded_div, self.patch.nodes
-        indices = SimpleNamespace(nodes=np.arange(len(div)), weights=self.patch.weights)
-        total = integrate(indices, lambda i: div[i] * np.asarray(phi_value(nodes[i]), dtype=float))
-        for p, strength in self.atoms:
-            total += strength * float(np.asarray(phi_value(p[None, :]))[0])
-        return float(total)
-
-    def total_mass(self) -> float:
-        total = float(np.sum(self.patch.weights * np.abs(self._excluded_div)))
-        return float(total + sum(abs(s) for _, s in self.atoms))
-
-
-def manifold_div_measure(values, patch: SurfacePatch,
-                         singular_points: Sequence = ()) -> ManifoldDivMeasure:
-    """Build the divergence measure of a tangential field on a flat disk.
-
-    Rejects data whose normal component exceeds 1e-8; the pointwise
-    divergence is a central difference at step 1e-5, excluded on disks of
-    radius 2e-3 around the declared singular points. Atom strengths there
-    come from outward circulation flux through circles of radii 0.05, 0.025
-    and 0.0125, Richardson-extrapolated.
+    Rejects data whose normal component exceeds 1e-8. The divergence splits
+    into a pointwise part, a central difference at step 1e-5 evaluated at
+    the patch nodes in the blocks `integrate` takes and zero on disks of
+    radius 2e-3 around the declared singular points, and point atoms there,
+    whose strengths come from outward circulation flux through circles of
+    radii 0.05, 0.025 and 0.0125, Richardson-extrapolated.
     """
     if patch.name != "disk":
         raise GeometryError("pointwise surface divergence implemented for flat disks only")
     e1, e2, n = patch.frame
-    pts = patch.nodes
-    vals = np.atleast_2d(values(pts))
+    vals = np.atleast_2d(values(patch.nodes))
     resid = float(np.max(np.abs(vals @ n)))
     if resid > 1e-8:
         raise StokesRefusal(f"surface field is not tangential (residual {resid:.2e})")
     fd_step = 1e-5
     h1, h2 = fd_step * e1, fd_step * e2
+    singular_points = [np.asarray(sp, dtype=float) for sp in singular_points]
 
-    def pw_div(p):
-        p = np.atleast_2d(p)
+    def excluded_div(p):
         vp1 = np.atleast_2d(values(_by_columns(np.add, p, h1)))
         vm1 = np.atleast_2d(values(_by_columns(np.subtract, p, h1)))
         vp2 = np.atleast_2d(values(_by_columns(np.add, p, h2)))
         vm2 = np.atleast_2d(values(_by_columns(np.subtract, p, h2)))
-        return ((vp1 - vm1) @ e1 + (vp2 - vm2) @ e2) / (2.0 * fd_step)
+        out = ((vp1 - vm1) @ e1 + (vp2 - vm2) @ e2) / (2.0 * fd_step)
+        for sp in singular_points:
+            out = out * (_norm(_by_columns(np.subtract, p, sp)) > 2e-3).astype(float)
+        return out
 
     atoms = []
     for sp in singular_points:
-        sp = np.asarray(sp, dtype=float)
         fluxes = []
         for r in (0.05, 0.025, 0.0125):
             circ = circle_curve(sp, r, e1, e2, n_nodes=128)
             outward = lambda q: _by_columns(np.subtract, np.atleast_2d(q), sp) / r
             fluxes.append(integrate(circ, lambda q: np.einsum(
                 "ij,ij->i", np.atleast_2d(values(q)), outward(q))))
-        atoms.append((sp, float(richardson_limit(fluxes))))
-    return ManifoldDivMeasure(patch, pw_div, tuple(atoms))
+        atoms.append(float(richardson_limit(fluxes)))
+    div = _node_values(patch.nodes, excluded_div)
+    flux = float(np.sum(patch.weights * div))
+    for strength in atoms:  # one at a time, in order: float addition does not associate
+        flux += strength
+    mass = float(np.sum(patch.weights * np.abs(div)))
+    return flux, float(mass + sum(abs(s) for s in atoms))
 
 
 def stokes_transversal(trace_on_shifted, patch: SurfacePatch,
@@ -248,7 +213,8 @@ def stokes_transversal(trace_on_shifted, patch: SurfacePatch,
                        maximal_value: Optional[float] = None,
                        singular_points: Sequence = ()) -> dict:
     """Flux through the transversally shifted disk via the Gauss-Green
-    functional of its trace as a bounded-divergence surface field.
+    functional of its trace (`manifold_div_flux`), with the mass of the
+    trace's surface divergence.
 
     Refuses when the supplied transversal maximal value at t is infinite
     (concentration on the shifted layer).
@@ -256,10 +222,8 @@ def stokes_transversal(trace_on_shifted, patch: SurfacePatch,
     if maximal_value is not None and not np.isfinite(maximal_value):
         raise StokesRefusal(f"transversal maximal function infinite at t={t}")
     shifted = shift_transversal(patch, collar, t)
-    dm = manifold_div_measure(trace_on_shifted, shifted,
-                              singular_points=singular_points)
-    flux = dm.action(lambda pts: np.ones(np.atleast_2d(pts).shape[0]))
-    return {"flux": float(flux), "div_mass": dm.total_mass()}
+    flux, div_mass = manifold_div_flux(trace_on_shifted, shifted, singular_points)
+    return {"flux": flux, "div_mass": div_mass}
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +232,18 @@ def stokes_transversal(trace_on_shifted, patch: SurfacePatch,
 
 
 def boundary_pairing_mass(G, patch: SurfacePatch, collar: TangentialCollar,
-                          t: float, testfn: Optional[ScalarTestFunction] = None,
-                          breaks_radii: Sequence[float] = ()) -> tuple[float, float, StokesResult]:
-    """Boundary pairing <<G . nu, psi>> by ramp limits, and the induced mass.
+                          t: float, breaks_radii: Sequence[float] = ()
+                          ) -> tuple[float, float, StokesResult]:
+    """Boundary pairing <<G . nu, 1>> by ramp limits, and the induced mass.
 
-    Returns (pairing, mass, diagnostics); mass = -<<G . nu, 1>>.
+    Returns (pairing, mass, diagnostics); mass = -<<G . nu, 1>>. Refuses
+    when the ramp sequence does not converge.
     """
-    res_one = stokes_tangential(G, patch, collar, t, testfn=None,
-                                breaks_radii=breaks_radii)
-    if not res_one.converged:
+    res = stokes_tangential(G, patch, collar, t, breaks_radii=breaks_radii)
+    if not res.converged:
         raise StokesRefusal("boundary pairing did not converge at this parameter")
-    res = res_one
-    if testfn is not None:
-        res = stokes_tangential(G, patch, collar, t, testfn=testfn,
-                                breaks_radii=breaks_radii)
-        if not res.converged:
-            raise StokesRefusal("boundary pairing did not converge for this test function")
     # extrapolated values are already -(limit); + 0.0 as in stokes_tangential
-    return -float(res.extrapolated) + 0.0, float(res_one.extrapolated), res_one
+    return -float(res.extrapolated) + 0.0, float(res.extrapolated), res
 
 
 def _normal_integral(patch, integrand) -> float | np.ndarray:

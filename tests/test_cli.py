@@ -129,6 +129,22 @@ def test_example_annuli_matches_golden_csv(tmp_path):
     assert _main_output(["example"], tmp_path) == (GOLDEN / "example_annuli.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("stokes_tangential", ["stokes", "--field", "plane_wave_em", "--surface", "disk:r=0.5,x=0.2",
+                           "--t", "0.1"]),
+    ("stokes_mass", ["stokes", "--field", "plane_wave_em", "--surface", "disk:r=0.5,x=0.2",
+                     "--t", "0.1", "--route", "mass"]),
+    # the line vortex crosses the shifted disk, so its divergence has an atom
+    ("stokes_transversal", ["stokes", "--field", "line_vortex", "--surface", "disk:r=0.5,x=0.2",
+                            "--t", "0.1", "--route", "transversal", "--region", "cylinder:r=5"]),
+    ("maximal_sphere", ["maximal", "--field", "plane_wave_em", "--region", "ball",
+                        "--surface", "sphere"]),
+    ("maximal_line", ["maximal", "--field", "line_vortex"]),
+])
+def test_stokes_and_maximal_match_golden_csv(name, argv, tmp_path):
+    assert _main_output(argv, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+
+
 def test_validate_rigid_rotation_passes_on_its_defaults(tmp_path):
     # the default bump's plateau covers the half ball, so the Gauss rule
     # never meets its transition shell
@@ -231,6 +247,8 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     # --config values outside the choices the flags accept (a dict is the file's content)
     ["trace", "--field", "rigid_rotation", "--config", {"side": "inner"}],
     ["trace", "--field", "rigid_rotation", "--config", {"emit": "xml"}],
+    # an output path that is no path (open() would take 2 as stderr's descriptor)
+    ["stokes", "--field", "rigid_rotation", "--config", {"out": 2}],
     # --config numbers that skip the flags' type conversion
     ["stokes", "--field", "rigid_rotation", "--config", {"t": "abc"}],
     ["br", "--grid", "4x4", "--config", {"steps": 1.5}],
@@ -245,6 +263,25 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
 ])
 def test_refused_values_exit_2_with_an_error_line(argv, tmp_path, capsys):
     _assert_refused(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "malformed", "list"])
+def test_an_unreadable_config_exits_2_with_an_error_line(content, tmp_path, capsys):
+    # a file that is not there, not JSON, or JSON that is no object
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content)
+    err = _assert_refused(["stokes", "--field", "rigid_rotation", "--config", str(config)],
+                          tmp_path, capsys)
+    assert str(config) in err
+
+
+def test_an_unwritable_out_path_exits_2_with_an_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["reproduce", "gluing", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
 
 
 def test_maximal_names_the_centre_of_a_disk_off_the_face(tmp_path, capsys):

@@ -21,7 +21,6 @@ READ_THROUGH = {
     "CatalogEntry": {"curl"},
     "Curve": {"nodes", "weights"},
     "LinePart": {"density"},
-    "ManifoldDivMeasure": {"patch"},
     "MaximalScan": {"values"},
     "PatchSlide": {"patch"},
     "QuadratureRule": {"nodes", "weights"},

@@ -229,7 +229,7 @@ def test_each_z_plane_trace_is_the_closed_form_f_cross_e3(name, pts):
 
 @pytest.mark.parametrize("patch, exact", [
     (geo.disk_patch((0.2, -0.1, 0.4), 0.7, (0.0, 0.0, -1.0), order=6), True),
-    (geo.spherical_cap_patch((0.1, 0.3, -0.2), 1.3, 2.0, order=6), True),
+    (geo.spherical_cap_patch((0.1, 0.3, -0.2), 1.3, 2.0), True),
     (geo.sphere_patch((0.0, 0.5, 0.0), 0.8, order=6, inner_normal=False), True),
     (geo.disk_patch((0.2, -0.1, 0.4), 0.7, (1.0, -2.0, 0.5), order=6), False),
     (geo.rectangle_patch((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 1.0), 1.0, 2.0, order=6),

@@ -102,9 +102,9 @@ PATCHES = {
     "disk": lambda: geo.disk_patch((0.1, 0.2, 0.3), 1.5, (1.0, 1.0, 0.5), order=6,
                                    n_angular=12, radial_breaks=(0.5,)),
     "annulus": lambda: geo.disk_patch((0, 0, 0), 1.0, order=6, n_angular=12, inner_radius=0.3),
-    "sphere": lambda: geo.sphere_patch((0, 0, 1), 2.0, order=6, n_angular=12),
-    "cap": lambda: geo.spherical_cap_patch((0, 0, 0), 1.0, 0.7, order=6, n_angular=12,
-                                           inner_normal=False),
+    "sphere": lambda: geo.sphere_patch((0, 0, 1), 2.0, order=6, n_angular=12,
+                                       inner_normal=False),
+    "cap": lambda: geo.spherical_cap_patch((0, 0, 0), 1.0, 0.7),
     "cylinder_side": lambda: geo.cylinder_side_patch((0, 0, 0), 0.8, -0.5, 1.0, order=6,
                                                      n_angular=12),
     "rectangle": lambda: geo.rectangle_patch((1, 0, 0), (0, 1, 0), (0, 0.6, 0.8), 2.0, 0.5,
@@ -129,10 +129,15 @@ def _closed_form(kind):
         ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
         return np.add(c, rho[:, None] * ring), np.tile(n, (rho.size, 1)), w * rho
     if kind in ("sphere", "cap"):
-        # the sphere has inner normals, the cap (colatitude 0.7) outer ones
-        c, R, u_lo, sign = (((0.0, 0.0, 1.0), 2.0, -1.0, -1.0) if kind == "sphere"
-                            else ((0.0, 0.0, 0.0), 1.0, np.cos(0.7), 1.0))
-        u, phi, w = _product(gauss_legendre(6, u_lo, 1.0), angles)
+        # the sphere has outer normals, the cap (colatitude 0.7, on the
+        # default rules) inner ones
+        c, R, u_rule, sign = (((0.0, 0.0, 1.0), 2.0, gauss_legendre(6, -1.0, 1.0), 1.0)
+                              if kind == "sphere" else
+                              ((0.0, 0.0, 0.0), 1.0,
+                               gauss_legendre(geo.DEFAULT_ORDER, np.cos(0.7), 1.0), -1.0))
+        if kind == "cap":
+            angles = periodic_trapezoid(geo.DEFAULT_ANGULAR)
+        u, phi, w = _product(u_rule, angles)
         st = np.sqrt(1.0 - u * u)
         radial = np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1)
         return np.add(c, R * radial), sign * radial, R * R * w
@@ -168,9 +173,9 @@ def _eager_polar(center, normal, rho, phi, w):
     return nodes, np.tile(n, (len(nodes), 1)), (w * rho).ravel()
 
 
-def _eager_sphere(center, radius, u_lo, sign):
+def _eager_sphere(center, radius, u_lo, sign, order, n_angular):
     center = np.asarray(center, dtype=float)
-    u_rule, a_rule = gauss_legendre(6, u_lo, 1.0), periodic_trapezoid(12)
+    u_rule, a_rule = gauss_legendre(order, u_lo, 1.0), periodic_trapezoid(n_angular)
     u, phi = u_rule.nodes[:, None], a_rule.nodes
     st = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
     local = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), u), axis=-1)
@@ -188,9 +193,10 @@ def _eager_patch(kind):
         return _eager_polar(c, normal, r_rule.nodes[:, None], angles.nodes,
                             np.outer(r_rule.weights, angles.weights))
     if kind == "sphere":
-        return _eager_sphere((0, 0, 1), 2.0, -1.0, -1.0)
+        return _eager_sphere((0, 0, 1), 2.0, -1.0, 1.0, 6, 12)
     if kind == "cap":
-        return _eager_sphere((0, 0, 0), 1.0, float(np.cos(0.7)), 1.0)
+        return _eager_sphere((0, 0, 0), 1.0, float(np.cos(0.7)), -1.0, geo.DEFAULT_ORDER,
+                             geo.DEFAULT_ANGULAR)
     if kind == "cylinder_side":
         z_rule = gauss_legendre(6, -0.5, 1.0)
         z, phi = z_rule.nodes[:, None], angles.nodes
@@ -276,7 +282,7 @@ def test_tangent_convention(unit_disk):
 
 def test_cap_tangent_convention():
     c, R = np.array([0.1, 0.2, -0.3]), 1.3
-    curve, con, tau = rim(geo.spherical_cap_patch(c, R, 1.0, inner_normal=True))
+    curve, con, tau = rim(geo.spherical_cap_patch(c, R, 1.0))
     pts = curve.nodes
     nu = -(pts - c) / R
     assert np.abs(np.linalg.norm(pts - c, axis=1) - R).max() < 1e-12
@@ -340,8 +346,8 @@ def test_layer_family_equals_stacked_layers():
 def test_arc_family_equals_stacked_arcs():
     center, (e1, e2, _) = np.array([0.2, -0.1, 0.5]), geo.frame_from_normal((0.3, 0.1, 1.0))
     ss = gauss_legendre_split(8, np.array([0.1, 0.2, 0.3])).nodes
-    family = geo.arc_curve(center, 1.7 * (1.0 - ss), e1, e2, 0.4, 0.9, 48)
-    arcs = [geo.arc_curve(center, 1.7 * (1.0 - s), e1, e2, 0.4, 0.9, 48) for s in ss]
+    family = geo.arc_curve(center, 1.7 * (1.0 - ss), e1, e2, 0.4, 0.9)
+    arcs = [geo.arc_curve(center, 1.7 * (1.0 - s), e1, e2, 0.4, 0.9) for s in ss]
     assert np.array_equal(family.nodes, np.stack([c.nodes for c in arcs]))
     assert np.array_equal(family.weights, np.stack([c.weights for c in arcs]))
 
@@ -697,9 +703,8 @@ def _eager_box(center, h, order):
 CENTER = (0.1, -0.2, 0.3)
 _HALF = geo.half_ball_region(CENTER, 0.9, order=10, n_angular=12)
 LAZY_VOLUMES = {
-    "ball": (lambda: geo.ball_region(CENTER, 0.9, order=10, n_angular=12,
-                                     radial_breaks=(0.3, 0.5)),
-             lambda: _eager_spherical(CENTER, 0.9, 10, 12, radial_breaks=(0.3, 0.5))),
+    "ball": (lambda: geo.ball_region(CENTER, 0.9, order=10, n_angular=12),
+             lambda: _eager_spherical(CENTER, 0.9, 10, 12)),
     "half_ball": (lambda: geo.half_ball_region(CENTER, 0.9, order=10, n_angular=12),
                   lambda: _eager_spherical(CENTER, 0.9, 10, 12, u_range=(0.0, 1.0))),
     "cylinder": (lambda: geo.cylinder_region(CENTER, 0.9, -0.2, 0.7, order=10, n_angular=12),

@@ -201,7 +201,7 @@ def test_the_collars_give_the_floats_of_the_row_broadcasts(pts, origin, normal, 
         want = _old_arc(origin, radius * (1.0 - at), e1, e2, rule)
         assert (got.nodes.tobytes(), got.weights.tobytes()) == tuple(w.tobytes() for w in want)
 
-    cap = geo.spherical_cap_patch(origin, radius, colatitude, order=4, n_angular=8)
+    cap = geo.spherical_cap_patch(origin, radius, colatitude)
     col = geo.build_tangential_collar(cap)
     height = float(np.sum(cap.u.weights))
     th0 = float(np.arctan2(np.sqrt(height * (2.0 - height)), 1.0 - height))
@@ -264,14 +264,14 @@ def test_patch_nodes_normals_and_volume_rules_give_the_floats_of_the_row_broadca
     assume(np.linalg.norm(np.cross(e1, e2)) > 1e-3)
     patches = [geo.disk_patch(origin, radius, normal=normal, order=4, n_angular=8),
                geo.sphere_patch(origin, radius, order=4, n_angular=8, inner_normal=inner),
-               geo.spherical_cap_patch(origin, radius, colatitude, order=4, n_angular=8),
+               geo.spherical_cap_patch(origin, radius, colatitude),
                geo.cylinder_side_patch(origin, radius, -0.5, 0.5, 4, 8, inner_normal=inner),
                geo.rectangle_patch(origin, e1, e2, radius, 0.5, -1.0 if inner else 1.0, 4)]
     for p in patches:
         nodes, normals = _old_nodes_and_normals(p)
         assert p.nodes.tobytes() == nodes.tobytes()
         assert p.normals.tobytes() == normals.tobytes()
-    ball = geo.ball_region(origin, radius, order=4, n_angular=6, radial_breaks=(radius / 2,))
+    ball = geo.ball_region(origin, radius, order=4, n_angular=6)
     regions = [ball, geo.half_ball_region(origin, radius, order=4, n_angular=6),
                geo.cylinder_region(origin, radius, -0.5, 0.5, order=4, n_angular=6),
                geo.box_region(origin, (radius, 0.5, 1.0), order=4),

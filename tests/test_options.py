@@ -3,7 +3,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "curlflux"
+# the constructions the dataclass-field check reads: tests count here, as the
+# free-space sheet (`SheetState.periods` None) is built only by a test
 CALLERS = (ROOT / "src", ROOT / "perfbench", ROOT / "tests")
+
+# defaulted parameters that no call in src/ or perfbench/ sets, kept by name
+TEST_SET_OPTIONS = {
+    # the finite-difference step of a test oracle, as tests/test_consumers.py's ORACLES
+    "fields.numeric_curl(h)",
+    # the good-manifold gate, until the transversal route computes its own maximal value
+    "stokes.stokes_transversal(maximal_value)",
+    # the planted sheet density, until the gluing check gives it a consumer
+    "stokes.rankine_hugoniot_check(sheet_density)",
+}
 
 
 def _parse(path):
@@ -33,28 +45,34 @@ def _options():
                     yield f"{path.stem}.{node.name}({name})", node.name, name, index
 
 
+def _code_files():
+    # src/ and the benchmark's own code; a test is no caller
+    yield from (ROOT / "src").rglob("*.py")
+    yield from (p for p in (ROOT / "perfbench").rglob("*.py")
+                if "tests" not in p.relative_to(ROOT / "perfbench").parts)
+
+
 def _calls():
     # name of the callee -> (positional count, keyword names, forwards **kwargs);
     # a starred positional counts as one, since its length is not known here
     calls = {}
-    for root in CALLERS:
-        for path in root.rglob("*.py"):
-            for node in ast.walk(_parse(path)):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name is None:
-                    continue
-                calls.setdefault(name, []).append((
-                    len(node.args), {k.arg for k in node.keywords if k.arg},
-                    any(k.arg is None for k in node.keywords)))
+    for path in _code_files():
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            calls.setdefault(name, []).append((
+                len(node.args), {k.arg for k in node.keywords if k.arg},
+                any(k.arg is None for k in node.keywords)))
     return calls
 
 
 def test_every_option_is_set_by_some_caller():
-    # a defaulted parameter that no call in src/, perfbench/ or tests/ passes
-    # holds one value, so it belongs at its use as a constant
+    # a defaulted parameter that no call in src/ or perfbench/ passes holds
+    # one value for every user, so it belongs at its use as a constant
     calls = _calls()
 
     def passed(fn, name, index):
@@ -62,6 +80,10 @@ def test_every_option_is_set_by_some_caller():
                    for n_pos, keywords, forwards_kw in calls.get(fn, ()))
 
     unset = [label for label, fn, name, index in _options() if not passed(fn, name, index)]
+    # each option kept by name exists and is still one that no caller sets
+    stale = sorted(TEST_SET_OPTIONS - set(unset))
+    assert not stale, f"options kept by name that are gone or set by a caller: {stale}"
+    unset = [label for label in unset if label not in TEST_SET_OPTIONS]
     assert not unset, f"{len(unset)} options no caller sets: {unset}"
 
 

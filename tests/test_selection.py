@@ -16,24 +16,6 @@ def test_line_vortex_transversal_maximal(line_vortex, unit_cylinder, cylinder_co
     assert np.abs(np.asarray(scan.values) - 2.0).max() < 1e-10
 
 
-def test_one_sided_below_two_sided(line_vortex, cylinder_collar):
-    man = geo.disk_patch((0, 0, 0), 1.0)
-    t_grid = [0.1, 0.25, 0.4]
-    two = sel.maximal_transversal(line_vortex.curl, man, cylinder_collar, t_grid)
-    plus = sel.maximal_transversal(line_vortex.curl, man, cylinder_collar, t_grid,
-                                   variant="plus")
-    minus = sel.maximal_transversal(line_vortex.curl, man, cylinder_collar, t_grid,
-                                    variant="minus")
-    for a, b, c in zip(plus.values, minus.values, two.values):
-        assert a <= c + 1e-12 and b <= c + 1e-12
-
-
-def test_unknown_maximal_variant_rejected(line_vortex, cylinder_collar, unit_disk):
-    with pytest.raises(ValueError, match="unknown maximal variant"):
-        sel.maximal_transversal(line_vortex.curl, unit_disk, cylinder_collar,
-                                [0.1], variant="plus_minus")
-
-
 def test_line_slab_mass_refused_on_a_curved_slide(line_vortex):
     # along the axis the depth below a sphere is not affine, so the exact
     # slab solve does not apply: midpoint depth 1 against the end mean -7
@@ -384,13 +366,13 @@ def _per_window_mass(mu, slide, lo, hi):
     return total
 
 
-def _per_window_scan(mu, patch, collar, t_grid, variant):
+def _per_window_scan(mu, patch, collar, t_grid):
     # maximal_transversal with every window evaluated on its own
     slide = collar.slide_for(patch)
     m = sel.SlideMeasure(mu, slide)
-    window = sel._WINDOWS[variant]
     values = tuple(np.inf if sel.single_layer_mass(m, t) > 0.0 else
-                   sel._window_sup(window, t, lambda lo, hi: _per_window_mass(mu, slide, lo, hi))
+                   sel._window_sup(t, {(t - eps, t + eps): _per_window_mass(
+                       mu, slide, t - eps, t + eps) for eps in sel.DEFAULT_EPS_GRID})
                    for t in t_grid)
     return values, _per_window_mass(mu, slide, -0.75, min(0.75, slide.depth_range))
 
@@ -422,7 +404,9 @@ def test_every_window_is_within_1e_13_of_a_64_layer_reference(face):
     collar = (-0.75, min(0.75, slide.depth_range))
     for density in (flds.catalog("rigid_rotation").curl.lebesgue_density, _smooth_density):
         reference = {}
-        for variant, window in sel._WINDOWS.items():
+        # the scan's two-sided windows, and one-sided ones that end at t
+        for window in (lambda t, eps: (t - eps, t + eps), lambda t, eps: (t, t + eps),
+                       lambda t, eps: (t - eps, t)):
             windows = [window(t, eps) for t in SCAN_T for eps in sel.DEFAULT_EPS_GRID]
             windows.append(collar)
             got = sel._lebesgue_slab_mass(density, slide, *np.transpose(windows))
@@ -431,19 +415,17 @@ def test_every_window_is_within_1e_13_of_a_64_layer_reference(face):
                     reference[lo, hi] = _reference_slab_mass(density, slide, lo, hi)
                 want = reference[lo, hi]
                 assert abs(g - want) <= 1e-13 * want
-            # and the scan's values and collar mass, over the same windows
-            scan = sel.maximal_transversal(flds.CurlMeasure(lebesgue_density=density), patch,
-                                           col, SCAN_T, variant)
-            values = [sel._window_sup(window, t, lambda lo, hi: reference[lo, hi])
-                      for t in SCAN_T]
-            assert np.allclose(scan.values, values, rtol=1e-13, atol=0.0)
-            assert abs(scan.collar_mass - reference[collar]) <= 1e-13 * reference[collar]
+        # and the scan's values and collar mass, over the same windows
+        scan = sel.maximal_transversal(flds.CurlMeasure(lebesgue_density=density), patch,
+                                       col, SCAN_T)
+        values = [sel._window_sup(t, reference) for t in SCAN_T]
+        assert np.allclose(scan.values, values, rtol=1e-13, atol=0.0)
+        assert abs(scan.collar_mass - reference[collar]) <= 1e-13 * reference[collar]
     assert "_volume" not in vars(region)
 
 
-@pytest.mark.parametrize("variant", sorted(sel._WINDOWS))
 @pytest.mark.parametrize("face", ["planar", "cylinder_side", "sphere"])
-def test_a_batched_scan_equals_the_per_window_loop(face, variant):
+def test_a_batched_scan_equals_the_per_window_loop(face):
     # the sheet and line parts, bit for bit
     region, patch = _scan_face(face)
     col = geo.build_transversal_collar(region)
@@ -453,10 +435,10 @@ def test_a_batched_scan_equals_the_per_window_loop(face, variant):
     for mu in (sheets, flds.CurlMeasure(None, sheets.sheet_parts, (_side_axis(),))):
         if face == "sphere" and mu.line_parts:
             with pytest.raises(geo.GeometryError, match="affine along the segment; this slide"):
-                sel.maximal_transversal(mu, patch, col, SCAN_T, variant)
+                sel.maximal_transversal(mu, patch, col, SCAN_T)
             continue
-        scan = sel.maximal_transversal(mu, patch, col, SCAN_T, variant)
-        values, collar_mass = _per_window_scan(mu, patch, col, SCAN_T, variant)
+        scan = sel.maximal_transversal(mu, patch, col, SCAN_T)
+        values, collar_mass = _per_window_scan(mu, patch, col, SCAN_T)
         assert scan.values == values and scan.collar_mass == collar_mass
         assert all(type(v) is float for v in (*scan.values, scan.collar_mass))
         if face == "planar":

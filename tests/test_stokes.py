@@ -13,7 +13,6 @@ from curlflux.testfns import (
     radial_bump,
     random_trig_vector,
     smooth_bump,
-    trig_scalar,
 )
 
 from conftest import rim
@@ -154,14 +153,16 @@ def test_annuli_converges_off_resonance(annuli, unit_disk, unit_disk_collar):
     assert abs(res.extrapolated + 2.0 * np.pi * 0.7) < 1e-8
 
 
-def test_support_property(rigid_rotation, unit_disk, unit_disk_collar):
+def test_support_property(rigid_rotation, unit_disk_collar):
     # test function supported away from the shrunk boundary circle: exact zero
-    # once the ramp width drops below the separation
+    # once the ramp width drops below the separation, on the bump-weighted
+    # ramp segments that stokes_density reads
     bump = radial_bump((0.0, 0.0, 0.0), 0.3)
-    res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk,
-                                unit_disk_collar, 0.0, testfn=bump,
-                                j_range=range(4, 10))
-    assert max(abs(v) for v in res.delta_values) == 0.0
+    deltas = [2.0 ** (-j) for j in range(4, 10)]
+    segments = geo.RampSegments(unit_disk_collar, rigid_rotation.trace_z_plane, bump.value,
+                                unit_disk_collar.layer, 10, ())
+    segments.evaluate(0.0, deltas)
+    assert max(abs(geo.ramp_integral(segments, 0.0, d)[0]) for d in deltas) == 0.0
 
 
 def test_line_vortex_tangential_flux(line_vortex):
@@ -283,7 +284,7 @@ def test_density_constant_field_cases(unit_disk, unit_disk_collar):
 
 
 # ---------------------------------------------------------------------------
-# surface divergence measures and the transversal route
+# surface divergence fluxes and the transversal route
 # ---------------------------------------------------------------------------
 
 
@@ -294,12 +295,11 @@ def test_manifold_div_radial_dirac(unit_disk):
         out = np.stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))], axis=1)
         return out / (2.0 * np.pi * np.where(rho2 == 0, 1.0, rho2)[:, None])
 
-    dm = stk.manifold_div_measure(radial, unit_disk,
-                                  singular_points=[(0.0, 0.0, 0.0)])
-    assert abs(dm.atoms[0][1] - 1.0) < 1e-10
-    bump = radial_bump((0.05, 0.0, 0.0), 0.3)
-    # distributional identity: action equals the bump value at the atom
-    assert abs(dm.action(bump.value) - bump.value(np.zeros((1, 3)))[0]) < 1e-6
+    # divergence-free off the origin, with a unit atom there; the central
+    # differences near the excluded disk add about 6e-5 of mass, not of flux
+    flux, div_mass = stk.manifold_div_flux(radial, unit_disk, [(0.0, 0.0, 0.0)])
+    assert abs(flux - 1.0) < 1e-10
+    assert abs(div_mass - 1.0) < 1e-4
 
 
 def test_manifold_div_rotation_free(unit_disk):
@@ -307,16 +307,15 @@ def test_manifold_div_rotation_free(unit_disk):
         pts = np.atleast_2d(pts)
         return np.stack([-pts[:, 1], pts[:, 0], np.zeros(len(pts))], axis=1)
 
-    dm = stk.manifold_div_measure(rot, unit_disk)
-    bump = radial_bump((0.1, 0.1, 0.0), 0.4)
-    assert abs(dm.action(bump.value)) < 1e-8
+    flux, div_mass = stk.manifold_div_flux(rot, unit_disk)
+    assert abs(flux) < 1e-8 and div_mass < 1e-8
 
 
 def test_manifold_div_rejects_non_tangential(unit_disk):
     tilt = lambda pts: np.broadcast_to(np.array([0.0, 0.2, 1.0]),
                                        (np.atleast_2d(pts).shape[0], 3)).copy()
     with pytest.raises(stk.StokesRefusal):
-        stk.manifold_div_measure(tilt, unit_disk)
+        stk.manifold_div_flux(tilt, unit_disk)
 
 
 def test_gauss_green_manifold_smooth(unit_disk, cylinder_collar):
@@ -365,14 +364,13 @@ def test_transversal_refuses_concentration(cylinder_collar):
 
 
 def test_div_mass_bounded_by_maximal(line_vortex, rigid_rotation, cylinder_collar):
-    # one fitted constant bounds the surface divergence mass by the one-sided
+    # one fitted constant bounds the surface divergence mass by the two-sided
     # transversal maximal value across the catalog
     man = geo.disk_patch((0, 0, 0), 1.0)
     ratios = []
     for entry, sing in ((line_vortex, True), (rigid_rotation, False)):
         for t in (0.2, 0.3):
-            scan = sel.maximal_transversal(entry.curl, man, cylinder_collar, [t],
-                                           variant="plus")
+            scan = sel.maximal_transversal(entry.curl, man, cylinder_collar, [t])
             out = stk.stokes_transversal(entry.trace_z_plane, man, cylinder_collar,
                                          t, singular_points=[(0, 0, t)] if sing else [])
             if scan.values[0] > 0:
@@ -400,17 +398,14 @@ def test_boundary_pairing_smooth_matches_line_quadrature(unit_disk,
         return np.stack([pts[:, 0] + 0.2 * pts[:, 1] ** 2, pts[:, 1],
                          np.zeros(len(pts))], axis=1)
 
-    phi = trig_scalar(np.array([1.0, 0.5, 0.0]))
     t = 0.2
-    pairing, mass, _ = stk.boundary_pairing_mass(G, unit_disk,
-                                                 unit_disk_collar, t, testfn=phi)
+    pairing, mass, _ = stk.boundary_pairing_mass(G, unit_disk, unit_disk_collar, t)
     layer = unit_disk_collar.layer(t)
     pts = layer.nodes
-    con = -pts / np.linalg.norm(pts, axis=1, keepdims=True)  # inward conormal
-    oracle = float(np.sum(layer.weights
-                          * phi.value(pts)
-                          * np.einsum("ij,ij->i", G(pts), con)))
-    assert abs(pairing - oracle) < 1e-4
+    con = pts / np.linalg.norm(pts, axis=1, keepdims=True)  # outward conormal
+    oracle = float(np.sum(layer.weights * np.einsum("ij,ij->i", G(pts), con)))
+    assert abs(mass - oracle) < 1e-4
+    assert pairing == -mass
 
 
 def test_boundary_pairing_zero(unit_disk, unit_disk_collar):

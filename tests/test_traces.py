@@ -440,8 +440,8 @@ def test_layerwise_equals_per_node_aitken_loop(shape, side):
     else:
         region = geo.half_ball_region(center, radius, order=12, n_angular=32)
         man = (geo.disk_patch(center, radius, order=12) if shape == "half_ball_disk"
-               else geo.spherical_cap_patch(center, radius, np.pi / 2, order=12,
-                                            n_angular=32))
+               else geo.sphere_patch(center, radius, order=12, n_angular=32,
+                                     u_range=(0.0, 1.0)))
     tcol = geo.build_transversal_collar(region)
     t_grid = [2.0 ** -k for k in range(2, 10)]
     fld = flds.catalog("plane_wave_em").vector_field
