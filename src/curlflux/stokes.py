@@ -73,8 +73,11 @@ class StokesResult:
 
 
 def _breaks_in_s(collar: TangentialCollar, radii: Sequence[float]) -> tuple[float, ...]:
-    if collar.param_of_radius is None or not radii:
+    if not radii:
         return ()
+    if collar.param_of_radius is None:
+        # a cap's or a closed sphere's collar cannot place them; the bands would not split
+        raise GeometryError("break radii need a disk's collar, which places them in s")
     return tuple(collar.param_of_radius(r) for r in radii)
 
 

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +110,17 @@ def test_r_is_the_region_radius_key(spec):
 
 def _main_output(argv, tmp_path) -> bytes:
     out = tmp_path / "out.csv"
-    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert cli.main([*_with_config(argv, tmp_path), "--out", str(out)]) == 0
     return out.read_bytes()
+
+
+def _with_config(argv, tmp_path):
+    # a dict in argv is the content of a --config file
+    config = tmp_path / "config.json"
+    for a in argv:
+        if isinstance(a, dict):
+            config.write_text(json.dumps(a))
+    return [str(config) if isinstance(a, dict) else a for a in argv]
 
 
 @pytest.mark.parametrize("argv, sha256", [
@@ -180,6 +191,11 @@ def test_trace_samples_each_face_on_the_region_rule(spec, face):
     (["trace", "--field", "rigid_rotation", "--region", "half_ball:order=8"],
      {"field": "rigid_rotation", "region": "half_ball:order=8"}),
     (["stokes", "--field", "rigid_rotation"], {"field": "rigid_rotation"}),
+    # a --config key reaches the command as its flag does
+    (["stokes", "--field", "rigid_rotation", "--t", "0.3", "--route", "mass"],
+     {"field": "rigid_rotation", "t": 0.3, "route": "mass"}),
+    (["stokes", "--field", "rigid_rotation", "--config", {"t": 0.3, "route": "mass"}],
+     {"field": "rigid_rotation", "t": 0.3, "route": "mass"}),
     (["maximal", "--field", "line_vortex"], {"field": "line_vortex"}),
     (["br", "--grid", "8x8", "--steps", "8"], {"grid": "8x8", "steps": 8}),
     (["validate", "--field", "rigid_rotation"], {"field": "rigid_rotation"}),
@@ -254,6 +270,15 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
     ["br", "--grid", "4x4", "--config", {"steps": 1.5}],
     ["br", "--grid", "4x4", "--steps", "1", "--config", {"dump_every": True}],
     ["maximal", "--field", "line_vortex", "--config", {"lam": [1.0]}],
+    # --config keys the command does not read, misspelt or no key at all
+    ["stokes", "--field", "rigid_rotation", "--config", {"tt": 0.3, "rout": "mass"}],
+    ["stokes", "--field", "rigid_rotation", "--config", {"config": "x"}],
+    # flag values each command checks as it checks --config values
+    ["stokes", "--field", "rigid_rotation", "--route", "sideways"],
+    ["trace", "--field", "rigid_rotation", "--side", "inner"],
+    ["stokes", "--field", "rigid_rotation", "--emit", "xml"],
+    ["stokes", "--field", "rigid_rotation", "--t", "abc"],
+    ["br", "--grid", "4x4", "--steps", "1.5"],
     # a region with no face the trace command samples
     ["trace", "--field", "rigid_rotation", "--region", "box"],
     # surfaces smaller than the region face that a maximal scan reads whole, or off its centre
@@ -291,14 +316,21 @@ def test_maximal_names_the_centre_of_a_disk_off_the_face(tmp_path, capsys):
     assert "centre [0.0, 0.0, 0.0]" in err and "centred at [0.3, 0.0, 0.0]" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    # unchecked, these misspelt keys ran the tangential route at t = 0 and exited 0
+    (["stokes", "--field", "rigid_rotation", "--config", {"tt": 0.3, "rout": "mass"}],
+     ["stokes reads no rout, tt"]),
+    (["stokes", "--field", "rigid_rotation", "--route", "sideways"],
+     ["tangential", "mass", "transversal"]),
+])
+def test_a_refusal_names_the_unread_keys_or_the_choices(argv, named, tmp_path, capsys):
+    err = _assert_refused(argv, tmp_path, capsys)
+    assert all(word in err for word in named), err
+
+
 def _assert_refused(argv, tmp_path, capsys):
     # `cli.main` exits 2 with an error line; a dict in argv is a --config file
-    config = tmp_path / "config.json"
-    for a in argv:
-        if isinstance(a, dict):
-            config.write_text(json.dumps(a))
-    argv = [str(config) if isinstance(a, dict) else a for a in argv]
-    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    assert cli.main([*_with_config(argv, tmp_path), "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     return err
@@ -438,3 +470,58 @@ def test_a_reader_that_closes_the_pipe_gets_no_traceback():
     proc.stderr.close()
     assert proc.wait() == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def _keys_read(fn):
+    # the keys a command function reads from its params dict: d.get("k"),
+    # d["k"], "k" in d, _param(d, "k", ...) and delta_max_j through
+    # _j_range(d, ...); any other use of d would hide a read, so it fails here
+    d = fn.args.args[0].arg
+    uses = {id(n) for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == d}
+    keys = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            target, key = node.comparators[0], node.left
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+            target, key = node.func.value, node.args[0]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_param":
+            target, key = node.args[:2]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_j_range":
+            target, key = node.args[0], ast.Constant("delta_max_j")
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == d:
+            assert isinstance(key, ast.Constant), ast.unparse(node)
+            keys.add(key.value)
+            uses.discard(id(target))
+    assert not uses, f"{fn.name} reads {d} in a form the key guard does not see"
+    return keys
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_each_command_reads_exactly_the_keys_of_its_table_entry(name):
+    # a read key the entry lacks would be neither a flag nor a legal --config
+    # key, and a declared key nothing reads would be a flag with no effect
+    _, keys, handler = cli.COMMANDS[name]
+    fn = ast.parse(textwrap.dedent(inspect.getsource(handler))).body[0]
+    assert _keys_read(fn) == set(keys)
+
+
+def test_the_key_guard_sees_each_form():
+    fn = ast.parse('def cmd(p):\n    p.get("a"); p["b"]; "c" not in p\n'
+                   '    _param(p, "d", 0.0, float); _j_range(p, 1, 10)\n').body[0]
+    assert _keys_read(fn) == {"a", "b", "c", "d", "delta_max_j"}
+    with pytest.raises(AssertionError, match="does not see"):
+        _keys_read(ast.parse("def cmd(p):\n    helper(p)\n").body[0])
+
+
+def test_help_prints_the_exit_codes_of_the_module_docstring(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    doc = " ".join(cli.__doc__.split())
+    codes = doc[doc.index("Exit codes:"):]
+    assert codes.startswith("Exit codes: 0 pass; 1 ") and codes.endswith("3 a route's refusal.")
+    assert codes in " ".join(capsys.readouterr().out.split())

@@ -153,6 +153,18 @@ def test_annuli_converges_off_resonance(annuli, unit_disk, unit_disk_collar):
     assert abs(res.extrapolated + 2.0 * np.pi * 0.7) < 1e-8
 
 
+@pytest.mark.parametrize("patch", [geo.spherical_cap_patch((0, 0, 0), 1.0, 1.0),
+                                   geo.sphere_patch((0, 0, 0), 1.0)], ids=["cap", "sphere"])
+@pytest.mark.parametrize("route", ["tangential", "mass"])
+def test_break_radii_on_a_collar_that_cannot_place_them_are_refused(annuli, patch, route):
+    # only a disk's collar maps a radius to s; a cap's bands would run unsplit
+    # across the jumps, with the same values as without breaks
+    collar = geo.build_tangential_collar(patch)
+    solve = stk.stokes_tangential if route == "tangential" else stk.boundary_pairing_mass
+    with pytest.raises(geo.GeometryError, match="break radii"):
+        solve(annuli.trace_z_plane, patch, collar, 0.1, breaks_radii=(0.5, 0.7))
+
+
 def test_support_property(rigid_rotation, unit_disk_collar):
     # test function supported away from the shrunk boundary circle: exact zero
     # once the ramp width drops below the separation, on the bump-weighted
