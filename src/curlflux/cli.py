@@ -240,7 +240,10 @@ def parse_region(spec) -> geo.SolidRegion:
 def run(config: RunConfig) -> ResultTable:
     if config.command not in COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
-    table = COMMANDS[config.command][2](config.params)
+    _, keys, handler = COMMANDS[config.command]
+    if "field" in keys and "field" not in config.params:
+        raise ConfigError(f"{config.command} needs a field, from --field or --config")
+    table = handler(config.params)
     table.metadata.setdefault("tool", f"curlflux {__version__}")
     table.metadata.setdefault("command", config.command)
     return table
@@ -598,8 +601,9 @@ REPRODUCE_NAMES = tuple(REPRODUCTIONS)
 # ---------------------------------------------------------------------------
 
 # each command's summary, the keys it reads and its handler: each key is a flag
-# (t_grid is --t-grid; --field is required), reproduce's one key its positional,
-# and a --config file may set these keys, emit and out, nothing else
+# (t_grid is --t-grid), reproduce's one key its positional, and a --config file
+# may set these keys, emit and out, nothing else; `run` refuses a command that
+# reads a field and is given none
 COMMANDS = {
     "trace": ("layerwise boundary trace samples", ("field", "region", "side", "t_grid"),
               cmd_trace),
@@ -635,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
             if name == "reproduce":
                 sp.add_argument(key, choices=REPRODUCE_NAMES)
             else:
-                sp.add_argument("--" + key.replace("_", "-"), dest=key, required=key == "field")
+                sp.add_argument("--" + key.replace("_", "-"), dest=key)
     return ap
 
 

@@ -8,7 +8,9 @@ the 1-D rules of its parameters and evaluates them on first read, as a solid
 region does its volume rule. Curves, patches and regions all read `nodes`
 (n, 3) and `weights` (n,): `integrate` is the one integral over any of them,
 and `_band_lines` the one over a family of layers (collar bands, slide slabs,
-shells and a maximal scan's depth profile). A solid region describes its shape once, as a round part cut by
+shells and a maximal scan's depth profile). A route's collar bands, one per
+ramp width, are one table that `ramp_bands` builds once and `ramp_integral`
+reads. A solid region describes its shape once, as a round part cut by
 flat faces; containment, clipping and fit tests read that. Collars and slides
 (each patch along its own normal) of the canonical shapes are exact, which
 keeps the localizer limits free of mesh noise.
@@ -27,7 +29,7 @@ used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
@@ -150,7 +152,7 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Curve:
-    """Curve (closed, an arc, or degenerate) as its node set, or a family of
+    """Curve (closed or an arc) as its node set, or a family of
     k curves on one shared parameter rule.
 
     `nodes` holds the points, (m, 3) or (k, m, 3) for a family, and `weights`
@@ -174,7 +176,7 @@ def _arc(center, radius, e1, e2, rule: QuadratureRule) -> Curve:
     return Curve(pts, rule.weights * radius)
 
 
-def circle_curve(center, radius, e1, e2, n_nodes: int = DEFAULT_ANGULAR) -> Curve:
+def circle_curve(center, radius, e1, e2, n_nodes: int) -> Curve:
     """Circle (or family of circles, see `_arc`) with a trapezoid rule."""
     return _arc(center, radius, e1, e2, periodic_trapezoid(n_nodes))
 
@@ -183,11 +185,6 @@ def arc_curve(center, radius, e1, e2, angle_lo: float, angle_hi: float) -> Curve
     """Circular arc (or family of arcs) with a 48-node Gauss-Legendre rule;
     for window-localized integrands."""
     return _arc(center, radius, e1, e2, gauss_legendre(48, angle_lo, angle_hi))
-
-
-def empty_curve() -> Curve:
-    """Zero-length placeholder for boundaryless (closed) surfaces."""
-    return Curve(np.zeros((1, 3)), np.zeros(1))
 
 
 def _node_sum(w: np.ndarray, vals: np.ndarray) -> float | np.ndarray:
@@ -393,42 +390,40 @@ class TangentialCollar:
 
     Layer s=0 is the boundary itself; layers foliate a neighborhood inside the
     patch. `layer(s)` is one curve, or for an array s the family of those
-    layers on one shared rule. `grad_s` is the surface gradient of the collar
-    parameter (its magnitude is the localizer slope per unit delta);
-    `layer_jacobian` is the constant factor that converts ds x arclength to
-    surface area. The collar parameter s runs over [0, 1].
+    layers on one shared rule. `grad_s` maps points to the surface gradient
+    of the collar parameter (its magnitude is the localizer slope per unit
+    delta); `layer_jacobian` is the constant factor that converts ds x
+    arclength to surface area. The collar parameter s runs over [0, 1]; a
+    closed surface's collar has no `layer` and no `grad_s` (both None).
     """
 
-    layer: Callable[[float | np.ndarray], Curve]
-    grad_s: Callable[[np.ndarray, np.ndarray], np.ndarray]  # points, per-point s -> (n,3)
+    layer: Optional[Callable[[float | np.ndarray], Curve]]
+    grad_s: Optional[Callable[[np.ndarray], np.ndarray]]  # points (n, 3) -> (n, 3)
     layer_jacobian: float
     param_of_radius: Optional[Callable[[float], float]] = None  # shape-specific break mapping
-    empty: bool = False
 
 
 def build_tangential_collar(patch: SurfacePatch) -> TangentialCollar:
     """Closed-form collar of a disk or a cap, read off its patch (a cap's
     colatitude th0 off its u rule, which spans (cos th0, 1)); its layers are
-    circles on the default angular rule.
+    circles on the patch's own angular rule `v`.
 
-    For a closed sphere (empty boundary) the collar is empty and the
+    A closed sphere has no boundary, so its collar has no layers, and the
     localizer degenerates to the constant 1.
     """
     if patch.name == "sphere":
-        return TangentialCollar(lambda s: empty_curve(),
-                                lambda pts, s: np.zeros_like(np.atleast_2d(pts)),
-                                0.0, empty=True)
+        return TangentialCollar(None, None, 0.0)
 
     if patch.name == "disk":
         center, radius = patch.origin, patch.scale
         e1, e2, _ = patch.frame
 
         def layer(s):
-            return circle_curve(center, radius * (1.0 - s), e1, e2)
+            return _arc(center, radius * (1.0 - s), e1, e2, patch.v)
 
         axis = _cross(e1, e2)
 
-        def grad_s(pts, s):
+        def grad_s(pts):
             rel = _by_columns(np.subtract, np.atleast_2d(pts), center)
             along = _by_columns(np.multiply, (rel @ axis)[:, None], axis)
             return _unit(rel - along) / -radius
@@ -448,9 +443,9 @@ def build_tangential_collar(patch: SurfacePatch) -> TangentialCollar:
             th = th0 * (1.0 - np.asarray(s))
             up = R * np.cos(th)
             c = _by_columns(lambda o, a: o + up * a, center, e3)
-            return circle_curve(c, R * np.sin(th), e1, e2)
+            return _arc(c, R * np.sin(th), e1, e2, patch.v)
 
-        def grad_s(pts, s):
+        def grad_s(pts):
             rel = _unit(_by_columns(np.subtract, np.atleast_2d(pts), center))
             phi = np.arctan2(rel[:, 1], rel[:, 0])
             th = np.arccos(np.clip(rel[:, 2], -1.0, 1.0))
@@ -501,9 +496,42 @@ def _band_lines(layer, s_order: int, segments: Sequence[tuple[float, float]], in
     return s, np.concatenate([r.weights for r in rules]), np.concatenate(lines, axis=1)
 
 
-def _check_band(collar: TangentialCollar, t: float, delta: float) -> None:
-    if not (0.0 < delta and t >= 0.0 and t + delta <= 1.0):
+def ramp_bands(collar: TangentialCollar, covector_field, scalar, layer, s_order: int,
+               breaks: Sequence[float], t: float, deltas: Sequence[float]) -> dict:
+    """The band table of one route call: per width delta, the band
+    (t, t + delta) of scalar * (field . grad s) and of |scalar| |field|
+    (`scalar` None for 1) on the curves `layer` gives at an array of s (the
+    collar's layers or a window of each). Every band is checked before
+    anything is evaluated; each is split at the `breaks` inside it into
+    `s_order`-node Gauss-Legendre segments, whose sorted union is evaluated
+    in one `_band_lines` call. Maps delta to (layer weights in s order, line
+    sums (2, n_s), `layer_jacobian`); a collar without layers (a closed
+    sphere's) has no bands, so its table is empty.
+    """
+    if not all(0.0 < d and t >= 0.0 and t + d <= 1.0 for d in deltas):
         raise GeometryError("ramp band outside collar range")
+    if collar.layer is None:
+        return {}
+
+    def integrand(pts, s):
+        f = np.asarray(covector_field(pts), dtype=float)
+        vals = np.einsum("ij,ij->i", f, collar.grad_s(pts))
+        mags = np.sqrt(np.einsum("ij,ij->i", f, f))
+        if scalar is not None:
+            phi = np.asarray(scalar(pts), dtype=float)
+            vals, mags = vals * phi, mags * np.abs(phi)
+        return np.stack([vals, mags])
+
+    pieces = {d: _segments(t, t + d, breaks) for d in deltas}
+    union = sorted({p for ps in pieces.values() for p in ps})
+    _, w, lines = _band_lines(layer, s_order, union, integrand)
+    layer_w = w * collar.layer_jacobian
+    nodes = {p: np.arange(i * s_order, (i + 1) * s_order) for i, p in enumerate(union)}
+    bands = {}
+    for d, ps in pieces.items():
+        idx = np.concatenate([nodes[p] for p in ps])
+        bands[d] = (layer_w[idx], lines[:, idx], collar.layer_jacobian)
+    return bands
 
 
 def _layer_sum(layer_w: np.ndarray, lines: np.ndarray) -> float:
@@ -511,79 +539,22 @@ def _layer_sum(layer_w: np.ndarray, lines: np.ndarray) -> float:
     return float(np.cumsum(layer_w * lines)[-1])
 
 
-@dataclass(frozen=True)
-class RampSegments:
-    """A ramp integrand, scalar * (field . grad s) with magnitude
-    |scalar| |field| (`scalar` None for 1), and the table of its evaluated
-    band segments that the ramp widths of one route call share.
-
-    A segment is one Gauss-Legendre piece (lo, hi) of a band split at
-    `breaks`; `lines` maps it to its layer weights and the line sums of both
-    rows. `layer` gives the curves at an array of s: the collar's own layers
-    or a window of each.
-    """
-
-    collar: TangentialCollar
-    covector_field: Callable[[np.ndarray], np.ndarray]
-    scalar: Optional[Callable[[np.ndarray], np.ndarray]]
-    layer: Callable[[np.ndarray], Curve]
-    s_order: int
-    breaks: tuple[float, ...]
-    lines: dict = field(default_factory=dict, init=False, repr=False)
-
-    def _integrand(self, pts: np.ndarray, s: np.ndarray) -> np.ndarray:
-        f = np.asarray(self.covector_field(pts), dtype=float)
-        s = np.repeat(s, len(pts) // len(s))  # grad_s takes the s of each point
-        vals = np.einsum("ij,ij->i", f, self.collar.grad_s(pts, s))
-        mags = np.sqrt(np.einsum("ij,ij->i", f, f))
-        if self.scalar is not None:
-            phi = np.asarray(self.scalar(pts), dtype=float)
-            vals, mags = vals * phi, mags * np.abs(phi)
-        return np.stack([vals, mags])
-
-    def evaluate(self, t: float, deltas: Sequence[float]) -> None:
-        """Add to the table, in one `_band_lines` call, the segments that it
-        lacks of the bands (t, t + delta) of all widths in `deltas`."""
-        collar = self.collar
-        if collar.empty:
-            return
-        for delta in deltas:
-            _check_band(collar, t, delta)
-        missing = sorted({p for d in deltas for p in _segments(t, t + d, self.breaks)}
-                         - self.lines.keys())
-        if not missing:
-            return
-        n = self.s_order
-        _, w, lines = _band_lines(self.layer, n, missing, self._integrand)
-        layer_w = w * collar.layer_jacobian
-        for i, p in enumerate(missing):
-            self.lines[p] = (layer_w[i * n:(i + 1) * n], lines[:, i * n:(i + 1) * n])
-
-
-def ramp_integral(segments: RampSegments, t: float, delta: float) -> tuple[float, float]:
+def ramp_integral(bands: dict, delta: float) -> tuple[float, float]:
     """Integral of scalar * (field . grad ramp) over the collar band (t, t+delta),
-    and of |scalar| |field| |grad ramp|, the scale its limit is judged against.
+    and of |scalar| |field| |grad ramp|, the scale its limit is judged against,
+    read off the table `ramp_bands` built; it evaluates nothing.
 
     The band is parametrized as (s, curve), with dH^2 = layer_jacobian ds dH^1,
     so |grad s| = 1 / layer_jacobian (coarea); grad ramp = grad s / delta.
-    Its segments, split at the breaks of `segments`, come from that table,
-    which a route fills for all its widths at once (any still missing are
-    evaluated here); the band joins their layer weights and line sums in s order,
-    divides the sums by delta and adds the layers one by one. A segment has
-    the nodes a split rule over this band alone would give it, so the result
-    equals evaluating the band on its own whenever dividing by delta is
-    exact, as it is for the routes' widths 2^-j. At t = 0, with a break at
-    every width, each band is a prefix of the widest.
+    The read divides the band's line sums by delta and adds the layers one by
+    one, so the result equals evaluating the band on its own whenever
+    dividing by delta is exact, as it is for the routes' widths 2^-j. An
+    empty table (a closed sphere's) reads 0 at every width.
     """
-    collar = segments.collar
-    if collar.empty:
+    if not bands:
         return 0.0, 0.0
-    segments.evaluate(t, (delta,))  # checks the band; evaluates only missing segments
-    pieces = _segments(t, t + delta, segments.breaks)
-    layer_w = np.concatenate([segments.lines[p][0] for p in pieces])
-    vals, mags = np.concatenate([segments.lines[p][1] for p in pieces], axis=1)
-    return (_layer_sum(layer_w, vals / delta),
-            _layer_sum(layer_w, mags) / (collar.layer_jacobian * delta))
+    layer_w, (vals, mags), jacobian = bands[delta]
+    return _layer_sum(layer_w, vals / delta), _layer_sum(layer_w, mags) / (jacobian * delta)
 
 
 # ---------------------------------------------------------------------------

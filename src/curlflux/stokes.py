@@ -22,7 +22,6 @@ import numpy as np
 from .fields import PiecewiseField, VectorField
 from .geometry import (
     GeometryError,
-    RampSegments,
     SolidRegion,
     SurfacePatch,
     TangentialCollar,
@@ -34,6 +33,7 @@ from .geometry import (
     arc_curve,
     circle_curve,
     integrate,
+    ramp_bands,
     ramp_integral,
     shift_transversal,
 )
@@ -93,21 +93,19 @@ def stokes_tangential(trace, patch: SurfacePatch, collar: TangentialCollar,
     the widths, band integral of |trace| |grad ramp|; the result holds that
     `scale` and the Richardson `gap`.
 
-    The widths share one `RampSegments` table, filled in one blocked batch
-    before any width is read, so each band segment (split at the trace's
-    break radii) is evaluated once per call: a default solve without breaks
-    evaluates its 11 segments in 3 layer calls, and on the dyadic annuli at
-    t = 0 the 11 widths evaluate the 39 segments of the widest band instead
-    of 374. The widths are powers of two, so the values equal those of
-    separately evaluated bands (see `ramp_integral`).
+    The widths read one band table (`ramp_bands`), built before any width is
+    read, so each band segment (split at the trace's break radii) is
+    evaluated once per call: a default solve without breaks evaluates its 11
+    segments in 3 layer calls, and on the dyadic annuli at t = 0 the 11
+    widths evaluate the 39 segments of the widest band instead of 374. The
+    widths are powers of two, so the values equal those of separately
+    evaluated bands (see `ramp_integral`). A band outside the collar range
+    raises `GeometryError`, on a closed sphere's collar too.
     """
     deltas = tuple(2.0 ** (-j) for j in j_range)
-    breaks = _breaks_in_s(collar, breaks_radii)
-    if t + max(deltas) > 1.0:
-        raise GeometryError("ramp exceeds collar range")
-    segments = RampSegments(collar, trace, None, collar.layer, s_order=10, breaks=breaks)
-    segments.evaluate(t, deltas)
-    vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
+    bands = ramp_bands(collar, trace, None, collar.layer, 10,
+                       _breaks_in_s(collar, breaks_radii), t, deltas)
+    vals, mags = zip(*(ramp_integral(bands, d) for d in deltas))
     verdict = judge_sequence(vals, max(mags))
     # + 0.0 makes the flux of a zero limit 0, not -0, and keeps every other value's bits
     flux = -verdict.limit + 0.0 if verdict.converged else None
@@ -145,9 +143,8 @@ def stokes_density(trace, patch: SurfacePatch, collar: TangentialCollar,
             return arc_curve(center, radius * (1.0 - s), e1, e2, a0 - half_width,
                              a0 + half_width)
 
-        segments = RampSegments(collar, trace, bump.value, window, s_order=8, breaks=())
-        segments.evaluate(t, deltas)
-        vals, mags = zip(*(ramp_integral(segments, t, d) for d in deltas))
+        bands = ramp_bands(collar, trace, bump.value, window, 8, (), t, deltas)
+        vals, mags = zip(*(ramp_integral(bands, d) for d in deltas))
         verdict = judge_sequence(vals, max(mags))
         curve_mass = integrate(window(t), bump.value)
         if verdict.converged and curve_mass > 0:

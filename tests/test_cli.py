@@ -151,6 +151,12 @@ def test_example_annuli_matches_golden_csv(tmp_path):
     ("maximal_sphere", ["maximal", "--field", "plane_wave_em", "--region", "ball",
                         "--surface", "sphere"]),
     ("maximal_line", ["maximal", "--field", "line_vortex"]),
+    # a cap's collar on both boundary routes, and a closed sphere's, which has no bands
+    ("stokes_cap_tangential", ["stokes", "--field", "rigid_rotation", "--surface",
+                               "cap:colatitude=1.1", "--t", "0.1"]),
+    ("stokes_cap_mass", ["stokes", "--field", "rigid_rotation", "--surface",
+                         "cap:colatitude=1.1", "--t", "0.1", "--route", "mass"]),
+    ("stokes_sphere", ["stokes", "--field", "plane_wave_em", "--surface", "sphere"]),
 ])
 def test_stokes_and_maximal_match_golden_csv(name, argv, tmp_path):
     assert _main_output(argv, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
@@ -201,6 +207,8 @@ def test_trace_samples_each_face_on_the_region_rule(spec, face):
     (["validate", "--field", "rigid_rotation"], {"field": "rigid_rotation"}),
     (["example", "--delta-max-j", "4"], {"delta_max_j": 4}),
     (["reproduce", "gluing"], {"name": "gluing"}),
+    # a field set only in --config reads as the flag
+    (["stokes", "--config", {"field": "rigid_rotation"}], {"field": "rigid_rotation"}),
 ])
 def test_main_and_run_fill_in_the_same_defaults(argv, params, tmp_path):
     assert _main_output(argv, tmp_path).decode() == _csv(argv[0], params)[1]
@@ -322,10 +330,24 @@ def test_maximal_names_the_centre_of_a_disk_off_the_face(tmp_path, capsys):
      ["stokes reads no rout, tt"]),
     (["stokes", "--field", "rigid_rotation", "--route", "sideways"],
      ["tangential", "mass", "transversal"]),
+    # one check and one message for every band and every collar
+    (["stokes", "--field", "rigid_rotation", "--route", "mass", "--t", "0.9"],
+     ["ramp band outside collar range"]),
+    (["stokes", "--field", "rigid_rotation", "--surface", "sphere", "--t", "-0.1"],
+     ["ramp band outside collar range"]),
 ])
 def test_a_refusal_names_the_unread_keys_or_the_choices(argv, named, tmp_path, capsys):
     err = _assert_refused(argv, tmp_path, capsys)
     assert all(word in err for word in named), err
+
+
+@pytest.mark.parametrize("command", [name for name, (_, keys, _) in cli.COMMANDS.items()
+                                     if "field" in keys])
+def test_a_command_that_reads_a_field_refuses_to_run_without_one(command, tmp_path, capsys):
+    # through main and through run alike, with the command's name
+    assert f"{command} needs a field" in _assert_refused([command], tmp_path, capsys)
+    with pytest.raises(cli.ConfigError, match=f"^{command} needs a field"):
+        cli.run(cli.RunConfig(command, {}))
 
 
 def _assert_refused(argv, tmp_path, capsys):

@@ -25,7 +25,6 @@ READ_THROUGH = {
     "PatchSlide": {"patch"},
     "QuadratureRule": {"nodes", "weights"},
     "RadialProfile": {"center", "radius"},
-    "RampSegments": {"layer"},
     "ScalarTestFunction": {"value"},
     "SequenceVerdict": {"converged", "gap", "scale"},
     "SheetPart": {"density", "patch"},
@@ -33,7 +32,6 @@ READ_THROUGH = {
     "SolidRegion": {"center", "coordinates", "frame", "name", "nodes", "radius", "weights"},
     "StokesResult": {"converged", "gap", "scale"},
     "SurfacePatch": {"coordinates", "frame", "name", "nodes", "normals", "scale", "weights"},
-    "TangentialCollar": {"layer"},
     "TangentialTrace": {"converged", "values"},
     "VectorTestField": {"curl", "value"},
 }

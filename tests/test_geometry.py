@@ -37,7 +37,9 @@ def test_unit_circle_integrals(unit_disk):
 
 
 def test_degenerate_curve_integral():
-    assert geo.integrate(geo.empty_curve(), lambda p: np.ones(len(p))) == 0.0
+    # one node of zero weight: a curve of no length
+    curve = geo.Curve(np.zeros((1, 3)), np.zeros(1))
+    assert geo.integrate(curve, lambda p: np.ones(len(p))) == 0.0
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -78,7 +80,7 @@ _UNIT_BALL = geo.ball_region(order=8, n_angular=16)
 # curl measure paired over the unit ball; a measure part's pairing raises
 # like any other integral instead of returning NaN
 NONFINITE = {
-    "curve": lambda: geo.integrate(geo.circle_curve((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0)),
+    "curve": lambda: geo.integrate(geo.circle_curve((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0), 96),
                                    lambda p: np.full(len(p), np.nan)),
     "patch": lambda: geo.integrate(geo.disk_patch((0, 0, 0), 1.0),
                                    lambda p: 1.0 / (p[:, 0] - p[:, 0])),
@@ -259,8 +261,7 @@ def test_shapes_hold_arrays_not_callables():
               "tilted_disk": geo.disk_patch((0.1, 0.2, 0.3), 1.5, (1.0, 1.0, 0.5)),
               "cap": geo.spherical_cap_patch((0, 0, 0), 1.0, 0.7),
               "closed_sphere": geo.sphere_patch((0, 0, 0), 1.0),
-              "layer_family": collar.layer(np.array([0.1, 0.2, 0.3])),
-              "empty_curve": geo.empty_curve()}
+              "layer_family": collar.layer(np.array([0.1, 0.2, 0.3]))}
     assert not [p for kind, shape in shapes.items() for p in _callable_members(shape, kind)]
 
 
@@ -352,10 +353,15 @@ def test_arc_family_equals_stacked_arcs():
     assert np.array_equal(family.weights, np.stack([c.weights for c in arcs]))
 
 
-def test_closed_sphere_collar_is_empty():
+def test_closed_sphere_collar_is_empty(rigid_rotation):
+    # no boundary, so no layers and no bands: every width reads 0
     man = geo.sphere_patch((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(man)
-    assert col.empty
+    assert col.layer is None and col.grad_s is None
+    bands = geo.ramp_bands(col, rigid_rotation.trace_z_plane, None, col.layer, 10, (), 0.0,
+                           (0.25, 0.125))
+    assert bands == {}
+    assert geo.ramp_integral(bands, 0.25) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("radius, inner_radius", [(0.0, 0.0), (-1.0, 0.0), (0.3, 0.3)])
@@ -383,14 +389,15 @@ def test_band_quadrature_matches_layer_loop(annuli):
     for s, w in zip(s_rule.nodes, s_rule.weights):
         curve = collar.layer(s)
         pts, lw = curve.nodes, curve.weights
-        g = collar.grad_s(pts, s) / delta
+        g = collar.grad_s(pts) / delta
         f = annuli.trace_z_plane(pts)
         vals = np.einsum("ij,ij->i", f, g) * weight(pts)
         mags = np.linalg.norm(f, axis=1) * np.linalg.norm(g, axis=1) * np.abs(weight(pts))
         ramp += w * collar.layer_jacobian * np.sum(lw * vals)
         magnitude += w * collar.layer_jacobian * np.sum(lw * mags)
-    segments = geo.RampSegments(collar, annuli.trace_z_plane, weight, collar.layer, 8, breaks)
-    got, got_magnitude = geo.ramp_integral(segments, t, delta)
+    bands = geo.ramp_bands(collar, annuli.trace_z_plane, weight, collar.layer, 8, breaks, t,
+                           (delta,))
+    got, got_magnitude = geo.ramp_integral(bands, delta)
     assert got == ramp
     # the magnitude takes its norms in another order, so it agrees to roundoff
     assert got_magnitude == pytest.approx(magnitude, rel=1e-13)
@@ -404,9 +411,8 @@ def _separate_band(collar, layer, s_order, breaks, trace, scalar, t, delta):
     s_rule = gauss_legendre_split(s_order, bp)
     layers = layer(s_rule.nodes)
     pts = layers.nodes.reshape(-1, 3)
-    s = np.repeat(s_rule.nodes, layers.weights.shape[1])
     f = trace(pts)
-    vals = np.einsum("ij,ij->i", f, collar.grad_s(pts, s) / delta)
+    vals = np.einsum("ij,ij->i", f, collar.grad_s(pts) / delta)
     mags = np.sqrt(np.einsum("ij,ij->i", f, f))
     if scalar is not None:
         vals, mags = vals * scalar(pts), mags * np.abs(scalar(pts))
@@ -419,13 +425,13 @@ def _separate_band(collar, layer, s_order, breaks, trace, scalar, t, delta):
     return band(vals), band(mags) / (collar.layer_jacobian * delta)
 
 
-def _read_widths(segments, t, deltas):
-    # one blocked batch for all widths, then each width read off the table
-    # without evaluating anything more
-    segments.evaluate(t, deltas)
-    table = dict(segments.lines)
-    got = [geo.ramp_integral(segments, t, d) for d in deltas]
-    assert segments.lines == table
+def _read_widths(collar, trace, scalar, layer, s_order, breaks, t, deltas):
+    # one table for all widths, then each width read off it; a read leaves
+    # the table's arrays as they were
+    bands = geo.ramp_bands(collar, trace, scalar, layer, s_order, breaks, t, deltas)
+    table = {d: tuple(np.copy(a) for a in band[:2]) for d, band in bands.items()}
+    got = [geo.ramp_integral(bands, d) for d in deltas]
+    assert all(np.array_equal(a, b) for d in deltas for a, b in zip(bands[d], table[d]))
     return got
 
 
@@ -442,9 +448,9 @@ def test_shared_segments_equal_separate_bands(annuli, t, with_scalar, radius):
     trace = lambda p: annuli.trace_z_plane((p - center) / radius)  # noqa: E731
     scalar = (lambda p: 1.0 + p[:, 0] ** 2) if with_scalar else None
     breaks = tuple(collar.param_of_radius(radius * r) for r in annuli.trace_breaks_radii)
-    segments = geo.RampSegments(collar, trace, scalar, collar.layer, 10, breaks)
     deltas = [2.0 ** -j for j in range(2, 13)]
-    for delta, got in zip(deltas, _read_widths(segments, t, deltas)):
+    for delta, got in zip(deltas, _read_widths(collar, trace, scalar, collar.layer, 10, breaks,
+                                               t, deltas)):
         assert got == _separate_band(collar, collar.layer, 10, breaks, trace, scalar, t, delta)
 
 
@@ -462,24 +468,28 @@ def test_shared_segments_equal_separate_bands_on_a_window(rigid_rotation):
         return geo.arc_curve(center, radius * (1.0 - s), e1, e2, a0 - half_width,
                              a0 + half_width)
 
-    segments = geo.RampSegments(collar, rigid_rotation.trace_z_plane, bump.value, window,
-                                8, ())
     deltas = [2.0 ** -j for j in range(5, 14)]
-    for delta, got in zip(deltas, _read_widths(segments, 0.0, deltas)):
+    for delta, got in zip(deltas, _read_widths(collar, rigid_rotation.trace_z_plane, bump.value,
+                                               window, 8, (), 0.0, deltas)):
         assert got == _separate_band(collar, window, 8, (), rigid_rotation.trace_z_plane,
                                      bump.value, 0.0, delta)
 
 
-def test_a_band_outside_the_collar_is_refused_before_any_evaluation(rigid_rotation,
-                                                                     unit_disk_collar):
-    segments = geo.RampSegments(unit_disk_collar, rigid_rotation.trace_z_plane, None,
-                                unit_disk_collar.layer, 10, ())
-    for t, deltas in ((0.0, (0.25, 1.5)), (-0.1, (0.25,)), (0.1, (0.0,))):
-        with pytest.raises(geo.GeometryError):
-            segments.evaluate(t, deltas)
-        with pytest.raises(geo.GeometryError):
-            geo.ramp_integral(segments, t, deltas[-1])
-    assert segments.lines == {}
+def test_a_band_outside_the_collar_is_refused_before_any_evaluation(unit_disk_collar):
+    # on every collar, a closed sphere's too, one message and no field value
+    points = []
+
+    def trace(p):
+        points.append(len(p))
+        return np.ones((len(p), 3))
+
+    sphere_collar = geo.build_tangential_collar(geo.sphere_patch((0, 0, 0), 1.0))
+    for collar in (unit_disk_collar, sphere_collar):
+        for t, deltas in ((0.0, (0.25, 1.5)), (-0.1, (0.25,)), (0.1, (0.0,)),
+                          (0.9, (0.25, 0.125))):
+            with pytest.raises(geo.GeometryError, match="^ramp band outside collar range$"):
+                geo.ramp_bands(collar, trace, None, collar.layer, 10, (), t, deltas)
+    assert points == []
 
 
 # ---------------------------------------------------------------------------

@@ -188,27 +188,29 @@ def test_the_slides_give_the_floats_of_the_row_broadcasts(kind, data, origin, no
 def test_the_collars_give_the_floats_of_the_row_broadcasts(pts, origin, normal, radius,
                                                           colatitude, s, family):
     pts[0] = origin  # the centre, where the direction is the zero row
-    rule = periodic_trapezoid(geo.DEFAULT_ANGULAR)
+    # each collar rings its layers on its patch's own angular rule
+    rule = periodic_trapezoid(8)
     disk = geo.disk_patch(origin, radius, normal=normal, order=4, n_angular=8)
     col = geo.build_tangential_collar(disk)
     e1, e2, _ = disk.frame
     axis = np.cross(e1, e2)
     rel = pts - origin
     want = -_np_unit(rel - (rel @ axis)[:, None] * axis) / radius
-    assert col.grad_s(pts, None).tobytes() == want.tobytes()
+    assert col.grad_s(pts).tobytes() == want.tobytes()
     for at in (s, family):
         got = col.layer(at)
         want = _old_arc(origin, radius * (1.0 - at), e1, e2, rule)
         assert (got.nodes.tobytes(), got.weights.tobytes()) == tuple(w.tobytes() for w in want)
 
-    cap = geo.spherical_cap_patch(origin, radius, colatitude)
+    cap = geo.spherical_cap_patch(origin, radius, colatitude)  # on the default rules
+    rule = periodic_trapezoid(geo.DEFAULT_ANGULAR)
     col = geo.build_tangential_collar(cap)
     height = float(np.sum(cap.u.weights))
     th0 = float(np.arctan2(np.sqrt(height * (2.0 - height)), 1.0 - height))
     rel = _np_unit(pts - origin)
     phi, th = np.arctan2(rel[:, 1], rel[:, 0]), np.arccos(np.clip(rel[:, 2], -1.0, 1.0))
     e_theta = np.stack([np.cos(th) * np.cos(phi), np.cos(th) * np.sin(phi), -np.sin(th)], axis=1)
-    assert col.grad_s(pts, None).tobytes() == (-e_theta / (radius * th0)).tobytes()
+    assert col.grad_s(pts).tobytes() == (-e_theta / (radius * th0)).tobytes()
     for at in (s, family):
         th = th0 * (1.0 - np.asarray(at))
         c = origin + np.multiply.outer(radius * np.cos(th), [0.0, 0.0, 1.0])

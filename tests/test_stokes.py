@@ -111,6 +111,35 @@ def test_tangential_route_evaluates_each_band_segment_once(annuli, unit_disk,
     assert sum(points) <= 40_000  # 39 * 10 * 96 = 37 440; 359 040 with a table per width
 
 
+def test_a_route_call_evaluates_its_bands_once_and_its_reads_evaluate_nothing(
+        rigid_rotation, unit_disk, unit_disk_collar, monkeypatch):
+    # the 11 widths' bands come from one `_band_lines` call; reading a width
+    # off the table forms no rule, evaluates no band and calls no field
+    calls = {"_band_lines": 0, "gauss_legendre": 0, "trace": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_band_lines", "gauss_legendre"):
+        monkeypatch.setattr(geo, name, counted(name, getattr(geo, name)))
+    reads = []
+
+    def read(bands, delta):
+        before = dict(calls)
+        out = geo.ramp_integral(bands, delta)
+        reads.append(calls == before)
+        return out
+
+    monkeypatch.setattr(stk, "ramp_integral", read)
+    trace = counted("trace", rigid_rotation.trace_z_plane)
+    res = stk.stokes_tangential(trace, unit_disk, unit_disk_collar, 0.1)
+    assert res.converged and calls["_band_lines"] == 1 and calls["trace"] > 0
+    assert reads == [True] * len(stk.DELTA_J_RANGE) == [True] * 11
+
+
 def test_rigid_rotation_flux(rigid_rotation, unit_disk, unit_disk_collar):
     res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk,
                                 unit_disk_collar, 0.0)
@@ -171,10 +200,9 @@ def test_support_property(rigid_rotation, unit_disk_collar):
     # ramp segments that stokes_density reads
     bump = radial_bump((0.0, 0.0, 0.0), 0.3)
     deltas = [2.0 ** (-j) for j in range(4, 10)]
-    segments = geo.RampSegments(unit_disk_collar, rigid_rotation.trace_z_plane, bump.value,
-                                unit_disk_collar.layer, 10, ())
-    segments.evaluate(0.0, deltas)
-    assert max(abs(geo.ramp_integral(segments, 0.0, d)[0]) for d in deltas) == 0.0
+    bands = geo.ramp_bands(unit_disk_collar, rigid_rotation.trace_z_plane, bump.value,
+                           unit_disk_collar.layer, 10, (), 0.0, deltas)
+    assert max(abs(geo.ramp_integral(bands, d)[0]) for d in deltas) == 0.0
 
 
 def test_line_vortex_tangential_flux(line_vortex):
@@ -570,6 +598,18 @@ def test_line_vortex_through_a_tilted_disk_is_the_sign_of_nz_where_its_axis_cros
     exact = np.sign(n[2]) if crosses else 0.0
     for flux in _tangential_and_mass(line_vortex, geo.disk_patch(center, radius, normal), t):
         assert flux == pytest.approx(exact, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_angular, bound", [(192, 1e-10), (384, 1e-15)])
+def test_the_collar_rings_take_the_patch_angular_rule(line_vortex, n_angular, bound):
+    # the axis meets the tilted unit disk's plane 1.25 R from its centre, so
+    # the flux is 0; on 96-node rings, whatever the patch's rule, both routes
+    # read -3.76e-6 CONVERGED at every n_angular
+    patch = geo.disk_patch((1.25 * np.cos(1.0), 0.0, 0.0), 1.0,
+                           normal=(np.sin(1.0), 0.0, np.cos(1.0)), n_angular=n_angular)
+    assert geo.build_tangential_collar(patch).layer(0.5).weights.shape == (n_angular,)
+    for flux in _tangential_and_mass(line_vortex, patch, 0.0):
+        assert abs(flux) < bound
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
