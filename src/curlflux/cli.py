@@ -1,6 +1,6 @@
 """Command-line driver: configuration ingestion, dispatch, result emission.
 
-Subcommands: trace, stokes, maximal, br, validate, example, reproduce; the
+Subcommands: trace, stokes, maximal, br, validate, reproduce; the
 table COMMANDS names each one's keys once, as its flags and its --config keys.
 Output is CSV with a '#'-prefixed metadata header, or the same table as JSON.
 Runs are deterministic for a fixed configuration: quadrature orders and all
@@ -434,26 +434,6 @@ def _annuli_ramp_closed_form(j: int) -> float:
     return np.pi * (-1.0) ** (j + 1) * (2.0 / 3.0 - 0.6 * 2.0 ** (-j))
 
 
-def cmd_example(p: dict) -> ResultTable:
-    name = p.get("name", "annuli")
-    if name != "annuli":
-        raise ConfigError("example currently ships the dyadic-annuli trace only")
-    entry = flds.catalog("annuli")
-    t = _param(p, "t", 0.0, float)
-    disk = geo.disk_patch((0, 0, 0), 1.0)
-    col = geo.build_tangential_collar(disk)
-    res = stokes.stokes_tangential(flds.surface_trace(entry.vector_field, disk), disk, col, t,
-                                   j_range=_j_range(p, 1, 10),
-                                   breaks_radii=entry.trace_breaks_radii)
-    rows = []
-    for j, (d, v) in enumerate(zip(res.deltas, res.delta_values), start=1):
-        closed = _annuli_ramp_closed_form(j) if t == 0 else ""
-        rows.append([j, d, v, closed])
-    return ResultTable(["j", "delta", "ramp_integral", "closed_form_t0"], rows,
-                       metadata={"t": t, "t_osc": FLOAT_FMT % res.t_osc,
-                                 "verdict": res.verdict})
-
-
 # ---------------------------------------------------------------------------
 # paper-value reproductions
 # ---------------------------------------------------------------------------
@@ -482,7 +462,7 @@ def _repro_explicitcompute() -> ResultTable:
     for j, v in enumerate(res.delta_values, start=1):
         closed = _annuli_ramp_closed_form(j)
         err = abs(v - closed)
-        rows.append([f"I({j})", v, closed, err, "pass" if err <= 1e-6 else "FAIL"])
+        rows.append([f"I({j})", v, closed, err, "pass" if err <= 1e-12 else "FAIL"])
     rows.append(["tOsc", res.t_osc, 4.0 * np.pi / 3.0, "",
                  "pass" if res.t_osc >= 4.0 * np.pi / 3.0 - 0.1 else "FAIL"])
     rows.append(["verdict", res.verdict, "NON-CONVERGENT", "",
@@ -615,7 +595,6 @@ COMMANDS = {
     "br": ("vortex-sheet evolution",
            ("grid", "gamma", "delta_br", "dt", "steps", "dump_every", "amplitude"), cmd_br),
     "validate": ("smooth-field integral identities", ("field", "region", "tol"), cmd_validate),
-    "example": ("catalog example tables", ("name", "t", "delta_max_j"), cmd_example),
     "reproduce": ("closed-form value reproductions", ("name",), cmd_reproduce),
 }
 

@@ -180,7 +180,10 @@ def surface_trace(fld: VectorField, patch: SurfacePatch) -> Callable[[Array], Ar
 def line_crossings(mu: CurlMeasure, disk: SurfacePatch) -> list[Array]:
     """The points where the line parts of `mu` cross a flat disk strictly
     inside its radius: the atoms of the surface divergence of a trace on it.
-    A segment parallel to the disk, or ending before its plane, has none."""
+    A segment parallel to the disk, or ending before its plane, has none,
+    and a measure with no line parts has none on any patch."""
+    if not mu.line_parts:
+        return []
     if disk.name != "disk":
         raise FieldError(f"line crossings are found on flat disks, not a {disk.name!r} patch")
     nu, points = disk.frame[2], []
@@ -222,8 +225,10 @@ def alternation_profile(rho: Array) -> Array:
 
 
 def alternation_radii() -> tuple[float, ...]:
-    """The first 40 interface radii of `alternation_profile`."""
-    return tuple(1.0 - 2.0 ** (-k) for k in range(1, 41))
+    """The interface radii 1 - 2^-k of `alternation_profile`, k = 1 ... 53:
+    1 - 2^-53 is the largest double below 1, so no later interface is a
+    double below 1 and a rule split at these radii resolves every one."""
+    return tuple(1.0 - 2.0 ** (-k) for k in range(1, 54))
 
 
 def catalog(name: str) -> CatalogEntry:

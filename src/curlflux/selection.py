@@ -1,26 +1,19 @@
 """Maximal functions over collar parameters and good-manifold scans.
 
-The maximal value at a collar parameter t is the supremum over a geometric
-half-width grid of the mass of the two-sided window (t - eps, t + eps)
-divided by eps; the grid supremum is a lower bound of the true maximal
-function, which keeps the weak-(1,1) check one-sided valid. Concentration on
-a single layer is flagged as infinite.
+Along one slide a scan reads nu = depth_#|mu|, the image of |mu| under the
+slide's depth, on [0, depth_range] (`SlideMeasure`). The maximal value at t
+is the supremum over a geometric half-width grid of nu(t - eps, t + eps) /
+eps; the grid supremum is a lower bound of the true maximal function, which
+keeps the weak-(1,1) check one-sided valid. An atom within
+`geometry.POSITION_TOL` of t is a concentration, and its value is infinite.
 
-A transversal scan reads its measure through one slide (`SlideMeasure`)
-and evaluates all its windows, one per (t, half-width) and the collar's, in
-one `measure_slab_mass` call. The Lebesgue part comes from one depth profile
-per scan: the face mass q(s) of the patch slid to depth s, sampled at 16
-Gauss-Legendre depths per panel of [0, D], D the deepest window end, through
-the one layered core, `geometry._band_lines`, in blocks of whole layers, and
-held as each panel's Legendre interpolant; a panel whose tail is above
-rounding level is bisected. Each window integrates area_scale times that
-interpolant over the panels it overlaps. The layer at t is concentrated, and
-its value infinite, when a sheet node or a line part parallel to the layers
-lies within `geometry.POSITION_TOL` of it. Each line part is solved for
-every window at once, its windows' rules evaluated together in blocks. Each
-sheet part's slide depths and |density| at its nodes are computed once per
-scan; each window masks and sums them. Non-finite densities are refused
-(`GeometryError`).
+nu has three parts: its atoms, the sheet parts and the line parts that lie
+in one layer; its Lebesgue part, one depth profile per scan (the face mass
+of the patch slid to each depth, on Legendre panels, `_depth_profile`); and
+the line parts that cross the layers, each solved exactly for every window.
+A scan evaluates all its windows, one per (t, half-width) and the collar's,
+in one `measure_slab_mass` call. A sheet part that crosses the layers, and a
+non-finite density, are refused (`GeometryError`).
 """
 
 from __future__ import annotations
@@ -68,46 +61,83 @@ def _window_sup(t: float, mass: dict) -> float:
 class MaximalScan:
     t_grid: tuple[float, ...]
     values: tuple[float, ...]  # may contain inf
-    collar_mass: float  # |mu| of the full collar image, for the weak-(1,1) bound
+    collar_mass: float  # nu of the collar's depths (0, 0.75), for the weak-(1,1) bound
 
 
 @dataclass(frozen=True)
 class SlideMeasure:
-    """A curl measure seen through one slide, as a scan reads it.
-
-    `sheets` holds, per sheet part, its node weights, the slide depth of its
-    nodes and |density| there, and `line_depths`, per line part, the depths
-    of its ends: none depends on the window, so they are computed once, on
-    first read. Every slide has a depth coordinate, so every face places
-    sheet and line parts.
-    """
+    """nu = depth_#|mu| on the slide's depths [0, depth_range]. `parts`,
+    built on first read, holds its atoms, (depth, mass) in part order, and
+    its line parts that cross the layers, each with its monotone depth
+    pieces (`_line_pieces`); `_lebesgue_slab_mass` reads the Lebesgue part.
+    A sheet part whose node depths lie within `POSITION_TOL` of one another
+    is an atom of mass sum(weights * |density|), and any other is refused; a
+    line part in one layer is an atom of its whole mass. Atoms outside [0,
+    depth_range] are dropped."""
 
     mu: CurlMeasure
     slide: PatchSlide
 
     @cached_property
-    def sheets(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        return tuple((sp.patch.weights, self.slide.slab_coordinate(sp.patch.nodes),
-                      _finite(_norm(np.atleast_2d(sp.density(sp.patch.nodes)))))
-                     for sp in self.mu.sheet_parts)
+    def parts(self) -> tuple[tuple[tuple[float, float], ...], tuple]:
+        atoms, crossings = [], []
+        for sp in self.mu.sheet_parts:
+            depth = self.slide.slab_coordinate(sp.patch.nodes)
+            if np.ptp(depth) > POSITION_TOL:
+                raise GeometryError("a sheet part crossing the slide's layers has no slab mass "
+                                    "here: only a sheet that lies in one layer is read")
+            dens = _finite(_norm(np.atleast_2d(sp.density(sp.patch.nodes))))
+            atoms.append((0.5 * float(np.min(depth) + np.max(depth)),
+                          float(np.sum(sp.patch.weights * dens))))
+        for lp in self.mu.line_parts:
+            pieces = _line_pieces(lp, self.slide)
+            if isinstance(pieces, float):
+                atoms.append((pieces, float(_line_mass(lp, lp.lo, lp.hi)[0])))
+            else:
+                crossings.append((lp, pieces))
+        return tuple(a for a in atoms if 0.0 <= a[0] <= self.slide.depth_range), tuple(crossings)
 
-    @cached_property
-    def line_depths(self) -> tuple[tuple[float, float], ...]:
-        return tuple(_line_depths(lp, self.slide) for lp in self.mu.line_parts)
 
+def _line_pieces(lp: LinePart, slide: PatchSlide):
+    """A line part's depth along its segment, from `slab_coordinate` at its
+    ends, its midpoint and its quarter point: the depth of the layer it lies
+    in, when those are within `POSITION_TOL` of one another, else its
+    monotone pieces (s0, s1, invert), invert mapping depths to parameters.
 
-def _line_depths(lp: LinePart, slide: PatchSlide) -> tuple[float, float]:
-    """The slide depths of a line part's ends. The depth must be affine along
-    the segment, as it is for planar slides; a depth whose value at the
-    segment's midpoint is not the mean of its end values is refused."""
-    def depth(s):
-        return slide.slab_coordinate(lp.positions(np.array([s])))[0]
+    Under a planar slide the depth is affine in s: one piece. Under a sphere
+    or a cylinder side of radius R = depth_range, (R - depth)^2 = q* + c ((s
+    - s*) / h)^2, h the half length, is fitted at the ends and the midpoint;
+    the segment splits at its closest approach s*, and each side inverts as
+    s = s* -+ h sqrt(((R - depth)^2 - q*) / c), with q* read from
+    `slab_coordinate` at s* so that the inversion does not cancel. A depth
+    off its model at the quarter point is refused."""
+    mid, h = 0.5 * (lp.lo + lp.hi), 0.5 * (lp.hi - lp.lo)
+    depths = slide.slab_coordinate(lp.positions(np.array([lp.lo, lp.hi, mid, mid - 0.5 * h])))
+    if np.ptp(depths) <= POSITION_TOL:
+        return 0.5 * float(np.min(depths) + np.max(depths))
+    d0, d1, dm, dq = depths
+    r = slide.depth_range
+    if np.isinf(r):
+        model = 0.75 * d0 + 0.25 * d1
+        pieces = ((lp.lo, lp.hi, lambda d: lp.lo + (d - d0) * (lp.hi - lp.lo) / (d1 - d0)),)
+    else:
+        g0, g1, gm = (r - d0) ** 2, (r - d1) ** 2, (r - dm) ** 2
+        c = 0.5 * (g0 + g1) - gm
+        u = 0.25 * (g0 - g1) / c  # the closest approach, in units of h about mid
+        s_star = mid + h * u
+        q_star = (r - slide.slab_coordinate(lp.positions(np.array([s_star])))[0]) ** 2
+        model = r - np.sqrt(q_star + c * (0.5 + u) ** 2)
 
-    a, b = depth(lp.lo), depth(lp.hi)
-    if abs(depth(0.5 * (lp.lo + lp.hi)) - 0.5 * (a + b)) > POSITION_TOL:
-        raise GeometryError("line-part slab mass needs a depth affine along the "
-                            "segment; this slide is curved")
-    return a, b
+        def offset(d):  # |s - s*| where the depth is d
+            return h * np.sqrt(np.maximum(((r - d) ** 2 - q_star) / c, 0.0))
+
+        # a closest approach beyond an end leaves one piece empty, and it reads 0
+        pieces = ((lp.lo, min(s_star, lp.hi), lambda d: s_star - offset(d)),
+                  (max(s_star, lp.lo), lp.hi, lambda d: s_star + offset(d)))
+    if not abs(model - dq) <= POSITION_TOL:  # NaN too
+        raise GeometryError("a line part's depth along its segment is neither affine nor a "
+                            "distance to a centre or an axis; its slab mass is not solved")
+    return pieces
 
 
 def _line_mass(lp: LinePart, s0, s1) -> np.ndarray:
@@ -125,51 +155,21 @@ def _line_mass(lp: LinePart, s0, s1) -> np.ndarray:
     return np.sum(weights * mags.reshape(weights.shape), axis=1)
 
 
-def _line_slab_mass(lp: LinePart, depths: tuple[float, float], lo: np.ndarray,
-                    hi: np.ndarray) -> np.ndarray:
-    """Mass of a straight line measure inside each slab lo < depth < hi,
-    given the depths of its ends (`_line_depths`).
-
-    The depth is affine along the segment, so every slab is solved for
-    exactly. A segment parallel to the layers lies in one of them: its whole
-    mass, on its 64-node rule, is in every slab that contains its depth.
-    """
-    a, b = depths
-    out = np.zeros(len(lo))
-    if abs(b - a) < 1e-14:
-        inside = (lo < a) & (a < hi)
-        if inside.any():
-            out[inside] = _line_mass(lp, lp.lo, lp.hi)[0]
-        return out
-    # affine depth: invert exactly
-    s_lo = lp.lo + (lo - a) * (lp.hi - lp.lo) / (b - a)
-    s_hi = lp.lo + (hi - a) * (lp.hi - lp.lo) / (b - a)
-    s0 = np.maximum(np.minimum(s_lo, s_hi), lp.lo)
-    s1 = np.minimum(np.maximum(s_lo, s_hi), lp.hi)
+def _line_slab_mass(lp: LinePart, pieces, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mass of a line part crossing the layers inside each slab lo < depth <
+    hi, given its monotone depth pieces (`_line_pieces`): each piece inverts
+    the slab's ends in closed form, and the parameter ranges of every slab and
+    piece are integrated in one `_line_mass` call."""
+    ranges = []
+    for p0, p1, invert in pieces:
+        s_lo, s_hi = invert(lo), invert(hi)
+        ranges.append((np.maximum(np.minimum(s_lo, s_hi), p0),
+                       np.minimum(np.maximum(s_lo, s_hi), p1)))
+    s0, s1 = np.concatenate(ranges, axis=1)
     hit = np.flatnonzero(s1 > s0)
+    out = np.zeros(len(s0))
     out[hit] = _line_mass(lp, s0[hit], s1[hit])
-    return out
-
-
-def _line_layer_mass(lp: LinePart, depths: tuple[float, float], t: float) -> float:
-    """Mass of a line part lying in the single layer at depth t: a segment
-    parallel to the layers whose depth is within `POSITION_TOL` of t."""
-    a, b = depths
-    if abs(b - a) < 1e-14 and abs(a - t) <= POSITION_TOL:
-        return float(_line_mass(lp, lp.lo, lp.hi)[0])
-    return 0.0
-
-
-def _sheet_mass(sheet, inside) -> float:
-    """Mass of a sheet part (an entry of `SlideMeasure.sheets`) on the nodes
-    whose slide depth satisfies `inside`."""
-    weights, depth, dens = sheet
-    return float(np.sum(weights * inside(depth) * dens))
-
-
-def _sheet_layer_mass(sheet, t: float) -> float:
-    """Mass carried by the single layer at depth t (concentration detector)."""
-    return _sheet_mass(sheet, lambda depth: np.abs(depth - t) <= POSITION_TOL)
+    return out.reshape(len(pieces), len(lo)).sum(axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +247,7 @@ def _depth_profile(density, slide: PatchSlide, depth: float):
 
 def _lebesgue_slab_mass(density, slide: PatchSlide, lo, hi) -> np.ndarray:
     """|density| integrated over each slab (lo, hi), floats or arrays of
-    window ends, clipped to the slide's depths [0, depth_range].
+    window ends within the slide's depths [0, depth_range].
 
     The slab mass is the integral of the layer mass L(s) = area_scale(s) q(s),
     with q the face mass of `_depth_profile`, built once on [0, D], D the
@@ -258,8 +258,7 @@ def _lebesgue_slab_mass(density, slide: PatchSlide, lo, hi) -> np.ndarray:
     the rule is exact for L, and L keeps its relative accuracy where
     area_scale vanishes (at a sphere's centre). No antiderivatives are
     subtracted, so narrow slabs do not cancel."""
-    lo = np.maximum(np.atleast_1d(lo), 0.0)
-    hi = np.minimum(np.atleast_1d(hi), slide.depth_range)
+    lo, hi = np.atleast_1d(lo, hi)
     open_ = hi > lo
     if not open_.any():
         return np.zeros(len(lo))
@@ -278,25 +277,25 @@ def _lebesgue_slab_mass(density, slide: PatchSlide, lo, hi) -> np.ndarray:
 
 
 def measure_slab_mass(m: SlideMeasure, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """|mu| of each slab lo < depth < hi along the slide, for arrays of window
-    ends; per window the Lebesgue, sheet and line parts are added in turn."""
+    """nu of each slab lo < depth < hi, for arrays of window ends, clipped to
+    [0, depth_range]: the Lebesgue part, the atoms strictly inside and the
+    crossing line parts, added in that order."""
+    lo = np.maximum(np.atleast_1d(lo), 0.0)
+    hi = np.minimum(np.atleast_1d(hi), m.slide.depth_range)
+    atoms, crossings = m.parts
     total = np.zeros(len(lo))
     if m.mu.lebesgue_density is not None:
         total += _lebesgue_slab_mass(m.mu.lebesgue_density, m.slide, lo, hi)
-    for sheet in m.sheets:
-        total += [_sheet_mass(sheet, lambda depth: (depth > a) & (depth < b))
-                  for a, b in zip(lo, hi)]
-    for lp, depths in zip(m.mu.line_parts, m.line_depths):
-        total += _line_slab_mass(lp, depths, lo, hi)
+    for depth, mass in atoms:
+        total += np.where((lo < depth) & (depth < hi), mass, 0.0)
+    for lp, pieces in crossings:
+        total += _line_slab_mass(lp, pieces, lo, hi)
     return total
 
 
 def single_layer_mass(m: SlideMeasure, t: float) -> float:
-    """|mu| carried by the single layer at depth t: the sheet nodes and the
-    line parts whose depth is within `POSITION_TOL` of t."""
-    return (sum(_sheet_layer_mass(sheet, t) for sheet in m.sheets)
-            + sum(_line_layer_mass(lp, depths, t)
-                  for lp, depths in zip(m.mu.line_parts, m.line_depths)))
+    """nu of the single layer at depth t: its atoms within `POSITION_TOL` of t."""
+    return sum((mass for depth, mass in m.parts[0] if abs(depth - t) <= POSITION_TOL), 0.0)
 
 
 def maximal_transversal(mu: CurlMeasure, patch: SurfacePatch,
@@ -321,7 +320,7 @@ def maximal_transversal(mu: CurlMeasure, patch: SurfacePatch,
     # every window the sups read, then the collar's, in one batch
     windows = [(t - eps, t + eps) for t, c in zip(t_grid, concentrated) if not c
                for eps in DEFAULT_EPS_GRID]
-    windows.append((-0.75, min(0.75, slide.depth_range)))
+    windows.append((0.0, 0.75))  # the collar's depths up to 0.75
     mass = dict(zip(windows, measure_slab_mass(m, *np.transpose(windows)).tolist()))
     vals = [np.inf if c else _window_sup(t, mass) for t, c in zip(t_grid, concentrated)]
     return MaximalScan(tuple(t_grid), tuple(vals), mass[windows[-1]])

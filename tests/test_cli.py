@@ -136,10 +136,6 @@ def test_trace_csv_matches_golden_digest(argv, sha256, tmp_path):
     assert hashlib.sha256(text).hexdigest() == sha256
 
 
-def test_example_annuli_matches_golden_csv(tmp_path):
-    assert _main_output(["example"], tmp_path) == (GOLDEN / "example_annuli.csv").read_bytes()
-
-
 @pytest.mark.parametrize("name, argv", [
     ("stokes_tangential", ["stokes", "--field", "plane_wave_em", "--surface", "disk:r=0.5,x=0.2",
                            "--t", "0.1"]),
@@ -157,6 +153,9 @@ def test_example_annuli_matches_golden_csv(tmp_path):
     ("stokes_cap_mass", ["stokes", "--field", "rigid_rotation", "--surface",
                          "cap:colatitude=1.1", "--t", "0.1", "--route", "mass"]),
     ("stokes_sphere", ["stokes", "--field", "plane_wave_em", "--surface", "sphere"]),
+    # the axis crosses every slid sphere twice: 4 at every t
+    ("maximal_ball_line", ["maximal", "--field", "line_vortex", "--region", "ball",
+                           "--surface", "sphere"]),
 ])
 def test_stokes_and_maximal_match_golden_csv(name, argv, tmp_path):
     assert _main_output(argv, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
@@ -205,7 +204,8 @@ def test_trace_samples_each_face_on_the_region_rule(spec, face):
     (["maximal", "--field", "line_vortex"], {"field": "line_vortex"}),
     (["br", "--grid", "8x8", "--steps", "8"], {"grid": "8x8", "steps": 8}),
     (["validate", "--field", "rigid_rotation"], {"field": "rigid_rotation"}),
-    (["example", "--delta-max-j", "4"], {"delta_max_j": 4}),
+    (["maximal", "--field", "line_vortex", "--region", "ball", "--surface", "sphere"],
+     {"field": "line_vortex", "region": "ball", "surface": "sphere"}),
     (["reproduce", "gluing"], {"name": "gluing"}),
     # a field set only in --config reads as the flag
     (["stokes", "--config", {"field": "rigid_rotation"}], {"field": "rigid_rotation"}),
@@ -229,7 +229,8 @@ def test_validate_honours_a_zero_tolerance(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["maximal", "--field", "line_vortex", "--lam", "0"],
-    ["maximal", "--field", "line_vortex", "--region", "ball", "--surface", "sphere"],
+    ["stokes", "--field", "rigid_rotation", "--route", "transversal", "--region", "ball",
+     "--surface", "sphere", "--t", "0.1"],
     ["br", "--grid", "4x4", "--dump-every", "0"],
     ["br", "--grid", "4x4", "--steps", "1", "--dt", "0"],
     ["br", "--grid", "4x4", "--steps", "1", "--dt", "-1"],
@@ -315,6 +316,16 @@ def test_an_unwritable_out_path_exits_2_with_an_error_line(tmp_path, capsys):
     assert cli.main(["reproduce", "gluing", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
+
+
+def test_the_transversal_route_refuses_a_sphere_for_its_own_reason(tmp_path, capsys):
+    # rigid rotation has no line part, so no line crossing is sought on the
+    # sphere, and the refusal is the one of the surface divergence
+    err = _assert_refused(["stokes", "--field", "rigid_rotation", "--route", "transversal",
+                           "--region", "ball", "--surface", "sphere", "--t", "0.1"],
+                          tmp_path, capsys)
+    assert "surface divergence implemented for flat disks only" in err
+    assert "line crossings" not in err
 
 
 def test_maximal_names_the_centre_of_a_disk_off_the_face(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,14 +18,117 @@ def test_line_vortex_transversal_maximal(line_vortex, unit_cylinder, cylinder_co
     assert np.abs(np.asarray(scan.values) - 2.0).max() < 1e-10
 
 
-def test_line_slab_mass_refused_on_a_curved_slide(line_vortex):
-    # along the axis the depth below a sphere is not affine, so the exact
-    # slab solve does not apply: midpoint depth 1 against the end mean -7
+def test_a_line_vortex_through_a_ball_reads_4_on_its_sphere(line_vortex):
+    # the axis meets every slid sphere twice, so nu has density 2 per unit
+    # depth: 4 at every t, and 2 * 0.75 in the collar's depths (0, 0.75)
     ball = geo.ball_region(order=8, n_angular=16)
     col = geo.build_transversal_collar(ball)
     sphere = geo.sphere_patch((0, 0, 0), 1.0)
-    with pytest.raises(geo.GeometryError, match="affine"):
-        sel.maximal_transversal(line_vortex.curl, sphere, col, [0.1])
+    scan = sel.maximal_transversal(line_vortex.curl, sphere, col, np.linspace(0.05, 0.45, 9))
+    assert np.abs(np.asarray(scan.values) - 4.0).max() <= 1e-12
+    assert abs(scan.collar_mass - 1.5) <= 1e-12
+
+
+def _chord_lengths(p, v, s_lo, s_hi, radius, lo, hi, axis=None):
+    # the length of {s in [s_lo, s_hi] : lo < depth(p + s v) < hi}, the depth
+    # radius - |x| below a sphere about 0, or radius - |x - (x . axis) axis|
+    # below a cylinder side about the line through 0 along a unit axis
+    if axis is not None:
+        p, v = p - (p @ axis) * axis, v - (v @ axis) * axis
+    a, s_star = v @ v, -(p @ v) / (v @ v)
+    q_star = p @ p - a * s_star ** 2
+    total = 0.0
+    for sign in (-1.0, 1.0):
+        far, near = (s_star + sign * np.sqrt(max((radius - d) ** 2 - q_star, 0.0) / a)
+                     for d in (max(lo, 0.0), min(hi, radius)))
+        left, right = sorted((far, near))
+        left, right = max(left, s_lo), min(right, s_hi)
+        if sign < 0:
+            right = min(right, s_star)
+        else:
+            left = max(left, s_star)
+        total += max(right - left, 0.0)
+    return total
+
+
+@pytest.mark.parametrize("kind", ["sphere", "cylinder_side"])
+def test_a_tilted_chord_reads_its_chord_lengths_on_a_curved_slide(kind):
+    # a unit-density segment off the centre, tilted against the axis: each
+    # slab's mass is the length of the segment whose depth lies inside it
+    if kind == "sphere":
+        region = geo.ball_region(order=8, n_angular=16)
+        axis = None
+    else:
+        region = geo.cylinder_region(order=8, n_angular=16, z0=-2.0, z1=2.0)
+        axis = np.array([0.0, 0.0, 1.0])
+    col = geo.build_transversal_collar(region)
+    patch = region.boundary[0] if kind == "sphere" else region.boundary[2]
+    slide = col.slide_for(patch)
+    p = np.array([0.2, 0.35, -0.1])
+    v = np.array([0.6, -0.3, 0.5]) / np.linalg.norm([0.6, -0.3, 0.5])
+    chord = flds.LinePart(p, v, -3.0, 2.5, lambda x: geo._rows((0.0, 0.0, 1.0), len(x)))
+    m = sel.SlideMeasure(flds.CurlMeasure(line_parts=(chord,)), slide)
+    atoms, crossings = m.parts
+    assert not atoms and len(crossings) == 1
+    windows = [(t - eps, t + eps) for t in (0.0, 0.1, 0.3, 0.55, 0.6, 0.9, 1.0)
+               for eps in sel.DEFAULT_EPS_GRID] + [(-1.0, 2.0), (0.2, 0.2)]
+    got = sel.measure_slab_mass(m, *np.transpose(windows))
+    want = [_chord_lengths(p, v, -3.0, 2.5, 1.0, lo, hi, axis) for lo, hi in windows]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_a_segment_along_a_cylinder_axis_is_an_atom():
+    region = geo.cylinder_region(order=8, n_angular=16)
+    col = geo.build_transversal_collar(region)
+    line = flds.LinePart(np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), -2.0, 3.0,
+                         lambda x: geo._rows((0.0, 2.0, 0.0), len(x)))
+    m = sel.SlideMeasure(flds.CurlMeasure(line_parts=(line,)), col.slide_for(region.boundary[2]))
+    assert m.parts == (((pytest.approx(0.7, abs=1e-15), 10.0),), ())
+
+
+def test_a_sheet_crossing_the_layers_is_refused_with_its_reason():
+    # a flat z-disk sheet under a cylinder side spans the side's depths
+    region = geo.cylinder_region(order=8, n_angular=16)
+    col = geo.build_transversal_collar(region)
+    with pytest.raises(geo.GeometryError, match="sheet part crossing the slide's layers"):
+        sel.maximal_transversal(flds.CurlMeasure(sheet_parts=(_flat_sheet(0.5),)),
+                                region.boundary[2], col, [0.1])
+
+
+def test_an_atom_outside_the_slide_depths_is_dropped(cylinder_collar):
+    # a flat sheet 0.1 below the bottom face lies outside the region: no
+    # window reads it, and no layer concentrates on it
+    sheet = flds.SheetPart(geo.disk_patch((0, 0, -0.1), 1.0),
+                           lambda pts: geo._rows((0.0, 1.0, 0.0), len(np.atleast_2d(pts))))
+    mu = flds.CurlMeasure(sheet_parts=(sheet,))
+    disk = geo.disk_patch((0, 0, 0), 1.0)
+    assert sel.SlideMeasure(mu, cylinder_collar.slide_for(disk)).parts == ((), ())
+    scan = sel.maximal_transversal(mu, disk, cylinder_collar, [0.0, 0.05])
+    assert scan.values == (0.0, 0.0) and scan.collar_mass == 0.0
+
+
+@pytest.mark.parametrize("kind", ["planar", "sphere"])
+def test_a_line_depth_off_its_model_is_refused(kind):
+    # a depth that is neither affine in s nor a distance to a centre
+    region = geo.ball_region(order=8, n_angular=16) if kind == "sphere" else geo.box_region(order=6)
+    slide = geo.build_transversal_collar(region).slides[0]
+    slide = replace(slide, slab_coordinate=lambda x: np.atleast_2d(x)[:, 2] ** 3)
+    line = flds.LinePart(np.zeros(3), np.array([0.0, 0.0, 1.0]), -0.5, 0.5,
+                         lambda x: geo._rows((0.0, 0.0, 1.0), len(x)))
+    with pytest.raises(geo.GeometryError, match="neither affine nor a distance"):
+        sel.SlideMeasure(flds.CurlMeasure(line_parts=(line,)), slide).parts
+
+
+def test_a_window_straddling_depth_0_counts_only_the_collar_side(line_vortex, cylinder_collar):
+    # the window (-0.75, 0.75) about the face reads the axis for depths 0 to
+    # 0.75 only, as it reads the Lebesgue part
+    scan = sel.maximal_transversal(line_vortex.curl, geo.disk_patch((0, 0, 0), 1.0),
+                                   cylinder_collar, [0.1])
+    assert scan.collar_mass == 0.75
+    disk = geo.disk_patch((0, 0, 0), 1.0)
+    m = sel.SlideMeasure(line_vortex.curl, cylinder_collar.slide_for(disk))
+    got = sel.measure_slab_mass(m, np.array([-0.75, -0.2]), np.array([0.75, 0.3]))
+    np.testing.assert_allclose(got, [0.75, 0.3], rtol=1e-14, atol=0.0)
 
 
 def test_concentrated_sheet_flagged(cylinder_collar):
@@ -351,12 +456,12 @@ def _per_window_line_mass(lp, slide, lo, hi):
                          lambda x: np.linalg.norm(lp.density(x), axis=1))
 
 
-def _per_window_mass(mu, slide, lo, hi):
-    # one window's mass, its parts added in the order the scan adds them;
-    # the Lebesgue part from the 64-layer reference
-    total = 0.0
-    if mu.lebesgue_density is not None:
-        total += _reference_slab_mass(mu.lebesgue_density, slide, lo, hi)
+def _per_window_mass(mu, slide, lo, hi, lebesgue):
+    # one window's mass clipped to the slide's depths [0, depth_range], its
+    # parts added in the order the scan adds them: the Lebesgue part given,
+    # then each sheet on its nodes and each line part on its own rule
+    lo, hi = max(lo, 0.0), min(hi, slide.depth_range)
+    total = 0.0 + lebesgue
     for sp in mu.sheet_parts:
         depth = slide.slab_coordinate(sp.patch.nodes)
         mags = np.linalg.norm(sp.density(sp.patch.nodes), axis=1)
@@ -367,14 +472,21 @@ def _per_window_mass(mu, slide, lo, hi):
 
 
 def _per_window_scan(mu, patch, collar, t_grid):
-    # maximal_transversal with every window evaluated on its own
+    # maximal_transversal with every window's sheet and line parts evaluated
+    # on their own; the Lebesgue part of every window is read off one depth
+    # profile, built on the same deepest window end as the scan's
     slide = collar.slide_for(patch)
     m = sel.SlideMeasure(mu, slide)
-    values = tuple(np.inf if sel.single_layer_mass(m, t) > 0.0 else
-                   sel._window_sup(t, {(t - eps, t + eps): _per_window_mass(
-                       mu, slide, t - eps, t + eps) for eps in sel.DEFAULT_EPS_GRID})
+    windows = [(t - eps, t + eps) for t in t_grid for eps in sel.DEFAULT_EPS_GRID] + [(0.0, 0.75)]
+    lebesgue = dict.fromkeys(windows, 0.0)
+    if mu.lebesgue_density is not None:
+        lo, hi = np.transpose(windows)
+        lebesgue = dict(zip(windows, sel._lebesgue_slab_mass(
+            mu.lebesgue_density, slide, np.maximum(lo, 0.0), np.minimum(hi, slide.depth_range))))
+    mass = {w: _per_window_mass(mu, slide, *w, lebesgue[w]) for w in windows}
+    values = tuple(np.inf if sel.single_layer_mass(m, t) > 0.0 else sel._window_sup(t, mass)
                    for t in t_grid)
-    return values, _per_window_mass(mu, slide, -0.75, min(0.75, slide.depth_range))
+    return values, mass[0.0, 0.75]
 
 
 def _flat_sheet(z):
@@ -401,7 +513,7 @@ def test_every_window_is_within_1e_13_of_a_64_layer_reference(face):
     region, patch = _scan_face(face)
     col = geo.build_transversal_collar(region)
     slide = col.slide_for(patch)
-    collar = (-0.75, min(0.75, slide.depth_range))
+    collar = (0.0, 0.75)
     for density in (flds.catalog("rigid_rotation").curl.lebesgue_density, _smooth_density):
         reference = {}
         # the scan's two-sided windows, and one-sided ones that end at t
@@ -409,7 +521,8 @@ def test_every_window_is_within_1e_13_of_a_64_layer_reference(face):
                        lambda t, eps: (t - eps, t)):
             windows = [window(t, eps) for t in SCAN_T for eps in sel.DEFAULT_EPS_GRID]
             windows.append(collar)
-            got = sel._lebesgue_slab_mass(density, slide, *np.transpose(windows))
+            got = sel.measure_slab_mass(sel.SlideMeasure(flds.CurlMeasure(density), slide),
+                                        *np.transpose(windows))
             for g, (lo, hi) in zip(got, windows):
                 if (lo, hi) not in reference:
                     reference[lo, hi] = _reference_slab_mass(density, slide, lo, hi)
@@ -426,23 +539,24 @@ def test_every_window_is_within_1e_13_of_a_64_layer_reference(face):
 
 @pytest.mark.parametrize("face", ["planar", "cylinder_side", "sphere"])
 def test_a_batched_scan_equals_the_per_window_loop(face):
-    # the sheet and line parts, bit for bit
+    # the Lebesgue, sheet and line parts, bit for bit, clipped to depths 0 and up
     region, patch = _scan_face(face)
     col = geo.build_transversal_collar(region)
-    # the bottom face (z = -0.4) has the first sheet at depth 0.25, whose
-    # layer reads inf
+    # the bottom face (z = -0.2) has the sheets at depths 0.05 and 0.25, and
+    # the layer at 0.25 reads inf; the z axis crosses it
     sheets = flds.CurlMeasure(sheet_parts=(_flat_sheet(-0.15), _flat_sheet(0.05)))
-    for mu in (sheets, flds.CurlMeasure(None, sheets.sheet_parts, (_side_axis(),))):
-        if face == "sphere" and mu.line_parts:
-            with pytest.raises(geo.GeometryError, match="affine along the segment; this slide"):
+    for mu in (sheets, flds.CurlMeasure(None, sheets.sheet_parts, (_side_axis(),)),
+               flds.CurlMeasure(_smooth_density, sheets.sheet_parts, (_side_axis(),))):
+        if face != "planar":
+            # the flat z-disk sheets cross the layers of the cylinder side and the sphere
+            with pytest.raises(geo.GeometryError, match="sheet part crossing the slide's layers"):
                 sel.maximal_transversal(mu, patch, col, SCAN_T)
             continue
         scan = sel.maximal_transversal(mu, patch, col, SCAN_T)
         values, collar_mass = _per_window_scan(mu, patch, col, SCAN_T)
         assert scan.values == values and scan.collar_mass == collar_mass
         assert all(type(v) is float for v in (*scan.values, scan.collar_mass))
-        if face == "planar":
-            assert [np.isinf(v) for v in scan.values] == [t == 0.25 for t in SCAN_T]
+        assert [np.isinf(v) for v in scan.values] == [t == 0.25 for t in SCAN_T]
     assert "_volume" not in vars(region)
 
 
