@@ -167,10 +167,10 @@ def _face_trace(fld: VectorField, nu: Array) -> Callable[[Array], Array]:
 
 def surface_trace(fld: VectorField, patch: SurfacePatch) -> Callable[[Array], Array]:
     """The tangential trace x -> F(x) x nu(x) of a field on a patch, with nu
-    the patch's normal: its frame normal if flat, and on a sphere
-    `sign` (x - origin) / |x - origin|, the floats of `patch.normals`."""
+    the patch's normal: its frame normal if flat, and on a sphere the inner
+    normal -(x - origin) / |x - origin|, the floats of `patch.normals`."""
     if patch.coordinates == "spherical":
-        return lambda x: _cross_rows(fld.eval(x), patch.sign * _unit(
+        return lambda x: _cross_rows(fld.eval(x), -_unit(
             _by_columns(np.subtract, np.atleast_2d(x), patch.origin)))
     if patch.frame is None:
         raise FieldError(f"no face trace on a {patch.name!r} patch")

@@ -21,7 +21,8 @@ read the patch's origin, scale, frame and rules, and no rim curve is stored.
 and `sphere_patch`, the ones the benchmark calls. Conventions fixed once and
 used everywhere:
 
-* regions carry the *inner* unit normal on their boundary;
+* regions carry the *inner* unit normal on their boundary, and sphere,
+  cap and cylinder-side patches always carry it (toward the centre or axis);
 * the conormal nu_gamma of a boundary curve points *into* the surface;
 * the curve tangent is tau = nu_sigma x nu_gamma (right-hand rule); the
   tangential route's sign rests on it.
@@ -52,6 +53,7 @@ BLOCK_POINTS = 5000
 
 DEFAULT_ORDER = 24
 DEFAULT_ANGULAR = 96
+BOX_ORDER = 16
 
 
 # Column kernels: per-node vector arithmetic on (..., 3) arrays goes one
@@ -250,10 +252,10 @@ class SurfacePatch:
     * "rectangle": (u, v) -> origin + u e1 + v e2, with (e1, e2, n) the rows
       of `frame`, n the unit normal and `scale` = |e1 x e2|.
 
-    The normals of a sphere or cylinder side are `sign` times the outward
-    ones. `nodes` (points), `normals` (unit) and `weights` (rule weight times
-    the area element |X_u x X_v|) are built from these on first read, into
-    read-only arrays, so a surface integral is sum(weights * f(nodes)).
+    A sphere, cap or cylinder side carries its inner normal, toward its
+    centre or axis. `nodes` (points), `normals` (unit) and `weights` (rule
+    weight times the area element |X_u x X_v|) are built from these on first
+    read, into read-only arrays, so a surface integral is sum(weights * f(nodes)).
     """
 
     name: str
@@ -263,7 +265,6 @@ class SurfacePatch:
     origin: np.ndarray
     frame: Optional[np.ndarray]  # (3, 3): polar and rectangle
     scale: float
-    sign: float  # 1 on a polar patch or a rectangle
 
     @cached_property
     def nodes(self) -> np.ndarray:  # (n, 3)
@@ -286,11 +287,11 @@ class SurfacePatch:
     @cached_property
     def normals(self) -> np.ndarray:  # (n, 3), unit
         if self.coordinates == "spherical":
-            return _read_only(self.sign * _unit(_by_columns(np.subtract, self.nodes, self.origin)))
+            return _read_only(-_unit(_by_columns(np.subtract, self.nodes, self.origin)))
         if self.coordinates == "cylinder_side":
-            phi, sign = self.v.nodes, self.sign
+            phi = self.v.nodes
             zero = np.zeros((self.u.nodes.size, phi.size))
-            ring = _columns(sign * np.cos(phi), sign * np.sin(phi), sign * zero)
+            ring = _columns(-np.cos(phi), -np.sin(phi), -zero)
             return _read_only(ring.reshape(-1, 3))
         return _read_only(_rows(self.frame[2], np.broadcast(self.u.nodes, self.v.nodes).size))
 
@@ -332,21 +333,20 @@ def disk_patch(center, radius: float, normal=(0.0, 0.0, 1.0),
     e1, e2, n = frame_from_normal(normal)
     return SurfacePatch("disk", "polar", _column(gauss_legendre_split(order, np.asarray(bp))),
                         periodic_trapezoid(n_angular), center, np.stack([e1, e2, n]),
-                        float(radius), 1.0)
+                        float(radius))
 
 
 def sphere_patch(center, radius: float, order: int = DEFAULT_ORDER,
-                 n_angular: int = DEFAULT_ANGULAR, inner_normal: bool = True,
-                 u_range=(-1.0, 1.0)) -> SurfacePatch:
+                 n_angular: int = DEFAULT_ANGULAR, u_range=(-1.0, 1.0)) -> SurfacePatch:
     """Sphere (or cap-band) of the given radius; parameters (u, phi), u = cos(colatitude).
 
     The area element is R^2 du dphi exactly, so the product rule is exact for
-    polynomial integrands. `inner_normal` orients nu toward the center.
+    polynomial integrands. The normal points toward the center.
     """
     name = "sphere" if u_range == (-1.0, 1.0) else "spherical_cap"
     return SurfacePatch(name, "spherical", _column(gauss_legendre(order, *u_range)),
                         periodic_trapezoid(n_angular), np.asarray(center, dtype=float), None,
-                        float(radius), -1.0 if inner_normal else 1.0)
+                        float(radius))
 
 
 def spherical_cap_patch(center, radius: float, colatitude: float) -> SurfacePatch:
@@ -356,11 +356,11 @@ def spherical_cap_patch(center, radius: float, colatitude: float) -> SurfacePatc
 
 
 def cylinder_side_patch(center, radius: float, z0: float, z1: float,
-                        order: int = DEFAULT_ORDER, n_angular: int = DEFAULT_ANGULAR,
-                        inner_normal: bool = True) -> SurfacePatch:
+                        order: int = DEFAULT_ORDER,
+                        n_angular: int = DEFAULT_ANGULAR) -> SurfacePatch:
     return SurfacePatch("cylinder_side", "cylinder_side", _column(gauss_legendre(order, z0, z1)),
                         periodic_trapezoid(n_angular), np.asarray(center, dtype=float), None,
-                        float(radius), -1.0 if inner_normal else 1.0)
+                        float(radius))
 
 
 def rectangle_patch(corner, e1, e2, extent1: float, extent2: float, normal_sign: float = 1.0,
@@ -371,7 +371,7 @@ def rectangle_patch(corner, e1, e2, extent1: float, extent2: float, normal_sign:
     n /= np.linalg.norm(n)
     return SurfacePatch("rectangle", "rectangle", _column(gauss_legendre(order, 0.0, extent1)),
                         gauss_legendre(order, 0.0, extent2), np.asarray(corner, dtype=float),
-                        np.stack([e1, e2, n]), np.linalg.norm(_cross(e1, e2)), 1.0)
+                        np.stack([e1, e2, n]), np.linalg.norm(_cross(e1, e2)))
 
 
 # the names perfbench/workloads.py builds its surfaces by; a surface is its patch
@@ -585,17 +585,14 @@ def planar_slide(patch: SurfacePatch) -> PatchSlide:
     def shift(pts, t):
         return _by_columns(np.add, np.atleast_2d(pts), np.asarray(t)[..., None] * inward)
 
-    def nrm(pts, t):
-        return _rows(inward, len(np.atleast_2d(pts)))
-
     def outward(pts):
         return _rows(-inward, len(np.atleast_2d(pts)))
 
     def slab(pts):
         return _by_columns(np.subtract, np.atleast_2d(pts), patch.origin) @ inward
 
-    return PatchSlide(patch, shift, nrm, outward, lambda t: 1.0, depth_range=np.inf,
-                      slab_coordinate=slab)
+    return PatchSlide(patch, shift, lambda pts, t: -outward(pts), outward, lambda t: 1.0,
+                      depth_range=np.inf, slab_coordinate=slab)
 
 
 def spherical_slide(patch: SurfacePatch) -> PatchSlide:
@@ -609,17 +606,14 @@ def spherical_slide(patch: SurfacePatch) -> PatchSlide:
         f = 1.0 - t / radius
         return _by_columns(lambda p, c: c + f * (p - c), np.atleast_2d(pts), center)
 
-    def nrm(pts, t):
-        return -_unit(rel(pts))
-
     def outward(pts):
         return _unit(rel(pts))
 
     def slab(pts):
         return radius - _norm(rel(pts))
 
-    return PatchSlide(patch, shift, nrm, outward, lambda t: (1.0 - t / radius) ** 2,
-                      depth_range=radius, slab_coordinate=slab)
+    return PatchSlide(patch, shift, lambda pts, t: -outward(pts), outward,
+                      lambda t: (1.0 - t / radius) ** 2, depth_range=radius, slab_coordinate=slab)
 
 
 def cylinder_slide(patch: SurfacePatch) -> PatchSlide:
@@ -634,15 +628,12 @@ def cylinder_slide(patch: SurfacePatch) -> PatchSlide:
         pts = np.atleast_2d(pts)
         return _by_columns(lambda p, r: p - t * r, pts, radial(pts))
 
-    def nrm(pts, t):
-        return -radial(pts)
-
     def slab(pts):
         pts = np.atleast_2d(pts)
         return radius - np.hypot(pts[..., 0] - center[0], pts[..., 1] - center[1])
 
-    return PatchSlide(patch, shift, nrm, radial, lambda t: (1.0 - t / radius),
-                      depth_range=radius, slab_coordinate=slab)
+    return PatchSlide(patch, shift, lambda pts, t: -radial(pts), radial,
+                      lambda t: (1.0 - t / radius), depth_range=radius, slab_coordinate=slab)
 
 
 @dataclass(frozen=True)
@@ -793,7 +784,7 @@ def ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = DEFAUL
                 n_angular: int = DEFAULT_ANGULAR) -> SolidRegion:
     center = np.asarray(center, dtype=float)
     rules = _spherical_rules(radius, order, n_angular)
-    sphere = sphere_patch(center, radius, order, n_angular, inner_normal=True)
+    sphere = sphere_patch(center, radius, order, n_angular)
     return SolidRegion("ball", (sphere,), rules, "spherical", center, float(radius), None, ())
 
 
@@ -802,7 +793,7 @@ def half_ball_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, order: int = D
     """Upper half ball {x3 > c3}; flat face oriented by the inner normal +e3."""
     center = np.asarray(center, dtype=float)
     rules = _spherical_rules(radius, order, n_angular, u_range=(0.0, 1.0))
-    dome = sphere_patch(center, radius, order, n_angular, inner_normal=True, u_range=(0.0, 1.0))
+    dome = sphere_patch(center, radius, order, n_angular, u_range=(0.0, 1.0))
     face = disk_patch(center, radius, normal=(0.0, 0.0, 1.0), order=order, n_angular=n_angular)
     return SolidRegion("half_ball", (face, dome), rules, "spherical", center, float(radius),
                        None, _faces(face))
@@ -818,13 +809,13 @@ def cylinder_region(center=(0.0, 0.0, 0.0), radius: float = 1.0, z0: float = 0.0
                         order=order, n_angular=n_angular)
     top = disk_patch(center + np.array([0, 0, z1]), radius, normal=(0, 0, -1.0),
                      order=order, n_angular=n_angular)
-    side = cylinder_side_patch(center, radius, z0, z1, order, n_angular, inner_normal=True)
+    side = cylinder_side_patch(center, radius, z0, z1, order, n_angular)
     return SolidRegion("cylinder", (bottom, top, side), rules, "cylindrical", center,
                        float(radius), np.array([0.0, 0.0, 1.0]), _faces(bottom, top))
 
 
 def box_region(center=(0.0, 0.0, 0.0), half_widths=(1.0, 1.0, 1.0),
-               order: int = 16) -> SolidRegion:
+               order: int = BOX_ORDER) -> SolidRegion:
     center = np.asarray(center, dtype=float)
     h = np.asarray(half_widths, dtype=float)
     rules = tuple(gauss_legendre(order, -h[k], h[k]) for k in range(3))
@@ -926,17 +917,12 @@ def build_transversal_collar(region: SolidRegion) -> TransversalCollar:
     """Per-patch inward slides, read off each boundary patch: a flat patch
     slides along its inner normal, a sphere toward its centre and a cylinder
     side toward its axis, with the centre and radius the patch's `origin`
-    and `scale`. Refuses a transversality margin kappa = min(-nu . h) that
-    is not positive."""
+    and `scale`. Every patch carries its inner normal nu and every slide's
+    outward field is h = -nu, so the transversality margin kappa =
+    min(-nu . h) is 1 by construction."""
     make = {"spherical": spherical_slide, "cylinder_side": cylinder_slide}
-    slides = [make.get(p.coordinates, planar_slide)(p) for p in region.boundary]
-    kappa = np.inf
-    for sl in slides:
-        h = sl.outward_field(sl.patch.nodes)
-        kappa = min(kappa, float(np.min(-np.einsum("ij,ij->i", sl.patch.normals, h))))
-    if not kappa > 0.0:
-        raise GeometryError("failed to find a transversal field with kappa > 0")
-    return TransversalCollar(tuple(slides))
+    return TransversalCollar(tuple(make.get(p.coordinates, planar_slide)(p)
+                                   for p in region.boundary))
 
 
 def shift_transversal(patch: SurfacePatch, collar: TransversalCollar,

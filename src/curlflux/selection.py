@@ -48,6 +48,9 @@ PROFILE_ORDER = 16
 PROFILE_TAIL = 1e-14
 PROFILE_FLOOR = POSITION_TOL
 
+# the empirical constant C of the weak-(1,1) bound C |mu|(collar) / lambda
+WEAK11_CONSTANT = 10.0
+
 
 def _window_sup(t: float, mass: dict) -> float:
     """Max over the eps grid of mass[t - eps, t + eps] / eps, starting from 0."""
@@ -330,7 +333,7 @@ def maximal_transversal(mu: CurlMeasure, patch: SurfacePatch,
 class GoodSetReport:
     good_t: tuple[float, ...]  # the scan's t whose value is finite and at most lambda
     complement_measure: float
-    weak_bound: float  # 10 |mu|(collar) / lambda
+    weak_bound: float  # WEAK11_CONSTANT |mu|(collar) / lambda
 
     @property
     def holds(self) -> bool:
@@ -338,7 +341,7 @@ class GoodSetReport:
 
 
 def good_set_scan(scan: MaximalScan, lam: float) -> GoodSetReport:
-    """Threshold scan with the empirical weak-(1,1) bound at constant 10."""
+    """Threshold scan with the empirical weak-(1,1) bound at WEAK11_CONSTANT."""
     t = np.asarray(scan.t_grid)
     v = np.asarray(scan.values)
     if len(t) > 1:
@@ -348,4 +351,4 @@ def good_set_scan(scan: MaximalScan, lam: float) -> GoodSetReport:
     bad = ~((v <= lam) & np.isfinite(v))
     good = tuple(float(x) for x in t[~bad])
     return GoodSetReport(good, float(np.sum(bad) * cell),
-                         10.0 * scan.collar_mass / lam)
+                         WEAK11_CONSTANT * scan.collar_mass / lam)

@@ -27,7 +27,7 @@ def rim(patch):
                              (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), s.size)
     # unit tangents to the sphere pointing toward the pole
     conormals = np.stack([-ct * np.cos(s), -ct * np.sin(s), st * np.ones_like(s)], axis=1)
-    nu = patch.sign * (curve.nodes - patch.origin) / radius
+    nu = -(curve.nodes - patch.origin) / radius
     return curve, conormals, np.cross(nu, conormals)
 
 

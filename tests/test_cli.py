@@ -166,7 +166,7 @@ def test_validate_rigid_rotation_passes_on_its_defaults(tmp_path):
     # never meets its transition shell
     table, _ = _csv("validate", {"field": "rigid_rotation"})
     assert table.passed
-    assert [r[0] for r in table.rows] == ["D1", "D2", "D3", "D4"]
+    assert [r[0] for r in table.rows] == ["D1", "D2", "D3"]
     assert all(r[1] <= table.metadata["tolerance"] and r[2] == "pass" for r in table.rows)
     assert cli.main(["validate", "--field", "rigid_rotation", "--out",
                      str(tmp_path / "out.csv")]) == 0
@@ -190,6 +190,14 @@ def test_trace_samples_each_face_on_the_region_rule(spec, face):
     table = cli.run(cli.RunConfig("trace", {"field": "rigid_rotation", "region": spec}))
     assert len(table.rows) == 8 * 96
     assert {r[0] for r in table.rows} == {face}
+
+
+@pytest.mark.parametrize("spec, order", [("box", 16), ("box:order=24", 24)])
+def test_a_box_builds_the_rules_of_its_order(spec, order):
+    # a box given no order keeps box_region's own 16; any other is honoured
+    region = cli.parse_region(spec)
+    assert [len(rule.nodes) for rule in region.volume_rules] == [order] * 3
+    assert {face.weights.size for face in region.boundary} == {order * order}
 
 
 @pytest.mark.parametrize("argv, params", [

@@ -104,8 +104,7 @@ PATCHES = {
     "disk": lambda: geo.disk_patch((0.1, 0.2, 0.3), 1.5, (1.0, 1.0, 0.5), order=6,
                                    n_angular=12, radial_breaks=(0.5,)),
     "annulus": lambda: geo.disk_patch((0, 0, 0), 1.0, order=6, n_angular=12, inner_radius=0.3),
-    "sphere": lambda: geo.sphere_patch((0, 0, 1), 2.0, order=6, n_angular=12,
-                                       inner_normal=False),
+    "sphere": lambda: geo.sphere_patch((0, 0, 1), 2.0, order=6, n_angular=12),
     "cap": lambda: geo.spherical_cap_patch((0, 0, 0), 1.0, 0.7),
     "cylinder_side": lambda: geo.cylinder_side_patch((0, 0, 0), 0.8, -0.5, 1.0, order=6,
                                                      n_angular=12),
@@ -131,18 +130,18 @@ def _closed_form(kind):
         ring = np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2
         return np.add(c, rho[:, None] * ring), np.tile(n, (rho.size, 1)), w * rho
     if kind in ("sphere", "cap"):
-        # the sphere has outer normals, the cap (colatitude 0.7, on the
-        # default rules) inner ones
-        c, R, u_rule, sign = (((0.0, 0.0, 1.0), 2.0, gauss_legendre(6, -1.0, 1.0), 1.0)
-                              if kind == "sphere" else
-                              ((0.0, 0.0, 0.0), 1.0,
-                               gauss_legendre(geo.DEFAULT_ORDER, np.cos(0.7), 1.0), -1.0))
+        # the sphere and the cap (colatitude 0.7, on the default rules) have
+        # inner normals
+        c, R, u_rule = (((0.0, 0.0, 1.0), 2.0, gauss_legendre(6, -1.0, 1.0))
+                        if kind == "sphere" else
+                        ((0.0, 0.0, 0.0), 1.0,
+                         gauss_legendre(geo.DEFAULT_ORDER, np.cos(0.7), 1.0)))
         if kind == "cap":
             angles = periodic_trapezoid(geo.DEFAULT_ANGULAR)
         u, phi, w = _product(u_rule, angles)
         st = np.sqrt(1.0 - u * u)
         radial = np.stack([st * np.cos(phi), st * np.sin(phi), u], axis=1)
-        return np.add(c, R * radial), sign * radial, R * R * w
+        return np.add(c, R * radial), -radial, R * R * w
     if kind == "cylinder_side":
         z, phi, w = _product(gauss_legendre(6, -0.5, 1.0), angles)
         radial = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
@@ -175,7 +174,7 @@ def _eager_polar(center, normal, rho, phi, w):
     return nodes, np.tile(n, (len(nodes), 1)), (w * rho).ravel()
 
 
-def _eager_sphere(center, radius, u_lo, sign, order, n_angular):
+def _eager_sphere(center, radius, u_lo, order, n_angular):
     center = np.asarray(center, dtype=float)
     u_rule, a_rule = gauss_legendre(order, u_lo, 1.0), periodic_trapezoid(n_angular)
     u, phi = u_rule.nodes[:, None], a_rule.nodes
@@ -183,7 +182,7 @@ def _eager_sphere(center, radius, u_lo, sign, order, n_angular):
     local = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), u), axis=-1)
     nodes = (center + radius * local).reshape(-1, 3)
     weights = np.outer(u_rule.weights, a_rule.weights).ravel() * (radius * radius)
-    return nodes, sign * geo._unit(nodes - center), weights
+    return nodes, -geo._unit(nodes - center), weights
 
 
 def _eager_patch(kind):
@@ -195,9 +194,9 @@ def _eager_patch(kind):
         return _eager_polar(c, normal, r_rule.nodes[:, None], angles.nodes,
                             np.outer(r_rule.weights, angles.weights))
     if kind == "sphere":
-        return _eager_sphere((0, 0, 1), 2.0, -1.0, 1.0, 6, 12)
+        return _eager_sphere((0, 0, 1), 2.0, -1.0, 6, 12)
     if kind == "cap":
-        return _eager_sphere((0, 0, 0), 1.0, float(np.cos(0.7)), -1.0, geo.DEFAULT_ORDER,
+        return _eager_sphere((0, 0, 0), 1.0, float(np.cos(0.7)), geo.DEFAULT_ORDER,
                              geo.DEFAULT_ANGULAR)
     if kind == "cylinder_side":
         z_rule = gauss_legendre(6, -0.5, 1.0)
@@ -497,17 +496,23 @@ def test_a_band_outside_the_collar_is_refused_before_any_evaluation(unit_disk_co
 # ---------------------------------------------------------------------------
 
 
-def _kappa(collar):
-    # the transversality margin min(-nu . h) over every slide's patch nodes
-    return min(float(np.min(-np.einsum("ij,ij->i", sl.patch.normals,
-                                       sl.outward_field(sl.patch.nodes))))
-               for sl in collar.slides)
+@pytest.mark.parametrize("region", [
+    geo.ball_region(order=12, n_angular=32), geo.half_ball_region(order=12, n_angular=32),
+    geo.cylinder_region(order=12, n_angular=32), geo.box_region(order=10),
+], ids=["ball", "half_ball", "cylinder", "box"])
+def test_the_transversality_margin_is_1(region):
+    # every patch carries its inner normal nu and every slide's outward field
+    # is h = -nu, so kappa = min(-nu . h) over the patch nodes is 1 to rounding
+    col = geo.build_transversal_collar(region)
+    kappa = min(float(np.min(-np.einsum("ij,ij->i", sl.patch.normals,
+                                        sl.outward_field(sl.patch.nodes))))
+                for sl in col.slides)
+    assert abs(kappa - 1.0) <= 1e-12
 
 
 def test_ball_transversal_collar():
     ball = geo.ball_region(order=12, n_angular=32)
     col = geo.build_transversal_collar(ball)
-    assert abs(_kappa(col) - 1.0) < 1e-12
     man = geo.sphere_patch((0, 0, 0), 1.0, order=12, n_angular=32)
     shifted = geo.shift_transversal(man, col, 0.1)
     assert abs(shifted.scale - 0.9) < 1e-12
@@ -526,12 +531,6 @@ def test_shift_identity_and_range(unit_cylinder, cylinder_collar):
     assert np.abs(same.nodes - man.nodes).max() < 1e-12
     with pytest.raises(geo.GeometryError):
         geo.shift_transversal(man, cylinder_collar, 0.6)
-
-
-def test_box_collar_kappa():
-    box = geo.box_region(order=10)
-    col = geo.build_transversal_collar(box)
-    assert _kappa(col) >= 0.5
 
 
 def test_box_face_slides_keep_the_face_normal():
@@ -638,14 +637,12 @@ def test_a_shifted_disk_is_the_disk_built_at_its_shifted_centre(cylinder_collar,
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("inner_normal", [True, False])
-def test_shift_keeps_the_sphere_rule(inner_normal):
+def test_shift_keeps_the_sphere_rule():
     col = geo.build_transversal_collar(geo.ball_region(order=12, n_angular=32))
-    man = geo.sphere_patch((0, 0, 0), 1.0, order=12, n_angular=32, inner_normal=inner_normal)
+    man = geo.sphere_patch((0, 0, 0), 1.0, order=12, n_angular=32)
     shifted = geo.shift_transversal(man, col, 0.1)
     assert shifted.nodes.shape == man.nodes.shape == (384, 3)
     assert shifted.u is man.u and shifted.v is man.v
-    assert shifted.sign == man.sign == (-1.0 if inner_normal else 1.0)
     slide = col.slide_for(man)
     assert np.abs(shifted.nodes - slide.shift_point(man.nodes, 0.1)).max() < 1e-15
     assert np.abs(shifted.normals - man.normals).max() < 1e-15

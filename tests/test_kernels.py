@@ -237,9 +237,9 @@ def _old_nodes_and_normals(p):
         pts = p.origin + u[..., None] * e1 + v[..., None] * e2
     pts = pts.reshape(-1, 3)
     if p.coordinates == "spherical":
-        return pts, p.sign * _np_unit(pts - p.origin)
+        return pts, -_np_unit(pts - p.origin)
     if p.coordinates == "cylinder_side":
-        ring = p.sign * np.stack([np.cos(v), np.sin(v), np.zeros_like(v)], axis=1)
+        ring = -np.stack([np.cos(v), np.sin(v), np.zeros_like(v)], axis=1)
         return pts, np.tile(ring, (u.size, 1))
     return pts, np.tile(p.frame[2], (np.broadcast(u, v).size, 1))
 
@@ -265,9 +265,9 @@ def test_patch_nodes_normals_and_volume_rules_give_the_floats_of_the_row_broadca
         origin, normal, radius, colatitude, inner, e1, e2):
     assume(np.linalg.norm(np.cross(e1, e2)) > 1e-3)
     patches = [geo.disk_patch(origin, radius, normal=normal, order=4, n_angular=8),
-               geo.sphere_patch(origin, radius, order=4, n_angular=8, inner_normal=inner),
+               geo.sphere_patch(origin, radius, order=4, n_angular=8),
                geo.spherical_cap_patch(origin, radius, colatitude),
-               geo.cylinder_side_patch(origin, radius, -0.5, 0.5, 4, 8, inner_normal=inner),
+               geo.cylinder_side_patch(origin, radius, -0.5, 0.5, 4, 8),
                geo.rectangle_patch(origin, e1, e2, radius, 0.5, -1.0 if inner else 1.0, 4)]
     for p in patches:
         nodes, normals = _old_nodes_and_normals(p)
@@ -308,8 +308,8 @@ def _old_catalog(name, x):
 @pytest.mark.parametrize("name", flds.CATALOG_NAMES)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(x=vectors(ROWS), s=vectors((5, 3)),
-       origin=ORIGINS, inner=st.booleans())
-def test_the_catalog_gives_the_floats_of_the_row_broadcasts(name, x, s, origin, inner):
+       origin=ORIGINS)
+def test_the_catalog_gives_the_floats_of_the_row_broadcasts(name, x, s, origin):
     entry = flds.catalog(name)
     fld = entry.vector_field
     with np.errstate(all="ignore"):
@@ -323,9 +323,9 @@ def test_the_catalog_gives_the_floats_of_the_row_broadcasts(name, x, s, origin, 
                 lp.direction, (len(x), 3)).copy().tobytes()
             assert lp.positions(s).tobytes() == (
                 lp.point + np.ravel(s)[:, None] * lp.direction).tobytes()
-        sphere = geo.sphere_patch(origin, 1.5, order=4, n_angular=8, inner_normal=inner)
+        sphere = geo.sphere_patch(origin, 1.5, order=4, n_angular=8)
         assert flds.surface_trace(fld, sphere)(x).tobytes() == geo._cross_rows(
-            fld.eval(x), sphere.sign * _np_unit(x - origin)).tobytes()
+            fld.eval(x), -_np_unit(x - origin)).tobytes()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

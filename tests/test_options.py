@@ -1,8 +1,12 @@
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "curlflux"
+# the callers the option check reads: src/ and the benchmark's own code, not
+# its tests; a test is no caller
+CODE = (ROOT / "src", ROOT / "perfbench")
 # the constructions the dataclass-field check reads: tests count here, as the
 # free-space sheet (`SheetState.periods` None) is built only by a test
 CALLERS = (ROOT / "src", ROOT / "perfbench", ROOT / "tests")
@@ -22,9 +26,19 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _literal(node):
+    # a literal's source form, or None for a value the code computes
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
 def _defaulted(fn):
-    # (name, positional index or None) of every parameter with a default;
-    # `x=x` bindings freeze a closure variable and are no option
+    # (name, positional index or None, the default's literal) of every
+    # parameter with a default; `x=x` bindings freeze a closure variable and
+    # are no option
     args = fn.args
     pos = args.posonlyargs + args.args
     named = list(zip(pos[len(pos) - len(args.defaults):], args.defaults))
@@ -34,27 +48,29 @@ def _defaulted(fn):
         if isinstance(d, ast.Name) and d.id == a.arg:
             continue
         index = pos.index(a) - offset if a in pos else None
-        yield a.arg, index
+        yield a.arg, index, _literal(d)
 
 
 def _options():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(_parse(path)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "main":
-                for name, index in _defaulted(node):
-                    yield f"{path.stem}.{node.name}({name})", node.name, name, index
+                for name, index, default in _defaulted(node):
+                    yield f"{path.stem}.{node.name}({name})", node.name, name, index, default
 
 
 def _code_files():
-    # src/ and the benchmark's own code; a test is no caller
-    yield from (ROOT / "src").rglob("*.py")
-    yield from (p for p in (ROOT / "perfbench").rglob("*.py")
-                if "tests" not in p.relative_to(ROOT / "perfbench").parts)
+    for root in CODE:
+        yield from (p for p in root.rglob("*.py") if "tests" not in p.relative_to(root).parts)
+
+
+STARRED = "*"
 
 
 def _calls():
-    # name of the callee -> (positional count, keyword names, forwards **kwargs);
-    # a starred positional counts as one, since its length is not known here
+    # name of the callee -> (positional values, keyword values, forwards
+    # **kwargs), each value a literal's dump or None for a computed one; a
+    # starred positional is STARRED, since its length is not known here
     calls = {}
     for path in _code_files():
         for node in ast.walk(_parse(path)):
@@ -65,26 +81,58 @@ def _calls():
             if name is None:
                 continue
             calls.setdefault(name, []).append((
-                len(node.args), {k.arg for k in node.keywords if k.arg},
+                [STARRED if isinstance(a, ast.Starred) else _literal(a) for a in node.args],
+                {k.arg: _literal(k.value) for k in node.keywords if k.arg},
                 any(k.arg is None for k in node.keywords)))
     return calls
 
 
-def test_every_option_is_set_by_some_caller():
-    # a defaulted parameter that no call in src/ or perfbench/ passes holds
-    # one value for every user, so it belongs at its use as a constant
+def _unset_options() -> list[str]:
+    # the defaulted parameters that no call passes a value other than its
+    # default: a computed value counts as another, a literal equal to the
+    # default does not, and *args or **kwargs may pass anything
     calls = _calls()
 
-    def passed(fn, name, index):
-        return any(name in keywords or forwards_kw or (index is not None and n_pos > index)
-                   for n_pos, keywords, forwards_kw in calls.get(fn, ()))
+    def sets(value, default):
+        return value is None or default is None or value != default
 
-    unset = [label for label, fn, name, index in _options() if not passed(fn, name, index)]
+    def passed(fn, name, index, default):
+        for positional, keywords, forwards_kw in calls.get(fn, ()):
+            if forwards_kw or (name in keywords and sets(keywords[name], default)):
+                return True
+            if index is not None and (STARRED in positional[:index + 1] or (
+                    len(positional) > index and sets(positional[index], default))):
+                return True
+        return False
+
+    return [label for label, *option in _options() if not passed(*option)]
+
+
+def test_every_option_is_set_by_some_caller():
+    # a defaulted parameter that every call in src/ and perfbench/ leaves at
+    # its default holds one value for every user, so it belongs at its use
+    # as a constant
+    unset = _unset_options()
     # each option kept by name exists and is still one that no caller sets
     stale = sorted(TEST_SET_OPTIONS - set(unset))
     assert not stale, f"options kept by name that are gone or set by a caller: {stale}"
     unset = [label for label in unset if label not in TEST_SET_OPTIONS]
     assert not unset, f"{len(unset)} options no caller sets: {unset}"
+
+
+def test_an_option_every_caller_sets_to_its_default_is_unset(tmp_path, monkeypatch):
+    (tmp_path / "mod.py").write_text(
+        "def sphere(r, inner=True, order=ORDER, u=(-1.0, 1.0)):\n    return r\n"
+        "def box(h, order=16):\n    return h\n"
+        "def use(o, args):\n"
+        "    return (sphere(1, inner=True), sphere(2, True, o),\n"
+        "            sphere(3, inner=True, u=(0.0, 1.0)), box(*args))\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "CODE", (tmp_path,))
+    # every call passes `inner` its default, True, by keyword or by position;
+    # `order` takes a computed value and `u` another literal, and a starred
+    # positional may set `box`'s order
+    assert _unset_options() == ["mod.sphere(inner)"]
 
 
 def _is_dataclass(node):
@@ -110,15 +158,6 @@ def _dataclass_fields():
                                       if isinstance(s, ast.AnnAssign)
                                       and isinstance(s.target, ast.Name) and not _no_init(s.value)]
     return classes
-
-
-def _literal(node):
-    # a literal's source form, or None for a value the code computes
-    try:
-        ast.literal_eval(node)
-    except ValueError:
-        return None
-    return ast.dump(node)
 
 
 def _field_settings(classes):

@@ -71,7 +71,8 @@ def test_every_ramp_integrand_call_gets_whole_layers_within_the_budget(
 def test_density_windows_evaluate_each_radius_in_one_block(rigid_rotation,
                                                            unit_disk,
                                                            unit_disk_collar):
-    # nine widths of 8 layers on 48-node arcs: 3456 points, one field call
+    # nine widths of 8 layers on 48-node arcs: 3456 points, one field call;
+    # the finest radius, 0.1, gives an estimate, so 0.2 is not evaluated
     sizes = []
 
     def trace(p):
@@ -80,7 +81,30 @@ def test_density_windows_evaluate_each_radius_in_one_block(rigid_rotation,
 
     stk.stokes_density(trace, unit_disk, unit_disk_collar, 0.0,
                        np.array([1.0, 0.0, 0.0]), [0.2, 0.1])
-    assert sizes == [9 * 8 * 48] * 2
+    assert sizes == [9 * 8 * 48]
+
+
+def test_density_reports_the_finest_radius_that_gives_an_estimate(rigid_rotation):
+    # the first point of `reproduce density`: radii 2^-8 and 2^-7 give no
+    # estimate and 2^-6 does, so 3 of the 6 radii are evaluated, and the
+    # estimate is 2^-6's alone, to the last bit
+    center = np.array([0.3, 0.2, 0.7])
+    disk = geo.disk_patch(center, 1.0, n_angular=512)
+    col = geo.build_tangential_collar(disk)
+    e1, e2, _ = disk.frame
+    x0 = center + np.cos(0.1) * e1 + np.sin(0.1) * e2
+    face = flds.surface_trace(rigid_rotation.vector_field, disk)
+    r_grid = [2.0 ** -k for k in range(3, 9)]
+    sizes = []
+
+    def trace(p):
+        sizes.append(len(p))
+        return face(p)
+
+    dens = stk.stokes_density(trace, disk, col, 0.0, x0, r_grid)
+    each = [stk.stokes_density(face, disk, col, 0.0, x0, [r]) for r in r_grid]
+    assert each[4:] == [None, None] and each[3] is not None
+    assert dens == each[3] and len(sizes) == 3
 
 
 @pytest.mark.parametrize("route", ["tangential", "mass"])
