@@ -40,6 +40,7 @@ import numpy as np
 from .quadrature import (
     QuadratureRule,
     gauss_legendre,
+    gauss_legendre_segments,
     gauss_legendre_split,
     periodic_trapezoid,
 )
@@ -167,26 +168,25 @@ class Curve:
     weights: np.ndarray
 
 
+def _ring(e1, e2, rule: QuadratureRule) -> np.ndarray:
+    """u = cos(theta) e1 + sin(theta) e2 at the angles of `rule`, (m, 3)."""
+    cos, sin = np.cos(rule.nodes), np.sin(rule.nodes)
+    return _by_columns(lambda a, b: cos * a + sin * b, np.asarray(e1, float), np.asarray(e2, float))
+
+
 def _arc(center, radius, e1, e2, rule: QuadratureRule) -> Curve:
     """The circle about `center` in the plane (e1, e2) at the angles of
-    `rule`; with a (k,) `radius` and a (3,) or (k, 3) `center`, k circles."""
+    `rule`, its nodes c + radius u; with a (k,) `radius` and a (3,) or (k, 3)
+    `center`, k circles."""
     radius = np.asarray(radius, dtype=float)[..., None]
-    cos, sin = np.cos(rule.nodes), np.sin(rule.nodes)
-    pts = _by_columns(lambda c, a, b: c[..., None] + radius * (cos * a + sin * b),
-                      np.asarray(center, dtype=float), np.asarray(e1, dtype=float),
-                      np.asarray(e2, dtype=float))
+    pts = _by_columns(lambda c, u: c[..., None] + radius * u, np.asarray(center, dtype=float),
+                      _ring(e1, e2, rule))
     return Curve(pts, rule.weights * radius)
 
 
 def circle_curve(center, radius, e1, e2, n_nodes: int) -> Curve:
     """Circle (or family of circles, see `_arc`) with a trapezoid rule."""
     return _arc(center, radius, e1, e2, periodic_trapezoid(n_nodes))
-
-
-def arc_curve(center, radius, e1, e2, angle_lo: float, angle_hi: float) -> Curve:
-    """Circular arc (or family of arcs) with a 48-node Gauss-Legendre rule;
-    for window-localized integrands."""
-    return _arc(center, radius, e1, e2, gauss_legendre(48, angle_lo, angle_hi))
 
 
 def _node_sum(w: np.ndarray, vals: np.ndarray) -> float | np.ndarray:
@@ -386,19 +386,19 @@ closed_sphere_manifold = sphere_patch
 
 @dataclass(frozen=True)
 class TangentialCollar:
-    """Bi-Lipschitz sliding of the boundary curve into the surface.
-
-    Layer s=0 is the boundary itself; layers foliate a neighborhood inside the
-    patch. `layer(s)` is one curve, or for an array s the family of those
-    layers on one shared rule. `grad_s` maps points to the surface gradient
-    of the collar parameter (its magnitude is the localizer slope per unit
-    delta); `layer_jacobian` is the constant factor that converts ds x
-    arclength to surface area. The collar parameter s runs over [0, 1]; a
-    closed surface's collar has no `layer` and no `grad_s` (both None).
+    """Bi-Lipschitz sliding of the boundary curve into the surface, a point
+    of it (s, theta): layer s=0 is the boundary, and the layers, s in [0, 1],
+    foliate a neighborhood inside the patch. `layer(s, rule)` is the ring at
+    s on an angular rule (the patch's `v` or a window of it), for an array s
+    the family, nodes (k, m, 3); `grad_s(s, rule)` is the surface gradient of
+    s there in closed form, an array that broadcasts against those nodes (a
+    disk's -u(theta)/R is (m, 3)). `layer_jacobian` converts ds x arclength
+    to area, so |grad s| = 1/layer_jacobian, the localizer slope per unit
+    delta. A closed surface's collar has no `layer` and no `grad_s` (None).
     """
 
-    layer: Optional[Callable[[float | np.ndarray], Curve]]
-    grad_s: Optional[Callable[[np.ndarray], np.ndarray]]  # points (n, 3) -> (n, 3)
+    layer: Optional[Callable[[float | np.ndarray, QuadratureRule], Curve]]
+    grad_s: Optional[Callable[[float | np.ndarray, QuadratureRule], np.ndarray]]
     layer_jacobian: float
     param_of_radius: Optional[Callable[[float], float]] = None  # shape-specific break mapping
 
@@ -406,7 +406,7 @@ class TangentialCollar:
 def build_tangential_collar(patch: SurfacePatch) -> TangentialCollar:
     """Closed-form collar of a disk or a cap, read off its patch (a cap's
     colatitude th0 off its u rule, which spans (cos th0, 1)); its layers are
-    circles on the patch's own angular rule `v`.
+    circles ringed on a given angular rule, the patch's own `v` in a route.
 
     A closed sphere has no boundary, so its collar has no layers, and the
     localizer degenerates to the constant 1.
@@ -417,18 +417,8 @@ def build_tangential_collar(patch: SurfacePatch) -> TangentialCollar:
     if patch.name == "disk":
         center, radius = patch.origin, patch.scale
         e1, e2, _ = patch.frame
-
-        def layer(s):
-            return _arc(center, radius * (1.0 - s), e1, e2, patch.v)
-
-        axis = _cross(e1, e2)
-
-        def grad_s(pts):
-            rel = _by_columns(np.subtract, np.atleast_2d(pts), center)
-            along = _by_columns(np.multiply, (rel @ axis)[:, None], axis)
-            return _unit(rel - along) / -radius
-
-        return TangentialCollar(layer, grad_s, radius,
+        return TangentialCollar(lambda s, rule: _arc(center, radius * (1.0 - s), e1, e2, rule),
+                                lambda s, rule: _ring(e1, e2, rule) / -radius, radius,
                                 param_of_radius=lambda r: 1.0 - r / radius)
 
     if patch.name == "spherical_cap":
@@ -439,18 +429,18 @@ def build_tangential_collar(patch: SurfacePatch) -> TangentialCollar:
         e2 = np.array([0.0, 1.0, 0.0])
         e3 = np.array([0.0, 0.0, 1.0])
 
-        def layer(s):
+        def layer(s, rule):
             th = th0 * (1.0 - np.asarray(s))
             up = R * np.cos(th)
             c = _by_columns(lambda o, a: o + up * a, center, e3)
-            return _arc(c, R * np.sin(th), e1, e2, patch.v)
+            return _arc(c, R * np.sin(th), e1, e2, rule)
 
-        def grad_s(pts):
-            rel = _unit(_by_columns(np.subtract, np.atleast_2d(pts), center))
-            phi = np.arctan2(rel[:, 1], rel[:, 0])
-            th = np.arccos(np.clip(rel[:, 2], -1.0, 1.0))
-            e_theta = _columns(np.cos(th) * np.cos(phi), np.cos(th) * np.sin(phi), -np.sin(th))
-            return e_theta / -(R * th0)
+        def grad_s(s, rule):
+            # -(cos th u - sin th e3) / (R th0) at th = th0 (1 - s)
+            th = th0 * (1.0 - np.asarray(s))[..., None]
+            cos = np.cos(th)
+            return _columns(cos * np.cos(rule.nodes), cos * np.sin(rule.nodes),
+                            -np.sin(th)) / -(R * th0)
 
         return TangentialCollar(layer, grad_s, float(R * th0))
 
@@ -474,7 +464,8 @@ def _band_lines(layer, s_order: int, segments: Sequence[tuple[float, float]], in
     shells and depth profiles): per-layer sums of an integrand on
     Gauss-Legendre segments in s.
 
-    Segment (lo, hi) carries `gauss_legendre(s_order, lo, hi)`. `layer` maps
+    Segment (lo, hi) carries `gauss_legendre(s_order, lo, hi)`, all of them
+    formed in one `gauss_legendre_segments`. `layer` maps
     k of the s nodes to a node-set family, `nodes` (k, m, 3) and `weights`
     (k, m); `integrand(pts, s)` maps its points (k*m, 3) and the k layers' s
     to rows of values (rows, k*m) or one row (k*m,). Whole layers go in s
@@ -484,8 +475,8 @@ def _band_lines(layer, s_order: int, segments: Sequence[tuple[float, float]], in
     layer sums, (rows, n_s): callers apply their Jacobian and add in s order,
     or fit them.
     """
-    rules = [gauss_legendre(s_order, lo, hi) for lo, hi in segments]
-    s = np.concatenate([r.nodes for r in rules])
+    rule = gauss_legendre_segments(s_order, segments)
+    s = rule.nodes
     step = max(1, BLOCK_POINTS // layer(s[:0]).weights.shape[-1])
     lines = []
     for k in range(0, len(s), step):
@@ -493,20 +484,21 @@ def _band_lines(layer, s_order: int, segments: Sequence[tuple[float, float]], in
         w = family.weights
         vals = integrand(family.nodes.reshape(-1, 3), s[k:k + step])
         lines.append(np.sum(w * np.reshape(vals, (-1, *w.shape)), axis=-1))
-    return s, np.concatenate([r.weights for r in rules]), np.concatenate(lines, axis=1)
+    return s, rule.weights, np.concatenate(lines, axis=1)
 
 
-def ramp_bands(collar: TangentialCollar, covector_field, scalar, layer, s_order: int,
-               breaks: Sequence[float], t: float, deltas: Sequence[float]) -> dict:
+def ramp_bands(collar: TangentialCollar, covector_field, scalar, rule: QuadratureRule,
+               s_order: int, breaks: Sequence[float], t: float, deltas: Sequence[float]) -> dict:
     """The band table of one route call: per width delta, the band
     (t, t + delta) of scalar * (field . grad s) and of |scalar| |field|
-    (`scalar` None for 1) on the curves `layer` gives at an array of s (the
-    collar's layers or a window of each). Every band is checked before
-    anything is evaluated; each is split at the `breaks` inside it into
-    `s_order`-node Gauss-Legendre segments, whose sorted union is evaluated
-    in one `_band_lines` call. Maps delta to (layer weights in s order, line
-    sums (2, n_s), `layer_jacobian`); a collar without layers (a closed
-    sphere's) has no bands, so its table is empty.
+    (`scalar` None for 1) on the collar's layers ringed on `rule`, grad s
+    the collar's closed form broadcast against each block's (k, m, 3) field
+    values. Every band is checked before anything is evaluated; each is
+    split at the `breaks` inside it into `s_order`-node Gauss-Legendre
+    segments, whose sorted union is evaluated in one `_band_lines` call.
+    Maps delta to (layer weights in s order, line sums (2, n_s),
+    `layer_jacobian`); a collar without layers (a closed sphere's) has no
+    bands, so its table is empty.
     """
     if not all(0.0 < d and t >= 0.0 and t + d <= 1.0 for d in deltas):
         raise GeometryError("ramp band outside collar range")
@@ -515,7 +507,8 @@ def ramp_bands(collar: TangentialCollar, covector_field, scalar, layer, s_order:
 
     def integrand(pts, s):
         f = np.asarray(covector_field(pts), dtype=float)
-        vals = np.einsum("ij,ij->i", f, collar.grad_s(pts))
+        g, fk = collar.grad_s(s, rule), f.reshape(len(s), -1, 3)
+        vals = (fk[..., 0] * g[..., 0] + fk[..., 1] * g[..., 1] + fk[..., 2] * g[..., 2]).ravel()
         mags = np.sqrt(np.einsum("ij,ij->i", f, f))
         if scalar is not None:
             phi = np.asarray(scalar(pts), dtype=float)
@@ -524,7 +517,7 @@ def ramp_bands(collar: TangentialCollar, covector_field, scalar, layer, s_order:
 
     pieces = {d: _segments(t, t + d, breaks) for d in deltas}
     union = sorted({p for ps in pieces.values() for p in ps})
-    _, w, lines = _band_lines(layer, s_order, union, integrand)
+    _, w, lines = _band_lines(lambda s: collar.layer(s, rule), s_order, union, integrand)
     layer_w = w * collar.layer_jacobian
     nodes = {p: np.arange(i * s_order, (i + 1) * s_order) for i, p in enumerate(union)}
     bands = {}

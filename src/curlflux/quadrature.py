@@ -48,12 +48,20 @@ def periodic_trapezoid(n: int) -> QuadratureRule:
     return QuadratureRule(np.arange(n) * h, np.full(n, h))
 
 
+def gauss_legendre_segments(n: int, segments) -> QuadratureRule:
+    """The n-point Gauss-Legendre rules of the segments (lo, hi), in order,
+    as one rule: per segment the nodes and weights of `gauss_legendre(n, lo,
+    hi)`, formed by one broadcast over all of them, so the same floats."""
+    seg = np.asarray(segments, dtype=float).reshape(-1, 2)
+    x, w = _leggauss(n)
+    mid, half = 0.5 * (seg[:, :1] + seg[:, 1:]), 0.5 * (seg[:, 1:] - seg[:, :1])
+    return QuadratureRule((mid + half * x).ravel(), (half * w).ravel())
+
+
 def gauss_legendre_split(n: int, breakpoints: np.ndarray) -> QuadratureRule:
     """Composite GL rule with subintervals split at the given sorted breakpoints."""
     bp = np.asarray(breakpoints, dtype=float)
-    segs = [gauss_legendre(n, bp[i], bp[i + 1]) for i in range(len(bp) - 1) if bp[i + 1] > bp[i]]
-    if not segs:
+    seg = np.stack([bp[:-1], bp[1:]], axis=1)[bp[1:] > bp[:-1]]
+    if not len(seg):
         raise ValueError("empty breakpoint partition")
-    nodes = np.concatenate([s.nodes for s in segs])
-    weights = np.concatenate([s.weights for s in segs])
-    return QuadratureRule(nodes, weights)
+    return gauss_legendre_segments(n, seg)

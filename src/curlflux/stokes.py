@@ -30,13 +30,13 @@ from .geometry import (
     _cross_rows,
     _node_values,
     _norm,
-    arc_curve,
     circle_curve,
     integrate,
     ramp_bands,
     ramp_integral,
     shift_transversal,
 )
+from .quadrature import gauss_legendre
 from .sequences import judge_sequence, richardson_limit
 from .testfns import ScalarTestFunction, VectorTestField, radial_bump
 
@@ -93,17 +93,19 @@ def stokes_tangential(trace, patch: SurfacePatch, collar: TangentialCollar,
     the widths, band integral of |trace| |grad ramp|; the result holds that
     `scale` and the Richardson `gap`.
 
-    The widths read one band table (`ramp_bands`), built before any width is
-    read, so each band segment (split at the trace's break radii) is
-    evaluated once per call: a default solve without breaks evaluates its 11
-    segments in 3 layer calls, and on the dyadic annuli at t = 0 the 11
-    widths evaluate the 39 segments of the widest band instead of 374. The
-    widths are powers of two, so the values equal those of separately
-    evaluated bands (see `ramp_integral`). A band outside the collar range
-    raises `GeometryError`, on a closed sphere's collar too.
+    The widths read one band table (`ramp_bands`) on the collar's layers
+    ringed on the patch's angular rule `v`, with grad s in closed form on the
+    same rule. It is built before any width is read, so each band segment
+    (split at the trace's break radii) is evaluated once per call: a default
+    solve without breaks evaluates its 11 segments in 3 layer calls, and on
+    the dyadic annuli at t = 0 the 11 widths evaluate the 39 segments of the
+    widest band instead of 374. The widths are powers of two, so the values
+    equal those of separately evaluated bands (see `ramp_integral`). A band
+    outside the collar range raises `GeometryError`, on a closed sphere's
+    collar too.
     """
     deltas = tuple(2.0 ** (-j) for j in j_range)
-    bands = ramp_bands(collar, trace, None, collar.layer, 10,
+    bands = ramp_bands(collar, trace, None, patch.v, 10,
                        _breaks_in_s(collar, breaks_radii), t, deltas)
     vals, mags = zip(*(ramp_integral(bands, d) for d in deltas))
     verdict = judge_sequence(vals, max(mags))
@@ -124,7 +126,8 @@ def stokes_density(trace, patch: SurfacePatch, collar: TangentialCollar,
     `r_grid` lists the radii finest last; they are tried finest first, and
     the first estimate is reported: as r -> 0 it reproduces -(trace .
     tangent) at continuity points. Quadrature is windowed to the bump's
-    angular support on 48-node arcs, so radii far below the global angular
+    angular support: the collar's own layers and gradient are ringed on a
+    48-node Gauss-Legendre rule there, so radii far below the global angular
     resolution remain well resolved.
     """
     if patch.name != "disk":
@@ -138,15 +141,11 @@ def stokes_density(trace, patch: SurfacePatch, collar: TangentialCollar,
     for r in reversed(r_grid):
         bump = radial_bump(x0, r, plateau=0.6)
         half_width = 1.5 * r / (radius * (1.0 - t))
-
-        def window(s):
-            return arc_curve(center, radius * (1.0 - s), e1, e2, a0 - half_width,
-                             a0 + half_width)
-
+        window = gauss_legendre(48, a0 - half_width, a0 + half_width)
         bands = ramp_bands(collar, trace, bump.value, window, 8, (), t, deltas)
         vals, mags = zip(*(ramp_integral(bands, d) for d in deltas))
         verdict = judge_sequence(vals, max(mags))
-        curve_mass = integrate(window(t), bump.value)
+        curve_mass = integrate(collar.layer(t, window), bump.value)
         if verdict.converged and curve_mass > 0:
             # estimates converge slowly in the window radius; keep the finest
             return -verdict.limit / curve_mass

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curlflux import fields as flds
 from curlflux import geometry as geo
@@ -260,7 +261,7 @@ def test_shapes_hold_arrays_not_callables():
               "tilted_disk": geo.disk_patch((0.1, 0.2, 0.3), 1.5, (1.0, 1.0, 0.5)),
               "cap": geo.spherical_cap_patch((0, 0, 0), 1.0, 0.7),
               "closed_sphere": geo.sphere_patch((0, 0, 0), 1.0),
-              "layer_family": collar.layer(np.array([0.1, 0.2, 0.3]))}
+              "layer_family": collar.layer(np.array([0.1, 0.2, 0.3]), periodic_trapezoid(8))}
     assert not [p for kind, shape in shapes.items() for p in _callable_members(shape, kind)]
 
 
@@ -306,7 +307,7 @@ def test_curve_on_patch(unit_disk):
 def test_disk_collar_radial(unit_disk, unit_disk_collar):
     col = unit_disk_collar
     # layer distance equals the parameter gap for the radial collar
-    assert abs(_all_pairs_distance(col, 0.0, 0.25) - 0.25) < 1e-12
+    assert abs(_all_pairs_distance(col, unit_disk.v, 0.0, 0.25) - 0.25) < 1e-12
 
 
 def test_cap_collar_great_circle_oracle():
@@ -316,40 +317,107 @@ def test_cap_collar_great_circle_oracle():
     th0 = np.pi / 2
     for s0, s1 in [(0.0, 0.1), (0.1, 0.3)]:
         chord = 2.0 * np.sin(0.5 * th0 * (s1 - s0))
-        assert abs(_all_pairs_distance(col, s0, s1) - chord) < 1e-10
+        assert abs(_all_pairs_distance(col, man.v, s0, s1) - chord) < 1e-10
 
 
 def _collar_cases():
+    # (collar, the angular rule of its patch)
     for r in (0.1, 0.37, 1.0, 2.9):
-        yield geo.build_tangential_collar(geo.disk_patch((0.2, -0.1, 0.5), r,
-                                                         normal=(0.3, 0.1, 1.0)))
+        patch = geo.disk_patch((0.2, -0.1, 0.5), r, normal=(0.3, 0.1, 1.0))
+        yield geo.build_tangential_collar(patch), patch.v
     for th in (0.3, 1.0, 2.0):
-        yield geo.build_tangential_collar(geo.spherical_cap_patch((0.1, 0.2, -0.3), 1.3, th))
+        patch = geo.spherical_cap_patch((0.1, 0.2, -0.3), 1.3, th)
+        yield geo.build_tangential_collar(patch), patch.v
 
 
-def _all_pairs_distance(collar, s0, s1):
+def _all_pairs_distance(collar, rule, s0, s1):
     # reference: min over every pair of nodes of two separately built layers
-    a, b = collar.layer(s0).nodes, collar.layer(s1).nodes
+    a, b = collar.layer(s0, rule).nodes, collar.layer(s1, rule).nodes
     return float(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2).min())
 
 
 def test_layer_family_equals_stacked_layers():
     ss = gauss_legendre_split(8, np.array([0.1, 0.13, 0.35])).nodes
-    for col in _collar_cases():
-        family = col.layer(ss)
-        layers = [col.layer(s) for s in ss]
+    for col, rule in _collar_cases():
+        family = col.layer(ss, rule)
+        layers = [col.layer(s, rule) for s in ss]
         assert family.nodes.shape == (ss.size, geo.DEFAULT_ANGULAR, 3)
         assert np.array_equal(family.nodes, np.stack([c.nodes for c in layers]))
         assert np.array_equal(family.weights, np.stack([c.weights for c in layers]))
+        # the closed-form gradient of the family is each layer's, broadcast
+        grads = [np.broadcast_to(col.grad_s(s, rule), c.nodes.shape) for s, c in zip(ss, layers)]
+        assert np.array_equal(np.broadcast_to(col.grad_s(ss, rule), family.nodes.shape),
+                              np.stack(grads))
 
 
 def test_arc_family_equals_stacked_arcs():
-    center, (e1, e2, _) = np.array([0.2, -0.1, 0.5]), geo.frame_from_normal((0.3, 0.1, 1.0))
+    # a disk collar's layers on a window rule (the arcs of stokes_density)
+    center, normal = np.array([0.2, -0.1, 0.5]), (0.3, 0.1, 1.0)
+    col = geo.build_tangential_collar(geo.disk_patch(center, 1.7, normal=normal))
+    window = gauss_legendre(48, 0.4, 0.9)
     ss = gauss_legendre_split(8, np.array([0.1, 0.2, 0.3])).nodes
-    family = geo.arc_curve(center, 1.7 * (1.0 - ss), e1, e2, 0.4, 0.9)
-    arcs = [geo.arc_curve(center, 1.7 * (1.0 - s), e1, e2, 0.4, 0.9) for s in ss]
+    family = col.layer(ss, window)
+    arcs = [col.layer(s, window) for s in ss]
     assert np.array_equal(family.nodes, np.stack([c.nodes for c in arcs]))
     assert np.array_equal(family.weights, np.stack([c.weights for c in arcs]))
+
+
+def _pointwise_grad_s(patch, pts):
+    # the collar gradient read off points: the direction to the axis (a
+    # disk) or the colatitude direction (a cap), normalized node by node
+    if patch.name == "disk":
+        e1, e2, _ = patch.frame
+        axis = np.cross(e1, e2)
+        rel = np.atleast_2d(pts) - patch.origin
+        radial = rel - (rel @ axis)[:, None] * axis
+        return -radial / np.linalg.norm(radial, axis=1, keepdims=True) / patch.scale
+    height = float(np.sum(patch.u.weights))
+    th0 = float(np.arctan2(np.sqrt(height * (2.0 - height)), 1.0 - height))
+    rel = np.atleast_2d(pts) - patch.origin
+    rel = rel / np.linalg.norm(rel, axis=1, keepdims=True)
+    phi, th = np.arctan2(rel[:, 1], rel[:, 0]), np.arccos(np.clip(rel[:, 2], -1.0, 1.0))
+    e_theta = np.stack([np.cos(th) * np.cos(phi), np.cos(th) * np.sin(phi), -np.sin(th)], axis=1)
+    return -e_theta / (patch.scale * th0)
+
+
+LAYER_FAMILIES = arrays(np.float64, st.integers(1, 4), elements=st.floats(0.0, 0.75))
+
+
+@st.composite
+def _collar_patches(draw):
+    # a disk on its own rule or on a stokes_density window, or a cap whose
+    # rings stay off the pole and its antipode, where sin(th) is small and
+    # the pointwise arccos itself loses digits
+    kind = draw(st.sampled_from(["disk", "window", "cap"]))
+    radius = draw(st.floats(0.05, 5.0))
+    direction = draw(arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.linalg.norm(v) > 1e-3))
+    center = draw(st.floats(0.0, 4.0)) * radius * direction / np.linalg.norm(direction)
+    if kind == "cap":
+        patch = geo.spherical_cap_patch(center, radius, draw(st.floats(0.3, 3.0)))
+        return patch, patch.v
+    normal = draw(arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.linalg.norm(v) > 1e-3))
+    patch = geo.disk_patch(center, radius, normal=normal, order=4, n_angular=32)
+    if kind == "disk":
+        return patch, patch.v
+    a0, half = draw(st.floats(-np.pi, np.pi)), draw(st.floats(1e-4, 1.0))
+    return patch, gauss_legendre(48, a0 - half, a0 + half)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_collar_patches(), s=LAYER_FAMILIES)
+def test_the_closed_form_collar_gradient_is_the_pointwise_one(case, s):
+    # the closed form on (s, theta) against the gradient read off the layer
+    # nodes, to 32 ulps of its magnitude 1/R (1/(R th0) on a cap); nearer
+    # s = 1 the rings shrink and the pointwise reading itself loses digits
+    patch, rule = case
+    collar = geo.build_tangential_collar(patch)
+    family = collar.layer(s, rule)
+    got = np.broadcast_to(collar.grad_s(s, rule), family.nodes.shape)
+    want = _pointwise_grad_s(patch, family.nodes.reshape(-1, 3)).reshape(got.shape)
+    scale = 1.0 / collar.layer_jacobian
+    assert np.max(np.abs(got - want)) <= 32 * np.spacing(scale)
 
 
 def test_closed_sphere_collar_is_empty(rigid_rotation):
@@ -357,7 +425,7 @@ def test_closed_sphere_collar_is_empty(rigid_rotation):
     man = geo.sphere_patch((0, 0, 0), 1.0)
     col = geo.build_tangential_collar(man)
     assert col.layer is None and col.grad_s is None
-    bands = geo.ramp_bands(col, rigid_rotation.trace_z_plane, None, col.layer, 10, (), 0.0,
+    bands = geo.ramp_bands(col, rigid_rotation.trace_z_plane, None, man.v, 10, (), 0.0,
                            (0.25, 0.125))
     assert bands == {}
     assert geo.ramp_integral(bands, 0.25) == (0.0, 0.0)
@@ -386,16 +454,15 @@ def test_band_quadrature_matches_layer_loop(annuli):
     s_rule = gauss_legendre_split(8, bp)
     ramp = magnitude = 0.0
     for s, w in zip(s_rule.nodes, s_rule.weights):
-        curve = collar.layer(s)
+        curve = collar.layer(s, man.v)
         pts, lw = curve.nodes, curve.weights
-        g = collar.grad_s(pts) / delta
+        g = collar.grad_s(s, man.v) / delta
         f = annuli.trace_z_plane(pts)
-        vals = np.einsum("ij,ij->i", f, g) * weight(pts)
+        vals = _dot(f, g) * weight(pts)
         mags = np.linalg.norm(f, axis=1) * np.linalg.norm(g, axis=1) * np.abs(weight(pts))
         ramp += w * collar.layer_jacobian * np.sum(lw * vals)
         magnitude += w * collar.layer_jacobian * np.sum(lw * mags)
-    bands = geo.ramp_bands(collar, annuli.trace_z_plane, weight, collar.layer, 8, breaks, t,
-                           (delta,))
+    bands = geo.ramp_bands(collar, annuli.trace_z_plane, weight, man.v, 8, breaks, t, (delta,))
     got, got_magnitude = geo.ramp_integral(bands, delta)
     assert got == ramp
     # the magnitude takes its norms in another order, so it agrees to roundoff
@@ -403,15 +470,20 @@ def test_band_quadrature_matches_layer_loop(annuli):
     assert got_magnitude >= abs(got)
 
 
-def _separate_band(collar, layer, s_order, breaks, trace, scalar, t, delta):
+def _dot(f, g):
+    # f . g over the last axis, its products added first to last
+    return f[..., 0] * g[..., 0] + f[..., 1] * g[..., 1] + f[..., 2] * g[..., 2]
+
+
+def _separate_band(collar, rule, s_order, breaks, trace, scalar, t, delta):
     # reference: the band (t, t+delta) on a split rule of its own, evaluated
     # in one batch with the gradient scaled by 1/delta before the line sums
     bp = np.array(sorted({t, t + delta, *(b for b in breaks if t < b < t + delta)}))
     s_rule = gauss_legendre_split(s_order, bp)
-    layers = layer(s_rule.nodes)
+    layers = collar.layer(s_rule.nodes, rule)
     pts = layers.nodes.reshape(-1, 3)
     f = trace(pts)
-    vals = np.einsum("ij,ij->i", f, collar.grad_s(pts) / delta)
+    vals = _dot(f.reshape(layers.nodes.shape), collar.grad_s(s_rule.nodes, rule) / delta).ravel()
     mags = np.sqrt(np.einsum("ij,ij->i", f, f))
     if scalar is not None:
         vals, mags = vals * scalar(pts), mags * np.abs(scalar(pts))
@@ -424,10 +496,10 @@ def _separate_band(collar, layer, s_order, breaks, trace, scalar, t, delta):
     return band(vals), band(mags) / (collar.layer_jacobian * delta)
 
 
-def _read_widths(collar, trace, scalar, layer, s_order, breaks, t, deltas):
+def _read_widths(collar, trace, scalar, rule, s_order, breaks, t, deltas):
     # one table for all widths, then each width read off it; a read leaves
     # the table's arrays as they were
-    bands = geo.ramp_bands(collar, trace, scalar, layer, s_order, breaks, t, deltas)
+    bands = geo.ramp_bands(collar, trace, scalar, rule, s_order, breaks, t, deltas)
     table = {d: tuple(np.copy(a) for a in band[:2]) for d, band in bands.items()}
     got = [geo.ramp_integral(bands, d) for d in deltas]
     assert all(np.array_equal(a, b) for d in deltas for a, b in zip(bands[d], table[d]))
@@ -448,9 +520,9 @@ def test_shared_segments_equal_separate_bands(annuli, t, with_scalar, radius):
     scalar = (lambda p: 1.0 + p[:, 0] ** 2) if with_scalar else None
     breaks = tuple(collar.param_of_radius(radius * r) for r in annuli.trace_breaks_radii)
     deltas = [2.0 ** -j for j in range(2, 13)]
-    for delta, got in zip(deltas, _read_widths(collar, trace, scalar, collar.layer, 10, breaks,
-                                               t, deltas)):
-        assert got == _separate_band(collar, collar.layer, 10, breaks, trace, scalar, t, delta)
+    for delta, got in zip(deltas, _read_widths(collar, trace, scalar, man.v, 10, breaks, t,
+                                               deltas)):
+        assert got == _separate_band(collar, man.v, 10, breaks, trace, scalar, t, delta)
 
 
 def test_shared_segments_equal_separate_bands_on_a_window(rigid_rotation):
@@ -463,10 +535,7 @@ def test_shared_segments_equal_separate_bands_on_a_window(rigid_rotation):
     bump = radial_bump(center + radius * (np.cos(a0) * e1 + np.sin(a0) * e2), 2.0 ** -5,
                        plateau=0.6)
 
-    def window(s):
-        return geo.arc_curve(center, radius * (1.0 - s), e1, e2, a0 - half_width,
-                             a0 + half_width)
-
+    window = gauss_legendre(48, a0 - half_width, a0 + half_width)
     deltas = [2.0 ** -j for j in range(5, 14)]
     for delta, got in zip(deltas, _read_widths(collar, rigid_rotation.trace_z_plane, bump.value,
                                                window, 8, (), 0.0, deltas)):
@@ -487,7 +556,7 @@ def test_a_band_outside_the_collar_is_refused_before_any_evaluation(unit_disk_co
         for t, deltas in ((0.0, (0.25, 1.5)), (-0.1, (0.25,)), (0.1, (0.0,)),
                           (0.9, (0.25, 0.125))):
             with pytest.raises(geo.GeometryError, match="^ramp band outside collar range$"):
-                geo.ramp_bands(collar, trace, None, collar.layer, 10, (), t, deltas)
+                geo.ramp_bands(collar, trace, None, periodic_trapezoid(8), 10, (), t, deltas)
     assert points == []
 
 

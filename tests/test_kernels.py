@@ -182,23 +182,21 @@ def test_the_slides_give_the_floats_of_the_row_broadcasts(kind, data, origin, no
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(pts=vectors((17, 3)), origin=ORIGINS, normal=NORMALS, radius=RADII,
-       colatitude=st.floats(0.1, 3.0), s=st.floats(0.0, 1.0),
+@given(origin=ORIGINS, normal=NORMALS, radius=RADII, colatitude=st.floats(0.1, 3.0),
+       s=st.floats(0.0, 1.0),
        family=arrays(np.float64, st.integers(0, 4), elements=st.floats(0.0, 1.0)))
-def test_the_collars_give_the_floats_of_the_row_broadcasts(pts, origin, normal, radius,
-                                                          colatitude, s, family):
-    pts[0] = origin  # the centre, where the direction is the zero row
-    # each collar rings its layers on its patch's own angular rule
+def test_the_collars_give_the_floats_of_the_row_broadcasts(origin, normal, radius, colatitude,
+                                                          s, family):
+    # each collar rings its layers on the angular rule it is given, here its
+    # patch's own, and forms its gradient on the same (s, theta)
     rule = periodic_trapezoid(8)
     disk = geo.disk_patch(origin, radius, normal=normal, order=4, n_angular=8)
     col = geo.build_tangential_collar(disk)
     e1, e2, _ = disk.frame
-    axis = np.cross(e1, e2)
-    rel = pts - origin
-    want = -_np_unit(rel - (rel @ axis)[:, None] * axis) / radius
-    assert col.grad_s(pts).tobytes() == want.tobytes()
+    ring = np.cos(rule.nodes)[:, None] * e1 + np.sin(rule.nodes)[:, None] * e2
     for at in (s, family):
-        got = col.layer(at)
+        assert col.grad_s(at, disk.v).tobytes() == (-ring / radius).tobytes()
+        got = col.layer(at, disk.v)
         want = _old_arc(origin, radius * (1.0 - at), e1, e2, rule)
         assert (got.nodes.tobytes(), got.weights.tobytes()) == tuple(w.tobytes() for w in want)
 
@@ -207,16 +205,17 @@ def test_the_collars_give_the_floats_of_the_row_broadcasts(pts, origin, normal, 
     col = geo.build_tangential_collar(cap)
     height = float(np.sum(cap.u.weights))
     th0 = float(np.arctan2(np.sqrt(height * (2.0 - height)), 1.0 - height))
-    rel = _np_unit(pts - origin)
-    phi, th = np.arctan2(rel[:, 1], rel[:, 0]), np.arccos(np.clip(rel[:, 2], -1.0, 1.0))
-    e_theta = np.stack([np.cos(th) * np.cos(phi), np.cos(th) * np.sin(phi), -np.sin(th)], axis=1)
-    assert col.grad_s(pts).tobytes() == (-e_theta / (radius * th0)).tobytes()
+    phi = rule.nodes
     for at in (s, family):
         th = th0 * (1.0 - np.asarray(at))
         c = origin + np.multiply.outer(radius * np.cos(th), [0.0, 0.0, 1.0])
-        got = col.layer(at)
+        got = col.layer(at, cap.v)
         want = _old_arc(c, radius * np.sin(th), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), rule)
         assert (got.nodes.tobytes(), got.weights.tobytes()) == tuple(w.tobytes() for w in want)
+        th = th[..., None]
+        e_theta = np.stack(np.broadcast_arrays(np.cos(th) * np.cos(phi), np.cos(th) * np.sin(phi),
+                                               -np.sin(th)), axis=-1)
+        assert col.grad_s(at, cap.v).tobytes() == (-e_theta / (radius * th0)).tobytes()
 
 
 def _old_nodes_and_normals(p):

@@ -34,9 +34,9 @@ def test_tangential_route_evaluates_its_widths_in_blocks_of_whole_layers(
     # 96-node layers as fit in BLOCK_POINTS points, 52 of 4992 points each
     calls = []
 
-    def layer(s):
+    def layer(s, rule):
         calls.append(np.shape(s))
-        return unit_disk_collar.layer(s)
+        return unit_disk_collar.layer(s, rule)
 
     collar = dataclasses.replace(unit_disk_collar, layer=layer)
     res = stk.stokes_tangential(rigid_rotation.trace_z_plane, unit_disk, collar, 0.0)
@@ -140,7 +140,7 @@ def test_a_route_call_evaluates_its_bands_once_and_its_reads_evaluate_nothing(
         rigid_rotation, unit_disk, unit_disk_collar, monkeypatch):
     # the 11 widths' bands come from one `_band_lines` call; reading a width
     # off the table forms no rule, evaluates no band and calls no field
-    calls = {"_band_lines": 0, "gauss_legendre": 0, "trace": 0}
+    calls = {"_band_lines": 0, "gauss_legendre_segments": 0, "trace": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -148,7 +148,7 @@ def test_a_route_call_evaluates_its_bands_once_and_its_reads_evaluate_nothing(
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_band_lines", "gauss_legendre"):
+    for name in ("_band_lines", "gauss_legendre_segments"):
         monkeypatch.setattr(geo, name, counted(name, getattr(geo, name)))
     reads = []
 
@@ -219,14 +219,14 @@ def test_break_radii_on_a_collar_that_cannot_place_them_are_refused(annuli, patc
         solve(annuli.trace_z_plane, patch, collar, 0.1, breaks_radii=(0.5, 0.7))
 
 
-def test_support_property(rigid_rotation, unit_disk_collar):
+def test_support_property(rigid_rotation, unit_disk, unit_disk_collar):
     # test function supported away from the shrunk boundary circle: exact zero
     # once the ramp width drops below the separation, on the bump-weighted
     # ramp segments that stokes_density reads
     bump = radial_bump((0.0, 0.0, 0.0), 0.3)
     deltas = [2.0 ** (-j) for j in range(4, 10)]
     bands = geo.ramp_bands(unit_disk_collar, rigid_rotation.trace_z_plane, bump.value,
-                           unit_disk_collar.layer, 10, (), 0.0, deltas)
+                           unit_disk.v, 10, (), 0.0, deltas)
     assert max(abs(geo.ramp_integral(bands, d)[0]) for d in deltas) == 0.0
 
 
@@ -465,7 +465,7 @@ def test_boundary_pairing_smooth_matches_line_quadrature(unit_disk,
 
     t = 0.2
     pairing, mass, _ = stk.boundary_pairing_mass(G, unit_disk, unit_disk_collar, t)
-    layer = unit_disk_collar.layer(t)
+    layer = unit_disk_collar.layer(t, unit_disk.v)
     pts = layer.nodes
     con = pts / np.linalg.norm(pts, axis=1, keepdims=True)  # outward conormal
     oracle = float(np.sum(layer.weights * np.einsum("ij,ij->i", G(pts), con)))
@@ -632,7 +632,16 @@ def test_the_collar_rings_take_the_patch_angular_rule(line_vortex, n_angular, bo
     # read -3.76e-6 CONVERGED at every n_angular
     patch = geo.disk_patch((1.25 * np.cos(1.0), 0.0, 0.0), 1.0,
                            normal=(np.sin(1.0), 0.0, np.cos(1.0)), n_angular=n_angular)
-    assert geo.build_tangential_collar(patch).layer(0.5).weights.shape == (n_angular,)
+    col, rules = geo.build_tangential_collar(patch), []
+
+    def layer(s, rule):
+        rules.append(rule)
+        return col.layer(s, rule)
+
+    stk.stokes_tangential(flds.surface_trace(line_vortex.vector_field, patch), patch,
+                          dataclasses.replace(col, layer=layer), 0.0)
+    assert rules and all(rule is patch.v for rule in rules)
+    assert patch.v.weights.shape == (n_angular,)
     for flux in _tangential_and_mass(line_vortex, patch, 0.0):
         assert abs(flux) < bound
 
